@@ -77,9 +77,6 @@ class AInftyMorphism:
                 raise StructureError("f_%d must map source carrier to target carrier" % n)
             if not m.is_zero():
                 self.components[n] = m
-        if 1 not in self.components:
-            # an absent first component is the zero chain map, which is legal
-            pass
 
     def component(self, n):
         got = self.components.get(n)

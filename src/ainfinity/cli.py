@@ -11,9 +11,9 @@ import argparse
 import random
 import sys
 
-from .ainfty import (AInftyHomotopy, AInftyMorphism, check_homotopy,
-                     check_morphism, check_structure, compose_morphisms,
-                     identity_morphism)
+from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
+                     check_homotopy, check_morphism, check_structure,
+                     compose_morphisms, identity_morphism)
 from .battery import equivalence_battery
 from .coalgebra import ComponentFamily, extract_components
 from .corpus import random_dga
@@ -173,7 +173,10 @@ def cmd_transfer(args):
         sys.stderr.write("input error: transfer needs a structure block\n")
         return 2
     big_name, mu = doc.structure
-    N = args.arity or doc.truncation
+    N = doc.truncation if args.arity is None else args.arity
+    if N < 1:
+        sys.stderr.write("input error: --arity must be >= 1, got %d\n" % N)
+        return 2
     if N > doc.truncation:
         sys.stderr.write("input error: --arity %d exceeds document truncation %d\n"
                          % (N, doc.truncation))
@@ -233,7 +236,6 @@ def cmd_transfer(args):
 
     if args.method == "hpl":
         nu_comps, phi_c, psi_c, hom_c = _hpl_components(hpl, retract, N)
-        from .ainfty import AInfinity
         d_w = retract.small.d
         nu = AInfinity(retract.small.module, d_w,
                        {n: m for n, m in nu_comps.items() if n >= 2}, N)
@@ -306,7 +308,6 @@ def _selftest_instance(base_seed, index, N, writer):
     checks.add("degeneration.h0", BoolResidual(plain and higher))
 
     # degeneration: no products means the perturbation series is trivial
-    from .ainfty import AInfinity
     bare = AInfinity(mu.carrier, mu.differential, {}, N)
     bare_data = build_perturbation(retract, suspend_structure(bare), N)
     bare_hpl = hpl_transfer(bare_data)
@@ -329,6 +330,13 @@ def _selftest_instance(base_seed, index, N, writer):
 
 
 def cmd_selftest(args):
+    if args.arity < 2:
+        sys.stderr.write("input error: --arity must be >= 2, got %d\n" % args.arity)
+        return 2
+    if args.corpus_size < 1:
+        sys.stderr.write("input error: --corpus-size must be >= 1, got %d\n"
+                         % args.corpus_size)
+        return 2
     out = ReportWriter()
     out.line("corpus-size=%d" % args.corpus_size)
     out.line("seed=%d" % args.seed)

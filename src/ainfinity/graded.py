@@ -2,8 +2,9 @@
 
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
-nonzero image.  All Koszul signs are generated in `apply_block` /
-`compose_product`; no other module writes sign formulas for tensor
+nonzero image.  All Koszul signs of tensor evaluation are generated here, in
+`apply_block`, `tensor_table` and `compose_product`, each through
+`signs.koszul_exponent`; no other module writes sign formulas for tensor
 evaluation.
 
 Values are immutable after construction by convention; operations return
@@ -181,9 +182,6 @@ class MultiMap:
         """Image of a basis word as a sparse dict (copy)."""
         return dict(self.table.get(tuple(word), ()))
 
-    def vector_at(self, word):
-        return Vector(self.target, self.apply(word))
-
     def same_shape(self, other):
         return (self.source == other.source and self.target == other.target
                 and self.arity == other.arity and self.degree == other.degree)
@@ -309,12 +307,35 @@ def tensor_table(maps):
     return {w: v for w, v in table.items() if v}
 
 
+def _columns(m):
+    """Transpose of a map's table: output basis element -> [(input word, c)]."""
+    cols = {}
+    for part, vec in m.table.items():
+        for b, c in vec.items():
+            cols.setdefault(b, []).append((part, c))
+    return cols
+
+
 def compose_product(outer, inners):
     """outer o (inner_1 x ... x inner_k), one inner per input slot of outer.
 
     The workhorse composite: plain composition (k = 1), insertions, and all
     the recursion terms are built through it, so every sign in the library
     comes from the single Koszul exponent above.
+
+    The enumeration is driven by the support of `outer`: each inner is
+    transposed once into columns (output basis element -> input parts), then
+    the entries (mid, final) of `outer.table` are visited in table order,
+    and for each one the k columns named by `mid` are multiplied out with
+    the last slot varying fastest.  An entry whose mid misses some column
+    contributes nothing.  The part degrees are fixed by the output,
+    deg(part_j) = mid[j][0] - inner_j.degree, so the Koszul sign is
+    computed once per outer entry.  The order does not affect the result,
+    since arithmetic is exact.
+
+    Cost: O(nnz(inners) + nnz(outer) * k + terms produced).  No input
+    combination that misses `outer` is visited, so inserting into identity
+    slots costs what the insertion produces, not dim^(k-1) * nnz(inner).
     """
     inners = list(inners)
     if len(inners) != outer.arity:
@@ -331,31 +352,28 @@ def compose_product(outer, inners):
     result = MultiMap.zero(source, outer.target, arity, degree)
     if outer.is_zero() or any(m.is_zero() for m in inners):
         return result
-    table = {}
+    columns = [_columns(m) for m in inners]
     inner_degrees = [m.degree for m in inners]
-    for combo in itertools.product(*(m.table.items() for m in inners)):
+    table = {}
+    for mid, final in outer.table.items():
+        cols = [col.get(b) for col, b in zip(columns, mid)]
+        if not all(cols):
+            continue
         exponent = 0
         left = 0
-        in_word = ()
-        for j, (part, _) in enumerate(combo):
+        for j, b in enumerate(mid):
             if j:
                 exponent += signs.koszul_exponent(inner_degrees[j], left)
-            left += word_degree(part)
-            in_word += part
+            left += b[0] - inner_degrees[j]
         negate = exponent % 2 == 1
-        dst = None
-        for outs in itertools.product(*(vec.items() for _, vec in combo)):
-            mid = tuple(b for b, _ in outs)
-            final = outer.table.get(mid)
-            if not final:
-                continue
-            coeff = outs[0][1]
-            for _, c in outs[1:]:
+        for picks in itertools.product(*cols):
+            in_word, coeff = picks[0]
+            for part, c in picks[1:]:
+                in_word += part
                 coeff = coeff * c
             if negate:
                 coeff = -coeff
-            if dst is None:
-                dst = table.setdefault(in_word, {})
+            dst = table.setdefault(in_word, {})
             for b, c2 in final.items():
                 _acc(dst, b, coeff * c2)
     return MultiMap(source, outer.target, arity, degree, table)
@@ -374,11 +392,6 @@ def insert(outer, position, inner):
     ident = MultiMap.identity(outer.source)
     blocks = [ident] * (position - 1) + [inner] + [ident] * (outer.arity - position)
     return compose_product(outer, blocks)
-
-
-def tensor_power(m, n):
-    """The list [m]*n, for readability at call sites building m^{x n}."""
-    return [m] * n
 
 
 class ChainComplex:

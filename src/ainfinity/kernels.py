@@ -349,7 +349,10 @@ def transfer(retract, mu, N=None, cross_validate=True):
         raise StructureError("structure lives on a different module than the retract")
     if not (mu.differential - retract.big.d).is_zero():
         raise StructureError("structure differential differs from the retract's")
-    N = N or mu.truncation
+    if N is None:
+        N = mu.truncation
+    elif N < 1:
+        raise StructureError("transfer arity must be >= 1, got %d" % N)
     structure_report = check_structure(mu, N)
     if not structure_report.ok:
         raise StructureError("input structure fails its defining relations at %r"

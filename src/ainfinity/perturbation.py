@@ -53,7 +53,11 @@ class PerturbationData:
             "homotopy", sV, sV, {1: hhat}, trunc,
             left=ComponentFamily.strict_morphism(gfhat, trunc),
             right=ComponentFamily.identity(sV, trunc)))
-        self.dmu = lift_coderivation(smu.perturbation_family())
+        # the perturbation: the shifted products of arity 2..trunc, lifted at
+        # the same truncation as every other operator here
+        self.dmu = lift_coderivation(ComponentFamily(
+            "coderivation", sV, sV,
+            {n: m for n, m in smu.deltas.items() if 2 <= n <= trunc}, trunc))
         self.nilpotency = {}
 
     def verify_nilpotency(self):
@@ -82,7 +86,8 @@ class PerturbationData:
 
 
 def build_perturbation(retract, smu, trunc=None):
-    trunc = trunc or smu.truncation
+    if trunc is None:
+        trunc = smu.truncation
     if smu.carrier != retract.shifted()[2].source:
         raise StructureError("shifted structure lives off the retract's module")
     return PerturbationData(retract, smu, trunc)
@@ -318,7 +323,7 @@ def check_annihilation_lemmas(pkg, n_max=None):
         rhs = _compose_with_homotopy(sus.delta(n), sus, n)
         for i in range(2, n):
             y = _delta_slot_sum(sus.q[n - i + 1], sus.delta(i), n, ident)
-            rhs = rhs + _compose_with_homotopy_block(y, sus, n)
+            rhs = rhs + _compose_with_homotopy(y, sus, n)
         report.add("q-through-homotopy-%d" % n, q_n - rhs)
 
         lhs = (sus.psiphi[n]
@@ -327,10 +332,6 @@ def check_annihilation_lemmas(pkg, n_max=None):
         rhs = _compose_with_homotopy(compose(sus.gfhat, sus.delta(n)), sus, n)
         for i in range(2, n):
             y = _delta_slot_sum(sus.psiphi[n - i + 1], sus.delta(i), n, ident)
-            rhs = rhs + _compose_with_homotopy_block(y, sus, n)
+            rhs = rhs + _compose_with_homotopy(y, sus, n)
         report.add("composite-reduction-%d" % n, lhs - rhs)
     return report
-
-
-def _compose_with_homotopy_block(x, sus, n):
-    return _compose_with_homotopy(x, sus, n)

@@ -10,6 +10,7 @@ f projects onto H along B + C, g includes H, and h inverts d from B into C
 (with the sign required by  gf - 1 = d h + h d).
 """
 
+from .ainfty import AInfinity
 from .graded import ChainComplex, GradedModule, MultiMap, StructureError, compose
 from .kernels import DeformationRetract
 
@@ -212,28 +213,48 @@ def harmonious_retract(cx):
 
 # ----------------------------------------------------------- desk instances
 
-def instance_massey(field=None, truncation=5):
-    """A DG algebra whose transferred triple product is nonzero.
+def instance_massey(field=None, truncation=5, k=3):
+    """The k-fold Massey DG algebra (k >= 2), built from a defining system
+    (Kraines, *Massey higher products*, 1966; May, *Matric Massey
+    products*, 1969).  Its transferred k-ary product is nonzero.
 
-    Basis x, y, z (degree 1), p, q (degree 2), u, w (degree 3), m, m'
-    (degree 4); d(u) = p, d(w) = q; products x.y = p, y.z = q, u.z = m,
-    x.w = m'.  Homology sits in degrees 1 and 4.
+    Basis: a_ij for 0 <= i < j <= k, (i, j) != (0, k), of degree
+    2(j - i) - 1, and c_ij^l for i < l < j, of degree 2(j - i) - 2; within
+    a degree a_ij are ordered by i and c_ij^l by (i, j, -l).  Products
+    a_il . a_lj = c_ij^l, differential d a_ij = sum_l c_ij^l; every product
+    of a product vanishes.  The cycles a_{i,i+1} have a defined, nonzero
+    k-fold Massey product.
+
+    k = 3 is the triple-product witness: x, y, z = a_01, a_12, a_23
+    (degree 1), p, q = c_02^1, c_13^2 (degree 2), u, w = a_02, a_13
+    (degree 3), m, m' = c_03^2, c_03^1 (degree 4); so x.y = p, y.z = q,
+    u.z = m, x.w = m', d(u) = p, d(w) = q.  Homology sits in degrees 1
+    and 4.
     """
-    from .ainfty import AInfinity
+    if k < 2:
+        raise StructureError("a Massey product needs k >= 2 factors")
+    keys = [("a", i, j) for i in range(k) for j in range(i + 1, k + 1)
+            if (i, j) != (0, k)]
+    keys += [("c", i, j, l) for i in range(k) for j in range(i + 2, k + 1)
+             for l in range(i + 1, j)]
+    slots, dims = {}, {}
+    for key in sorted(keys, key=lambda key: (key[1], key[2], -key[-1])):
+        span = key[2] - key[1]
+        deg = 2 * span - 1 if key[0] == "a" else 2 * span - 2
+        slots[key] = (deg, dims.get(deg, 0))
+        dims[deg] = dims.get(deg, 0) + 1
     kwargs = {} if field is None else {"field": field}
-    V = GradedModule({1: 3, 2: 2, 3: 2, 4: 2}, **kwargs)
+    V = GradedModule({deg: dims[deg] for deg in sorted(dims)}, **kwargs)
     one = V.field.one
-    x, y, z = (1, 0), (1, 1), (1, 2)
-    p, q = (2, 0), (2, 1)
-    u, w = (3, 0), (3, 1)
-    m, m2 = (4, 0), (4, 1)
-    d = MultiMap(V, V, 1, -1, {(u,): {p: one}, (w,): {q: one}})
-    mu2 = MultiMap(V, V, 2, 0, {
-        (x, y): {p: one},
-        (y, z): {q: one},
-        (u, z): {m: one},
-        (x, w): {m2: one},
-    })
+    d_table, mu2_table = {}, {}
+    for key, slot in slots.items():
+        if key[0] == "c":
+            _, i, j, l = key
+            mu2_table[(slots[("a", i, l)], slots[("a", l, j)])] = {slot: one}
+            if ("a", i, j) in slots:
+                d_table.setdefault((slots[("a", i, j)],), {})[slot] = one
+    d = MultiMap(V, V, 1, -1, d_table)
+    mu2 = MultiMap(V, V, 2, 0, mu2_table)
     return AInfinity(V, d, {2: mu2}, truncation)
 
 
@@ -241,7 +262,6 @@ def instance_forms(field=None, truncation=5):
     """Truncated polynomial forms on a line: 1, t, t^2 (degree 0) and
     dt, t dt (degree -1); d(t) = dt, d(t^2) = 2 t dt; unital product
     truncated above t^2."""
-    from .ainfty import AInfinity
     kwargs = {} if field is None else {"field": field}
     V = GradedModule({0: 3, -1: 2}, **kwargs)
     one = V.field.one

@@ -16,7 +16,7 @@ unsuspended formulas remain as an independently implemented cross-check.
 """
 
 from . import signs
-from .ainfty import AInfinity, AInftyHomotopy, AInftyMorphism
+from .ainfty import AInfinity
 from .coalgebra import ComponentFamily
 from .graded import GradedModule, MultiMap, StructureError, apply_block, compose_product
 
@@ -113,12 +113,6 @@ class SuspendedAInfinity:
         return ComponentFamily("coderivation", self.carrier, self.carrier,
                                self.deltas, self.truncation)
 
-    def perturbation_family(self):
-        """The same components with the arity-1 slot zeroed."""
-        comps = {n: m for n, m in self.deltas.items() if n >= 2}
-        return ComponentFamily("coderivation", self.carrier, self.carrier,
-                               comps, self.truncation)
-
 
 def suspend_structure(a):
     V = a.carrier
@@ -143,12 +137,6 @@ def suspend_morphism(mor):
                            comps, mor.truncation)
 
 
-def desuspend_morphism(family, source_structure, target_structure):
-    V, W = source_structure.carrier, target_structure.carrier
-    comps = desuspend_components(family.components, V, W)
-    return AInftyMorphism(source_structure, target_structure, comps, family.trunc)
-
-
 def suspend_homotopy(hom):
     """Homotopy components as a degree +1 family, flanked by the suspensions
     of its two endpoint morphisms."""
@@ -158,9 +146,3 @@ def suspend_homotopy(hom):
                            comps, hom.truncation,
                            left=suspend_morphism(hom.frm),
                            right=suspend_morphism(hom.to))
-
-
-def desuspend_homotopy(family, frm, to):
-    V, W = frm.source.carrier, frm.target.carrier
-    comps = desuspend_components(family.components, V, W)
-    return AInftyHomotopy(frm, to, comps, family.trunc)

@@ -238,6 +238,25 @@ def test_transfer_of_bare_complex_returns_input_data(tmp_path, capsys):
     assert sorted(result.transfer["homotopy"]) == [1]  # just h itself
 
 
+def test_transfer_below_document_truncation_both_routes(tmp_path, capsys):
+    src = massey_doc(tmp_path)  # truncation 5
+    code = main(["transfer", src, "--method", "both", "--retract", "auto",
+                 "--arity", "3"])
+    report = capsys.readouterr().out
+    assert code == 0
+    assert "compare.status=exact" in report
+    assert "output.products=3" in report
+
+
+@pytest.mark.parametrize("arity", ["-3", "0"])
+def test_transfer_rejects_nonpositive_arity(tmp_path, capsys, arity):
+    src = massey_doc(tmp_path)
+    assert main(["transfer", src, "--retract", "auto", "--arity", arity]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--arity must be >= 1" in captured.err
+
+
 def test_transfer_without_retract_is_input_error(tmp_path, capsys):
     src = massey_doc(tmp_path)
     assert main(["transfer", src, "--method", "kernels"]) == 2
@@ -257,10 +276,27 @@ def test_transfer_deterministic_output(tmp_path, capsys):
 # ---------------------------------------------------------------- selftest
 
 def test_selftest_empty(capsys):
+    # an empty corpus checks nothing, so it is an input error, not status=ok
     assert main(["selftest", "--corpus-size", "0", "--seed", "1",
-                 "--arity", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "passed=0/0" in out
+                 "--arity", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--corpus-size must be >= 1" in captured.err
+
+
+def test_selftest_rejects_negative_corpus_size(capsys):
+    assert main(["selftest", "--corpus-size", "-2", "--arity", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--corpus-size must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("arity", ["1", "0"])
+def test_selftest_rejects_arity_below_two(capsys, arity):
+    assert main(["selftest", "--corpus-size", "1", "--arity", arity]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--arity must be >= 2" in captured.err
 
 
 def test_selftest_small_is_deterministic(capsys):

@@ -1,8 +1,11 @@
 """Core layer: exact scalars, graded modules, Koszul signs, block evaluation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfinity.fields import QQ, FieldError, PrimeField
 from ainfinity.graded import (GradedModule, MultiMap, StructureError, Vector,
@@ -244,3 +247,63 @@ def test_compose_product_shape_errors():
     f = MultiMap.zero(W, W, 1, 0)
     with pytest.raises(StructureError):
         compose_product(d, [f])
+
+
+# ------------------------------------------- compose_product against an oracle
+
+def per_word_composite(outer, inners):
+    """outer o (inner_1 x ... x inner_k) evaluated word by word over the whole
+    input basis: `apply_block` (signs from the input parts), then `outer`."""
+    arity = sum(m.arity for m in inners)
+    basis = list(inners[0].source.basis())
+    table = {}
+    for word in itertools.product(basis, repeat=arity):
+        out = {}
+        for mid, c in apply_block(inners, word).items():
+            for b, c2 in outer.table.get(mid, {}).items():
+                out[b] = out.get(b, 0) + c * c2
+        out = {b: c for b, c in out.items() if c}
+        if out:
+            table[word] = out
+    return table
+
+
+@st.composite
+def composites(draw):
+    """(outer, inners): k = 1..4 slots, each a random sparse map, the
+    identity or zero, on a module spanned by two adjacent degrees (total
+    dimension <= 3).  Map degrees range over every value that can hit the
+    module, so both parities occur and most composites are nonzero."""
+    low = draw(st.integers(-1, 0))
+    dims = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    V = GradedModule({low: dims[0], low + 1: dims[1]})
+    rng = draw(st.randoms(use_true_random=False))
+
+    def degree(arity):
+        return draw(st.integers(low - arity * (low + 1), low + 1 - arity * low))
+
+    k = draw(st.integers(1, 4))
+    inners, total = [], 0
+    for j in range(k):
+        kind = draw(st.sampled_from(["random"] * 4 + ["identity"] * 2 + ["zero"]))
+        arity = draw(st.integers(1, max(1, min(3, 6 - total - (k - 1 - j)))))
+        if kind == "identity":
+            inners.append(MultiMap.identity(V))
+        elif kind == "zero":
+            inners.append(MultiMap.zero(V, V, arity, degree(arity)))
+        else:
+            inners.append(random_multimap(rng, V, V, arity, degree(arity),
+                                          density=0.7))
+        total += inners[-1].arity
+    outer = random_multimap(rng, V, V, k, degree(k), density=0.7)
+    return outer, inners
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(composites())
+def test_compose_product_matches_per_word_oracle(case):
+    outer, inners = case
+    got = compose_product(outer, inners)
+    assert got.arity == sum(m.arity for m in inners)
+    assert got.degree == outer.degree + sum(m.degree for m in inners)
+    assert got.table == per_word_composite(outer, inners)

@@ -220,6 +220,32 @@ def test_transfer_rejects_invalid_structure():
         transfer(retract, bad, 4)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_transfer_rejects_nonpositive_arity(N):
+    mu, retract = massey_setup()
+    with pytest.raises(StructureError):
+        transfer(retract, mu, N)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_transfer_k_fold_massey_known_answer(k):
+    """nu_k of the k-fold Massey DGA is its Massey product: one input word,
+    the k generators in order, sent to (-1)^k times the sum of the k - 1
+    homology classes in degree 2k - 2; every other nu_n vanishes."""
+    mu = instance_massey(truncation=k, k=k)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu, k)
+    assert pkg.ok, pkg.failing_reports()
+    assert sorted(pkg.nu.products) == [k]
+    W = retract.small.module
+    top = 2 * k - 2
+    assert W.dim(top) == k - 1
+    generators = tuple((1, i) for i in range(k))
+    sign = (-1) ** k
+    assert pkg.nu.mu(k).table == {
+        generators: {(top, i): sign * W.field.one for i in range(k - 1)}}
+
+
 def test_transfer_rejects_mismatched_retract():
     mu, retract = massey_setup()
     other = instance_forms()

@@ -8,11 +8,19 @@ the suspension roundtrip, and the full transfer package with its
 convention-agreement, kernel-identity, morphism and homotopy reports.
 A mutant counts as killed when any checker fails (or a shape invariant
 raises).  The suite requires a 100% kill rate.
+
+Structural mutants corrupt the body of `graded.compose_product`, the one
+composite every kernel term and relation checker goes through: each is an
+exact-once source replacement, rebound in every loaded `ainfinity` module
+that binds the name, and must be killed by the same battery.
 """
+
+import inspect
+import sys
 
 import pytest
 
-from ainfinity import signs
+from ainfinity import graded, signs
 from ainfinity.ainfty import check_structure
 from ainfinity.graded import ChainComplex, StructureError
 from ainfinity.kernels import transfer
@@ -75,6 +83,43 @@ SHIFT_MUTANTS = {
 }
 
 
+# name -> (exact source fragment of compose_product, its replacement)
+COMPOSE_MUTANTS = {
+    "compose-drops-a-contribution": (
+        "for picks in itertools.product(*cols):",
+        "for picks in list(itertools.product(*cols))[1:]:"),
+    "compose-left-from-output-degree": (
+        "left += b[0] - inner_degrees[j]",
+        "left += b[0]"),
+    "compose-negation-skipped": (
+        "coeff = -coeff",
+        "coeff = coeff"),
+}
+
+
+def compose_mutant(name):
+    """compose_product with one fragment of its source replaced."""
+    old, new = COMPOSE_MUTANTS[name]
+    source = inspect.getsource(graded.compose_product)
+    assert source.count(old) == 1, "fragment of %s not found exactly once" % name
+    namespace = dict(vars(graded))
+    exec(compile(source.replace(old, new), graded.__file__, "exec"), namespace)
+    return namespace["compose_product"]
+
+
+def rebind_compose_product(monkeypatch, fn):
+    """Point every loaded ainfinity module that binds compose_product at fn;
+    returns the names of the modules rebound."""
+    original = graded.compose_product
+    rebound = []
+    for name, module in sorted(sys.modules.items()):
+        if (name.split(".")[0] == "ainfinity"
+                and getattr(module, "compose_product", None) is original):
+            monkeypatch.setattr(module, "compose_product", fn)
+            rebound.append(name)
+    return rebound
+
+
 def _true_theta(parts):
     total = 0
     for i in range(len(parts)):
@@ -102,6 +147,15 @@ def test_theta_mutants_killed(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SHIFT_MUTANTS))
 def test_shift_mutants_killed(name, monkeypatch):
     monkeypatch.setattr(signs, "shift_exponent", SHIFT_MUTANTS[name])
+    assert battery_detects(), "mutant %s survived" % name
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_MUTANTS))
+def test_compose_product_mutants_killed(name, monkeypatch):
+    rebound = rebind_compose_product(monkeypatch, compose_mutant(name))
+    assert {"ainfinity.graded", "ainfinity.kernels", "ainfinity.ainfty",
+            "ainfinity.coalgebra", "ainfinity.perturbation",
+            "ainfinity.suspension"} <= set(rebound)
     assert battery_detects(), "mutant %s survived" % name
 
 

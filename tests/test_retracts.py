@@ -117,3 +117,12 @@ def test_massey_instance_is_a_dga():
 def test_forms_instance_is_a_dga():
     mu = instance_forms(truncation=6)
     assert check_structure(mu, 6).ok
+
+
+def test_massey_family_generalises_the_witness():
+    assert instance_massey(k=3) == instance_massey()
+    four = instance_massey(truncation=6, k=4)
+    assert four.carrier.dims == {1: 4, 2: 3, 3: 3, 4: 4, 5: 2, 6: 3}
+    assert check_structure(four, 6).ok
+    with pytest.raises(StructureError):
+        instance_massey(k=1)
