@@ -1,9 +1,13 @@
 """Exact scalar fields: arbitrary-precision rationals and prime fields Z/p.
 
 A field object is a small factory/parser; the elements themselves are
-`fractions.Fraction` (rational case) or `ModP` (prime case).  Both element
-types support mixed arithmetic with plain python ints, which is how the
-sign machinery (+1/-1) multiplies into coefficients.
+rationals (rational case) or `ModP` (prime case).  A rational is kept as a
+plain python int while it is integral and becomes a `fractions.Fraction`
+only once a division makes it one, so the common +-1 coefficients never pay
+for `Fraction` arithmetic.  Both element types support mixed arithmetic with
+plain python ints, which is how the sign machinery (+1/-1) multiplies into
+coefficients.  Division goes through `field.div`, never `/`, so that an
+int / int can never yield a float.
 """
 
 from fractions import Fraction
@@ -92,23 +96,32 @@ class ModP:
         return "ModP(%d, %d)" % (self.value, self.p)
 
 
+def _rational(q):
+    """A `Fraction` as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
     name = "rational"
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
+
+    def div(self, a, b):
+        """Exact quotient a / b; raises ZeroDivisionError when b is zero."""
+        return _rational(Fraction(a) / b)
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            return _rational(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError("bad rational scalar %r: %s" % (text, exc))
 
@@ -154,6 +167,10 @@ class PrimeField:
 
     def from_int(self, n):
         return ModP(n, self.p)
+
+    def div(self, a, b):
+        """Quotient a / b in Z/p; raises ZeroDivisionError when b is zero."""
+        return self.from_int(a) / b if isinstance(a, int) else a / b
 
     def parse(self, text):
         text = text.strip()

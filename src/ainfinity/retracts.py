@@ -29,7 +29,7 @@ def _rref(rows, width, field):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
+        inv = field.div(field.one, rows[r][c])
         rows[r] = [inv * x for x in rows[r]]
         for rr in range(len(rows)):
             if rr != r and rows[rr][c]:

@@ -23,6 +23,24 @@ def test_rational_field_exact():
     assert QQ.format(Fraction(2, 6)) == "1/3"
 
 
+def test_rational_field_keeps_integers_as_ints():
+    assert type(QQ.one) is int and type(QQ.zero) is int
+    assert type(QQ.parse("6/3")) is int and QQ.parse("6/3") == 2
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert QQ.div(Fraction(1, 3), Fraction(1, 6)) == 2
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_prime_field_div():
+    F = PrimeField(7)
+    assert F.div(1, F.from_int(5)) == F.from_int(3)
+    assert F.div(F.from_int(3), F.from_int(5)) == F.from_int(2)
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, F.zero)
+
+
 def test_prime_field_arithmetic():
     F = PrimeField(7)
     a = F.parse("3/5")  # 3 * 5^{-1} = 3 * 3 = 2 mod 7

@@ -7,8 +7,11 @@ import pytest
 from ainfinity.ainfty import check_structure
 from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap, StructureError, compose
+from ainfinity.kernels import transfer
+from ainfinity.perturbation import build_perturbation, hpl_transfer
 from ainfinity.retracts import (Splitting, harmonious_retract, homology,
                                 instance_forms, instance_massey)
+from ainfinity.suspension import suspend_structure
 from conftest import seeded, two_dim_complex
 
 
@@ -69,6 +72,25 @@ def test_forms_retract_values():
     assert r.h.apply((dt,)) == {t: Fraction(-1)}
     assert r.h.apply((tdt,)) == {t2: Fraction(-1, 2)}
     assert r.h.apply(((0, 0),)) == {}
+
+
+def test_no_float_in_any_table():
+    # the forms retract divides (h(t dt) = -t^2 / 2): every scalar the
+    # transfer builds from it, on both routes, stays an exact rational
+    mu = instance_forms()
+    r = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(r, mu, 4)
+    hpl = hpl_transfer(build_perturbation(r, suspend_structure(mu), 4))
+    tables = [m.table for m in (r.f, r.g, r.h)]
+    for n in range(1, 5):
+        tables += [pkg.nu.mu(n).table, pkg.phi.component(n).table,
+                   pkg.psi.component(n).table, pkg.homotopy.component(n).table]
+    for op in (hpl.delta_nu, hpl.psi, hpl.phi, hpl.H_out):
+        tables += op.blocks.values()
+    scalars = [c for t in tables for vec in t.values() for c in vec.values()]
+    assert scalars
+    assert all(type(c) in (int, Fraction) for c in scalars)
+    assert Fraction(-1, 2) in scalars
 
 
 def test_massey_retract_values():
