@@ -7,8 +7,7 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                      compose_morphisms, identity_morphism)
 from .fields import QQ, PrimeField
 from .graded import (ChainComplex, GradedModule, MultiMap, StructureError,
-                     Vector, apply_block, compose, compose_product, insert,
-                     koszul_sign)
+                     apply_block, compose, compose_product, insert, koszul_sign)
 from .kernels import (DeformationRetract, KernelFamily, TransferPackage,
                       check_p_identity, check_p_identity_on_images, check_q_identity, enum_A, enum_B,
                       enum_C, p_kernels, q_kernels, theta, transfer)
@@ -22,7 +21,7 @@ from .suspension import (desuspend_structure, suspend_homotopy,
 __all__ = [
     "AInfinity", "AInftyHomotopy", "AInftyMorphism", "ChainComplex",
     "DeformationRetract", "GradedModule", "KernelFamily", "MultiMap",
-    "PrimeField", "QQ", "StructureError", "TransferPackage", "Vector",
+    "PrimeField", "QQ", "StructureError", "TransferPackage",
     "apply_block", "build_perturbation", "check_p_identity", "check_p_identity_on_images",
     "check_q_identity", "check_annihilation_lemmas", "check_homotopy",
     "check_morphism", "check_side_conditions", "check_structure",

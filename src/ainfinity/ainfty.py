@@ -13,7 +13,8 @@ degree n.  Families are truncated at a per-object arity N; all checks are
 
 from . import signs
 from .combi import enum_A, enum_B
-from .graded import MultiMap, StructureError, compose, compose_product, insert
+from .graded import (MultiMap, StructureError, compose, compose_product, insert,
+                     resolve_truncation)
 from .reports import CheckReport
 
 
@@ -67,7 +68,8 @@ class AInftyMorphism:
     def __init__(self, source, target, components, truncation=None):
         self.source = source
         self.target = target
-        self.truncation = truncation or min(source.truncation, target.truncation)
+        self.truncation = resolve_truncation(
+            truncation, min(source.truncation, target.truncation))
         self.components = {}
         for n, m in components.items():
             n = int(n)
@@ -98,7 +100,8 @@ class AInftyHomotopy:
             raise StructureError("homotopy endpoints must share a target")
         self.frm = frm
         self.to = to
-        self.truncation = truncation or min(frm.truncation, to.truncation)
+        self.truncation = resolve_truncation(
+            truncation, min(frm.truncation, to.truncation))
         self.components = {}
         for n, m in components.items():
             n = int(n)
@@ -128,7 +131,7 @@ def check_structure(a, n_max=None):
       d mu_n - sum_i (-1)^n mu_n(1..d..1) - sum_{A(n)} (-1)^{i(l+1)+n} mu_k(1..mu_l..1).
     All residuals zero iff the relations hold at those arities.
     """
-    n_max = n_max or a.truncation
+    n_max = resolve_truncation(n_max, a.truncation)
     report = CheckReport("structure")
     d = a.differential
     for n in range(1, n_max + 1):
@@ -154,7 +157,7 @@ def check_morphism(mor, n_max=None):
       - f_1 mu_n + sum_i (-1)^n f_n(1..d_V..1)
       + sum_{A(n)} (-1)^{i(l+1)+n} f_k(1..mu_l..1).
     """
-    n_max = n_max or mor.truncation
+    n_max = resolve_truncation(n_max, mor.truncation)
     report = CheckReport("morphism")
     src, tgt = mor.source, mor.target
     dV, dW = src.differential, tgt.differential
@@ -210,7 +213,7 @@ def check_homotopy(h, n_max=None):
     relation the transferred homotopy is constructed to satisfy), and the
     equivalence battery in the test suite pins both routes together.
     """
-    n_max = n_max or h.truncation
+    n_max = resolve_truncation(n_max, h.truncation)
     report = CheckReport("homotopy")
     src = h.frm.source
     tgt = h.frm.target

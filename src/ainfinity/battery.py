@@ -14,6 +14,7 @@ from .coalgebra import (check_codifferential, check_homotopy_components,
                         lift_homotopy, lift_morphism,
                         operator_homotopy_residual,
                         operator_intertwining_residual, operator_square)
+from .graded import resolve_truncation
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_homotopy, suspend_morphism, suspend_structure
 
@@ -21,7 +22,7 @@ from .suspension import suspend_homotopy, suspend_morphism, suspend_structure
 def equivalence_battery(pkg, mu, n_max=None):
     """Six-direction agreement for the transferred structure, the morphism
     into the small side, and the homotopy on the big side."""
-    n_max = n_max or pkg.truncation
+    n_max = resolve_truncation(n_max, pkg.truncation)
     report = CheckReport("battery")
 
     smu = suspend_structure(mu)

@@ -21,8 +21,9 @@ asserts the two agree on every instance.
 
 from . import signs
 from .combi import compositions, enum_A, enum_B
-from .graded import (MultiMap, StructureError, compose, compose_product,
-                     insert, tensor_table, word_degree)
+from .graded import (MultiMap, StructureError, _acc, _merge, compose,
+                     compose_product, insert, resolve_truncation, tensor_table,
+                     word_degree)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -87,26 +88,6 @@ class ComponentFamily:
                 and self.trunc == other.trunc and self.components == other.components)
 
 
-def _merge(dst, src, factor=1):
-    negate = factor == -1
-    scale = factor != 1 and not negate
-    for w, vec in src.items():
-        acc = dst.setdefault(w, {})
-        for out, c in vec.items():
-            if negate:
-                c = -c
-            elif scale:
-                c = factor * c
-            cur = acc.get(out)
-            cur = c if cur is None else cur + c
-            if cur:
-                acc[out] = cur
-            elif out in acc:
-                del acc[out]
-        if not acc:
-            del dst[w]
-
-
 class CoalgebraOperator:
     """Blockwise linear map T(V) -> T(W), truncated at homogeneity `trunc`."""
 
@@ -167,8 +148,8 @@ class CoalgebraOperator:
             vec = self.blocks.get((m, j), {}).get(word)
             if vec:
                 for w, c in vec.items():
-                    out[w] = out.get(w, 0) + c
-        return {w: c for w, c in out.items() if c}
+                    _acc(out, w, c)
+        return out
 
     def is_zero(self):
         return not self.blocks
@@ -177,25 +158,21 @@ class CoalgebraOperator:
         return (self.source == other.source and self.target == other.target
                 and self.degree == other.degree and self.trunc == other.trunc)
 
-    def __add__(self, other):
+    def _combine(self, other, negate):
         if not self.same_shape(other):
             raise StructureError("operator shape mismatch")
         blocks = {k: {w: dict(v) for w, v in t.items()} for k, t in self.blocks.items()}
         for k, t in other.blocks.items():
-            _merge(blocks.setdefault(k, {}), t)
+            _merge(blocks.setdefault(k, {}), t, negate)
         blocks = {k: t for k, t in blocks.items() if t}
         return CoalgebraOperator._raw(self.source, self.target, self.degree,
                                       self.trunc, blocks)
 
+    def __add__(self, other):
+        return self._combine(other, False)
+
     def __sub__(self, other):
-        if not self.same_shape(other):
-            raise StructureError("operator shape mismatch")
-        blocks = {k: {w: dict(v) for w, v in t.items()} for k, t in self.blocks.items()}
-        for k, t in other.blocks.items():
-            _merge(blocks.setdefault(k, {}), t, factor=-1)
-        blocks = {k: t for k, t in blocks.items() if t}
-        return CoalgebraOperator._raw(self.source, self.target, self.degree,
-                                      self.trunc, blocks)
+        return self._combine(other, True)
 
     def scale(self, c):
         if not c:
@@ -228,12 +205,7 @@ class CoalgebraOperator:
                             continue
                         acc = dst.setdefault(w, {})
                         for out, c2 in final.items():
-                            cur = acc.get(out)
-                            cur = c * c2 if cur is None else cur + c * c2
-                            if cur:
-                                acc[out] = cur
-                            elif out in acc:
-                                del acc[out]
+                            _acc(acc, out, c * c2)
         blocks = {k: {w: v for w, v in t.items() if v} for k, t in blocks.items()}
         blocks = {k: t for k, t in blocks.items() if t}
         return CoalgebraOperator._raw(other.source, self.target,
@@ -352,7 +324,7 @@ def extract_components(op, kind, left=None, right=None):
 def check_codifferential(family, n_max=None):
     """Residuals of the componentwise square-zero identity:
     d_1 d_n + sum_i d_n(1..d_1..1) + sum_{A(n)} d_k(1..d_l..1) = 0."""
-    n_max = n_max or family.trunc
+    n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("codifferential")
     d1 = family.component(1)
     for n in range(1, n_max + 1):
@@ -373,7 +345,7 @@ def check_morphism_components(family, src_codiff, tgt_codiff, n_max=None):
     """Residuals of the componentwise intertwining identity:
     d^W_1 f_n + sum_{B(n)} d^W_k(f_{r_1} x..x f_{r_k})
       = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)."""
-    n_max = n_max or family.trunc
+    n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("intertwining")
     for n in range(1, n_max + 1):
         f_n = family.component(n)
@@ -398,7 +370,7 @@ def check_homotopy_components(family, src_codiff, tgt_codiff, n_max=None):
     """Residuals of the componentwise homotopy identity:
     e_n - g_n = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)
       + d^W_1 f_n + sum_{B(n)} sum_i d^W_k(e_{r_1}..f_{r_i}..g_{r_k})."""
-    n_max = n_max or family.trunc
+    n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("cohomotopy")
     left, right = family.left, family.right
     for n in range(1, n_max + 1):
@@ -440,15 +412,6 @@ def operator_homotopy_residual(H, E, G, src_op, tgt_op):
 
 # ------------------------------------------------- colinearity (co-Leibniz)
 
-def _pair_acc(dst, key, c):
-    cur = dst.get(key)
-    cur = c if cur is None else cur + c
-    if cur:
-        dst[key] = cur
-    elif key in dst:
-        del dst[key]
-
-
 def colinearity_residual(op, kind, left=None, right=None, n_max=None):
     """Residual of the comultiplication compatibility of `op` per input word.
 
@@ -459,7 +422,7 @@ def colinearity_residual(op, kind, left=None, right=None, n_max=None):
     Returns a CheckReport keyed by homogeneity; residual entries live over
     pairs of output words.
     """
-    n_max = n_max or op.trunc
+    n_max = resolve_truncation(n_max, op.trunc)
     report = CheckReport("colinearity")
     words = [(b,) for b in op.source.basis()]
     for n in range(1, n_max + 1):
@@ -470,28 +433,28 @@ def colinearity_residual(op, kind, left=None, right=None, n_max=None):
             res = {}
             for out, c in op.apply_word(w).items():
                 for pair in comultiply(out):
-                    _pair_acc(res, pair, c)
+                    _acc(res, pair, c)
             for (w1, w2) in comultiply(w):
                 if kind == "morphism":
                     for (u1, c1) in op.apply_word(w1).items():
                         for (u2, c2) in op.apply_word(w2).items():
-                            _pair_acc(res, (u1, u2), -(c1 * c2))
+                            _acc(res, (u1, u2), -(c1 * c2))
                 elif kind == "coderivation":
                     for (u1, c1) in op.apply_word(w1).items():
-                        _pair_acc(res, (u1, w2), -c1)
+                        _acc(res, (u1, w2), -c1)
                     sign = signs.sign_of(signs.koszul_exponent(op.degree,
                                                                word_degree(w1)))
                     for (u2, c2) in op.apply_word(w2).items():
-                        _pair_acc(res, (w1, u2), -(sign * c2))
+                        _acc(res, (w1, u2), -(sign * c2))
                 elif kind == "homotopy":
                     sign = signs.sign_of(signs.koszul_exponent(op.degree,
                                                                word_degree(w1)))
                     for (u1, c1) in left.apply_word(w1).items():
                         for (u2, c2) in op.apply_word(w2).items():
-                            _pair_acc(res, (u1, u2), -(sign * c1 * c2))
+                            _acc(res, (u1, u2), -(sign * c1 * c2))
                     for (u1, c1) in op.apply_word(w1).items():
                         for (u2, c2) in right.apply_word(w2).items():
-                            _pair_acc(res, (u1, u2), -(c1 * c2))
+                            _acc(res, (u1, u2), -(c1 * c2))
                 else:
                     raise StructureError("unknown kind %r" % (kind,))
             if res:

@@ -1,4 +1,4 @@
-"""Z-graded modules, vectors, and homogeneous multilinear maps.
+"""Z-graded modules, homogeneous multilinear maps, and the one accumulator.
 
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
@@ -8,7 +8,9 @@ nonzero image.  All Koszul signs of tensor evaluation are generated here, in
 evaluation.
 
 Values are immutable after construction by convention; operations return
-fresh objects.
+fresh objects.  Every sum into a sparse table in the library goes through
+the one accumulate step `_acc`, and every sum of two tables through the one
+merge `_merge`.
 """
 
 import itertools
@@ -71,47 +73,9 @@ class GradedModule:
         return "GradedModule(%r)" % (self.dims,)
 
 
-class Vector:
-    """A sparse element of a graded module: basis element -> scalar."""
-
-    __slots__ = ("module", "coords")
-
-    def __init__(self, module, coords=()):
-        clean = {}
-        for b, c in dict(coords).items():
-            if not module.has_basis(b):
-                raise StructureError("unknown basis element %r" % (b,))
-            if c:
-                clean[b] = c
-        self.module = module
-        self.coords = clean
-
-    def is_zero(self):
-        return not self.coords
-
-    def __add__(self, other):
-        if other.module != self.module:
-            raise StructureError("vectors in different modules")
-        out = dict(self.coords)
-        for b, c in other.coords.items():
-            _acc(out, b, c)
-        return Vector(self.module, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Vector(self.module, {b: c * v for b, v in self.coords.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, Vector)
-                and self.module == other.module and self.coords == other.coords)
-
-    def __repr__(self):
-        return "Vector(%r)" % (sorted(self.coords.items()),)
-
-
 def _acc(table, key, value):
+    """table[key] += value in a sparse table: no zero is ever stored, and an
+    entry that cancels is removed."""
     cur = table.get(key)
     if cur is None:
         if value:
@@ -124,13 +88,37 @@ def _acc(table, key, value):
         del table[key]
 
 
+def _merge(dst, src, negate=False):
+    """dst += src (dst -= src with `negate`) in place, for sparse tables of
+    rows {key: {out: scalar}}; a row that cancels is removed.  Subtraction
+    negates each scalar; it never multiplies by -1."""
+    for key, vec in src.items():
+        row = dst.setdefault(key, {})
+        for out, c in vec.items():
+            _acc(row, out, -c if negate else c)
+        if not row:
+            del dst[key]
+
+
+def resolve_truncation(n, default):
+    """`n`, or `default` when `n` is None; an explicit truncation below 1
+    raises instead of falling back to the default."""
+    if n is None:
+        return default
+    if n < 1:
+        raise StructureError("truncation must be >= 1, got %d" % n)
+    return n
+
+
 class MultiMap:
     """Homogeneous multilinear map V^{x n} -> W of fixed arity and degree.
 
     `table` maps input words (tuples of n source basis elements) to sparse
     output dicts {target basis element: scalar}; absent words are zero.
     Homogeneity -- (sum of input degrees) + degree == output degree -- is
-    enforced on construction.
+    enforced by the constructor, which every map from outside goes through
+    (documents, retracts, suspensions, tests); results of arithmetic on
+    such maps are built by `_raw` without re-checking.
     """
 
     __slots__ = ("source", "target", "arity", "degree", "table")
@@ -171,6 +159,16 @@ class MultiMap:
         return cls(source, target, arity, degree, {})
 
     @classmethod
+    def _raw(cls, source, target, arity, degree, table):
+        """Internal constructor for tables already known valid, with no zero
+        scalar and no empty row (results of arithmetic on validated maps)."""
+        m = cls.__new__(cls)
+        m.source, m.target = source, target
+        m.arity, m.degree = arity, degree
+        m.table = table
+        return m
+
+    @classmethod
     def identity(cls, module):
         one = module.field.one
         return cls(module, module, 1, 0, {(b,): {b: one} for b in module.basis()})
@@ -186,28 +184,27 @@ class MultiMap:
         return (self.source == other.source and self.target == other.target
                 and self.arity == other.arity and self.degree == other.degree)
 
-    def __add__(self, other):
+    def _combine(self, other, negate):
         if not self.same_shape(other):
             raise StructureError("map shape mismatch")
         table = {w: dict(v) for w, v in self.table.items()}
-        for w, vec in other.table.items():
-            dst = table.setdefault(w, {})
-            for b, c in vec.items():
-                _acc(dst, b, c)
-        return MultiMap(self.source, self.target, self.arity, self.degree, table)
+        _merge(table, other.table, negate)
+        return MultiMap._raw(self.source, self.target, self.arity, self.degree,
+                             table)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
+        return self._combine(other, True)
 
     def scale(self, c):
-        if not c:
+        if not c * self.target.field.one:    # zero in the field, e.g. p in Z/p
             return MultiMap.zero(self.source, self.target, self.arity, self.degree)
         table = {w: {b: c * v for b, v in vec.items()}
                  for w, vec in self.table.items()}
-        return MultiMap(self.source, self.target, self.arity, self.degree, table)
+        return MultiMap._raw(self.source, self.target, self.arity, self.degree,
+                             table)
 
     def __eq__(self, other):
         return (isinstance(other, MultiMap) and self.same_shape(other)
@@ -376,7 +373,8 @@ def compose_product(outer, inners):
             dst = table.setdefault(in_word, {})
             for b, c2 in final.items():
                 _acc(dst, b, coeff * c2)
-    return MultiMap(source, outer.target, arity, degree, table)
+    return MultiMap._raw(source, outer.target, arity, degree,
+                         {w: v for w, v in table.items() if v})
 
 
 def compose(outer, inner):

@@ -30,7 +30,7 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism, check_homotopy,
                      identity_morphism)
 from .combi import compositions, enum_A, enum_B, enum_C
 from .graded import (ChainComplex, MultiMap, StructureError, compose,
-                     compose_product, insert)
+                     compose_product, insert, resolve_truncation)
 from .reports import BoolResidual, CheckReport
 from .signs import theta
 from .suspension import (desuspend_components, shift_down_map, shift_up_map,
@@ -349,10 +349,7 @@ def transfer(retract, mu, N=None, cross_validate=True):
         raise StructureError("structure lives on a different module than the retract")
     if not (mu.differential - retract.big.d).is_zero():
         raise StructureError("structure differential differs from the retract's")
-    if N is None:
-        N = mu.truncation
-    elif N < 1:
-        raise StructureError("transfer arity must be >= 1, got %d" % N)
+    N = resolve_truncation(N, mu.truncation)
     structure_report = check_structure(mu, N)
     if not structure_report.ok:
         raise StructureError("input structure fails its defining relations at %r"

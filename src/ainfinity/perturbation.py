@@ -7,6 +7,16 @@ its n-th power vanishes on homogeneity-n words.  The geometric series for
 (1 - dmu H)^{-1} is therefore finite and exact; it is accumulated
 Horner-style per homogeneity, never by matrix inversion.
 
+The series is checked in the form S = M + M^2 + ... + M^{N-1}, M = dmu H,
+which is (1 - M)^{-1} - 1 on the truncation.  Since
+
+    (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M,
+
+neither the inversion check nor the nilpotency powers (which start at M)
+compose with the identity operator, whose lift covers every word of
+T^{<=N}(sV).  Only the homotopy-identity conclusion builds it: its
+residual psi phi - 1 - (D H_out + H_out D) is dense anyway.
+
 Outputs:
 
     delta_nu = F A G,   psi = G + H A G,   phi = F + F A H,
@@ -24,7 +34,8 @@ equivalence rests on.
 
 from .coalgebra import (CoalgebraOperator, ComponentFamily, extract_components,
                         lift_coderivation, lift_homotopy, lift_morphism)
-from .graded import MultiMap, StructureError, compose, compose_product
+from .graded import (MultiMap, StructureError, compose, compose_product,
+                     resolve_truncation)
 from .reports import BoolResidual, CheckReport
 from .suspension import shift_down_map, shift_up_map
 
@@ -58,6 +69,7 @@ class PerturbationData:
         self.dmu = lift_coderivation(ComponentFamily(
             "coderivation", sV, sV,
             {n: m for n, m in smu.deltas.items() if 2 <= n <= trunc}, trunc))
+        self.M = self.dmu.compose(self.H)
         self.nilpotency = {}
 
     def verify_nilpotency(self):
@@ -68,11 +80,11 @@ class PerturbationData:
             if j >= m:
                 report.add("lowers-%d-%d" % (m, j),
                            BoolResidual(False, "block (%d,%d)" % (m, j)))
-        M = self.dmu.compose(self.H)
-        power = CoalgebraOperator.identity(self.sV, self.trunc)
+        power = self.M
         alive = set(range(1, self.trunc + 1))
         for i in range(1, self.trunc + 1):
-            power = M.compose(power)
+            if i > 1:
+                power = self.M.compose(power)
             for n in sorted(alive):
                 if power.restricted_to(n).is_zero():
                     self.nilpotency[n] = i
@@ -86,8 +98,7 @@ class PerturbationData:
 
 
 def build_perturbation(retract, smu, trunc=None):
-    if trunc is None:
-        trunc = smu.truncation
+    trunc = resolve_truncation(trunc, smu.truncation)
     if smu.carrier != retract.shifted()[2].source:
         raise StructureError("shifted structure lives off the retract's module")
     return PerturbationData(retract, smu, trunc)
@@ -106,7 +117,7 @@ class HplOutput:
         self.inversion_report = inversion_report
         # component extraction is canonical only under the side conditions;
         # without them the outputs need not have lift shape and the families
-        # below are       just homogeneity-1 projections.
+        # below are just homogeneity-1 projections.
         self.extraction_canonical = data.retract.is_harmonious
 
     @property
@@ -132,20 +143,18 @@ def hpl_transfer(data):
     nilpotency_report = data.verify_nilpotency()
     if not nilpotency_report.ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
-    M = data.dmu.compose(data.H)
-    ident = CoalgebraOperator.identity(data.sV, data.trunc)
+    M = data.M
 
     # finite geometric series, Horner style: A = dmu + M(dmu + M(...))
     A = data.dmu
     for _ in range(data.trunc - 1):
         A = data.dmu + M.compose(A)
 
-    inv = ident
+    # S = M + M(M + M(...)) = (1 - M)^{-1} - 1, checked without the identity
+    S = CoalgebraOperator.zero(data.sV, data.sV, 0, data.trunc)
     for _ in range(data.trunc - 1):
-        inv = ident + M.compose(inv)
-    inversion_report = CheckReport("series-inversion")
-    inversion_report.add("right", (ident - M).compose(inv) - ident)
-    inversion_report.add("left", inv.compose(ident - M) - ident)
+        S = M + M.compose(S)
+    inversion_report = series_inversion_report(M, S)
 
     delta_nu = data.F.compose(A).compose(data.G)
     psi = data.G + data.H.compose(A).compose(data.G)
@@ -158,11 +167,22 @@ def hpl_transfer(data):
     conclusions.add("square-zero", DW.compose(DW))
     conclusions.add("phi-intertwines", DW.compose(phi) - phi.compose(DV))
     conclusions.add("psi-intertwines", DV.compose(psi) - psi.compose(DW))
+    ident = CoalgebraOperator.identity(data.sV, data.trunc)
     conclusions.add("homotopy-identity",
                     psi.compose(phi) - ident
                     - (DV.compose(H_out) + H_out.compose(DV)))
     return HplOutput(data, delta_nu, psi, phi, H_out, conclusions,
                      nilpotency_report, inversion_report)
+
+
+def series_inversion_report(M, S):
+    """Residuals of S = (1 - M)^{-1} - 1 as a two-sided inverse:
+    right (1 - M)(1 + S) - 1 = S - M - M S, left (1 + S)(1 - M) - 1
+    = S - M - S M."""
+    report = CheckReport("series-inversion")
+    report.add("right", S - M - M.compose(S))
+    report.add("left", S - M - S.compose(M))
+    return report
 
 
 def check_side_conditions(retract):
@@ -234,7 +254,7 @@ def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
     asserted only under them."""
     if not pkg.retract.is_harmonious:
         return ComparisonReport(ComparisonReport.SKIPPED)
-    n_max = n_max or min(hpl.data.trunc, pkg.truncation)
+    n_max = resolve_truncation(n_max, min(hpl.data.trunc, pkg.truncation))
     expected = _kernel_lifts(pkg)
     got = {"delta_nu": hpl.delta_nu, "psi": hpl.psi, "phi": hpl.phi,
            "homotopy": hpl.H_out}
@@ -297,7 +317,7 @@ def check_annihilation_lemmas(pkg, n_max=None):
     if not pkg.retract.is_harmonious:
         raise StructureError("annihilation identities assume the side conditions")
     sus = pkg.suspended
-    n_max = n_max or sus.truncation
+    n_max = resolve_truncation(n_max, sus.truncation)
     sV = sus.hhat.source
     ident = MultiMap.identity(sV)
     report = CheckReport("annihilation")

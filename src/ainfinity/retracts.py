@@ -11,7 +11,8 @@ f projects onto H along B + C, g includes H, and h inverts d from B into C
 """
 
 from .ainfty import AInfinity
-from .graded import ChainComplex, GradedModule, MultiMap, StructureError, compose
+from .graded import (ChainComplex, GradedModule, MultiMap, StructureError, _acc,
+                     compose)
 from .kernels import DeformationRetract
 
 
@@ -190,8 +191,7 @@ def harmonious_retract(cx):
                 if c:
                     pivot = split.c_pivots[deg + 1][bidx]
                     key = (deg + 1, pivot)
-                    hvec[key] = hvec.get(key, field.zero) - c
-            hvec = {k: v for k, v in hvec.items() if v}
+                    _acc(hvec, key, -c)
             if hvec:
                 h_table[((deg, j),)] = hvec
         for hidx, vec in enumerate(H):

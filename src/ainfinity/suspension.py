@@ -18,7 +18,8 @@ unsuspended formulas remain as an independently implemented cross-check.
 from . import signs
 from .ainfty import AInfinity
 from .coalgebra import ComponentFamily
-from .graded import GradedModule, MultiMap, StructureError, apply_block, compose_product
+from .graded import (GradedModule, MultiMap, StructureError, _acc, apply_block,
+                     compose_product)
 
 
 def suspend_module(V):
@@ -56,8 +57,7 @@ def shift_scalar(V, n):
     out = {}
     for m, c in mid.items():
         for m2, c2 in apply_block([s] * n, m).items():
-            out[m2] = out.get(m2, 0) + c * c2
-    out = {k: v for k, v in out.items() if v}
+            _acc(out, m2, c * c2)
     if list(out) != [word]:
         raise StructureError("shift composite is not diagonal")
     return out[word]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ainfinity.fields import QQ, FieldError, PrimeField
-from ainfinity.graded import (GradedModule, MultiMap, StructureError, Vector,
+from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               apply_block, compose, compose_product, insert,
                               koszul_sign, tensor_table)
 from conftest import random_multimap, seeded, two_dim_complex
@@ -68,16 +68,6 @@ def test_graded_module_normalizes_zero_degrees():
     assert list(V.basis()) == [(-1, 0), (0, 0), (0, 1)]
     with pytest.raises(StructureError):
         GradedModule({0: -1})
-
-
-def test_vector_canonical_sparse_form():
-    V = GradedModule({0: 2})
-    one = QQ.one
-    v = Vector(V, {(0, 0): one, (0, 1): 0 * one})
-    assert v.coords == {(0, 0): one}
-    assert (v - v).is_zero()
-    with pytest.raises(StructureError):
-        Vector(V, {(5, 0): one})
 
 
 # ------------------------------------------------------------- koszul_sign

@@ -9,21 +9,28 @@ convention-agreement, kernel-identity, morphism and homotopy reports.
 A mutant counts as killed when any checker fails (or a shape invariant
 raises).  The suite requires a 100% kill rate.
 
-Structural mutants corrupt the body of `graded.compose_product`, the one
-composite every kernel term and relation checker goes through: each is an
-exact-once source replacement, rebound in every loaded `ainfinity` module
-that binds the name, and must be killed by the same battery.
+Structural mutants corrupt the body of one function or method at a seam
+every route goes through: `graded.compose_product`, the one composite every
+kernel term and relation checker uses; `graded._acc` and `graded._merge`,
+the one accumulator and the one table merge; and `CoalgebraOperator.compose`,
+the operator composite of the perturbation-lemma route.  Each is an
+exact-once source replacement, bound wherever the original is bound, and
+must be killed by the same battery or by the perturbation-lemma reports on
+the witness.
 """
 
 import inspect
 import sys
+import textwrap
 
 import pytest
 
-from ainfinity import graded, signs
+from ainfinity import coalgebra, graded, signs
 from ainfinity.ainfty import check_structure
 from ainfinity.graded import ChainComplex, StructureError
 from ainfinity.kernels import transfer
+from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
+                                    hpl_transfer)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.suspension import desuspend_structure, shift_scalar, suspend_structure
 
@@ -49,6 +56,20 @@ def battery_detects():
             if not pkg.ok:
                 return True
         return False
+    except StructureError:
+        return True
+
+
+def hpl_detects():
+    """True as soon as a perturbation-lemma report on the witness at N = 4
+    fails: nilpotency, series inversion, the operator-level conclusions, or
+    the block comparison with the kernel route."""
+    try:
+        mu = instance_massey(truncation=4)
+        retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+        pkg = transfer(retract, mu, 4)
+        hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
+        return not (hpl.ok and compare_hpl_vs_kernels(hpl, pkg).status == "exact")
     except StructureError:
         return True
 
@@ -83,40 +104,64 @@ SHIFT_MUTANTS = {
 }
 
 
-# name -> (exact source fragment of compose_product, its replacement)
+# name -> (module, function or "Class.method", exact source fragment,
+#          its replacement)
 COMPOSE_MUTANTS = {
     "compose-drops-a-contribution": (
+        graded, "compose_product",
         "for picks in itertools.product(*cols):",
         "for picks in list(itertools.product(*cols))[1:]:"),
     "compose-left-from-output-degree": (
+        graded, "compose_product",
         "left += b[0] - inner_degrees[j]",
         "left += b[0]"),
     "compose-negation-skipped": (
+        graded, "compose_product",
         "coeff = -coeff",
         "coeff = coeff"),
 }
 
+STRUCTURAL_MUTANTS = {
+    "acc-keeps-cancelled-zero": (
+        graded, "_acc",
+        "del table[key]",
+        "table[key] = cur"),
+    "merge-ignores-negation": (
+        graded, "_merge",
+        "-c if negate else c",
+        "c"),
+    "operator-compose-skips-top-homogeneity": (
+        coalgebra, "CoalgebraOperator.compose",
+        "for j in range(1, trunc + 1):",
+        "for j in range(1, trunc):"),
+}
 
-def compose_mutant(name):
-    """compose_product with one fragment of its source replaced."""
-    old, new = COMPOSE_MUTANTS[name]
-    source = inspect.getsource(graded.compose_product)
-    assert source.count(old) == 1, "fragment of %s not found exactly once" % name
-    namespace = dict(vars(graded))
-    exec(compile(source.replace(old, new), graded.__file__, "exec"), namespace)
-    return namespace["compose_product"]
 
-
-def rebind_compose_product(monkeypatch, fn):
-    """Point every loaded ainfinity module that binds compose_product at fn;
-    returns the names of the modules rebound."""
-    original = graded.compose_product
+def mutate(monkeypatch, module, path, old, new):
+    """Replace `old` by `new`, exactly once, in the source of `path` (a
+    function of `module` or "Class.method"), and bind the result wherever
+    the original is bound: on the class for a method, else under every name
+    of every loaded ainfinity module that holds the original.  Returns the
+    bindings replaced."""
+    owner, _, attr = path.rpartition(".")
+    holder = getattr(module, owner) if owner else module
+    original = getattr(holder, attr)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, "fragment of %s not found exactly once" % path
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    fn = namespace[attr]
+    if owner:
+        monkeypatch.setattr(holder, attr, fn)
+        return [module.__name__ + "." + path]
     rebound = []
-    for name, module in sorted(sys.modules.items()):
-        if (name.split(".")[0] == "ainfinity"
-                and getattr(module, "compose_product", None) is original):
-            monkeypatch.setattr(module, "compose_product", fn)
-            rebound.append(name)
+    for name, mod in sorted(sys.modules.items()):
+        if name.split(".")[0] != "ainfinity":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, fn)
+                rebound.append(name)
     return rebound
 
 
@@ -152,11 +197,22 @@ def test_shift_mutants_killed(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(COMPOSE_MUTANTS))
 def test_compose_product_mutants_killed(name, monkeypatch):
-    rebound = rebind_compose_product(monkeypatch, compose_mutant(name))
+    rebound = mutate(monkeypatch, *COMPOSE_MUTANTS[name])
     assert {"ainfinity.graded", "ainfinity.kernels", "ainfinity.ainfty",
             "ainfinity.coalgebra", "ainfinity.perturbation",
             "ainfinity.suspension"} <= set(rebound)
     assert battery_detects(), "mutant %s survived" % name
+
+
+def test_baseline_hpl_is_clean():
+    assert not hpl_detects()
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_MUTANTS))
+def test_structural_mutants_killed(name, monkeypatch):
+    rebound = mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
+    assert rebound
+    assert battery_detects() or hpl_detects(), "mutant %s survived" % name
 
 
 def test_kill_rate_is_total():

@@ -2,19 +2,30 @@
 conclusions, the equivalence with the kernel route, and its failure modes
 without side conditions."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from ainfinity.ainfty import AInfinity
-from ainfinity.coalgebra import extract_components, lift_coderivation
+from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
+                              check_homotopy, check_morphism, check_structure,
+                              identity_morphism)
+from ainfinity.battery import equivalence_battery
+from ainfinity.coalgebra import (CoalgebraOperator, check_codifferential,
+                                 check_homotopy_components,
+                                 check_morphism_components,
+                                 colinearity_residual, extract_components,
+                                 lift_coderivation)
 from ainfinity.graded import (ChainComplex, GradedModule, MultiMap,
                               StructureError, compose)
 from ainfinity.kernels import DeformationRetract, transfer
 from ainfinity.perturbation import (build_perturbation,
                                     check_annihilation_lemmas,
                                     check_side_conditions,
-                                    compare_hpl_vs_kernels, hpl_transfer)
+                                    compare_hpl_vs_kernels, hpl_transfer,
+                                    series_inversion_report)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
-from ainfinity.suspension import suspend_structure
+from ainfinity.suspension import (suspend_homotopy, suspend_morphism,
+                                  suspend_structure)
 
 
 def forms_setup(N=4):
@@ -78,6 +89,26 @@ def test_nilpotency_and_inversion():
     assert hpl.inversion_report.ok
     for n, power in data.nilpotency.items():
         assert power <= n
+
+
+def test_series_inversion_residuals_against_identity():
+    """The identity-free inversion residuals S - M - M S and S - M - S M are
+    (1 - M)(1 + S) - 1 and (1 + S)(1 - M) - 1.  A series stopped after one
+    term, S = M, must leave them nonzero (both are -M^2): a check that could
+    not see this would be vacuous.  (M^3 = 0 here, so a series only one
+    term short of the full loop would still pass.)"""
+    mu = instance_massey(truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    data = build_perturbation(retract, suspend_structure(mu), 4)
+    M = S = data.M
+    report = series_inversion_report(M, S)
+    ident = CoalgebraOperator.identity(data.sV, 4)
+    right = (ident - M).compose(ident + S) - ident
+    left = (ident + S).compose(ident - M) - ident
+    assert report.residuals["right"] == right
+    assert report.residuals["left"] == left
+    assert not report.ok
+    assert report.entry_count("right") == report.entry_count("left") == 12
 
 
 def test_trivial_perturbation_returns_inputs():
@@ -208,3 +239,50 @@ def test_vanish_on_images_hand_case():
     sus = pkg.suspended
     assert compose(sus.hhat, sus.ghat).is_zero()
     assert compose_product(sus.q[2], [sus.ghat, sus.ghat]).is_zero()
+
+
+@pytest.fixture(scope="module")
+def witness3():
+    """The witness transferred along both routes at N = 3."""
+    mu = instance_massey(truncation=3)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu, 3)
+    smu = suspend_structure(mu)
+    data = build_perturbation(retract, smu, 3)
+    return SimpleNamespace(mu=mu, pkg=pkg, smu=smu, data=data,
+                           hpl=hpl_transfer(data))
+
+
+# every public entry point that takes a truncation (n_max or truncation),
+# called with an explicit one
+TRUNCATION_SITES = {
+    "check_structure": lambda w, n: check_structure(w.mu, n),
+    "check_morphism": lambda w, n: check_morphism(w.pkg.phi, n),
+    "check_homotopy": lambda w, n: check_homotopy(w.pkg.homotopy, n),
+    "AInftyMorphism": lambda w, n: AInftyMorphism(w.mu, w.mu, {}, n),
+    "AInftyHomotopy": lambda w, n: AInftyHomotopy(
+        identity_morphism(w.mu), identity_morphism(w.mu), {}, n),
+    "equivalence_battery": lambda w, n: equivalence_battery(w.pkg, w.mu, n),
+    "check_codifferential": lambda w, n: check_codifferential(
+        w.smu.family(), n),
+    "check_morphism_components": lambda w, n: check_morphism_components(
+        suspend_morphism(w.pkg.phi), w.smu.family(),
+        suspend_structure(w.pkg.nu).family(), n),
+    "check_homotopy_components": lambda w, n: check_homotopy_components(
+        suspend_homotopy(w.pkg.homotopy), w.smu.family(), w.smu.family(), n),
+    "colinearity_residual": lambda w, n: colinearity_residual(
+        w.data.F, "morphism", n_max=n),
+    "compare_hpl_vs_kernels": lambda w, n: compare_hpl_vs_kernels(
+        w.hpl, w.pkg, n),
+    "check_annihilation_lemmas": lambda w, n: check_annihilation_lemmas(
+        w.pkg, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("site", sorted(TRUNCATION_SITES))
+def test_nonpositive_truncation_rejected(site, n, witness3):
+    """Only None means "the default truncation"; 0 and below raise."""
+    assert len(TRUNCATION_SITES) == 12
+    with pytest.raises(StructureError, match="truncation must be >= 1"):
+        TRUNCATION_SITES[site](witness3, n)
