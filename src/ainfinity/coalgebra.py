@@ -21,7 +21,7 @@ asserts the two agree on every instance.
 
 from . import signs
 from .combi import compositions, enum_A, enum_B
-from .graded import (MultiMap, StructureError, _acc, _merge, compose,
+from .graded import (MultiMap, StructureError, _acc, _merge, _reduce, compose,
                      compose_product, insert, resolve_truncation, tensor_table,
                      word_degree)
 from .reports import CheckReport
@@ -89,7 +89,10 @@ class ComponentFamily:
 
 
 class CoalgebraOperator:
-    """Blockwise linear map T(V) -> T(W), truncated at homogeneity `trunc`."""
+    """Blockwise linear map T(V) -> T(W), truncated at homogeneity `trunc`.
+
+    The constructor validates blocks from outside and reduces their scalars
+    over Z/p into range(p); results of arithmetic are built by `_raw`."""
 
     def __init__(self, source, target, degree, trunc, blocks=()):
         self.source = source
@@ -97,12 +100,15 @@ class CoalgebraOperator:
         self.degree = degree
         self.trunc = trunc
         self.blocks = {}
+        p = target.field.characteristic
         for (m, j), table in dict(blocks).items():
             if not (1 <= m <= trunc and 1 <= j <= trunc):
                 raise StructureError("block (%d, %d) outside truncation %d"
                                      % (m, j, trunc))
             clean = {}
             for w, vec in table.items():
+                if p:
+                    vec = {out: _reduce(c, p) for out, c in vec.items()}
                 kept = {out: c for out, c in vec.items() if c}
                 for out in kept:
                     if word_degree(out) != word_degree(w) + degree:
@@ -143,12 +149,13 @@ class CoalgebraOperator:
     def apply_word(self, word):
         """Image of a word as {output word: scalar} across all blocks."""
         m = len(word)
+        p = self.target.field.characteristic
         out = {}
         for j in range(1, self.trunc + 1):
             vec = self.blocks.get((m, j), {}).get(word)
             if vec:
                 for w, c in vec.items():
-                    _acc(out, w, c)
+                    _acc(out, w, c, p)
         return out
 
     def is_zero(self):
@@ -162,8 +169,9 @@ class CoalgebraOperator:
         if not self.same_shape(other):
             raise StructureError("operator shape mismatch")
         blocks = {k: {w: dict(v) for w, v in t.items()} for k, t in self.blocks.items()}
+        p = self.target.field.characteristic
         for k, t in other.blocks.items():
-            _merge(blocks.setdefault(k, {}), t, negate)
+            _merge(blocks.setdefault(k, {}), t, p, negate)
         blocks = {k: t for k, t in blocks.items() if t}
         return CoalgebraOperator._raw(self.source, self.target, self.degree,
                                       self.trunc, blocks)
@@ -175,10 +183,14 @@ class CoalgebraOperator:
         return self._combine(other, True)
 
     def scale(self, c):
+        p = self.target.field.characteristic
+        if p:
+            c = _reduce(c, p)
         if not c:
             return CoalgebraOperator.zero(self.source, self.target,
                                           self.degree, self.trunc)
-        blocks = {k: {w: {out: c * v for out, v in vec.items()}
+        blocks = {k: {w: {out: c * v % p if p else c * v
+                          for out, v in vec.items()}
                       for w, vec in t.items()}
                   for k, t in self.blocks.items()}
         return CoalgebraOperator._raw(self.source, self.target, self.degree,
@@ -189,6 +201,7 @@ class CoalgebraOperator:
         if other.target != self.source:
             raise StructureError("operators not composable")
         trunc = min(self.trunc, other.trunc)
+        p = self.target.field.characteristic
         blocks = {}
         for (m, k), table in other.blocks.items():
             if m > trunc:
@@ -205,7 +218,7 @@ class CoalgebraOperator:
                             continue
                         acc = dst.setdefault(w, {})
                         for out, c2 in final.items():
-                            _acc(acc, out, c * c2)
+                            _acc(acc, out, c * c2, p)
         blocks = {k: {w: v for w, v in t.items() if v} for k, t in blocks.items()}
         blocks = {k: t for k, t in blocks.items() if t}
         return CoalgebraOperator._raw(other.source, self.target,
@@ -245,6 +258,7 @@ def lift_coderivation(family):
     if family.kind != "coderivation":
         raise StructureError("lift_coderivation needs a coderivation family")
     V, N = family.source, family.trunc
+    p = V.field.characteristic
     blocks = {}
     for n in range(1, N + 1):
         for j in range(1, n + 1):
@@ -255,7 +269,7 @@ def lift_coderivation(family):
             acc = {}
             for i in range(1, j + 1):
                 maps = [ident] * (i - 1) + [comp] + [ident] * (j - i)
-                _merge(acc, tensor_table(maps))
+                _merge(acc, tensor_table(maps), p)
             if acc:
                 blocks[(n, j)] = acc
     return CoalgebraOperator._raw(V, V, -1, N, blocks)
@@ -265,6 +279,7 @@ def lift_morphism(family):
     if family.kind != "morphism":
         raise StructureError("lift_morphism needs a morphism family")
     V, W, N = family.source, family.target, family.trunc
+    p = W.field.characteristic
     blocks = {}
     for n in range(1, N + 1):
         for k in range(1, n + 1):
@@ -273,7 +288,7 @@ def lift_morphism(family):
                 maps = [family.components.get(r) for r in parts]
                 if any(m is None for m in maps):
                     continue
-                _merge(acc, tensor_table(maps))
+                _merge(acc, tensor_table(maps), p)
             if acc:
                 blocks[(n, k)] = acc
     return CoalgebraOperator._raw(V, W, 0, N, blocks)
@@ -284,6 +299,7 @@ def lift_homotopy(family):
     if family.kind != "homotopy":
         raise StructureError("lift_homotopy needs a homotopy family")
     V, W, N = family.source, family.target, family.trunc
+    p = W.field.characteristic
     left, right = family.left, family.right
     blocks = {}
     for n in range(1, N + 1):
@@ -299,7 +315,7 @@ def lift_homotopy(family):
                             + [right.components.get(r) for r in parts[i:]])
                     if any(m is None for m in maps):
                         continue
-                    _merge(acc, tensor_table(maps))
+                    _merge(acc, tensor_table(maps), p)
             if acc:
                 blocks[(n, k)] = acc
     return CoalgebraOperator._raw(V, W, 1, N, blocks)
@@ -424,6 +440,7 @@ def colinearity_residual(op, kind, left=None, right=None, n_max=None):
     """
     n_max = resolve_truncation(n_max, op.trunc)
     report = CheckReport("colinearity")
+    p = op.target.field.characteristic
     words = [(b,) for b in op.source.basis()]
     for n in range(1, n_max + 1):
         if n > 1:
@@ -433,28 +450,28 @@ def colinearity_residual(op, kind, left=None, right=None, n_max=None):
             res = {}
             for out, c in op.apply_word(w).items():
                 for pair in comultiply(out):
-                    _acc(res, pair, c)
+                    _acc(res, pair, c, p)
             for (w1, w2) in comultiply(w):
                 if kind == "morphism":
                     for (u1, c1) in op.apply_word(w1).items():
                         for (u2, c2) in op.apply_word(w2).items():
-                            _acc(res, (u1, u2), -(c1 * c2))
+                            _acc(res, (u1, u2), -(c1 * c2), p)
                 elif kind == "coderivation":
                     for (u1, c1) in op.apply_word(w1).items():
-                        _acc(res, (u1, w2), -c1)
+                        _acc(res, (u1, w2), -c1, p)
                     sign = signs.sign_of(signs.koszul_exponent(op.degree,
                                                                word_degree(w1)))
                     for (u2, c2) in op.apply_word(w2).items():
-                        _acc(res, (w1, u2), -(sign * c2))
+                        _acc(res, (w1, u2), -(sign * c2), p)
                 elif kind == "homotopy":
                     sign = signs.sign_of(signs.koszul_exponent(op.degree,
                                                                word_degree(w1)))
                     for (u1, c1) in left.apply_word(w1).items():
                         for (u2, c2) in op.apply_word(w2).items():
-                            _acc(res, (u1, u2), -(sign * c1 * c2))
+                            _acc(res, (u1, u2), -(sign * c1 * c2), p)
                     for (u1, c1) in op.apply_word(w1).items():
                         for (u2, c2) in right.apply_word(w2).items():
-                            _acc(res, (u1, u2), -(c1 * c2))
+                            _acc(res, (u1, u2), -(c1 * c2), p)
                 else:
                     raise StructureError("unknown kind %r" % (kind,))
             if res:

@@ -67,14 +67,13 @@ def random_dga(rng, field=QQ, truncation=5, max_total_dim=6):
         slot[eid] = (degree, idx)
 
     V = GradedModule(dims, field)
-    one = field.one
     d_table = {}
     for (src, tgt, c) in d_pairs:
-        d_table[(slot[src],)] = {slot[tgt]: c * one}
+        d_table[(slot[src],)] = {slot[tgt]: field.from_int(c)}
     d = MultiMap(V, V, 1, -1, d_table)
     mu_table = {}
     for (a, b, t, c) in products:
-        mu_table[(slot[a], slot[b])] = {slot[t]: c * one}
+        mu_table[(slot[a], slot[b])] = {slot[t]: field.from_int(c)}
     prods = {}
     if mu_table:
         prods[2] = MultiMap(V, V, 2, 0, mu_table)

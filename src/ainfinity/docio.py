@@ -56,9 +56,14 @@ def _expect_keys(obj, required, optional, where):
         raise DocumentError("%s: unknown field(s) %s" % (where, sorted(unknown)))
 
 
+def _is_json_int(x):
+    """A JSON integer: an int that is not a bool (json maps true to True)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_basis(ref, where):
     if (not isinstance(ref, list) or len(ref) != 2
-            or not all(isinstance(x, int) for x in ref)):
+            or not all(_is_json_int(x) for x in ref)):
         raise DocumentError("%s: basis reference must be [degree, index], got %r"
                             % (where, ref))
     return (ref[0], ref[1])
@@ -219,7 +224,7 @@ def parse(text):
     else:
         raise DocumentError("unknown field tag %r" % (obj["field"],))
     truncation = obj["truncation"]
-    if not isinstance(truncation, int) or truncation < 1:
+    if not _is_json_int(truncation) or truncation < 1:
         raise DocumentError("truncation must be a positive integer")
 
     modules = {}
@@ -233,7 +238,7 @@ def parse(text):
                 dims[int(key)] = dim
             except ValueError:
                 raise DocumentError("modules[%s]: bad degree %r" % (name, key))
-            if not isinstance(dim, int) or dim < 0:
+            if not _is_json_int(dim) or dim < 0:
                 raise DocumentError("modules[%s]: bad dimension %r" % (name, dim))
         try:
             modules[name] = GradedModule(dims, field)

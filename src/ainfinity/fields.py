@@ -1,13 +1,15 @@
 """Exact scalar fields: arbitrary-precision rationals and prime fields Z/p.
 
-A field object is a small factory/parser; the elements themselves are
-rationals (rational case) or `ModP` (prime case).  A rational is kept as a
-plain python int while it is integral and becomes a `fractions.Fraction`
-only once a division makes it one, so the common +-1 coefficients never pay
-for `Fraction` arithmetic.  Both element types support mixed arithmetic with
-plain python ints, which is how the sign machinery (+1/-1) multiplies into
-coefficients.  Division goes through `field.div`, never `/`, so that an
-int / int can never yield a float.
+A field object is a small factory/parser with a `characteristic`: 0 for the
+rationals, p for Z/p.  The elements themselves are plain python values.  A
+rational is kept as an int while it is integral and becomes a
+`fractions.Fraction` only once a division makes it one, so the common +-1
+coefficients never pay for `Fraction` arithmetic.  An element of Z/p is an
+int in range(p).  Products of elements are formed as plain (unreduced) ints
+and reduced modulo the characteristic where they are stored: in the one
+accumulate step `graded._acc`, in the validating constructors and in
+`scale`.  Division goes through `field.div`, never `/`, so that an int / int
+can never yield a float.
 """
 
 from fractions import Fraction
@@ -17,85 +19,6 @@ class FieldError(ValueError):
     pass
 
 
-class ModP:
-    """An element of Z/p.  Division by zero raises ZeroDivisionError."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, ModP):
-            if other.p != self.p:
-                raise FieldError("mixed characteristics %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return ModP(other, self.p)
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in Z/%d" % self.p)
-        return ModP(self.value * pow(other.value, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return ModP(-self.value, self.p)
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "ModP(%d, %d)" % (self.value, self.p)
-
-
 def _rational(q):
     """A `Fraction` as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
@@ -103,14 +26,9 @@ def _rational(q):
 
 class RationalField:
     name = "rational"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    characteristic = 0
+    zero = 0
+    one = 1
 
     def from_int(self, n):
         return int(n)
@@ -138,52 +56,77 @@ class RationalField:
         return "QQ"
 
 
+# The first thirteen primes as Miller-Rabin bases decide primality exactly
+# for every n below MODULUS_BOUND, the least composite that passes them all
+# (Sorenson and Webster, *Strong pseudoprimes to twelve prime bases*, 2017;
+# OEIS A014233).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; exact for p < MODULUS_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class PrimeField:
+    """Z/p for a prime p < MODULUS_BOUND; its elements are ints in range(p)."""
+
     name = "mod-p"
+    zero = 0
+    one = 1
 
     def __init__(self, p):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise FieldError("modulus %r is not an integer" % (p,))
+        if p >= MODULUS_BOUND:
+            raise FieldError("modulus %d is too large: primality is decided "
+                             "exactly only below %d" % (p, MODULUS_BOUND))
         if not _is_prime(p):
             raise FieldError("%r is not prime" % (p,))
         self.p = p
-
-    @property
-    def zero(self):
-        return ModP(0, self.p)
-
-    @property
-    def one(self):
-        return ModP(1, self.p)
+        self.characteristic = p
 
     def from_int(self, n):
-        return ModP(n, self.p)
+        return int(n) % self.p
 
     def div(self, a, b):
         """Quotient a / b in Z/p; raises ZeroDivisionError when b is zero."""
-        return self.from_int(a) / b if isinstance(a, int) else a / b
+        b %= self.p
+        if not b:
+            raise ZeroDivisionError("division by zero in Z/%d" % self.p)
+        return a * pow(b, -1, self.p) % self.p
 
     def parse(self, text):
         text = text.strip()
         try:
             if "/" in text:
                 num, den = text.split("/")
-                return ModP(int(num), self.p) / ModP(int(den), self.p)
-            return ModP(int(text), self.p)
+                return self.div(int(num), int(den))
+            return int(text) % self.p
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError("bad scalar %r over Z/%d: %s" % (text, self.p, exc))
 
     def format(self, x):
-        return str(x.value)
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -10,7 +10,8 @@ evaluation.
 Values are immutable after construction by convention; operations return
 fresh objects.  Every sum into a sparse table in the library goes through
 the one accumulate step `_acc`, and every sum of two tables through the one
-merge `_merge`.
+merge `_merge`.  Both take the characteristic p of the target field; over
+Z/p, `_acc` is where unreduced int products are reduced into range(p).
 """
 
 import itertools
@@ -73,31 +74,41 @@ class GradedModule:
         return "GradedModule(%r)" % (self.dims,)
 
 
-def _acc(table, key, value):
-    """table[key] += value in a sparse table: no zero is ever stored, and an
-    entry that cancels is removed."""
+def _acc(table, key, value, p):
+    """table[key] += value in a sparse table over a field of characteristic
+    `p`: no zero is ever stored, and an entry that cancels is removed.  Over
+    Z/p (p > 0) the sum is reduced into range(p) before the zero test, so
+    callers pass unreduced int products and every stored scalar is reduced."""
     cur = table.get(key)
-    if cur is None:
-        if value:
-            table[key] = value
-        return
-    cur = cur + value
-    if cur:
-        table[key] = cur
-    else:
+    if cur is not None:
+        value = cur + value
+    if p:
+        value %= p
+    if value:
+        table[key] = value
+    elif cur is not None:
         del table[key]
 
 
-def _merge(dst, src, negate=False):
+def _merge(dst, src, p, negate=False):
     """dst += src (dst -= src with `negate`) in place, for sparse tables of
-    rows {key: {out: scalar}}; a row that cancels is removed.  Subtraction
-    negates each scalar; it never multiplies by -1."""
+    rows {key: {out: scalar}} over a field of characteristic `p`; a row that
+    cancels is removed.  Subtraction negates each scalar; it never multiplies
+    by -1."""
     for key, vec in src.items():
         row = dst.setdefault(key, {})
         for out, c in vec.items():
-            _acc(row, out, -c if negate else c)
+            _acc(row, out, -c if negate else c, p)
         if not row:
             del dst[key]
+
+
+def _reduce(c, p):
+    """An int scalar from outside as an element of Z/p; any other type (a
+    Fraction, a float) is refused."""
+    if not isinstance(c, int):
+        raise StructureError("scalar %r is not an element of Z/%d" % (c, p))
+    return c % p
 
 
 def resolve_truncation(n, default):
@@ -117,8 +128,9 @@ class MultiMap:
     output dicts {target basis element: scalar}; absent words are zero.
     Homogeneity -- (sum of input degrees) + degree == output degree -- is
     enforced by the constructor, which every map from outside goes through
-    (documents, retracts, suspensions, tests); results of arithmetic on
-    such maps are built by `_raw` without re-checking.
+    (documents, retracts, suspensions, tests); it also reduces scalars over
+    Z/p into range(p).  Results of arithmetic on such maps are built by
+    `_raw` without re-checking.
     """
 
     __slots__ = ("source", "target", "arity", "degree", "table")
@@ -126,6 +138,7 @@ class MultiMap:
     def __init__(self, source, target, arity, degree, table=()):
         if arity < 1:
             raise StructureError("arity must be >= 1")
+        p = target.field.characteristic
         clean = {}
         for word, vec in dict(table).items():
             if len(word) != arity:
@@ -134,6 +147,8 @@ class MultiMap:
             out_degree = word_degree(word) + degree
             kept = {}
             for b, c in vec.items():
+                if p:
+                    c = _reduce(c, p)
                 if not c:
                     continue
                 if not target.has_basis(b):
@@ -171,7 +186,8 @@ class MultiMap:
     @classmethod
     def identity(cls, module):
         one = module.field.one
-        return cls(module, module, 1, 0, {(b,): {b: one} for b in module.basis()})
+        return cls._raw(module, module, 1, 0,
+                        {(b,): {b: one} for b in module.basis()})
 
     def is_zero(self):
         return not self.table
@@ -188,7 +204,7 @@ class MultiMap:
         if not self.same_shape(other):
             raise StructureError("map shape mismatch")
         table = {w: dict(v) for w, v in self.table.items()}
-        _merge(table, other.table, negate)
+        _merge(table, other.table, self.target.field.characteristic, negate)
         return MultiMap._raw(self.source, self.target, self.arity, self.degree,
                              table)
 
@@ -199,9 +215,12 @@ class MultiMap:
         return self._combine(other, True)
 
     def scale(self, c):
-        if not c * self.target.field.one:    # zero in the field, e.g. p in Z/p
+        p = self.target.field.characteristic
+        if p:
+            c = _reduce(c, p)
+        if not c:
             return MultiMap.zero(self.source, self.target, self.arity, self.degree)
-        table = {w: {b: c * v for b, v in vec.items()}
+        table = {w: {b: c * v % p if p else c * v for b, v in vec.items()}
                  for w, vec in self.table.items()}
         return MultiMap._raw(self.source, self.target, self.arity, self.degree,
                              table)
@@ -268,18 +287,20 @@ def apply_block(maps, word):
             return {}
         vecs.append(vec)
     base = signs.sign_of(exponent)
+    p = maps[0].target.field.characteristic
     out = {}
     for outs in itertools.product(*(v.items() for v in vecs)):
         coeff = base
         for _, c in outs:
             coeff = coeff * c
-        _acc(out, tuple(b for b, _ in outs), coeff)
+        _acc(out, tuple(b for b, _ in outs), coeff, p)
     return out
 
 
 def tensor_table(maps):
     """Sparse table of f_1 x ... x f_k: {input word: {output word: scalar}}."""
     degrees = [m.degree for m in maps]
+    p = maps[0].target.field.characteristic
     entry_lists = [[(part, word_degree(part), list(vec.items()))
                     for part, vec in m.table.items()] for m in maps]
     table = {}
@@ -300,7 +321,7 @@ def tensor_table(maps):
                 coeff = coeff * c
             if negate:
                 coeff = -coeff
-            _acc(dst, tuple(b for b, _ in outs), coeff)
+            _acc(dst, tuple(b for b, _ in outs), coeff, p)
     return {w: v for w, v in table.items() if v}
 
 
@@ -351,6 +372,7 @@ def compose_product(outer, inners):
         return result
     columns = [_columns(m) for m in inners]
     inner_degrees = [m.degree for m in inners]
+    p = outer.target.field.characteristic
     table = {}
     for mid, final in outer.table.items():
         cols = [col.get(b) for col, b in zip(columns, mid)]
@@ -372,7 +394,7 @@ def compose_product(outer, inners):
                 coeff = -coeff
             dst = table.setdefault(in_word, {})
             for b, c2 in final.items():
-                _acc(dst, b, coeff * c2)
+                _acc(dst, b, coeff * c2, p)
     return MultiMap._raw(source, outer.target, arity, degree,
                          {w: v for w, v in table.items() if v})
 

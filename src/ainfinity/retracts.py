@@ -17,7 +17,9 @@ from .kernels import DeformationRetract
 
 
 def _rref(rows, width, field):
-    """Reduced row echelon form with leftmost pivots.  Returns (rows, pivots)."""
+    """Reduced row echelon form with leftmost pivots.  Returns (rows, pivots);
+    over Z/p, entries given in range(p) stay there."""
+    p = field.characteristic
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -31,11 +33,12 @@ def _rref(rows, width, field):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = field.div(field.one, rows[r][c])
-        rows[r] = [inv * x for x in rows[r]]
+        rows[r] = [inv * x % p if p else inv * x for x in rows[r]]
         for rr in range(len(rows)):
             if rr != r and rows[rr][c]:
                 factor = rows[rr][c]
-                rows[rr] = [a - factor * b for a, b in zip(rows[rr], rows[r])]
+                rows[rr] = [(a - factor * b) % p if p else a - factor * b
+                            for a, b in zip(rows[rr], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -46,6 +49,7 @@ def _rref(rows, width, field):
 def _nullspace(rows, width, field):
     """Canonical nullspace basis (one vector per free column, ascending)."""
     rref, pivots = _rref(rows, width, field)
+    p = field.characteristic
     pivot_set = set(pivots)
     basis = []
     for free in range(width):
@@ -53,8 +57,8 @@ def _nullspace(rows, width, field):
             continue
         vec = [field.zero] * width
         vec[free] = field.one
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][free]
+        for r, col in enumerate(pivots):
+            vec[col] = -rref[r][free] % p if p else -rref[r][free]
         basis.append(vec)
     return basis
 
@@ -191,7 +195,7 @@ def harmonious_retract(cx):
                 if c:
                     pivot = split.c_pivots[deg + 1][bidx]
                     key = (deg + 1, pivot)
-                    _acc(hvec, key, -c)
+                    _acc(hvec, key, -c, field.characteristic)
             if hvec:
                 h_table[((deg, j),)] = hvec
         for hidx, vec in enumerate(H):

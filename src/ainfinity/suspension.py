@@ -57,7 +57,7 @@ def shift_scalar(V, n):
     out = {}
     for m, c in mid.items():
         for m2, c2 in apply_block([s] * n, m).items():
-            _acc(out, m2, c * c2)
+            _acc(out, m2, c * c2, V.field.characteristic)
     if list(out) != [word]:
         raise StructureError("shift composite is not diagonal")
     return out[word]

@@ -1,6 +1,7 @@
 """Document round-trips, strict parsing, CLI subcommands and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ def forms_doc(tmp_path, name="forms.json", mutate=None):
 
 def test_parse_serialize_roundtrip(tmp_path):
     path = massey_doc(tmp_path)
-    text = open(path).read()
+    text = Path(path).read_text()
     doc = parse(text)
     again = serialize(doc)
     assert again == text
@@ -54,7 +55,7 @@ def test_transfer_output_roundtrips(tmp_path):
     out = str(tmp_path / "out.json")
     assert main(["transfer", src, "--method", "kernels", "--retract", "auto",
                  "-o", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     doc = parse(text)
     assert serialize(doc) == text
     assert doc.transfer is not None and doc.retract is not None
@@ -64,7 +65,7 @@ def test_transfer_output_roundtrips(tmp_path):
 
 def test_unknown_fields_rejected(tmp_path):
     path = massey_doc(tmp_path)
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     obj["surprise"] = 1
     with pytest.raises(DocumentError):
         parse(json.dumps(obj))
@@ -72,7 +73,7 @@ def test_unknown_fields_rejected(tmp_path):
 
 def test_format_version_mandatory(tmp_path):
     path = massey_doc(tmp_path)
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     del obj["format"]
     with pytest.raises(DocumentError):
         parse(json.dumps(obj))
@@ -83,7 +84,7 @@ def test_format_version_mandatory(tmp_path):
 
 def test_bad_scalar_and_bad_reference_rejected(tmp_path):
     path = massey_doc(tmp_path)
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     entry = obj["structure"]["differential"][0]
     good_output = entry["output"][0]
     entry["output"][0] = [good_output[0], "1/0"]
@@ -96,7 +97,7 @@ def test_bad_scalar_and_bad_reference_rejected(tmp_path):
 
 def test_inhomogeneous_entry_rejected(tmp_path):
     path = massey_doc(tmp_path)
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     entry = obj["structure"]["differential"][0]
     entry["output"][0] = [[4, 0], "1"]  # degree 3 input cannot go to degree 4
     with pytest.raises(DocumentError):
@@ -150,6 +151,50 @@ def test_check_exit_two_on_garbage(tmp_path, capsys):
         fh.write("{not json")
     assert main(["check", path]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+def mod_p_object():
+    mu = instance_massey(field=PrimeField(7))
+    doc = Document(mu.carrier.field, 5, {"V": mu.carrier}, structure=("V", mu))
+    return json.loads(serialize(doc))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p", "7"), ("p", 7.0), ("p", True), ("p", 6), ("p", 2 ** 89 - 1),
+    ("truncation", True), ("truncation", 5.0), ("truncation", "5"),
+])
+def test_malformed_field_or_truncation_exits_two(tmp_path, capsys, key, value):
+    obj = mod_p_object()
+    # without the structure block nothing but the field and the truncation
+    # themselves can reject the document
+    del obj["structure"]
+    obj[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DocumentError):
+        parse(path.read_text())
+    assert main(["check", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_boolean_dimension_and_basis_reference_rejected():
+    # json true would otherwise pass for the integer 1
+    obj = mod_p_object()
+    del obj["structure"]
+    obj["modules"]["V"]["dims"]["0"] = True
+    with pytest.raises(DocumentError):
+        parse(json.dumps(obj))
+    obj = mod_p_object()
+    obj["structure"]["products"]["2"][0]["inputs"][0] = [True, 0]
+    with pytest.raises(DocumentError):
+        parse(json.dumps(obj))
+
+
+def test_large_prime_modulus_is_decided_at_once():
+    # 2^61 - 1 is prime; trial division up to its square root would not end
+    obj = mod_p_object()
+    obj["p"] = 2 ** 61 - 1
+    assert parse(json.dumps(obj)).field == PrimeField(2 ** 61 - 1)
 
 
 # ---------------------------------------------------------------- transfer
@@ -270,7 +315,7 @@ def test_transfer_deterministic_output(tmp_path, capsys):
     main(["transfer", src, "--method", "kernels", "--retract", "auto", "-o", out1])
     main(["transfer", src, "--method", "kernels", "--retract", "auto", "-o", out2])
     capsys.readouterr()
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 # ---------------------------------------------------------------- selftest

@@ -1,6 +1,8 @@
 """Tensor-coalgebra lifts, comultiplication compatibility, and the
 componentwise vs operator-level dictionary."""
 
+from fractions import Fraction
+
 import pytest
 
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
@@ -11,6 +13,7 @@ from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  lift_coderivation, lift_homotopy, lift_morphism,
                                  operator_homotopy_residual,
                                  operator_intertwining_residual, operator_square)
+from ainfinity.fields import PrimeField
 from ainfinity.graded import GradedModule, MultiMap, StructureError, tensor_table
 from ainfinity.retracts import harmonious_retract, instance_massey
 from ainfinity.graded import ChainComplex
@@ -263,4 +266,17 @@ def test_operator_arithmetic_and_identity():
     zero = CoalgebraOperator.zero(V, V, 0, 3)
     assert ident + zero == ident
     assert (ident - ident).is_zero()
-    assert ident.scale(2).scale(V.field.one / 2) == ident
+    assert ident.scale(2).scale(V.field.div(1, 2)) == ident
+
+
+def test_operator_scalars_reduce_over_prime_field():
+    V = GradedModule({0: 1}, PrimeField(5))
+    w = ((0, 0),)
+    op = CoalgebraOperator(V, V, 0, 2, {(1, 1): {w: {w: -1}}})
+    assert op.blocks == {(1, 1): {w: {w: 4}}}
+    assert op.scale(-1).blocks == {(1, 1): {w: {w: 1}}}
+    assert op.scale(5).is_zero()
+    assert (op + op.scale(4)).is_zero()
+    assert op.compose(op).blocks == {(1, 1): {w: {w: 1}}}
+    with pytest.raises(StructureError):
+        CoalgebraOperator(V, V, 0, 2, {(1, 1): {w: {w: Fraction(1, 2)}}})

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ainfinity.fields import QQ, FieldError, PrimeField
+from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
+                              _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               apply_block, compose, compose_product, insert,
                               koszul_sign, tensor_table)
@@ -43,20 +44,81 @@ def test_prime_field_div():
 
 def test_prime_field_arithmetic():
     F = PrimeField(7)
-    a = F.parse("3/5")  # 3 * 5^{-1} = 3 * 3 = 2 mod 7
-    assert a == F.from_int(2)
-    assert -1 * F.one == F.from_int(6)
+    assert F.characteristic == 7 and QQ.characteristic == 0
+    assert F.zero == 0 and F.one == 1
+    assert F.parse("3/5") == 2      # 3 * 5^{-1} = 3 * 3 = 2 mod 7
+    assert F.parse(" -1 ") == 6 and F.parse("-3/5") == 5
+    assert F.from_int(-1) == 6 and F.from_int(14) == 0
+    assert F.div(-2, 3) == 4
     with pytest.raises(ZeroDivisionError):
-        F.one / F.zero
+        F.div(1, 7)
+    with pytest.raises(FieldError):
+        F.parse("1/0")
+    with pytest.raises(FieldError):
+        F.parse("1/2/3")
     with pytest.raises(FieldError):
         PrimeField(6)
 
 
 def test_prime_field_int_interop():
     F = PrimeField(5)
-    assert 2 * F.from_int(3) == 1
-    assert not (F.from_int(5))
-    assert F.from_int(4) + 1 == 0
+    values = [F.zero, F.one, F.from_int(-7), F.div(2, 3), F.parse("-2/3"),
+              F.parse("12")]
+    assert values == [0, 1, 3, 4, 1, 2]
+    assert all(type(x) is int and 0 <= x < 5 for x in values)
+    assert F.format(F.from_int(-1)) == "4"
+
+
+def test_prime_field_rejects_non_integer_and_huge_moduli():
+    for bad in ("7", 7.0, True, None):
+        with pytest.raises(FieldError):
+            PrimeField(bad)
+    PrimeField(2 ** 61 - 1)
+    with pytest.raises(FieldError):
+        PrimeField(MODULUS_BOUND)
+    with pytest.raises(FieldError):
+        PrimeField(2 ** 89 - 1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if trial(n)]
+    # Mersenne primes, a Carmichael number and strong pseudoprimes to the
+    # bases 2..7 and 2..37
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
+    for composite in (561, 3215031751, 2 ** 61 + 1, 318665857834031151167461):
+        assert not _is_prime(composite)
+    # the bound is the least strong pseudoprime to all thirteen bases, which
+    # is why PrimeField refuses it and everything above it
+    assert MODULUS_BOUND == 1287836182261 * 2575672364521
+    assert _is_prime(MODULUS_BOUND)
+
+
+def test_maps_over_different_primes_do_not_add():
+    maps = []
+    for p in (5, 7):
+        V = GradedModule({0: 1}, PrimeField(p))
+        maps.append(MultiMap.identity(V))
+    with pytest.raises(StructureError):
+        maps[0] + maps[1]
+    with pytest.raises(StructureError):
+        maps[0] - maps[1]
+
+
+def test_prime_field_tables_reduce():
+    F = PrimeField(5)
+    V = GradedModule({0: 2}, F)
+    a, b = (0, 0), (0, 1)
+    m = MultiMap(V, V, 1, 0, {(a,): {a: -1, b: 10}, (b,): {b: 7}})
+    assert m.table == {(a,): {a: 4}, (b,): {b: 2}}
+    assert m.scale(-1).table == {(a,): {a: 1}, (b,): {b: 3}}
+    assert m.scale(5).is_zero() and m.scale(10).is_zero()
+    assert (m + m.scale(4)).is_zero()
+    with pytest.raises(StructureError):
+        MultiMap(V, V, 1, 0, {(a,): {a: Fraction(1, 2)}})
 
 
 # ------------------------------------------------------------ graded modules

@@ -12,11 +12,13 @@ raises).  The suite requires a 100% kill rate.
 Structural mutants corrupt the body of one function or method at a seam
 every route goes through: `graded.compose_product`, the one composite every
 kernel term and relation checker uses; `graded._acc` and `graded._merge`,
-the one accumulator and the one table merge; and `CoalgebraOperator.compose`,
-the operator composite of the perturbation-lemma route.  Each is an
-exact-once source replacement, bound wherever the original is bound, and
-must be killed by the same battery or by the perturbation-lemma reports on
-the witness.
+the one accumulator (which also reduces modulo p) and the one table merge;
+`CoalgebraOperator.compose`, the operator composite of the
+perturbation-lemma route; and the index families `combi.enum_B` and
+`combi.enum_C` of the recursions.  Each is an exact-once source
+replacement, bound wherever the original is bound, and must be killed by
+the same battery or by the perturbation-lemma reports on the witness, run
+over Q and over Z/5 (a lost reduction modulo p is invisible over Q).
 """
 
 import inspect
@@ -25,8 +27,9 @@ import textwrap
 
 import pytest
 
-from ainfinity import coalgebra, graded, signs
+from ainfinity import coalgebra, combi, graded, signs
 from ainfinity.ainfty import check_structure
+from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, StructureError
 from ainfinity.kernels import transfer
 from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
@@ -35,18 +38,23 @@ from ainfinity.retracts import harmonious_retract, instance_forms, instance_mass
 from ainfinity.suspension import desuspend_structure, shift_scalar, suspend_structure
 
 
-def battery_detects():
-    """True as soon as any checker flags the current sign conventions."""
+F5 = PrimeField(5)
+
+
+def battery_detects(field=None):
+    """True as soon as any checker flags the current sign conventions, on
+    the witness instances over `field` (default Q)."""
     try:
         for make in (instance_massey, instance_forms):
-            mu = make(truncation=4)
+            mu = make(field, truncation=4)
             if not check_structure(mu, 4).ok:
                 return True
             # two-route shift identity: the composed shift maps against the
             # closed exponent used by the desuspension
             for n in range(1, 7):
                 got = shift_scalar(mu.carrier, n)
-                expected = signs.sign_of(signs.shift_exponent(n)) * mu.carrier.field.one
+                expected = mu.carrier.field.from_int(
+                    signs.sign_of(signs.shift_exponent(n)))
                 if got != expected:
                     return True
             if desuspend_structure(suspend_structure(mu)) != mu:
@@ -60,18 +68,26 @@ def battery_detects():
         return True
 
 
-def hpl_detects():
+def hpl_detects(field=None):
     """True as soon as a perturbation-lemma report on the witness at N = 4
-    fails: nilpotency, series inversion, the operator-level conclusions, or
-    the block comparison with the kernel route."""
+    over `field` (default Q) fails: nilpotency, series inversion, the
+    operator-level conclusions, or the block comparison with the kernel
+    route."""
     try:
-        mu = instance_massey(truncation=4)
+        mu = instance_massey(field, truncation=4)
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
         pkg = transfer(retract, mu, 4)
         hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
         return not (hpl.ok and compare_hpl_vs_kernels(hpl, pkg).status == "exact")
     except StructureError:
         return True
+
+
+def any_detects():
+    """The battery, then the perturbation-lemma reports, over Q and then
+    over Z/5; stops at the first that flags."""
+    return any(detect(field) for field in (None, F5)
+               for detect in (battery_detects, hpl_detects))
 
 
 KOSZUL_MUTANTS = {
@@ -125,7 +141,11 @@ STRUCTURAL_MUTANTS = {
     "acc-keeps-cancelled-zero": (
         graded, "_acc",
         "del table[key]",
-        "table[key] = cur"),
+        "table[key] = value"),
+    "acc-skips-reduction": (
+        graded, "_acc",
+        "value %= p",
+        "value = value"),
     "merge-ignores-negation": (
         graded, "_merge",
         "-c if negate else c",
@@ -134,6 +154,14 @@ STRUCTURAL_MUTANTS = {
         coalgebra, "CoalgebraOperator.compose",
         "for j in range(1, trunc + 1):",
         "for j in range(1, trunc):"),
+    "enum-B-drops-top-arity": (
+        combi, "enum_B",
+        "for k in range(2, n + 1):",
+        "for k in range(2, n):"),
+    "enum-C-drops-last-slot": (
+        combi, "enum_C",
+        "for i in range(1, k + 1):",
+        "for i in range(1, k):"),
 }
 
 
@@ -175,6 +203,7 @@ def _true_theta(parts):
 
 def test_baseline_battery_is_clean():
     assert not battery_detects()
+    assert not battery_detects(F5)
 
 
 @pytest.mark.parametrize("name", sorted(KOSZUL_MUTANTS))
@@ -206,13 +235,20 @@ def test_compose_product_mutants_killed(name, monkeypatch):
 
 def test_baseline_hpl_is_clean():
     assert not hpl_detects()
+    assert not hpl_detects(F5)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_MUTANTS))
 def test_structural_mutants_killed(name, monkeypatch):
     rebound = mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
     assert rebound
-    assert battery_detects() or hpl_detects(), "mutant %s survived" % name
+    assert any_detects(), "mutant %s survived" % name
+
+
+def test_skipped_reduction_is_caught_only_over_prime_field(monkeypatch):
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS["acc-skips-reduction"])
+    assert not battery_detects() and not hpl_detects()
+    assert battery_detects(F5) and hpl_detects(F5)
 
 
 def test_kill_rate_is_total():

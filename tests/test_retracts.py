@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from ainfinity.ainfty import check_structure
+from ainfinity.coalgebra import CoalgebraOperator
 from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap, StructureError, compose
 from ainfinity.kernels import transfer
-from ainfinity.perturbation import build_perturbation, hpl_transfer
+from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
+                                    hpl_transfer)
 from ainfinity.retracts import (Splitting, harmonious_retract, homology,
                                 instance_forms, instance_massey)
 from ainfinity.suspension import suspend_structure
@@ -74,23 +76,61 @@ def test_forms_retract_values():
     assert r.h.apply(((0, 0),)) == {}
 
 
+def stored_scalars(*roots):
+    """Every scalar stored in a table of a MultiMap or CoalgebraOperator
+    reachable from `roots` through attributes, dicts, lists and tuples of
+    ainfinity objects."""
+    scalars, seen, stack = [], set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, MultiMap):
+            tables = [obj.table]
+        elif isinstance(obj, CoalgebraOperator):
+            tables = obj.blocks.values()
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+            continue
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+            continue
+        elif type(obj).__module__.startswith("ainfinity."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, name) for name in getattr(obj, "__slots__", ())
+                         if hasattr(obj, name))
+            continue
+        else:
+            continue
+        scalars += [c for t in tables for vec in t.values() for c in vec.values()]
+    return scalars
+
+
+def transfer_both_routes(mu, N):
+    r = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(r, mu, N)
+    hpl = hpl_transfer(build_perturbation(r, suspend_structure(mu), N))
+    comparison = compare_hpl_vs_kernels(hpl, pkg)
+    assert pkg.ok and hpl.ok and comparison.status == "exact"
+    return r, pkg, hpl, hpl.extracted(), comparison
+
+
 def test_no_float_in_any_table():
     # the forms retract divides (h(t dt) = -t^2 / 2): every scalar the
     # transfer builds from it, on both routes, stays an exact rational
-    mu = instance_forms()
-    r = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(r, mu, 4)
-    hpl = hpl_transfer(build_perturbation(r, suspend_structure(mu), 4))
-    tables = [m.table for m in (r.f, r.g, r.h)]
-    for n in range(1, 5):
-        tables += [pkg.nu.mu(n).table, pkg.phi.component(n).table,
-                   pkg.psi.component(n).table, pkg.homotopy.component(n).table]
-    for op in (hpl.delta_nu, hpl.psi, hpl.phi, hpl.H_out):
-        tables += op.blocks.values()
-    scalars = [c for t in tables for vec in t.values() for c in vec.values()]
+    scalars = stored_scalars(*transfer_both_routes(instance_forms(), 4))
     assert scalars
     assert all(type(c) in (int, Fraction) for c in scalars)
     assert Fraction(-1, 2) in scalars
+    # over Z/p every stored scalar is a nonzero int reduced into range(p),
+    # on the witness through both routes and every table they build
+    p = 32003
+    roots = transfer_both_routes(instance_massey(PrimeField(p), truncation=4), 4)
+    scalars = stored_scalars(*roots)
+    assert len(scalars) > 10000
+    assert all(type(c) is int and 0 < c < p for c in scalars)
+    assert p - 1 in scalars
 
 
 def test_massey_retract_values():
