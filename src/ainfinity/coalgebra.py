@@ -14,15 +14,32 @@ Component families lift as
 * homotopy with flanks (E, G):  blocks (n, k) = sum over compositions and
                  positions of e_{r_1} x .. x h_{r_i} x .. x g_{r_k}
 
-and componentwise relation checks mirror the operator-level identities
+and are built by recursion on homogeneity, splitting off the last tensor
+factor: block (n, 1) is the component of arity n, and
+
+* D(n, j) = D(n-1, j-1) x 1 + 1^{x j-1} x d_{n-j+1}
+* F(n, k) = sum_r F(n-r, k-1) x f_r
+* H(n, k) = sum_r H(n-r, k-1) x g_r + E(n-r, k-1) x h_r
+
+so each block is one binary tensor step (`graded.tensor_into`) away from
+blocks already built; the Koszul sign of the last factor depends only on
+the degree of the input word to its left.  `graded.tensor_table` of the
+defining products stays the reference the tests compare with.
+
+Sums of operators and composites are accumulated into one block table
+(`add_into`, `compose_into`, `operator_sum`), so a residual of several
+terms copies no partial sum; `CoalgebraOperator.compose` is `compose_into`
+on an empty table.
+
+Componentwise relation checks mirror the operator-level identities
 (square zero / intertwining / homotopy identity); the acceptance battery
 asserts the two agree on every instance.
 """
 
 from . import signs
-from .combi import compositions, enum_A, enum_B
+from .combi import enum_A, enum_B
 from .graded import (MultiMap, StructureError, _acc, _merge, _reduce, compose,
-                     compose_product, insert, resolve_truncation, tensor_table,
+                     compose_product, insert, resolve_truncation, tensor_into,
                      word_degree)
 from .reports import CheckReport
 
@@ -135,12 +152,8 @@ class CoalgebraOperator:
     @classmethod
     def identity(cls, module, trunc):
         one = module.field.one
-        blocks = {}
-        words = [(b,) for b in module.basis()]
-        for n in range(1, trunc + 1):
-            blocks[(n, n)] = {w: {w: one} for w in words}
-            if n < trunc:
-                words = [w + (b,) for w in words for b in module.basis()]
+        blocks = {(n, n): {w: {w: one} for w in words}
+                  for n, words in enumerate(_tensor_words(module, trunc), 1)}
         return cls._raw(module, module, 0, trunc, blocks)
 
     def block(self, m, j):
@@ -165,22 +178,11 @@ class CoalgebraOperator:
         return (self.source == other.source and self.target == other.target
                 and self.degree == other.degree and self.trunc == other.trunc)
 
-    def _combine(self, other, negate):
-        if not self.same_shape(other):
-            raise StructureError("operator shape mismatch")
-        blocks = {k: {w: dict(v) for w, v in t.items()} for k, t in self.blocks.items()}
-        p = self.target.field.characteristic
-        for k, t in other.blocks.items():
-            _merge(blocks.setdefault(k, {}), t, p, negate)
-        blocks = {k: t for k, t in blocks.items() if t}
-        return CoalgebraOperator._raw(self.source, self.target, self.degree,
-                                      self.trunc, blocks)
-
     def __add__(self, other):
-        return self._combine(other, False)
+        return operator_sum(plus=[self, other])
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return operator_sum(plus=[self], minus=[other])
 
     def scale(self, c):
         p = self.target.field.characteristic
@@ -198,31 +200,7 @@ class CoalgebraOperator:
 
     def compose(self, other):
         """self o other (apply `other` first)."""
-        if other.target != self.source:
-            raise StructureError("operators not composable")
-        trunc = min(self.trunc, other.trunc)
-        p = self.target.field.characteristic
-        blocks = {}
-        for (m, k), table in other.blocks.items():
-            if m > trunc:
-                continue
-            for j in range(1, trunc + 1):
-                mine = self.blocks.get((k, j))
-                if not mine:
-                    continue
-                dst = blocks.setdefault((m, j), {})
-                for w, vec in table.items():
-                    for mid, c in vec.items():
-                        final = mine.get(mid)
-                        if not final:
-                            continue
-                        acc = dst.setdefault(w, {})
-                        for out, c2 in final.items():
-                            _acc(acc, out, c * c2, p)
-        blocks = {k: {w: v for w, v in t.items() if v} for k, t in blocks.items()}
-        blocks = {k: t for k, t in blocks.items() if t}
-        return CoalgebraOperator._raw(other.source, self.target,
-                                      self.degree + other.degree, trunc, blocks)
+        return operator_sum(plus=[(self, other)])
 
     def __eq__(self, other):
         return (isinstance(other, CoalgebraOperator) and self.same_shape(other)
@@ -252,46 +230,156 @@ def comultiply(word):
     return [(word[:i], word[i:]) for i in range(1, len(word))]
 
 
+def _tensor_words(module, n_max):
+    """The basis words of T^1(V), ..., T^{n_max}(V), one list per length, each
+    in lexicographic order."""
+    basis = list(module.basis())
+    words = [(b,) for b in basis]
+    for n in range(1, n_max + 1):
+        yield words
+        if n < n_max:
+            words = [w + (b,) for w in words for b in basis]
+
+
+# ------------------------------------------------- in-place operator sums
+
+def add_into(blocks, op, negate=False):
+    """blocks += op (blocks -= op with `negate`) in place, for a block table
+    {(m, j): {word: {word: scalar}}}; a row or block that cancels is
+    removed.  Returns `blocks`."""
+    p = op.target.field.characteristic
+    for key, table in op.blocks.items():
+        dst = blocks.get(key)
+        if dst is None and not negate:
+            blocks[key] = {w: dict(v) for w, v in table.items()}
+            continue
+        dst = blocks.setdefault(key, {})
+        _merge(dst, table, p, negate)
+        if not dst:
+            del blocks[key]
+    return blocks
+
+
+def compose_into(blocks, outer, inner, negate=False):
+    """blocks += outer o inner (blocks -= outer o inner with `negate`) in
+    place: the one operator composite.  Block (m, k) of `inner` meets block
+    (k, j) of `outer` in block (m, j); a row or block that cancels is
+    removed.  Returns `blocks`."""
+    if inner.target != outer.source:
+        raise StructureError("operators not composable")
+    trunc = min(outer.trunc, inner.trunc)
+    p = outer.target.field.characteristic
+    for (m, k), table in inner.blocks.items():
+        if m > trunc:
+            continue
+        for j in range(1, trunc + 1):
+            mine = outer.blocks.get((k, j))
+            if not mine:
+                continue
+            dst = blocks.get((m, j))
+            if dst is None:
+                dst = {}
+            for w, vec in table.items():
+                row = dst.get(w)
+                if row is None:
+                    row = {}
+                for mid, c in vec.items():
+                    final = mine.get(mid)
+                    if not final:
+                        continue
+                    c = -c if negate else c
+                    for out, c2 in final.items():
+                        _acc(row, out, c * c2, p)
+                if row:
+                    dst[w] = row
+                elif w in dst:
+                    del dst[w]
+            if dst:
+                blocks[(m, j)] = dst
+            elif (m, j) in blocks:
+                del blocks[(m, j)]
+    return blocks
+
+
+def _shape(term):
+    if isinstance(term, tuple):
+        outer, inner = term
+        return (inner.source, outer.target, outer.degree + inner.degree,
+                min(outer.trunc, inner.trunc))
+    return (term.source, term.target, term.degree, term.trunc)
+
+
+def operator_sum(plus=(), minus=()):
+    """sum(plus) - sum(minus), built in one block table.  A term is an
+    operator, or a pair (outer, inner) standing for outer o inner, which is
+    accumulated without being built on its own.  All terms must have the
+    shape of the first."""
+    terms = [(t, False) for t in plus] + [(t, True) for t in minus]
+    shape = _shape(terms[0][0])
+    blocks = {}
+    for term, negate in terms:
+        if _shape(term) != shape:
+            raise StructureError("operator shape mismatch")
+        if isinstance(term, tuple):
+            compose_into(blocks, term[0], term[1], negate)
+        else:
+            add_into(blocks, term, negate)
+    return CoalgebraOperator._raw(*shape, blocks)
+
+
 # ----------------------------------------------------------------- lifts
+
+def _letters(x):
+    """A component as the output-homogeneity-1 block of its lift."""
+    return {w: {(b,): c for b, c in vec.items()} for w, vec in x.table.items()}
+
 
 def lift_coderivation(family):
     if family.kind != "coderivation":
         raise StructureError("lift_coderivation needs a coderivation family")
     V, N = family.source, family.trunc
     p = V.field.characteristic
-    blocks = {}
-    for n in range(1, N + 1):
-        for j in range(1, n + 1):
-            comp = family.components.get(n - j + 1)
-            if comp is None:
-                continue
-            ident = MultiMap.identity(V)
+    one = V.field.one
+    ident = MultiMap.identity(V)
+    comps = family.components
+    blocks = {(n, 1): _letters(d) for n, d in comps.items()}
+    for j, words in enumerate(_tensor_words(V, N - 1), 2):
+        ones = {w: {w: one} for w in words}
+        for n in range(j, N + 1):
             acc = {}
-            for i in range(1, j + 1):
-                maps = [ident] * (i - 1) + [comp] + [ident] * (j - i)
-                _merge(acc, tensor_table(maps), p)
+            prev = blocks.get((n - 1, j - 1))
+            if prev:
+                tensor_into(acc, prev, ident, p)
+            d = comps.get(n - j + 1)
+            if d is not None:
+                tensor_into(acc, ones, d, p)
             if acc:
                 blocks[(n, j)] = acc
     return CoalgebraOperator._raw(V, V, -1, N, blocks)
 
 
+def _morphism_blocks(family, n_max):
+    """Blocks (n, k), n <= n_max, of the lift of a morphism family."""
+    comps = family.components
+    p = family.target.field.characteristic
+    blocks = {(n, 1): _letters(f) for n, f in comps.items() if n <= n_max}
+    for n in range(2, n_max + 1):
+        for k in range(2, n + 1):
+            acc = {}
+            for r, f in comps.items():
+                prev = blocks.get((n - r, k - 1))
+                if prev:
+                    tensor_into(acc, prev, f, p)
+            if acc:
+                blocks[(n, k)] = acc
+    return blocks
+
+
 def lift_morphism(family):
     if family.kind != "morphism":
         raise StructureError("lift_morphism needs a morphism family")
-    V, W, N = family.source, family.target, family.trunc
-    p = W.field.characteristic
-    blocks = {}
-    for n in range(1, N + 1):
-        for k in range(1, n + 1):
-            acc = {}
-            for parts in compositions(n, k):
-                maps = [family.components.get(r) for r in parts]
-                if any(m is None for m in maps):
-                    continue
-                _merge(acc, tensor_table(maps), p)
-            if acc:
-                blocks[(n, k)] = acc
-    return CoalgebraOperator._raw(V, W, 0, N, blocks)
+    return CoalgebraOperator._raw(family.source, family.target, 0, family.trunc,
+                                  _morphism_blocks(family, family.trunc))
 
 
 def lift_homotopy(family):
@@ -300,22 +388,19 @@ def lift_homotopy(family):
         raise StructureError("lift_homotopy needs a homotopy family")
     V, W, N = family.source, family.target, family.trunc
     p = W.field.characteristic
-    left, right = family.left, family.right
-    blocks = {}
-    for n in range(1, N + 1):
-        for k in range(1, n + 1):
+    comps, right = family.components, family.right.components
+    left = _morphism_blocks(family.left, N - 1)
+    blocks = {(n, 1): _letters(h) for n, h in comps.items()}
+    for n in range(2, N + 1):
+        for k in range(2, n + 1):
             acc = {}
-            for parts in compositions(n, k):
-                for i in range(1, k + 1):
-                    h = family.components.get(parts[i - 1])
-                    if h is None:
-                        continue
-                    maps = ([left.components.get(r) for r in parts[:i - 1]]
-                            + [h]
-                            + [right.components.get(r) for r in parts[i:]])
-                    if any(m is None for m in maps):
-                        continue
-                    _merge(acc, tensor_table(maps), p)
+            for r in range(1, n - k + 2):
+                prev, g = blocks.get((n - r, k - 1)), right.get(r)
+                if prev and g is not None:
+                    tensor_into(acc, prev, g, p)
+                e, h = left.get((n - r, k - 1)), comps.get(r)
+                if e and h is not None:
+                    tensor_into(acc, e, h, p)
             if acc:
                 blocks[(n, k)] = acc
     return CoalgebraOperator._raw(V, W, 1, N, blocks)
@@ -419,11 +504,11 @@ def operator_square(op):
 
 
 def operator_intertwining_residual(F, src_op, tgt_op):
-    return tgt_op.compose(F) - F.compose(src_op)
+    return operator_sum(plus=[(tgt_op, F)], minus=[(F, src_op)])
 
 
 def operator_homotopy_residual(H, E, G, src_op, tgt_op):
-    return (E - G) - (H.compose(src_op) + tgt_op.compose(H))
+    return operator_sum(plus=[E], minus=[G, (H, src_op), (tgt_op, H)])
 
 
 # ------------------------------------------------- colinearity (co-Leibniz)
@@ -441,10 +526,7 @@ def colinearity_residual(op, kind, left=None, right=None, n_max=None):
     n_max = resolve_truncation(n_max, op.trunc)
     report = CheckReport("colinearity")
     p = op.target.field.characteristic
-    words = [(b,) for b in op.source.basis()]
-    for n in range(1, n_max + 1):
-        if n > 1:
-            words = [w + (b,) for w in words for b in op.source.basis()]
+    for n, words in enumerate(_tensor_words(op.source, n_max), 1):
         res_entries = {}
         for w in words:
             res = {}

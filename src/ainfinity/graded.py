@@ -3,9 +3,9 @@
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
 nonzero image.  All Koszul signs of tensor evaluation are generated here, in
-`apply_block`, `tensor_table` and `compose_product`, each through
-`signs.koszul_exponent`; no other module writes sign formulas for tensor
-evaluation.
+`apply_block`, `tensor_table`, `tensor_into` and `compose_product`, each
+through `signs.koszul_exponent`; no other module writes sign formulas for
+tensor evaluation.
 
 Values are immutable after construction by convention; operations return
 fresh objects.  Every sum into a sparse table in the library goes through
@@ -31,7 +31,7 @@ def word_degree(word):
 class GradedModule:
     """Finite-dimensional Z-graded module with an indexed basis per degree."""
 
-    __slots__ = ("dims", "field")
+    __slots__ = ("dims", "field", "_identity")
 
     def __init__(self, dims, field=QQ):
         clean = {}
@@ -43,6 +43,7 @@ class GradedModule:
                 clean[d] = k
         self.dims = clean
         self.field = field
+        self._identity = None
 
     def degrees(self):
         return sorted(self.dims)
@@ -130,10 +131,11 @@ class MultiMap:
     enforced by the constructor, which every map from outside goes through
     (documents, retracts, suspensions, tests); it also reduces scalars over
     Z/p into range(p).  Results of arithmetic on such maps are built by
-    `_raw` without re-checking.
+    `_raw` without re-checking.  Since a map never changes, the transpose
+    that `compose_product` needs is computed once and kept with it.
     """
 
-    __slots__ = ("source", "target", "arity", "degree", "table")
+    __slots__ = ("source", "target", "arity", "degree", "table", "_columns")
 
     def __init__(self, source, target, arity, degree, table=()):
         if arity < 1:
@@ -168,6 +170,7 @@ class MultiMap:
         self.arity = arity
         self.degree = degree
         self.table = clean
+        self._columns = None
 
     @classmethod
     def zero(cls, source, target, arity, degree):
@@ -181,13 +184,28 @@ class MultiMap:
         m.source, m.target = source, target
         m.arity, m.degree = arity, degree
         m.table = table
+        m._columns = None
         return m
 
     @classmethod
     def identity(cls, module):
-        one = module.field.one
-        return cls._raw(module, module, 1, 0,
-                        {(b,): {b: one} for b in module.basis()})
+        """The identity of `module`, built once per module and shared."""
+        if module._identity is None:
+            one = module.field.one
+            module._identity = cls._raw(module, module, 1, 0,
+                                        {(b,): {b: one} for b in module.basis()})
+        return module._identity
+
+    def columns(self):
+        """Transpose of the table: output basis element -> [(input word, c)],
+        computed on first use and kept."""
+        if self._columns is None:
+            cols = {}
+            for part, vec in self.table.items():
+                for b, c in vec.items():
+                    cols.setdefault(b, []).append((part, c))
+            self._columns = cols
+        return self._columns
 
     def is_zero(self):
         return not self.table
@@ -298,7 +316,11 @@ def apply_block(maps, word):
 
 
 def tensor_table(maps):
-    """Sparse table of f_1 x ... x f_k: {input word: {output word: scalar}}."""
+    """Sparse table of f_1 x ... x f_k: {input word: {output word: scalar}}.
+
+    The k-fold product from scratch, as the lifts are defined; the library
+    builds lifts with `tensor_into`, and the tests compare them with sums
+    of these tables."""
     degrees = [m.degree for m in maps]
     p = maps[0].target.field.characteristic
     entry_lists = [[(part, word_degree(part), list(vec.items()))
@@ -325,13 +347,31 @@ def tensor_table(maps):
     return {w: v for w, v in table.items() if v}
 
 
-def _columns(m):
-    """Transpose of a map's table: output basis element -> [(input word, c)]."""
-    cols = {}
-    for part, vec in m.table.items():
-        for b, c in vec.items():
-            cols.setdefault(b, []).append((part, c))
-    return cols
+def tensor_into(dst, table, m, p):
+    """dst += table x m in place: the binary step of a tensor product.
+
+    `table` is {input word: {output word: scalar}} (a block of an operator
+    on the tensor coalgebra, or a tensor table) and `m` a map; an input word
+    u + part goes to out + (b,) with coefficient c * c', where `out` has
+    coefficient c in table[u] and `b` coefficient c' in m.table[part].  The
+    Koszul sign is (-1)^(deg m * deg u), since m moves past u, so
+    iterating this step from a one-map table gives `tensor_table`'s signs.
+    Scalars accumulate through `_acc` over characteristic `p`; a row that
+    cancels is removed."""
+    entries = [(part, list(vec.items())) for part, vec in m.table.items()]
+    for word, vec in table.items():
+        negate = signs.koszul_exponent(m.degree, word_degree(word)) % 2 == 1
+        outs = [(out, -c if negate else c) for out, c in vec.items()]
+        for part, images in entries:
+            key = word + part
+            row = dst.get(key)
+            if row is None:
+                row = dst[key] = {}
+            for out, c in outs:
+                for b, c2 in images:
+                    _acc(row, out + (b,), c * c2, p)
+            if not row:
+                del dst[key]
 
 
 def compose_product(outer, inners):
@@ -341,11 +381,12 @@ def compose_product(outer, inners):
     the recursion terms are built through it, so every sign in the library
     comes from the single Koszul exponent above.
 
-    The enumeration is driven by the support of `outer`: each inner is
-    transposed once into columns (output basis element -> input parts), then
-    the entries (mid, final) of `outer.table` are visited in table order,
-    and for each one the k columns named by `mid` are multiplied out with
-    the last slot varying fastest.  An entry whose mid misses some column
+    The enumeration is driven by the support of `outer`: each inner's
+    transpose (`MultiMap.columns`, kept with the map) gives its columns
+    (output basis element -> input parts), then the entries (mid, final)
+    of `outer.table` are visited in table order, and for each one the k
+    columns named by `mid` are multiplied out with the last slot varying
+    fastest.  An entry whose mid misses some column
     contributes nothing.  The part degrees are fixed by the output,
     deg(part_j) = mid[j][0] - inner_j.degree, so the Koszul sign is
     computed once per outer entry.  The order does not affect the result,
@@ -370,7 +411,7 @@ def compose_product(outer, inners):
     result = MultiMap.zero(source, outer.target, arity, degree)
     if outer.is_zero() or any(m.is_zero() for m in inners):
         return result
-    columns = [_columns(m) for m in inners]
+    columns = [m.columns() for m in inners]
     inner_degrees = [m.degree for m in inners]
     p = outer.target.field.characteristic
     table = {}

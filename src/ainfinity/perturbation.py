@@ -4,23 +4,27 @@ The shifted structure maps of arity >= 2 assemble into a coderivation that
 strictly lowers tensor homogeneity and kills homogeneity 1, so composing it
 with the homogeneity-preserving homotopy lift gives a nilpotent operator:
 its n-th power vanishes on homogeneity-n words.  The geometric series for
-(1 - dmu H)^{-1} is therefore finite and exact; it is accumulated
-Horner-style per homogeneity, never by matrix inversion.
+(1 - dmu H)^{-1} is therefore finite and exact, never a matrix inversion:
+S = M + M^2 + ... + M^{N-1}, M = dmu H, is (1 - M)^{-1} - 1 on the
+truncation, and it is summed from the powers of M that the nilpotency
+check computes anyway.  The inversion is checked without the identity
+operator, whose lift covers every word of T^{<=N}(sV), since
 
-The series is checked in the form S = M + M^2 + ... + M^{N-1}, M = dmu H,
-which is (1 - M)^{-1} - 1 on the truncation.  Since
+    (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M.
 
-    (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M,
-
-neither the inversion check nor the nilpotency powers (which start at M)
-compose with the identity operator, whose lift covers every word of
-T^{<=N}(sV).  Only the homotopy-identity conclusion builds it: its
-residual psi phi - 1 - (D H_out + H_out D) is dense anyway.
+Only the homotopy-identity conclusion builds the identity: its residual
+psi phi - 1 - (D H_out + H_out D) is dense anyway.
 
 Outputs:
 
     delta_nu = F A G,   psi = G + H A G,   phi = F + F A H,
-    H_out = H + H A H,          A = (1 - dmu H)^{-1} dmu,
+    H_out = H + H A H,  A = (1 - dmu H)^{-1} dmu = dmu + S dmu,
+
+with F A and H A composed once each.  Every residual of two or more
+terms, and every output of the form X + Y Z, is accumulated into one block
+table by `coalgebra.operator_sum`, so no partial sum is copied: the two
+inversion residuals, the two intertwining residuals and the
+homotopy-identity residual.
 
 verified at operator level: the perturbed target coderivation squares to
 zero, phi and psi intertwine the perturbed codifferentials, and H_out is an
@@ -32,8 +36,10 @@ block, and `check_annihilation_lemmas` verifies the identities the
 equivalence rests on.
 """
 
-from .coalgebra import (CoalgebraOperator, ComponentFamily, extract_components,
-                        lift_coderivation, lift_homotopy, lift_morphism)
+from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
+                        extract_components, lift_coderivation, lift_homotopy,
+                        lift_morphism, operator_intertwining_residual,
+                        operator_sum)
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      resolve_truncation)
 from .reports import BoolResidual, CheckReport
@@ -71,24 +77,30 @@ class PerturbationData:
             {n: m for n, m in smu.deltas.items() if 2 <= n <= trunc}, trunc))
         self.M = self.dmu.compose(self.H)
         self.nilpotency = {}
+        self.S = None
 
     def verify_nilpotency(self):
-        """Record, per homogeneity n, the least power of (dmu H) that kills
-        homogeneity-n words, and check it is at most n."""
+        """Record, per homogeneity n, the least power of M = dmu H that
+        kills homogeneity-n words, and check it is at most n.  The powers
+        M, ..., M^{N-1} are summed on the way into the series S."""
         report = CheckReport("nilpotency")
         for (m, j) in self.dmu.blocks:
             if j >= m:
                 report.add("lowers-%d-%d" % (m, j),
                            BoolResidual(False, "block (%d,%d)" % (m, j)))
         power = self.M
+        series = {}
         alive = set(range(1, self.trunc + 1))
         for i in range(1, self.trunc + 1):
             if i > 1:
                 power = self.M.compose(power)
+            if i < self.trunc:
+                add_into(series, power)
             for n in sorted(alive):
                 if power.restricted_to(n).is_zero():
                     self.nilpotency[n] = i
                     alive.discard(n)
+        self.S = CoalgebraOperator._raw(self.sV, self.sV, 0, self.trunc, series)
         for n in range(1, self.trunc + 1):
             idx = self.nilpotency.get(n)
             report.add("power-%d" % n,
@@ -143,34 +155,27 @@ def hpl_transfer(data):
     nilpotency_report = data.verify_nilpotency()
     if not nilpotency_report.ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
-    M = data.M
-
-    # finite geometric series, Horner style: A = dmu + M(dmu + M(...))
-    A = data.dmu
-    for _ in range(data.trunc - 1):
-        A = data.dmu + M.compose(A)
-
-    # S = M + M(M + M(...)) = (1 - M)^{-1} - 1, checked without the identity
-    S = CoalgebraOperator.zero(data.sV, data.sV, 0, data.trunc)
-    for _ in range(data.trunc - 1):
-        S = M + M.compose(S)
+    M, S, dmu = data.M, data.S, data.dmu
     inversion_report = series_inversion_report(M, S)
 
-    delta_nu = data.F.compose(A).compose(data.G)
-    psi = data.G + data.H.compose(A).compose(data.G)
-    phi = data.F + data.F.compose(A).compose(data.H)
-    H_out = data.H + data.H.compose(A).compose(data.H)
+    A = operator_sum(plus=[dmu, (S, dmu)])
+    FA = data.F.compose(A)
+    HA = data.H.compose(A)
+    delta_nu = FA.compose(data.G)
+    psi = operator_sum(plus=[data.G, (HA, data.G)])
+    phi = operator_sum(plus=[data.F, (FA, data.H)])
+    H_out = operator_sum(plus=[data.H, (HA, data.H)])
 
-    DV = data.dV_op + data.dmu
+    DV = data.dV_op + dmu
     DW = data.dW_op + delta_nu
     conclusions = CheckReport("hpl-conclusions")
     conclusions.add("square-zero", DW.compose(DW))
-    conclusions.add("phi-intertwines", DW.compose(phi) - phi.compose(DV))
-    conclusions.add("psi-intertwines", DV.compose(psi) - psi.compose(DW))
+    conclusions.add("phi-intertwines", operator_intertwining_residual(phi, DV, DW))
+    conclusions.add("psi-intertwines", operator_intertwining_residual(psi, DW, DV))
     ident = CoalgebraOperator.identity(data.sV, data.trunc)
     conclusions.add("homotopy-identity",
-                    psi.compose(phi) - ident
-                    - (DV.compose(H_out) + H_out.compose(DV)))
+                    operator_sum(plus=[(psi, phi)],
+                                 minus=[ident, (DV, H_out), (H_out, DV)]))
     return HplOutput(data, delta_nu, psi, phi, H_out, conclusions,
                      nilpotency_report, inversion_report)
 
@@ -180,8 +185,8 @@ def series_inversion_report(M, S):
     right (1 - M)(1 + S) - 1 = S - M - M S, left (1 + S)(1 - M) - 1
     = S - M - S M."""
     report = CheckReport("series-inversion")
-    report.add("right", S - M - M.compose(S))
-    report.add("left", S - M - S.compose(M))
+    report.add("right", operator_sum(plus=[S], minus=[M, (M, S)]))
+    report.add("left", operator_sum(plus=[S], minus=[M, (S, M)]))
     return report
 
 

@@ -4,16 +4,20 @@ componentwise vs operator-level dictionary."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
-                                 check_codifferential,
+                                 check_codifferential, compose_into,
                                  check_homotopy_components,
                                  check_morphism_components, colinearity_residual,
                                  comultiply, extract_components,
                                  lift_coderivation, lift_homotopy, lift_morphism,
                                  operator_homotopy_residual,
-                                 operator_intertwining_residual, operator_square)
-from ainfinity.fields import PrimeField
+                                 operator_intertwining_residual, operator_square,
+                                 operator_sum)
+from ainfinity.combi import compositions
+from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import GradedModule, MultiMap, StructureError, tensor_table
 from ainfinity.retracts import harmonious_retract, instance_massey
 from ainfinity.graded import ChainComplex
@@ -25,6 +29,46 @@ TRUNC = 4
 
 def small_module():
     return GradedModule({0: 1, 1: 1})
+
+
+def summed_tensor_tables(terms, field):
+    """The sum of `tensor_table(maps)` over the factor lists in `terms`, with
+    cancelled entries dropped: what a lift block is by definition."""
+    p = field.characteristic
+    total = {}
+    for maps in terms:
+        for w, vec in tensor_table(maps).items():
+            row = total.setdefault(w, {})
+            for out, c in vec.items():
+                c = row.get(out, 0) + c
+                row[out] = c % p if p else c
+    total = {w: {out: c for out, c in row.items() if c} for w, row in total.items()}
+    return {w: row for w, row in total.items() if row}
+
+
+def defining_terms(family, n, k):
+    """The factor lists whose tensor tables sum to block (n, k) of the lift
+    of `family`, one per composition and slot (the definition in the
+    coalgebra module docstring)."""
+    comps = family.components
+    if family.kind == "coderivation":
+        d = comps.get(n - k + 1)
+        if d is None:
+            return []
+        ident = MultiMap.identity(family.source)
+        return [[ident] * (i - 1) + [d] + [ident] * (k - i)
+                for i in range(1, k + 1)]
+    terms = []
+    for parts in compositions(n, k):
+        if family.kind == "morphism":
+            candidates = [[comps.get(r) for r in parts]]
+        else:
+            candidates = [[family.left.components.get(r) for r in parts[:i]]
+                          + [comps.get(parts[i])]
+                          + [family.right.components.get(r) for r in parts[i + 1:]]
+                          for i in range(k)]
+        terms += [maps for maps in candidates if all(m is not None for m in maps)]
+    return terms
 
 
 def test_comultiply_splits():
@@ -53,17 +97,9 @@ def test_coderivation_lift_of_arity_one_is_summed_insertion():
     op = lift_coderivation(fam)
     ident = MultiMap.identity(V)
     for n in range(1, TRUNC + 1):
-        expected = {}
-        for i in range(1, n + 1):
-            for w, vec in tensor_table([ident] * (i - 1) + [d1] + [ident] * (n - i)).items():
-                dst = expected.setdefault(w, {})
-                for out, c in vec.items():
-                    cur = dst.get(out, 0) + c
-                    if cur:
-                        dst[out] = cur
-                    elif out in dst:
-                        del dst[out]
-        expected = {w: v for w, v in expected.items() if v}
+        expected = summed_tensor_tables(
+            [[ident] * (i - 1) + [d1] + [ident] * (n - i) for i in range(1, n + 1)],
+            V.field)
         assert op.block(n, n) == expected
         for j in range(1, n):
             assert not op.block(n, j)
@@ -86,17 +122,10 @@ def test_homotopy_lift_with_identity_flanks_spreads_h1():
     op = lift_homotopy(fam)
     ident = MultiMap.identity(V)
     for n in range(1, TRUNC + 1):
-        expected = {}
-        for i in range(1, n + 1):
-            for w, vec in tensor_table([ident] * (i - 1) + [h1] + [ident] * (n - i)).items():
-                dst = expected.setdefault(w, {})
-                for out, c in vec.items():
-                    cur = dst.get(out, 0) + c
-                    if cur:
-                        dst[out] = cur
-                    elif out in dst:
-                        del dst[out]
-        assert op.block(n, n) == {w: v for w, v in expected.items() if v}
+        expected = summed_tensor_tables(
+            [[ident] * (i - 1) + [h1] + [ident] * (n - i) for i in range(1, n + 1)],
+            V.field)
+        assert op.block(n, n) == expected
 
 
 def test_homotopy_lift_massey_shape():
@@ -112,18 +141,51 @@ def test_homotopy_lift_massey_shape():
     op = lift_homotopy(fam)
     ident = MultiMap.identity(sV)
     for n in range(1, 4):
-        expected = {}
-        for a in range(n):
-            term = tensor_table([gfhat] * a + [hhat] + [ident] * (n - 1 - a))
-            for w, vec in term.items():
-                dst = expected.setdefault(w, {})
-                for out, c in vec.items():
-                    cur = dst.get(out, 0) + c
-                    if cur:
-                        dst[out] = cur
-                    elif out in dst:
-                        del dst[out]
-        assert op.block(n, n) == {w: v for w, v in expected.items() if v}
+        expected = summed_tensor_tables(
+            [[gfhat] * a + [hhat] + [ident] * (n - 1 - a) for a in range(n)],
+            sV.field)
+        assert op.block(n, n) == expected
+
+
+@st.composite
+def lift_families(draw):
+    """A random family of each kind, or a homotopy with random non-strict
+    flanks, with components at a random set of arities 1..4, on a module
+    spanned by two adjacent degrees, over Q or Z/5."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    low = draw(st.integers(-1, 0))
+    dims = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    V = GradedModule({low: dims[0], low + 1: dims[1]}, field)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def family(kind, degree, **flanks):
+        arities = draw(st.sets(st.integers(1, TRUNC), min_size=1))
+        comps = {n: random_multimap(rng, V, V, n, degree, density=0.6)
+                 for n in sorted(arities)}
+        return ComponentFamily(kind, V, V, comps, TRUNC, **flanks)
+
+    kind = draw(st.sampled_from(["coderivation", "morphism", "homotopy"]))
+    if kind == "coderivation":
+        return family(kind, -1)
+    if kind == "morphism":
+        return family(kind, 0)
+    return family(kind, 1, left=family("morphism", 0),
+                  right=family("morphism", 0))
+
+
+LIFTS = {"coderivation": lift_coderivation, "morphism": lift_morphism,
+         "homotopy": lift_homotopy}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lift_families())
+def test_lift_blocks_match_definition(fam):
+    op = LIFTS[fam.kind](fam)
+    assert op.degree == fam.degree and op.trunc == TRUNC
+    for n in range(1, TRUNC + 1):
+        for k in range(1, TRUNC + 1):
+            assert op.block(n, k) == summed_tensor_tables(
+                defining_terms(fam, n, k), fam.source.field), (n, k)
 
 
 def test_lift_then_extract_roundtrip():
@@ -267,6 +329,55 @@ def test_operator_arithmetic_and_identity():
     assert ident + zero == ident
     assert (ident - ident).is_zero()
     assert ident.scale(2).scale(V.field.div(1, 2)) == ident
+
+
+def per_word_composite(outer, inner):
+    """outer o inner evaluated word by word through `apply_word`, grouped
+    into blocks by input and output homogeneity."""
+    p = outer.target.field.characteristic
+    blocks = {}
+    for n in range(1, min(outer.trunc, inner.trunc) + 1):
+        words = {w for (m, _), t in inner.blocks.items() if m == n for w in t}
+        for w in words:
+            for mid, c in inner.apply_word(w).items():
+                for out, c2 in outer.apply_word(mid).items():
+                    row = blocks.setdefault((n, len(out)), {}).setdefault(w, {})
+                    row[out] = row.get(out, 0) + c * c2
+    blocks = {k: {w: {o: c % p if p else c for o, c in row.items()}
+                  for w, row in t.items()} for k, t in blocks.items()}
+    blocks = {k: {w: {o: c for o, c in row.items() if c} for w, row in t.items()}
+              for k, t in blocks.items()}
+    blocks = {k: {w: row for w, row in t.items() if row} for k, t in blocks.items()}
+    return {k: t for k, t in blocks.items() if t}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_compose_into_matches_per_word_composite(field):
+    """The in-place composite against word-by-word evaluation, on lifts of
+    random families with components of arity 1..3; sums that cancel leave
+    no empty row or block, and terms of another shape are refused."""
+    V, rng = GradedModule({0: 1, 1: 1}, field), seeded(11)
+
+    def family(kind, degree, **flanks):
+        return ComponentFamily(kind, V, V, {n: random_multimap(rng, V, V, n, degree)
+                                            for n in range(1, 4)}, TRUNC, **flanks)
+
+    D = lift_coderivation(family("coderivation", -1))
+    F, G = lift_morphism(family("morphism", 0)), lift_morphism(family("morphism", 0))
+    H = lift_homotopy(family("homotopy", 1, left=family("morphism", 0),
+                             right=family("morphism", 0)))
+    for outer, inner in [(D, F), (F, D), (H, D), (D, H), (F, G), (H, H)]:
+        expected = per_word_composite(outer, inner)
+        assert expected
+        assert outer.compose(inner).blocks == expected
+        twice = compose_into(compose_into({}, outer, inner), outer, inner)
+        assert twice == per_word_composite(outer.scale(2), inner)
+        assert compose_into(twice, outer, inner, negate=True) == expected
+    assert operator_sum(plus=[(D, F), D], minus=[D, (D, F)]).blocks == {}
+    assert (operator_sum(plus=[(D, F)], minus=[(F, D)])
+            == D.compose(F) - F.compose(D))
+    with pytest.raises(StructureError):
+        operator_sum(plus=[(D, F), F])
 
 
 def test_operator_scalars_reduce_over_prime_field():

@@ -13,9 +13,11 @@ Structural mutants corrupt the body of one function or method at a seam
 every route goes through: `graded.compose_product`, the one composite every
 kernel term and relation checker uses; `graded._acc` and `graded._merge`,
 the one accumulator (which also reduces modulo p) and the one table merge;
-`CoalgebraOperator.compose`, the operator composite of the
-perturbation-lemma route; and the index families `combi.enum_B` and
-`combi.enum_C` of the recursions.  Each is an exact-once source
+`coalgebra.compose_into`, the one operator composite of the
+perturbation-lemma route, which also sums its residuals in place;
+`graded.tensor_into` and the recursions of `lift_coderivation` and
+`lift_homotopy`, which build the lifts; and the index families
+`combi.enum_B` and `combi.enum_C` of the recursions.  Each is an exact-once source
 replacement, bound wherever the original is bound, and must be killed by
 the same battery or by the perturbation-lemma reports on the witness, run
 over Q and over Z/5 (a lost reduction modulo p is invisible over Q).
@@ -151,9 +153,25 @@ STRUCTURAL_MUTANTS = {
         "-c if negate else c",
         "c"),
     "operator-compose-skips-top-homogeneity": (
-        coalgebra, "CoalgebraOperator.compose",
+        coalgebra, "compose_into",
         "for j in range(1, trunc + 1):",
         "for j in range(1, trunc):"),
+    "compose-into-ignores-negation": (
+        coalgebra, "compose_into",
+        "-c if negate else c",
+        "c"),
+    "tensor-step-skips-negation": (
+        graded, "tensor_into",
+        "-c if negate else c",
+        "c"),
+    "homotopy-lift-drops-flank-term": (
+        coalgebra, "lift_homotopy",
+        "tensor_into(acc, e, h, p)",
+        "pass"),
+    "coderivation-lift-drops-shifted-term": (
+        coalgebra, "lift_coderivation",
+        "tensor_into(acc, prev, ident, p)",
+        "pass"),
     "enum-B-drops-top-arity": (
         combi, "enum_B",
         "for k in range(2, n + 1):",
