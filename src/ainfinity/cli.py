@@ -15,7 +15,6 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                      check_homotopy, check_morphism, check_structure,
                      compose_morphisms, identity_morphism)
 from .battery import equivalence_battery
-from .coalgebra import ComponentFamily, extract_components
 from .corpus import random_dga
 from .docio import Document, DocumentError, dump, load, serialize
 from .graded import ChainComplex, MultiMap, StructureError
@@ -155,7 +154,7 @@ def _hpl_components(hpl, retract, N):
     V = retract.big.module
     W = retract.small.module
     extracted = hpl.extracted()
-    nu_comps = desuspend_components(extracted["structure"].components, W, W)
+    nu_comps = desuspend_components(extracted["delta_nu"].components, W, W)
     phi = desuspend_components(extracted["phi"].components, V, W)
     psi = desuspend_components(extracted["psi"].components, W, V)
     hom = desuspend_components(extracted["homotopy"].components, V, V)
@@ -221,9 +220,12 @@ def cmd_transfer(args):
         hpl = hpl_transfer(data)
         out.add_report(hpl.nilpotency_report)
         out.add_report(hpl.inversion_report)
+        if hpl.colinearity is not None:
+            out.add_report(hpl.colinearity)
         out.add_report(hpl.conclusions)
         out.line("hpl.extraction=%s"
                  % ("canonical" if hpl.extraction_canonical else "non-canonical"))
+        out.line("hpl.conclusions=%s" % hpl.conclusions_form)
     if args.method == "both":
         cmp_report = compare_hpl_vs_kernels(hpl, pkg, N)
         comparison = cmp_report.status
@@ -289,6 +291,8 @@ def _selftest_instance(base_seed, index, N, writer):
     hpl = hpl_transfer(data)
     checks.add("hpl.nilpotency", hpl.nilpotency_report)
     checks.add("hpl.inversion", hpl.inversion_report)
+    if hpl.colinearity is not None:
+        checks.add("hpl.colinearity", hpl.colinearity)
     checks.add("hpl.conclusions", hpl.conclusions)
     checks.add("hpl.compare", compare_hpl_vs_kernels(hpl, pkg, N))
     checks.add("annihilation", check_annihilation_lemmas(pkg, N))

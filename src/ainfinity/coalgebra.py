@@ -219,6 +219,12 @@ class CoalgebraOperator:
         return CoalgebraOperator._raw(self.source, self.target, self.degree,
                                       self.trunc, blocks)
 
+    def corestricted(self):
+        """The operator's corestriction to T^1: its (m, 1) blocks."""
+        blocks = {k: t for k, t in self.blocks.items() if k[1] == 1}
+        return CoalgebraOperator._raw(self.source, self.target, self.degree,
+                                      self.trunc, blocks)
+
     def __repr__(self):
         return ("CoalgebraOperator(degree=%d, trunc=%d, entries=%d)"
                 % (self.degree, self.trunc, self.entry_count()))

@@ -266,6 +266,8 @@ def check_p_identity(p, retract, mu, n_max):
           - sum_{A(n)} (-1)^(i(l+1)+n) p_k(1^{i-1} x gf p_l x 1^{k-i}) = 0."""
     report = CheckReport("p-identity")
     d, gf = retract.big.d, retract.gf
+    # every gf p_l an A(n) term plugs in, l < n_max, composed once
+    gfp = {l: compose(gf, p[l]) for l in range(2, n_max)}
     for n in range(2, n_max + 1):
         p_n = p[n]
         res = compose(d, p_n)
@@ -273,8 +275,7 @@ def check_p_identity(p, retract, mu, n_max):
         for u in range(1, n + 1):
             res = res - insert(p_n, u, d).scale(s_n)
         for (k, l, i) in enum_A(n):
-            gfp = compose(gf, p[l])
-            res = res - insert(p[k], i, gfp).scale(signs.sign_of(i * (l + 1) + n))
+            res = res - insert(p[k], i, gfp[l]).scale(signs.sign_of(i * (l + 1) + n))
         report.add(n, res)
     return report
 
@@ -297,6 +298,8 @@ def check_q_identity(q, psiphi, p, retract, mu, n_max):
           - q_1 mu_n = 0."""
     report = CheckReport("q-identity")
     d, gf = retract.big.d, retract.gf
+    # every gf q_r a B(n) term takes, r < n_max, composed once
+    gfq = {r: compose(gf, q[r]) for r in range(1, n_max)}
     for n in range(2, n_max + 1):
         q_n = q[n]
         res = compose(d, q_n)
@@ -304,8 +307,7 @@ def check_q_identity(q, psiphi, p, retract, mu, n_max):
         for u in range(1, n + 1):
             res = res + insert(q_n, u, d).scale(s_n)
         for (k, parts) in enum_B(n):
-            gfq = [compose(gf, q[r]) for r in parts]
-            term = compose_product(p[k], gfq)
+            term = compose_product(p[k], [gfq[r] for r in parts])
             res = res + term.scale(signs.sign_of(signs.theta(parts)))
         for (k, l, i) in enum_A(n):
             res = res + insert(q[k], i, mu.mu(l)).scale(signs.sign_of(i * (l + 1) + n))

@@ -12,9 +12,6 @@ operator, whose lift covers every word of T^{<=N}(sV), since
 
     (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M.
 
-Only the homotopy-identity conclusion builds the identity: its residual
-psi phi - 1 - (D H_out + H_out D) is dense anyway.
-
 Outputs:
 
     delta_nu = F A G,   psi = G + H A G,   phi = F + F A H,
@@ -22,24 +19,56 @@ Outputs:
 
 with F A and H A composed once each.  Every residual of two or more
 terms, and every output of the form X + Y Z, is accumulated into one block
-table by `coalgebra.operator_sum`, so no partial sum is copied: the two
-inversion residuals, the two intertwining residuals and the
-homotopy-identity residual.
+table by `coalgebra.operator_sum`, so no partial sum is copied.
 
-verified at operator level: the perturbed target coderivation squares to
-zero, phi and psi intertwine the perturbed codifferentials, and H_out is an
-operator homotopy between psi phi and the identity.  These conclusions need
-no side conditions.  Under the four side conditions (fg = 1, fh = 0,
-hg = 0, hh = 0) the outputs coincide *exactly* with the lifts of the
-kernel-recursion transfer; `compare_hpl_vs_kernels` asserts that block by
-block, and `check_annihilation_lemmas` verifies the identities the
-equivalence rests on.
+What is verified: the perturbed target coderivation DW = dW + delta_nu
+squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
+a homotopy between psi phi and the identity.  The lemma needs no side
+conditions, but how these conclusions are checked depends on them.
+
+Under the four side conditions (fg = 1, fh = 0, hg = 0, hh = 0; the
+retract's `is_harmonious`) every output is a lift of its own components,
+and the conclusions are checked on corestrictions to T^1, in this order:
+
+1. `hpl-colinearity`: the lift of each output's own (n, 1) blocks minus
+   the output -- delta_nu as a coderivation, psi and phi as morphisms,
+   H_out as a homotopy whose left flank is the corestriction
+   pi_1(psi phi), composed from psi's (k, 1) blocks and phi
+   (`extract_outputs`);
+2. `hpl-conclusions`: the componentwise identities of those families
+   (`check_codifferential`, `check_morphism_components`,
+   `check_homotopy_components`), one per-arity report per conclusion;
+3. `compare_hpl_vs_kernels`: the families against the kernel route's
+   components, arity by arity.
+
+Step 2 decides the operator identities because T^c(sV) is cofree and
+conilpotent (Loday-Vallette, Algebraic Operads, ch. 1): a morphism, a
+coderivation along morphisms, or a homotopy with given flanks is
+determined by its corestriction to T^1.  Once step 1 is zero:
+
+* colinearity makes DW a coderivation, and the square of an odd
+  coderivation is a coderivation, so pi_1(DW^2) = 0 implies DW^2 = 0;
+* each intertwining residual DW phi - phi DV (likewise for psi) is a
+  (phi, phi)-coderivation, so its corestriction decides it;
+* with both intertwinings established, the homotopy residual
+  R = psi phi - 1 - (DV H_out + H_out DV) satisfies
+  Delta R = (psi phi x R + R x 1) Delta, so pi_1 R = 0 implies R = 0.
+
+Without the side conditions the outputs need not be lift-shaped, so this
+reduction is invalid.  The conclusions are then checked as operator
+residuals (`operator_conclusions`), which lift dV, dW and the identity
+operator for that purpose only; no colinearity is reported and the
+comparison is skipped.  The branch follows from the retract, not from an
+option: `HplOutput.conclusions_form` names the form that ran.
+`check_annihilation_lemmas` verifies the identities the equivalence with
+the kernel route rests on.
 """
 
 from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
-                        extract_components, lift_coderivation, lift_homotopy,
-                        lift_morphism, operator_intertwining_residual,
-                        operator_sum)
+                        check_codifferential, check_homotopy_components,
+                        check_morphism_components, extract_components,
+                        lift_coderivation, lift_homotopy, lift_morphism,
+                        operator_intertwining_residual, operator_sum)
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      resolve_truncation)
 from .reports import BoolResidual, CheckReport
@@ -56,14 +85,10 @@ class PerturbationData:
         self.smu = smu
         self.trunc = trunc
         self.sV, self.sW = sV, sW
-        delta1_V = smu.delta(1)
         W = retract.small.module
-        delta1_W = compose(shift_up_map(W), compose(retract.small.d,
-                                                    shift_down_map(W)))
-        self.dV_op = lift_coderivation(ComponentFamily(
-            "coderivation", sV, sV, {1: delta1_V}, trunc))
-        self.dW_op = lift_coderivation(ComponentFamily(
-            "coderivation", sW, sW, {1: delta1_W}, trunc))
+        # the shifted differential of W: the arity-1 component of DW
+        self.delta1_W = compose(shift_up_map(W), compose(retract.small.d,
+                                                         shift_down_map(W)))
         self.F = lift_morphism(ComponentFamily.strict_morphism(fhat, trunc))
         self.G = lift_morphism(ComponentFamily.strict_morphism(ghat, trunc))
         self.H = lift_homotopy(ComponentFamily(
@@ -117,41 +142,43 @@ def build_perturbation(retract, smu, trunc=None):
 
 
 class HplOutput:
-    def __init__(self, data, delta_nu, psi, phi, H_out, conclusions,
+    def __init__(self, data, outputs, families, colinearity, conclusions,
                  nilpotency_report, inversion_report):
         self.data = data
-        self.delta_nu = delta_nu
-        self.psi = psi
-        self.phi = phi
-        self.H_out = H_out
+        self.delta_nu = outputs["delta_nu"]
+        self.psi = outputs["psi"]
+        self.phi = outputs["phi"]
+        self.H_out = outputs["homotopy"]
+        self._families = families
+        # None when the conclusions were checked at operator level
+        self.colinearity = colinearity
         self.conclusions = conclusions
         self.nilpotency_report = nilpotency_report
         self.inversion_report = inversion_report
         # component extraction is canonical only under the side conditions;
         # without them the outputs need not have lift shape and the families
-        # below are just homogeneity-1 projections.
+        # are just homogeneity-1 projections.
         self.extraction_canonical = data.retract.is_harmonious
 
     @property
+    def conclusions_form(self):
+        return "operator" if self.colinearity is None else "corestriction"
+
+    @property
     def ok(self):
-        return (self.conclusions.ok and self.nilpotency_report.ok
+        return ((self.colinearity is None or self.colinearity.ok)
+                and self.conclusions.ok and self.nilpotency_report.ok
                 and self.inversion_report.ok)
 
     def extracted(self):
-        return {
-            "structure": extract_components(self.delta_nu, "coderivation"),
-            "psi": extract_components(self.psi, "morphism"),
-            "phi": extract_components(self.phi, "morphism"),
-            "homotopy": extract_components(self.H_out, "homotopy",
-                                           left=extract_components(
-                                               self.psi.compose(self.phi), "morphism"),
-                                           right=ComponentFamily.identity(
-                                               self.data.sV, self.data.trunc)),
-        }
+        """The outputs' component families, keyed like the outputs."""
+        return self._families
 
 
 def hpl_transfer(data):
-    """Run the perturbation lemma and verify its conclusions exactly."""
+    """Run the perturbation lemma and verify its conclusions exactly: on
+    corestrictions after a colinearity check under the side conditions,
+    at operator level without them."""
     nilpotency_report = data.verify_nilpotency()
     if not nilpotency_report.ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
@@ -161,23 +188,97 @@ def hpl_transfer(data):
     A = operator_sum(plus=[dmu, (S, dmu)])
     FA = data.F.compose(A)
     HA = data.H.compose(A)
-    delta_nu = FA.compose(data.G)
-    psi = operator_sum(plus=[data.G, (HA, data.G)])
-    phi = operator_sum(plus=[data.F, (FA, data.H)])
-    H_out = operator_sum(plus=[data.H, (HA, data.H)])
+    outputs = {
+        "delta_nu": FA.compose(data.G),
+        "psi": operator_sum(plus=[data.G, (HA, data.G)]),
+        "phi": operator_sum(plus=[data.F, (FA, data.H)]),
+        "homotopy": operator_sum(plus=[data.H, (HA, data.H)]),
+    }
+    families = extract_outputs(data, outputs)
+    if data.retract.is_harmonious:
+        colinearity = colinearity_report(outputs, families)
+        conclusions = corestricted_conclusions(data, families)
+    else:
+        colinearity = None
+        conclusions = operator_conclusions(data, outputs)
+    return HplOutput(data, outputs, families, colinearity, conclusions,
+                     nilpotency_report, inversion_report)
 
-    DV = data.dV_op + dmu
-    DW = data.dW_op + delta_nu
+
+def extract_outputs(data, outputs):
+    """The outputs' (n, 1) blocks as component families.  The homotopy's
+    left flank is the corestriction pi_1(psi phi), composed from psi's
+    (k, 1) blocks and phi; its right flank is the identity."""
+    psiphi = outputs["psi"].corestricted().compose(outputs["phi"])
+    return {
+        "delta_nu": extract_components(outputs["delta_nu"], "coderivation"),
+        "psi": extract_components(outputs["psi"], "morphism"),
+        "phi": extract_components(outputs["phi"], "morphism"),
+        "homotopy": extract_components(
+            outputs["homotopy"], "homotopy",
+            left=extract_components(psiphi, "morphism"),
+            right=ComponentFamily.identity(data.sV, data.trunc)),
+    }
+
+
+def colinearity_report(outputs, families):
+    """The lift of each output's own components minus the output: zero
+    exactly when the output is colinear (a coderivation, morphism or
+    flanked homotopy of the tensor coalgebra).  One lift per output, and
+    the output is subtracted from that fresh lift in place."""
+    relifts = {"delta_nu": lift_coderivation, "psi": lift_morphism,
+               "phi": lift_morphism, "homotopy": lift_homotopy}
+    report = CheckReport("hpl-colinearity")
+    for key, lift in relifts.items():
+        residual = lift(families[key])
+        add_into(residual.blocks, outputs[key], negate=True)
+        report.add(key, residual)
+    return report
+
+
+def corestricted_conclusions(data, families):
+    """The four conclusions as componentwise identities of the families,
+    one per-arity report each; they decide the operator identities once
+    the outputs are colinear (see the module docstring)."""
+    trunc = data.trunc
+    dV = ComponentFamily("coderivation", data.sV, data.sV,
+                         {n: d for n, d in data.smu.deltas.items()
+                          if n <= trunc}, trunc)
+    nu = families["delta_nu"]
+    comps = dict(nu.components)
+    comps[1] = data.delta1_W + nu.component(1)
+    dW = ComponentFamily("coderivation", data.sW, data.sW, comps, trunc)
+    conclusions = CheckReport("hpl-conclusions")
+    conclusions.add("square-zero", check_codifferential(dW))
+    conclusions.add("phi-intertwines",
+                    check_morphism_components(families["phi"], dV, dW))
+    conclusions.add("psi-intertwines",
+                    check_morphism_components(families["psi"], dW, dV))
+    conclusions.add("homotopy-identity",
+                    check_homotopy_components(families["homotopy"], dV, dV))
+    return conclusions
+
+
+def operator_conclusions(data, outputs):
+    """The four conclusions as operator residuals, for outputs that need
+    not be lifts of their components."""
+    sV, sW, trunc = data.sV, data.sW, data.trunc
+    dV_op = lift_coderivation(ComponentFamily(
+        "coderivation", sV, sV, {1: data.smu.delta(1)}, trunc))
+    dW_op = lift_coderivation(ComponentFamily(
+        "coderivation", sW, sW, {1: data.delta1_W}, trunc))
+    psi, phi, H_out = outputs["psi"], outputs["phi"], outputs["homotopy"]
+    DV = dV_op + data.dmu
+    DW = dW_op + outputs["delta_nu"]
     conclusions = CheckReport("hpl-conclusions")
     conclusions.add("square-zero", DW.compose(DW))
     conclusions.add("phi-intertwines", operator_intertwining_residual(phi, DV, DW))
     conclusions.add("psi-intertwines", operator_intertwining_residual(psi, DW, DV))
-    ident = CoalgebraOperator.identity(data.sV, data.trunc)
+    ident = CoalgebraOperator.identity(sV, trunc)
     conclusions.add("homotopy-identity",
                     operator_sum(plus=[(psi, phi)],
                                  minus=[ident, (DV, H_out), (H_out, DV)]))
-    return HplOutput(data, delta_nu, psi, phi, H_out, conclusions,
-                     nilpotency_report, inversion_report)
+    return conclusions
 
 
 def series_inversion_report(M, S):
@@ -202,34 +303,10 @@ def check_side_conditions(retract):
     }
 
 
-def _kernel_lifts(pkg):
-    """The four operators the kernel recursions predict, as lifts."""
-    sus = pkg.suspended
-    N = sus.truncation
-    sV = sus.hhat.source
-    sW = sus.fhat.target
-    nu_family = ComponentFamily("coderivation", sW, sW,
-                                {n: sus.nu_hat(n) for n in range(2, N + 1)}, N)
-    psi_family = ComponentFamily("morphism", sW, sV,
-                                 {n: sus.psi_hat(n) for n in range(1, N + 1)}, N)
-    phi_family = ComponentFamily("morphism", sV, sW,
-                                 {n: sus.phi_hat(n) for n in range(1, N + 1)}, N)
-    psiphi_family = ComponentFamily("morphism", sV, sV, dict(sus.psiphi), N)
-    H_family = ComponentFamily("homotopy", sV, sV,
-                               {n: sus.H_hat(n) for n in range(1, N + 1)}, N,
-                               left=psiphi_family,
-                               right=ComponentFamily.identity(sV, N))
-    return {
-        "delta_nu": lift_coderivation(nu_family),
-        "psi": lift_morphism(psi_family),
-        "phi": lift_morphism(phi_family),
-        "homotopy": lift_homotopy(H_family),
-    }
-
-
 class ComparisonReport:
     """Outcome of the HPL-vs-kernels comparison: a status string plus, when
-    run, one operator residual per transferred object."""
+    run, one per-arity report of component residuals per transferred
+    object."""
 
     SKIPPED = "skipped: side conditions not met"
 
@@ -253,25 +330,32 @@ class ComparisonReport:
 
 
 def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
-    """Block equality of the perturbation-lemma outputs against the lifted
-    kernel-recursion outputs, up to homogeneity n_max.  Skipped (with an
-    explanatory status) when a side condition fails, since equality is
-    asserted only under them."""
+    """Component equality of the perturbation-lemma outputs against the
+    shifted kernel-recursion outputs, arity by arity up to n_max.  Skipped
+    (with an explanatory status) when a side condition fails, since
+    equality is asserted only under them."""
     if not pkg.retract.is_harmonious:
         return ComparisonReport(ComparisonReport.SKIPPED)
-    n_max = resolve_truncation(n_max, min(hpl.data.trunc, pkg.truncation))
-    expected = _kernel_lifts(pkg)
-    got = {"delta_nu": hpl.delta_nu, "psi": hpl.psi, "phi": hpl.phi,
-           "homotopy": hpl.H_out}
+    top = min(hpl.data.trunc, pkg.truncation)
+    n_max = min(resolve_truncation(n_max, top), top)
+    sus = pkg.suspended
+    sW = sus.fhat.target
+    expected = {
+        # the transferred perturbation has no arity-1 part
+        "delta_nu": lambda n: (sus.nu_hat(n) if n >= 2
+                               else MultiMap.zero(sW, sW, 1, -1)),
+        "psi": sus.psi_hat,
+        "phi": sus.phi_hat,
+        "homotopy": sus.H_hat,
+    }
+    got = hpl.extracted()
     diffs = {}
-    exact = True
     for key in sorted(expected):
-        diff = got[key] - expected[key]
-        keep = {blk: t for blk, t in diff.blocks.items() if blk[0] <= n_max}
-        diff = CoalgebraOperator._raw(diff.source, diff.target, diff.degree,
-                                      diff.trunc, keep)
-        diffs[key] = diff
-        exact = exact and diff.is_zero()
+        report = CheckReport("compare-" + key)
+        for n in range(1, n_max + 1):
+            report.add(n, got[key].component(n) - expected[key](n))
+        diffs[key] = report
+    exact = all(report.ok for report in diffs.values())
     return ComparisonReport("exact" if exact else "mismatch", diffs)
 
 

@@ -4,7 +4,9 @@ deterministic random map generator."""
 import random
 
 from ainfinity.ainfty import AInfinity
-from ainfinity.graded import GradedModule, MultiMap
+from ainfinity.graded import ChainComplex, GradedModule, MultiMap, compose
+from ainfinity.kernels import DeformationRetract
+from ainfinity.retracts import harmonious_retract, instance_massey
 
 
 def random_multimap(rng, source, target, arity, degree, density=0.5, cmax=3):
@@ -65,6 +67,29 @@ def one_point_dga(truncation=4):
 
 def chain_complex_ainfty(module, d, truncation=4):
     return AInfinity(module, d, {}, truncation)
+
+
+def massey_with_marker(N=4):
+    """The witness instance extended by one inert degree-0 class, so the
+    small side has classes in adjacent degrees (0 and 1)."""
+    base = instance_massey(truncation=N)
+    V = GradedModule({0: 1, 1: 3, 2: 2, 3: 2, 4: 2}, base.carrier.field)
+    d = MultiMap(V, V, 1, -1, dict(base.differential.table))
+    mu2 = MultiMap(V, V, 2, 0, dict(base.mu(2).table))
+    return AInfinity(V, d, {2: mu2}, N)
+
+
+def crooked_retract(mu):
+    """A valid retract violating two side conditions: h is shifted by g c f
+    for a degree +1 self-map c of the small side."""
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    W = retract.small.module
+    one = W.field.one
+    c = MultiMap(W, W, 1, 1, {((0, 0),): {(1, 0): one}})
+    shift = compose(retract.g, compose(c, retract.f))
+    h2 = retract.h + shift
+    return DeformationRetract(retract.big, retract.small, retract.f,
+                              retract.g, h2)
 
 
 def seeded(seed=7):

@@ -11,6 +11,8 @@ from ainfinity.fields import PrimeField
 from ainfinity.graded import MultiMap
 from ainfinity.retracts import instance_forms, instance_massey
 
+from conftest import crooked_retract, massey_with_marker
+
 
 def massey_doc(tmp_path, name="massey.json"):
     mu = instance_massey()
@@ -221,6 +223,47 @@ def test_transfer_hpl_method(tmp_path, capsys):
     assert code == 0
     assert "hpl.extraction=canonical" in report
     assert main(["check", out]) == 0
+
+
+def machine_lines(report):
+    return report.split("\n---\n")[0].splitlines()
+
+
+@pytest.mark.parametrize("method", ["both", "hpl"])
+def test_transfer_reports_colinearity_then_corestricted_conclusions(
+        tmp_path, capsys, method):
+    src = massey_doc(tmp_path)
+    assert main(["transfer", src, "--method", method, "--retract", "auto",
+                 "--arity", "4"]) == 0
+    machine = machine_lines(capsys.readouterr().out)
+    colinearity = [line for line in machine
+                   if line.startswith("check.hpl-colinearity.")]
+    assert colinearity == ["check.hpl-colinearity.%s.nonzero=0" % key
+                           for key in ("delta_nu", "homotopy", "phi", "psi")]
+    assert machine.index(colinearity[-1]) < machine.index(
+        "check.hpl-conclusions.homotopy-identity.nonzero=0")
+    at = machine.index("hpl.extraction=canonical")
+    assert machine[at + 1] == "hpl.conclusions=corestriction"
+
+
+@pytest.mark.parametrize("method", ["both", "hpl"])
+def test_crooked_retract_reports_operator_conclusions(tmp_path, capsys, method):
+    mu = massey_with_marker()
+    retract = crooked_retract(mu)
+    doc = Document(mu.carrier.field, 4,
+                   {"V": mu.carrier, "W": retract.small.module},
+                   structure=("V", mu),
+                   retract={"big": "V", "small": "W", "f": retract.f,
+                            "g": retract.g, "h": retract.h,
+                            "small_d": retract.small.d})
+    path = str(tmp_path / "crooked.json")
+    dump(doc, path)
+    assert main(["transfer", path, "--method", method]) == 0
+    machine = machine_lines(capsys.readouterr().out)
+    assert not [line for line in machine if "hpl-colinearity" in line]
+    at = machine.index("hpl.extraction=non-canonical")
+    assert machine[at + 1] == "hpl.conclusions=operator"
+    assert "check.hpl-conclusions.square-zero.nonzero=0" in machine
 
 
 def test_transfer_with_explicit_retract_block(tmp_path, capsys):

@@ -16,26 +16,33 @@ the one accumulator (which also reduces modulo p) and the one table merge;
 `coalgebra.compose_into`, the one operator composite of the
 perturbation-lemma route, which also sums its residuals in place;
 `graded.tensor_into` and the recursions of `lift_coderivation` and
-`lift_homotopy`, which build the lifts; and the index families
-`combi.enum_B` and `combi.enum_C` of the recursions.  Each is an exact-once source
-replacement, bound wherever the original is bound, and must be killed by
-the same battery or by the perturbation-lemma reports on the witness, run
-over Q and over Z/5 (a lost reduction modulo p is invisible over Q).
+`lift_homotopy`, which build the lifts; the index families `combi.enum_B`
+and `combi.enum_C` of the recursions; the memo of `kernels.check_q_identity`;
+the outputs of `perturbation.hpl_transfer`; and the arity loop of
+`perturbation.compare_hpl_vs_kernels`.  Each is an exact-once source
+replacement, bound wherever the original is bound.  Four detectors run in
+a fixed order, over Q and then over Z/5 (a lost reduction modulo p is
+invisible over Q): the battery above, the perturbation-lemma reports on the
+witness, the componentwise/operator equivalence battery on the witness
+instances, and a sensitivity probe of the HPL-vs-kernels comparison.  The
+first detector that kills each structural mutant is pinned in
+`KILLED_BY`, so a change that moves detection shows up in review.
 """
 
 import inspect
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
-from ainfinity import coalgebra, combi, graded, signs
+from ainfinity import coalgebra, combi, graded, kernels, perturbation, signs
 from ainfinity.ainfty import check_structure
+from ainfinity.battery import equivalence_battery
+from ainfinity.coalgebra import ComponentFamily
 from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, StructureError
 from ainfinity.kernels import transfer
-from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
-                                    hpl_transfer)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.suspension import desuspend_structure, shift_scalar, suspend_structure
 
@@ -70,26 +77,90 @@ def battery_detects(field=None):
         return True
 
 
+def witness_routes(field=None, N=4):
+    """The witness over `field` (default Q) at truncation N through both
+    routes: (kernel package, HPL output).  The HPL entry points are looked
+    up on their module, where a mutant is bound."""
+    mu = instance_massey(field, truncation=N)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu, N)
+    data = perturbation.build_perturbation(retract, suspend_structure(mu), N)
+    return pkg, perturbation.hpl_transfer(data)
+
+
 def hpl_detects(field=None):
     """True as soon as a perturbation-lemma report on the witness at N = 4
-    over `field` (default Q) fails: nilpotency, series inversion, the
-    operator-level conclusions, or the block comparison with the kernel
-    route."""
+    over `field` (default Q) fails: nilpotency, series inversion,
+    colinearity of the outputs, the conclusions, or the component
+    comparison with the kernel route.  The witness retract is harmonious,
+    so the conclusions are checked on corestrictions; no output reaches an
+    output-homogeneity-N composite there, and a lift with dropped Koszul
+    signs leaves the outputs' corestrictions unchanged, so
+    `operator-compose-skips-top-homogeneity` and
+    `tensor-step-skips-negation` are out of this detector's reach (the
+    equivalence battery kills both)."""
     try:
-        mu = instance_massey(field, truncation=4)
-        retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        pkg = transfer(retract, mu, 4)
-        hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
-        return not (hpl.ok and compare_hpl_vs_kernels(hpl, pkg).status == "exact")
+        pkg, hpl = witness_routes(field)
+        return not (hpl.ok and perturbation.compare_hpl_vs_kernels(
+            hpl, pkg).status == "exact")
     except StructureError:
         return True
 
 
-def any_detects():
-    """The battery, then the perturbation-lemma reports, over Q and then
-    over Z/5; stops at the first that flags."""
-    return any(detect(field) for field in (None, F5)
-               for detect in (battery_detects, hpl_detects))
+def equivalence_detects(field=None):
+    """True as soon as the componentwise/operator equivalence battery on a
+    witness instance at N = 4 over `field` (default Q) fails."""
+    try:
+        for make in (instance_massey, instance_forms):
+            mu = make(field, truncation=4)
+            retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+            pkg = transfer(retract, mu, 4)
+            if not equivalence_battery(pkg, mu, 4).ok:
+                return True
+        return False
+    except StructureError:
+        return True
+
+
+def comparison_blind(field=None):
+    """True when the HPL-vs-kernels comparison on the witness at N = 4 over
+    `field` (default Q) misses a dropped component: for each nonzero
+    component x_n of each output family, the comparison up to arity n,
+    with x_n removed from the family, must report a mismatch."""
+    try:
+        pkg, hpl = witness_routes(field)
+        families = hpl.extracted()
+        for key, family in sorted(families.items()):
+            for n in sorted(family.components):
+                comps = {m: x for m, x in family.components.items() if m != n}
+                probe = dict(families)
+                probe[key] = ComponentFamily(
+                    family.kind, family.source, family.target, comps,
+                    family.trunc, left=family.left, right=family.right)
+                stand_in = SimpleNamespace(data=hpl.data,
+                                           extracted=lambda: probe)
+                report = perturbation.compare_hpl_vs_kernels(stand_in, pkg, n)
+                if report.status == "exact":
+                    return True
+        return False
+    except StructureError:
+        return True
+
+
+DETECTORS = [("battery", battery_detects), ("hpl", hpl_detects),
+             ("equivalence", equivalence_detects),
+             ("comparison", comparison_blind)]
+FIELDS = [("Q", None), ("Z5", F5)]
+
+
+def first_detector():
+    """The first detector, in the order of DETECTORS over Q and then over
+    Z/5, that flags the current code, as "name/field"; None if none does."""
+    for field_name, field in FIELDS:
+        for name, detect in DETECTORS:
+            if detect(field):
+                return "%s/%s" % (name, field_name)
+    return None
 
 
 KOSZUL_MUTANTS = {
@@ -180,6 +251,36 @@ STRUCTURAL_MUTANTS = {
         combi, "enum_C",
         "for i in range(1, k + 1):",
         "for i in range(1, k):"),
+    "q-identity-memo-wrong-arity": (
+        kernels, "check_q_identity",
+        "compose(gf, q[r]) for r in range(1, n_max)",
+        "compose(gf, q[n_max - r]) for r in range(1, n_max)"),
+    "hpl-psi-drops-a-lift-block": (
+        perturbation, "hpl_transfer",
+        "families = extract_outputs(data, outputs)",
+        "outputs['psi'].blocks.pop((2, 2)); "
+        "families = extract_outputs(data, outputs)"),
+    "compare-skips-top-arity": (
+        perturbation, "compare_hpl_vs_kernels",
+        "for n in range(1, n_max + 1):",
+        "for n in range(1, n_max):"),
+}
+
+# the first detector (see `first_detector`) that kills each structural mutant
+KILLED_BY = {
+    "acc-keeps-cancelled-zero": "battery/Q",
+    "acc-skips-reduction": "battery/Z5",
+    "coderivation-lift-drops-shifted-term": "hpl/Q",
+    "compare-skips-top-arity": "comparison/Q",
+    "compose-into-ignores-negation": "hpl/Q",
+    "enum-B-drops-top-arity": "battery/Q",
+    "enum-C-drops-last-slot": "battery/Q",
+    "homotopy-lift-drops-flank-term": "hpl/Q",
+    "hpl-psi-drops-a-lift-block": "hpl/Q",
+    "merge-ignores-negation": "battery/Q",
+    "operator-compose-skips-top-homogeneity": "equivalence/Q",
+    "q-identity-memo-wrong-arity": "battery/Q",
+    "tensor-step-skips-negation": "equivalence/Q",
 }
 
 
@@ -256,11 +357,43 @@ def test_baseline_hpl_is_clean():
     assert not hpl_detects(F5)
 
 
+def test_baseline_equivalence_and_comparison_are_clean():
+    for field in (None, F5):
+        assert not equivalence_detects(field)
+        assert not comparison_blind(field)
+
+
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_MUTANTS))
 def test_structural_mutants_killed(name, monkeypatch):
+    assert sorted(KILLED_BY) == sorted(STRUCTURAL_MUTANTS)
     rebound = mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
     assert rebound
-    assert any_detects(), "mutant %s survived" % name
+    assert first_detector() == KILLED_BY[name], "mutant %s" % name
+
+
+@pytest.mark.parametrize("name", ["operator-compose-skips-top-homogeneity",
+                                  "tensor-step-skips-negation"])
+def test_operator_level_mutants_left_the_hpl_reports(name, monkeypatch):
+    """Checked on corestrictions, the HPL reports no longer reach these two
+    mutants: no output is an output-homogeneity-N composite, and dropped
+    Koszul signs of a lift leave the outputs' corestrictions unchanged.
+    The equivalence battery, which compares operator-level and
+    componentwise verdicts, kills both over Q and over Z/5."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
+    for field in (None, F5):
+        assert not hpl_detects(field)
+        assert equivalence_detects(field)
+
+
+def test_dropped_psi_block_is_caught_only_by_colinearity(monkeypatch):
+    """Dropping a non-(n, 1) block of psi leaves its components, and so the
+    conclusions and the component comparison, unchanged: the colinearity
+    check is what catches it."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS["hpl-psi-drops-a-lift-block"])
+    pkg, hpl = witness_routes()
+    assert hpl.colinearity.failing() == ["psi"]
+    assert hpl.conclusions.ok
+    assert perturbation.compare_hpl_vs_kernels(hpl, pkg).status == "exact"
 
 
 def test_skipped_reduction_is_caught_only_over_prime_field(monkeypatch):

@@ -10,52 +10,35 @@ from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                               check_homotopy, check_morphism, check_structure,
                               identity_morphism)
 from ainfinity.battery import equivalence_battery
-from ainfinity.coalgebra import (CoalgebraOperator, check_codifferential,
+from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
+                                 check_codifferential,
                                  check_homotopy_components,
                                  check_morphism_components,
                                  colinearity_residual, extract_components,
-                                 lift_coderivation)
+                                 lift_coderivation, lift_morphism)
+from ainfinity.fields import PrimeField
 from ainfinity.graded import (ChainComplex, GradedModule, MultiMap,
                               StructureError, compose)
 from ainfinity.kernels import DeformationRetract, transfer
 from ainfinity.perturbation import (build_perturbation,
                                     check_annihilation_lemmas,
                                     check_side_conditions,
-                                    compare_hpl_vs_kernels, hpl_transfer,
+                                    colinearity_report,
+                                    compare_hpl_vs_kernels,
+                                    corestricted_conclusions, extract_outputs,
+                                    hpl_transfer, operator_conclusions,
                                     series_inversion_report)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.suspension import (suspend_homotopy, suspend_morphism,
                                   suspend_structure)
+
+from conftest import crooked_retract, massey_with_marker
 
 
 def forms_setup(N=4):
     mu = instance_forms(truncation=N)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     return mu, retract
-
-
-def massey_with_marker(N=4):
-    """The witness instance extended by one inert degree-0 class, so the
-    small side has classes in adjacent degrees (0 and 1)."""
-    base = instance_massey(truncation=N)
-    V = GradedModule({0: 1, 1: 3, 2: 2, 3: 2, 4: 2}, base.carrier.field)
-    one = V.field.one
-    d = MultiMap(V, V, 1, -1, dict(base.differential.table))
-    mu2 = MultiMap(V, V, 2, 0, dict(base.mu(2).table))
-    return AInfinity(V, d, {2: mu2}, N)
-
-
-def crooked_retract(mu):
-    """A valid retract violating two side conditions: h is shifted by g c f
-    for a degree +1 self-map c of the small side."""
-    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    W = retract.small.module
-    one = W.field.one
-    c = MultiMap(W, W, 1, 1, {((0, 0),): {(1, 0): one}})
-    shift = compose(retract.g, compose(c, retract.f))
-    h2 = retract.h + shift
-    return DeformationRetract(retract.big, retract.small, retract.f,
-                              retract.g, h2)
 
 
 def test_side_conditions_on_harmonious_retract():
@@ -170,11 +153,21 @@ def test_comparison_skipped_without_side_conditions():
     assert report.ok  # a skipped comparison is a status, not a failure
 
 
+def fg_broken_retract(base):
+    """g shifted by a null-homotopic correction, so fg != 1: the perturbed
+    coderivation itself loses lift shape."""
+    V = base.carrier
+    one = V.field.one
+    cx = ChainComplex(V, base.differential)
+    h = MultiMap(V, V, 1, 1, {((2, 0),): {(3, 0): one}})
+    g = (MultiMap.identity(V) + compose(base.differential, h)
+         + compose(h, base.differential))
+    return DeformationRetract(cx, cx, MultiMap.identity(V), g, h)
+
+
 def test_extraction_not_lift_shaped_without_side_conditions():
     """Without the side conditions the outputs need not be lifts of their
     own components; re-lifting the extraction must differ somewhere."""
-    from ainfinity.coalgebra import lift_morphism
-
     # witness 1: crooked h (fg = 1 still): the morphisms lose lift shape
     mu = massey_with_marker()
     retract = crooked_retract(mu)
@@ -183,23 +176,109 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     assert lift_morphism(extract_components(hpl.psi, "morphism")) != hpl.psi
     assert lift_morphism(extract_components(hpl.phi, "morphism")) != hpl.phi
 
-    # witness 2: g shifted by a null-homotopic correction (fg != 1): the
-    # perturbed coderivation itself loses lift shape
+    # witness 2: fg != 1, and the perturbed coderivation loses lift shape
     base = instance_massey(truncation=4)
-    V = base.carrier
-    one = V.field.one
-    cx = ChainComplex(V, base.differential)
-    h = MultiMap(V, V, 1, 1, {((2, 0),): {(3, 0): one}})
-    g = (MultiMap.identity(V) + compose(base.differential, h)
-         + compose(h, base.differential))
-    retract2 = DeformationRetract(cx, cx, MultiMap.identity(V), g, h)
+    retract2 = fg_broken_retract(base)
     assert not retract2.is_harmonious
     data2 = build_perturbation(retract2, suspend_structure(base), 4)
     hpl2 = hpl_transfer(data2)
     assert hpl2.conclusions.ok  # the lemma itself is fine
-    total = data2.dW_op + hpl2.delta_nu
+    assert hpl2.conclusions_form == "operator" and hpl2.colinearity is None
+    dW_op = lift_coderivation(ComponentFamily(
+        "coderivation", data2.sW, data2.sW, {1: data2.delta1_W}, 4))
+    total = dW_op + hpl2.delta_nu
     relift = lift_coderivation(extract_components(total, "coderivation"))
     assert relift != total
+
+
+def outputs_of(hpl):
+    return {"delta_nu": hpl.delta_nu, "psi": hpl.psi, "phi": hpl.phi,
+            "homotopy": hpl.H_out}
+
+
+def coleibniz_residuals(hpl):
+    """`colinearity_residual` of each output: the co-Leibniz definition,
+    word by word, with the homotopy's flanks lifted from its family."""
+    family = hpl.extracted()["homotopy"]
+    return {
+        "delta_nu": colinearity_residual(hpl.delta_nu, "coderivation"),
+        "psi": colinearity_residual(hpl.psi, "morphism"),
+        "phi": colinearity_residual(hpl.phi, "morphism"),
+        "homotopy": colinearity_residual(
+            hpl.H_out, "homotopy", left=lift_morphism(family.left),
+            right=lift_morphism(family.right)),
+    }
+
+
+def harmonious_hpl(mu, N=4):
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    return hpl_transfer(build_perturbation(retract, suspend_structure(mu), N))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+@pytest.mark.parametrize("make", [instance_massey, instance_forms],
+                         ids=["massey", "forms"])
+def test_relift_colinearity_matches_coleibniz_definition(make, field):
+    """The reported check (output minus the lift of its own components) is
+    zero, as is the co-Leibniz residual, on the harmonious desk
+    instances."""
+    hpl = harmonious_hpl(make(field, truncation=4))
+    assert hpl.conclusions_form == "corestriction"
+    coleibniz = coleibniz_residuals(hpl)
+    assert sorted(hpl.colinearity.residuals) == sorted(coleibniz)
+    for key, residual in coleibniz.items():
+        assert residual.ok and hpl.colinearity.residuals[key].is_zero(), key
+
+
+def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
+    """On the outputs of retracts that break the side conditions, the
+    re-lift residual is nonzero exactly where the co-Leibniz residual is:
+    psi, phi and the homotopy for a crooked h, delta_nu where fg != 1."""
+    mu = massey_with_marker()
+    base = instance_massey(truncation=4)
+    cases = [(mu, crooked_retract(mu), {"psi", "phi", "homotopy"}),
+             (base, fg_broken_retract(base), {"delta_nu"})]
+    for mu, retract, broken in cases:
+        hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
+        relift = colinearity_report(outputs_of(hpl), hpl.extracted())
+        coleibniz = coleibniz_residuals(hpl)
+        for key, residual in coleibniz.items():
+            assert residual.ok == relift.residuals[key].is_zero(), key
+        assert set(relift.failing()) >= broken
+
+
+def test_operator_and_corestricted_conclusions_agree_on_desk_instances():
+    for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
+        retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+        data = build_perturbation(retract, suspend_structure(mu), 4)
+        hpl = hpl_transfer(data)
+        assert hpl.colinearity.ok
+        operator = operator_conclusions(data, outputs_of(hpl))
+        corestricted = corestricted_conclusions(data, hpl.extracted())
+        assert operator.ok and corestricted.ok
+        assert sorted(operator.residuals) == sorted(corestricted.residuals)
+        assert sorted(hpl.conclusions.residuals) == sorted(corestricted.residuals)
+
+
+def test_corrupted_phi_component_fails_both_forms():
+    """phi re-lifted from a corrupted arity-2 component is colinear, so its
+    colinearity check cannot catch it; both forms of the conclusions must."""
+    mu = instance_massey(truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    data = build_perturbation(retract, suspend_structure(mu), 4)
+    hpl = hpl_transfer(data)
+    phi = hpl.extracted()["phi"]
+    comps = dict(phi.components)
+    comps[2] = comps[2] + comps[2]
+    bad = ComponentFamily("morphism", phi.source, phi.target, comps, phi.trunc)
+    outputs = dict(outputs_of(hpl), phi=lift_morphism(bad))
+    families = extract_outputs(data, outputs)
+    assert families["phi"] == bad
+    assert colinearity_report(outputs, families).residuals["phi"].is_zero()
+    operator = operator_conclusions(data, outputs)
+    corestricted = corestricted_conclusions(data, families)
+    assert "phi-intertwines" in operator.failing()
+    assert "phi-intertwines" in corestricted.failing()
 
 
 def test_annihilation_lemmas_hold_on_desk_instances():
