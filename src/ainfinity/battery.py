@@ -13,7 +13,7 @@ from .coalgebra import (check_codifferential, check_homotopy_components,
                         check_morphism_components, lift_coderivation,
                         lift_homotopy, lift_morphism,
                         operator_homotopy_residual,
-                        operator_intertwining_residual, operator_square)
+                        operator_intertwining_residual)
 from .graded import resolve_truncation
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_homotopy, suspend_morphism, suspend_structure
@@ -27,9 +27,11 @@ def equivalence_battery(pkg, mu, n_max=None):
 
     smu = suspend_structure(mu)
     snu = suspend_structure(pkg.nu)
+    dV = lift_coderivation(smu)
+    dW = lift_coderivation(snu)
 
-    comp = check_codifferential(snu.family(), n_max)
-    op = operator_square(lift_coderivation(snu.family()))
+    comp = check_codifferential(snu, n_max)
+    op = dW.compose(dW)
     report.add("structure-components", comp)
     report.add("structure-operator", op)
     report.add("structure-agreement", BoolResidual(comp.ok == op.is_zero()))
@@ -37,10 +39,8 @@ def equivalence_battery(pkg, mu, n_max=None):
     report.add("structure-conventions", BoolResidual(comp.ok == unshifted_ok))
 
     phi_fam = suspend_morphism(pkg.phi)
-    comp = check_morphism_components(phi_fam, smu.family(), snu.family(), n_max)
-    op = operator_intertwining_residual(lift_morphism(phi_fam),
-                                        lift_coderivation(smu.family()),
-                                        lift_coderivation(snu.family()))
+    comp = check_morphism_components(phi_fam, smu, snu, n_max)
+    op = operator_intertwining_residual(lift_morphism(phi_fam), dV, dW)
     report.add("morphism-components", comp)
     report.add("morphism-operator", op)
     report.add("morphism-agreement", BoolResidual(comp.ok == op.is_zero()))
@@ -48,11 +48,10 @@ def equivalence_battery(pkg, mu, n_max=None):
                BoolResidual(comp.ok == pkg.reports["phi"].ok))
 
     hom_fam = suspend_homotopy(pkg.homotopy)
-    comp = check_homotopy_components(hom_fam, smu.family(), smu.family(), n_max)
+    comp = check_homotopy_components(hom_fam, smu, smu, n_max)
     E = lift_morphism(hom_fam.left)
     G = lift_morphism(hom_fam.right)
     H = lift_homotopy(hom_fam)
-    dV = lift_coderivation(smu.family())
     op = operator_homotopy_residual(H, E, G, dV, dV)
     report.add("homotopy-components", comp)
     report.add("homotopy-operator", op)

@@ -108,23 +108,29 @@ def cmd_check(args):
             out.failed = True
     if doc.transfer is not None:
         src_name, src = doc.transfer["source"]
-        nu = doc.structure[1]
-        phi = AInftyMorphism(src, nu, doc.transfer["phi"], doc.truncation)
-        psi = AInftyMorphism(nu, src, doc.transfer["psi"], doc.truncation)
         out.line("transfer.source=%s" % src_name)
-        out.add_report(_renamed(check_structure(src, doc.truncation), "source"))
-        out.add_report(_renamed(check_morphism(phi, doc.truncation), "phi"))
-        out.add_report(_renamed(check_morphism(psi, doc.truncation), "psi"))
-        hom = AInftyHomotopy(compose_morphisms(psi, phi),
-                             identity_morphism(src),
-                             doc.transfer["homotopy"], doc.truncation)
-        out.add_report(_renamed(check_homotopy(hom, doc.truncation), "transfer"))
+        _check_transfer_block(out, src, doc.structure[1], doc.transfer["phi"],
+                              doc.transfer["psi"], doc.transfer["homotopy"],
+                              doc.truncation)
         if doc.transfer.get("comparison") is not None:
             out.line("transfer.comparison=%s" % doc.transfer["comparison"])
     if not out.failed:
         out.note("all checks passed at truncation %d" % doc.truncation)
     sys.stdout.write(out.render())
     return out.exit_code
+
+
+def _check_transfer_block(out, src, nu, phi, psi, homotopy, N):
+    """The checks of a transfer block's source structure, phi: src -> nu,
+    psi: nu -> src and homotopy psi phi ~ 1, given as components."""
+    phi = AInftyMorphism(src, nu, phi, N)
+    psi = AInftyMorphism(nu, src, psi, N)
+    out.add_report(_renamed(check_structure(src, N), "source"))
+    out.add_report(_renamed(check_morphism(phi, N), "phi"))
+    out.add_report(_renamed(check_morphism(psi, N), "psi"))
+    hom = AInftyHomotopy(compose_morphisms(psi, phi), identity_morphism(src),
+                         homotopy, N)
+    out.add_report(_renamed(check_homotopy(hom, N), "transfer"))
 
 
 def _renamed(report, prefix):
@@ -218,11 +224,8 @@ def cmd_transfer(args):
     if args.method in ("hpl", "both"):
         data = build_perturbation(retract, suspend_structure(mu), N)
         hpl = hpl_transfer(data)
-        out.add_report(hpl.nilpotency_report)
-        out.add_report(hpl.inversion_report)
-        if hpl.colinearity is not None:
-            out.add_report(hpl.colinearity)
-        out.add_report(hpl.conclusions)
+        for _, report in hpl.reports():
+            out.add_report(report)
         out.line("hpl.extraction=%s"
                  % ("canonical" if hpl.extraction_canonical else "non-canonical"))
         out.line("hpl.conclusions=%s" % hpl.conclusions_form)
@@ -237,26 +240,23 @@ def cmd_transfer(args):
             out.note("comparison skipped: side conditions not met")
 
     if args.method == "hpl":
-        nu_comps, phi_c, psi_c, hom_c = _hpl_components(hpl, retract, N)
-        d_w = retract.small.d
-        nu = AInfinity(retract.small.module, d_w,
+        nu_comps, phi_comps, psi_comps, hom_comps = _hpl_components(
+            hpl, retract, N)
+        nu = AInfinity(retract.small.module, retract.small.d,
                        {n: m for n, m in nu_comps.items() if n >= 2}, N)
-        if hpl.extraction_canonical:
-            out.add_report(_renamed(check_structure(nu, N), "extracted"))
-        phi_comps, psi_comps, hom_comps = phi_c, psi_c, hom_c
+        # what `check` runs on the written document
+        out.add_report(_renamed(check_structure(nu, N), "extracted"))
+        _check_transfer_block(out, mu, nu, phi_comps, psi_comps, hom_comps, N)
     else:
         nu = pkg.nu
-        phi_comps = {n: pkg.phi.component(n) for n in range(1, N + 1)}
-        psi_comps = {n: pkg.psi.component(n) for n in range(1, N + 1)}
-        hom_comps = {n: pkg.homotopy.component(n) for n in range(1, N + 1)}
+        phi_comps, psi_comps, hom_comps = (pkg.phi.components,
+                                           pkg.psi.components,
+                                           pkg.homotopy.components)
 
     nonzero = sorted(n for n in nu.products)
     out.line("output.products=%s" % ",".join(str(n) for n in nonzero))
-    result = _transfer_document(doc, big_name, small_name, mu, nu,
-                                {n: m for n, m in phi_comps.items() if not m.is_zero()},
-                                {n: m for n, m in psi_comps.items() if not m.is_zero()},
-                                {n: m for n, m in hom_comps.items() if not m.is_zero()},
-                                retract, comparison)
+    result = _transfer_document(doc, big_name, small_name, mu, nu, phi_comps,
+                                psi_comps, hom_comps, retract, comparison)
     if args.output:
         dump(result, args.output)
         out.line("output=%s" % args.output)
@@ -289,11 +289,8 @@ def _selftest_instance(base_seed, index, N, writer):
 
     data = build_perturbation(retract, suspend_structure(mu), N)
     hpl = hpl_transfer(data)
-    checks.add("hpl.nilpotency", hpl.nilpotency_report)
-    checks.add("hpl.inversion", hpl.inversion_report)
-    if hpl.colinearity is not None:
-        checks.add("hpl.colinearity", hpl.colinearity)
-    checks.add("hpl.conclusions", hpl.conclusions)
+    for key, report in hpl.reports():
+        checks.add("hpl." + key, report)
     checks.add("hpl.compare", compare_hpl_vs_kernels(hpl, pkg, N))
     checks.add("annihilation", check_annihilation_lemmas(pkg, N))
 

@@ -6,25 +6,25 @@ An operator T(V) -> T(W) truncated at homogeneity N is stored per block
 words.  Tensor-word bases are ordered lexicographically by (degree, index)
 tuples, which fixes serialization and report order bit-exactly.
 
-Component families lift as
+A coderivation, a morphism and a homotopy are each the colinear lift of a
+component family, and differ only in their flanks (E, G) (T^c is cofree
+and conilpotent; Loday-Vallette, Algebraic Operads, ch. 1):
 
-* coderivation:  blocks (n, j) = sum_i 1^{i-1} x d_{n-j+1} x 1^{j-i}
-* morphism:      blocks (n, k) = sum over k-part compositions of
-                 f_{r_1} x ... x f_{r_k}
-* homotopy with flanks (E, G):  blocks (n, k) = sum over compositions and
-                 positions of e_{r_1} x .. x h_{r_i} x .. x g_{r_k}
+    kind          left flank E               right flank G
+    coderivation  1 (the identity's blocks)  1
+    morphism      none                       the family itself
+    homotopy      e (lift of family.left)    g (family.right)
 
-and are built by recursion on homogeneity, splitting off the last tensor
-factor: block (n, 1) is the component of arity n, and
+One recursion on homogeneity (`_lift_blocks`) builds every lift, splitting
+off the last tensor factor: block (n, 1) is the component x_n, and
 
-* D(n, j) = D(n-1, j-1) x 1 + 1^{x j-1} x d_{n-j+1}
-* F(n, k) = sum_r F(n-r, k-1) x f_r
-* H(n, k) = sum_r H(n-r, k-1) x g_r + E(n-r, k-1) x h_r
+    X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r,
 
 so each block is one binary tensor step (`graded.tensor_into`) away from
 blocks already built; the Koszul sign of the last factor depends only on
-the degree of the input word to its left.  `graded.tensor_table` of the
-defining products stays the reference the tests compare with.
+the degree of the input word to its left.  Unrolled, X(n, k) sums
+e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
+`graded.tensor_table` of these products is the tests' reference.
 
 Sums of operators and composites are accumulated into one block table
 (`add_into`, `compose_into`, `operator_sum`), so a residual of several
@@ -151,10 +151,8 @@ class CoalgebraOperator:
 
     @classmethod
     def identity(cls, module, trunc):
-        one = module.field.one
-        blocks = {(n, n): {w: {w: one} for w in words}
-                  for n, words in enumerate(_tensor_words(module, trunc), 1)}
-        return cls._raw(module, module, 0, trunc, blocks)
+        return cls._raw(module, module, 0, trunc,
+                        _identity_blocks(module, trunc))
 
     def block(self, m, j):
         return self.blocks.get((m, j), {})
@@ -245,6 +243,13 @@ def _tensor_words(module, n_max):
         yield words
         if n < n_max:
             words = [w + (b,) for w in words for b in basis]
+
+
+def _identity_blocks(module, trunc):
+    """The diagonal blocks (n, n), n <= trunc, of the identity of T(V)."""
+    one = module.field.one
+    return {(n, n): {w: {w: one} for w in words}
+            for n, words in enumerate(_tensor_words(module, trunc), 1)}
 
 
 # ------------------------------------------------- in-place operator sums
@@ -340,76 +345,60 @@ def _letters(x):
     return {w: {(b,): c for b, c in vec.items()} for w, vec in x.table.items()}
 
 
-def lift_coderivation(family):
-    if family.kind != "coderivation":
-        raise StructureError("lift_coderivation needs a coderivation family")
-    V, N = family.source, family.trunc
-    p = V.field.characteristic
-    one = V.field.one
-    ident = MultiMap.identity(V)
-    comps = family.components
-    blocks = {(n, 1): _letters(d) for n, d in comps.items()}
-    for j, words in enumerate(_tensor_words(V, N - 1), 2):
-        ones = {w: {w: one} for w in words}
-        for n in range(j, N + 1):
-            acc = {}
-            prev = blocks.get((n - 1, j - 1))
-            if prev:
-                tensor_into(acc, prev, ident, p)
-            d = comps.get(n - j + 1)
-            if d is not None:
-                tensor_into(acc, ones, d, p)
-            if acc:
-                blocks[(n, j)] = acc
-    return CoalgebraOperator._raw(V, V, -1, N, blocks)
+def _lift_blocks(comps, right, left, trunc, p):
+    """Blocks (n, k), n <= trunc, of the colinear lift of the components
+    `comps` {r: x_r} with right flank components `right` {r: g_r} and left
+    flank blocks `left` {(m, k): table} ({} for no left flank):
 
-
-def _morphism_blocks(family, n_max):
-    """Blocks (n, k), n <= n_max, of the lift of a morphism family."""
-    comps = family.components
-    p = family.target.field.characteristic
-    blocks = {(n, 1): _letters(f) for n, f in comps.items() if n <= n_max}
-    for n in range(2, n_max + 1):
-        for k in range(2, n + 1):
-            acc = {}
-            for r, f in comps.items():
-                prev = blocks.get((n - r, k - 1))
-                if prev:
-                    tensor_into(acc, prev, f, p)
-            if acc:
-                blocks[(n, k)] = acc
-    return blocks
-
-
-def lift_morphism(family):
-    if family.kind != "morphism":
-        raise StructureError("lift_morphism needs a morphism family")
-    return CoalgebraOperator._raw(family.source, family.target, 0, family.trunc,
-                                  _morphism_blocks(family, family.trunc))
-
-
-def lift_homotopy(family):
-    """(E, G)-colinear lift of a homotopy family with its morphism flanks."""
-    if family.kind != "homotopy":
-        raise StructureError("lift_homotopy needs a homotopy family")
-    V, W, N = family.source, family.target, family.trunc
-    p = W.field.characteristic
-    comps, right = family.components, family.right.components
-    left = _morphism_blocks(family.left, N - 1)
-    blocks = {(n, 1): _letters(h) for n, h in comps.items()}
-    for n in range(2, N + 1):
+        X(n, 1) = x_n,  X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r.
+    """
+    blocks = {(n, 1): _letters(x) for n, x in comps.items() if n <= trunc}
+    for n in range(2, trunc + 1):
         for k in range(2, n + 1):
             acc = {}
             for r in range(1, n - k + 2):
                 prev, g = blocks.get((n - r, k - 1)), right.get(r)
                 if prev and g is not None:
                     tensor_into(acc, prev, g, p)
-                e, h = left.get((n - r, k - 1)), comps.get(r)
-                if e and h is not None:
-                    tensor_into(acc, e, h, p)
+                e, x = left.get((n - r, k - 1)), comps.get(r)
+                if e and x is not None:
+                    tensor_into(acc, e, x, p)
             if acc:
                 blocks[(n, k)] = acc
-    return CoalgebraOperator._raw(V, W, 1, N, blocks)
+    return blocks
+
+
+def lift_coderivation(family):
+    """Lift with flanks (1, 1): the identity's diagonal blocks on the left."""
+    if family.kind != "coderivation":
+        raise StructureError("lift_coderivation needs a coderivation family")
+    V, N = family.source, family.trunc
+    blocks = _lift_blocks(family.components, {1: MultiMap.identity(V)},
+                          _identity_blocks(V, N - 1), N,
+                          V.field.characteristic)
+    return CoalgebraOperator._raw(V, V, -1, N, blocks)
+
+
+def lift_morphism(family):
+    """Lift with the family as its own right flank and no left flank."""
+    if family.kind != "morphism":
+        raise StructureError("lift_morphism needs a morphism family")
+    comps = family.components
+    blocks = _lift_blocks(comps, comps, {}, family.trunc,
+                          family.target.field.characteristic)
+    return CoalgebraOperator._raw(family.source, family.target, 0, family.trunc,
+                                  blocks)
+
+
+def lift_homotopy(family):
+    """(E, G)-colinear lift of a homotopy family with its morphism flanks."""
+    if family.kind != "homotopy":
+        raise StructureError("lift_homotopy needs a homotopy family")
+    N, p = family.trunc, family.target.field.characteristic
+    left = family.left.components
+    blocks = _lift_blocks(family.components, family.right.components,
+                          _lift_blocks(left, left, {}, N - 1, p), N, p)
+    return CoalgebraOperator._raw(family.source, family.target, 1, N, blocks)
 
 
 def extract_components(op, kind, left=None, right=None):
@@ -505,15 +494,13 @@ def check_homotopy_components(family, src_codiff, tgt_codiff, n_max=None):
 
 # ------------------------------------------------- operator-level identities
 
-def operator_square(op):
-    return op.compose(op)
-
-
 def operator_intertwining_residual(F, src_op, tgt_op):
     return operator_sum(plus=[(tgt_op, F)], minus=[(F, src_op)])
 
 
 def operator_homotopy_residual(H, E, G, src_op, tgt_op):
+    """E - G - (H src_op + tgt_op H); E may be a pair (outer, inner) standing
+    for the composite outer o inner, as in `operator_sum`."""
     return operator_sum(plus=[E], minus=[G, (H, src_op), (tgt_op, H)])
 
 

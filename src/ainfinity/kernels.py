@@ -121,21 +121,14 @@ class KernelFamily:
 class SuspendedTransfer:
     """Shifted-route data kept for the perturbation-lemma comparison."""
 
-    def __init__(self, deltas, fhat, ghat, hhat, p, q, psiphi, truncation):
-        self.deltas = deltas          # {n: d_n} including n = 1
+    def __init__(self, smu, fhat, ghat, hhat, p, q, psiphi, truncation):
+        self.smu = smu                # shifted structure, d_1 included
         self.fhat, self.ghat, self.hhat = fhat, ghat, hhat
         self.gfhat = compose(ghat, fhat)
         self.p = p                    # {n >= 2: p^_n}
         self.q = q                    # {n >= 1: q^_n}, q^_1 = identity
         self.psiphi = psiphi          # {m >= 1: composite components}
         self.truncation = truncation
-
-    def delta(self, n):
-        got = self.deltas.get(n)
-        if got is None:
-            sV = self.hhat.source
-            return MultiMap.zero(sV, sV, n, -1)
-        return got
 
     def nu_hat(self, n):
         """f^ p^_n g^{x n} (n >= 2): shifted transferred structure map."""
@@ -360,11 +353,10 @@ def transfer(retract, mu, N=None, cross_validate=True):
     V, W = retract.big.module, retract.small.module
     fhat, ghat, hhat, gfhat = retract.shifted()
     smu = suspend_structure(mu)
-    deltas = dict(smu.deltas)
 
-    p_hat = _suspended_p(deltas, hhat, N)
-    q_hat, psiphi_hat = _suspended_q(deltas, hhat, gfhat, p_hat, N)
-    suspended = SuspendedTransfer(deltas, fhat, ghat, hhat, p_hat, q_hat,
+    p_hat = _suspended_p(smu.components, hhat, N)
+    q_hat, psiphi_hat = _suspended_q(smu.components, hhat, gfhat, p_hat, N)
+    suspended = SuspendedTransfer(smu, fhat, ghat, hhat, p_hat, q_hat,
                                   psiphi_hat, N)
 
     p = desuspend_components(p_hat, V, V)

@@ -56,7 +56,7 @@ determined by its corestriction to T^1.  Once step 1 is zero:
 
 Without the side conditions the outputs need not be lift-shaped, so this
 reduction is invalid.  The conclusions are then checked as operator
-residuals (`operator_conclusions`), which lift dV, dW and the identity
+residuals (`operator_conclusions`), which lift DV, dW and the identity
 operator for that purpose only; no colinearity is reported and the
 comparison is skipped.  The branch follows from the retract, not from an
 option: `HplOutput.conclusions_form` names the form that ran.
@@ -68,6 +68,7 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
                         check_codifferential, check_homotopy_components,
                         check_morphism_components, extract_components,
                         lift_coderivation, lift_homotopy, lift_morphism,
+                        operator_homotopy_residual,
                         operator_intertwining_residual, operator_sum)
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      resolve_truncation)
@@ -82,7 +83,6 @@ class PerturbationData:
         fhat, ghat, hhat, gfhat = retract.shifted()
         sV, sW = fhat.source, fhat.target
         self.retract = retract
-        self.smu = smu
         self.trunc = trunc
         self.sV, self.sW = sV, sW
         W = retract.small.module
@@ -95,11 +95,15 @@ class PerturbationData:
             "homotopy", sV, sV, {1: hhat}, trunc,
             left=ComponentFamily.strict_morphism(gfhat, trunc),
             right=ComponentFamily.identity(sV, trunc)))
+        # DV's components: the shifted structure maps of arity 1..trunc
+        self.dV = ComponentFamily("coderivation", sV, sV,
+                                  {n: m for n, m in smu.components.items()
+                                   if n <= trunc}, trunc)
         # the perturbation: the shifted products of arity 2..trunc, lifted at
         # the same truncation as every other operator here
         self.dmu = lift_coderivation(ComponentFamily(
             "coderivation", sV, sV,
-            {n: m for n, m in smu.deltas.items() if 2 <= n <= trunc}, trunc))
+            {n: m for n, m in self.dV.components.items() if n >= 2}, trunc))
         self.M = self.dmu.compose(self.H)
         self.nilpotency = {}
         self.S = None
@@ -135,8 +139,8 @@ class PerturbationData:
 
 
 def build_perturbation(retract, smu, trunc=None):
-    trunc = resolve_truncation(trunc, smu.truncation)
-    if smu.carrier != retract.shifted()[2].source:
+    trunc = resolve_truncation(trunc, smu.trunc)
+    if smu.source != retract.shifted()[2].source:
         raise StructureError("shifted structure lives off the retract's module")
     return PerturbationData(retract, smu, trunc)
 
@@ -164,11 +168,19 @@ class HplOutput:
     def conclusions_form(self):
         return "operator" if self.colinearity is None else "corestriction"
 
+    def reports(self):
+        """(key, report) pairs in report order: nilpotency, inversion,
+        colinearity (when checked), conclusions."""
+        pairs = [("nilpotency", self.nilpotency_report),
+                 ("inversion", self.inversion_report)]
+        if self.colinearity is not None:
+            pairs.append(("colinearity", self.colinearity))
+        pairs.append(("conclusions", self.conclusions))
+        return pairs
+
     @property
     def ok(self):
-        return ((self.colinearity is None or self.colinearity.ok)
-                and self.conclusions.ok and self.nilpotency_report.ok
-                and self.inversion_report.ok)
+        return all(report.ok for _, report in self.reports())
 
     def extracted(self):
         """The outputs' component families, keyed like the outputs."""
@@ -240,14 +252,11 @@ def corestricted_conclusions(data, families):
     """The four conclusions as componentwise identities of the families,
     one per-arity report each; they decide the operator identities once
     the outputs are colinear (see the module docstring)."""
-    trunc = data.trunc
-    dV = ComponentFamily("coderivation", data.sV, data.sV,
-                         {n: d for n, d in data.smu.deltas.items()
-                          if n <= trunc}, trunc)
+    dV = data.dV
     nu = families["delta_nu"]
     comps = dict(nu.components)
     comps[1] = data.delta1_W + nu.component(1)
-    dW = ComponentFamily("coderivation", data.sW, data.sW, comps, trunc)
+    dW = ComponentFamily("coderivation", data.sW, data.sW, comps, data.trunc)
     conclusions = CheckReport("hpl-conclusions")
     conclusions.add("square-zero", check_codifferential(dW))
     conclusions.add("phi-intertwines",
@@ -263,21 +272,18 @@ def operator_conclusions(data, outputs):
     """The four conclusions as operator residuals, for outputs that need
     not be lifts of their components."""
     sV, sW, trunc = data.sV, data.sW, data.trunc
-    dV_op = lift_coderivation(ComponentFamily(
-        "coderivation", sV, sV, {1: data.smu.delta(1)}, trunc))
     dW_op = lift_coderivation(ComponentFamily(
         "coderivation", sW, sW, {1: data.delta1_W}, trunc))
     psi, phi, H_out = outputs["psi"], outputs["phi"], outputs["homotopy"]
-    DV = dV_op + data.dmu
+    # a coderivation's lift is linear in its components: DV = dV + dmu
+    DV = lift_coderivation(data.dV)
     DW = dW_op + outputs["delta_nu"]
     conclusions = CheckReport("hpl-conclusions")
     conclusions.add("square-zero", DW.compose(DW))
     conclusions.add("phi-intertwines", operator_intertwining_residual(phi, DV, DW))
     conclusions.add("psi-intertwines", operator_intertwining_residual(psi, DW, DV))
-    ident = CoalgebraOperator.identity(sV, trunc)
-    conclusions.add("homotopy-identity",
-                    operator_sum(plus=[(psi, phi)],
-                                 minus=[ident, (DV, H_out), (H_out, DV)]))
+    conclusions.add("homotopy-identity", operator_homotopy_residual(
+        H_out, (psi, phi), CoalgebraOperator.identity(sV, trunc), DV, DV))
     return conclusions
 
 
@@ -409,6 +415,7 @@ def check_annihilation_lemmas(pkg, n_max=None):
     n_max = resolve_truncation(n_max, sus.truncation)
     sV = sus.hhat.source
     ident = MultiMap.identity(sV)
+    delta = sus.smu.component
     report = CheckReport("annihilation")
     for n in range(2, n_max + 1):
         q_n, p_n = sus.q[n], sus.p[n]
@@ -422,25 +429,25 @@ def check_annihilation_lemmas(pkg, n_max=None):
             report.add("vanish-on-homotopy-slots-%d-%d" % (n, i),
                        compose_product(q_n, blocks))
 
-        rhs = compose_product(sus.delta(n), [sus.ghat] * n)
+        rhs = compose_product(delta(n), [sus.ghat] * n)
         for i in range(2, n):
-            y = _delta_slot_sum(sus.q[n - i + 1], sus.delta(i), n, ident)
+            y = _delta_slot_sum(sus.q[n - i + 1], delta(i), n, ident)
             rhs = rhs + compose_product(y, [sus.ghat] * n)
         report.add("p-on-images-%d" % n,
                    compose_product(p_n, [sus.ghat] * n) - rhs)
 
-        rhs = _compose_with_homotopy(sus.delta(n), sus, n)
+        rhs = _compose_with_homotopy(delta(n), sus, n)
         for i in range(2, n):
-            y = _delta_slot_sum(sus.q[n - i + 1], sus.delta(i), n, ident)
+            y = _delta_slot_sum(sus.q[n - i + 1], delta(i), n, ident)
             rhs = rhs + _compose_with_homotopy(y, sus, n)
         report.add("q-through-homotopy-%d" % n, q_n - rhs)
 
         lhs = (sus.psiphi[n]
                - compose(sus.hhat,
                          compose_product(p_n, [sus.gfhat] * n)))
-        rhs = _compose_with_homotopy(compose(sus.gfhat, sus.delta(n)), sus, n)
+        rhs = _compose_with_homotopy(compose(sus.gfhat, delta(n)), sus, n)
         for i in range(2, n):
-            y = _delta_slot_sum(sus.psiphi[n - i + 1], sus.delta(i), n, ident)
+            y = _delta_slot_sum(sus.psiphi[n - i + 1], delta(i), n, ident)
             rhs = rhs + _compose_with_homotopy(y, sus, n)
         report.add("composite-reduction-%d" % n, lhs - rhs)
     return report

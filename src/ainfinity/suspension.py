@@ -11,7 +11,10 @@ desuspension conversions undo it via `signs.shift_exponent`.
 Structure maps convert by d_n = s o mu_n o w^{x n}; in the shifted
 convention every structure map has degree -1, morphism components degree 0,
 homotopy components degree +1, and the unsuspended sign bookkeeping
-collapses.  All transfer computation runs on the shifted side; the
+collapses.  A shifted structure is a coderivation `ComponentFamily`
+(d_1 included) and a shifted morphism or homotopy a morphism or homotopy
+family: the types the tensor-coalgebra side lifts and checks.  All
+transfer computation runs on the shifted side; the
 unsuspended formulas remain as an independently implemented cross-check.
 """
 
@@ -86,47 +89,21 @@ def desuspend_components(comps, V, W):
     return out
 
 
-class SuspendedAInfinity:
-    """Structure maps d_n of uniform degree -1 on the shifted module."""
-
-    def __init__(self, carrier, deltas, truncation):
-        self.carrier = carrier
-        self.deltas = {}
-        for n, m in deltas.items():
-            n = int(n)
-            if m.arity != n or m.degree != -1:
-                raise StructureError("shifted component %d must have arity %d, degree -1"
-                                     % (n, n))
-            if m.source != carrier or m.target != carrier:
-                raise StructureError("shifted component %d off-carrier" % n)
-            if not m.is_zero():
-                self.deltas[n] = m
-        self.truncation = truncation
-
-    def delta(self, n):
-        got = self.deltas.get(n)
-        if got is None:
-            return MultiMap.zero(self.carrier, self.carrier, n, -1)
-        return got
-
-    def family(self):
-        return ComponentFamily("coderivation", self.carrier, self.carrier,
-                               self.deltas, self.truncation)
-
-
 def suspend_structure(a):
+    """The shifted structure maps d_n, n >= 1, as a coderivation family."""
     V = a.carrier
     comps = {1: a.differential}
     comps.update(a.products)
-    deltas = suspend_components(comps, V, V)
-    return SuspendedAInfinity(suspend_module(V), deltas, a.truncation)
+    sV = suspend_module(V)
+    return ComponentFamily("coderivation", sV, sV,
+                           suspend_components(comps, V, V), a.truncation)
 
 
 def desuspend_structure(s):
-    V = desuspend_module(s.carrier)
-    comps = desuspend_components(s.deltas, V, V)
+    V = desuspend_module(s.source)
+    comps = desuspend_components(s.components, V, V)
     differential = comps.pop(1, MultiMap.zero(V, V, 1, -1))
-    return AInfinity(V, differential, comps, s.truncation)
+    return AInfinity(V, differential, comps, s.trunc)
 
 
 def suspend_morphism(mor):

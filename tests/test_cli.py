@@ -248,6 +248,9 @@ def test_transfer_reports_colinearity_then_corestricted_conclusions(
 
 @pytest.mark.parametrize("method", ["both", "hpl"])
 def test_crooked_retract_reports_operator_conclusions(tmp_path, capsys, method):
+    """Off the side conditions the HPL outputs need not be lifts, and the
+    projections `--method hpl` writes fail `check`: its exit status must
+    say so, and agree with `check` on the written document."""
     mu = massey_with_marker()
     retract = crooked_retract(mu)
     doc = Document(mu.carrier.field, 4,
@@ -258,12 +261,21 @@ def test_crooked_retract_reports_operator_conclusions(tmp_path, capsys, method):
                             "small_d": retract.small.d})
     path = str(tmp_path / "crooked.json")
     dump(doc, path)
-    assert main(["transfer", path, "--method", method]) == 0
+    out = str(tmp_path / "out.json")
+    code = 1 if method == "hpl" else 0
+    assert main(["transfer", path, "--method", method, "-o", out]) == code
     machine = machine_lines(capsys.readouterr().out)
     assert not [line for line in machine if "hpl-colinearity" in line]
     at = machine.index("hpl.extraction=non-canonical")
     assert machine[at + 1] == "hpl.conclusions=operator"
     assert "check.hpl-conclusions.square-zero.nonzero=0" in machine
+    assert main(["check", out]) == code
+    if method == "hpl":
+        checked = machine_lines(capsys.readouterr().out)
+        assert "check.transfer-homotopy.3.nonzero=1" in checked
+        assert ([line for line in checked if line.startswith("check.transfer-")]
+                == [line for line in machine
+                    if line.startswith("check.transfer-")])
 
 
 def test_transfer_with_explicit_retract_block(tmp_path, capsys):

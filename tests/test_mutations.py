@@ -15,18 +15,21 @@ kernel term and relation checker uses; `graded._acc` and `graded._merge`,
 the one accumulator (which also reduces modulo p) and the one table merge;
 `coalgebra.compose_into`, the one operator composite of the
 perturbation-lemma route, which also sums its residuals in place;
-`graded.tensor_into` and the recursions of `lift_coderivation` and
-`lift_homotopy`, which build the lifts; the index families `combi.enum_B`
-and `combi.enum_C` of the recursions; the memo of `kernels.check_q_identity`;
-the outputs of `perturbation.hpl_transfer`; and the arity loop of
-`perturbation.compare_hpl_vs_kernels`.  Each is an exact-once source
-replacement, bound wherever the original is bound.  Four detectors run in
-a fixed order, over Q and then over Z/5 (a lost reduction modulo p is
-invisible over Q): the battery above, the perturbation-lemma reports on the
-witness, the componentwise/operator equivalence battery on the witness
-instances, and a sensitivity probe of the HPL-vs-kernels comparison.  The
-first detector that kills each structural mutant is pinned in
-`KILLED_BY`, so a change that moves detection shows up in review.
+`graded.tensor_into` and the one lift recursion `coalgebra._lift_blocks`
+(its two tensor steps and its range of last-factor arities), which build
+every lift; the index families `combi.enum_B` and `combi.enum_C` of the
+recursions; the memo of `kernels.check_q_identity`; the phi components
+`kernels.transfer` assembles; the outputs of `perturbation.hpl_transfer`;
+and the arity loop of `perturbation.compare_hpl_vs_kernels`.  Each is an
+exact-once source replacement, bound wherever the original is bound, so
+every detector looks library entry points up on their modules, never
+through a binding of its own.  Four detectors run in a fixed order, over Q
+and then over Z/5 (a lost reduction modulo p is invisible over Q): the
+battery above, the perturbation-lemma reports on the witness, the
+componentwise/operator equivalence battery on the witness instances, and a
+sensitivity probe of the HPL-vs-kernels comparison.  The first detector
+that kills each structural mutant is pinned in `KILLED_BY`, so a change
+that moves detection shows up in review.
 """
 
 import inspect
@@ -36,15 +39,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from ainfinity import coalgebra, combi, graded, kernels, perturbation, signs
-from ainfinity.ainfty import check_structure
-from ainfinity.battery import equivalence_battery
-from ainfinity.coalgebra import ComponentFamily
+from ainfinity import (ainfty, battery, coalgebra, combi, graded, kernels,
+                       perturbation, retracts, signs, suspension)
 from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, StructureError
-from ainfinity.kernels import transfer
-from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
-from ainfinity.suspension import desuspend_structure, shift_scalar, suspend_structure
 
 
 F5 = PrimeField(5)
@@ -52,24 +50,28 @@ F5 = PrimeField(5)
 
 def battery_detects(field=None):
     """True as soon as any checker flags the current sign conventions, on
-    the witness instances over `field` (default Q)."""
+    the witness instances over `field` (default Q).  Like every detector,
+    it looks library entry points up on their modules, where a mutant is
+    bound."""
     try:
-        for make in (instance_massey, instance_forms):
+        for make in (retracts.instance_massey, retracts.instance_forms):
             mu = make(field, truncation=4)
-            if not check_structure(mu, 4).ok:
+            if not ainfty.check_structure(mu, 4).ok:
                 return True
             # two-route shift identity: the composed shift maps against the
             # closed exponent used by the desuspension
             for n in range(1, 7):
-                got = shift_scalar(mu.carrier, n)
+                got = suspension.shift_scalar(mu.carrier, n)
                 expected = mu.carrier.field.from_int(
                     signs.sign_of(signs.shift_exponent(n)))
                 if got != expected:
                     return True
-            if desuspend_structure(suspend_structure(mu)) != mu:
+            smu = suspension.suspend_structure(mu)
+            if suspension.desuspend_structure(smu) != mu:
                 return True
-            retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-            pkg = transfer(retract, mu, 4)
+            retract = retracts.harmonious_retract(
+                ChainComplex(mu.carrier, mu.differential))
+            pkg = kernels.transfer(retract, mu, 4)
             if not pkg.ok:
                 return True
         return False
@@ -79,12 +81,13 @@ def battery_detects(field=None):
 
 def witness_routes(field=None, N=4):
     """The witness over `field` (default Q) at truncation N through both
-    routes: (kernel package, HPL output).  The HPL entry points are looked
-    up on their module, where a mutant is bound."""
-    mu = instance_massey(field, truncation=N)
-    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, N)
-    data = perturbation.build_perturbation(retract, suspend_structure(mu), N)
+    routes: (kernel package, HPL output)."""
+    mu = retracts.instance_massey(field, truncation=N)
+    retract = retracts.harmonious_retract(
+        ChainComplex(mu.carrier, mu.differential))
+    pkg = kernels.transfer(retract, mu, N)
+    data = perturbation.build_perturbation(
+        retract, suspension.suspend_structure(mu), N)
     return pkg, perturbation.hpl_transfer(data)
 
 
@@ -111,11 +114,12 @@ def equivalence_detects(field=None):
     """True as soon as the componentwise/operator equivalence battery on a
     witness instance at N = 4 over `field` (default Q) fails."""
     try:
-        for make in (instance_massey, instance_forms):
+        for make in (retracts.instance_massey, retracts.instance_forms):
             mu = make(field, truncation=4)
-            retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-            pkg = transfer(retract, mu, 4)
-            if not equivalence_battery(pkg, mu, 4).ok:
+            retract = retracts.harmonious_retract(
+                ChainComplex(mu.carrier, mu.differential))
+            pkg = kernels.transfer(retract, mu, 4)
+            if not battery.equivalence_battery(pkg, mu, 4).ok:
                 return True
         return False
     except StructureError:
@@ -134,7 +138,7 @@ def comparison_blind(field=None):
             for n in sorted(family.components):
                 comps = {m: x for m, x in family.components.items() if m != n}
                 probe = dict(families)
-                probe[key] = ComponentFamily(
+                probe[key] = coalgebra.ComponentFamily(
                     family.kind, family.source, family.target, comps,
                     family.trunc, left=family.left, right=family.right)
                 stand_in = SimpleNamespace(data=hpl.data,
@@ -236,13 +240,17 @@ STRUCTURAL_MUTANTS = {
         "-c if negate else c",
         "c"),
     "homotopy-lift-drops-flank-term": (
-        coalgebra, "lift_homotopy",
-        "tensor_into(acc, e, h, p)",
+        coalgebra, "_lift_blocks",
+        "tensor_into(acc, e, x, p)",
         "pass"),
     "coderivation-lift-drops-shifted-term": (
-        coalgebra, "lift_coderivation",
-        "tensor_into(acc, prev, ident, p)",
+        coalgebra, "_lift_blocks",
+        "tensor_into(acc, prev, g, p)",
         "pass"),
+    "lift-drops-largest-part": (
+        coalgebra, "_lift_blocks",
+        "range(1, n - k + 2)",
+        "range(1, n - k + 1)"),
     "enum-B-drops-top-arity": (
         combi, "enum_B",
         "for k in range(2, n + 1):",
@@ -255,6 +263,10 @@ STRUCTURAL_MUTANTS = {
         kernels, "check_q_identity",
         "compose(gf, q[r]) for r in range(1, n_max)",
         "compose(gf, q[n_max - r]) for r in range(1, n_max)"),
+    "transfer-doubles-phi": (
+        kernels, "transfer",
+        "compose(f, q[n])",
+        "compose(f, q[n]).scale(2)"),
     "hpl-psi-drops-a-lift-block": (
         perturbation, "hpl_transfer",
         "families = extract_outputs(data, outputs)",
@@ -277,10 +289,12 @@ KILLED_BY = {
     "enum-C-drops-last-slot": "battery/Q",
     "homotopy-lift-drops-flank-term": "hpl/Q",
     "hpl-psi-drops-a-lift-block": "hpl/Q",
+    "lift-drops-largest-part": "hpl/Q",
     "merge-ignores-negation": "battery/Q",
     "operator-compose-skips-top-homogeneity": "equivalence/Q",
     "q-identity-memo-wrong-arity": "battery/Q",
     "tensor-step-skips-negation": "equivalence/Q",
+    "transfer-doubles-phi": "battery/Q",
 }
 
 

@@ -305,8 +305,8 @@ def test_q2_through_homotopy_hand_case():
     pkg = transfer(retract, mu, 4)
     sus = pkg.suspended
     ident = MultiMap.identity(sus.hhat.source)
-    expected = (compose_product(sus.delta(2), [sus.gfhat, sus.hhat])
-                + compose_product(sus.delta(2), [sus.hhat, ident]))
+    expected = (compose_product(sus.smu.component(2), [sus.gfhat, sus.hhat])
+                + compose_product(sus.smu.component(2), [sus.hhat, ident]))
     assert sus.q[2] == expected
 
 
@@ -342,13 +342,11 @@ TRUNCATION_SITES = {
     "AInftyHomotopy": lambda w, n: AInftyHomotopy(
         identity_morphism(w.mu), identity_morphism(w.mu), {}, n),
     "equivalence_battery": lambda w, n: equivalence_battery(w.pkg, w.mu, n),
-    "check_codifferential": lambda w, n: check_codifferential(
-        w.smu.family(), n),
+    "check_codifferential": lambda w, n: check_codifferential(w.smu, n),
     "check_morphism_components": lambda w, n: check_morphism_components(
-        suspend_morphism(w.pkg.phi), w.smu.family(),
-        suspend_structure(w.pkg.nu).family(), n),
+        suspend_morphism(w.pkg.phi), w.smu, suspend_structure(w.pkg.nu), n),
     "check_homotopy_components": lambda w, n: check_homotopy_components(
-        suspend_homotopy(w.pkg.homotopy), w.smu.family(), w.smu.family(), n),
+        suspend_homotopy(w.pkg.homotopy), w.smu, w.smu, n),
     "colinearity_residual": lambda w, n: colinearity_residual(
         w.data.F, "morphism", n_max=n),
     "compare_hpl_vs_kernels": lambda w, n: compare_hpl_vs_kernels(

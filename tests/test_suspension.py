@@ -53,7 +53,8 @@ def test_component_roundtrip_on_random_maps():
 
 def test_suspended_structure_components_have_degree_minus_one():
     smu = suspend_structure(instance_massey())
-    for n, m in smu.deltas.items():
+    assert smu.kind == "coderivation" and smu.source == smu.target
+    for n, m in smu.components.items():
         assert m.degree == -1 and m.arity == n
 
 
@@ -62,11 +63,11 @@ def test_structure_relation_equivalence():
     # family, including on a broken instance
     good = instance_massey()
     assert check_structure(good, 4).ok
-    assert check_codifferential(suspend_structure(good).family(), 4).ok
+    assert check_codifferential(suspend_structure(good), 4).ok
 
     bad = dga_without_leibniz()
     assert not check_structure(bad, 4).ok
-    assert not check_codifferential(suspend_structure(bad).family(), 4).ok
+    assert not check_codifferential(suspend_structure(bad), 4).ok
 
 
 def test_morphism_relation_equivalence_on_transfer():
@@ -76,15 +77,14 @@ def test_morphism_relation_equivalence_on_transfer():
     smu = suspend_structure(mu)
     snu = suspend_structure(pkg.nu)
     fam = suspend_morphism(pkg.psi)
-    assert check_morphism_components(fam, snu.family(), smu.family(), 4).ok
+    assert check_morphism_components(fam, snu, smu, 4).ok
 
     # breaking one component breaks both conventions
     bad_comps = dict(pkg.psi.components)
     bad_comps[2] = bad_comps[2].scale(2)
     bad = AInftyMorphism(pkg.nu, mu, bad_comps, 4)
     assert not check_morphism(bad, 4).ok
-    assert not check_morphism_components(suspend_morphism(bad), snu.family(),
-                                         smu.family(), 4).ok
+    assert not check_morphism_components(suspend_morphism(bad), snu, smu, 4).ok
 
 
 def test_homotopy_relation_equivalence_on_transfer():
@@ -94,7 +94,7 @@ def test_homotopy_relation_equivalence_on_transfer():
     smu = suspend_structure(mu)
     fam = suspend_homotopy(pkg.homotopy)
     assert check_homotopy(pkg.homotopy, 4).ok
-    assert check_homotopy_components(fam, smu.family(), smu.family(), 4).ok
+    assert check_homotopy_components(fam, smu, smu, 4).ok
 
     # the arity-1 component is the retract homotopy itself; scaling it
     # breaks the relation in both conventions
@@ -102,8 +102,7 @@ def test_homotopy_relation_equivalence_on_transfer():
     bad_comps[1] = bad_comps[1].scale(3)
     bad = AInftyHomotopy(pkg.homotopy.frm, pkg.homotopy.to, bad_comps, 4)
     assert not check_homotopy(bad, 4).ok
-    assert not check_homotopy_components(suspend_homotopy(bad), smu.family(),
-                                         smu.family(), 4).ok
+    assert not check_homotopy_components(suspend_homotopy(bad), smu, smu, 4).ok
 
 
 def test_strict_chain_map_suspends_to_strict_family():
