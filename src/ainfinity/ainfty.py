@@ -13,7 +13,7 @@ degree n.  Families are truncated at a per-object arity N; all checks are
 
 from . import signs
 from .combi import enum_A, enum_B
-from .graded import (MultiMap, StructureError, compose, compose_product, insert,
+from .graded import (MultiMap, StructureError, compose, insert_slots, map_sum,
                      resolve_truncation)
 from .reports import CheckReport
 
@@ -133,19 +133,18 @@ def check_structure(a, n_max=None):
     """
     n_max = resolve_truncation(n_max, a.truncation)
     report = CheckReport("structure")
-    d = a.differential
+    V, d = a.carrier, a.differential
     for n in range(1, n_max + 1):
         if n == 1:
             report.add(1, compose(d, d))
             continue
         mu_n = a.mu(n)
-        res = compose(d, mu_n)
         s_n = signs.sign_of(n)
-        for i in range(1, n + 1):
-            res = res - insert(mu_n, i, d).scale(s_n)
-        for (k, l, i) in enum_A(n):
-            res = res - insert(a.mu(k), i, a.mu(l)).scale(signs.sign_of(i * (l + 1) + n))
-        report.add(n, res)
+        terms = [(1, d, [mu_n])]
+        terms += [(-s_n, mu_n, insert_slots(mu_n, i, d)) for i in range(1, n + 1)]
+        terms += [(-signs.sign_of(i * (l + 1) + n), a.mu(k),
+                   insert_slots(a.mu(k), i, a.mu(l))) for (k, l, i) in enum_A(n)]
+        report.add(n, map_sum(V, V, n, n - 3, terms))
     return report
 
 
@@ -160,24 +159,23 @@ def check_morphism(mor, n_max=None):
     n_max = resolve_truncation(n_max, mor.truncation)
     report = CheckReport("morphism")
     src, tgt = mor.source, mor.target
+    V, W = src.carrier, tgt.carrier
     dV, dW = src.differential, tgt.differential
     for n in range(1, n_max + 1):
         f_n = mor.component(n)
         if n == 1:
-            report.add(1, compose(dW, f_n) - compose(f_n, dV))
+            report.add(1, map_sum(V, W, 1, -1, [(1, dW, [f_n]), (-1, f_n, [dV])]))
             continue
-        res = compose(dW, f_n)
-        for (k, parts) in enum_B(n):
-            term = compose_product(tgt.mu(k), [mor.component(r) for r in parts])
-            res = res + term.scale(signs.sign_of(signs.theta(parts)))
-        res = res - compose(mor.component(1), src.mu(n))
         s_n = signs.sign_of(n)
-        for i in range(1, n + 1):
-            res = res + insert(f_n, i, dV).scale(s_n)
-        for (k, l, i) in enum_A(n):
-            res = res + insert(mor.component(k), i, src.mu(l)).scale(
-                signs.sign_of(i * (l + 1) + n))
-        report.add(n, res)
+        terms = [(1, dW, [f_n])]
+        terms += [(signs.sign_of(signs.theta(parts)), tgt.mu(k),
+                   [mor.component(r) for r in parts]) for (k, parts) in enum_B(n)]
+        terms.append((-1, mor.component(1), [src.mu(n)]))
+        terms += [(s_n, f_n, insert_slots(f_n, i, dV)) for i in range(1, n + 1)]
+        terms += [(signs.sign_of(i * (l + 1) + n), mor.component(k),
+                   insert_slots(mor.component(k), i, src.mu(l)))
+                  for (k, l, i) in enum_A(n)]
+        report.add(n, map_sum(V, W, n, n - 2, terms))
     return report
 
 
@@ -187,13 +185,13 @@ def compose_morphisms(g, f):
     if f.target != g.source and f.target is not g.source:
         raise StructureError("morphisms not composable")
     n_max = min(f.truncation, g.truncation)
+    V, W = f.source.carrier, g.target.carrier
     comps = {}
     for n in range(1, n_max + 1):
-        acc = compose(g.component(1), f.component(n))
-        for (k, parts) in enum_B(n):
-            term = compose_product(g.component(k), [f.component(r) for r in parts])
-            acc = acc + term.scale(signs.sign_of(signs.theta(parts)))
-        comps[n] = acc
+        terms = [(1, g.component(1), [f.component(n)])]
+        terms += [(signs.sign_of(signs.theta(parts)), g.component(k),
+                   [f.component(r) for r in parts]) for (k, parts) in enum_B(n)]
+        comps[n] = map_sum(V, W, n, n - 1, terms)
     return AInftyMorphism(f.source, g.target, comps, n_max)
 
 
@@ -217,28 +215,25 @@ def check_homotopy(h, n_max=None):
     report = CheckReport("homotopy")
     src = h.frm.source
     tgt = h.frm.target
+    V, W = src.carrier, tgt.carrier
     dV, dW = src.differential, tgt.differential
     for n in range(1, n_max + 1):
         h_n = h.component(n)
-        diff = h.frm.component(n) - h.to.component(n)
+        terms = [(1, h.frm.component(n)), (-1, h.to.component(n))]
         if n == 1:
-            report.add(1, diff - compose(h_n, dV) - compose(dW, h_n))
+            terms += [(-1, h_n, [dV]), (-1, dW, [h_n])]
+            report.add(1, map_sum(V, W, 1, 0, terms))
             continue
-        res = diff - compose(h.component(1), src.mu(n))
         s_n = signs.sign_of(n)
-        for i in range(1, n + 1):
-            res = res + insert(h_n, i, dV).scale(s_n)
-        for (k, l, i) in enum_A(n):
-            res = res + insert(h.component(k), i, src.mu(l)).scale(
-                signs.sign_of(i * (l + 1) + n))
-        res = res - compose(dW, h_n)
-        for (k, parts) in enum_B(n):
-            for i in range(1, k + 1):
-                blocks = ([h.frm.component(r) for r in parts[:i - 1]]
-                          + [h.component(parts[i - 1])]
-                          + [h.to.component(r) for r in parts[i:]])
-                term = compose_product(tgt.mu(k), blocks)
-                exponent = signs.theta(parts) + (k - i) + sum(parts[:i - 1])
-                res = res - term.scale(signs.sign_of(exponent))
-        report.add(n, res)
+        terms.append((-1, h.component(1), [src.mu(n)]))
+        terms += [(s_n, h_n, insert_slots(h_n, i, dV)) for i in range(1, n + 1)]
+        terms += [(signs.sign_of(i * (l + 1) + n), h.component(k),
+                   insert_slots(h.component(k), i, src.mu(l)))
+                  for (k, l, i) in enum_A(n)]
+        terms.append((-1, dW, [h_n]))
+        terms += [(-signs.sign_of(signs.theta(parts) + (k - i) + sum(parts[:i - 1])),
+                   tgt.mu(k), [h.frm.component(r) for r in parts[:i - 1]]
+                   + [h.component(parts[i - 1])] + [h.to.component(r) for r in parts[i:]])
+                  for (k, parts) in enum_B(n) for i in range(1, k + 1)]
+        report.add(n, map_sum(V, W, n, n - 1, terms))
     return report

@@ -39,7 +39,7 @@ asserts the two agree on every instance.
 from . import signs
 from .combi import enum_A, enum_B
 from .graded import (MultiMap, StructureError, _acc, _merge, _reduce, compose,
-                     compose_product, insert, resolve_truncation, tensor_into,
+                     insert_slots, map_sum, resolve_truncation, tensor_into,
                      word_degree)
 from .reports import CheckReport
 
@@ -422,18 +422,18 @@ def check_codifferential(family, n_max=None):
     d_1 d_n + sum_i d_n(1..d_1..1) + sum_{A(n)} d_k(1..d_l..1) = 0."""
     n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("codifferential")
-    d1 = family.component(1)
+    V, d = family.source, family.component
+    d1 = d(1)
     for n in range(1, n_max + 1):
         if n == 1:
             report.add(1, compose(d1, d1))
             continue
-        d_n = family.component(n)
-        res = compose(d1, d_n)
-        for i in range(1, n + 1):
-            res = res + insert(d_n, i, d1)
-        for (k, l, i) in enum_A(n):
-            res = res + insert(family.component(k), i, family.component(l))
-        report.add(n, res)
+        d_n = d(n)
+        terms = [(1, d1, [d_n])]
+        terms += [(1, d_n, insert_slots(d_n, i, d1)) for i in range(1, n + 1)]
+        terms += [(1, d(k), insert_slots(d(k), i, d(l)))
+                  for (k, l, i) in enum_A(n)]
+        report.add(n, map_sum(V, V, n, -2, terms))
     return report
 
 
@@ -443,22 +443,21 @@ def check_morphism_components(family, src_codiff, tgt_codiff, n_max=None):
       = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)."""
     n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("intertwining")
+    V, W, f = family.source, family.target, family.component
+    dV, dW = src_codiff.component, tgt_codiff.component
     for n in range(1, n_max + 1):
-        f_n = family.component(n)
+        f_n = f(n)
+        terms = [(1, dW(1), [f_n])]
         if n == 1:
-            report.add(1, compose(tgt_codiff.component(1), f_n)
-                       - compose(f_n, src_codiff.component(1)))
+            terms.append((-1, f_n, [dV(1)]))
+            report.add(1, map_sum(V, W, 1, -1, terms))
             continue
-        res = compose(tgt_codiff.component(1), f_n)
-        for (k, parts) in enum_B(n):
-            res = res + compose_product(tgt_codiff.component(k),
-                                        [family.component(r) for r in parts])
-        res = res - compose(family.component(1), src_codiff.component(n))
-        for i in range(1, n + 1):
-            res = res - insert(f_n, i, src_codiff.component(1))
-        for (k, l, i) in enum_A(n):
-            res = res - insert(family.component(k), i, src_codiff.component(l))
-        report.add(n, res)
+        terms += [(1, dW(k), [f(r) for r in parts]) for (k, parts) in enum_B(n)]
+        terms.append((-1, f(1), [dV(n)]))
+        terms += [(-1, f_n, insert_slots(f_n, i, dV(1))) for i in range(1, n + 1)]
+        terms += [(-1, f(k), insert_slots(f(k), i, dV(l)))
+                  for (k, l, i) in enum_A(n)]
+        report.add(n, map_sum(V, W, n, -1, terms))
     return report
 
 
@@ -468,27 +467,25 @@ def check_homotopy_components(family, src_codiff, tgt_codiff, n_max=None):
       + d^W_1 f_n + sum_{B(n)} sum_i d^W_k(e_{r_1}..f_{r_i}..g_{r_k})."""
     n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("cohomotopy")
-    left, right = family.left, family.right
+    V, W, f = family.source, family.target, family.component
+    e, g = family.left.component, family.right.component
+    dV, dW = src_codiff.component, tgt_codiff.component
     for n in range(1, n_max + 1):
-        f_n = family.component(n)
-        diff = left.component(n) - right.component(n)
+        f_n = f(n)
+        terms = [(1, e(n)), (-1, g(n))]
         if n == 1:
-            report.add(1, diff - compose(f_n, src_codiff.component(1))
-                       - compose(tgt_codiff.component(1), f_n))
+            terms += [(-1, f_n, [dV(1)]), (-1, dW(1), [f_n])]
+            report.add(1, map_sum(V, W, 1, 0, terms))
             continue
-        res = diff - compose(family.component(1), src_codiff.component(n))
-        for i in range(1, n + 1):
-            res = res - insert(f_n, i, src_codiff.component(1))
-        for (k, l, i) in enum_A(n):
-            res = res - insert(family.component(k), i, src_codiff.component(l))
-        res = res - compose(tgt_codiff.component(1), f_n)
-        for (k, parts) in enum_B(n):
-            for i in range(1, k + 1):
-                maps = ([left.component(r) for r in parts[:i - 1]]
-                        + [family.component(parts[i - 1])]
-                        + [right.component(r) for r in parts[i:]])
-                res = res - compose_product(tgt_codiff.component(k), maps)
-        report.add(n, res)
+        terms.append((-1, f(1), [dV(n)]))
+        terms += [(-1, f_n, insert_slots(f_n, i, dV(1))) for i in range(1, n + 1)]
+        terms += [(-1, f(k), insert_slots(f(k), i, dV(l)))
+                  for (k, l, i) in enum_A(n)]
+        terms.append((-1, dW(1), [f_n]))
+        terms += [(-1, dW(k), [e(r) for r in parts[:i - 1]] + [f(parts[i - 1])]
+                   + [g(r) for r in parts[i:]])
+                  for (k, parts) in enum_B(n) for i in range(1, k + 1)]
+        report.add(n, map_sum(V, W, n, 0, terms))
     return report
 
 

@@ -9,12 +9,14 @@ byte-stable.
 """
 
 import json
+import re
 
 from .ainfty import AInfinity
 from .fields import QQ, FieldError, PrimeField
 from .graded import ChainComplex, GradedModule, MultiMap, StructureError
 
 FORMAT = "ainfty-doc/1"
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class DocumentError(ValueError):
@@ -61,6 +63,14 @@ def _is_json_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _parse_key(key, what, where):
+    """An integer object key, accepted only in its canonical decimal form, so
+    that no two keys ("2" and "02") can name the same degree or arity."""
+    if not _CANONICAL_INT.fullmatch(key):
+        raise DocumentError("%s: bad %s %r" % (where, what, key))
+    return int(key)
+
+
 def _parse_basis(ref, where):
     if (not isinstance(ref, list) or len(ref) != 2
             or not all(_is_json_int(x) for x in ref)):
@@ -82,8 +92,13 @@ def _parse_map(entries, source, target, arity, degree, field, where):
         word = tuple(_parse_basis(b, loc) for b in inputs)
         if word in table:
             raise DocumentError("%s: duplicate input tuple %r" % (loc, word))
+        output = entry["output"]
+        if not (isinstance(output, list) and all(
+                isinstance(pair, list) and len(pair) == 2 for pair in output)):
+            raise DocumentError("%s: output must be a list of [basis, scalar] "
+                                "pairs" % loc)
         vec = {}
-        for b, scalar in entry["output"]:
+        for b, scalar in output:
             basis = _parse_basis(b, loc)
             if not isinstance(scalar, str):
                 raise DocumentError("%s: scalars must be exact strings" % loc)
@@ -123,10 +138,7 @@ def _parse_structure(obj, modules, truncation, field, where):
     if not isinstance(obj["products"], dict):
         raise DocumentError("%s: products must map arity to entries" % where)
     for key, entries in obj["products"].items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise DocumentError("%s: bad product arity %r" % (where, key))
+        n = _parse_key(key, "product arity", where)
         products[n] = _parse_map(entries, V, V, n, n - 2, field,
                                  "%s.products[%s]" % (where, key))
     try:
@@ -176,10 +188,7 @@ def _parse_component_block(obj, source, target, degree_of, field, trunc, where):
         raise DocumentError("%s: expected arity -> entries" % where)
     comps = {}
     for key, entries in obj.items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise DocumentError("%s: bad arity %r" % (where, key))
+        n = _parse_key(key, "arity", where)
         if not 1 <= n <= trunc:
             raise DocumentError("%s: arity %d outside 1..%d" % (where, n, trunc))
         comps[n] = _parse_map(entries, source, target, n, degree_of(n), field,
@@ -231,19 +240,19 @@ def parse(text):
     if not isinstance(obj["modules"], dict) or not obj["modules"]:
         raise DocumentError("modules: expected a non-empty object")
     for name, spec in obj["modules"].items():
-        _expect_keys(spec, ["dims"], [], "modules[%s]" % name)
+        where = "modules[%s]" % name
+        _expect_keys(spec, ["dims"], [], where)
+        if not isinstance(spec["dims"], dict):
+            raise DocumentError("%s: dims must map degree to dimension" % where)
         dims = {}
         for key, dim in spec["dims"].items():
-            try:
-                dims[int(key)] = dim
-            except ValueError:
-                raise DocumentError("modules[%s]: bad degree %r" % (name, key))
+            dims[_parse_key(key, "degree", where)] = dim
             if not _is_json_int(dim) or dim < 0:
-                raise DocumentError("modules[%s]: bad dimension %r" % (name, dim))
+                raise DocumentError("%s: bad dimension %r" % (where, dim))
         try:
             modules[name] = GradedModule(dims, field)
         except StructureError as exc:
-            raise DocumentError("modules[%s]: %s" % (name, exc))
+            raise DocumentError("%s: %s" % (where, exc))
 
     structure = None
     if "structure" in obj:

@@ -3,7 +3,7 @@
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
 nonzero image.  All Koszul signs of tensor evaluation are generated here, in
-`apply_block`, `tensor_table`, `tensor_into` and `compose_product`, each
+`apply_block`, `tensor_table`, `tensor_into` and `_product_into`, each
 through `signs.koszul_exponent`; no other module writes sign formulas for
 tensor evaluation.
 
@@ -12,6 +12,13 @@ fresh objects.  Every sum into a sparse table in the library goes through
 the one accumulate step `_acc`, and every sum of two tables through the one
 merge `_merge`.  Both take the characteristic p of the target field; over
 Z/p, `_acc` is where unreduced int products are reduced into range(p).
+
+`map_sum` is the one signed sum of multilinear maps: every kernel
+recursion and every relation residual is a single call, whose terms are
+maps or composites outer o (inner_1 x ... x inner_k) with a sign +-1, all
+accumulated into one table.  `_product_into` is the one composite loop;
+`compose_product`, `insert` and the sum and difference of two maps are
+`map_sum` of one or two terms.
 """
 
 import itertools
@@ -132,7 +139,7 @@ class MultiMap:
     (documents, retracts, suspensions, tests); it also reduces scalars over
     Z/p into range(p).  Results of arithmetic on such maps are built by
     `_raw` without re-checking.  Since a map never changes, the transpose
-    that `compose_product` needs is computed once and kept with it.
+    that `_product_into` needs is computed once and kept with it.
     """
 
     __slots__ = ("source", "target", "arity", "degree", "table", "_columns")
@@ -218,19 +225,13 @@ class MultiMap:
         return (self.source == other.source and self.target == other.target
                 and self.arity == other.arity and self.degree == other.degree)
 
-    def _combine(self, other, negate):
-        if not self.same_shape(other):
-            raise StructureError("map shape mismatch")
-        table = {w: dict(v) for w, v in self.table.items()}
-        _merge(table, other.table, self.target.field.characteristic, negate)
-        return MultiMap._raw(self.source, self.target, self.arity, self.degree,
-                             table)
-
     def __add__(self, other):
-        return self._combine(other, False)
+        return map_sum(self.source, self.target, self.arity, self.degree,
+                       [(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return map_sum(self.source, self.target, self.arity, self.degree,
+                       [(1, self), (-1, other)])
 
     def scale(self, c):
         p = self.target.field.characteristic
@@ -374,47 +375,45 @@ def tensor_into(dst, table, m, p):
                 del dst[key]
 
 
-def compose_product(outer, inners):
-    """outer o (inner_1 x ... x inner_k), one inner per input slot of outer.
+def _product_shape(outer, inners):
+    """(source, target, arity, degree) of outer o (inner_1 x ... x inner_k),
+    one inner per input slot of outer; raises on a mismatch."""
+    if len(inners) != outer.arity:
+        raise StructureError("composite: %d blocks for arity %d"
+                             % (len(inners), outer.arity))
+    source = inners[0].source
+    for m in inners:
+        if m.source != source:
+            raise StructureError("composite: mixed sources")
+        if m.target != outer.source:
+            raise StructureError("composite: block target != outer source")
+    return (source, outer.target, sum(m.arity for m in inners),
+            outer.degree + sum(m.degree for m in inners))
 
-    The workhorse composite: plain composition (k = 1), insertions, and all
-    the recursion terms are built through it, so every sign in the library
-    comes from the single Koszul exponent above.
+
+def _product_into(table, outer, inners, negate, p):
+    """table += outer o (inner_1 x ... x inner_k) (table -= ... with
+    `negate`) in place, over a field of characteristic `p`: the one
+    composite loop.  A row that cancels is removed.
 
     The enumeration is driven by the support of `outer`: each inner's
     transpose (`MultiMap.columns`, kept with the map) gives its columns
     (output basis element -> input parts), then the entries (mid, final)
     of `outer.table` are visited in table order, and for each one the k
     columns named by `mid` are multiplied out with the last slot varying
-    fastest.  An entry whose mid misses some column
-    contributes nothing.  The part degrees are fixed by the output,
+    fastest.  An entry whose mid misses some column contributes nothing.
+    The part degrees are fixed by the output,
     deg(part_j) = mid[j][0] - inner_j.degree, so the Koszul sign is
-    computed once per outer entry.  The order does not affect the result,
+    computed once per outer entry, and `negate` is folded into it: no
+    scalar is multiplied by -1.  The order does not affect the result,
     since arithmetic is exact.
 
     Cost: O(nnz(inners) + nnz(outer) * k + terms produced).  No input
     combination that misses `outer` is visited, so inserting into identity
     slots costs what the insertion produces, not dim^(k-1) * nnz(inner).
     """
-    inners = list(inners)
-    if len(inners) != outer.arity:
-        raise StructureError("compose_product: %d blocks for arity %d"
-                             % (len(inners), outer.arity))
-    source = inners[0].source
-    for m in inners:
-        if m.source != source:
-            raise StructureError("compose_product: mixed sources")
-        if m.target != outer.source:
-            raise StructureError("compose_product: block target != outer source")
-    arity = sum(m.arity for m in inners)
-    degree = outer.degree + sum(m.degree for m in inners)
-    result = MultiMap.zero(source, outer.target, arity, degree)
-    if outer.is_zero() or any(m.is_zero() for m in inners):
-        return result
     columns = [m.columns() for m in inners]
     inner_degrees = [m.degree for m in inners]
-    p = outer.target.field.characteristic
-    table = {}
     for mid, final in outer.table.items():
         cols = [col.get(b) for col, b in zip(columns, mid)]
         if not all(cols):
@@ -425,19 +424,50 @@ def compose_product(outer, inners):
             if j:
                 exponent += signs.koszul_exponent(inner_degrees[j], left)
             left += b[0] - inner_degrees[j]
-        negate = exponent % 2 == 1
+        flip = (exponent % 2 == 1) != negate
         for picks in itertools.product(*cols):
             in_word, coeff = picks[0]
             for part, c in picks[1:]:
                 in_word += part
                 coeff = coeff * c
-            if negate:
+            if flip:
                 coeff = -coeff
             dst = table.setdefault(in_word, {})
             for b, c2 in final.items():
                 _acc(dst, b, coeff * c2, p)
-    return MultiMap._raw(source, outer.target, arity, degree,
-                         {w: v for w, v in table.items() if v})
+            if not dst:
+                del table[in_word]
+
+
+def map_sum(source, target, arity, degree, terms):
+    """The signed sum of `terms`, built in one table: the one sum of
+    multilinear maps.  A term is (sign, map) or (sign, outer, inners), the
+    latter standing for outer o (inner_1 x ... x inner_k), which is
+    accumulated without being built on its own; sign is +1 or -1 (from
+    `signs.sign_of`).  Every term must have the stated shape; no terms give
+    the zero map of that shape."""
+    shape = (source, target, arity, degree)
+    p = target.field.characteristic
+    table = {}
+    for term in terms:
+        sign, m = term[0], term[1]
+        if len(term) == 3:
+            if _product_shape(m, term[2]) != shape:
+                raise StructureError("map_sum: composite of another shape")
+            _product_into(table, m, term[2], sign < 0, p)
+        else:
+            if (m.source, m.target, m.arity, m.degree) != shape:
+                raise StructureError("map shape mismatch")
+            _merge(table, m.table, p, sign < 0)
+    return MultiMap._raw(source, target, arity, degree, table)
+
+
+def compose_product(outer, inners):
+    """outer o (inner_1 x ... x inner_k), one inner per input slot of outer:
+    `map_sum` of the one term, so the composite comes from `_product_into`
+    and every sign from the single Koszul exponent above."""
+    inners = list(inners)
+    return map_sum(*_product_shape(outer, inners), [(1, outer, inners)])
 
 
 def compose(outer, inner):
@@ -445,14 +475,19 @@ def compose(outer, inner):
     return compose_product(outer, [inner])
 
 
-def insert(outer, position, inner):
-    """outer o (1^{x i-1} x inner x 1^{x k-i}) at 1-based `position`."""
+def insert_slots(outer, position, inner):
+    """The inner list of an insertion at 1-based `position`:
+    1^{x i-1} x inner x 1^{x k-i}, for a `map_sum` term (sign, outer, slots)."""
     if not 1 <= position <= outer.arity:
         raise StructureError("insert position %d out of range 1..%d"
                              % (position, outer.arity))
     ident = MultiMap.identity(outer.source)
-    blocks = [ident] * (position - 1) + [inner] + [ident] * (outer.arity - position)
-    return compose_product(outer, blocks)
+    return [ident] * (position - 1) + [inner] + [ident] * (outer.arity - position)
+
+
+def insert(outer, position, inner):
+    """outer o (1^{x i-1} x inner x 1^{x k-i}) at 1-based `position`."""
+    return compose_product(outer, insert_slots(outer, position, inner))
 
 
 class ChainComplex:

@@ -30,7 +30,7 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism, check_homotopy,
                      identity_morphism)
 from .combi import compositions, enum_A, enum_B, enum_C
 from .graded import (ChainComplex, MultiMap, StructureError, compose,
-                     compose_product, insert, resolve_truncation)
+                     compose_product, insert_slots, map_sum, resolve_truncation)
 from .reports import BoolResidual, CheckReport
 from .signs import theta
 from .suspension import (desuspend_components, shift_down_map, shift_up_map,
@@ -65,8 +65,9 @@ class DeformationRetract:
         if not (compose(g, small.d) - compose(big.d, g)).is_zero():
             raise StructureError("g is not a chain map")
         gf = compose(g, f)
-        homotopy_residual = (gf - MultiMap.identity(V)
-                             - compose(big.d, h) - compose(h, big.d))
+        homotopy_residual = map_sum(V, V, 1, 0, [
+            (1, gf), (-1, MultiMap.identity(V)), (-1, big.d, [h]),
+            (-1, h, [big.d])])
         if not homotopy_residual.is_zero():
             raise StructureError("gf - 1 != d h + h d")
         self.big = big
@@ -156,14 +157,10 @@ def _suspended_p(deltas, hhat, N):
     hp = {1: MultiMap.identity(sV)}
     p = {}
     for n in range(2, N + 1):
-        acc = MultiMap.zero(sV, sV, n, -1)
-        for (k, parts) in enum_B(n):
-            d_k = deltas.get(k)
-            if d_k is None:
-                continue
-            acc = acc + compose_product(d_k, [hp[r] for r in parts])
-        p[n] = acc
-        hp[n] = compose(hhat, acc)
+        p[n] = map_sum(sV, sV, n, -1, [
+            (1, deltas[k], [hp[r] for r in parts])
+            for (k, parts) in enum_B(n) if k in deltas])
+        hp[n] = compose(hhat, p[n])
     return p
 
 
@@ -178,21 +175,14 @@ def _suspended_q(deltas, hhat, gfhat, p, N):
     for n in range(2, N + 1):
         hp[n] = compose(hhat, p[n])
     for n in range(2, N + 1):
-        acc = MultiMap.zero(sV, sV, n, 0)
-        for (k, i, parts) in enum_C(n):
-            d_k = deltas.get(k)
-            if d_k is None:
-                continue
-            blocks = ([psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]]
-                      + [ident] * (k - i))
-            acc = acc + compose_product(d_k, blocks)
-        q[n] = acc
-        hq[n] = compose(hhat, acc)
-        gfq[n] = compose(gfhat, acc)
-        comp = gfq[n]
-        for (k, parts) in enum_B(n):
-            comp = comp + compose_product(hp[k], [gfq[r] for r in parts])
-        psiphi[n] = comp
+        q[n] = map_sum(sV, sV, n, 0, [
+            (1, deltas[k], [psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]]
+             + [ident] * (k - i))
+            for (k, i, parts) in enum_C(n) if k in deltas])
+        hq[n] = compose(hhat, q[n])
+        gfq[n] = compose(gfhat, q[n])
+        psiphi[n] = map_sum(sV, sV, n, 0, [(1, gfq[n])] + [
+            (1, hp[k], [gfq[r] for r in parts]) for (k, parts) in enum_B(n)])
     return q, psiphi
 
 
@@ -205,15 +195,10 @@ def p_kernels(retract, mu, N):
     hp = {1: MultiMap.identity(V)}
     p = {}
     for n in range(2, N + 1):
-        acc = MultiMap.zero(V, V, n, n - 2)
-        for (k, parts) in enum_B(n):
-            mu_k = mu.mu(k)
-            if mu_k.is_zero():
-                continue
-            term = compose_product(mu_k, [hp[r] for r in parts])
-            acc = acc + term.scale(signs.sign_of(signs.theta(parts)))
-        p[n] = acc
-        hp[n] = compose(h, acc)
+        p[n] = map_sum(V, V, n, n - 2, [
+            (signs.sign_of(signs.theta(parts)), mu.mu(k), [hp[r] for r in parts])
+            for (k, parts) in enum_B(n)])
+        hp[n] = compose(h, p[n])
     return p
 
 
@@ -233,23 +218,15 @@ def q_kernels(retract, mu, p, N):
     for n in range(2, N + 1):
         hp[n] = compose(h, p[n])
     for n in range(2, N + 1):
-        acc = MultiMap.zero(V, V, n, n - 1)
-        for (k, i, parts) in enum_C(n):
-            mu_k = mu.mu(k)
-            if mu_k.is_zero():
-                continue
-            blocks = ([psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]]
-                      + [ident] * (k - i))
-            term = compose_product(mu_k, blocks)
-            acc = acc + term.scale(signs.sign_of(n + parts[-1] + signs.theta(parts)))
-        q[n] = acc
-        hq[n] = compose(h, acc)
-        gfq[n] = compose(gf, acc)
-        comp = gfq[n]
-        for (k, parts) in enum_B(n):
-            term = compose_product(hp[k], [gfq[r] for r in parts])
-            comp = comp + term.scale(signs.sign_of(signs.theta(parts)))
-        psiphi[n] = comp
+        q[n] = map_sum(V, V, n, n - 1, [
+            (signs.sign_of(n + parts[-1] + signs.theta(parts)), mu.mu(k),
+             [psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]] + [ident] * (k - i))
+            for (k, i, parts) in enum_C(n)])
+        hq[n] = compose(h, q[n])
+        gfq[n] = compose(gf, q[n])
+        psiphi[n] = map_sum(V, V, n, n - 1, [(1, gfq[n])] + [
+            (signs.sign_of(signs.theta(parts)), hp[k], [gfq[r] for r in parts])
+            for (k, parts) in enum_B(n)])
     return q, psiphi
 
 
@@ -261,15 +238,15 @@ def check_p_identity(p, retract, mu, n_max):
     d, gf = retract.big.d, retract.gf
     # every gf p_l an A(n) term plugs in, l < n_max, composed once
     gfp = {l: compose(gf, p[l]) for l in range(2, n_max)}
+    V = d.source
     for n in range(2, n_max + 1):
         p_n = p[n]
-        res = compose(d, p_n)
         s_n = signs.sign_of(n)
-        for u in range(1, n + 1):
-            res = res - insert(p_n, u, d).scale(s_n)
-        for (k, l, i) in enum_A(n):
-            res = res - insert(p[k], i, gfp[l]).scale(signs.sign_of(i * (l + 1) + n))
-        report.add(n, res)
+        terms = [(1, d, [p_n])]
+        terms += [(-s_n, p_n, insert_slots(p_n, u, d)) for u in range(1, n + 1)]
+        terms += [(-signs.sign_of(i * (l + 1) + n), p[k],
+                   insert_slots(p[k], i, gfp[l])) for (k, l, i) in enum_A(n)]
+        report.add(n, map_sum(V, V, n, n - 3, terms))
     return report
 
 
@@ -293,19 +270,18 @@ def check_q_identity(q, psiphi, p, retract, mu, n_max):
     d, gf = retract.big.d, retract.gf
     # every gf q_r a B(n) term takes, r < n_max, composed once
     gfq = {r: compose(gf, q[r]) for r in range(1, n_max)}
+    V = d.source
     for n in range(2, n_max + 1):
         q_n = q[n]
-        res = compose(d, q_n)
         s_n = signs.sign_of(n)
-        for u in range(1, n + 1):
-            res = res + insert(q_n, u, d).scale(s_n)
-        for (k, parts) in enum_B(n):
-            term = compose_product(p[k], [gfq[r] for r in parts])
-            res = res + term.scale(signs.sign_of(signs.theta(parts)))
-        for (k, l, i) in enum_A(n):
-            res = res + insert(q[k], i, mu.mu(l)).scale(signs.sign_of(i * (l + 1) + n))
-        res = res - compose(q[1], mu.mu(n))
-        report.add(n, res)
+        terms = [(1, d, [q_n])]
+        terms += [(s_n, q_n, insert_slots(q_n, u, d)) for u in range(1, n + 1)]
+        terms += [(signs.sign_of(signs.theta(parts)), p[k], [gfq[r] for r in parts])
+                  for (k, parts) in enum_B(n)]
+        terms += [(signs.sign_of(i * (l + 1) + n), q[k],
+                   insert_slots(q[k], i, mu.mu(l))) for (k, l, i) in enum_A(n)]
+        terms.append((-1, q[1], [mu.mu(n)]))
+        report.add(n, map_sum(V, V, n, n - 2, terms))
     return report
 
 
@@ -333,7 +309,7 @@ class TransferPackage:
         return sorted(name for name, r in self.reports.items() if not r.ok)
 
 
-def transfer(retract, mu, N=None, cross_validate=True):
+def transfer(retract, mu, N=None):
     """Transfer `mu` across `retract`, verify everything, return the package.
 
     Raises on invalid inputs (structure relations or retract identities
@@ -368,10 +344,8 @@ def transfer(retract, mu, N=None, cross_validate=True):
         {m: c for m, c in psiphi_hat.items() if m >= 2}, V, V))
     kernels = KernelFamily(p, q, composite, N)
 
-    reports = {}
-    if cross_validate:
-        reports["convention-agreement"] = _cross_validate(retract, mu, p, q,
-                                                          composite, N)
+    reports = {"convention-agreement": _cross_validate(retract, mu, p, q,
+                                                       composite, N)}
 
     f, g, h = retract.f, retract.g, retract.h
     nu_products = {}

@@ -71,7 +71,7 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
                         operator_homotopy_residual,
                         operator_intertwining_residual, operator_sum)
 from .graded import (MultiMap, StructureError, compose, compose_product,
-                     resolve_truncation)
+                     insert_slots, map_sum, resolve_truncation)
 from .reports import BoolResidual, CheckReport
 from .suspension import shift_down_map, shift_up_map
 
@@ -365,33 +365,22 @@ def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
     return ComparisonReport("exact" if exact else "mismatch", diffs)
 
 
-def _delta_slot_sum(outer, delta, n, ident):
-    """outer o (sum_u 1^{x u} x delta x 1^{x n-a-u}) for an arity-a delta."""
-    a = delta.arity
-    acc = None
-    for u in range(0, n - a + 1):
-        term = compose_product(outer, [ident] * u + [delta] + [ident] * (n - a - u))
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _homotopy_restriction_terms(sus, n):
-    """The factor lists of the homogeneity-n block of the homotopy lift:
-    (gf)^{x a} x h x 1^{x b}, a + b = n - 1."""
-    ident = MultiMap.identity(sus.hhat.source)
-    out = []
-    for a in range(n):
-        out.append([sus.gfhat] * a + [sus.hhat] + [ident] * (n - 1 - a))
-    return out
+def _delta_slot_sum(outer, delta):
+    """outer o (sum_u 1^{x u-1} x delta x 1^{x k-u}), k = outer's arity."""
+    return map_sum(outer.source, outer.target, outer.arity + delta.arity - 1,
+                   outer.degree + delta.degree,
+                   [(1, outer, insert_slots(outer, u, delta))
+                    for u in range(1, outer.arity + 1)])
 
 
 def _compose_with_homotopy(x, sus, n):
-    """x o H|_{homogeneity n} for an arity-n input of x's source power."""
-    acc = None
-    for factors in _homotopy_restriction_terms(sus, n):
-        term = compose_product(x, factors)
-        acc = term if acc is None else acc + term
-    return acc
+    """x o H_n for an arity-n x, H_n the homogeneity-n block of the
+    homotopy lift: sum_a x o ((gf)^{x a} x h x 1^{x n-1-a})."""
+    sV = sus.hhat.source
+    ident = MultiMap.identity(sV)
+    return map_sum(sV, x.target, n, x.degree + 1, [
+        (1, x, [sus.gfhat] * a + [sus.hhat] + [ident] * (n - 1 - a))
+        for a in range(n)])
 
 
 def check_annihilation_lemmas(pkg, n_max=None):
@@ -413,7 +402,7 @@ def check_annihilation_lemmas(pkg, n_max=None):
         raise StructureError("annihilation identities assume the side conditions")
     sus = pkg.suspended
     n_max = resolve_truncation(n_max, sus.truncation)
-    sV = sus.hhat.source
+    sV, sW = sus.hhat.source, sus.ghat.source
     ident = MultiMap.identity(sV)
     delta = sus.smu.component
     report = CheckReport("annihilation")
@@ -429,25 +418,17 @@ def check_annihilation_lemmas(pkg, n_max=None):
             report.add("vanish-on-homotopy-slots-%d-%d" % (n, i),
                        compose_product(q_n, blocks))
 
-        rhs = compose_product(delta(n), [sus.ghat] * n)
-        for i in range(2, n):
-            y = _delta_slot_sum(sus.q[n - i + 1], delta(i), n, ident)
-            rhs = rhs + compose_product(y, [sus.ghat] * n)
-        report.add("p-on-images-%d" % n,
-                   compose_product(p_n, [sus.ghat] * n) - rhs)
-
-        rhs = _compose_with_homotopy(delta(n), sus, n)
-        for i in range(2, n):
-            y = _delta_slot_sum(sus.q[n - i + 1], delta(i), n, ident)
-            rhs = rhs + _compose_with_homotopy(y, sus, n)
-        report.add("q-through-homotopy-%d" % n, q_n - rhs)
-
-        lhs = (sus.psiphi[n]
-               - compose(sus.hhat,
-                         compose_product(p_n, [sus.gfhat] * n)))
-        rhs = _compose_with_homotopy(compose(sus.gfhat, delta(n)), sus, n)
-        for i in range(2, n):
-            y = _delta_slot_sum(sus.psiphi[n - i + 1], delta(i), n, ident)
-            rhs = rhs + _compose_with_homotopy(y, sus, n)
-        report.add("composite-reduction-%d" % n, lhs - rhs)
+        ys = [_delta_slot_sum(sus.q[n - i + 1], delta(i)) for i in range(2, n)]
+        ghats = [sus.ghat] * n
+        report.add("p-on-images-%d" % n, map_sum(sW, sV, n, -1, [
+            (1, p_n, ghats), (-1, delta(n), ghats)]
+            + [(-1, y, ghats) for y in ys]))
+        report.add("q-through-homotopy-%d" % n, map_sum(sV, sV, n, 0, [(1, q_n)]
+            + [(-1, _compose_with_homotopy(x, sus, n)) for x in [delta(n)] + ys]))
+        xs = [compose(sus.gfhat, delta(n))] + [
+            _delta_slot_sum(sus.psiphi[n - i + 1], delta(i)) for i in range(2, n)]
+        report.add("composite-reduction-%d" % n, map_sum(sV, sV, n, 0, [
+            (1, sus.psiphi[n]),
+            (-1, sus.hhat, [compose_product(p_n, [sus.gfhat] * n)])]
+            + [(-1, _compose_with_homotopy(x, sus, n)) for x in xs]))
     return report

@@ -22,7 +22,7 @@ from . import signs
 from .ainfty import AInfinity
 from .coalgebra import ComponentFamily
 from .graded import (GradedModule, MultiMap, StructureError, _acc, apply_block,
-                     compose_product)
+                     compose_product, map_sum)
 
 
 def suspend_module(V):
@@ -84,8 +84,9 @@ def desuspend_components(comps, V, W):
     s_V = shift_up_map(V)
     out = {}
     for n, m in comps.items():
-        raw = compose_product(w_W, [compose_product(m, [s_V] * n)])
-        out[n] = raw.scale(signs.sign_of(signs.shift_exponent(n)))
+        out[n] = map_sum(V, W, n, m.degree + n - 1, [
+            (signs.sign_of(signs.shift_exponent(n)), w_W,
+             [compose_product(m, [s_V] * n)])])
     return out
 
 

@@ -171,12 +171,63 @@ def test_malformed_field_or_truncation_exits_two(tmp_path, capsys, key, value):
     # themselves can reject the document
     del obj["structure"]
     obj[key] = value
+    assert_malformed(obj, tmp_path, capsys)
+
+
+def assert_malformed(obj, tmp_path, capsys):
+    """`obj` fails to parse, and `check` on it exits 2 with a parse error on
+    stderr, no traceback and nothing on stdout."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(DocumentError):
         parse(path.read_text())
     assert main(["check", str(path)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert "Traceback" not in captured.err
+
+
+def _first_product_entry(obj):
+    return obj["structure"]["products"]["2"][0]
+
+
+def _duplicate_key(table, key, spelling):
+    table[spelling] = table[key]
+
+
+# each edit breaks a structure document in one place; before the checks in
+# docio the first five crashed with a traceback, and the last two passed
+# `check` with one of the two maps (dimensions) silently dropped
+MALFORMED_EDITS = {
+    "output-scalar": lambda obj: _first_product_entry(obj).update(output=5),
+    "output-list-of-scalars": lambda obj: _first_product_entry(obj).update(
+        output=[7]),
+    "output-object": lambda obj: _first_product_entry(obj).update(
+        output={"a": 1}),
+    "output-triple": lambda obj: _first_product_entry(obj).update(
+        output=[[[0, 0], "1", "x"]]),
+    "dims-list": lambda obj: obj["modules"]["V"].update(dims=[3, 2]),
+    "product-arity-02": lambda obj: _duplicate_key(
+        obj["structure"]["products"], "2", "02"),
+    "degree-01": lambda obj: _duplicate_key(
+        obj["modules"]["V"]["dims"], "1", "01"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDITS))
+def test_malformed_map_entry_or_key_exits_two(tmp_path, capsys, name):
+    obj = mod_p_object()
+    MALFORMED_EDITS[name](obj)
+    assert_malformed(obj, tmp_path, capsys)
+
+
+def test_canonical_keys_roundtrip():
+    obj = mod_p_object()
+    obj["modules"]["V"]["dims"]["-1"] = 1
+    text = serialize(parse(json.dumps(obj)))
+    assert parse(text).modules["V"].dims[-1] == 1
+    assert serialize(parse(text)) == text
 
 
 def test_boolean_dimension_and_basis_reference_rejected():

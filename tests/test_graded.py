@@ -11,7 +11,7 @@ from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               apply_block, compose, compose_product, insert,
-                              koszul_sign, tensor_table)
+                              koszul_sign, map_sum, tensor_table)
 from conftest import random_multimap, seeded, two_dim_complex
 
 
@@ -377,3 +377,25 @@ def test_compose_product_matches_per_word_oracle(case):
     assert got.arity == sum(m.arity for m in inners)
     assert got.degree == outer.degree + sum(m.degree for m in inners)
     assert got.table == per_word_composite(outer, inners)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(composites(), st.sampled_from([1, -1]))
+def test_map_sum_of_signed_composites_matches_oracle(case, sign):
+    outer, inners = case
+    shape = (inners[0].source, outer.target, sum(m.arity for m in inners),
+             outer.degree + sum(m.degree for m in inners))
+    term = (sign, outer, inners)
+    got = map_sum(*shape, [term])
+    assert got.table == {w: {b: sign * c for b, c in vec.items()}
+                         for w, vec in per_word_composite(outer, inners).items()}
+    # a term and its negative cancel to the zero map, in either form
+    assert map_sum(*shape, [term, (-sign, outer, inners)]).table == {}
+    assert map_sum(*shape, [term, (-1, got)]).table == {}
+    zero = map_sum(*shape, [])
+    assert zero.table == {}
+    assert (zero.source, zero.target, zero.arity, zero.degree) == shape
+    source, target, arity, degree = shape
+    for bad in ([term], [(sign, got)]):
+        with pytest.raises(StructureError):
+            map_sum(source, target, arity, degree + 1, bad)
