@@ -5,22 +5,24 @@ checkers for every defining relation."""
 from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                      check_homotopy, check_morphism, check_structure,
                      compose_morphisms, identity_morphism)
+from .combi import enum_A, enum_B, enum_C
 from .fields import QQ, PrimeField
 from .graded import (ChainComplex, GradedModule, MultiMap, StructureError,
                      apply_block, compose, compose_product, insert, koszul_sign)
-from .kernels import (DeformationRetract, KernelFamily, TransferPackage,
-                      check_p_identity, check_p_identity_on_images, check_q_identity, enum_A, enum_B,
-                      enum_C, p_kernels, q_kernels, theta, transfer)
+from .kernels import (DeformationRetract, TransferPackage, check_p_identity,
+                      check_p_identity_on_images, check_q_identity, p_kernels,
+                      q_kernels, transfer)
 from .perturbation import (build_perturbation, check_annihilation_lemmas,
                            check_side_conditions, compare_hpl_vs_kernels,
                            hpl_transfer)
 from .retracts import harmonious_retract, homology, instance_forms, instance_massey
+from .signs import theta
 from .suspension import (desuspend_structure, suspend_homotopy,
                          suspend_module, suspend_morphism, suspend_structure)
 
 __all__ = [
     "AInfinity", "AInftyHomotopy", "AInftyMorphism", "ChainComplex",
-    "DeformationRetract", "GradedModule", "KernelFamily", "MultiMap",
+    "DeformationRetract", "GradedModule", "MultiMap",
     "PrimeField", "QQ", "StructureError", "TransferPackage",
     "apply_block", "build_perturbation", "check_p_identity", "check_p_identity_on_images",
     "check_q_identity", "check_annihilation_lemmas", "check_homotopy",

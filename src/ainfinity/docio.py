@@ -13,7 +13,7 @@ import re
 
 from .ainfty import AInfinity
 from .fields import QQ, FieldError, PrimeField
-from .graded import ChainComplex, GradedModule, MultiMap, StructureError
+from .graded import GradedModule, MultiMap, StructureError
 
 FORMAT = "ainfty-doc/1"
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")

@@ -181,7 +181,9 @@ class MultiMap:
 
     @classmethod
     def zero(cls, source, target, arity, degree):
-        return cls(source, target, arity, degree, {})
+        if arity < 1:
+            raise StructureError("arity must be >= 1")
+        return cls._raw(source, target, arity, degree, {})
 
     @classmethod
     def _raw(cls, source, target, arity, degree, table):

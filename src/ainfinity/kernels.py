@@ -28,17 +28,15 @@ from . import signs
 from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism, check_homotopy,
                      check_morphism, check_structure, compose_morphisms,
                      identity_morphism)
-from .combi import compositions, enum_A, enum_B, enum_C
-from .graded import (ChainComplex, MultiMap, StructureError, compose,
-                     compose_product, insert_slots, map_sum, resolve_truncation)
-from .reports import BoolResidual, CheckReport
-from .signs import theta
+from .combi import enum_A, enum_B, enum_C
+from .graded import (MultiMap, StructureError, compose, compose_product,
+                     insert_slots, map_sum, resolve_truncation)
+from .reports import CheckReport
 from .suspension import (desuspend_components, shift_down_map, shift_up_map,
-                         suspend_components, suspend_structure)
+                         suspend_structure)
 
-__all__ = ["DeformationRetract", "KernelFamily", "SuspendedTransfer",
-           "TransferPackage", "enum_A", "enum_B", "enum_C", "theta",
-           "p_kernels", "q_kernels", "transfer", "check_p_identity", "check_p_identity_on_images",
+__all__ = ["DeformationRetract", "TransferPackage", "p_kernels", "q_kernels",
+           "transfer", "check_p_identity", "check_p_identity_on_images",
            "check_q_identity"]
 
 
@@ -99,59 +97,6 @@ class DeformationRetract:
         return self._shifted
 
 
-class KernelFamily:
-    """Unshifted kernels and the cached composite morphism components:
-    p_n (degree n-2, n >= 2), q_n (degree n-1, q_1 = 1) and
-    (psi phi)_m per the closed composite formula."""
-
-    def __init__(self, p, q, composite, truncation):
-        for n, m in p.items():
-            if m.arity != n or m.degree != n - 2:
-                raise StructureError("p_%d must have arity %d, degree %d"
-                                     % (n, n, n - 2))
-        for n, m in q.items():
-            if m.arity != n or m.degree != n - 1:
-                raise StructureError("q_%d must have arity %d, degree %d"
-                                     % (n, n, n - 1))
-        self.p = dict(p)
-        self.q = dict(q)
-        self.composite = dict(composite)
-        self.truncation = truncation
-
-
-class SuspendedTransfer:
-    """Shifted-route data kept for the perturbation-lemma comparison."""
-
-    def __init__(self, smu, fhat, ghat, hhat, p, q, psiphi, truncation):
-        self.smu = smu                # shifted structure, d_1 included
-        self.fhat, self.ghat, self.hhat = fhat, ghat, hhat
-        self.gfhat = compose(ghat, fhat)
-        self.p = p                    # {n >= 2: p^_n}
-        self.q = q                    # {n >= 1: q^_n}, q^_1 = identity
-        self.psiphi = psiphi          # {m >= 1: composite components}
-        self.truncation = truncation
-
-    def nu_hat(self, n):
-        """f^ p^_n g^{x n} (n >= 2): shifted transferred structure map."""
-        inner = compose_product(self.p[n], [self.ghat] * n)
-        return compose(self.fhat, inner)
-
-    def psi_hat(self, n):
-        if n == 1:
-            return self.ghat
-        return compose(self.hhat, compose_product(self.p[n], [self.ghat] * n))
-
-    def phi_hat(self, n):
-        if n == 1:
-            return self.fhat
-        return compose(self.fhat, self.q[n])
-
-    def H_hat(self, n):
-        if n == 1:
-            return self.hhat
-        return compose(self.hhat, self.q[n])
-
-
 def _suspended_p(deltas, hhat, N):
     sV = hhat.source
     hp = {1: MultiMap.identity(sV)}
@@ -161,19 +106,16 @@ def _suspended_p(deltas, hhat, N):
             (1, deltas[k], [hp[r] for r in parts])
             for (k, parts) in enum_B(n) if k in deltas])
         hp[n] = compose(hhat, p[n])
-    return p
+    return p, hp
 
 
-def _suspended_q(deltas, hhat, gfhat, p, N):
+def _suspended_q(deltas, hhat, gfhat, hp, N):
     sV = hhat.source
     ident = MultiMap.identity(sV)
     q = {1: ident}
     hq = {1: hhat}
     gfq = {1: gfhat}
     psiphi = {1: gfhat}
-    hp = {1: ident}
-    for n in range(2, N + 1):
-        hp[n] = compose(hhat, p[n])
     for n in range(2, N + 1):
         q[n] = map_sum(sV, sV, n, 0, [
             (1, deltas[k], [psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]]
@@ -286,17 +228,27 @@ def check_q_identity(q, psiphi, p, retract, mu, n_max):
 
 
 class TransferPackage:
-    """Everything `transfer` produces: the structure on W, both morphisms,
-    the homotopy, both kernel families, and every residual report."""
+    """Everything `transfer` produces, each map held once:
 
-    def __init__(self, nu, phi, psi, homotopy, kernels, suspended, retract,
-                 truncation, reports):
+    * `nu`, `phi`, `psi`, `homotopy`: the structure on W, both morphisms
+      and the homotopy, unshifted;
+    * `smu`, `p_hat`, `q_hat`, `psiphi_hat`: the shifted structure
+      (d_1 included) and the shifted route's kernels {n >= 2: p^_n},
+      {n >= 1: q^_n} (q^_1 = 1) and composite components {m >= 1};
+    * `retract`, `truncation`, and `reports`, every residual report by name.
+
+    The shifted f^, g^, h^ and gf^ are `retract.shifted()`."""
+
+    def __init__(self, nu, phi, psi, homotopy, smu, p_hat, q_hat, psiphi_hat,
+                 retract, truncation, reports):
         self.nu = nu
         self.phi = phi
         self.psi = psi
         self.homotopy = homotopy
-        self.kernels = kernels
-        self.suspended = suspended
+        self.smu = smu
+        self.p_hat = p_hat
+        self.q_hat = q_hat
+        self.psiphi_hat = psiphi_hat
         self.retract = retract
         self.truncation = truncation
         self.reports = reports
@@ -327,13 +279,11 @@ def transfer(retract, mu, N=None):
                              % structure_report.failing())
 
     V, W = retract.big.module, retract.small.module
-    fhat, ghat, hhat, gfhat = retract.shifted()
+    _, _, hhat, gfhat = retract.shifted()
     smu = suspend_structure(mu)
 
-    p_hat = _suspended_p(smu.components, hhat, N)
-    q_hat, psiphi_hat = _suspended_q(smu.components, hhat, gfhat, p_hat, N)
-    suspended = SuspendedTransfer(smu, fhat, ghat, hhat, p_hat, q_hat,
-                                  psiphi_hat, N)
+    p_hat, hp_hat = _suspended_p(smu.components, hhat, N)
+    q_hat, psiphi_hat = _suspended_q(smu.components, hhat, gfhat, hp_hat, N)
 
     p = desuspend_components(p_hat, V, V)
     q_high = desuspend_components({n: m for n, m in q_hat.items() if n >= 2}, V, V)
@@ -342,15 +292,16 @@ def transfer(retract, mu, N=None):
     composite = {1: retract.gf}
     composite.update(desuspend_components(
         {m: c for m, c in psiphi_hat.items() if m >= 2}, V, V))
-    kernels = KernelFamily(p, q, composite, N)
 
     reports = {"convention-agreement": _cross_validate(retract, mu, p, q,
                                                        composite, N)}
 
     f, g, h = retract.f, retract.g, retract.h
+    # p_n g^{x n}, shared by nu_n and psi_n
+    pg = {n: compose_product(p[n], [g] * n) for n in range(2, N + 1)}
     nu_products = {}
     for n in range(2, N + 1):
-        nu_n = compose(f, compose_product(p[n], [g] * n))
+        nu_n = compose(f, pg[n])
         if not nu_n.is_zero():
             nu_products[n] = nu_n
     nu = AInfinity(W, retract.small.d, nu_products, N)
@@ -358,7 +309,7 @@ def transfer(retract, mu, N=None):
     phi = AInftyMorphism(mu, nu, {
         n: (f if n == 1 else compose(f, q[n])) for n in range(1, N + 1)}, N)
     psi = AInftyMorphism(nu, mu, {
-        n: (g if n == 1 else compose(h, compose_product(p[n], [g] * n)))
+        n: (g if n == 1 else compose(h, pg[n]))
         for n in range(1, N + 1)}, N)
     psiphi_mor = compose_morphisms(psi, phi)
     homotopy = AInftyHomotopy(psiphi_mor, identity_morphism(mu), {
@@ -375,8 +326,8 @@ def transfer(retract, mu, N=None):
     for name, report in reports.items():
         report.name = name
 
-    return TransferPackage(nu, phi, psi, homotopy, kernels, suspended,
-                           retract, N, reports)
+    return TransferPackage(nu, phi, psi, homotopy, smu, p_hat, q_hat,
+                           psiphi_hat, retract, N, reports)
 
 
 def _cross_validate(retract, mu, p, q, composite, N):

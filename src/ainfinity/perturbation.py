@@ -344,22 +344,24 @@ def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
         return ComparisonReport(ComparisonReport.SKIPPED)
     top = min(hpl.data.trunc, pkg.truncation)
     n_max = min(resolve_truncation(n_max, top), top)
-    sus = pkg.suspended
-    sW = sus.fhat.target
-    expected = {
-        # the transferred perturbation has no arity-1 part
-        "delta_nu": lambda n: (sus.nu_hat(n) if n >= 2
-                               else MultiMap.zero(sW, sW, 1, -1)),
-        "psi": sus.psi_hat,
-        "phi": sus.phi_hat,
-        "homotopy": sus.H_hat,
-    }
+    fhat, ghat, hhat, _ = pkg.retract.shifted()
+    sW = fhat.target
+    # the transferred perturbation has no arity-1 part
+    expected = {"delta_nu": {1: MultiMap.zero(sW, sW, 1, -1)}, "psi": {1: ghat},
+                "phi": {1: fhat}, "homotopy": {1: hhat}}
+    for n in range(2, n_max + 1):
+        # p^_n g^{x n}, shared by delta_nu_n and psi_n
+        pg = compose_product(pkg.p_hat[n], [ghat] * n)
+        expected["delta_nu"][n] = compose(fhat, pg)
+        expected["psi"][n] = compose(hhat, pg)
+        expected["phi"][n] = compose(fhat, pkg.q_hat[n])
+        expected["homotopy"][n] = compose(hhat, pkg.q_hat[n])
     got = hpl.extracted()
     diffs = {}
     for key in sorted(expected):
         report = CheckReport("compare-" + key)
         for n in range(1, n_max + 1):
-            report.add(n, got[key].component(n) - expected[key](n))
+            report.add(n, got[key].component(n) - expected[key][n])
         diffs[key] = report
     exact = all(report.ok for report in diffs.values())
     return ComparisonReport("exact" if exact else "mismatch", diffs)
@@ -373,13 +375,13 @@ def _delta_slot_sum(outer, delta):
                     for u in range(1, outer.arity + 1)])
 
 
-def _compose_with_homotopy(x, sus, n):
+def _compose_with_homotopy(x, hhat, gfhat, n):
     """x o H_n for an arity-n x, H_n the homogeneity-n block of the
     homotopy lift: sum_a x o ((gf)^{x a} x h x 1^{x n-1-a})."""
-    sV = sus.hhat.source
+    sV = hhat.source
     ident = MultiMap.identity(sV)
     return map_sum(sV, x.target, n, x.degree + 1, [
-        (1, x, [sus.gfhat] * a + [sus.hhat] + [ident] * (n - 1 - a))
+        (1, x, [gfhat] * a + [hhat] + [ident] * (n - 1 - a))
         for a in range(n)])
 
 
@@ -400,35 +402,36 @@ def check_annihilation_lemmas(pkg, n_max=None):
     """
     if not pkg.retract.is_harmonious:
         raise StructureError("annihilation identities assume the side conditions")
-    sus = pkg.suspended
-    n_max = resolve_truncation(n_max, sus.truncation)
-    sV, sW = sus.hhat.source, sus.ghat.source
+    n_max = resolve_truncation(n_max, pkg.truncation)
+    _, ghat, hhat, gfhat = pkg.retract.shifted()
+    sV, sW = hhat.source, ghat.source
     ident = MultiMap.identity(sV)
-    delta = sus.smu.component
+    delta = pkg.smu.component
     report = CheckReport("annihilation")
     for n in range(2, n_max + 1):
-        q_n, p_n = sus.q[n], sus.p[n]
+        q_n, p_n = pkg.q_hat[n], pkg.p_hat[n]
         report.add("vanish-on-images-%d" % n,
-                   compose_product(q_n, [sus.ghat] * n))
+                   compose_product(q_n, [ghat] * n))
         for i in range(0, n):
             j = n - 1 - i
             if i + j < 1:
                 continue
-            blocks = [sus.gfhat] * i + [sus.hhat] + [ident] * j
+            blocks = [gfhat] * i + [hhat] + [ident] * j
             report.add("vanish-on-homotopy-slots-%d-%d" % (n, i),
                        compose_product(q_n, blocks))
 
-        ys = [_delta_slot_sum(sus.q[n - i + 1], delta(i)) for i in range(2, n)]
-        ghats = [sus.ghat] * n
+        ys = [_delta_slot_sum(pkg.q_hat[n - i + 1], delta(i)) for i in range(2, n)]
+        ghats = [ghat] * n
         report.add("p-on-images-%d" % n, map_sum(sW, sV, n, -1, [
             (1, p_n, ghats), (-1, delta(n), ghats)]
             + [(-1, y, ghats) for y in ys]))
         report.add("q-through-homotopy-%d" % n, map_sum(sV, sV, n, 0, [(1, q_n)]
-            + [(-1, _compose_with_homotopy(x, sus, n)) for x in [delta(n)] + ys]))
-        xs = [compose(sus.gfhat, delta(n))] + [
-            _delta_slot_sum(sus.psiphi[n - i + 1], delta(i)) for i in range(2, n)]
+            + [(-1, _compose_with_homotopy(x, hhat, gfhat, n))
+               for x in [delta(n)] + ys]))
+        xs = [compose(gfhat, delta(n))] + [
+            _delta_slot_sum(pkg.psiphi_hat[n - i + 1], delta(i)) for i in range(2, n)]
         report.add("composite-reduction-%d" % n, map_sum(sV, sV, n, 0, [
-            (1, sus.psiphi[n]),
-            (-1, sus.hhat, [compose_product(p_n, [sus.gfhat] * n)])]
-            + [(-1, _compose_with_homotopy(x, sus, n)) for x in xs]))
+            (1, pkg.psiphi_hat[n]),
+            (-1, hhat, [compose_product(p_n, [gfhat] * n)])]
+            + [(-1, _compose_with_homotopy(x, hhat, gfhat, n)) for x in xs]))
     return report

@@ -227,7 +227,7 @@ def test_transfer_rejects_nonpositive_arity(N):
         transfer(retract, mu, N)
 
 
-@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
 def test_transfer_k_fold_massey_known_answer(k):
     """nu_k of the k-fold Massey DGA is its Massey product: one input word,
     the k generators in order, sent to (-1)^k times the sum of the k - 1
@@ -265,10 +265,10 @@ def test_transfer_deterministic():
     p1 = transfer(retract, mu, 4)
     p2 = transfer(retract, mu, 4)
     for n in range(2, 5):
-        assert p1.kernels.p[n] == p2.kernels.p[n]
-        assert p1.kernels.q[n] == p2.kernels.q[n]
-        assert list(p1.kernels.p[n].sorted_entries()) == \
-            list(p2.kernels.p[n].sorted_entries())
+        assert p1.p_hat[n] == p2.p_hat[n]
+        assert p1.q_hat[n] == p2.q_hat[n]
+        assert list(p1.p_hat[n].sorted_entries()) == \
+            list(p2.p_hat[n].sorted_entries())
     assert p1.nu == p2.nu
 
 

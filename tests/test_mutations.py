@@ -20,9 +20,11 @@ perturbation-lemma route, which also sums its residuals in place;
 `graded.tensor_into` and the one lift recursion `coalgebra._lift_blocks`
 (its two tensor steps and its range of last-factor arities), which build
 every lift; the index families `combi.enum_B` and `combi.enum_C` of the
-recursions; the memo of `kernels.check_q_identity`; the phi components
+recursions; the memo of `kernels.check_q_identity`; the shared h^ p^_k of
+the shifted composite in `kernels._suspended_q`; the phi components
 `kernels.transfer` assembles; the outputs of `perturbation.hpl_transfer`;
-and the arity loop of `perturbation.compare_hpl_vs_kernels`.  Each is an
+and the arity loop and the shifted delta_nu of
+`perturbation.compare_hpl_vs_kernels`.  Each is an
 exact-once source replacement, bound wherever the original is bound, so
 every detector looks library entry points up on their modules, never
 through a binding of its own.  Four detectors run in a fixed order, over Q
@@ -286,6 +288,14 @@ STRUCTURAL_MUTANTS = {
         perturbation, "compare_hpl_vs_kernels",
         "for n in range(1, n_max + 1):",
         "for n in range(1, n_max):"),
+    "composite-uses-gfq-for-hp": (
+        kernels, "_suspended_q",
+        "(1, hp[k], [gfq[r] for r in parts])",
+        "(1, gfq[k], [gfq[r] for r in parts])"),
+    "compare-delta-nu-through-homotopy": (
+        perturbation, "compare_hpl_vs_kernels",
+        "compose(fhat, pg)",
+        "compose(fhat, compose(hhat, pg))"),
 }
 
 # the first detector (see `first_detector`) that kills each structural mutant
@@ -293,7 +303,9 @@ KILLED_BY = {
     "acc-keeps-cancelled-zero": "battery/Q",
     "acc-skips-reduction": "battery/Z5",
     "coderivation-lift-drops-shifted-term": "hpl/Q",
+    "compare-delta-nu-through-homotopy": "hpl/Q",
     "compare-skips-top-arity": "comparison/Q",
+    "composite-uses-gfq-for-hp": "battery/Q",
     "compose-into-ignores-negation": "hpl/Q",
     "enum-B-drops-top-arity": "battery/Q",
     "enum-C-drops-last-slot": "battery/Q",

@@ -303,11 +303,11 @@ def test_q2_through_homotopy_hand_case():
     from ainfinity.graded import compose_product
     mu, retract = forms_setup()
     pkg = transfer(retract, mu, 4)
-    sus = pkg.suspended
-    ident = MultiMap.identity(sus.hhat.source)
-    expected = (compose_product(sus.smu.component(2), [sus.gfhat, sus.hhat])
-                + compose_product(sus.smu.component(2), [sus.hhat, ident]))
-    assert sus.q[2] == expected
+    _, _, hhat, gfhat = retract.shifted()
+    ident = MultiMap.identity(hhat.source)
+    expected = (compose_product(pkg.smu.component(2), [gfhat, hhat])
+                + compose_product(pkg.smu.component(2), [hhat, ident]))
+    assert pkg.q_hat[2] == expected
 
 
 def test_vanish_on_images_hand_case():
@@ -315,9 +315,9 @@ def test_vanish_on_images_hand_case():
     from ainfinity.graded import compose_product
     mu, retract = forms_setup()
     pkg = transfer(retract, mu, 4)
-    sus = pkg.suspended
-    assert compose(sus.hhat, sus.ghat).is_zero()
-    assert compose_product(sus.q[2], [sus.ghat, sus.ghat]).is_zero()
+    _, ghat, hhat, _ = retract.shifted()
+    assert compose(hhat, ghat).is_zero()
+    assert compose_product(pkg.q_hat[2], [ghat, ghat]).is_zero()
 
 
 @pytest.fixture(scope="module")
