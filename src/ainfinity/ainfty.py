@@ -8,7 +8,10 @@ would double-count the differential there).
 Conventions: homological grading, the differential has degree -1, the n-ary
 product degree n - 2, morphism components degree n - 1, homotopy components
 degree n.  Families are truncated at a per-object arity N; all checks are
-"verified up to arity N", components beyond N are unknown, not zero.
+"verified up to arity N", components beyond N are unknown, not zero.  The
+morphism and homotopy checkers read N from the object they check;
+`check_structure` takes an optional lower arity, since a transfer may stop
+below the truncation of its input.
 """
 
 from . import signs
@@ -73,6 +76,9 @@ class AInftyMorphism:
         self.components = {}
         for n, m in components.items():
             n = int(n)
+            if not 1 <= n <= self.truncation:
+                raise StructureError("component arity %d outside 1..%d"
+                                     % (n, self.truncation))
             if m.arity != n or m.degree != n - 1:
                 raise StructureError("f_%d must have arity %d, degree %d" % (n, n, n - 1))
             if m.source != source.carrier or m.target != target.carrier:
@@ -105,6 +111,9 @@ class AInftyHomotopy:
         self.components = {}
         for n, m in components.items():
             n = int(n)
+            if not 1 <= n <= self.truncation:
+                raise StructureError("component arity %d outside 1..%d"
+                                     % (n, self.truncation))
             if m.arity != n or m.degree != n:
                 raise StructureError("h_%d must have arity %d, degree %d" % (n, n, n))
             if m.source != frm.source.carrier or m.target != frm.target.carrier:
@@ -148,7 +157,7 @@ def check_structure(a, n_max=None):
     return report
 
 
-def check_morphism(mor, n_max=None):
+def check_morphism(mor):
     """Per-arity residual of the morphism relation.
 
     Arity 1 is the chain-map condition d_W f_1 - f_1 d_V; for n >= 2:
@@ -156,12 +165,11 @@ def check_morphism(mor, n_max=None):
       - f_1 mu_n + sum_i (-1)^n f_n(1..d_V..1)
       + sum_{A(n)} (-1)^{i(l+1)+n} f_k(1..mu_l..1).
     """
-    n_max = resolve_truncation(n_max, mor.truncation)
     report = CheckReport("morphism")
     src, tgt = mor.source, mor.target
     V, W = src.carrier, tgt.carrier
     dV, dW = src.differential, tgt.differential
-    for n in range(1, n_max + 1):
+    for n in range(1, mor.truncation + 1):
         f_n = mor.component(n)
         if n == 1:
             report.add(1, map_sum(V, W, 1, -1, [(1, dW, [f_n]), (-1, f_n, [dV])]))
@@ -195,7 +203,7 @@ def compose_morphisms(g, f):
     return AInftyMorphism(f.source, g.target, comps, n_max)
 
 
-def check_homotopy(h, n_max=None):
+def check_homotopy(h):
     """Per-arity residual of the homotopy relation between h.frm and h.to.
 
     Arity 1 is the classical f_1 - g_1 - (h_1 d_V + d_W h_1); for n >= 2 the
@@ -211,13 +219,12 @@ def check_homotopy(h, n_max=None):
     relation the transferred homotopy is constructed to satisfy), and the
     equivalence battery in the test suite pins both routes together.
     """
-    n_max = resolve_truncation(n_max, h.truncation)
     report = CheckReport("homotopy")
     src = h.frm.source
     tgt = h.frm.target
     V, W = src.carrier, tgt.carrier
     dV, dW = src.differential, tgt.differential
-    for n in range(1, n_max + 1):
+    for n in range(1, h.truncation + 1):
         h_n = h.component(n)
         terms = [(1, h.frm.component(n)), (-1, h.to.component(n))]
         if n == 1:

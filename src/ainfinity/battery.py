@@ -14,23 +14,22 @@ from .coalgebra import (check_codifferential, check_homotopy_components,
                         lift_homotopy, lift_morphism,
                         operator_homotopy_residual,
                         operator_intertwining_residual)
-from .graded import resolve_truncation
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_homotopy, suspend_morphism, suspend_structure
 
 
-def equivalence_battery(pkg, mu, n_max=None):
+def equivalence_battery(pkg):
     """Six-direction agreement for the transferred structure, the morphism
-    into the small side, and the homotopy on the big side."""
-    n_max = resolve_truncation(n_max, pkg.truncation)
+    into the small side, and the homotopy on the big side, up to the
+    package's truncation."""
     report = CheckReport("battery")
 
-    smu = suspend_structure(mu)
+    smu = pkg.smu
     snu = suspend_structure(pkg.nu)
     dV = lift_coderivation(smu)
     dW = lift_coderivation(snu)
 
-    comp = check_codifferential(snu, n_max)
+    comp = check_codifferential(snu)
     op = dW.compose(dW)
     report.add("structure-components", comp)
     report.add("structure-operator", op)
@@ -39,7 +38,7 @@ def equivalence_battery(pkg, mu, n_max=None):
     report.add("structure-conventions", BoolResidual(comp.ok == unshifted_ok))
 
     phi_fam = suspend_morphism(pkg.phi)
-    comp = check_morphism_components(phi_fam, smu, snu, n_max)
+    comp = check_morphism_components(phi_fam, smu, snu)
     op = operator_intertwining_residual(lift_morphism(phi_fam), dV, dW)
     report.add("morphism-components", comp)
     report.add("morphism-operator", op)
@@ -48,7 +47,7 @@ def equivalence_battery(pkg, mu, n_max=None):
                BoolResidual(comp.ok == pkg.reports["phi"].ok))
 
     hom_fam = suspend_homotopy(pkg.homotopy)
-    comp = check_homotopy_components(hom_fam, smu, smu, n_max)
+    comp = check_homotopy_components(hom_fam, smu, smu)
     E = lift_morphism(hom_fam.left)
     G = lift_morphism(hom_fam.right)
     H = lift_homotopy(hom_fam)

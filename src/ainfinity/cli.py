@@ -88,6 +88,11 @@ def cmd_check(args):
     except (DocumentError, OSError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
+    # a transfer block needs a structure block, so these two cover all three
+    if doc.structure is None and doc.retract is None:
+        sys.stderr.write("input error: nothing to check: the document has no "
+                         "structure, retract or transfer block\n")
+        return 2
     out.line("input=%s" % args.input)
     out.line("truncation=%d" % doc.truncation)
     if doc.structure is not None:
@@ -126,11 +131,11 @@ def _check_transfer_block(out, src, nu, phi, psi, homotopy, N):
     phi = AInftyMorphism(src, nu, phi, N)
     psi = AInftyMorphism(nu, src, psi, N)
     out.add_report(_renamed(check_structure(src, N), "source"))
-    out.add_report(_renamed(check_morphism(phi, N), "phi"))
-    out.add_report(_renamed(check_morphism(psi, N), "psi"))
+    out.add_report(_renamed(check_morphism(phi), "phi"))
+    out.add_report(_renamed(check_morphism(psi), "psi"))
     hom = AInftyHomotopy(compose_morphisms(psi, phi), identity_morphism(src),
                          homotopy, N)
-    out.add_report(_renamed(check_homotopy(hom, N), "transfer"))
+    out.add_report(_renamed(check_homotopy(hom), "transfer"))
 
 
 def _renamed(report, prefix):
@@ -227,7 +232,8 @@ def cmd_transfer(args):
         for _, report in hpl.reports():
             out.add_report(report)
         out.line("hpl.extraction=%s"
-                 % ("canonical" if hpl.extraction_canonical else "non-canonical"))
+                 % ("canonical" if hpl.conclusions_form == "corestriction"
+                    else "non-canonical"))
         out.line("hpl.conclusions=%s" % hpl.conclusions_form)
     if args.method == "both":
         cmp_report = compare_hpl_vs_kernels(hpl, pkg, N)
@@ -285,14 +291,14 @@ def _selftest_instance(base_seed, index, N, writer):
     pkg = transfer(retract, mu, N)
     for name, rep in pkg.reports.items():
         checks.add("transfer." + name, rep)
-    checks.add("battery", equivalence_battery(pkg, mu, N))
+    checks.add("battery", equivalence_battery(pkg))
 
     data = build_perturbation(retract, suspend_structure(mu), N)
     hpl = hpl_transfer(data)
     for key, report in hpl.reports():
         checks.add("hpl." + key, report)
     checks.add("hpl.compare", compare_hpl_vs_kernels(hpl, pkg, N))
-    checks.add("annihilation", check_annihilation_lemmas(pkg, N))
+    checks.add("annihilation", check_annihilation_lemmas(pkg))
 
     # degeneration: the identity retract (h = 0) transports products verbatim
     ident_retract = DeformationRetract(

@@ -26,21 +26,24 @@ the degree of the input word to its left.  Unrolled, X(n, k) sums
 e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
 `graded.tensor_table` of these products is the tests' reference.
 
-Sums of operators and composites are accumulated into one block table
-(`add_into`, `compose_into`, `operator_sum`), so a residual of several
-terms copies no partial sum; `CoalgebraOperator.compose` is `compose_into`
-on an empty table.
+Every operator is built inside this package (lifts, sums, composites,
+restrictions), so `CoalgebraOperator` has one constructor, which trusts its
+blocks to be homogeneous, reduced and free of zero entries.  Sums of
+operators and composites are accumulated into one block table (`add_into`,
+`compose_into`, `operator_sum`), so a residual of several terms copies no
+partial sum; `CoalgebraOperator.compose` is `compose_into` on an empty
+table.
 
 Componentwise relation checks mirror the operator-level identities
-(square zero / intertwining / homotopy identity); the acceptance battery
-asserts the two agree on every instance.
+(square zero / intertwining / homotopy identity) and, like
+`colinearity_residual`, run up to the truncation of the family or operator
+they check; the acceptance battery asserts the two agree on every instance.
 """
 
 from . import signs
 from .combi import enum_A, enum_B
-from .graded import (MultiMap, StructureError, _acc, _merge, _reduce, compose,
-                     insert_slots, map_sum, resolve_truncation, tensor_into,
-                     word_degree)
+from .graded import (MultiMap, StructureError, _acc, _merge, compose,
+                     insert_slots, map_sum, tensor_into, word_degree)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -108,51 +111,22 @@ class ComponentFamily:
 class CoalgebraOperator:
     """Blockwise linear map T(V) -> T(W), truncated at homogeneity `trunc`.
 
-    The constructor validates blocks from outside and reduces their scalars
-    over Z/p into range(p); results of arithmetic are built by `_raw`."""
+    `blocks` maps (input homogeneity m, output homogeneity j), both at most
+    `trunc`, to {word: {word: scalar}}.  The constructor trusts them to be
+    homogeneous of `degree`, with scalars reduced over Z/p and no zero
+    entry, row or block: every operator is a lift or the result of
+    arithmetic on operators, which keep those invariants."""
 
-    def __init__(self, source, target, degree, trunc, blocks=()):
+    def __init__(self, source, target, degree, trunc, blocks):
         self.source = source
         self.target = target
         self.degree = degree
         self.trunc = trunc
-        self.blocks = {}
-        p = target.field.characteristic
-        for (m, j), table in dict(blocks).items():
-            if not (1 <= m <= trunc and 1 <= j <= trunc):
-                raise StructureError("block (%d, %d) outside truncation %d"
-                                     % (m, j, trunc))
-            clean = {}
-            for w, vec in table.items():
-                if p:
-                    vec = {out: _reduce(c, p) for out, c in vec.items()}
-                kept = {out: c for out, c in vec.items() if c}
-                for out in kept:
-                    if word_degree(out) != word_degree(w) + degree:
-                        raise StructureError("inhomogeneous operator entry")
-                if kept:
-                    clean[w] = kept
-            if clean:
-                self.blocks[(m, j)] = clean
-
-    @classmethod
-    def zero(cls, source, target, degree, trunc):
-        return cls(source, target, degree, trunc, {})
-
-    @classmethod
-    def _raw(cls, source, target, degree, trunc, blocks):
-        """Internal constructor for blocks already known homogeneous and
-        zero-normalized (results of arithmetic on validated operators)."""
-        op = cls.__new__(cls)
-        op.source, op.target = source, target
-        op.degree, op.trunc = degree, trunc
-        op.blocks = blocks
-        return op
+        self.blocks = blocks
 
     @classmethod
     def identity(cls, module, trunc):
-        return cls._raw(module, module, 0, trunc,
-                        _identity_blocks(module, trunc))
+        return cls(module, module, 0, trunc, _identity_blocks(module, trunc))
 
     def block(self, m, j):
         return self.blocks.get((m, j), {})
@@ -182,20 +156,6 @@ class CoalgebraOperator:
     def __sub__(self, other):
         return operator_sum(plus=[self], minus=[other])
 
-    def scale(self, c):
-        p = self.target.field.characteristic
-        if p:
-            c = _reduce(c, p)
-        if not c:
-            return CoalgebraOperator.zero(self.source, self.target,
-                                          self.degree, self.trunc)
-        blocks = {k: {w: {out: c * v % p if p else c * v
-                          for out, v in vec.items()}
-                      for w, vec in t.items()}
-                  for k, t in self.blocks.items()}
-        return CoalgebraOperator._raw(self.source, self.target, self.degree,
-                                      self.trunc, blocks)
-
     def compose(self, other):
         """self o other (apply `other` first)."""
         return operator_sum(plus=[(self, other)])
@@ -214,14 +174,14 @@ class CoalgebraOperator:
     def restricted_to(self, m):
         """The operator's restriction to homogeneity-m inputs."""
         blocks = {k: t for k, t in self.blocks.items() if k[0] == m}
-        return CoalgebraOperator._raw(self.source, self.target, self.degree,
-                                      self.trunc, blocks)
+        return CoalgebraOperator(self.source, self.target, self.degree,
+                                 self.trunc, blocks)
 
     def corestricted(self):
         """The operator's corestriction to T^1: its (m, 1) blocks."""
         blocks = {k: t for k, t in self.blocks.items() if k[1] == 1}
-        return CoalgebraOperator._raw(self.source, self.target, self.degree,
-                                      self.trunc, blocks)
+        return CoalgebraOperator(self.source, self.target, self.degree,
+                                 self.trunc, blocks)
 
     def __repr__(self):
         return ("CoalgebraOperator(degree=%d, trunc=%d, entries=%d)"
@@ -335,7 +295,7 @@ def operator_sum(plus=(), minus=()):
             compose_into(blocks, term[0], term[1], negate)
         else:
             add_into(blocks, term, negate)
-    return CoalgebraOperator._raw(*shape, blocks)
+    return CoalgebraOperator(*shape, blocks)
 
 
 # ----------------------------------------------------------------- lifts
@@ -376,7 +336,7 @@ def lift_coderivation(family):
     blocks = _lift_blocks(family.components, {1: MultiMap.identity(V)},
                           _identity_blocks(V, N - 1), N,
                           V.field.characteristic)
-    return CoalgebraOperator._raw(V, V, -1, N, blocks)
+    return CoalgebraOperator(V, V, -1, N, blocks)
 
 
 def lift_morphism(family):
@@ -386,8 +346,8 @@ def lift_morphism(family):
     comps = family.components
     blocks = _lift_blocks(comps, comps, {}, family.trunc,
                           family.target.field.characteristic)
-    return CoalgebraOperator._raw(family.source, family.target, 0, family.trunc,
-                                  blocks)
+    return CoalgebraOperator(family.source, family.target, 0, family.trunc,
+                             blocks)
 
 
 def lift_homotopy(family):
@@ -398,7 +358,7 @@ def lift_homotopy(family):
     left = family.left.components
     blocks = _lift_blocks(family.components, family.right.components,
                           _lift_blocks(left, left, {}, N - 1, p), N, p)
-    return CoalgebraOperator._raw(family.source, family.target, 1, N, blocks)
+    return CoalgebraOperator(family.source, family.target, 1, N, blocks)
 
 
 def extract_components(op, kind, left=None, right=None):
@@ -408,23 +368,22 @@ def extract_components(op, kind, left=None, right=None):
         table = op.block(n, 1)
         if not table:
             continue
-        comps[n] = MultiMap(op.source, op.target, n, op.degree,
-                            {w: {out[0]: c for out, c in vec.items()}
-                             for w, vec in table.items()})
+        comps[n] = MultiMap._raw(op.source, op.target, n, op.degree,
+                                 {w: {out[0]: c for out, c in vec.items()}
+                                  for w, vec in table.items()})
     return ComponentFamily(kind, op.source, op.target, comps, op.trunc,
                            left=left, right=right)
 
 
 # --------------------------------------------- componentwise relation checks
 
-def check_codifferential(family, n_max=None):
+def check_codifferential(family):
     """Residuals of the componentwise square-zero identity:
     d_1 d_n + sum_i d_n(1..d_1..1) + sum_{A(n)} d_k(1..d_l..1) = 0."""
-    n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("codifferential")
     V, d = family.source, family.component
     d1 = d(1)
-    for n in range(1, n_max + 1):
+    for n in range(1, family.trunc + 1):
         if n == 1:
             report.add(1, compose(d1, d1))
             continue
@@ -437,15 +396,14 @@ def check_codifferential(family, n_max=None):
     return report
 
 
-def check_morphism_components(family, src_codiff, tgt_codiff, n_max=None):
+def check_morphism_components(family, src_codiff, tgt_codiff):
     """Residuals of the componentwise intertwining identity:
     d^W_1 f_n + sum_{B(n)} d^W_k(f_{r_1} x..x f_{r_k})
       = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)."""
-    n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("intertwining")
     V, W, f = family.source, family.target, family.component
     dV, dW = src_codiff.component, tgt_codiff.component
-    for n in range(1, n_max + 1):
+    for n in range(1, family.trunc + 1):
         f_n = f(n)
         terms = [(1, dW(1), [f_n])]
         if n == 1:
@@ -461,16 +419,15 @@ def check_morphism_components(family, src_codiff, tgt_codiff, n_max=None):
     return report
 
 
-def check_homotopy_components(family, src_codiff, tgt_codiff, n_max=None):
+def check_homotopy_components(family, src_codiff, tgt_codiff):
     """Residuals of the componentwise homotopy identity:
     e_n - g_n = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)
       + d^W_1 f_n + sum_{B(n)} sum_i d^W_k(e_{r_1}..f_{r_i}..g_{r_k})."""
-    n_max = resolve_truncation(n_max, family.trunc)
     report = CheckReport("cohomotopy")
     V, W, f = family.source, family.target, family.component
     e, g = family.left.component, family.right.component
     dV, dW = src_codiff.component, tgt_codiff.component
-    for n in range(1, n_max + 1):
+    for n in range(1, family.trunc + 1):
         f_n = f(n)
         terms = [(1, e(n)), (-1, g(n))]
         if n == 1:
@@ -503,7 +460,7 @@ def operator_homotopy_residual(H, E, G, src_op, tgt_op):
 
 # ------------------------------------------------- colinearity (co-Leibniz)
 
-def colinearity_residual(op, kind, left=None, right=None, n_max=None):
+def colinearity_residual(op, kind, left=None, right=None):
     """Residual of the comultiplication compatibility of `op` per input word.
 
     morphism:     C o F - (F x F) o C
@@ -513,10 +470,9 @@ def colinearity_residual(op, kind, left=None, right=None, n_max=None):
     Returns a CheckReport keyed by homogeneity; residual entries live over
     pairs of output words.
     """
-    n_max = resolve_truncation(n_max, op.trunc)
     report = CheckReport("colinearity")
     p = op.target.field.characteristic
-    for n, words in enumerate(_tensor_words(op.source, n_max), 1):
+    for n, words in enumerate(_tensor_words(op.source, op.trunc), 1):
         res_entries = {}
         for w in words:
             res = {}

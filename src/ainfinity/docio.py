@@ -201,12 +201,24 @@ def _serialize_components(comps, field):
             for n, m in sorted(comps.items()) if not m.is_zero()}
 
 
-def _parse_transfer(obj, modules, truncation, field, where):
+def _parse_transfer(obj, W, modules, truncation, field, where):
+    """The transfer block of a document whose structure lives on W: the
+    source structure on V, phi: V -> W, psi: W -> V, homotopy: V -> V."""
     _expect_keys(obj, ["source", "phi", "psi", "homotopy"], ["comparison"], where)
     source = _parse_structure(obj["source"], modules, truncation, field,
                               where + ".source")
-    # phi: V -> W, psi: W -> V, homotopy: V -> V; W is resolved by the caller
-    return {"source": source, "raw": obj}
+    V = source[1].carrier
+    return {
+        "source": source,
+        "phi": _parse_component_block(obj["phi"], V, W, lambda n: n - 1, field,
+                                      truncation, where + ".phi"),
+        "psi": _parse_component_block(obj["psi"], W, V, lambda n: n - 1, field,
+                                      truncation, where + ".psi"),
+        "homotopy": _parse_component_block(obj["homotopy"], V, V, lambda n: n,
+                                           field, truncation,
+                                           where + ".homotopy"),
+        "comparison": obj.get("comparison"),
+    }
 
 
 def parse(text):
@@ -265,20 +277,8 @@ def parse(text):
     if "transfer" in obj:
         if structure is None:
             raise DocumentError("transfer block requires a structure block")
-        transfer = _parse_transfer(obj["transfer"], modules, truncation, field,
-                                   "transfer")
-        src = transfer["source"][1]
-        W = structure[1].carrier
-        V = src.carrier
-        raw = transfer.pop("raw")
-        transfer["phi"] = _parse_component_block(
-            raw["phi"], V, W, lambda n: n - 1, field, truncation, "transfer.phi")
-        transfer["psi"] = _parse_component_block(
-            raw["psi"], W, V, lambda n: n - 1, field, truncation, "transfer.psi")
-        transfer["homotopy"] = _parse_component_block(
-            raw["homotopy"], V, V, lambda n: n, field, truncation,
-            "transfer.homotopy")
-        transfer["comparison"] = raw.get("comparison")
+        transfer = _parse_transfer(obj["transfer"], structure[1].carrier,
+                                   modules, truncation, field, "transfer")
     return Document(field, truncation, modules, structure, retract, transfer)
 
 

@@ -36,8 +36,7 @@ from .suspension import (desuspend_components, shift_down_map, shift_up_map,
                          suspend_structure)
 
 __all__ = ["DeformationRetract", "TransferPackage", "p_kernels", "q_kernels",
-           "transfer", "check_p_identity", "check_p_identity_on_images",
-           "check_q_identity"]
+           "transfer", "check_p_identity", "check_q_identity"]
 
 
 class DeformationRetract:
@@ -172,10 +171,12 @@ def q_kernels(retract, mu, p, N):
     return q, psiphi
 
 
-def check_p_identity(p, retract, mu, n_max):
-    """Residuals of the full map identity the p-kernels satisfy:
+def check_p_identity(p, retract):
+    """Residuals of the full map identity the p-kernels {n >= 2: p_n}
+    satisfy, at every arity 2 <= n <= max(p):
     d p_n - sum_u (-1)^n p_n(1..d..1)
           - sum_{A(n)} (-1)^(i(l+1)+n) p_k(1^{i-1} x gf p_l x 1^{k-i}) = 0."""
+    n_max = max(p, default=1)
     report = CheckReport("p-identity")
     d, gf = retract.big.d, retract.gf
     # every gf p_l an A(n) term plugs in, l < n_max, composed once
@@ -192,22 +193,14 @@ def check_p_identity(p, retract, mu, n_max):
     return report
 
 
-def check_p_identity_on_images(p, retract, mu, n_max):
-    """The weaker variant: the same residual post-composed with g^{x n}."""
-    base = check_p_identity(p, retract, mu, n_max)
-    report = CheckReport("p-identity-on-images")
-    g = retract.g
-    for n, res in base.residuals.items():
-        report.add(n, compose_product(res, [g] * n))
-    return report
-
-
-def check_q_identity(q, psiphi, p, retract, mu, n_max):
-    """Residuals of the q-kernel identity:
+def check_q_identity(q, p, retract, mu):
+    """Residuals of the identity the q-kernels {n >= 1: q_n} satisfy, at
+    every arity 2 <= n <= max(q):
     d q_n + sum_u (-1)^n q_n(1..d..1)
           + sum_{B(n)} (-1)^theta p_k(gf q_{r_1} x ... x gf q_{r_k})
           + sum_{A(n)} (-1)^(i(l+1)+n) q_k(1^{i-1} x mu_l x 1^{k-i})
           - q_1 mu_n = 0."""
+    n_max = max(q)
     report = CheckReport("q-identity")
     d, gf = retract.big.d, retract.gf
     # every gf q_r a B(n) term takes, r < n_max, composed once
@@ -315,13 +308,13 @@ def transfer(retract, mu, N=None):
     homotopy = AInftyHomotopy(psiphi_mor, identity_morphism(mu), {
         n: (h if n == 1 else compose(h, q[n])) for n in range(1, N + 1)}, N)
 
-    reports["structure"] = check_structure(nu, N)
-    reports["phi"] = check_morphism(phi, N)
-    reports["psi"] = check_morphism(psi, N)
-    reports["psiphi"] = check_morphism(psiphi_mor, N)
-    reports["homotopy"] = check_homotopy(homotopy, N)
-    reports["p-identity"] = check_p_identity(p, retract, mu, N)
-    reports["q-identity"] = check_q_identity(q, composite, p, retract, mu, N)
+    reports["structure"] = check_structure(nu)
+    reports["phi"] = check_morphism(phi)
+    reports["psi"] = check_morphism(psi)
+    reports["psiphi"] = check_morphism(psiphi_mor)
+    reports["homotopy"] = check_homotopy(homotopy)
+    reports["p-identity"] = check_p_identity(p, retract)
+    reports["q-identity"] = check_q_identity(q, p, retract, mu)
     reports["composite-agreement"] = _composite_agreement(psiphi_mor, composite, N)
     for name, report in reports.items():
         report.name = name

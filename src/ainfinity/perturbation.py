@@ -129,7 +129,7 @@ class PerturbationData:
                 if power.restricted_to(n).is_zero():
                     self.nilpotency[n] = i
                     alive.discard(n)
-        self.S = CoalgebraOperator._raw(self.sV, self.sV, 0, self.trunc, series)
+        self.S = CoalgebraOperator(self.sV, self.sV, 0, self.trunc, series)
         for n in range(1, self.trunc + 1):
             idx = self.nilpotency.get(n)
             report.add("power-%d" % n,
@@ -159,13 +159,13 @@ class HplOutput:
         self.conclusions = conclusions
         self.nilpotency_report = nilpotency_report
         self.inversion_report = inversion_report
-        # component extraction is canonical only under the side conditions;
-        # without them the outputs need not have lift shape and the families
-        # are just homogeneity-1 projections.
-        self.extraction_canonical = data.retract.is_harmonious
 
     @property
     def conclusions_form(self):
+        """The form the conclusions were checked in: "corestriction" under
+        the side conditions, where the outputs are lifts of their extracted
+        families; "operator" without them, where the families are just
+        homogeneity-1 projections."""
         return "operator" if self.colinearity is None else "corestriction"
 
     def reports(self):
@@ -385,7 +385,7 @@ def _compose_with_homotopy(x, hhat, gfhat, n):
         for a in range(n)])
 
 
-def check_annihilation_lemmas(pkg, n_max=None):
+def check_annihilation_lemmas(pkg):
     """The side-condition identities behind the equivalence, per arity:
 
     * vanish-on-images:  q_n o g^{x n} = 0                      (n >= 2)
@@ -397,18 +397,18 @@ def check_annihilation_lemmas(pkg, n_max=None):
     * q-through-homotopy:  q_n = d_n o H_n
         + sum_i q_{n-i+1} o (sum_u 1..d_i..1) o H_n
 
-    (all on the shifted side, H_n the homogeneity-n homotopy block).
-    Requires the side conditions; raises otherwise.
+    (all on the shifted side, H_n the homogeneity-n homotopy block), for
+    2 <= n <= pkg.truncation.  Requires the side conditions; raises
+    otherwise.
     """
     if not pkg.retract.is_harmonious:
         raise StructureError("annihilation identities assume the side conditions")
-    n_max = resolve_truncation(n_max, pkg.truncation)
     _, ghat, hhat, gfhat = pkg.retract.shifted()
     sV, sW = hhat.source, ghat.source
     ident = MultiMap.identity(sV)
     delta = pkg.smu.component
     report = CheckReport("annihilation")
-    for n in range(2, n_max + 1):
+    for n in range(2, pkg.truncation + 1):
         q_n, p_n = pkg.q_hat[n], pkg.p_hat[n]
         report.add("vanish-on-images-%d" % n,
                    compose_product(q_n, [ghat] * n))

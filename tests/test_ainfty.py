@@ -19,6 +19,22 @@ def test_structure_constructor_validates_shapes():
         AInfinity(V, d, {2: MultiMap.zero(V, V, 2, 1)}, 4)
 
 
+def test_components_above_truncation_refused():
+    """A morphism or homotopy truncated at N has no component of arity
+    above N, as a structure has no product there."""
+    V = GradedModule({0: 1, 1: 1, 2: 1})
+    a = chain_complex_ainfty(V, MultiMap.zero(V, V, 1, -1))
+    one = V.field.one
+    e = (0, 0)
+    f2 = MultiMap(V, V, 2, 1, {(e, e): {(1, 0): one}})
+    h2 = MultiMap(V, V, 2, 2, {(e, e): {(2, 0): one}})
+    with pytest.raises(StructureError, match="arity 2 outside 1..1"):
+        AInftyMorphism(a, a, {1: MultiMap.identity(V), 2: f2}, 1)
+    ident = identity_morphism(a)
+    with pytest.raises(StructureError, match="arity 2 outside 1..1"):
+        AInftyHomotopy(ident, ident, {2: h2}, 1)
+
+
 def test_check_structure_dga_passes():
     a = one_point_dga()
     assert check_structure(a).ok

@@ -155,6 +155,18 @@ def test_check_exit_two_on_garbage(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 2
 
 
+def test_check_refuses_document_with_nothing_to_check(tmp_path, capsys):
+    """Modules alone give `check` nothing to verify: it must say so and
+    exit 2, not report status=ok."""
+    mu = instance_massey()
+    path = str(tmp_path / "modules-only.json")
+    dump(Document(mu.carrier.field, 3, {"V": mu.carrier}), path)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: nothing to check")
+
+
 def mod_p_object():
     mu = instance_massey(field=PrimeField(7))
     doc = Document(mu.carrier.field, 5, {"V": mu.carrier}, structure=("V", mu))
@@ -280,6 +292,15 @@ def machine_lines(report):
     return report.split("\n---\n")[0].splitlines()
 
 
+def hpl_forms(machine):
+    """The values of the hpl.extraction= line and the hpl.conclusions= line
+    right after it: the one fact, whether the outputs are lifts of their
+    extracted families, printed twice."""
+    at = [line.startswith("hpl.extraction=") for line in machine].index(True)
+    assert machine[at + 1].startswith("hpl.conclusions=")
+    return tuple(line.split("=", 1)[1] for line in machine[at:at + 2])
+
+
 @pytest.mark.parametrize("method", ["both", "hpl"])
 def test_transfer_reports_colinearity_then_corestricted_conclusions(
         tmp_path, capsys, method):
@@ -293,8 +314,7 @@ def test_transfer_reports_colinearity_then_corestricted_conclusions(
                            for key in ("delta_nu", "homotopy", "phi", "psi")]
     assert machine.index(colinearity[-1]) < machine.index(
         "check.hpl-conclusions.homotopy-identity.nonzero=0")
-    at = machine.index("hpl.extraction=canonical")
-    assert machine[at + 1] == "hpl.conclusions=corestriction"
+    assert hpl_forms(machine) == ("canonical", "corestriction")
 
 
 @pytest.mark.parametrize("method", ["both", "hpl"])
@@ -317,8 +337,7 @@ def test_crooked_retract_reports_operator_conclusions(tmp_path, capsys, method):
     assert main(["transfer", path, "--method", method, "-o", out]) == code
     machine = machine_lines(capsys.readouterr().out)
     assert not [line for line in machine if "hpl-colinearity" in line]
-    at = machine.index("hpl.extraction=non-canonical")
-    assert machine[at + 1] == "hpl.conclusions=operator"
+    assert hpl_forms(machine) == ("non-canonical", "operator")
     assert "check.hpl-conclusions.square-zero.nonzero=0" in machine
     assert main(["check", out]) == code
     if method == "hpl":

@@ -123,7 +123,7 @@ def equivalence_detects(field=None):
             retract = retracts.harmonious_retract(
                 ChainComplex(mu.carrier, mu.differential))
             pkg = kernels.transfer(retract, mu, 4)
-            if not battery.equivalence_battery(pkg, mu, 4).ok:
+            if not battery.equivalence_battery(pkg).ok:
                 return True
         return False
     except StructureError:

@@ -9,7 +9,6 @@ import pytest
 from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                               check_homotopy, check_morphism, check_structure,
                               identity_morphism)
-from ainfinity.battery import equivalence_battery
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  check_codifferential,
                                  check_homotopy_components,
@@ -19,7 +18,9 @@ from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
 from ainfinity.fields import PrimeField
 from ainfinity.graded import (ChainComplex, GradedModule, MultiMap,
                               StructureError, compose)
-from ainfinity.kernels import DeformationRetract, transfer
+from ainfinity.kernels import (DeformationRetract, check_p_identity,
+                               check_q_identity, p_kernels, q_kernels,
+                               transfer)
 from ainfinity.perturbation import (build_perturbation,
                                     check_annihilation_lemmas,
                                     check_side_conditions,
@@ -125,7 +126,7 @@ def test_hpl_conclusions_on_desk_instances():
         data = build_perturbation(retract, suspend_structure(mu), 4)
         hpl = hpl_transfer(data)
         assert hpl.conclusions.ok, hpl.conclusions.failing()
-        assert hpl.extraction_canonical
+        assert hpl.conclusions_form == "corestriction"
 
 
 def test_hpl_equals_kernels_on_desk_instances():
@@ -147,7 +148,7 @@ def test_comparison_skipped_without_side_conditions():
     data = build_perturbation(retract, suspend_structure(mu), 4)
     hpl = hpl_transfer(data)
     assert hpl.conclusions.ok  # the lemma needs no side conditions
-    assert not hpl.extraction_canonical
+    assert hpl.conclusions_form == "operator"
     report = compare_hpl_vs_kernels(hpl, pkg, 4)
     assert report.status == report.SKIPPED
     assert report.ok  # a skipped comparison is a status, not a failure
@@ -285,7 +286,7 @@ def test_annihilation_lemmas_hold_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
         pkg = transfer(retract, mu, 4)
-        report = check_annihilation_lemmas(pkg, 4)
+        report = check_annihilation_lemmas(pkg)
         assert report.ok, report.failing()
 
 
@@ -294,7 +295,7 @@ def test_annihilation_requires_side_conditions():
     retract = crooked_retract(mu)
     pkg = transfer(retract, mu, 4)
     with pytest.raises(StructureError):
-        check_annihilation_lemmas(pkg, 4)
+        check_annihilation_lemmas(pkg)
 
 
 def test_q2_through_homotopy_hand_case():
@@ -336,23 +337,11 @@ def witness3():
 # called with an explicit one
 TRUNCATION_SITES = {
     "check_structure": lambda w, n: check_structure(w.mu, n),
-    "check_morphism": lambda w, n: check_morphism(w.pkg.phi, n),
-    "check_homotopy": lambda w, n: check_homotopy(w.pkg.homotopy, n),
     "AInftyMorphism": lambda w, n: AInftyMorphism(w.mu, w.mu, {}, n),
     "AInftyHomotopy": lambda w, n: AInftyHomotopy(
         identity_morphism(w.mu), identity_morphism(w.mu), {}, n),
-    "equivalence_battery": lambda w, n: equivalence_battery(w.pkg, w.mu, n),
-    "check_codifferential": lambda w, n: check_codifferential(w.smu, n),
-    "check_morphism_components": lambda w, n: check_morphism_components(
-        suspend_morphism(w.pkg.phi), w.smu, suspend_structure(w.pkg.nu), n),
-    "check_homotopy_components": lambda w, n: check_homotopy_components(
-        suspend_homotopy(w.pkg.homotopy), w.smu, w.smu, n),
-    "colinearity_residual": lambda w, n: colinearity_residual(
-        w.data.F, "morphism", n_max=n),
     "compare_hpl_vs_kernels": lambda w, n: compare_hpl_vs_kernels(
         w.hpl, w.pkg, n),
-    "check_annihilation_lemmas": lambda w, n: check_annihilation_lemmas(
-        w.pkg, n),
 }
 
 
@@ -360,6 +349,39 @@ TRUNCATION_SITES = {
 @pytest.mark.parametrize("site", sorted(TRUNCATION_SITES))
 def test_nonpositive_truncation_rejected(site, n, witness3):
     """Only None means "the default truncation"; 0 and below raise."""
-    assert len(TRUNCATION_SITES) == 12
+    assert len(TRUNCATION_SITES) == 4
     with pytest.raises(StructureError, match="truncation must be >= 1"):
         TRUNCATION_SITES[site](witness3, n)
+
+
+@pytest.mark.parametrize("N", [1, 3, 4])
+def test_checkers_run_to_the_truncation_of_their_object(N):
+    """Transferred at N below the witness's own truncation, every checker
+    that reads N from its object reports exactly the arities 1..N (2..N
+    for the kernel identities, whose kernels start at arity 2)."""
+    mu = instance_massey(truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu, N)
+    data = build_perturbation(retract, pkg.smu, N)
+    snu = suspend_structure(pkg.nu)
+    arities = list(range(1, N + 1))
+    reports = [
+        check_morphism(pkg.phi), check_homotopy(pkg.homotopy),
+        check_codifferential(snu),
+        check_morphism_components(suspend_morphism(pkg.phi), pkg.smu, snu),
+        check_homotopy_components(suspend_homotopy(pkg.homotopy), pkg.smu,
+                                  pkg.smu),
+        colinearity_residual(data.F, "morphism"),
+    ]
+    for report in reports:
+        assert sorted(report.residuals) == arities, report.name
+    p = p_kernels(retract, mu, N)
+    q, _ = q_kernels(retract, mu, p, N)
+    assert (p == {}) == (N == 1)
+    for report in (check_p_identity(p, retract),
+                   check_q_identity(q, p, retract, mu)):
+        assert sorted(report.residuals) == arities[1:], report.name
+        assert report.ok
+    keys = check_annihilation_lemmas(pkg).residuals
+    assert sorted(int(k.rsplit("-", 1)[1]) for k in keys
+                  if k.startswith("vanish-on-images-")) == arities[1:]

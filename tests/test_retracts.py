@@ -14,7 +14,7 @@ from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
 from ainfinity.retracts import (Splitting, harmonious_retract, homology,
                                 instance_forms, instance_massey)
 from ainfinity.suspension import suspend_structure
-from conftest import seeded, two_dim_complex
+from conftest import two_dim_complex
 
 
 def test_homology_rejects_non_square_zero():

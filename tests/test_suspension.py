@@ -1,11 +1,9 @@
 """Suspension dictionary: shifts, the global sign, roundtrips, and the
 relation-equivalence across the two conventions."""
 
-import pytest
-
 from ainfinity.ainfty import (AInftyHomotopy, AInftyMorphism, check_homotopy,
                               check_morphism, check_structure,
-                              compose_morphisms, identity_morphism)
+                              identity_morphism)
 from ainfinity.coalgebra import (check_codifferential,
                                  check_homotopy_components,
                                  check_morphism_components)
@@ -63,11 +61,11 @@ def test_structure_relation_equivalence():
     # family, including on a broken instance
     good = instance_massey()
     assert check_structure(good, 4).ok
-    assert check_codifferential(suspend_structure(good), 4).ok
+    assert check_codifferential(suspend_structure(good)).ok
 
     bad = dga_without_leibniz()
     assert not check_structure(bad, 4).ok
-    assert not check_codifferential(suspend_structure(bad), 4).ok
+    assert not check_codifferential(suspend_structure(bad)).ok
 
 
 def test_morphism_relation_equivalence_on_transfer():
@@ -77,14 +75,14 @@ def test_morphism_relation_equivalence_on_transfer():
     smu = suspend_structure(mu)
     snu = suspend_structure(pkg.nu)
     fam = suspend_morphism(pkg.psi)
-    assert check_morphism_components(fam, snu, smu, 4).ok
+    assert check_morphism_components(fam, snu, smu).ok
 
     # breaking one component breaks both conventions
     bad_comps = dict(pkg.psi.components)
     bad_comps[2] = bad_comps[2].scale(2)
     bad = AInftyMorphism(pkg.nu, mu, bad_comps, 4)
-    assert not check_morphism(bad, 4).ok
-    assert not check_morphism_components(suspend_morphism(bad), snu, smu, 4).ok
+    assert not check_morphism(bad).ok
+    assert not check_morphism_components(suspend_morphism(bad), snu, smu).ok
 
 
 def test_homotopy_relation_equivalence_on_transfer():
@@ -93,16 +91,16 @@ def test_homotopy_relation_equivalence_on_transfer():
     pkg = transfer(retract, mu, 4)
     smu = suspend_structure(mu)
     fam = suspend_homotopy(pkg.homotopy)
-    assert check_homotopy(pkg.homotopy, 4).ok
-    assert check_homotopy_components(fam, smu, smu, 4).ok
+    assert check_homotopy(pkg.homotopy).ok
+    assert check_homotopy_components(fam, smu, smu).ok
 
     # the arity-1 component is the retract homotopy itself; scaling it
     # breaks the relation in both conventions
     bad_comps = dict(pkg.homotopy.components)
     bad_comps[1] = bad_comps[1].scale(3)
     bad = AInftyHomotopy(pkg.homotopy.frm, pkg.homotopy.to, bad_comps, 4)
-    assert not check_homotopy(bad, 4).ok
-    assert not check_homotopy_components(suspend_homotopy(bad), smu, smu, 4).ok
+    assert not check_homotopy(bad).ok
+    assert not check_homotopy_components(suspend_homotopy(bad), smu, smu).ok
 
 
 def test_strict_chain_map_suspends_to_strict_family():
