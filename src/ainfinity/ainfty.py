@@ -16,8 +16,8 @@ below the truncation of its input.
 
 from . import signs
 from .combi import enum_A, enum_B
-from .graded import (MultiMap, StructureError, compose, insert_slots, map_sum,
-                     resolve_truncation)
+from .graded import (MultiMap, StructureError, check_truncation, compose,
+                     insert_slots, map_sum, resolve_truncation)
 from .reports import CheckReport
 
 
@@ -29,6 +29,7 @@ class AInfinity:
             raise StructureError("differential must have arity 1, degree -1")
         if differential.source != carrier or differential.target != carrier:
             raise StructureError("differential must live on the carrier")
+        truncation = check_truncation(truncation)
         self.carrier = carrier
         self.differential = differential
         self.products = {}

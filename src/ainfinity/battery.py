@@ -50,7 +50,7 @@ def equivalence_battery(pkg):
     comp = check_homotopy_components(hom_fam, smu, smu)
     E = lift_morphism(hom_fam.left)
     G = lift_morphism(hom_fam.right)
-    H = lift_homotopy(hom_fam)
+    H = lift_homotopy(hom_fam, E)
     op = operator_homotopy_residual(H, E, G, dV, dV)
     report.add("homotopy-components", comp)
     report.add("homotopy-operator", op)

@@ -15,16 +15,21 @@ and conilpotent; Loday-Vallette, Algebraic Operads, ch. 1):
     morphism      none                       the family itself
     homotopy      e (lift of family.left)    g (family.right)
 
-One recursion on homogeneity (`_lift_blocks`) builds every lift, splitting
-off the last tensor factor: block (n, 1) is the component x_n, and
+One recursion on homogeneity (`_lift_blocks`) builds every lift from each
+kind's flanks (`_flanks`), splitting off the last tensor factor: block
+(n, 1) is the component x_n, and one block step (`_block_step`) gives
 
     X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r,
 
-so each block is one binary tensor step (`graded.tensor_into`) away from
+so each block is a few binary tensor steps (`graded.tensor_into`) from
 blocks already built; the Koszul sign of the last factor depends only on
 the degree of the input word to its left.  Unrolled, X(n, k) sums
 e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
-`graded.tensor_table` of these products is the tests' reference.
+`graded.tensor_table` of these products is the tests' reference.  The same
+step checks whether an operator is the lift of a family without building
+that lift (`lift_residual`): applied to the operator's own blocks
+(n - r, k - 1), it must give its block (n, k), and by induction on k this
+holds for every block exactly when the operator is the lift.
 
 Every operator is built inside this package (lifts, sums, composites,
 restrictions), so `CoalgebraOperator` has one constructor, which trusts its
@@ -42,8 +47,9 @@ they check; the acceptance battery asserts the two agree on every instance.
 
 from . import signs
 from .combi import enum_A, enum_B
-from .graded import (MultiMap, StructureError, _acc, _merge, compose,
-                     insert_slots, map_sum, tensor_into, word_degree)
+from .graded import (MultiMap, StructureError, _acc, _merge,
+                     check_truncation, compose, insert_slots, map_sum,
+                     tensor_into, word_degree)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -63,7 +69,7 @@ class ComponentFamily:
         self.kind = kind
         self.source = source
         self.target = target
-        self.trunc = trunc
+        self.trunc = check_truncation(trunc)
         self.components = {}
         for n, m in components.items():
             n = int(n)
@@ -305,60 +311,111 @@ def _letters(x):
     return {w: {(b,): c for b, c in vec.items()} for w, vec in x.table.items()}
 
 
-def _lift_blocks(comps, right, left, trunc, p):
-    """Blocks (n, k), n <= trunc, of the colinear lift of the components
-    `comps` {r: x_r} with right flank components `right` {r: g_r} and left
-    flank blocks `left` {(m, k): table} ({} for no left flank):
+def _block_step(blocks, comps, right, left, n, k, p):
+    """Block (n, k), k >= 2, of the colinear lift of the components `comps`
+    {r: x_r} with right flank components `right` {r: g_r} and left flank
+    blocks `left` {(m, k): table}, as a fresh table built from the blocks
+    (n - r, k - 1) of `blocks`:
 
-        X(n, 1) = x_n,  X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r.
-    """
+        X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r.
+
+    The one step of every lift, and of `lift_residual`, which applies it to
+    an operator's own blocks."""
+    acc = {}
+    for r in range(1, n - k + 2):
+        prev, g = blocks.get((n - r, k - 1)), right.get(r)
+        if prev and g is not None:
+            tensor_into(acc, prev, g, p)
+        e, x = left.get((n - r, k - 1)), comps.get(r)
+        if e and x is not None:
+            tensor_into(acc, e, x, p)
+    return acc
+
+
+def _lift_blocks(comps, right, left, trunc, p):
+    """Blocks (n, k), n <= trunc, of the colinear lift: X(n, 1) = x_n, and
+    each further block one `_block_step` from blocks already built."""
     blocks = {(n, 1): _letters(x) for n, x in comps.items() if n <= trunc}
     for n in range(2, trunc + 1):
         for k in range(2, n + 1):
-            acc = {}
-            for r in range(1, n - k + 2):
-                prev, g = blocks.get((n - r, k - 1)), right.get(r)
-                if prev and g is not None:
-                    tensor_into(acc, prev, g, p)
-                e, x = left.get((n - r, k - 1)), comps.get(r)
-                if e and x is not None:
-                    tensor_into(acc, e, x, p)
+            acc = _block_step(blocks, comps, right, left, n, k, p)
             if acc:
                 blocks[(n, k)] = acc
     return blocks
 
 
+def _flanks(family, left_lift=None):
+    """(right, left) flanks of the lift of `family`: the right flank's
+    components {r: g_r} and the left flank's blocks {(m, k): table} up to
+    homogeneity trunc - 1 ({} for no left flank).  A homotopy's left flank
+    is the lift of `family.left`, built here unless the caller passes it as
+    `left_lift`."""
+    V, N = family.source, family.trunc
+    if family.kind == "coderivation":
+        return {1: MultiMap.identity(V)}, _identity_blocks(V, N - 1)
+    if family.kind == "morphism":
+        return family.components, {}
+    if left_lift is None:
+        left = family.left.components
+        return family.right.components, _lift_blocks(
+            left, left, {}, N - 1, family.target.field.characteristic)
+    if left_lift.trunc < N - 1 or left_lift.source != V:
+        raise StructureError("left flank lift does not cover the homotopy")
+    return family.right.components, left_lift.blocks
+
+
+def _lift(family, kind, left_lift=None):
+    if family.kind != kind:
+        raise StructureError("lift_%s needs a %s family" % (kind, kind))
+    right, left = _flanks(family, left_lift)
+    blocks = _lift_blocks(family.components, right, left, family.trunc,
+                          family.target.field.characteristic)
+    return CoalgebraOperator(family.source, family.target, family.degree,
+                             family.trunc, blocks)
+
+
 def lift_coderivation(family):
     """Lift with flanks (1, 1): the identity's diagonal blocks on the left."""
-    if family.kind != "coderivation":
-        raise StructureError("lift_coderivation needs a coderivation family")
-    V, N = family.source, family.trunc
-    blocks = _lift_blocks(family.components, {1: MultiMap.identity(V)},
-                          _identity_blocks(V, N - 1), N,
-                          V.field.characteristic)
-    return CoalgebraOperator(V, V, -1, N, blocks)
+    return _lift(family, "coderivation")
 
 
 def lift_morphism(family):
     """Lift with the family as its own right flank and no left flank."""
-    if family.kind != "morphism":
-        raise StructureError("lift_morphism needs a morphism family")
-    comps = family.components
-    blocks = _lift_blocks(comps, comps, {}, family.trunc,
-                          family.target.field.characteristic)
-    return CoalgebraOperator(family.source, family.target, 0, family.trunc,
-                             blocks)
+    return _lift(family, "morphism")
 
 
-def lift_homotopy(family):
-    """(E, G)-colinear lift of a homotopy family with its morphism flanks."""
-    if family.kind != "homotopy":
-        raise StructureError("lift_homotopy needs a homotopy family")
-    N, p = family.trunc, family.target.field.characteristic
-    left = family.left.components
-    blocks = _lift_blocks(family.components, family.right.components,
-                          _lift_blocks(left, left, {}, N - 1, p), N, p)
-    return CoalgebraOperator(family.source, family.target, 1, N, blocks)
+def lift_homotopy(family, left_lift=None):
+    """(E, G)-colinear lift of a homotopy family with its morphism flanks.
+    `left_lift`, when given, is the caller's lift of `family.left` (E); only
+    its blocks of homogeneity below the truncation are read."""
+    return _lift(family, "homotopy", left_lift)
+
+
+def lift_residual(op, family):
+    """`op` checked block by block against the lift of `family`, without
+    building that lift: block (n, 1) against x_n, and block (n, k), k >= 2,
+    against `_block_step` applied to op's own blocks (n - r, k - 1).  A
+    residual table (expected minus op's block) is kept only for a block
+    that differs, and any block of op outside 1 <= k <= n <= trunc is one.
+    By induction on k, the residual is zero exactly when op is the lift."""
+    right, left = _flanks(family)
+    comps, blocks = family.components, op.blocks
+    p = op.target.field.characteristic
+    keys = {(n, k) for n in range(1, op.trunc + 1) for k in range(1, n + 1)}
+    residual = {}
+    for n, k in sorted(keys | set(blocks)):
+        if k == 1:
+            want = _letters(comps[n]) if n in comps else {}
+        elif k <= n:
+            want = _block_step(blocks, comps, right, left, n, k, p)
+        else:
+            want = {}
+        got = blocks.get((n, k), {})
+        if want != got:
+            _merge(want, got, p, negate=True)
+            residual[(n, k)] = want
+    return CoalgebraOperator(op.source, op.target, op.degree, op.trunc,
+                             residual)
 
 
 def extract_components(op, kind, left=None, right=None):

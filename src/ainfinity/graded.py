@@ -119,14 +119,17 @@ def _reduce(c, p):
     return c % p
 
 
-def resolve_truncation(n, default):
-    """`n`, or `default` when `n` is None; an explicit truncation below 1
-    raises instead of falling back to the default."""
-    if n is None:
-        return default
+def check_truncation(n):
+    """`n`, raising for a truncation below 1."""
     if n < 1:
         raise StructureError("truncation must be >= 1, got %d" % n)
     return n
+
+
+def resolve_truncation(n, default):
+    """`n`, or `default` when `n` is None; an explicit truncation below 1
+    raises instead of falling back to the default."""
+    return default if n is None else check_truncation(n)
 
 
 class MultiMap:

@@ -12,14 +12,23 @@ operator, whose lift covers every word of T^{<=N}(sV), since
 
     (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M.
 
-Outputs:
+The lemma's outputs, with A = (1 - dmu H)^{-1} dmu = dmu + S dmu, are
+F A G, G + H A G, F + F A H and H + H A H.  In Crainic's form of the lemma
+(On the perturbation lemma, and deformations, arXiv:math/0403266),
+A H = (1 - dmu H)^{-1} - 1, and on the truncation A H = M + S M = S holds
+exactly whenever the `series-inversion.left` residual S - M - S M is zero,
+which the same run reports.  So the outputs are built as
 
-    delta_nu = F A G,   psi = G + H A G,   phi = F + F A H,
-    H_out = H + H A H,  A = (1 - dmu H)^{-1} dmu = dmu + S dmu,
+    phi = F + F S,   H_out = H + H S,   psi = G + H AG,   delta_nu = F AG,
+    AG = dmu G + S (dmu G),
 
-with F A and H A composed once each.  Every residual of two or more
-terms, and every output of the form X + Y Z, is accumulated into one block
-table by `coalgebra.operator_sum`, so no partial sum is copied.
+where AG lives on the small side T(sW).  A composite walks its inner
+operand row by row and looks the outer one up only at the words reached,
+so the dense homotopy lift H is walked once, in M = dmu H, and A itself
+is never built.  Every
+residual of two or more terms, and every output, is one
+`coalgebra.operator_sum` into one block table, so no partial sum is
+copied.
 
 What is verified: the perturbed target coderivation DW = dW + delta_nu
 squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
@@ -30,11 +39,13 @@ Under the four side conditions (fg = 1, fh = 0, hg = 0, hh = 0; the
 retract's `is_harmonious`) every output is a lift of its own components,
 and the conclusions are checked on corestrictions to T^1, in this order:
 
-1. `hpl-colinearity`: the lift of each output's own (n, 1) blocks minus
-   the output -- delta_nu as a coderivation, psi and phi as morphisms,
-   H_out as a homotopy whose left flank is the corestriction
-   pi_1(psi phi), composed from psi's (k, 1) blocks and phi
-   (`extract_outputs`);
+1. `hpl-colinearity`: each output compared, block by block and in place,
+   with the lift of its own (n, 1) blocks (`coalgebra.lift_residual`):
+   block (n, k) against the lift's step applied to the output's own blocks
+   (n - r, k - 1), so the lift is never built -- delta_nu as a
+   coderivation, psi and phi as morphisms, H_out as a homotopy whose left
+   flank is the corestriction pi_1(psi phi), composed from psi's (k, 1)
+   blocks and phi (`extract_outputs`);
 2. `hpl-conclusions`: the componentwise identities of those families
    (`check_codifferential`, `check_morphism_components`,
    `check_homotopy_components`), one per-arity report per conclusion;
@@ -68,7 +79,7 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
                         check_codifferential, check_homotopy_components,
                         check_morphism_components, extract_components,
                         lift_coderivation, lift_homotopy, lift_morphism,
-                        operator_homotopy_residual,
+                        lift_residual, operator_homotopy_residual,
                         operator_intertwining_residual, operator_sum)
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      insert_slots, map_sum, resolve_truncation)
@@ -197,14 +208,14 @@ def hpl_transfer(data):
     M, S, dmu = data.M, data.S, data.dmu
     inversion_report = series_inversion_report(M, S)
 
-    A = operator_sum(plus=[dmu, (S, dmu)])
-    FA = data.F.compose(A)
-    HA = data.H.compose(A)
+    F, G, H = data.F, data.G, data.H
+    dmuG = dmu.compose(G)
+    AG = operator_sum(plus=[dmuG, (S, dmuG)])
     outputs = {
-        "delta_nu": FA.compose(data.G),
-        "psi": operator_sum(plus=[data.G, (HA, data.G)]),
-        "phi": operator_sum(plus=[data.F, (FA, data.H)]),
-        "homotopy": operator_sum(plus=[data.H, (HA, data.H)]),
+        "delta_nu": F.compose(AG),
+        "psi": operator_sum(plus=[G, (H, AG)]),
+        "phi": operator_sum(plus=[F, (F, S)]),
+        "homotopy": operator_sum(plus=[H, (H, S)]),
     }
     families = extract_outputs(data, outputs)
     if data.retract.is_harmonious:
@@ -234,17 +245,13 @@ def extract_outputs(data, outputs):
 
 
 def colinearity_report(outputs, families):
-    """The lift of each output's own components minus the output: zero
-    exactly when the output is colinear (a coderivation, morphism or
-    flanked homotopy of the tensor coalgebra).  One lift per output, and
-    the output is subtracted from that fresh lift in place."""
-    relifts = {"delta_nu": lift_coderivation, "psi": lift_morphism,
-               "phi": lift_morphism, "homotopy": lift_homotopy}
+    """Each output checked block by block against the lift of its own
+    components (`coalgebra.lift_residual`): zero exactly when the output is
+    colinear (a coderivation, morphism or flanked homotopy of the tensor
+    coalgebra).  No lift of an output is built."""
     report = CheckReport("hpl-colinearity")
-    for key, lift in relifts.items():
-        residual = lift(families[key])
-        add_into(residual.blocks, outputs[key], negate=True)
-        report.add(key, residual)
+    for key in ("delta_nu", "psi", "phi", "homotopy"):
+        report.add(key, lift_residual(outputs[key], families[key]))
     return report
 
 

@@ -2,8 +2,10 @@
 deterministic random map generator."""
 
 import random
+import sys
 
 from ainfinity.ainfty import AInfinity
+from ainfinity.coalgebra import CoalgebraOperator
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap, compose
 from ainfinity.kernels import DeformationRetract
 from ainfinity.retracts import harmonious_retract, instance_massey
@@ -94,3 +96,38 @@ def crooked_retract(mu):
 
 def seeded(seed=7):
     return random.Random(seed)
+
+
+def rebind(monkeypatch, original, replacement):
+    """Bind `replacement` under every name of every loaded ainfinity module
+    that holds `original`; returns the names of the modules rebound."""
+    rebound = []
+    for name, mod in sorted(sys.modules.items()):
+        if name.split(".")[0] != "ainfinity":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, replacement)
+                rebound.append(name)
+    return rebound
+
+
+def corrupted(op):
+    """(block, operator) pairs: `op` with each one of its blocks dropped,
+    then with one scalar of each block doubled (p is odd or 0, so a doubled
+    scalar differs)."""
+    p = op.target.field.characteristic
+    for key in sorted(op.blocks):
+        yield key, CoalgebraOperator(
+            op.source, op.target, op.degree, op.trunc,
+            {b: t for b, t in op.blocks.items() if b != key})
+    for key in sorted(op.blocks):
+        blocks = dict(op.blocks)
+        table = {w: dict(v) for w, v in blocks[key].items()}
+        w = min(table)
+        out = min(table[w])
+        c = 2 * table[w][out]
+        table[w][out] = c % p if p else c
+        blocks[key] = table
+        yield key, CoalgebraOperator(op.source, op.target, op.degree,
+                                     op.trunc, blocks)

@@ -19,6 +19,14 @@ def test_structure_constructor_validates_shapes():
         AInfinity(V, d, {2: MultiMap.zero(V, V, 2, 1)}, 4)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_structure_refuses_nonpositive_truncation(N):
+    """A structure truncated below arity 1 would check nothing and pass."""
+    V, d = two_dim_complex()
+    with pytest.raises(StructureError, match="truncation must be >= 1"):
+        AInfinity(V, d, {}, N)
+
+
 def test_components_above_truncation_refused():
     """A morphism or homotopy truncated at N has no component of arity
     above N, as a structure has no product there."""

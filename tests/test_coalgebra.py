@@ -11,7 +11,7 @@ from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  check_morphism_components, colinearity_residual,
                                  comultiply, extract_components,
                                  lift_coderivation, lift_homotopy, lift_morphism,
-                                 operator_homotopy_residual,
+                                 lift_residual, operator_homotopy_residual,
                                  operator_intertwining_residual,
                                  operator_sum)
 from ainfinity.combi import compositions
@@ -20,7 +20,7 @@ from ainfinity.graded import GradedModule, MultiMap, StructureError, tensor_tabl
 from ainfinity.retracts import harmonious_retract, instance_massey
 from ainfinity.graded import ChainComplex
 from ainfinity.suspension import suspend_structure
-from conftest import random_multimap, seeded
+from conftest import corrupted, random_multimap, seeded
 
 TRUNC = 4
 
@@ -86,6 +86,14 @@ def test_component_family_shape_checks():
                         {1: MultiMap.zero(V, V, 1, 0)}, TRUNC)
     with pytest.raises(StructureError):
         ComponentFamily("homotopy", V, V, {}, TRUNC)  # flanks missing
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_component_family_refuses_nonpositive_truncation(N):
+    """A family truncated below arity 1 would check nothing and pass."""
+    V = small_module()
+    with pytest.raises(StructureError, match="truncation must be >= 1"):
+        ComponentFamily("coderivation", V, V, {}, N)
 
 
 def test_coderivation_lift_of_arity_one_is_summed_insertion():
@@ -184,6 +192,40 @@ def test_lift_blocks_match_definition(fam):
         for k in range(1, TRUNC + 1):
             assert op.block(n, k) == summed_tensor_tables(
                 defining_terms(fam, n, k), fam.source.field), (n, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lift_families())
+def test_lift_residual_is_zero_exactly_on_the_lift(fam):
+    """The in-place residual vanishes on the lift of the family, and on an
+    operator with one block dropped or one scalar changed it is nonzero
+    exactly when the lift minus that operator is."""
+    op = LIFTS[fam.kind](fam)
+    assert lift_residual(op, fam).is_zero()
+    for _, bad in corrupted(op):
+        assert lift_residual(bad, fam).is_zero() == (op - bad).is_zero()
+
+
+def test_homotopy_lift_reads_a_given_left_flank_lift():
+    """Passed the lift of its left flank, the homotopy lift is the one it
+    builds on its own, and reads no block at the truncation."""
+    V, rng = small_module(), seeded(8)
+
+    def family(kind, degree, **flanks):
+        return ComponentFamily(kind, V, V,
+                               {n: random_multimap(rng, V, V, n, degree)
+                                for n in range(1, TRUNC + 1)}, TRUNC, **flanks)
+
+    hfam = family("homotopy", 1, left=family("morphism", 0),
+                  right=family("morphism", 0))
+    E = lift_morphism(hfam.left)
+    below = CoalgebraOperator(V, V, 0, TRUNC - 1,
+                              {k: t for k, t in E.blocks.items()
+                               if k[0] < TRUNC})
+    assert lift_homotopy(hfam, E) == lift_homotopy(hfam)
+    assert lift_homotopy(hfam, below) == lift_homotopy(hfam)
+    with pytest.raises(StructureError):
+        lift_homotopy(hfam, CoalgebraOperator(V, V, 0, TRUNC - 2, {}))
 
 
 def test_lift_then_extract_roundtrip():

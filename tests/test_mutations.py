@@ -17,27 +17,29 @@ the map terms by separate calls; `graded._acc` and `graded._merge`, the one
 accumulator (which also reduces modulo p) and the one table merge;
 `coalgebra.compose_into`, the one operator composite of the
 perturbation-lemma route, which also sums its residuals in place;
-`graded.tensor_into` and the one lift recursion `coalgebra._lift_blocks`
-(its two tensor steps and its range of last-factor arities), which build
-every lift; the index families `combi.enum_B` and `combi.enum_C` of the
-recursions; the memo of `kernels.check_q_identity`; the shared h^ p^_k of
-the shifted composite in `kernels._suspended_q`; the phi components
-`kernels.transfer` assembles; the outputs of `perturbation.hpl_transfer`;
-and the arity loop and the shifted delta_nu of
-`perturbation.compare_hpl_vs_kernels`.  Each is an
+`graded.tensor_into` and the one block step `coalgebra._block_step` (its
+two tensor steps and its range of last-factor arities), which builds every
+lift and is what the colinearity residual applies to an output's own
+blocks; the block comparison of that residual, `coalgebra.lift_residual`;
+the index families `combi.enum_B` and `combi.enum_C` of the recursions;
+the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
+composite in `kernels._suspended_q`; the phi components `kernels.transfer`
+assembles; the outputs of `perturbation.hpl_transfer` (a dropped block,
+phi's series and the series term of A G); and the arity loop and the
+shifted delta_nu of `perturbation.compare_hpl_vs_kernels`.  Each is an
 exact-once source replacement, bound wherever the original is bound, so
 every detector looks library entry points up on their modules, never
-through a binding of its own.  Four detectors run in a fixed order, over Q
+through a binding of its own.  Five detectors run in a fixed order, over Q
 and then over Z/5 (a lost reduction modulo p is invisible over Q): the
 battery above, the perturbation-lemma reports on the witness, the
-componentwise/operator equivalence battery on the witness instances, and a
-sensitivity probe of the HPL-vs-kernels comparison.  The first detector
+componentwise/operator equivalence battery on the witness instances, and
+sensitivity probes of the HPL-vs-kernels comparison and of the colinearity
+check.  The first detector
 that kills each structural mutant is pinned in `KILLED_BY`, so a change
 that moves detection shows up in review.
 """
 
 import inspect
-import sys
 import textwrap
 from types import SimpleNamespace
 
@@ -47,6 +49,7 @@ from ainfinity import (ainfty, battery, coalgebra, combi, graded, kernels,
                        perturbation, retracts, signs, suspension)
 from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, StructureError
+from conftest import corrupted, rebind
 
 
 F5 = PrimeField(5)
@@ -155,9 +158,30 @@ def comparison_blind(field=None):
         return True
 
 
+def colinearity_blind(field=None):
+    """True when the HPL colinearity check on the witness at N = 4 over
+    `field` (default Q) misses a corrupted block: each output with one
+    block dropped or one scalar changed (`conftest.corrupted`), checked
+    against the families of the valid outputs, must be reported."""
+    try:
+        _, hpl = witness_routes(field)
+        outputs = {"delta_nu": hpl.delta_nu, "psi": hpl.psi,
+                   "phi": hpl.phi, "homotopy": hpl.H_out}
+        for key, op in sorted(outputs.items()):
+            for _, bad in corrupted(op):
+                report = perturbation.colinearity_report(
+                    dict(outputs, **{key: bad}), hpl.extracted())
+                if report.residuals[key].is_zero():
+                    return True
+        return False
+    except StructureError:
+        return True
+
+
 DETECTORS = [("battery", battery_detects), ("hpl", hpl_detects),
              ("equivalence", equivalence_detects),
-             ("comparison", comparison_blind)]
+             ("comparison", comparison_blind),
+             ("colinearity", colinearity_blind)]
 FIELDS = [("Q", None), ("Z5", F5)]
 
 
@@ -252,15 +276,15 @@ STRUCTURAL_MUTANTS = {
         "-c if negate else c",
         "c"),
     "homotopy-lift-drops-flank-term": (
-        coalgebra, "_lift_blocks",
+        coalgebra, "_block_step",
         "tensor_into(acc, e, x, p)",
         "pass"),
     "coderivation-lift-drops-shifted-term": (
-        coalgebra, "_lift_blocks",
+        coalgebra, "_block_step",
         "tensor_into(acc, prev, g, p)",
         "pass"),
     "lift-drops-largest-part": (
-        coalgebra, "_lift_blocks",
+        coalgebra, "_block_step",
         "range(1, n - k + 2)",
         "range(1, n - k + 1)"),
     "enum-B-drops-top-arity": (
@@ -284,6 +308,18 @@ STRUCTURAL_MUTANTS = {
         "families = extract_outputs(data, outputs)",
         "outputs['psi'].blocks.pop((2, 2)); "
         "families = extract_outputs(data, outputs)"),
+    "hpl-phi-series-uses-M": (
+        perturbation, "hpl_transfer",
+        "(F, S)",
+        "(F, M)"),
+    "hpl-AG-drops-series-term": (
+        perturbation, "hpl_transfer",
+        "operator_sum(plus=[dmuG, (S, dmuG)])",
+        "operator_sum(plus=[dmuG])"),
+    "lift-residual-passes-absent-block": (
+        coalgebra, "lift_residual",
+        "got = blocks.get((n, k), {})",
+        "got = blocks.get((n, k), want)"),
     "compare-skips-top-arity": (
         perturbation, "compare_hpl_vs_kernels",
         "for n in range(1, n_max + 1):",
@@ -310,8 +346,11 @@ KILLED_BY = {
     "enum-B-drops-top-arity": "battery/Q",
     "enum-C-drops-last-slot": "battery/Q",
     "homotopy-lift-drops-flank-term": "hpl/Q",
+    "hpl-AG-drops-series-term": "hpl/Q",
+    "hpl-phi-series-uses-M": "hpl/Q",
     "hpl-psi-drops-a-lift-block": "hpl/Q",
     "lift-drops-largest-part": "hpl/Q",
+    "lift-residual-passes-absent-block": "colinearity/Q",
     "map-sum-ignores-map-sign": "battery/Q",
     "map-sum-ignores-product-sign": "battery/Q",
     "merge-ignores-negation": "battery/Q",
@@ -339,15 +378,7 @@ def mutate(monkeypatch, module, path, old, new):
     if owner:
         monkeypatch.setattr(holder, attr, fn)
         return [module.__name__ + "." + path]
-    rebound = []
-    for name, mod in sorted(sys.modules.items()):
-        if name.split(".")[0] != "ainfinity":
-            continue
-        for key, value in list(vars(mod).items()):
-            if value is original:
-                monkeypatch.setattr(mod, key, fn)
-                rebound.append(name)
-    return rebound
+    return rebind(monkeypatch, original, fn)
 
 
 def _true_theta(parts):
@@ -398,6 +429,11 @@ def test_baseline_equivalence_and_comparison_are_clean():
     for field in (None, F5):
         assert not equivalence_detects(field)
         assert not comparison_blind(field)
+
+
+def test_baseline_colinearity_probe_is_clean():
+    for field in (None, F5):
+        assert not colinearity_blind(field)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_MUTANTS))

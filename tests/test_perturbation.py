@@ -2,19 +2,24 @@
 conclusions, the equivalence with the kernel route, and its failure modes
 without side conditions."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
+from ainfinity import coalgebra
 from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                               check_homotopy, check_morphism, check_structure,
                               identity_morphism)
+from ainfinity.battery import equivalence_battery
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  check_codifferential,
                                  check_homotopy_components,
                                  check_morphism_components,
                                  colinearity_residual, extract_components,
-                                 lift_coderivation, lift_morphism)
+                                 lift_coderivation, lift_homotopy,
+                                 lift_morphism, operator_sum)
+from ainfinity.corpus import random_dga
 from ainfinity.fields import PrimeField
 from ainfinity.graded import (ChainComplex, GradedModule, MultiMap,
                               StructureError, compose)
@@ -33,7 +38,7 @@ from ainfinity.retracts import harmonious_retract, instance_forms, instance_mass
 from ainfinity.suspension import (suspend_homotopy, suspend_morphism,
                                   suspend_structure)
 
-from conftest import crooked_retract, massey_with_marker
+from conftest import corrupted, crooked_retract, massey_with_marker, rebind
 
 
 def forms_setup(N=4):
@@ -385,3 +390,120 @@ def test_checkers_run_to_the_truncation_of_their_object(N):
     keys = check_annihilation_lemmas(pkg).residuals
     assert sorted(int(k.rsplit("-", 1)[1]) for k in keys
                   if k.startswith("vanish-on-images-")) == arities[1:]
+
+
+def reference_outputs(data):
+    """The outputs in the association the lemma is usually stated in,
+    A = dmu + S dmu: delta_nu = F A G, psi = G + H A G, phi = F + F A H and
+    H_out = H + H A H.  `hpl_transfer` builds them as F + F S, H + H S and,
+    through A G = dmu G + S dmu G, as G + H A G and F A G."""
+    A = operator_sum(plus=[data.dmu, (data.S, data.dmu)])
+    FA, HA = data.F.compose(A), data.H.compose(A)
+    return {"delta_nu": FA.compose(data.G),
+            "psi": operator_sum(plus=[data.G, (HA, data.G)]),
+            "phi": operator_sum(plus=[data.F, (FA, data.H)]),
+            "homotopy": operator_sum(plus=[data.H, (HA, data.H)])}
+
+
+def assert_outputs_match_reference(mu, retract, N):
+    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), N))
+    assert hpl.inversion_report.residuals["left"].is_zero()
+    reference = reference_outputs(hpl.data)
+    for key, op in outputs_of(hpl).items():
+        assert op == reference[key], key
+    return hpl
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(32003)],
+                         ids=["Q", "Z32003"])
+def test_outputs_match_reference_association_on_witness(field):
+    mu = instance_massey(field, truncation=5)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    hpl = assert_outputs_match_reference(mu, retract, 5)
+    assert hpl.conclusions_form == "corestriction" and hpl.ok
+
+
+def test_outputs_match_reference_association_on_crooked_retract():
+    mu = massey_with_marker()
+    hpl = assert_outputs_match_reference(mu, crooked_retract(mu), 4)
+    assert hpl.conclusions_form == "operator" and hpl.ok
+
+
+@pytest.mark.parametrize("seed", [5, 15, 22])
+def test_outputs_match_reference_association_on_random_dgas(seed):
+    """Three corpus instances whose series S is nonzero."""
+    mu = random_dga(random.Random(seed), truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    hpl = assert_outputs_match_reference(mu, retract, 4)
+    assert hpl.ok and not hpl.data.S.is_zero()
+
+
+LIFTS = {"delta_nu": lift_coderivation, "psi": lift_morphism,
+         "phi": lift_morphism, "homotopy": lift_homotopy}
+
+
+@pytest.mark.parametrize("crooked", [False, True], ids=["harmonious", "crooked"])
+def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
+    """The in-place colinearity residual of each output is zero exactly when
+    the lift of the output's own components minus the output is: on the
+    outputs, and on each output with one block dropped or one scalar
+    changed, its components extracted again.  A corrupted block (n, k),
+    k >= 2, leaves the components alone, so it must be flagged."""
+    mu = massey_with_marker() if crooked else instance_massey(truncation=4)
+    retract = (crooked_retract(mu) if crooked else
+               harmonious_retract(ChainComplex(mu.carrier, mu.differential)))
+    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
+    outputs = outputs_of(hpl)
+    cases = [(None, None, outputs)] + [
+        (key, block, dict(outputs, **{key: bad}))
+        for key in sorted(outputs) for block, bad in corrupted(outputs[key])]
+    for key, block, case in cases:
+        families = extract_outputs(hpl.data, case)
+        report = colinearity_report(case, families)
+        for name, op in case.items():
+            relift = LIFTS[name](families[name]) - op
+            assert report.residuals[name].is_zero() == relift.is_zero(), name
+        if key is not None and block[1] >= 2:
+            assert not report.residuals[key].is_zero(), (key, block)
+    assert colinearity_report(outputs, hpl.extracted()).ok != crooked
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of `module.name` through every binding of it in a loaded
+    ainfinity module; returns the list the calls append to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    assert rebind(monkeypatch, original, counted)
+    return calls
+
+
+def test_hpl_route_lifts_each_operator_once(monkeypatch):
+    """Work guard: on the witness at N = 5, building the perturbation and
+    running the lemma lifts F, G, H and dmu once each, and the colinearity
+    check builds no lift of an output."""
+    mu = instance_massey(truncation=5)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    calls = {name: count_calls(monkeypatch, coalgebra, name)
+             for name in ("lift_homotopy", "lift_morphism",
+                          "lift_coderivation")}
+    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 5))
+    assert hpl.ok
+    assert {name: len(c) for name, c in calls.items()} == {
+        "lift_homotopy": 1, "lift_morphism": 2, "lift_coderivation": 1}
+
+
+def test_battery_lifts_the_homotopy_flank_once(monkeypatch):
+    """Work guard: the equivalence battery runs one lift recursion per
+    operator (DV, DW, phi and the homotopy with its two flanks), the
+    homotopy reading the left flank's lift the battery already holds."""
+    mu = instance_massey(truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu, 4)
+    calls = count_calls(monkeypatch, coalgebra, "_lift_blocks")
+    assert equivalence_battery(pkg).ok
+    assert len(calls) == 6
