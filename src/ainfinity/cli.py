@@ -22,7 +22,7 @@ from .kernels import DeformationRetract, transfer
 from .perturbation import (build_perturbation, check_annihilation_lemmas,
                            compare_hpl_vs_kernels, hpl_transfer)
 from .reports import BoolResidual, CheckReport
-from .retracts import harmonious_retract
+from .retracts import harmonious_retract, normalise
 from .suspension import desuspend_components, suspend_structure
 
 
@@ -199,10 +199,18 @@ def cmd_transfer(args):
             retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
             small_name = "H(%s)" % big_name
         elif doc.retract is not None:
+            if doc.retract["big"] != big_name:
+                sys.stderr.write("input error: the retract block starts at %r, "
+                                 "not at %r\n" % (doc.retract["big"], big_name))
+                return 2
             retract = _build_retract(doc)
             small_name = doc.retract["small"]
         else:
             sys.stderr.write("input error: no retract block; use --retract auto\n")
+            return 2
+        if args.method != "kernels" and not retract.side_conditions["fg"]:
+            sys.stderr.write("input error: the perturbation lemma needs "
+                             "fg = 1; use --method kernels\n")
             return 2
         structure_report = check_structure(mu, N)
         if not structure_report.ok:
@@ -219,6 +227,9 @@ def cmd_transfer(args):
     for key in sorted(retract.side_conditions):
         out.line("retract.side.%s=%s"
                  % (key, str(retract.side_conditions[key]).lower()))
+    if retract.side_conditions["fg"] and not retract.is_harmonious:
+        retract = normalise(retract)
+        out.line("retract.normalised=true")
 
     comparison = None
     pkg = None
@@ -231,19 +242,15 @@ def cmd_transfer(args):
         hpl = hpl_transfer(data)
         for _, report in hpl.reports():
             out.add_report(report)
-        out.line("hpl.extraction=%s"
-                 % ("canonical" if hpl.conclusions_form == "corestriction"
-                    else "non-canonical"))
-        out.line("hpl.conclusions=%s" % hpl.conclusions_form)
+        out.line("hpl.extraction=canonical")
+        out.line("hpl.conclusions=corestriction")
     if args.method == "both":
         cmp_report = compare_hpl_vs_kernels(hpl, pkg, N)
         comparison = cmp_report.status
         out.machine.extend(cmp_report.lines())
-        if cmp_report.status == "mismatch":
+        if not cmp_report.ok:
             out.failed = True
             out.note("perturbation-lemma output differs from the kernel recursion")
-        elif cmp_report.status == cmp_report.SKIPPED:
-            out.note("comparison skipped: side conditions not met")
 
     if args.method == "hpl":
         nu_comps, phi_comps, psi_comps, hom_comps = _hpl_components(

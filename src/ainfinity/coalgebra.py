@@ -132,6 +132,9 @@ class CoalgebraOperator:
 
     @classmethod
     def identity(cls, module, trunc):
+        """Dense on every word, so no route builds it.  Kept as the tests'
+        inversion and operator-homotopy reference, and as a span the
+        benchmark's trace seam names."""
         return cls(module, module, 0, trunc, _identity_blocks(module, trunc))
 
     def block(self, m, j):

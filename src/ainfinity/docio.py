@@ -79,6 +79,13 @@ def _parse_basis(ref, where):
     return (ref[0], ref[1])
 
 
+def _module(modules, name, where):
+    """The module named at `where`; a non-string name is unknown too."""
+    if not isinstance(name, str) or name not in modules:
+        raise DocumentError("%s: unknown module %r" % (where, name))
+    return modules[name]
+
+
 def _parse_map(entries, source, target, arity, degree, field, where):
     if not isinstance(entries, list):
         raise DocumentError("%s: map must be a list of entries" % where)
@@ -129,9 +136,7 @@ def _serialize_map(m, field):
 def _parse_structure(obj, modules, truncation, field, where):
     _expect_keys(obj, ["module", "differential", "products"], [], where)
     name = obj["module"]
-    if name not in modules:
-        raise DocumentError("%s: unknown module %r" % (where, name))
-    V = modules[name]
+    V = _module(modules, name, where + ".module")
     d = _parse_map(obj["differential"], V, V, 1, -1, field,
                    where + ".differential")
     products = {}
@@ -158,10 +163,8 @@ def _serialize_structure(name, a, field):
 
 def _parse_retract(obj, modules, field, where):
     _expect_keys(obj, ["big", "small", "f", "g", "h", "small_d"], [], where)
-    for key in ("big", "small"):
-        if obj[key] not in modules:
-            raise DocumentError("%s: unknown module %r" % (where, obj[key]))
-    V, W = modules[obj["big"]], modules[obj["small"]]
+    V = _module(modules, obj["big"], where + ".big")
+    W = _module(modules, obj["small"], where + ".small")
     return {
         "big": obj["big"],
         "small": obj["small"],

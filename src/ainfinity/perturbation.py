@@ -32,12 +32,8 @@ copied.
 
 What is verified: the perturbed target coderivation DW = dW + delta_nu
 squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
-a homotopy between psi phi and the identity.  The lemma needs no side
-conditions, but how these conclusions are checked depends on them.
-
-Under the four side conditions (fg = 1, fh = 0, hg = 0, hh = 0; the
-retract's `is_harmonious`) every output is a lift of its own components,
-and the conclusions are checked on corestrictions to T^1, in this order:
+a homotopy between psi phi and the identity.  These conclusions are
+checked on corestrictions to T^1, in this order:
 
 1. `hpl-colinearity`: each output compared, block by block and in place,
    with the lift of its own (n, 1) blocks (`coalgebra.lift_residual`):
@@ -65,22 +61,20 @@ determined by its corestriction to T^1.  Once step 1 is zero:
   R = psi phi - 1 - (DV H_out + H_out DV) satisfies
   Delta R = (psi phi x R + R x 1) Delta, so pi_1 R = 0 implies R = 0.
 
-Without the side conditions the outputs need not be lift-shaped, so this
-reduction is invalid.  The conclusions are then checked as operator
-residuals (`operator_conclusions`), which lift DV, dW and the identity
-operator for that purpose only; no colinearity is reported and the
-comparison is skipped.  The branch follows from the retract, not from an
-option: `HplOutput.conclusions_form` names the form that ran.
-`check_annihilation_lemmas` verifies the identities the equivalence with
-the kernel route rests on.
+This holds whenever step 1 is zero, whatever the retract, so
+`hpl_transfer` needs no guard: under the side conditions (fg = 1, fh = 0,
+hg = 0, hh = 0; `is_harmonious`) every output is a lift and step 1 is
+zero, and an output that is not a lift fails step 1, so it never reads ok.
+`retracts.normalise` brings a retract with fg = 1 under the side
+conditions; step 3 and `check_annihilation_lemmas` (the identities step 3
+rests on) refuse any retract off them.
 """
 
 from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
                         check_codifferential, check_homotopy_components,
                         check_morphism_components, extract_components,
                         lift_coderivation, lift_homotopy, lift_morphism,
-                        lift_residual, operator_homotopy_residual,
-                        operator_intertwining_residual, operator_sum)
+                        lift_residual, operator_sum)
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      insert_slots, map_sum, resolve_truncation)
 from .reports import BoolResidual, CheckReport
@@ -165,29 +159,18 @@ class HplOutput:
         self.phi = outputs["phi"]
         self.H_out = outputs["homotopy"]
         self._families = families
-        # None when the conclusions were checked at operator level
         self.colinearity = colinearity
         self.conclusions = conclusions
         self.nilpotency_report = nilpotency_report
         self.inversion_report = inversion_report
 
-    @property
-    def conclusions_form(self):
-        """The form the conclusions were checked in: "corestriction" under
-        the side conditions, where the outputs are lifts of their extracted
-        families; "operator" without them, where the families are just
-        homogeneity-1 projections."""
-        return "operator" if self.colinearity is None else "corestriction"
-
     def reports(self):
         """(key, report) pairs in report order: nilpotency, inversion,
-        colinearity (when checked), conclusions."""
-        pairs = [("nilpotency", self.nilpotency_report),
-                 ("inversion", self.inversion_report)]
-        if self.colinearity is not None:
-            pairs.append(("colinearity", self.colinearity))
-        pairs.append(("conclusions", self.conclusions))
-        return pairs
+        colinearity, conclusions."""
+        return [("nilpotency", self.nilpotency_report),
+                ("inversion", self.inversion_report),
+                ("colinearity", self.colinearity),
+                ("conclusions", self.conclusions)]
 
     @property
     def ok(self):
@@ -199,9 +182,8 @@ class HplOutput:
 
 
 def hpl_transfer(data):
-    """Run the perturbation lemma and verify its conclusions exactly: on
-    corestrictions after a colinearity check under the side conditions,
-    at operator level without them."""
+    """Run the perturbation lemma and verify its conclusions exactly, on
+    corestrictions after a colinearity check (see the module docstring)."""
     nilpotency_report = data.verify_nilpotency()
     if not nilpotency_report.ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
@@ -218,13 +200,9 @@ def hpl_transfer(data):
         "homotopy": operator_sum(plus=[H, (H, S)]),
     }
     families = extract_outputs(data, outputs)
-    if data.retract.is_harmonious:
-        colinearity = colinearity_report(outputs, families)
-        conclusions = corestricted_conclusions(data, families)
-    else:
-        colinearity = None
-        conclusions = operator_conclusions(data, outputs)
-    return HplOutput(data, outputs, families, colinearity, conclusions,
+    return HplOutput(data, outputs, families,
+                     colinearity_report(outputs, families),
+                     corestricted_conclusions(data, families),
                      nilpotency_report, inversion_report)
 
 
@@ -275,25 +253,6 @@ def corestricted_conclusions(data, families):
     return conclusions
 
 
-def operator_conclusions(data, outputs):
-    """The four conclusions as operator residuals, for outputs that need
-    not be lifts of their components."""
-    sV, sW, trunc = data.sV, data.sW, data.trunc
-    dW_op = lift_coderivation(ComponentFamily(
-        "coderivation", sW, sW, {1: data.delta1_W}, trunc))
-    psi, phi, H_out = outputs["psi"], outputs["phi"], outputs["homotopy"]
-    # a coderivation's lift is linear in its components: DV = dV + dmu
-    DV = lift_coderivation(data.dV)
-    DW = dW_op + outputs["delta_nu"]
-    conclusions = CheckReport("hpl-conclusions")
-    conclusions.add("square-zero", DW.compose(DW))
-    conclusions.add("phi-intertwines", operator_intertwining_residual(phi, DV, DW))
-    conclusions.add("psi-intertwines", operator_intertwining_residual(psi, DW, DV))
-    conclusions.add("homotopy-identity", operator_homotopy_residual(
-        H_out, (psi, phi), CoalgebraOperator.identity(sV, trunc), DV, DV))
-    return conclusions
-
-
 def series_inversion_report(M, S):
     """Residuals of S = (1 - M)^{-1} - 1 as a two-sided inverse:
     right (1 - M)(1 + S) - 1 = S - M - M S, left (1 + S)(1 - M) - 1
@@ -317,20 +276,17 @@ def check_side_conditions(retract):
 
 
 class ComparisonReport:
-    """Outcome of the HPL-vs-kernels comparison: a status string plus, when
-    run, one per-arity report of component residuals per transferred
-    object."""
+    """Outcome of the HPL-vs-kernels comparison: a status string ("exact" or
+    "mismatch") plus one per-arity report of component residuals per
+    transferred object."""
 
-    SKIPPED = "skipped: side conditions not met"
-
-    def __init__(self, status, diffs=None):
+    def __init__(self, status, diffs):
         self.status = status
-        self.diffs = diffs or {}
+        self.diffs = diffs
 
     @property
     def ok(self):
-        # a skipped comparison is data, not a failure
-        return self.status in ("exact", self.SKIPPED)
+        return self.status == "exact"
 
     def is_zero(self):
         return self.ok
@@ -344,11 +300,10 @@ class ComparisonReport:
 
 def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
     """Component equality of the perturbation-lemma outputs against the
-    shifted kernel-recursion outputs, arity by arity up to n_max.  Skipped
-    (with an explanatory status) when a side condition fails, since
-    equality is asserted only under them."""
+    shifted kernel-recursion outputs, arity by arity up to n_max.  Equality
+    is asserted only under the side conditions; raises without them."""
     if not pkg.retract.is_harmonious:
-        return ComparisonReport(ComparisonReport.SKIPPED)
+        raise StructureError("the comparison assumes the side conditions")
     top = min(hpl.data.trunc, pkg.truncation)
     n_max = min(resolve_truncation(n_max, top), top)
     fhat, ghat, hhat, _ = pkg.retract.shifted()

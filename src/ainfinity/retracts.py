@@ -7,11 +7,12 @@ deterministic and packages reproduce bit-exactly.
 
 The retract built here satisfies all four side conditions by construction:
 f projects onto H along B + C, g includes H, and h inverts d from B into C
-(with the sign required by  gf - 1 = d h + h d).
+(with the sign required by  gf - 1 = d h + h d); `normalise` adds them.
 """
 
 from .ainfty import AInfinity
-from .graded import ChainComplex, GradedModule, MultiMap, StructureError, _acc
+from .graded import (ChainComplex, GradedModule, MultiMap, StructureError,
+                     _acc, compose, map_sum)
 from .kernels import DeformationRetract
 
 
@@ -209,6 +210,21 @@ def harmonious_retract(cx):
     if not retract.is_harmonious:
         raise StructureError("constructed retract misses a side condition")
     return retract
+
+
+def normalise(retract):
+    """(f, g, h2) for a retract with fg = 1: the Lambe-Stasheff modification
+    (Manuscripta Math. 58, 1987) h1 = K h K, h2 = -h1 d h1, K = 1 - gf,
+    meets all four side conditions, and h2 = h on a harmonious retract.
+    The constructor re-checks gf - 1 = d h2 + h2 d exactly."""
+    if not retract.side_conditions["fg"]:
+        raise StructureError("normalise needs fg = 1")
+    V = retract.big.module
+    K = map_sum(V, V, 1, 0, [(1, MultiMap.identity(V)), (-1, retract.gf)])
+    h1 = compose(K, compose(retract.h, K))
+    h2 = map_sum(V, V, 1, 1, [(-1, h1, [compose(retract.big.d, h1)])])
+    return DeformationRetract(retract.big, retract.small, retract.f,
+                              retract.g, h2)
 
 
 # ----------------------------------------------------------- desk instances

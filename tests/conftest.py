@@ -6,7 +6,8 @@ import sys
 
 from ainfinity.ainfty import AInfinity
 from ainfinity.coalgebra import CoalgebraOperator
-from ainfinity.graded import ChainComplex, GradedModule, MultiMap, compose
+from ainfinity.graded import (ChainComplex, GradedModule, MultiMap, compose,
+                              map_sum)
 from ainfinity.kernels import DeformationRetract
 from ainfinity.retracts import harmonious_retract, instance_massey
 
@@ -71,14 +72,30 @@ def chain_complex_ainfty(module, d, truncation=4):
     return AInfinity(module, d, {}, truncation)
 
 
-def massey_with_marker(N=4):
+def massey_with_marker(N=4, field=None):
     """The witness instance extended by one inert degree-0 class, so the
     small side has classes in adjacent degrees (0 and 1)."""
-    base = instance_massey(truncation=N)
+    base = instance_massey(field, truncation=N)
     V = GradedModule({0: 1, 1: 3, 2: 2, 3: 2, 4: 2}, base.carrier.field)
     d = MultiMap(V, V, 1, -1, dict(base.differential.table))
     mu2 = MultiMap(V, V, 2, 0, dict(base.mu(2).table))
     return AInfinity(V, d, {2: mu2}, N)
+
+
+def crook(retract, c=None, k=None):
+    """The retract with h replaced by h + g c f + d k - k d, for a degree +1
+    self-map c of the small side and a degree +2 self-map k of the big side
+    (either may be None): still a retract, with the same f and g, but in
+    general off the side conditions fh = 0, hg = 0 and hh = 0."""
+    V = retract.big.module
+    d = retract.big.d
+    terms = [(1, retract.h)]
+    if c is not None:
+        terms.append((1, retract.g, [compose(c, retract.f)]))
+    if k is not None:
+        terms += [(1, d, [k]), (-1, k, [d])]
+    return DeformationRetract(retract.big, retract.small, retract.f,
+                              retract.g, map_sum(V, V, 1, 1, terms))
 
 
 def crooked_retract(mu):
@@ -86,12 +103,45 @@ def crooked_retract(mu):
     for a degree +1 self-map c of the small side."""
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     W = retract.small.module
-    one = W.field.one
-    c = MultiMap(W, W, 1, 1, {((0, 0),): {(1, 0): one}})
-    shift = compose(retract.g, compose(c, retract.f))
-    h2 = retract.h + shift
-    return DeformationRetract(retract.big, retract.small, retract.f,
-                              retract.g, h2)
+    c = MultiMap(W, W, 1, 1, {((0, 0),): {(1, 0): W.field.one}})
+    return crook(retract, c=c)
+
+
+def kept_pair_retract(N=4, field=None):
+    """A complex with no products, basis a0, a1, b1, a2, b2, a3 (subscript =
+    degree), d a1 = a0, d a3 = a2, d b2 = b1, and a harmonious retract onto
+    the kept pair b2 -> b1 (so d_W != 0), crooked by d k - k d with
+    k a0 = a2 + b2.  The crook breaks fh = 0 and hh = 0, and neither
+    K h K nor h K alone, with K = 1 - gf, mends it.  Returns (structure,
+    crooked retract)."""
+    kwargs = {} if field is None else {"field": field}
+    V = GradedModule({0: 1, 1: 2, 2: 2, 3: 1}, **kwargs)
+    W = GradedModule({1: 1, 2: 1}, **kwargs)
+    one = V.field.one
+    a0, a1, b1, a2, b2, a3 = (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)
+    w1, w2 = (1, 0), (2, 0)
+    d = MultiMap(V, V, 1, -1, {(a1,): {a0: one}, (a3,): {a2: one},
+                               (b2,): {b1: one}})
+    retract = DeformationRetract(
+        ChainComplex(V, d),
+        ChainComplex(W, MultiMap(W, W, 1, -1, {(w2,): {w1: one}})),
+        MultiMap(V, W, 1, 0, {(b1,): {w1: one}, (b2,): {w2: one}}),
+        MultiMap(W, V, 1, 0, {(w1,): {b1: one}, (w2,): {b2: one}}),
+        MultiMap(V, V, 1, 1, {(a0,): {a1: -one}, (a2,): {a3: -one}}))
+    k = MultiMap(V, V, 1, 2, {(a0,): {a2: one, b2: one}})
+    return AInfinity(V, d, {}, N), crook(retract, k=k)
+
+
+def fg_broken_retract(base):
+    """g shifted by a null-homotopic correction, so fg != 1: the perturbed
+    coderivation itself loses lift shape."""
+    V = base.carrier
+    one = V.field.one
+    cx = ChainComplex(V, base.differential)
+    h = MultiMap(V, V, 1, 1, {((2, 0),): {(3, 0): one}})
+    g = (MultiMap.identity(V) + compose(base.differential, h)
+         + compose(h, base.differential))
+    return DeformationRetract(cx, cx, MultiMap.identity(V), g, h)
 
 
 def seeded(seed=7):

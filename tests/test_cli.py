@@ -1,17 +1,23 @@
 """Document round-trips, strict parsing, CLI subcommands and exit codes."""
 
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfinity.cli import main
 from ainfinity.docio import Document, DocumentError, dump, load, parse, serialize
 from ainfinity.fields import PrimeField
-from ainfinity.graded import MultiMap
-from ainfinity.retracts import instance_forms, instance_massey
+from ainfinity.graded import ChainComplex, MultiMap
+from ainfinity.retracts import (harmonious_retract, instance_forms,
+                                instance_massey)
 
-from conftest import crooked_retract, massey_with_marker
+from conftest import crooked_retract, fg_broken_retract, massey_with_marker
 
 
 def massey_doc(tmp_path, name="massey.json"):
@@ -234,6 +240,119 @@ def test_malformed_map_entry_or_key_exits_two(tmp_path, capsys, name):
     assert_malformed(obj, tmp_path, capsys)
 
 
+def witness_transfer_object(tmp_path, capsys):
+    """The document `transfer --method kernels --retract auto` writes for
+    the witness at truncation 3, as a JSON object: it names a module at each
+    of the four places a document can."""
+    src = str(tmp_path / "witness3.json")
+    mu = instance_massey(truncation=3)
+    dump(Document(mu.carrier.field, 3, {"V": mu.carrier}, structure=("V", mu)),
+         src)
+    out = str(tmp_path / "witness3-out.json")
+    assert main(["transfer", src, "--method", "kernels", "--retract", "auto",
+                 "-o", out]) == 0
+    capsys.readouterr()
+    return json.loads(Path(out).read_text())
+
+
+MODULE_SITES = {"structure.module": ("structure", "module"),
+                "transfer.source.module": ("transfer", "source", "module"),
+                "retract.big": ("retract", "big"),
+                "retract.small": ("retract", "small")}
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["array", "object"])
+@pytest.mark.parametrize("site", sorted(MODULE_SITES))
+def test_non_string_module_reference_exits_two(tmp_path, capsys, site, value):
+    """A module named by a JSON array or object is unknown, like any other
+    name not in `modules`: a parse error at that field, not a crash."""
+    obj = witness_transfer_object(tmp_path, capsys)
+    *path, key = MODULE_SITES[site]
+    node = obj
+    for step in path:
+        node = node[step]
+    node[key] = value
+    with pytest.raises(DocumentError,
+                       match="^%s: unknown module" % re.escape(site)):
+        parse(json.dumps(obj))
+    assert_malformed(obj, tmp_path, capsys)
+    assert main(["transfer", str(tmp_path / "bad.json"), "--method",
+                 "kernels"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_transfer_of_a_transfer_result_is_input_error(tmp_path, capsys):
+    """A transfer result holds its structure on the small module and its
+    retract from the big one: transferring it again is refused with exit 2,
+    not a traceback."""
+    path = str(tmp_path / "result.json")
+    Path(path).write_text(json.dumps(witness_transfer_object(tmp_path, capsys)))
+    assert main(["transfer", path, "--method", "kernels"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: the retract block starts at")
+
+
+def witness_retract_text():
+    """The witness at truncation 3 on V with its harmonious retract to W."""
+    mu = instance_massey(truncation=3)
+    r = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    return serialize(Document(
+        mu.carrier.field, 3, {"V": mu.carrier, "W": r.small.module},
+        structure=("V", mu),
+        retract={"big": "V", "small": "W", "f": r.f, "g": r.g, "h": r.h,
+                 "small_d": r.small.d}))
+
+
+# values an edit writes; integers stay small, so that no edit of the
+# truncation or of a dimension makes a run large
+EDIT_VALUES = st.sampled_from([None, True, -1, 0, 1, 2, 4, "", "V", "W", "1",
+                               "1/2", [], {}, [0, 0], [[0, 0], "1"]])
+
+
+def single_edit(data, obj):
+    """Delete one key of, or replace one value in, `obj` in place, at a
+    place drawn by a walk from the root that descends into a non-empty
+    container three times in four."""
+    node = obj
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(list(keys)))
+        child = node[key]
+        if (isinstance(child, (dict, list)) and child
+                and data.draw(st.integers(0, 3))):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(EDIT_VALUES)
+            return
+
+
+@pytest.fixture(scope="module")
+def edited_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits") / "edited.json"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cli_exit_status_under_single_edits(edited_path, data):
+    """One key deleted or one value replaced anywhere in a valid document:
+    `check` and `transfer --method kernels|hpl|both` end with exit 0, 1 or
+    2, and raise nothing."""
+    obj = json.loads(witness_retract_text())
+    single_edit(data, obj)
+    edited_path.write_text(json.dumps(obj))
+    for argv in [["check"]] + [["transfer", "--method", method]
+                               for method in ("kernels", "hpl", "both")]:
+        argv.insert(1, str(edited_path))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+
+
 def test_canonical_keys_roundtrip():
     obj = mod_p_object()
     obj["modules"]["V"]["dims"]["-1"] = 1
@@ -292,15 +411,6 @@ def machine_lines(report):
     return report.split("\n---\n")[0].splitlines()
 
 
-def hpl_forms(machine):
-    """The values of the hpl.extraction= line and the hpl.conclusions= line
-    right after it: the one fact, whether the outputs are lifts of their
-    extracted families, printed twice."""
-    at = [line.startswith("hpl.extraction=") for line in machine].index(True)
-    assert machine[at + 1].startswith("hpl.conclusions=")
-    return tuple(line.split("=", 1)[1] for line in machine[at:at + 2])
-
-
 @pytest.mark.parametrize("method", ["both", "hpl"])
 def test_transfer_reports_colinearity_then_corestricted_conclusions(
         tmp_path, capsys, method):
@@ -314,38 +424,68 @@ def test_transfer_reports_colinearity_then_corestricted_conclusions(
                            for key in ("delta_nu", "homotopy", "phi", "psi")]
     assert machine.index(colinearity[-1]) < machine.index(
         "check.hpl-conclusions.homotopy-identity.nonzero=0")
-    assert hpl_forms(machine) == ("canonical", "corestriction")
+    at = machine.index("hpl.extraction=canonical")
+    assert machine[at + 1] == "hpl.conclusions=corestriction"
 
 
-@pytest.mark.parametrize("method", ["both", "hpl"])
-def test_crooked_retract_reports_operator_conclusions(tmp_path, capsys, method):
-    """Off the side conditions the HPL outputs need not be lifts, and the
-    projections `--method hpl` writes fail `check`: its exit status must
-    say so, and agree with `check` on the written document."""
-    mu = massey_with_marker()
-    retract = crooked_retract(mu)
-    doc = Document(mu.carrier.field, 4,
-                   {"V": mu.carrier, "W": retract.small.module},
+def retract_doc(tmp_path, mu, retract, name):
+    """A document with `mu` on V and `retract` from V to W."""
+    small = retract.small.module
+    modules = {"V": mu.carrier} if small == mu.carrier else {
+        "V": mu.carrier, "W": small}
+    doc = Document(mu.carrier.field, mu.truncation, modules,
                    structure=("V", mu),
-                   retract={"big": "V", "small": "W", "f": retract.f,
-                            "g": retract.g, "h": retract.h,
+                   retract={"big": "V", "small": sorted(modules)[-1],
+                            "f": retract.f, "g": retract.g, "h": retract.h,
                             "small_d": retract.small.d})
-    path = str(tmp_path / "crooked.json")
+    path = str(tmp_path / name)
     dump(doc, path)
-    out = str(tmp_path / "out.json")
-    code = 1 if method == "hpl" else 0
-    assert main(["transfer", path, "--method", method, "-o", out]) == code
-    machine = machine_lines(capsys.readouterr().out)
-    assert not [line for line in machine if "hpl-colinearity" in line]
-    assert hpl_forms(machine) == ("non-canonical", "operator")
-    assert "check.hpl-conclusions.square-zero.nonzero=0" in machine
-    assert main(["check", out]) == code
-    if method == "hpl":
+    return path
+
+
+def test_crooked_retract_is_normalised(tmp_path, capsys):
+    """A retract with fg = 1 that breaks other side conditions is
+    normalised for every method: each run passes, says so after the
+    `retract.side.*` lines that describe its input, and writes the same
+    maps, which `check` finds harmonious; both routes agree exactly."""
+    mu = massey_with_marker()
+    path = retract_doc(tmp_path, mu, crooked_retract(mu), "crooked.json")
+    written = {}
+    for method in ("kernels", "hpl", "both"):
+        out = str(tmp_path / ("out-%s.json" % method))
+        assert main(["transfer", path, "--method", method, "-o", out]) == 0
+        machine = machine_lines(capsys.readouterr().out)
+        side = [line for line in machine if line.startswith("retract.side.")]
+        assert side == ["retract.side.fg=true", "retract.side.fh=false",
+                        "retract.side.hg=false", "retract.side.hh=true"]
+        assert machine[machine.index(side[-1]) + 1] == "retract.normalised=true"
+        assert ("compare.status=exact" in machine) == (method == "both")
+        assert main(["check", out]) == 0
         checked = machine_lines(capsys.readouterr().out)
-        assert "check.transfer-homotopy.3.nonzero=1" in checked
-        assert ([line for line in checked if line.startswith("check.transfer-")]
-                == [line for line in machine
-                    if line.startswith("check.transfer-")])
+        assert [line for line in checked if line.startswith("retract.side.")] == [
+            "retract.side.%s=true" % key for key in ("fg", "fh", "hg", "hh")]
+        result = load(out)
+        result.transfer.pop("comparison")
+        written[method] = result
+    assert written["kernels"] == written["hpl"] == written["both"]
+
+
+@pytest.mark.parametrize("method", ["hpl", "both"])
+def test_fg_not_one_is_refused_by_the_perturbation_route(tmp_path, capsys,
+                                                         method):
+    """fg != 1 cannot be normalised: `--method hpl|both` exits 2 before any
+    work, naming fg and the method that can take it."""
+    base = instance_massey(truncation=4)
+    path = retract_doc(tmp_path, base, fg_broken_retract(base), "fg.json")
+    assert main(["transfer", path, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "fg = 1" in captured.err and "--method kernels" in captured.err
+    assert main(["transfer", path, "--method", "kernels"]) == 0
+    machine = machine_lines(capsys.readouterr().out)
+    assert "retract.side.fg=false" in machine
+    assert "retract.normalised=true" not in machine
 
 
 def test_transfer_with_explicit_retract_block(tmp_path, capsys):

@@ -1,18 +1,25 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package defines nothing
+that nothing names.
 
-An AST scan of every module of the package and of the test suite: a name
+AST scans of every module of the package and of the test suite: a name
 bound by an import statement (at any depth) must be read somewhere in the
-same module, or be re-exported through its `__all__`.
+same module, or be re-exported through its `__all__`; and every function,
+method and class the package defines (dunder methods aside, which Python
+calls by protocol) must be named somewhere in the package, the tests or
+the benchmark besides its own definition.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "ainfinity").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "ainfinity").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+NAMING = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def unused_imports(source):
@@ -42,3 +49,70 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(tree):
+    """Names of the functions, methods and classes defined in `tree`, at
+    any depth, dunder methods aside."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def references(tree, own):
+    """Names `tree` can reach a definition by from another module: an
+    attribute, an imported name, or a part of a dotted string such as a
+    span or mutation target.  With `own`, plain names too: how a module
+    names its own definitions.  A plain name elsewhere is that module's own
+    binding, so a test helper never keeps a library function alive just by
+    sharing its name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+        elif own and isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def dead_definitions(defining, naming):
+    """(label, name) for each definition in the sources `defining` ({label:
+    source}) that neither its own source nor any other source in `naming`
+    names."""
+    trees = {label: ast.parse(source) for label, source in naming.items()}
+    foreign = {label: references(tree, own=False)
+               for label, tree in trees.items()}
+    dead = []
+    for label, source in sorted(defining.items()):
+        tree = ast.parse(source)
+        named = references(tree, own=True).union(
+            *[names for other, names in foreign.items() if other != label])
+        dead += [(label, name) for name in sorted(definitions(tree) - named)]
+    return dead
+
+
+def test_dead_definition_scan_flags_a_stranded_function():
+    lib = ("def used():\n    return helper()\n\ndef helper():\n    pass\n\n"
+           "def stranded():\n    pass\n\nclass Box:\n    def method(self):\n"
+           "        pass\n    def __repr__(self):\n        return ''\n")
+    # a test's own function of the same name does not keep `stranded` alive
+    test = ("from lib import used, Box\n\ndef stranded():\n    pass\n\n"
+            "used(); stranded(); Box().method()\n")
+    assert dead_definitions({"lib": lib}, {"lib": lib, "test": test}) == [
+        ("lib", "stranded")]
+    spans = 'SPANS = [("lib", "Box.method"), ("lib", "stranded")]\n'
+    assert dead_definitions({"lib": lib}, {"lib": lib, "spans": spans}) == [
+        ("lib", "used")]
+
+
+def test_every_package_definition_is_named():
+    naming = {str(path.relative_to(ROOT)): path.read_text() for path in NAMING}
+    package = {label: source for label, source in naming.items()
+               if label.startswith("src")}
+    assert dead_definitions(package, naming) == []

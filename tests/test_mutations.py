@@ -25,18 +25,19 @@ the index families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
 assembles; the outputs of `perturbation.hpl_transfer` (a dropped block,
-phi's series and the series term of A G); and the arity loop and the
-shifted delta_nu of `perturbation.compare_hpl_vs_kernels`.  Each is an
-exact-once source replacement, bound wherever the original is bound, so
-every detector looks library entry points up on their modules, never
-through a binding of its own.  Five detectors run in a fixed order, over Q
+phi's series and the series term of A G); the arity loop and the
+shifted delta_nu of `perturbation.compare_hpl_vs_kernels`; and the
+Lambe-Stasheff step of `retracts.normalise` (its h2 and its left K).  Each
+is an exact-once source replacement, bound wherever the original is bound,
+so every detector looks library entry points up on their modules, never
+through a binding of its own.  Six detectors run in a fixed order, over Q
 and then over Z/5 (a lost reduction modulo p is invisible over Q): the
 battery above, the perturbation-lemma reports on the witness, the
-componentwise/operator equivalence battery on the witness instances, and
+componentwise/operator equivalence battery on the witness instances,
 sensitivity probes of the HPL-vs-kernels comparison and of the colinearity
-check.  The first detector
-that kills each structural mutant is pinned in `KILLED_BY`, so a change
-that moves detection shows up in review.
+check, and both routes along normalised crooked retracts.  The first
+detector that kills each structural mutant is pinned in `KILLED_BY`, so a
+change that moves detection shows up in review.
 """
 
 import inspect
@@ -49,7 +50,8 @@ from ainfinity import (ainfty, battery, coalgebra, combi, graded, kernels,
                        perturbation, retracts, signs, suspension)
 from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, StructureError
-from conftest import corrupted, rebind
+from conftest import (corrupted, crooked_retract, kept_pair_retract,
+                      massey_with_marker, rebind)
 
 
 F5 = PrimeField(5)
@@ -102,10 +104,10 @@ def hpl_detects(field=None):
     """True as soon as a perturbation-lemma report on the witness at N = 4
     over `field` (default Q) fails: nilpotency, series inversion,
     colinearity of the outputs, the conclusions, or the component
-    comparison with the kernel route.  The witness retract is harmonious,
-    so the conclusions are checked on corestrictions; no output reaches an
-    output-homogeneity-N composite there, and a lift with dropped Koszul
-    signs leaves the outputs' corestrictions unchanged, so
+    comparison with the kernel route.  The conclusions are checked on
+    corestrictions; no output reaches an output-homogeneity-N composite
+    there, and a lift with dropped Koszul signs leaves the outputs'
+    corestrictions unchanged, so
     `operator-compose-skips-top-homogeneity` and
     `tensor-step-skips-negation` are out of this detector's reach (the
     equivalence battery kills both)."""
@@ -178,10 +180,38 @@ def colinearity_blind(field=None):
         return True
 
 
+def normalise_detects(field=None):
+    """True as soon as a normalised crooked retract over `field` (default
+    Q) misses a side condition or its two routes disagree at N = 4:
+    `crooked_retract(massey_with_marker())`, and `kept_pair_retract()`.
+    The first one's crook g c f dies under either K = 1 - gf, so only the
+    second, whose small side has d_W != 0 and whose crook d k - k d K does
+    not kill, reaches a normalisation that skips h2 or drops the left K.
+    A raised StructureError (the retract's own homotopy check) counts as
+    detection."""
+    try:
+        mu = massey_with_marker(field=field)
+        for mu, crooked in [(mu, crooked_retract(mu)),
+                            kept_pair_retract(field=field)]:
+            retract = retracts.normalise(crooked)
+            if not retract.is_harmonious:
+                return True
+            pkg = kernels.transfer(retract, mu, 4)
+            data = perturbation.build_perturbation(
+                retract, suspension.suspend_structure(mu), 4)
+            hpl = perturbation.hpl_transfer(data)
+            if perturbation.compare_hpl_vs_kernels(hpl, pkg).status != "exact":
+                return True
+        return False
+    except StructureError:
+        return True
+
+
 DETECTORS = [("battery", battery_detects), ("hpl", hpl_detects),
              ("equivalence", equivalence_detects),
              ("comparison", comparison_blind),
-             ("colinearity", colinearity_blind)]
+             ("colinearity", colinearity_blind),
+             ("normalise", normalise_detects)]
 FIELDS = [("Q", None), ("Z5", F5)]
 
 
@@ -332,6 +362,14 @@ STRUCTURAL_MUTANTS = {
         perturbation, "compare_hpl_vs_kernels",
         "compose(fhat, pg)",
         "compose(fhat, compose(hhat, pg))"),
+    "normalise-skips-h2": (
+        retracts, "normalise",
+        "retract.g, h2)",
+        "retract.g, h1)"),
+    "normalise-drops-left-K": (
+        retracts, "normalise",
+        "h1 = compose(K, compose(retract.h, K))",
+        "h1 = compose(retract.h, K)"),
 }
 
 # the first detector (see `first_detector`) that kills each structural mutant
@@ -354,6 +392,8 @@ KILLED_BY = {
     "map-sum-ignores-map-sign": "battery/Q",
     "map-sum-ignores-product-sign": "battery/Q",
     "merge-ignores-negation": "battery/Q",
+    "normalise-drops-left-K": "normalise/Q",
+    "normalise-skips-h2": "normalise/Q",
     "operator-compose-skips-top-homogeneity": "equivalence/Q",
     "q-identity-memo-wrong-arity": "battery/Q",
     "tensor-step-skips-negation": "equivalence/Q",
@@ -436,6 +476,11 @@ def test_baseline_colinearity_probe_is_clean():
         assert not colinearity_blind(field)
 
 
+def test_baseline_normalise_is_clean():
+    for field in (None, F5):
+        assert not normalise_detects(field)
+
+
 @pytest.mark.parametrize("name", sorted(STRUCTURAL_MUTANTS))
 def test_structural_mutants_killed(name, monkeypatch):
     assert sorted(KILLED_BY) == sorted(STRUCTURAL_MUTANTS)
@@ -467,6 +512,21 @@ def test_dropped_psi_block_is_caught_only_by_colinearity(monkeypatch):
     assert hpl.colinearity.failing() == ["psi"]
     assert hpl.conclusions.ok
     assert perturbation.compare_hpl_vs_kernels(hpl, pkg).status == "exact"
+
+
+@pytest.mark.parametrize("name", ["normalise-skips-h2",
+                                  "normalise-drops-left-K"])
+def test_normalise_mutants_need_a_crook_that_K_does_not_kill(name,
+                                                             monkeypatch):
+    """The crook g c f of `crooked_retract` dies under K = 1 - gf on either
+    side, so both mutants still normalise it to the harmonious h; the
+    kept-pair retract is where the normalise detector kills them."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
+    mu = massey_with_marker()
+    harmonious = retracts.harmonious_retract(
+        ChainComplex(mu.carrier, mu.differential))
+    assert retracts.normalise(crooked_retract(mu)).h == harmonious.h
+    assert normalise_detects()
 
 
 def test_skipped_reduction_is_caught_only_over_prime_field(monkeypatch):

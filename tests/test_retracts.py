@@ -1,4 +1,5 @@
-"""Homology, splittings, harmonious retracts, and the desk instances."""
+"""Homology, splittings, harmonious retracts, their normalisation, and the
+desk instances."""
 
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ from ainfinity.kernels import transfer
 from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
                                     hpl_transfer)
 from ainfinity.retracts import (Splitting, harmonious_retract, homology,
-                                instance_forms, instance_massey)
+                                instance_forms, instance_massey, normalise)
 from ainfinity.suspension import suspend_structure
-from conftest import two_dim_complex
+from conftest import (crooked_retract, fg_broken_retract, kept_pair_retract,
+                      massey_with_marker, two_dim_complex)
 
 
 def test_homology_rejects_non_square_zero():
@@ -162,6 +164,32 @@ def test_retract_deterministic():
     r1 = harmonious_retract(cx)
     r2 = harmonious_retract(cx)
     assert r1.f == r2.f and r1.g == r2.g and r1.h == r2.h
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_normalise_meets_every_side_condition(field):
+    """The crook g c f of `crooked_retract` dies under either K = 1 - gf,
+    so it normalises back to the harmonious h; the kept-pair crook (d_W
+    != 0) needs both K and the h2 step, and both routes agree along its
+    normalisation."""
+    mu = massey_with_marker(field=field)
+    cx = ChainComplex(mu.carrier, mu.differential)
+    assert normalise(crooked_retract(mu)).h == harmonious_retract(cx).h
+    mu, crooked = kept_pair_retract(field=field)
+    assert not crooked.side_conditions["fh"]
+    assert not crooked.side_conditions["hh"]
+    fixed = normalise(crooked)
+    assert fixed.is_harmonious and fixed.h != crooked.h
+    assert (fixed.f, fixed.g) == (crooked.f, crooked.g)
+    pkg = transfer(fixed, mu, 4)
+    hpl = hpl_transfer(build_perturbation(fixed, suspend_structure(mu), 4))
+    assert pkg.ok and hpl.ok
+    assert compare_hpl_vs_kernels(hpl, pkg, 4).status == "exact"
+
+
+def test_normalise_refuses_fg_not_one():
+    with pytest.raises(StructureError, match="fg = 1"):
+        normalise(fg_broken_retract(instance_massey(truncation=4)))
 
 
 def test_retract_over_prime_field():
