@@ -470,6 +470,34 @@ def test_crooked_retract_is_normalised(tmp_path, capsys):
     assert written["kernels"] == written["hpl"] == written["both"]
 
 
+@pytest.mark.parametrize("method", ["both", "hpl"])
+def test_crooked_retract_reports_operator_conclusions(tmp_path, capsys, method):
+    """The perturbation routes on a crooked retract: once normalised, the
+    operator-form conclusions it used to draw give way to the one path of
+    every retract, the colinearity report and then the corestricted
+    conclusions, and the exit status agrees with `check` on the written
+    document; under `--method hpl` down to the `check.transfer-*` lines."""
+    mu = massey_with_marker()
+    path = retract_doc(tmp_path, mu, crooked_retract(mu), "crooked.json")
+    out = str(tmp_path / "out.json")
+    assert main(["transfer", path, "--method", method, "-o", out]) == 0
+    machine = machine_lines(capsys.readouterr().out)
+    assert [line for line in machine if "hpl-colinearity" in line] == [
+        "check.hpl-colinearity.%s.nonzero=0" % key
+        for key in ("delta_nu", "homotopy", "phi", "psi")]
+    at = machine.index("hpl.extraction=canonical")
+    assert machine[at + 1] == "hpl.conclusions=corestriction"
+    assert not [line for line in machine if "operator" in line]
+    assert "check.hpl-conclusions.square-zero.nonzero=0" in machine
+    assert main(["check", out]) == 0
+    if method == "hpl":
+        checked = machine_lines(capsys.readouterr().out)
+        transfer = [line for line in checked
+                    if line.startswith("check.transfer-")]
+        assert transfer and transfer == [
+            line for line in machine if line.startswith("check.transfer-")]
+
+
 @pytest.mark.parametrize("method", ["hpl", "both"])
 def test_fg_not_one_is_refused_by_the_perturbation_route(tmp_path, capsys,
                                                          method):
