@@ -8,6 +8,7 @@ failure, 2 input/parse error.
 """
 
 import argparse
+import gc
 import random
 import sys
 
@@ -393,7 +394,15 @@ def main(argv=None):
     p_st.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the operator tables are acyclic, so the cyclic collector would only
+    # traverse them, never free them
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -26,10 +26,13 @@ blocks already built; the Koszul sign of the last factor depends only on
 the degree of the input word to its left.  Unrolled, X(n, k) sums
 e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
 `graded.tensor_table` of these products is the tests' reference.  The same
-step checks whether an operator is the lift of a family without building
-that lift (`lift_residual`): applied to the operator's own blocks
-(n - r, k - 1), it must give its block (n, k), and by induction on k this
-holds for every block exactly when the operator is the lift.
+recursion checks whether an operator is the lift of a family without
+building that lift (`lift_residual`), one word at a time: row w of the
+operator's block (n, k) must be the step evaluated at w from the
+operator's own blocks (n - r, k - 1), on the splits w = u + part with
+|part| = r (`graded.tensor_row`), and every word the step reaches must be
+a row; by induction on k this holds for every block exactly when the
+operator is the lift.
 
 Every operator is built inside this package (lifts, sums, composites,
 restrictions), so `CoalgebraOperator` has one constructor, which trusts its
@@ -37,7 +40,11 @@ blocks to be homogeneous, reduced and free of zero entries.  Sums of
 operators and composites are accumulated into one block table (`add_into`,
 `compose_into`, `operator_sum`), so a residual of several terms copies no
 partial sum; `CoalgebraOperator.compose` is `compose_into` on an empty
-table.
+table.  Operators never change once built, so they may share block
+tables: `operator_sum` takes a block of an operand it adds by reference
+when no other term of the sum writes that block, and copies it only when
+a second term adds into it.  An accumulator writes only into tables it
+created; a sum's blocks may be the very tables of its operands.
 
 Componentwise relation checks mirror the operator-level identities
 (square zero / intertwining / homotopy identity) and, like
@@ -45,11 +52,13 @@ Componentwise relation checks mirror the operator-level identities
 they check; the acceptance battery asserts the two agree on every instance.
 """
 
+from collections import Counter
+
 from . import signs
 from .combi import enum_A, enum_B
 from .graded import (MultiMap, StructureError, _acc, _merge,
                      check_truncation, compose, insert_slots, map_sum,
-                     tensor_into, word_degree)
+                     tensor_into, tensor_row, word_degree)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -223,15 +232,18 @@ def _identity_blocks(module, trunc):
 
 # ------------------------------------------------- in-place operator sums
 
-def add_into(blocks, op, negate=False):
+def add_into(blocks, op, negate=False, adopt=()):
     """blocks += op (blocks -= op with `negate`) in place, for a block table
     {(m, j): {word: {word: scalar}}}; a row or block that cancels is
-    removed.  Returns `blocks`."""
+    removed.  A block of op whose key is in `adopt` and that `blocks` lacks
+    is taken by reference, not copied: the caller vouches that no other
+    term writes it.  Returns `blocks`."""
     p = op.target.field.characteristic
     for key, table in op.blocks.items():
         dst = blocks.get(key)
         if dst is None and not negate:
-            blocks[key] = {w: dict(v) for w, v in table.items()}
+            blocks[key] = (table if key in adopt
+                           else {w: dict(v) for w, v in table.items()})
             continue
         dst = blocks.setdefault(key, {})
         _merge(dst, table, p, negate)
@@ -240,44 +252,51 @@ def add_into(blocks, op, negate=False):
     return blocks
 
 
-def compose_into(blocks, outer, inner, negate=False):
-    """blocks += outer o inner (blocks -= outer o inner with `negate`) in
-    place: the one operator composite.  Block (m, k) of `inner` meets block
-    (k, j) of `outer` in block (m, j); a row or block that cancels is
-    removed.  Returns `blocks`."""
+def _meetings(outer, inner):
+    """(key, table, mine) for each block table of `inner` (m, k) and block
+    `mine` of `outer` (k, j) that meet in block key (m, j) of outer o inner,
+    both homogeneities at most the shorter truncation."""
     if inner.target != outer.source:
         raise StructureError("operators not composable")
     trunc = min(outer.trunc, inner.trunc)
-    p = outer.target.field.characteristic
     for (m, k), table in inner.blocks.items():
         if m > trunc:
             continue
         for j in range(1, trunc + 1):
             mine = outer.blocks.get((k, j))
-            if not mine:
-                continue
-            dst = blocks.get((m, j))
-            if dst is None:
-                dst = {}
-            for w, vec in table.items():
-                row = dst.get(w)
-                if row is None:
-                    row = {}
-                for mid, c in vec.items():
-                    final = mine.get(mid)
-                    if not final:
-                        continue
-                    c = -c if negate else c
-                    for out, c2 in final.items():
-                        _acc(row, out, c * c2, p)
-                if row:
-                    dst[w] = row
-                elif w in dst:
-                    del dst[w]
-            if dst:
-                blocks[(m, j)] = dst
-            elif (m, j) in blocks:
-                del blocks[(m, j)]
+            if mine:
+                yield (m, j), table, mine
+
+
+def compose_into(blocks, outer, inner, negate=False):
+    """blocks += outer o inner (blocks -= outer o inner with `negate`) in
+    place: the one operator composite.  Block (m, k) of `inner` meets block
+    (k, j) of `outer` in block (m, j) (`_meetings`); a row or block that
+    cancels is removed.  Returns `blocks`."""
+    p = outer.target.field.characteristic
+    for key, table, mine in _meetings(outer, inner):
+        dst = blocks.get(key)
+        if dst is None:
+            dst = {}
+        for w, vec in table.items():
+            row = dst.get(w)
+            if row is None:
+                row = {}
+            for mid, c in vec.items():
+                final = mine.get(mid)
+                if not final:
+                    continue
+                c = -c if negate else c
+                for out, c2 in final.items():
+                    _acc(row, out, c * c2, p)
+            if row:
+                dst[w] = row
+            elif w in dst:
+                del dst[w]
+        if dst:
+            blocks[key] = dst
+        elif key in blocks:
+            del blocks[key]
     return blocks
 
 
@@ -289,21 +308,32 @@ def _shape(term):
     return (term.source, term.target, term.degree, term.trunc)
 
 
+def _written(term):
+    """The block keys a term of `operator_sum` writes."""
+    if isinstance(term, tuple):
+        return [key for key, _, _ in _meetings(*term)]
+    return list(term.blocks)
+
+
 def operator_sum(plus=(), minus=()):
     """sum(plus) - sum(minus), built in one block table.  A term is an
     operator, or a pair (outer, inner) standing for outer o inner, which is
     accumulated without being built on its own.  All terms must have the
-    shape of the first."""
+    shape of the first.  A block of an operator in `plus` that no other
+    term writes is shared with the sum, not copied."""
     terms = [(t, False) for t in plus] + [(t, True) for t in minus]
     shape = _shape(terms[0][0])
-    blocks = {}
-    for term, negate in terms:
+    for term, _ in terms:
         if _shape(term) != shape:
             raise StructureError("operator shape mismatch")
+    writers = Counter(key for term, _ in terms for key in _written(term))
+    blocks = {}
+    for term, negate in terms:
         if isinstance(term, tuple):
             compose_into(blocks, term[0], term[1], negate)
         else:
-            add_into(blocks, term, negate)
+            add_into(blocks, term, negate,
+                     adopt={key for key in term.blocks if writers[key] == 1})
     return CoalgebraOperator(*shape, blocks)
 
 
@@ -322,8 +352,8 @@ def _block_step(blocks, comps, right, left, n, k, p):
 
         X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r.
 
-    The one step of every lift, and of `lift_residual`, which applies it to
-    an operator's own blocks."""
+    The one step of every lift; `lift_residual` evaluates it one word at a
+    time (`_lift_splits`)."""
     acc = {}
     for r in range(1, n - k + 2):
         prev, g = blocks.get((n - r, k - 1)), right.get(r)
@@ -394,29 +424,69 @@ def lift_homotopy(family, left_lift=None):
     return _lift(family, "homotopy", left_lift)
 
 
+def _lift_splits(blocks, comps, right, left, n, k, one):
+    """The terms of the step of `_block_step` for block (n, k),
+    1 <= k <= n, as (table, m) pairs for `graded.tensor_row`, read from the
+    blocks (n - r, k - 1) of `blocks`: X(n-r, k-1) with g_r and
+    E(n-r, k-1) with x_r, for each r whose table is nonempty and whose
+    flank component exists.  Block (n, 1) is x_n: the one term whose table
+    is the unit row at the empty word."""
+    if k == 1:
+        return [({(): {(): one}}, comps[n])] if n in comps else []
+    splits = []
+    for r in range(1, n - k + 2):
+        for src, maps in ((blocks, right), (left, comps)):
+            table, m = src.get((n - r, k - 1)), maps.get(r)
+            if table and m is not None:
+                splits.append((table, m))
+    return splits
+
+
+def _lift_words(splits):
+    """The words at which a row of the step can be nonzero: u + part for
+    each term, u a row of its table and part a row of its map.  A word
+    reached by several terms is yielded once per term."""
+    for table, m in splits:
+        for u in table:
+            for part in m.table:
+                yield u + part
+
+
 def lift_residual(op, family):
-    """`op` checked block by block against the lift of `family`, without
-    building that lift: block (n, 1) against x_n, and block (n, k), k >= 2,
-    against `_block_step` applied to op's own blocks (n - r, k - 1).  A
-    residual table (expected minus op's block) is kept only for a block
-    that differs, and any block of op outside 1 <= k <= n <= trunc is one.
+    """`op` checked word by word against the lift of `family`, without
+    building that lift or any block of it.  For each block (n, k),
+    1 <= k <= n <= trunc, every row of op is compared with the lift's step
+    evaluated at that word from op's own blocks (`_lift_splits`,
+    `graded.tensor_row`), then every
+    word the step reaches (`_lift_words`) that op lacks is evaluated and
+    must give zero.  Only rows that differ are kept, as expected minus op's
+    row; every row of a block of op outside 1 <= k <= n <= trunc differs.
     By induction on k, the residual is zero exactly when op is the lift."""
     right, left = _flanks(family)
     comps, blocks = family.components, op.blocks
-    p = op.target.field.characteristic
+    p, one = op.target.field.characteristic, op.target.field.one
     keys = {(n, k) for n in range(1, op.trunc + 1) for k in range(1, n + 1)}
     residual = {}
     for n, k in sorted(keys | set(blocks)):
-        if k == 1:
-            want = _letters(comps[n]) if n in comps else {}
-        elif k <= n:
-            want = _block_step(blocks, comps, right, left, n, k, p)
-        else:
-            want = {}
         got = blocks.get((n, k), {})
-        if want != got:
-            _merge(want, got, p, negate=True)
-            residual[(n, k)] = want
+        res = {}
+        if (n, k) not in keys:
+            _merge(res, got, p, negate=True)
+        else:
+            splits = _lift_splits(blocks, comps, right, left, n, k, one)
+            for w, vec in got.items():
+                want = tensor_row(splits, w, p)
+                if want != vec:
+                    for out, c in vec.items():
+                        _acc(want, out, -c, p)
+                    res[w] = want
+            for w in _lift_words(splits):
+                if w not in got and w not in res:
+                    want = tensor_row(splits, w, p)
+                    if want:
+                        res[w] = want
+        if res:
+            residual[(n, k)] = res
     return CoalgebraOperator(op.source, op.target, op.degree, op.trunc,
                              residual)
 

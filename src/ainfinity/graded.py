@@ -3,15 +3,19 @@
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
 nonzero image.  All Koszul signs of tensor evaluation are generated here, in
-`apply_block`, `tensor_table`, `tensor_into` and `_product_into`, each
-through `signs.koszul_exponent`; no other module writes sign formulas for
-tensor evaluation.
+`apply_block`, `tensor_table`, `tensor_into`, `tensor_row` and
+`_product_into`, each through `signs.koszul_exponent`; no other module
+writes sign formulas for tensor evaluation.
 
 Values are immutable after construction by convention; operations return
-fresh objects.  Every sum into a sparse table in the library goes through
-the one accumulate step `_acc`, and every sum of two tables through the one
-merge `_merge`.  Both take the characteristic p of the target field; over
-Z/p, `_acc` is where unreduced int products are reduced into range(p).
+fresh objects, which may share tables with their operands (an operator on
+the tensor coalgebra may hold the very block tables of the operands of the
+sum that built it), so no table reachable from a value is ever written:
+an accumulator writes only into tables it created.  Every sum into a
+sparse table in the library goes through the one accumulate step `_acc`,
+and every sum of two tables through the one merge `_merge`.  Both take
+the characteristic p of the target field; over Z/p, `_acc` is where
+unreduced int products are reduced into range(p).
 
 `map_sum` is the one signed sum of multilinear maps: every kernel
 recursion and every relation residual is a single call, whose terms are
@@ -22,6 +26,7 @@ accumulated into one table.  `_product_into` is the one composite loop;
 """
 
 import itertools
+from operator import itemgetter
 
 from . import signs
 from .fields import QQ
@@ -32,7 +37,10 @@ class StructureError(ValueError):
 
 
 def word_degree(word):
-    return sum(b[0] for b in word)
+    return sum(map(_degree_of, word))
+
+
+_degree_of = itemgetter(0)
 
 
 class GradedModule:
@@ -72,6 +80,8 @@ class GradedModule:
         return 0 <= i < self.dims.get(d, 0)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, GradedModule)
                 and self.dims == other.dims and self.field == other.field)
 
@@ -378,6 +388,32 @@ def tensor_into(dst, table, m, p):
                     _acc(row, out + (b,), c * c2, p)
             if not row:
                 del dst[key]
+
+
+def tensor_row(terms, word, p):
+    """Row `word` of the sum of `tensor_into` steps table x m over `terms`
+    [(table, m)], evaluated at that one word without building any of them:
+    each term splits word = u + part with |part| = m's arity and adds
+    table[u] x m.table[part] with `tensor_into`'s Koszul sign
+    (-1)^(deg m * deg u).  Returns {output word: scalar}."""
+    n = len(word)
+    acc = {}
+    for table, m in terms:
+        cut = n - m.arity
+        u = word[:cut]
+        vec = table.get(u)
+        if not vec:
+            continue
+        images = m.table.get(word[cut:])
+        if not images:
+            continue
+        negate = signs.koszul_exponent(m.degree, word_degree(u)) % 2 == 1
+        for out, c in vec.items():
+            if negate:
+                c = -c
+            for b, c2 in images.items():
+                _acc(acc, out + (b,), c * c2, p)
+    return acc
 
 
 def _product_shape(outer, inners):

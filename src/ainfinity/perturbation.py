@@ -26,22 +26,25 @@ where AG lives on the small side T(sW).  A composite walks its inner
 operand row by row and looks the outer one up only at the words reached,
 so the dense homotopy lift H is walked once, in M = dmu H, and A itself
 is never built.  Every
-residual of two or more terms, and every output, is one
+residual of two or more terms, every output and the series S are each one
 `coalgebra.operator_sum` into one block table, so no partial sum is
-copied.
+copied, and a block of an operand that no other term writes is shared,
+not copied: H_out holds H's diagonal blocks, phi F's and psi G's.
 
 What is verified: the perturbed target coderivation DW = dW + delta_nu
 squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
 a homotopy between psi phi and the identity.  These conclusions are
 checked on corestrictions to T^1, in this order:
 
-1. `hpl-colinearity`: each output compared, block by block and in place,
-   with the lift of its own (n, 1) blocks (`coalgebra.lift_residual`):
-   block (n, k) against the lift's step applied to the output's own blocks
-   (n - r, k - 1), so the lift is never built -- delta_nu as a
-   coderivation, psi and phi as morphisms, H_out as a homotopy whose left
-   flank is the corestriction pi_1(psi phi), composed from psi's (k, 1)
-   blocks and phi (`extract_outputs`);
+1. `hpl-colinearity`: each output compared, word by word, with the lift
+   of its own (n, 1) blocks (`coalgebra.lift_residual`): each row w of
+   block (n, k) against the lift's step evaluated at w from the output's
+   own blocks (n - r, k - 1) on the splits of w, then each word the step
+   reaches that the output lacks, which must give zero; so neither the
+   lift nor any block of it is built -- delta_nu as a coderivation, psi
+   and phi as morphisms, H_out as a homotopy whose left flank is the
+   corestriction pi_1(psi phi), composed from psi's (k, 1) blocks and phi
+   (`extract_outputs`);
 2. `hpl-conclusions`: the componentwise identities of those families
    (`check_codifferential`, `check_morphism_components`,
    `check_homotopy_components`), one per-arity report per conclusion;
@@ -70,7 +73,7 @@ conditions; step 3 and `check_annihilation_lemmas` (the identities step 3
 rests on) refuse any retract off them.
 """
 
-from .coalgebra import (CoalgebraOperator, ComponentFamily, add_into,
+from .coalgebra import (CoalgebraOperator, ComponentFamily,
                         check_codifferential, check_homotopy_components,
                         check_morphism_components, extract_components,
                         lift_coderivation, lift_homotopy, lift_morphism,
@@ -116,25 +119,24 @@ class PerturbationData:
     def verify_nilpotency(self):
         """Record, per homogeneity n, the least power of M = dmu H that
         kills homogeneity-n words, and check it is at most n.  The powers
-        M, ..., M^{N-1} are summed on the way into the series S."""
+        M, ..., M^{N-1} are then summed into the series S by one
+        `operator_sum`, which shares every block only one power has."""
         report = CheckReport("nilpotency")
         for (m, j) in self.dmu.blocks:
             if j >= m:
                 report.add("lowers-%d-%d" % (m, j),
                            BoolResidual(False, "block (%d,%d)" % (m, j)))
-        power = self.M
-        series = {}
+        powers = [self.M]
         alive = set(range(1, self.trunc + 1))
         for i in range(1, self.trunc + 1):
             if i > 1:
-                power = self.M.compose(power)
-            if i < self.trunc:
-                add_into(series, power)
+                powers.append(self.M.compose(powers[-1]))
             for n in sorted(alive):
-                if power.restricted_to(n).is_zero():
+                if powers[-1].restricted_to(n).is_zero():
                     self.nilpotency[n] = i
                     alive.discard(n)
-        self.S = CoalgebraOperator(self.sV, self.sV, 0, self.trunc, series)
+        self.S = (operator_sum(plus=powers[:-1]) if self.trunc > 1 else
+                  CoalgebraOperator(self.sV, self.sV, 0, self.trunc, {}))
         for n in range(1, self.trunc + 1):
             idx = self.nilpotency.get(n)
             report.add("power-%d" % n,

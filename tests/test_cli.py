@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ainfinity
 from ainfinity.cli import main
 from ainfinity.docio import Document, DocumentError, dump, load, parse, serialize
 from ainfinity.fields import PrimeField
@@ -405,6 +409,38 @@ def test_transfer_hpl_method(tmp_path, capsys):
     assert code == 0
     assert "hpl.extraction=canonical" in report
     assert main(["check", out]) == 0
+
+
+GC_PROBE = """
+import contextlib, gc, io, sys
+from ainfinity.cli import main
+gc.collect()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, gc.isenabled(), gc.collect())
+"""
+
+
+def test_transfer_makes_no_garbage_cycles_that_grow_with_arity(tmp_path):
+    """`main` runs a command with the cyclic collector off and turns it
+    back on.  The collection after `transfer --method both` on the witness
+    then finds as many unreachable objects at N = 3 as at N = 5: the
+    operator work, which grows with N, makes no reference cycles, so the
+    collector has nothing of it to free."""
+    src = massey_doc(tmp_path)
+    here = os.path.dirname(os.path.dirname(ainfinity.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [here] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    found = {}
+    for N in (3, 5):
+        run = subprocess.run(
+            [sys.executable, "-c", GC_PROBE, "transfer", src, "--method",
+             "both", "--retract", "auto", "--arity", str(N)],
+            capture_output=True, text=True, env=env, check=True)
+        code, enabled, collected = run.stdout.split()
+        assert (code, enabled) == ("0", "True"), N
+        found[N] = int(collected)
+    assert found[3] == found[5]
 
 
 def machine_lines(report):

@@ -419,3 +419,28 @@ def test_compose_into_matches_per_word_composite(field):
             == D.compose(F) - F.compose(D))
     with pytest.raises(StructureError):
         operator_sum(plus=[(D, F), F])
+
+
+def test_operator_sum_copies_a_block_a_composite_lands_in():
+    """D + F (D restricted to homogeneity 3): the composite writes blocks
+    (3, j) that D owns, so those are copied and D is left as it was; every
+    other block of D is shared with the sum, not copied."""
+    V, rng = small_module(), seeded(12)
+    D = lift_coderivation(ComponentFamily(
+        "coderivation", V, V,
+        {n: random_multimap(rng, V, V, n, -1) for n in range(1, 4)}, TRUNC))
+    F = lift_morphism(ComponentFamily(
+        "morphism", V, V,
+        {n: random_multimap(rng, V, V, n, 0) for n in range(1, 4)}, TRUNC))
+    before = {key: {w: dict(v) for w, v in t.items()}
+              for key, t in D.blocks.items()}
+    total = operator_sum(plus=[D, (F, D.restricted_to(3))])
+    # the blocks where D's (3, k) blocks meet F's (k, j) blocks, whatever
+    # the composite leaves in them
+    contested = {(3, j) for (m, k) in D.blocks if m == 3
+                 for (k2, j) in F.blocks if k2 == k}
+    assert contested and set(D.blocks) - contested
+    for key, table in D.blocks.items():
+        assert (total.blocks.get(key) is table) == (key not in contested), key
+    assert D.blocks == before
+    assert (total - D).blocks == per_word_composite(F, D.restricted_to(3))

@@ -15,12 +15,15 @@ every kernel term and relation checker uses; `graded.map_sum`, the one
 signed sum of multilinear maps, whose signs reach the composite terms and
 the map terms by separate calls; `graded._acc` and `graded._merge`, the one
 accumulator (which also reduces modulo p) and the one table merge;
-`coalgebra.compose_into`, the one operator composite of the
-perturbation-lemma route, which also sums its residuals in place;
-`graded.tensor_into` and the one block step `coalgebra._block_step` (its
-two tensor steps and its range of last-factor arities), which builds every
-lift and is what the colinearity residual applies to an output's own
-blocks; the block comparison of that residual, `coalgebra.lift_residual`;
+`coalgebra.compose_into` and `coalgebra._meetings`, the one operator
+composite of the perturbation-lemma route, which also sums its residuals
+in place; `coalgebra._written`, which decides which blocks an operator sum
+may share with its operands; `graded.tensor_into` and the one block step
+`coalgebra._block_step` (its two tensor steps and its range of
+last-factor arities), which builds every lift; the per-word step the
+colinearity residual evaluates from an output's own blocks
+(`graded.tensor_row` and the splits `coalgebra._lift_splits`), and the
+residual's pass over the words an output lacks, `coalgebra.lift_residual`;
 the index families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
@@ -106,11 +109,8 @@ def hpl_detects(field=None):
     colinearity of the outputs, the conclusions, or the component
     comparison with the kernel route.  The conclusions are checked on
     corestrictions; no output reaches an output-homogeneity-N composite
-    there, and a lift with dropped Koszul signs leaves the outputs'
-    corestrictions unchanged, so
-    `operator-compose-skips-top-homogeneity` and
-    `tensor-step-skips-negation` are out of this detector's reach (the
-    equivalence battery kills both)."""
+    there, so `operator-compose-skips-top-homogeneity` is out of this
+    detector's reach (the equivalence battery kills it)."""
     try:
         pkg, hpl = witness_routes(field)
         return not (hpl.ok and perturbation.compare_hpl_vs_kernels(
@@ -294,9 +294,13 @@ STRUCTURAL_MUTANTS = {
         "-c if negate else c",
         "c"),
     "operator-compose-skips-top-homogeneity": (
-        coalgebra, "compose_into",
+        coalgebra, "_meetings",
         "for j in range(1, trunc + 1):",
         "for j in range(1, trunc):"),
+    "operator-sum-adopts-contested-block": (
+        coalgebra, "_written",
+        "return list(term.blocks)",
+        "return []"),
     "compose-into-ignores-negation": (
         coalgebra, "compose_into",
         "-c if negate else c",
@@ -305,6 +309,10 @@ STRUCTURAL_MUTANTS = {
         graded, "tensor_into",
         "-c if negate else c",
         "c"),
+    "tensor-row-skips-negation": (
+        graded, "tensor_row",
+        "c = -c",
+        "c = c"),
     "homotopy-lift-drops-flank-term": (
         coalgebra, "_block_step",
         "tensor_into(acc, e, x, p)",
@@ -348,8 +356,16 @@ STRUCTURAL_MUTANTS = {
         "operator_sum(plus=[dmuG])"),
     "lift-residual-passes-absent-block": (
         coalgebra, "lift_residual",
-        "got = blocks.get((n, k), {})",
-        "got = blocks.get((n, k), want)"),
+        "for w in _lift_words(splits):",
+        "for w in (_lift_words(splits) if got else ()):"),
+    "lift-residual-skips-lacking-rows": (
+        coalgebra, "lift_residual",
+        "for w in _lift_words(splits):",
+        "for w in ():"),
+    "lift-row-drops-long-splits": (
+        coalgebra, "_lift_splits",
+        "for r in range(1, n - k + 2):",
+        "for r in range(1, 2):"),
     "compare-skips-top-arity": (
         perturbation, "compare_hpl_vs_kernels",
         "for n in range(1, n_max + 1):",
@@ -389,14 +405,18 @@ KILLED_BY = {
     "hpl-psi-drops-a-lift-block": "hpl/Q",
     "lift-drops-largest-part": "hpl/Q",
     "lift-residual-passes-absent-block": "colinearity/Q",
+    "lift-residual-skips-lacking-rows": "colinearity/Q",
+    "lift-row-drops-long-splits": "hpl/Q",
     "map-sum-ignores-map-sign": "battery/Q",
     "map-sum-ignores-product-sign": "battery/Q",
     "merge-ignores-negation": "battery/Q",
     "normalise-drops-left-K": "normalise/Q",
     "normalise-skips-h2": "normalise/Q",
     "operator-compose-skips-top-homogeneity": "equivalence/Q",
+    "operator-sum-adopts-contested-block": "hpl/Q",
     "q-identity-memo-wrong-arity": "battery/Q",
-    "tensor-step-skips-negation": "equivalence/Q",
+    "tensor-row-skips-negation": "hpl/Q",
+    "tensor-step-skips-negation": "hpl/Q",
     "transfer-doubles-phi": "battery/Q",
 }
 
@@ -489,17 +509,32 @@ def test_structural_mutants_killed(name, monkeypatch):
     assert first_detector() == KILLED_BY[name], "mutant %s" % name
 
 
-@pytest.mark.parametrize("name", ["operator-compose-skips-top-homogeneity",
-                                  "tensor-step-skips-negation"])
+@pytest.mark.parametrize("name", ["operator-compose-skips-top-homogeneity"])
 def test_operator_level_mutants_left_the_hpl_reports(name, monkeypatch):
-    """Checked on corestrictions, the HPL reports no longer reach these two
-    mutants: no output is an output-homogeneity-N composite, and dropped
-    Koszul signs of a lift leave the outputs' corestrictions unchanged.
-    The equivalence battery, which compares operator-level and
-    componentwise verdicts, kills both over Q and over Z/5."""
+    """Checked on corestrictions, the HPL reports do not reach this
+    mutant: no output is an output-homogeneity-N composite.  The
+    equivalence battery, which compares operator-level and componentwise
+    verdicts, kills it over Q and over Z/5."""
     mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
     for field in (None, F5):
         assert not hpl_detects(field)
+        assert equivalence_detects(field)
+
+
+def test_dropped_lift_signs_are_caught_by_the_per_word_colinearity(
+        monkeypatch):
+    """Lifts built with the Koszul signs of `graded.tensor_into` dropped
+    leave the outputs' corestrictions unchanged, so the conclusions and the
+    comparison still pass; but the per-word colinearity check takes its
+    signs from `graded.tensor_row`, so delta_nu and H_out are no longer
+    lifts by it, over Q and over Z/5.  The equivalence battery kills the
+    mutant too."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS["tensor-step-skips-negation"])
+    for field in (None, F5):
+        pkg, hpl = witness_routes(field)
+        assert hpl.colinearity.failing() == ["delta_nu", "homotopy"]
+        assert hpl.conclusions.ok
+        assert perturbation.compare_hpl_vs_kernels(hpl, pkg).status == "exact"
         assert equivalence_detects(field)
 
 

@@ -4,6 +4,7 @@ fg = 1 once normalised, and what its reports say without side
 conditions."""
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -556,3 +557,89 @@ def test_battery_lifts_the_homotopy_flank_once(monkeypatch):
     calls = count_calls(monkeypatch, coalgebra, "_lift_blocks")
     assert equivalence_battery(pkg).ok
     assert len(calls) == 6
+
+
+# ------------------------------------------------------ shared block tables
+
+def witness_setup(N=4):
+    mu = instance_massey(truncation=N)
+    return mu, harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+
+
+def witness_data(N=4):
+    mu, retract = witness_setup(N)
+    return build_perturbation(retract, suspend_structure(mu), N)
+
+
+def test_outputs_share_the_diagonal_blocks_of_their_plus_operands():
+    """H_out = H + H S, phi = F + F S and psi = G + H A G: the composites
+    land below the diagonal, so each diagonal block of an output is the
+    very table of H, F or G, not a copy."""
+    data = witness_data()
+    hpl = hpl_transfer(data)
+    for out, operand in [(hpl.H_out, data.H), (hpl.phi, data.F),
+                         (hpl.psi, data.G)]:
+        assert [k for k in operand.blocks if k[0] != k[1]] == []
+        for key, table in operand.blocks.items():
+            assert out.blocks[key] is table, key
+
+
+def operator_snapshot(op):
+    return {key: {w: dict(vec) for w, vec in table.items()}
+            for key, table in op.blocks.items()}
+
+
+def crooked_setup():
+    mu = massey_with_marker()
+    return mu, crooked_retract(mu)
+
+
+def random_setup(seed):
+    mu = random_dga(random.Random(seed), truncation=4)
+    return mu, harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+
+
+@pytest.mark.parametrize("setup", [
+    witness_setup, crooked_setup, lambda: random_setup(5),
+    lambda: random_setup(15), lambda: random_setup(22)],
+    ids=["witness", "crooked", "dga5", "dga15", "dga22"])
+def test_hpl_transfer_leaves_its_operands_unchanged(setup):
+    """The outputs and the series share tables with F, G, H, dmu and M,
+    and no sum writes into one: every operand reads the same after the
+    lemma as before, including where S is nonzero."""
+    mu, retract = setup()
+    data = build_perturbation(retract, suspend_structure(mu), 4)
+    ops = {name: getattr(data, name) for name in ("F", "G", "H", "dmu", "M")}
+    before = {name: operator_snapshot(op) for name, op in ops.items()}
+    hpl = hpl_transfer(data)
+    assert not hpl.data.S.is_zero()
+    for name, op in ops.items():
+        assert operator_snapshot(op) == before[name], name
+
+
+def test_colinearity_check_traces_under_a_tenth_of_H_out():
+    """Memory guard: on the witness at N = 5 the colinearity report's
+    tracemalloc peak above its start stays under a tenth of the memory
+    traced while building H_out (the lift H, then H + H S).  The check
+    keeps one row of the lift's step at a time, and the rows that
+    differ."""
+    data = witness_data(5)
+    hpl = hpl_transfer(data)
+    _, _, hhat, gfhat = data.retract.shifted()
+    family = ComponentFamily("homotopy", data.sV, data.sV, {1: hhat}, 5,
+                             left=ComponentFamily.strict_morphism(gfhat, 5),
+                             right=ComponentFamily.identity(data.sV, 5))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        H = lift_homotopy(family)
+        H_out = operator_sum(plus=[H, (H, data.S)])
+        built = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        report = colinearity_report(outputs_of(hpl), hpl.extracted())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert H_out == hpl.H_out and report.ok
+    assert peak < built / 10, (peak, built)
