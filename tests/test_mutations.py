@@ -18,11 +18,12 @@ accumulator (which also reduces modulo p) and the one table merge;
 `coalgebra.compose_into` and `coalgebra._meetings`, the one operator
 composite of the perturbation-lemma route, which also sums its residuals
 in place; `coalgebra._written`, which decides which blocks an operator sum
-may share with its operands; `graded.tensor_into` and the one block step
-`coalgebra._block_step` (its two tensor steps and its range of
-last-factor arities), which builds every lift; the per-word step the
-colinearity residual evaluates from an output's own blocks
-(`graded.tensor_row` and the splits `coalgebra._lift_splits`), and the
+may share with its operands; the one lift step `coalgebra._lift_splits`
+(its two terms and its range of last-factor arities), which both builds
+every lift and checks the outputs' colinearity; its two evaluators,
+`coalgebra._lift_blocks` (its loop over homogeneities), which sums each
+block's terms with `graded.tensor_into`, and `graded.tensor_row`, which
+evaluates them at one word of an output's own blocks; and the
 residual's pass over the words an output lacks, `coalgebra.lift_residual`;
 the index families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
@@ -314,17 +315,21 @@ STRUCTURAL_MUTANTS = {
         "c = -c",
         "c = c"),
     "homotopy-lift-drops-flank-term": (
-        coalgebra, "_block_step",
-        "tensor_into(acc, e, x, p)",
-        "pass"),
+        coalgebra, "_lift_splits",
+        "((blocks, right), (left, comps))",
+        "((blocks, right),)"),
     "coderivation-lift-drops-shifted-term": (
-        coalgebra, "_block_step",
-        "tensor_into(acc, prev, g, p)",
-        "pass"),
+        coalgebra, "_lift_splits",
+        "((blocks, right), (left, comps))",
+        "((left, comps),)"),
     "lift-drops-largest-part": (
-        coalgebra, "_block_step",
+        coalgebra, "_lift_splits",
         "range(1, n - k + 2)",
         "range(1, n - k + 1)"),
+    "lift-build-drops-top-homogeneity": (
+        coalgebra, "_lift_blocks",
+        "for n in range(1, trunc + 1):",
+        "for n in range(1, trunc):"),
     "enum-B-drops-top-arity": (
         combi, "enum_B",
         "for k in range(2, n + 1):",
@@ -403,6 +408,7 @@ KILLED_BY = {
     "hpl-AG-drops-series-term": "hpl/Q",
     "hpl-phi-series-uses-M": "hpl/Q",
     "hpl-psi-drops-a-lift-block": "hpl/Q",
+    "lift-build-drops-top-homogeneity": "hpl/Q",
     "lift-drops-largest-part": "hpl/Q",
     "lift-residual-passes-absent-block": "colinearity/Q",
     "lift-residual-skips-lacking-rows": "colinearity/Q",

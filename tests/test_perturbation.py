@@ -31,7 +31,6 @@ from ainfinity.kernels import (DeformationRetract, check_p_identity,
                                transfer)
 from ainfinity.perturbation import (build_perturbation,
                                     check_annihilation_lemmas,
-                                    check_side_conditions,
                                     colinearity_report,
                                     compare_hpl_vs_kernels,
                                     corestricted_conclusions, extract_outputs,
@@ -54,16 +53,15 @@ def forms_setup(N=4):
 
 def test_side_conditions_on_harmonious_retract():
     _, retract = forms_setup()
-    assert all(check_side_conditions(retract).values())
+    assert retract.is_harmonious
 
 
 def test_side_conditions_flag_crooked_homotopy():
     mu = massey_with_marker()
     retract = crooked_retract(mu)
-    side = check_side_conditions(retract)
+    side = retract.side_conditions
     assert side["fg"] and side["hh"]
     assert not side["hg"] and not side["fh"]
-    assert side == retract.side_conditions
 
 
 def test_zero_complex_side_conditions_vacuous():
@@ -72,7 +70,7 @@ def test_zero_complex_side_conditions_vacuous():
     retract = DeformationRetract(cx, cx, MultiMap.identity(V),
                                  MultiMap.identity(V),
                                  MultiMap.zero(V, V, 1, 1))
-    assert all(check_side_conditions(retract).values())
+    assert retract.is_harmonious
 
 
 def test_nilpotency_and_inversion():
