@@ -3,7 +3,7 @@
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
 nonzero image.  All Koszul signs of tensor evaluation are generated here, in
-`apply_block`, `tensor_table`, `tensor_into`, `tensor_row` and
+`apply_block`, `tensor_table`, `tensor_into`, `_signed_row` and
 `_product_into`, each through `signs.koszul_exponent`; no other module
 writes sign formulas for tensor evaluation.
 
@@ -390,30 +390,94 @@ def tensor_into(dst, table, m, p):
                 del dst[key]
 
 
-def tensor_row(terms, word, p):
-    """Row `word` of the sum of `tensor_into` steps table x m over `terms`
-    [(table, m)], evaluated at that one word without building any of them:
-    each term splits word = u + part with |part| = m's arity and adds
-    table[u] x m.table[part] with `tensor_into`'s Koszul sign
-    (-1)^(deg m * deg u).  Returns {output word: scalar}."""
-    n = len(word)
-    acc = {}
-    for table, m in terms:
-        cut = n - m.arity
-        u = word[:cut]
-        vec = table.get(u)
-        if not vec:
+def _signed_row(vec, degree, u_degree):
+    """The entries of row u of a table, u of degree `u_degree`, with the
+    Koszul sign (-1)^(degree * u_degree) of a map of `degree` moving past
+    u, the sign `tensor_into` gives the step table x m at u."""
+    if signs.koszul_exponent(degree, u_degree) % 2 == 1:
+        return [(out, -c) for out, c in vec.items()]
+    return list(vec.items())
+
+
+def tensor_residual(terms, rows, p):
+    """Where the sum of the `tensor_into` steps table x m over `terms`
+    [(table, m)] differs from `rows`, a table whose words all have the
+    length n of the sum's words: {word: row of the sum - rows[word]},
+    evaluated term by term without building the sum.
+
+    The terms are walked in order of their maps' arities, so a term's cut
+    |u| = n - arity is at least that of every later term.  Each term walks
+    the rows u of its table once.  At u it takes deg u, its signed row and,
+    for every other term whose cut c is at most |u|, that term's row at
+    the prefix u[:c], signed, with the rest u[c:] of u (for a term of the
+    same cut, the row at u itself); then for each row
+    `part` of its map it evaluates the word u + part, unless an earlier term
+    reaches that word too, so every word is evaluated once, and compares it
+    with its row.  The rows met are counted, and only when some are not met
+    are they scanned for those no term reaches, each of which differs by
+    minus itself."""
+    terms = sorted(terms, key=lambda term: term[1].arity)
+    res = {}
+    found = 0
+    for i, (table, m) in enumerate(terms):
+        first = next(iter(table), None)
+        if first is None:
             continue
-        images = m.table.get(word[cut:])
-        if not images:
-            continue
-        negate = signs.koszul_exponent(m.degree, word_degree(u)) % 2 == 1
-        for out, c in vec.items():
-            if negate:
-                c = -c
-            for b, c2 in images.items():
-                _acc(acc, out + (b,), c * c2, p)
-    return acc
+        n = len(first) + m.arity
+        # terms read at a prefix of u, and earlier terms of a longer cut,
+        # read at the word
+        near = [(j < i, n - t[1].arity, t) for j, t in enumerate(terms)
+                if j != i and t[1].arity >= m.arity]
+        far = [(n - t[1].arity, t[0], t[1].table) for t in terms[:i]
+               if t[1].arity < m.arity]
+        for u, vec in table.items():
+            seen = []
+            hits = [((), m.table, _signed_row(vec, m.degree, word_degree(u)))]
+            for earlier, cut, (t, mt) in near:
+                v = t.get(u[:cut])
+                if not v:
+                    continue
+                if earlier:
+                    seen.append((u[cut:], mt.table))
+                else:
+                    outs = _signed_row(v, mt.degree, word_degree(u[:cut]))
+                    hits.append((u[cut:], mt.table, outs))
+            for part in m.table:
+                word = u + part
+                if ((seen and any(rest + part in mt for rest, mt in seen))
+                        or (far and any(word[:cut] in t and word[cut:] in mt
+                                        for cut, t, mt in far))):
+                    continue
+                want = {}
+                for rest, mt, outs in hits:
+                    images = mt.get(rest + part)
+                    if images:
+                        for out, c in outs:
+                            for b, c2 in images.items():
+                                _acc(want, out + (b,), c * c2, p)
+                row = rows.get(word)
+                if row is None:
+                    if want:
+                        res[word] = want
+                    continue
+                found += 1
+                if want != row:
+                    for out, c in row.items():
+                        _acc(want, out, -c, p)
+                    res[word] = want
+    if found < len(rows):
+        _merge(res, {w: row for w, row in rows.items()
+                     if not any(_reaches(term, w) for term in terms)}, p,
+               negate=True)
+    return res
+
+
+def _reaches(term, word):
+    """Whether the step table x m of `term` can be nonzero at `word`: its
+    split u + part has u a row of the table and part a row of m."""
+    table, m = term
+    cut = len(word) - m.arity
+    return word[:cut] in table and word[cut:] in m.table
 
 
 def _product_shape(outer, inners):

@@ -36,15 +36,15 @@ squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
 a homotopy between psi phi and the identity.  These conclusions are
 checked on corestrictions to T^1, in this order:
 
-1. `hpl-colinearity`: each output compared, word by word, with the lift
-   of its own (n, 1) blocks (`coalgebra.lift_residual`): each row w of
-   block (n, k) against the lift's step evaluated at w from the output's
-   own blocks (n - r, k - 1) on the splits of w, then each word the step
-   reaches that the output lacks, which must give zero; so neither the
-   lift nor any block of it is built -- delta_nu as a coderivation, psi
-   and phi as morphisms, H_out as a homotopy whose left flank is the
-   corestriction pi_1(psi phi), composed from psi's (k, 1) blocks and phi
-   (`extract_outputs`);
+1. `hpl-colinearity`: each output compared with the lift of its own
+   (n, 1) blocks (`coalgebra.lift_residual`): the terms of the lift's step
+   over the output's own blocks (n - r, k - 1) are walked term by term,
+   each word they reach evaluated once against the output's row of block
+   (n, k), and a row of the output no term reaches must not exist; so
+   neither the lift nor any block of it is built -- delta_nu as a
+   coderivation, psi and phi as morphisms, H_out as a homotopy whose left
+   flank is the corestriction pi_1(psi phi), composed from psi's (k, 1)
+   blocks and phi (`extract_outputs`);
 2. `hpl-conclusions`: the componentwise identities of those families
    (`check_codifferential`, `check_morphism_components`,
    `check_homotopy_components`), one per-arity report per conclusion;
@@ -85,7 +85,11 @@ from .suspension import suspend_components
 
 
 class PerturbationData:
-    """Operator-level input package for the perturbation lemma."""
+    """Operator-level input package for the perturbation lemma: the lifts
+    F, G and H, DV's components, M = dmu H and dmu G.  The perturbation
+    dmu itself is held only while those two composites are formed; its
+    block keys are kept for the nilpotency report, and F is lifted after
+    dmu is released, so the two never coexist."""
 
     def __init__(self, retract, smu, trunc):
         fhat, ghat, hhat, gfhat = retract.shifted()
@@ -96,7 +100,6 @@ class PerturbationData:
         W = retract.small.module
         # the shifted differential of W: the arity-1 component of DW
         self.delta1_W = suspend_components({1: retract.small.d}, W, W)[1]
-        self.F = lift_morphism(ComponentFamily.strict_morphism(fhat, trunc))
         self.G = lift_morphism(ComponentFamily.strict_morphism(ghat, trunc))
         self.H = lift_homotopy(ComponentFamily(
             "homotopy", sV, sV, {1: hhat}, trunc,
@@ -108,20 +111,25 @@ class PerturbationData:
                                    if n <= trunc}, trunc)
         # the perturbation: the shifted products of arity 2..trunc, lifted at
         # the same truncation as every other operator here
-        self.dmu = lift_coderivation(ComponentFamily(
+        dmu = lift_coderivation(ComponentFamily(
             "coderivation", sV, sV,
             {n: m for n, m in self.dV.components.items() if n >= 2}, trunc))
-        self.M = self.dmu.compose(self.H)
+        self.M = dmu.compose(self.H)
+        self.dmuG = dmu.compose(self.G)
+        self.dmu_keys = list(dmu.blocks)
+        del dmu
+        self.F = lift_morphism(ComponentFamily.strict_morphism(fhat, trunc))
         self.nilpotency = {}
         self.S = None
 
     def verify_nilpotency(self):
-        """Record, per homogeneity n, the least power of M = dmu H that
+        """Check that dmu strictly lowers homogeneity, from its block keys,
+        and record, per homogeneity n, the least power of M = dmu H that
         kills homogeneity-n words, and check it is at most n.  The powers
         M, ..., M^{N-1} are then summed into the series S by one
         `operator_sum`, which shares every block only one power has."""
         report = CheckReport("nilpotency")
-        for (m, j) in self.dmu.blocks:
+        for (m, j) in self.dmu_keys:
             if j >= m:
                 report.add("lowers-%d-%d" % (m, j),
                            BoolResidual(False, "block (%d,%d)" % (m, j)))
@@ -188,11 +196,10 @@ def hpl_transfer(data):
     nilpotency_report = data.verify_nilpotency()
     if not nilpotency_report.ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
-    M, S, dmu = data.M, data.S, data.dmu
+    M, S, dmuG = data.M, data.S, data.dmuG
     inversion_report = series_inversion_report(M, S)
 
     F, G, H = data.F, data.G, data.H
-    dmuG = dmu.compose(G)
     AG = operator_sum(plus=[dmuG, (S, dmuG)])
     outputs = {
         "delta_nu": F.compose(AG),

@@ -16,7 +16,9 @@ from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  operator_sum)
 from ainfinity.combi import compositions
 from ainfinity.fields import QQ, PrimeField
-from ainfinity.graded import GradedModule, MultiMap, StructureError, tensor_table
+from ainfinity import coalgebra, signs
+from ainfinity.graded import (GradedModule, MultiMap, StructureError, _acc,
+                              _merge, tensor_table, word_degree)
 from ainfinity.retracts import harmonious_retract, instance_massey
 from ainfinity.graded import ChainComplex
 from ainfinity.suspension import suspend_structure
@@ -204,6 +206,79 @@ def test_lift_residual_is_zero_exactly_on_the_lift(fam):
     assert lift_residual(op, fam).is_zero()
     for _, bad in corrupted(op):
         assert lift_residual(bad, fam).is_zero() == (op - bad).is_zero()
+
+
+def per_word_row(terms, word, p):
+    """Row `word` of the sum of the steps table x m over `terms`, evaluated
+    at that one word: each term splits word = u + part with |part| = m's
+    arity and adds table[u] x m.table[part] with the Koszul sign
+    (-1)^(deg m * deg u)."""
+    acc = {}
+    for table, m in terms:
+        cut = len(word) - m.arity
+        u = word[:cut]
+        vec, images = table.get(u), m.table.get(word[cut:])
+        if not vec or not images:
+            continue
+        sign = signs.sign_of(signs.koszul_exponent(m.degree, word_degree(u)))
+        for out, c in vec.items():
+            for b, c2 in images.items():
+                _acc(acc, out + (b,), sign * c * c2, p)
+    return acc
+
+
+def per_word_residual(op, family):
+    """The residual of `op` against the lift of `family`, row by row: each
+    row w of op's block (n, k) against the step evaluated at w from op's
+    own blocks (`per_word_row`), then each word the step reaches that op
+    lacks; a block off 1 <= k <= n <= trunc is taken negated.  The
+    reference for `lift_residual`'s term walk."""
+    right, left = coalgebra._flanks(family)
+    comps, blocks = family.components, op.blocks
+    p, one = op.target.field.characteristic, op.target.field.one
+    keys = {(n, k) for n in range(1, op.trunc + 1) for k in range(1, n + 1)}
+    residual = {}
+    for n, k in sorted(keys | set(blocks)):
+        got = blocks.get((n, k), {})
+        res = {}
+        if (n, k) not in keys:
+            _merge(res, got, p, negate=True)
+        else:
+            terms = coalgebra._lift_splits(blocks, comps, right, left, n, k,
+                                           one)
+            for w, vec in got.items():
+                want = per_word_row(terms, w, p)
+                if want != vec:
+                    _merge(res, {w: want}, p)
+                    _merge(res, {w: vec}, p, negate=True)
+            for table, m in terms:
+                for u in table:
+                    for part in m.table:
+                        w = u + part
+                        if w not in got and w not in res:
+                            want = per_word_row(terms, w, p)
+                            if want:
+                                res[w] = want
+        if res:
+            residual[(n, k)] = res
+    return residual
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lift_families())
+def test_lift_residual_matches_the_per_word_reference(fam):
+    """The term walk reports what evaluating each word on its own reports,
+    entry for entry, so a failing run prints the same `.nonzero=` counts:
+    on each corrupted lift, against the family and against the corrupted
+    operator's own components, where a dropped (n, 1) block leaves rows
+    above it that no term reaches."""
+    op = LIFTS[fam.kind](fam)
+    for _, bad in corrupted(op):
+        own = extract_components(bad, fam.kind, left=fam.left,
+                                 right=fam.right)
+        for family in (fam, own):
+            assert (lift_residual(bad, family).blocks
+                    == per_word_residual(bad, family))
 
 
 def test_lift_residual_returns_a_block_off_the_lift_shape_negated():

@@ -22,9 +22,13 @@ may share with its operands; the one lift step `coalgebra._lift_splits`
 (its two terms and its range of last-factor arities), which both builds
 every lift and checks the outputs' colinearity; its two evaluators,
 `coalgebra._lift_blocks` (its loop over homogeneities), which sums each
-block's terms with `graded.tensor_into`, and `graded.tensor_row`, which
-evaluates them at one word of an output's own blocks; and the
-residual's pass over the words an output lacks, `coalgebra.lift_residual`;
+block's terms with `graded.tensor_into`, and the check's term walk
+`graded.tensor_residual` over an output's own blocks, with the sign it
+gives a term's row (`graded._signed_row`), the sign of a later term's row
+it hoists to a prefix, its skip of a word an earlier term reaches, its
+report of a word an output lacks, and its scan for rows no term reaches
+when the count of rows met falls short; and `coalgebra.lift_residual`'s
+walk over a block the output lacks;
 the index families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
@@ -36,7 +40,7 @@ is an exact-once source replacement, bound wherever the original is bound,
 so every detector looks library entry points up on their modules, never
 through a binding of its own.  Six detectors run in a fixed order, over Q
 and then over Z/5 (a lost reduction modulo p is invisible over Q): the
-battery above, the perturbation-lemma reports on the witness, the
+battery above, the perturbation-lemma reports on the witness instances, the
 componentwise/operator equivalence battery on the witness instances,
 sensitivity probes of the HPL-vs-kernels comparison and of the colinearity
 check, and both routes along normalised crooked retracts.  The first
@@ -92,10 +96,10 @@ def battery_detects(field=None):
         return True
 
 
-def witness_routes(field=None, N=4):
-    """The witness over `field` (default Q) at truncation N through both
-    routes: (kernel package, HPL output)."""
-    mu = retracts.instance_massey(field, truncation=N)
+def witness_routes(field=None, N=4, make=None):
+    """A witness instance (default `instance_massey`) over `field` (default
+    Q) at truncation N through both routes: (kernel package, HPL output)."""
+    mu = (make or retracts.instance_massey)(field, truncation=N)
     retract = retracts.harmonious_retract(
         ChainComplex(mu.carrier, mu.differential))
     pkg = kernels.transfer(retract, mu, N)
@@ -105,17 +109,22 @@ def witness_routes(field=None, N=4):
 
 
 def hpl_detects(field=None):
-    """True as soon as a perturbation-lemma report on the witness at N = 4
-    over `field` (default Q) fails: nilpotency, series inversion,
+    """True as soon as a perturbation-lemma report on a witness instance at
+    N = 4 over `field` (default Q) fails: nilpotency, series inversion,
     colinearity of the outputs, the conclusions, or the component
     comparison with the kernel route.  The conclusions are checked on
     corestrictions; no output reaches an output-homogeneity-N composite
     there, so `operator-compose-skips-top-homogeneity` is out of this
-    detector's reach (the equivalence battery kills it)."""
+    detector's reach (the equivalence battery kills it).  Only the second
+    instance, `instance_forms`, has a word of delta_nu that two terms of the
+    lift step with an odd-degree map reach."""
     try:
-        pkg, hpl = witness_routes(field)
-        return not (hpl.ok and perturbation.compare_hpl_vs_kernels(
-            hpl, pkg).status == "exact")
+        for make in (retracts.instance_massey, retracts.instance_forms):
+            pkg, hpl = witness_routes(field, make=make)
+            if not (hpl.ok and perturbation.compare_hpl_vs_kernels(
+                    hpl, pkg).status == "exact"):
+                return True
+        return False
     except StructureError:
         return True
 
@@ -161,20 +170,36 @@ def comparison_blind(field=None):
         return True
 
 
+LIFT_OF = {"delta_nu": "lift_coderivation", "psi": "lift_morphism",
+           "phi": "lift_morphism", "homotopy": "lift_homotopy"}
+
+
 def colinearity_blind(field=None):
     """True when the HPL colinearity check on the witness at N = 4 over
     `field` (default Q) misses a corrupted block: each output with one
     block dropped or one scalar changed (`conftest.corrupted`), checked
-    against the families of the valid outputs, must be reported."""
+    against the families of the valid outputs, must be reported; checked
+    against its own components, it must be reported exactly when the lift
+    of those differs from it.  A dropped (n, 1) block leaves rows above it
+    that no term of the lift step reaches, and only the second check sees
+    them."""
     try:
         _, hpl = witness_routes(field)
         outputs = {"delta_nu": hpl.delta_nu, "psi": hpl.psi,
                    "phi": hpl.phi, "homotopy": hpl.H_out}
+        families = hpl.extracted()
         for key, op in sorted(outputs.items()):
+            valid = families[key]
             for _, bad in corrupted(op):
                 report = perturbation.colinearity_report(
-                    dict(outputs, **{key: bad}), hpl.extracted())
+                    dict(outputs, **{key: bad}), families)
                 if report.residuals[key].is_zero():
+                    return True
+                own = coalgebra.extract_components(
+                    bad, valid.kind, left=valid.left, right=valid.right)
+                relift = getattr(coalgebra, LIFT_OF[key])(own) - bad
+                if (coalgebra.lift_residual(bad, own).is_zero()
+                        != relift.is_zero()):
                     return True
         return False
     except StructureError:
@@ -311,9 +336,9 @@ STRUCTURAL_MUTANTS = {
         "-c if negate else c",
         "c"),
     "tensor-row-skips-negation": (
-        graded, "tensor_row",
-        "c = -c",
-        "c = c"),
+        graded, "_signed_row",
+        "(out, -c)",
+        "(out, c)"),
     "homotopy-lift-drops-flank-term": (
         coalgebra, "_lift_splits",
         "((blocks, right), (left, comps))",
@@ -361,12 +386,25 @@ STRUCTURAL_MUTANTS = {
         "operator_sum(plus=[dmuG])"),
     "lift-residual-passes-absent-block": (
         coalgebra, "lift_residual",
-        "for w in _lift_words(splits):",
-        "for w in (_lift_words(splits) if got else ()):"),
+        "_lift_splits(blocks, comps, right, left, n, k, one), got, p)",
+        "_lift_splits(blocks, comps, right, left, n, k, one) if got else (),"
+        " got, p)"),
     "lift-residual-skips-lacking-rows": (
-        coalgebra, "lift_residual",
-        "for w in _lift_words(splits):",
-        "for w in ():"),
+        graded, "tensor_residual",
+        "if want:",
+        "if False:"),
+    "lift-walk-evaluates-a-word-twice": (
+        graded, "tensor_residual",
+        "if ((seen and",
+        "if False and ((seen and"),
+    "lift-walk-skips-the-short-count-scan": (
+        graded, "tensor_residual",
+        "if found < len(rows):",
+        "if False:"),
+    "lift-walk-hoists-an-unsigned-row": (
+        graded, "tensor_residual",
+        "outs = _signed_row(v, mt.degree, word_degree(u[:cut]))",
+        "outs = list(v.items())"),
     "lift-row-drops-long-splits": (
         coalgebra, "_lift_splits",
         "for r in range(1, n - k + 2):",
@@ -411,8 +449,11 @@ KILLED_BY = {
     "lift-build-drops-top-homogeneity": "hpl/Q",
     "lift-drops-largest-part": "hpl/Q",
     "lift-residual-passes-absent-block": "colinearity/Q",
-    "lift-residual-skips-lacking-rows": "colinearity/Q",
+    "lift-residual-skips-lacking-rows": "hpl/Q",
     "lift-row-drops-long-splits": "hpl/Q",
+    "lift-walk-evaluates-a-word-twice": "hpl/Q",
+    "lift-walk-hoists-an-unsigned-row": "hpl/Q",
+    "lift-walk-skips-the-short-count-scan": "colinearity/Q",
     "map-sum-ignores-map-sign": "battery/Q",
     "map-sum-ignores-product-sign": "battery/Q",
     "merge-ignores-negation": "battery/Q",

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ainfinity import coalgebra
+from ainfinity import coalgebra, graded
 from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                               check_homotopy, check_morphism, check_structure,
                               identity_morphism)
@@ -103,11 +103,19 @@ def test_series_inversion_residuals_against_identity():
     assert report.entry_count("right") == report.entry_count("left") == 12
 
 
+def lifted_dmu(data):
+    """The perturbation dmu, which `PerturbationData` releases once it has
+    formed dmu H and dmu G: the lift of DV's components of arity >= 2."""
+    return lift_coderivation(ComponentFamily(
+        "coderivation", data.sV, data.sV,
+        {n: m for n, m in data.dV.components.items() if n >= 2}, data.trunc))
+
+
 def test_trivial_perturbation_returns_inputs():
     mu, retract = forms_setup()
     bare = AInfinity(mu.carrier, mu.differential, {}, 4)
     data = build_perturbation(retract, suspend_structure(bare), 4)
-    assert data.dmu.is_zero()
+    assert lifted_dmu(data).is_zero()
     hpl = hpl_transfer(data)
     assert hpl.delta_nu.is_zero()
     assert hpl.psi == data.G
@@ -442,7 +450,8 @@ def reference_outputs(data):
     A = dmu + S dmu: delta_nu = F A G, psi = G + H A G, phi = F + F A H and
     H_out = H + H A H.  `hpl_transfer` builds them as F + F S, H + H S and,
     through A G = dmu G + S dmu G, as G + H A G and F A G."""
-    A = operator_sum(plus=[data.dmu, (data.S, data.dmu)])
+    dmu = lifted_dmu(data)
+    A = operator_sum(plus=[dmu, (data.S, dmu)])
     FA, HA = data.F.compose(A), data.H.compose(A)
     return {"delta_nu": FA.compose(data.G),
             "psi": operator_sum(plus=[data.G, (HA, data.G)]),
@@ -602,17 +611,32 @@ def random_setup(seed):
     lambda: random_setup(15), lambda: random_setup(22)],
     ids=["witness", "crooked", "dga5", "dga15", "dga22"])
 def test_hpl_transfer_leaves_its_operands_unchanged(setup):
-    """The outputs and the series share tables with F, G, H, dmu and M,
+    """The outputs and the series share tables with F, G, H, dmu G and M,
     and no sum writes into one: every operand reads the same after the
     lemma as before, including where S is nonzero."""
     mu, retract = setup()
     data = build_perturbation(retract, suspend_structure(mu), 4)
-    ops = {name: getattr(data, name) for name in ("F", "G", "H", "dmu", "M")}
+    ops = {name: getattr(data, name) for name in ("F", "G", "H", "dmuG", "M")}
     before = {name: operator_snapshot(op) for name, op in ops.items()}
     hpl = hpl_transfer(data)
     assert not hpl.data.S.is_zero()
     for name, op in ops.items():
         assert operator_snapshot(op) == before[name], name
+
+
+def test_colinearity_check_never_calls_the_lift_builder(monkeypatch):
+    """Independence guard: the colinearity check evaluates the lift step
+    with its own walk, so a sign the builder drops cannot cancel out of it.
+    With `graded.tensor_into` and `coalgebra._lift_blocks` refusing to run,
+    the report on the witness outputs at N = 5 is still ok."""
+    hpl = hpl_transfer(witness_data(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the colinearity check called the builder")
+
+    assert rebind(monkeypatch, graded.tensor_into, refuse)
+    assert rebind(monkeypatch, coalgebra._lift_blocks, refuse)
+    assert colinearity_report(outputs_of(hpl), hpl.extracted()).ok
 
 
 def test_colinearity_check_traces_under_a_tenth_of_H_out():
