@@ -1,19 +1,22 @@
 """Homology, splittings, harmonious retracts, their normalisation, and the
 desk instances."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from ainfinity.ainfty import check_structure
 from ainfinity.coalgebra import CoalgebraOperator
-from ainfinity.fields import PrimeField
+from ainfinity.corpus import random_dga
+from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap, StructureError, compose
 from ainfinity.kernels import transfer
 from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
                                     hpl_transfer)
-from ainfinity.retracts import (Splitting, harmonious_retract, homology,
-                                instance_forms, instance_massey, normalise)
+from ainfinity.retracts import (Splitting, _rref, harmonious_retract,
+                                homology, instance_forms, instance_massey,
+                                normalise)
 from ainfinity.suspension import suspend_structure
 from conftest import (crooked_retract, fg_broken_retract, kept_pair_retract,
                       massey_with_marker, two_dim_complex)
@@ -156,6 +159,76 @@ def test_splitting_dimensions_add_up():
         assert total == mu.carrier.dim(deg)
     # d maps the complement C isomorphically onto the boundaries below
     assert len(split.C[3]) == 2 and len(split.B[2]) == 2
+
+
+def greedy_splitting(cx):
+    """The splitting as chosen one candidate at a time, per degree i: B_i
+    the images under d of the basis vectors at the pivot columns of d out
+    of degree i + 1, C_i the unit vectors at the pivot columns of d out of
+    degree i, and H_i the vectors of the canonical kernel basis (one per
+    free column, ascending), each kept when it raises the rank of B_i and
+    the vectors kept before it.  Only `retracts._rref` is shared."""
+    V = cx.module
+    field = V.field
+    p = field.characteristic
+    zero, one = field.zero, field.one
+
+    def d_columns(deg):
+        return [[cx.d.apply(((deg, j),)).get((deg - 1, i), zero)
+                 for i in range(V.dim(deg - 1))] for j in range(V.dim(deg))]
+
+    def rank(vectors, n):
+        return len(_rref(vectors, n, field)[1])
+
+    B, H, C = {}, {}, {}
+    for deg in V.degrees():
+        n = V.dim(deg)
+        cols = d_columns(deg)
+        rref, pivots = _rref([list(r) for r in zip(*cols)], n, field)
+        C[deg] = [[one if i == c else zero for i in range(n)] for c in pivots]
+        kernel = []
+        for free in (c for c in range(n) if c not in pivots):
+            vec = [zero] * n
+            vec[free] = one
+            for r, col in enumerate(pivots):
+                vec[col] = -rref[r][free] % p if p else -rref[r][free]
+            kernel.append(vec)
+        up = d_columns(deg + 1)
+        _, up_pivots = _rref([list(r) for r in zip(*up)], V.dim(deg + 1),
+                             field)
+        B[deg] = [up[j] for j in up_pivots]
+        chosen = []
+        for cand in kernel:
+            if rank(B[deg] + chosen + [cand], n) > rank(B[deg] + chosen, n):
+                chosen.append(cand)
+        H[deg] = chosen
+    return B, H, C
+
+
+def pinned_complexes():
+    for field in (QQ, PrimeField(3)):
+        for k in range(2, 9):
+            yield "massey k=%d %s" % (k, field), instance_massey(field, k=k)
+        for seed in range(1, 101):
+            for size in (6, 10):
+                yield ("random_dga %d/%d %s" % (seed, size, field),
+                       random_dga(random.Random(seed), field,
+                                  max_total_dim=size))
+
+
+def test_splitting_keeps_the_greedy_choice():
+    """The splitting's boundaries, complement and homology representatives
+    are those of `greedy_splitting`, and the homology has the dimensions
+    of the retract's W, over Q and Z/3."""
+    for name, mu in pinned_complexes():
+        cx = ChainComplex(mu.carrier, mu.differential)
+        split = Splitting(cx)
+        B, H, C = greedy_splitting(cx)
+        degrees = mu.carrier.degrees()
+        assert {deg: split.B[deg] for deg in degrees} == B, name
+        assert {deg: split.H[deg] for deg in degrees} == H, name
+        assert {deg: split.C[deg] for deg in degrees} == C, name
+        assert homology(cx) == harmonious_retract(cx).small.module, name
 
 
 def test_retract_deterministic():
