@@ -16,7 +16,8 @@ below the truncation of its input.
 
 from . import signs
 from .combi import enum_A, enum_B
-from .graded import (MultiMap, StructureError, check_truncation, compose,
+from .graded import (MultiMap, StructureError, check_truncation,
+                     checked_components, component_or_zero, compose,
                      insert_slots, map_sum, resolve_truncation)
 from .reports import CheckReport
 
@@ -32,27 +33,16 @@ class AInfinity:
         truncation = check_truncation(truncation)
         self.carrier = carrier
         self.differential = differential
-        self.products = {}
-        for n, m in products.items():
-            n = int(n)
-            if not 2 <= n <= truncation:
-                raise StructureError("product arity %d outside 2..%d" % (n, truncation))
-            if m.arity != n or m.degree != n - 2:
-                raise StructureError("mu_%d must have arity %d, degree %d" % (n, n, n - 2))
-            if m.source != carrier or m.target != carrier:
-                raise StructureError("mu_%d must live on the carrier" % n)
-            if not m.is_zero():
-                self.products[n] = m
+        self.products = checked_components("product", products, 2, truncation,
+                                           lambda n: n - 2, carrier, carrier)
         self.truncation = truncation
 
     def mu(self, n):
         """mu_n, with mu_1 the differential; zero map if absent."""
         if n == 1:
             return self.differential
-        got = self.products.get(n)
-        if got is None:
-            return MultiMap.zero(self.carrier, self.carrier, n, n - 2)
-        return got
+        return component_or_zero(self.products, n, n - 2, self.carrier,
+                                 self.carrier)
 
     def __eq__(self, other):
         return (isinstance(other, AInfinity)
@@ -74,24 +64,13 @@ class AInftyMorphism:
         self.target = target
         self.truncation = resolve_truncation(
             truncation, min(source.truncation, target.truncation))
-        self.components = {}
-        for n, m in components.items():
-            n = int(n)
-            if not 1 <= n <= self.truncation:
-                raise StructureError("component arity %d outside 1..%d"
-                                     % (n, self.truncation))
-            if m.arity != n or m.degree != n - 1:
-                raise StructureError("f_%d must have arity %d, degree %d" % (n, n, n - 1))
-            if m.source != source.carrier or m.target != target.carrier:
-                raise StructureError("f_%d must map source carrier to target carrier" % n)
-            if not m.is_zero():
-                self.components[n] = m
+        self.components = checked_components(
+            "component", components, 1, self.truncation, lambda n: n - 1,
+            source.carrier, target.carrier)
 
     def component(self, n):
-        got = self.components.get(n)
-        if got is None:
-            return MultiMap.zero(self.source.carrier, self.target.carrier, n, n - 1)
-        return got
+        return component_or_zero(self.components, n, n - 1,
+                                 self.source.carrier, self.target.carrier)
 
     def __repr__(self):
         return "AInftyMorphism(components=%r, N=%d)" % (sorted(self.components), self.truncation)
@@ -109,24 +88,13 @@ class AInftyHomotopy:
         self.to = to
         self.truncation = resolve_truncation(
             truncation, min(frm.truncation, to.truncation))
-        self.components = {}
-        for n, m in components.items():
-            n = int(n)
-            if not 1 <= n <= self.truncation:
-                raise StructureError("component arity %d outside 1..%d"
-                                     % (n, self.truncation))
-            if m.arity != n or m.degree != n:
-                raise StructureError("h_%d must have arity %d, degree %d" % (n, n, n))
-            if m.source != frm.source.carrier or m.target != frm.target.carrier:
-                raise StructureError("h_%d must map source carrier to target carrier" % n)
-            if not m.is_zero():
-                self.components[n] = m
+        self.components = checked_components(
+            "component", components, 1, self.truncation, lambda n: n,
+            frm.source.carrier, frm.target.carrier)
 
     def component(self, n):
-        got = self.components.get(n)
-        if got is None:
-            return MultiMap.zero(self.frm.source.carrier, self.frm.target.carrier, n, n)
-        return got
+        return component_or_zero(self.components, n, n,
+                                 self.frm.source.carrier, self.frm.target.carrier)
 
 
 def identity_morphism(a):

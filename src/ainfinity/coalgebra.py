@@ -85,8 +85,9 @@ from collections import Counter
 from . import signs
 from .combi import enum_A, enum_B
 from .graded import (MultiMap, StructureError, _acc, _merge,
-                     check_truncation, compose, insert_slots, map_sum,
-                     tensor_into, tensor_residual, word_degree)
+                     check_truncation, checked_components, component_or_zero,
+                     compose, insert_slots, map_sum, tensor_into,
+                     tensor_residual, word_degree)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -107,18 +108,8 @@ class ComponentFamily:
         self.source = source
         self.target = target
         self.trunc = check_truncation(trunc)
-        self.components = {}
-        for n, m in components.items():
-            n = int(n)
-            if not 1 <= n <= trunc:
-                raise StructureError("component arity %d outside 1..%d" % (n, trunc))
-            if m.arity != n or m.degree != degree:
-                raise StructureError("component %d must have arity %d, degree %d"
-                                     % (n, n, degree))
-            if m.source != source or m.target != target:
-                raise StructureError("component %d has wrong modules" % n)
-            if not m.is_zero():
-                self.components[n] = m
+        self.components = checked_components(
+            "component", components, 1, trunc, lambda n: degree, source, target)
         if kind == "homotopy":
             if left is None or right is None:
                 raise StructureError("homotopy family needs morphism flanks")
@@ -132,10 +123,8 @@ class ComponentFamily:
         return KIND_DEGREES[self.kind]
 
     def component(self, n):
-        got = self.components.get(n)
-        if got is None:
-            return MultiMap.zero(self.source, self.target, n, self.degree)
-        return got
+        return component_or_zero(self.components, n, self.degree,
+                                 self.source, self.target)
 
     @classmethod
     def strict_morphism(cls, f, trunc):

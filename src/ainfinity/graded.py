@@ -142,6 +142,33 @@ def resolve_truncation(n, default):
     return default if n is None else check_truncation(n)
 
 
+def checked_components(what, components, low, high, degree, source, target):
+    """The nonzero maps of `components` ({arity: map}), keyed by int arity,
+    after checking that each arity n lies in low..high and that its map
+    has arity n, degree `degree(n)`, and the given source and target."""
+    kept = {}
+    for n, m in components.items():
+        n = int(n)
+        if not low <= n <= high:
+            raise StructureError("%s arity %d outside %d..%d"
+                                 % (what, n, low, high))
+        if m.arity != n or m.degree != degree(n):
+            raise StructureError("%s %d must have arity %d, degree %d"
+                                 % (what, n, n, degree(n)))
+        if m.source != source or m.target != target:
+            raise StructureError("%s %d has wrong modules" % (what, n))
+        if not m.is_zero():
+            kept[n] = m
+    return kept
+
+
+def component_or_zero(components, n, degree, source, target):
+    """The arity-n map of `components`, or the zero map of that arity and
+    `degree` when it is absent."""
+    got = components.get(n)
+    return MultiMap.zero(source, target, n, degree) if got is None else got
+
+
 class MultiMap:
     """Homogeneous multilinear map V^{x n} -> W of fixed arity and degree.
 
@@ -277,12 +304,6 @@ class MultiMap:
     def __repr__(self):
         return ("MultiMap(arity=%d, degree=%d, entries=%d)"
                 % (self.arity, self.degree, self.entry_count()))
-
-
-def koszul_sign(left_degrees, map_degree):
-    """Sign (+-1) a map of degree `map_degree` acquires moving past
-    homogeneous elements with the listed degrees."""
-    return signs.sign_of(signs.koszul_exponent(map_degree, sum(left_degrees)))
 
 
 def _split_word(word, arities):

@@ -46,9 +46,9 @@ def _rref(rows, width, field):
     return rows[:r], pivots
 
 
-def _nullspace(rows, width, field):
-    """Canonical nullspace basis (one vector per free column, ascending)."""
-    rref, pivots = _rref(rows, width, field)
+def _nullspace(rref, pivots, width, field):
+    """Canonical nullspace basis (one vector per free column, ascending),
+    read off a reduced row echelon form and its pivots."""
     p = field.characteristic
     pivot_set = set(pivots)
     basis = []
@@ -89,79 +89,46 @@ def _d_matrix(cx, degree):
 
 
 def homology(cx):
-    """Per-degree homology dimensions, by exact rank computation."""
-    if not cx.d_squared().is_zero():
-        raise StructureError("differential does not square to zero")
-    V = cx.module
-    field = V.field
-    dims = {}
-    for deg in V.degrees():
-        rank_out = len(_rref(_d_matrix(cx, deg), V.dim(deg), field)[1])
-        rank_in = len(_rref(_d_matrix(cx, deg + 1), V.dim(deg + 1), field)[1])
-        h = V.dim(deg) - rank_out - rank_in
-        if h:
-            dims[deg] = h
-    return GradedModule(dims, field)
+    """Per-degree homology dimensions: those of the splitting's H."""
+    split = Splitting(cx)
+    return GradedModule({deg: len(H) for deg, H in split.H.items()},
+                        cx.module.field)
 
 
 class Splitting:
     """Ordered basis change V_i = B_i + H_i + C_i per degree; B/H/C are
-    lists of coordinate vectors over the degree-i basis."""
+    lists of coordinate vectors over the degree-i basis.
+
+    The matrix of d out of each degree i and i + 1 is built and reduced
+    once.  C_i is the unit vectors at the pivot columns out of i (kept in
+    `c_pivots`), B_i the columns at the pivots out of i + 1, and H_i the
+    kernel vectors at the pivot columns of [B_i | kernel] beyond B_i: each
+    is the leftmost kernel vector outside the span of B_i and those before
+    it."""
 
     def __init__(self, cx):
         if not cx.d_squared().is_zero():
             raise StructureError("differential does not square to zero")
         V = cx.module
         field = V.field
-        self.complex = cx
+        degrees = V.degrees()
+        matrices, reduced, self.c_pivots = {}, {}, {}
+        for deg in sorted(set(degrees) | {deg + 1 for deg in degrees}):
+            matrices[deg] = _d_matrix(cx, deg)
+            reduced[deg], self.c_pivots[deg] = _rref(matrices[deg],
+                                                     V.dim(deg), field)
         self.B, self.H, self.C = {}, {}, {}
-        self.c_pivots = {}
-        for deg in V.degrees():
+        for deg in degrees:
             n = V.dim(deg)
-            rows = _d_matrix(cx, deg)
-            _, pivots = _rref(rows, n, field)
-            self.c_pivots[deg] = pivots
-            self.C[deg] = [_unit(n, c, field) for c in pivots]
-            kernel = _nullspace(rows, n, field)
-            # boundaries: images of the pivot columns one degree up
-            up = self.c_pivots.get(deg + 1)
-            if up is None:
-                rows_up = _d_matrix(cx, deg + 1)
-                _, up = _rref(rows_up, V.dim(deg + 1), field)
-                self.c_pivots[deg + 1] = up
-            bvecs = []
-            for j in up:
-                img = cx.d.apply(((deg + 1, j),))
-                vec = [field.zero] * n
-                for (dd, i), c in img.items():
-                    vec[i] = c
-                bvecs.append(vec)
-            self.B[deg] = bvecs
-            # homology representatives: kernel vectors extending the boundaries
-            self.H[deg] = _extend_to(bvecs, kernel, n, field)
-
-    def degrees(self):
-        return self.complex.module.degrees()
-
-
-def _unit(n, j, field):
-    vec = [field.zero] * n
-    vec[j] = field.one
-    return vec
-
-
-def _extend_to(base, candidates, width, field):
-    rows = [list(v) for v in base]
-    chosen = []
-    rank = len(_rref(rows, width, field)[1])
-    for cand in candidates:
-        trial = rows + [list(cand)]
-        r = len(_rref(trial, width, field)[1])
-        if r > rank:
-            rows = trial
-            rank = r
-            chosen.append(cand)
-    return chosen
+            pivots = self.c_pivots[deg]
+            self.C[deg] = [[field.one if i == c else field.zero
+                            for i in range(n)] for c in pivots]
+            kernel = _nullspace(reduced[deg], pivots, n, field)
+            B = [[row[j] for row in matrices[deg + 1]]
+                 for j in self.c_pivots[deg + 1]]
+            _, chosen = _rref(zip(*(B + kernel)), len(B) + len(kernel), field)
+            self.B[deg] = B
+            self.H[deg] = [kernel[c - len(B)] for c in chosen if c >= len(B)]
 
 
 def harmonious_retract(cx):
@@ -171,8 +138,7 @@ def harmonious_retract(cx):
     V = cx.module
     field = V.field
     split = Splitting(cx)
-    w_dims = {deg: len(split.H[deg]) for deg in V.degrees()}
-    W = GradedModule(w_dims, field)
+    W = GradedModule({deg: len(H) for deg, H in split.H.items()}, field)
     dW = MultiMap.zero(W, W, 1, -1)
 
     f_table, g_table, h_table = {}, {}, {}

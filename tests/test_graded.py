@@ -11,7 +11,7 @@ from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               apply_block, compose, compose_product, insert,
-                              koszul_sign, map_sum, tensor_table)
+                              map_sum, tensor_table)
 from conftest import random_multimap, seeded, two_dim_complex
 
 
@@ -130,27 +130,6 @@ def test_graded_module_normalizes_zero_degrees():
     assert list(V.basis()) == [(-1, 0), (0, 0), (0, 1)]
     with pytest.raises(StructureError):
         GradedModule({0: -1})
-
-
-# ------------------------------------------------------------- koszul_sign
-
-@pytest.mark.parametrize("left,deg,expected", [
-    ([1], 1, -1),
-    ([2, 3], 0, 1),
-    ([1, 1], -1, 1),
-    ([1], -1, -1),
-    ([0, 0, 0], 5, 1),
-])
-def test_koszul_sign_values(left, deg, expected):
-    assert koszul_sign(left, deg) == expected
-
-
-def test_koszul_sign_additive_in_map_degree():
-    for degs in [[1], [1, 2], [3, -1, 2]]:
-        for d1 in range(-2, 3):
-            for d2 in range(-2, 3):
-                assert (koszul_sign(degs, d1 + d2)
-                        == koszul_sign(degs, d1) * koszul_sign(degs, d2))
 
 
 # ------------------------------------------------------------- multimaps

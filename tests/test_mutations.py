@@ -34,8 +34,10 @@ the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
 assembles; the outputs of `perturbation.hpl_transfer` (a dropped block,
 phi's series and the series term of A G); the arity loop and the
-shifted delta_nu of `perturbation.compare_hpl_vs_kernels`; and the
-Lambe-Stasheff step of `retracts.normalise` (its h2 and its left K).  Each
+shifted delta_nu of `perturbation.compare_hpl_vs_kernels`; the homology
+representatives `retracts.Splitting` reads off its one elimination of
+[B | kernel] per degree; and the Lambe-Stasheff step of
+`retracts.normalise` (its h2 and its left K).  Each
 is an exact-once source replacement, bound wherever the original is bound,
 so every detector looks library entry points up on their modules, never
 through a binding of its own.  Six detectors run in a fixed order, over Q
@@ -421,6 +423,10 @@ STRUCTURAL_MUTANTS = {
         perturbation, "compare_hpl_vs_kernels",
         "compose(fhat, pg)",
         "compose(fhat, compose(hhat, pg))"),
+    "splitting-drops-a-representative": (
+        retracts, "Splitting.__init__",
+        "c >= len(B)",
+        "c > len(B)"),
     "normalise-skips-h2": (
         retracts, "normalise",
         "retract.g, h2)",
@@ -462,6 +468,7 @@ KILLED_BY = {
     "operator-compose-skips-top-homogeneity": "equivalence/Q",
     "operator-sum-adopts-contested-block": "hpl/Q",
     "q-identity-memo-wrong-arity": "battery/Q",
+    "splitting-drops-a-representative": "battery/Q",
     "tensor-row-skips-negation": "hpl/Q",
     "tensor-step-skips-negation": "hpl/Q",
     "transfer-doubles-phi": "battery/Q",
@@ -568,14 +575,13 @@ def test_operator_level_mutants_left_the_hpl_reports(name, monkeypatch):
         assert equivalence_detects(field)
 
 
-def test_dropped_lift_signs_are_caught_by_the_per_word_colinearity(
-        monkeypatch):
+def test_dropped_lift_signs_are_caught_by_the_term_walk(monkeypatch):
     """Lifts built with the Koszul signs of `graded.tensor_into` dropped
     leave the outputs' corestrictions unchanged, so the conclusions and the
-    comparison still pass; but the per-word colinearity check takes its
-    signs from `graded.tensor_row`, so delta_nu and H_out are no longer
-    lifts by it, over Q and over Z/5.  The equivalence battery kills the
-    mutant too."""
+    comparison still pass; but the colinearity check takes its signs from
+    `graded._signed_row`, in the term walk of `graded.tensor_residual`, so
+    delta_nu and H_out are no longer lifts by it, over Q and over Z/5.  The
+    equivalence battery kills the mutant too."""
     mutate(monkeypatch, *STRUCTURAL_MUTANTS["tensor-step-skips-negation"])
     for field in (None, F5):
         pkg, hpl = witness_routes(field)

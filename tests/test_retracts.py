@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ainfinity import retracts
 from ainfinity.ainfty import check_structure
 from ainfinity.coalgebra import CoalgebraOperator
 from ainfinity.corpus import random_dga
@@ -229,6 +230,25 @@ def test_splitting_keeps_the_greedy_choice():
         assert {deg: split.H[deg] for deg in degrees} == H, name
         assert {deg: split.C[deg] for deg in degrees} == C, name
         assert homology(cx) == harmonious_retract(cx).small.module, name
+
+
+def test_retract_reduces_each_matrix_once(monkeypatch):
+    """A retract reduces the matrix of d out of each degree i and i + 1
+    once, then makes one elimination per degree for H_i and one for the
+    inverse of the basis change: 19 calls of `_rref` at k = 4."""
+    calls = []
+    original = retracts._rref
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(retracts, "_rref", counted)
+    mu = instance_massey(k=4)
+    harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    degrees = set(mu.carrier.degrees())
+    assert len(calls) == 2 * len(degrees) + len(
+        degrees | {deg + 1 for deg in degrees}) == 19
 
 
 def test_retract_deterministic():
