@@ -1,12 +1,18 @@
 """Suspension dictionary: shifts, the global sign, roundtrips, and the
 relation-equivalence across the two conventions."""
 
-from ainfinity.ainfty import (AInftyHomotopy, AInftyMorphism, check_homotopy,
-                              check_morphism, check_structure,
+import pytest
+
+from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
+                              check_homotopy, check_morphism, check_structure,
                               identity_morphism)
 from ainfinity.coalgebra import (check_codifferential,
                                  check_homotopy_components,
-                                 check_morphism_components)
+                                 check_morphism_components, lift_coderivation,
+                                 lift_homotopy, lift_morphism,
+                                 operator_homotopy_residual,
+                                 operator_intertwining_residual)
+from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.kernels import transfer
@@ -113,3 +119,84 @@ def test_strict_chain_map_suspends_to_strict_family():
     fam = suspend_morphism(ident)
     assert sorted(fam.components) == [1]
     assert fam.components[1] == MultiMap.identity(suspend_module(V))
+
+
+def corrupted_relation_inputs(field):
+    """(kind, object) pairs whose relations fail at some arity: on the
+    witness and on `instance_forms` at N = 4 over `field`, the structure
+    with a random map added to mu_2 and to the differential, the transferred phi with
+    one component tripled, and the transferred homotopy with one component
+    tripled (every scaling is nonzero over Z/5)."""
+    rng = seeded(17)
+    for make in (instance_massey, instance_forms):
+        mu = make(field, truncation=4)
+        V = mu.carrier
+        pkg = transfer(harmonious_retract(ChainComplex(V, mu.differential)),
+                       mu, 4)
+        yield "structure", AInfinity(V, mu.differential, {
+            2: mu.mu(2) + random_multimap(rng, V, V, 2, 0, density=0.3)}, 4)
+        yield "structure", AInfinity(
+            V, mu.differential + random_multimap(rng, V, V, 1, -1),
+            {2: mu.mu(2)}, 4)
+        phi, h = pkg.phi, pkg.homotopy
+        for n in sorted(phi.components):
+            comps = dict(phi.components)
+            comps[n] = comps[n].scale(3)
+            yield "morphism", AInftyMorphism(phi.source, phi.target, comps, 4)
+        for n in sorted(h.components):
+            comps = dict(h.components)
+            comps[n] = comps[n].scale(3)
+            yield "homotopy", AInftyHomotopy(h.frm, h.to, comps, 4)
+
+
+def relation_residuals(kind, obj):
+    """(unshifted report, shifted componentwise report, operator-level
+    residual, V, W) for the relation of `kind` on `obj`."""
+    if kind == "structure":
+        fam = suspend_structure(obj)
+        D = lift_coderivation(fam)
+        return (check_structure(obj), check_codifferential(fam),
+                D.compose(D), obj.carrier, obj.carrier)
+    if kind == "morphism":
+        src, tgt = obj.source, obj.target
+        fam = suspend_morphism(obj)
+        comp = check_morphism_components(fam, suspend_structure(src),
+                                         suspend_structure(tgt))
+        op = operator_intertwining_residual(
+            lift_morphism(fam), lift_coderivation(suspend_structure(src)),
+            lift_coderivation(suspend_structure(tgt)))
+        return check_morphism(obj), comp, op, src.carrier, tgt.carrier
+    src, tgt = obj.frm.source, obj.frm.target
+    fam = suspend_homotopy(obj)
+    s_src, s_tgt = suspend_structure(src), suspend_structure(tgt)
+    E, G = lift_morphism(fam.left), lift_morphism(fam.right)
+    op = operator_homotopy_residual(lift_homotopy(fam, E), E, G,
+                                    lift_coderivation(s_src),
+                                    lift_coderivation(s_tgt))
+    return (check_homotopy(obj), check_homotopy_components(fam, s_src, s_tgt),
+            op, src.carrier, tgt.carrier)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)],
+                         ids=["Q", "Z5"])
+def test_relation_residuals_agree_table_for_table(field):
+    """On corrupted inputs, each shifted componentwise residual is the
+    (n, 1) block of its operator-level residual, and each unshifted
+    residual is the desuspension of the shifted one, with sign +, arity by
+    arity and entry by entry (not only in their verdicts)."""
+    nonzero = 0
+    for kind, obj in corrupted_relation_inputs(field):
+        unshifted, comp, op, V, W = relation_residuals(kind, obj)
+        arities = list(range(1, 5))
+        assert sorted(comp.residuals) == sorted(unshifted.residuals) == arities
+        assert {m for m, _ in op.blocks} <= set(arities)
+        assert not comp.ok, kind
+        for n in arities:
+            shifted = comp.residuals[n]
+            assert shifted.table == {
+                w: {out[0]: c for out, c in vec.items()}
+                for w, vec in op.block(n, 1).items()}, (kind, n)
+            assert unshifted.residuals[n] == desuspend_components(
+                {n: shifted}, V, W)[n], (kind, n)
+            nonzero += not shifted.is_zero()
+    assert nonzero >= 15
