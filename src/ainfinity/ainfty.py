@@ -1,9 +1,10 @@
 """A-infinity algebras, morphisms, homotopies, and their relation checkers.
 
 The defining relations are evaluated exactly, per arity, and returned as
-residual maps.  Arity n = 1 of each relation degenerates to the classical
-chain-level statement and is special-cased accordingly (the n-ary display
-would double-count the differential there).
+residual maps.  Each relation is one signed sum over its full index sets
+(`combi.insertions` and `combi.splits`), with mu_1 the differential: the
+terms with the differential are the ends of those sets, and at n = 1 the
+sum is the classical chain-level statement.
 
 Conventions: homological grading, the differential has degree -1, the n-ary
 product degree n - 2, morphism components degree n - 1, homotopy components
@@ -15,10 +16,10 @@ below the truncation of its input.
 """
 
 from . import signs
-from .combi import enum_A, enum_B
+from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, check_truncation,
-                     checked_components, component_or_zero, compose,
-                     insert_slots, map_sum, resolve_truncation)
+                     checked_components, component_or_zero, insert_slots,
+                     map_sum, resolve_truncation)
 from .reports import CheckReport
 
 
@@ -103,84 +104,64 @@ def identity_morphism(a):
 
 
 def check_structure(a, n_max=None):
-    """Per-arity residual of the defining relation of the structure maps.
-
-    Arity 1 is d o d; for n >= 2 the residual is
-      d mu_n - sum_i (-1)^n mu_n(1..d..1) - sum_{A(n)} (-1)^{i(l+1)+n} mu_k(1..mu_l..1).
-    All residuals zero iff the relations hold at those arities.
+    """Per-arity residual of the defining relation of the structure maps,
+      - sum_{k+l=n+1, 1<=i<=k} (-1)^{i(l+1)+n} mu_k(1^{i-1} x mu_l x 1^{k-i}),
+    with mu_1 = d: d o d at n = 1.  All residuals zero iff the relations
+    hold at those arities.
     """
     n_max = resolve_truncation(n_max, a.truncation)
     report = CheckReport("structure")
-    V, d = a.carrier, a.differential
+    V = a.carrier
     for n in range(1, n_max + 1):
-        if n == 1:
-            report.add(1, compose(d, d))
-            continue
-        mu_n = a.mu(n)
-        s_n = signs.sign_of(n)
-        terms = [(1, d, [mu_n])]
-        terms += [(-s_n, mu_n, insert_slots(mu_n, i, d)) for i in range(1, n + 1)]
-        terms += [(-signs.sign_of(i * (l + 1) + n), a.mu(k),
-                   insert_slots(a.mu(k), i, a.mu(l))) for (k, l, i) in enum_A(n)]
-        report.add(n, map_sum(V, V, n, n - 3, terms))
+        report.add(n, map_sum(V, V, n, n - 3, [
+            (-signs.sign_of(i * (l + 1) + n), a.mu(k),
+             insert_slots(a.mu(k), i, a.mu(l))) for (k, l, i) in insertions(n)]))
     return report
 
 
 def check_morphism(mor):
-    """Per-arity residual of the morphism relation.
-
-    Arity 1 is the chain-map condition d_W f_1 - f_1 d_V; for n >= 2:
-      d_W f_n + sum_{B(n)} (-1)^theta nu_k(f_{r_1} x ... x f_{r_k})
-      - f_1 mu_n + sum_i (-1)^n f_n(1..d_V..1)
-      + sum_{A(n)} (-1)^{i(l+1)+n} f_k(1..mu_l..1).
+    """Per-arity residual of the morphism relation,
+      sum_{r_1+..+r_k=n} (-1)^theta nu_k(f_{r_1} x ... x f_{r_k})
+      + sum_{k+l=n+1, 1<=i<=k} (-1)^{i(l+1)+n} f_k(1^{i-1} x mu_l x 1^{k-i}),
+    with mu_1 = d_V and nu_1 = d_W: d_W f_1 - f_1 d_V at n = 1.
     """
     report = CheckReport("morphism")
     src, tgt = mor.source, mor.target
     V, W = src.carrier, tgt.carrier
-    dV, dW = src.differential, tgt.differential
     for n in range(1, mor.truncation + 1):
-        f_n = mor.component(n)
-        if n == 1:
-            report.add(1, map_sum(V, W, 1, -1, [(1, dW, [f_n]), (-1, f_n, [dV])]))
-            continue
-        s_n = signs.sign_of(n)
-        terms = [(1, dW, [f_n])]
-        terms += [(signs.sign_of(signs.theta(parts)), tgt.mu(k),
-                   [mor.component(r) for r in parts]) for (k, parts) in enum_B(n)]
-        terms.append((-1, mor.component(1), [src.mu(n)]))
-        terms += [(s_n, f_n, insert_slots(f_n, i, dV)) for i in range(1, n + 1)]
+        terms = [(signs.sign_of(signs.theta(parts)), tgt.mu(k),
+                  [mor.component(r) for r in parts]) for (k, parts) in splits(n)]
         terms += [(signs.sign_of(i * (l + 1) + n), mor.component(k),
                    insert_slots(mor.component(k), i, src.mu(l)))
-                  for (k, l, i) in enum_A(n)]
+                  for (k, l, i) in insertions(n)]
         report.add(n, map_sum(V, W, n, n - 2, terms))
     return report
 
 
 def compose_morphisms(g, f):
-    """Composite with components (gf)_n = g_1 f_n
-    + sum_{B(n)} (-1)^theta g_k(f_{r_1} x ... x f_{r_k})."""
+    """Composite with components
+    (gf)_n = sum_{r_1+..+r_k=n} (-1)^theta g_k(f_{r_1} x ... x f_{r_k})."""
     if f.target != g.source and f.target is not g.source:
         raise StructureError("morphisms not composable")
     n_max = min(f.truncation, g.truncation)
     V, W = f.source.carrier, g.target.carrier
     comps = {}
     for n in range(1, n_max + 1):
-        terms = [(1, g.component(1), [f.component(n)])]
-        terms += [(signs.sign_of(signs.theta(parts)), g.component(k),
-                   [f.component(r) for r in parts]) for (k, parts) in enum_B(n)]
-        comps[n] = map_sum(V, W, n, n - 1, terms)
+        comps[n] = map_sum(V, W, n, n - 1, [
+            (signs.sign_of(signs.theta(parts)), g.component(k),
+             [f.component(r) for r in parts]) for (k, parts) in splits(n)])
     return AInftyMorphism(f.source, g.target, comps, n_max)
 
 
 def check_homotopy(h):
-    """Per-arity residual of the homotopy relation between h.frm and h.to.
-
-    Arity 1 is the classical f_1 - g_1 - (h_1 d_V + d_W h_1); for n >= 2 the
-    defining relation is moved to one side:
-      f_n - g_n - h_1 mu_n + sum_i (-1)^n h_n(1..d_V..1)
-      + sum_{A(n)} (-1)^{i(l+1)+n} h_k(1..mu_l..1) - d_W h_n
-      - sum_{B(n)} sum_i (-1)^(theta + (k-i) + r_1+..+r_{i-1})
-            nu_k(f_{r_1}..f_{r_{i-1}} h_{r_i} g_{r_{i+1}}..g_{r_k}).
+    """Per-arity residual of the homotopy relation between h.frm (f) and
+    h.to (g), moved to one side:
+      f_n - g_n
+      + sum_{k+l=n+1, 1<=i<=k} (-1)^{i(l+1)+n} h_k(1^{i-1} x mu_l x 1^{k-i})
+      - sum_{r_1+..+r_k=n} sum_i (-1)^(theta + (k-i) + r_1+..+r_{i-1})
+            nu_k(f_{r_1}..f_{r_{i-1}} h_{r_i} g_{r_{i+1}}..g_{r_k}),
+    with mu_1 = d_V and nu_1 = d_W: f_1 - g_1 - (h_1 d_V + d_W h_1) at
+    n = 1.
 
     The positional exponent (k - i) + r_1 + ... + r_{i-1} on top of theta is
     forced: it is what the sign-free homotopy identity on the shifted tensor
@@ -192,24 +173,14 @@ def check_homotopy(h):
     src = h.frm.source
     tgt = h.frm.target
     V, W = src.carrier, tgt.carrier
-    dV, dW = src.differential, tgt.differential
     for n in range(1, h.truncation + 1):
-        h_n = h.component(n)
         terms = [(1, h.frm.component(n)), (-1, h.to.component(n))]
-        if n == 1:
-            terms += [(-1, h_n, [dV]), (-1, dW, [h_n])]
-            report.add(1, map_sum(V, W, 1, 0, terms))
-            continue
-        s_n = signs.sign_of(n)
-        terms.append((-1, h.component(1), [src.mu(n)]))
-        terms += [(s_n, h_n, insert_slots(h_n, i, dV)) for i in range(1, n + 1)]
         terms += [(signs.sign_of(i * (l + 1) + n), h.component(k),
                    insert_slots(h.component(k), i, src.mu(l)))
-                  for (k, l, i) in enum_A(n)]
-        terms.append((-1, dW, [h_n]))
+                  for (k, l, i) in insertions(n)]
         terms += [(-signs.sign_of(signs.theta(parts) + (k - i) + sum(parts[:i - 1])),
                    tgt.mu(k), [h.frm.component(r) for r in parts[:i - 1]]
                    + [h.component(parts[i - 1])] + [h.to.component(r) for r in parts[i:]])
-                  for (k, parts) in enum_B(n) for i in range(1, k + 1)]
+                  for (k, parts) in splits(n) for i in range(1, k + 1)]
         report.add(n, map_sum(V, W, n, n - 1, terms))
     return report

@@ -161,7 +161,7 @@ def _transfer_document(doc, big_name, small_name, mu, nu, phi, psi, homotopy,
         })
 
 
-def _hpl_components(hpl, retract, N):
+def _hpl_components(hpl, retract):
     """Desuspend the extracted operator components into unshifted data."""
     V = retract.big.module
     W = retract.small.module
@@ -255,7 +255,7 @@ def cmd_transfer(args):
 
     if args.method == "hpl":
         nu_comps, phi_comps, psi_comps, hom_comps = _hpl_components(
-            hpl, retract, N)
+            hpl, retract)
         nu = AInfinity(retract.small.module, retract.small.d,
                        {n: m for n, m in nu_comps.items() if n >= 2}, N)
         # what `check` runs on the written document

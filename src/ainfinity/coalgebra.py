@@ -1,5 +1,5 @@
-"""The reduced tensor coalgebra: lifts, comultiplication, and both sides of
-the componentwise/operator-level dictionary.
+"""The reduced tensor coalgebra: lifts, their colinearity check, and both
+sides of the componentwise/operator-level dictionary.
 
 An operator T(V) -> T(W) truncated at homogeneity N is stored per block
 (input homogeneity m, output homogeneity j) as a sparse table over tensor
@@ -24,7 +24,7 @@ and block (n, 1) is the component x_n, the unit row at the empty word
 tensored with it.  The Koszul sign of the last factor depends only on the
 degree of the input word to its left.  Unrolled, X(n, k) sums
 e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
-`graded.tensor_table` of these products is the tests' reference.
+the tests compare the lifts with these sums.
 
 The step has two evaluators.  `_lift_blocks` builds a lift by summing each
 block's terms into one table with `graded.tensor_into`, from blocks
@@ -74,20 +74,20 @@ a second term adds into it.  An accumulator writes only into tables it
 created; a sum's blocks may be the very tables of its operands.
 
 Componentwise relation checks mirror the operator-level identities
-(square zero / intertwining / homotopy identity) and, like
-`colinearity_residual`, run up to the truncation of the family or operator
-they check; the acceptance battery asserts the two agree on every instance.
+(square zero / intertwining / homotopy identity): each is one sum over the
+relation's full index sets (`combi.insertions`, `combi.splits`), which is
+block (n, 1) of the operator-level residual, and runs up to the truncation
+of the family it checks; the acceptance battery asserts the two agree on
+every instance.
 """
 
 import itertools
 from collections import Counter
 
-from . import signs
-from .combi import enum_A, enum_B
+from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, _acc, _merge,
                      check_truncation, checked_components, component_or_zero,
-                     compose, insert_slots, map_sum, tensor_into,
-                     tensor_residual, word_degree)
+                     insert_slots, map_sum, tensor_into, tensor_residual)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -166,18 +166,6 @@ class CoalgebraOperator:
     def block(self, m, j):
         return self.blocks.get((m, j), {})
 
-    def apply_word(self, word):
-        """Image of a word as {output word: scalar} across all blocks."""
-        m = len(word)
-        p = self.target.field.characteristic
-        out = {}
-        for j in range(1, self.trunc + 1):
-            vec = self.blocks.get((m, j), {}).get(word)
-            if vec:
-                for w, c in vec.items():
-                    _acc(out, w, c, p)
-        return out
-
     def is_zero(self):
         return not self.blocks
 
@@ -221,12 +209,6 @@ class CoalgebraOperator:
     def __repr__(self):
         return ("CoalgebraOperator(degree=%d, trunc=%d, entries=%d)"
                 % (self.degree, self.trunc, self.entry_count()))
-
-
-def comultiply(word):
-    """Deconcatenation splits of a tensor word; a single letter maps to 0."""
-    word = tuple(word)
-    return [(word[:i], word[i:]) for i in range(1, len(word))]
 
 
 def _tensor_words(module, n_max):
@@ -544,69 +526,46 @@ def extract_components(op, kind, left=None, right=None):
 
 def check_codifferential(family):
     """Residuals of the componentwise square-zero identity:
-    d_1 d_n + sum_i d_n(1..d_1..1) + sum_{A(n)} d_k(1..d_l..1) = 0."""
+    sum_{k+l=n+1, 1<=i<=k} d_k(1^{i-1} x d_l x 1^{k-i}) = 0."""
     report = CheckReport("codifferential")
     V, d = family.source, family.component
-    d1 = d(1)
     for n in range(1, family.trunc + 1):
-        if n == 1:
-            report.add(1, compose(d1, d1))
-            continue
-        d_n = d(n)
-        terms = [(1, d1, [d_n])]
-        terms += [(1, d_n, insert_slots(d_n, i, d1)) for i in range(1, n + 1)]
-        terms += [(1, d(k), insert_slots(d(k), i, d(l)))
-                  for (k, l, i) in enum_A(n)]
-        report.add(n, map_sum(V, V, n, -2, terms))
+        report.add(n, map_sum(V, V, n, -2, [
+            (1, d(k), insert_slots(d(k), i, d(l)))
+            for (k, l, i) in insertions(n)]))
     return report
 
 
 def check_morphism_components(family, src_codiff, tgt_codiff):
     """Residuals of the componentwise intertwining identity:
-    d^W_1 f_n + sum_{B(n)} d^W_k(f_{r_1} x..x f_{r_k})
-      = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)."""
+    sum_{r_1+..+r_k=n} d^W_k(f_{r_1} x..x f_{r_k})
+      = sum_{k+l=n+1, 1<=i<=k} f_k(1^{i-1} x d^V_l x 1^{k-i})."""
     report = CheckReport("intertwining")
     V, W, f = family.source, family.target, family.component
     dV, dW = src_codiff.component, tgt_codiff.component
     for n in range(1, family.trunc + 1):
-        f_n = f(n)
-        terms = [(1, dW(1), [f_n])]
-        if n == 1:
-            terms.append((-1, f_n, [dV(1)]))
-            report.add(1, map_sum(V, W, 1, -1, terms))
-            continue
-        terms += [(1, dW(k), [f(r) for r in parts]) for (k, parts) in enum_B(n)]
-        terms.append((-1, f(1), [dV(n)]))
-        terms += [(-1, f_n, insert_slots(f_n, i, dV(1))) for i in range(1, n + 1)]
+        terms = [(1, dW(k), [f(r) for r in parts]) for (k, parts) in splits(n)]
         terms += [(-1, f(k), insert_slots(f(k), i, dV(l)))
-                  for (k, l, i) in enum_A(n)]
+                  for (k, l, i) in insertions(n)]
         report.add(n, map_sum(V, W, n, -1, terms))
     return report
 
 
 def check_homotopy_components(family, src_codiff, tgt_codiff):
     """Residuals of the componentwise homotopy identity:
-    e_n - g_n = f_1 d^V_n + sum_i f_n(1..d^V_1..1) + sum_{A(n)} f_k(1..d^V_l..1)
-      + d^W_1 f_n + sum_{B(n)} sum_i d^W_k(e_{r_1}..f_{r_i}..g_{r_k})."""
+    e_n - g_n = sum_{k+l=n+1, 1<=i<=k} f_k(1^{i-1} x d^V_l x 1^{k-i})
+      + sum_{r_1+..+r_k=n} sum_i d^W_k(e_{r_1}..f_{r_i}..g_{r_k})."""
     report = CheckReport("cohomotopy")
     V, W, f = family.source, family.target, family.component
     e, g = family.left.component, family.right.component
     dV, dW = src_codiff.component, tgt_codiff.component
     for n in range(1, family.trunc + 1):
-        f_n = f(n)
         terms = [(1, e(n)), (-1, g(n))]
-        if n == 1:
-            terms += [(-1, f_n, [dV(1)]), (-1, dW(1), [f_n])]
-            report.add(1, map_sum(V, W, 1, 0, terms))
-            continue
-        terms.append((-1, f(1), [dV(n)]))
-        terms += [(-1, f_n, insert_slots(f_n, i, dV(1))) for i in range(1, n + 1)]
         terms += [(-1, f(k), insert_slots(f(k), i, dV(l)))
-                  for (k, l, i) in enum_A(n)]
-        terms.append((-1, dW(1), [f_n]))
+                  for (k, l, i) in insertions(n)]
         terms += [(-1, dW(k), [e(r) for r in parts[:i - 1]] + [f(parts[i - 1])]
                    + [g(r) for r in parts[i:]])
-                  for (k, parts) in enum_B(n) for i in range(1, k + 1)]
+                  for (k, parts) in splits(n) for i in range(1, k + 1)]
         report.add(n, map_sum(V, W, n, 0, terms))
     return report
 
@@ -621,67 +580,3 @@ def operator_homotopy_residual(H, E, G, src_op, tgt_op):
     """E - G - (H src_op + tgt_op H); E may be a pair (outer, inner) standing
     for the composite outer o inner, as in `operator_sum`."""
     return operator_sum(plus=[E], minus=[G, (H, src_op), (tgt_op, H)])
-
-
-# ------------------------------------------------- colinearity (co-Leibniz)
-
-def colinearity_residual(op, kind, left=None, right=None):
-    """Residual of the comultiplication compatibility of `op` per input word.
-
-    morphism:     C o F - (F x F) o C
-    coderivation: C o d - (d x 1 + 1 x d) o C
-    homotopy:     C o H - (E x H + H x G) o C   (flank operators E, G)
-
-    Returns a CheckReport keyed by homogeneity; residual entries live over
-    pairs of output words.
-    """
-    report = CheckReport("colinearity")
-    p = op.target.field.characteristic
-    for n, words in enumerate(_tensor_words(op.source, op.trunc), 1):
-        res_entries = {}
-        for w in words:
-            res = {}
-            for out, c in op.apply_word(w).items():
-                for pair in comultiply(out):
-                    _acc(res, pair, c, p)
-            for (w1, w2) in comultiply(w):
-                if kind == "morphism":
-                    for (u1, c1) in op.apply_word(w1).items():
-                        for (u2, c2) in op.apply_word(w2).items():
-                            _acc(res, (u1, u2), -(c1 * c2), p)
-                elif kind == "coderivation":
-                    for (u1, c1) in op.apply_word(w1).items():
-                        _acc(res, (u1, w2), -c1, p)
-                    sign = signs.sign_of(signs.koszul_exponent(op.degree,
-                                                               word_degree(w1)))
-                    for (u2, c2) in op.apply_word(w2).items():
-                        _acc(res, (w1, u2), -(sign * c2), p)
-                elif kind == "homotopy":
-                    sign = signs.sign_of(signs.koszul_exponent(op.degree,
-                                                               word_degree(w1)))
-                    for (u1, c1) in left.apply_word(w1).items():
-                        for (u2, c2) in op.apply_word(w2).items():
-                            _acc(res, (u1, u2), -(sign * c1 * c2), p)
-                    for (u1, c1) in op.apply_word(w1).items():
-                        for (u2, c2) in right.apply_word(w2).items():
-                            _acc(res, (u1, u2), -(c1 * c2), p)
-                else:
-                    raise StructureError("unknown kind %r" % (kind,))
-            if res:
-                res_entries[w] = res
-        report.add(n, _PairResidual(res_entries))
-    return report
-
-
-class _PairResidual:
-    def __init__(self, entries):
-        self.entries = entries
-
-    def is_zero(self):
-        return not self.entries
-
-    def entry_count(self):
-        return sum(len(v) for v in self.entries.values())
-
-    def first_word(self):
-        return min(self.entries) if self.entries else None

@@ -12,7 +12,11 @@ accumulate step `graded._acc`, in the validating constructors and in
 can never yield a float.
 """
 
+import re
 from fractions import Fraction
+
+# the one spelling of a rational scalar: [-]digits[/digits]
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class FieldError(ValueError):
@@ -38,6 +42,13 @@ class RationalField:
         return _rational(Fraction(a) / b)
 
     def parse(self, text):
+        """A scalar written [-]digits[/digits], surrounding blanks allowed.
+        `Fraction` alone would also take decimal and exponent literals,
+        and "1e10000000" as a 10-million-digit integer."""
+        text = text.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise FieldError("bad rational scalar %r: not [-]digits[/digits]"
+                             % (text,))
         try:
             return _rational(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:

@@ -3,9 +3,9 @@
 Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
 a word is a tuple of basis elements, and a map stores only the words with
 nonzero image.  All Koszul signs of tensor evaluation are generated here, in
-`apply_block`, `tensor_table`, `tensor_into`, `_signed_row` and
-`_product_into`, each through `signs.koszul_exponent`; no other module
-writes sign formulas for tensor evaluation.
+`apply_block`, `tensor_into`, `_signed_row` and `_product_into`, each
+through `signs.koszul_exponent`; no other module of the package writes
+sign formulas for tensor evaluation.
 
 Values are immutable after construction by convention; operations return
 fresh objects, which may share tables with their operands (an operator on
@@ -352,38 +352,6 @@ def apply_block(maps, word):
     return out
 
 
-def tensor_table(maps):
-    """Sparse table of f_1 x ... x f_k: {input word: {output word: scalar}}.
-
-    The k-fold product from scratch, as the lifts are defined; the library
-    builds lifts with `tensor_into`, and the tests compare them with sums
-    of these tables."""
-    degrees = [m.degree for m in maps]
-    p = maps[0].target.field.characteristic
-    entry_lists = [[(part, word_degree(part), list(vec.items()))
-                    for part, vec in m.table.items()] for m in maps]
-    table = {}
-    for combo in itertools.product(*entry_lists):
-        exponent = 0
-        left = 0
-        in_word = ()
-        for j, (part, part_degree, _) in enumerate(combo):
-            if j:
-                exponent += signs.koszul_exponent(degrees[j], left)
-            left += part_degree
-            in_word += part
-        negate = exponent % 2 == 1
-        dst = table.setdefault(in_word, {})
-        for outs in itertools.product(*(entries for _, _, entries in combo)):
-            coeff = outs[0][1]
-            for _, c in outs[1:]:
-                coeff = coeff * c
-            if negate:
-                coeff = -coeff
-            _acc(dst, tuple(b for b, _ in outs), coeff, p)
-    return {w: v for w, v in table.items() if v}
-
-
 def tensor_into(dst, table, m, p):
     """dst += table x m in place: the binary step of a tensor product.
 
@@ -392,7 +360,8 @@ def tensor_into(dst, table, m, p):
     u + part goes to out + (b,) with coefficient c * c', where `out` has
     coefficient c in table[u] and `b` coefficient c' in m.table[part].  The
     Koszul sign is (-1)^(deg m * deg u), since m moves past u, so
-    iterating this step from a one-map table gives `tensor_table`'s signs.
+    iterating this step from a one-map table gives the signs of the k-fold
+    tensor product.
     Scalars accumulate through `_acc` over characteristic `p`; a row that
     cancels is removed."""
     entries = [(part, list(vec.items())) for part, vec in m.table.items()]

@@ -7,7 +7,7 @@ Two independently implemented routes compute the same kernels:
 
       p^_n = sum_{B(n)} d_k(hp^_{r_1} x ... x hp^_{r_k}),        hp^_1 = 1
       q^_n = sum_{C(n)} d_k(pf_{r_1} x .. x pf_{r_{i-1}} x hq^_{r_i} x 1^{k-i})
-      pf_m = gf q^_m + sum_{B(m)} h p^_k(gf q^_{r_1} x ... x gf q^_{r_k})
+      pf_m = sum_{r_1+..+r_k=m} hp^_k(gf q^_{r_1} x ... x gf q^_{r_k})
 
 * the unshifted route (cross-check): the same recursions written directly
   on V with the global exponent theta,
@@ -28,7 +28,7 @@ from . import signs
 from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism, check_homotopy,
                      check_morphism, check_structure, compose_morphisms,
                      identity_morphism)
-from .combi import enum_A, enum_B, enum_C
+from .combi import enum_A, enum_B, enum_C, insertions, splits
 from .graded import (MultiMap, StructureError, compose, compose_product,
                      insert_slots, map_sum, resolve_truncation)
 from .reports import CheckReport
@@ -120,8 +120,8 @@ def _suspended_q(deltas, hhat, gfhat, hp, N):
             for (k, i, parts) in enum_C(n) if k in deltas])
         hq[n] = compose(hhat, q[n])
         gfq[n] = compose(gfhat, q[n])
-        psiphi[n] = map_sum(sV, sV, n, 0, [(1, gfq[n])] + [
-            (1, hp[k], [gfq[r] for r in parts]) for (k, parts) in enum_B(n)])
+        psiphi[n] = map_sum(sV, sV, n, 0, [
+            (1, hp[k], [gfq[r] for r in parts]) for (k, parts) in splits(n)])
     return q, psiphi
 
 
@@ -145,7 +145,8 @@ def q_kernels(retract, mu, p, N):
     """Unshifted q-kernel recursion with sign (-1)^(n + r_i + theta(r_1..r_i))
     (theta taken over the first i parts inclusive, exactly as printed), and
     the cached composite components
-    (psi phi)_m = gf q_m + sum_{B(m)} (-1)^theta h p_k(gf q_{r_1} x ...)."""
+    (psi phi)_m = sum_{r_1+..+r_k=m} (-1)^theta h p_k(gf q_{r_1} x ...),
+    h p_1 = 1."""
     V = retract.big.module
     h, gf = retract.h, retract.gf
     ident = MultiMap.identity(V)
@@ -163,9 +164,9 @@ def q_kernels(retract, mu, p, N):
             for (k, i, parts) in enum_C(n)])
         hq[n] = compose(h, q[n])
         gfq[n] = compose(gf, q[n])
-        psiphi[n] = map_sum(V, V, n, n - 1, [(1, gfq[n])] + [
+        psiphi[n] = map_sum(V, V, n, n - 1, [
             (signs.sign_of(signs.theta(parts)), hp[k], [gfq[r] for r in parts])
-            for (k, parts) in enum_B(n)])
+            for (k, parts) in splits(n)])
     return q, psiphi
 
 
@@ -194,10 +195,10 @@ def check_p_identity(p, retract):
 def check_q_identity(q, p, retract, mu):
     """Residuals of the identity the q-kernels {n >= 1: q_n} satisfy, at
     every arity 2 <= n <= max(q):
-    d q_n + sum_u (-1)^n q_n(1..d..1)
-          + sum_{B(n)} (-1)^theta p_k(gf q_{r_1} x ... x gf q_{r_k})
-          + sum_{A(n)} (-1)^(i(l+1)+n) q_k(1^{i-1} x mu_l x 1^{k-i})
-          - q_1 mu_n = 0."""
+    d q_n + sum_{B(n)} (-1)^theta p_k(gf q_{r_1} x ... x gf q_{r_k})
+          + sum_{k+l=n+1, 1<=i<=k} (-1)^(i(l+1)+n) q_k(1^{i-1} x mu_l x 1^{k-i})
+          = 0,
+    with mu_1 = d and q_1 = 1."""
     n_max = max(q)
     report = CheckReport("q-identity")
     d, gf = retract.big.d, retract.gf
@@ -205,15 +206,11 @@ def check_q_identity(q, p, retract, mu):
     gfq = {r: compose(gf, q[r]) for r in range(1, n_max)}
     V = d.source
     for n in range(2, n_max + 1):
-        q_n = q[n]
-        s_n = signs.sign_of(n)
-        terms = [(1, d, [q_n])]
-        terms += [(s_n, q_n, insert_slots(q_n, u, d)) for u in range(1, n + 1)]
+        terms = [(1, d, [q[n]])]
         terms += [(signs.sign_of(signs.theta(parts)), p[k], [gfq[r] for r in parts])
                   for (k, parts) in enum_B(n)]
         terms += [(signs.sign_of(i * (l + 1) + n), q[k],
-                   insert_slots(q[k], i, mu.mu(l))) for (k, l, i) in enum_A(n)]
-        terms.append((-1, q[1], [mu.mu(n)]))
+                   insert_slots(q[k], i, mu.mu(l))) for (k, l, i) in insertions(n)]
         report.add(n, map_sum(V, V, n, n - 2, terms))
     return report
 

@@ -348,16 +348,15 @@ def check_annihilation_lemmas(pkg):
 
     * vanish-on-images:  q_n o g^{x n} = 0                      (n >= 2)
     * vanish-on-homotopy-slots:  q_n o ((gf)^{x i} x h x 1^{x j}) = 0
-    * p-on-images:  p_n o g^{x n} = d_n o g^{x n}
-        + sum_i q_{n-i+1} o (sum_u 1..d_i..1) o g^{x n}
-    * composite-reduction:  c_n - h p_n (gf)^{x n} = gf d_n H_n
-        + sum_i c_{n-i+1} o (sum_u 1..d_i..1) o H_n     (c = composite)
-    * q-through-homotopy:  q_n = d_n o H_n
-        + sum_i q_{n-i+1} o (sum_u 1..d_i..1) o H_n
+    * p-on-images:  p_n o g^{x n}
+        = sum_{2<=i<=n} q_{n-i+1} o (sum_u 1..d_i..1) o g^{x n}
+    * composite-reduction:  c_n - h p_n (gf)^{x n}
+        = sum_{2<=i<=n} c_{n-i+1} o (sum_u 1..d_i..1) o H_n   (c = composite)
+    * q-through-homotopy:  q_n = sum_{2<=i<=n} q_{n-i+1} o (sum_u 1..d_i..1) o H_n
 
-    (all on the shifted side, H_n the homogeneity-n homotopy block), for
-    2 <= n <= pkg.truncation.  Requires the side conditions; raises
-    otherwise.
+    (all on the shifted side, H_n the homogeneity-n homotopy block, q_1 = 1
+    and c_1 = gf), for 2 <= n <= pkg.truncation.  Requires the side
+    conditions; raises otherwise.
     """
     if not pkg.retract.is_harmonious:
         raise StructureError("annihilation identities assume the side conditions")
@@ -378,16 +377,15 @@ def check_annihilation_lemmas(pkg):
             report.add("vanish-on-homotopy-slots-%d-%d" % (n, i),
                        compose_product(q_n, blocks))
 
-        ys = [_delta_slot_sum(pkg.q_hat[n - i + 1], delta(i)) for i in range(2, n)]
+        ys = [_delta_slot_sum(pkg.q_hat[n - i + 1], delta(i))
+              for i in range(2, n + 1)]
         ghats = [ghat] * n
         report.add("p-on-images-%d" % n, map_sum(sW, sV, n, -1, [
-            (1, p_n, ghats), (-1, delta(n), ghats)]
-            + [(-1, y, ghats) for y in ys]))
+            (1, p_n, ghats)] + [(-1, y, ghats) for y in ys]))
         report.add("q-through-homotopy-%d" % n, map_sum(sV, sV, n, 0, [(1, q_n)]
-            + [(-1, _compose_with_homotopy(x, hhat, gfhat, n))
-               for x in [delta(n)] + ys]))
-        xs = [compose(gfhat, delta(n))] + [
-            _delta_slot_sum(pkg.psiphi_hat[n - i + 1], delta(i)) for i in range(2, n)]
+            + [(-1, _compose_with_homotopy(y, hhat, gfhat, n)) for y in ys]))
+        xs = [_delta_slot_sum(pkg.psiphi_hat[n - i + 1], delta(i))
+              for i in range(2, n + 1)]
         report.add("composite-reduction-%d" % n, map_sum(sV, sV, n, 0, [
             (1, pkg.psiphi_hat[n]),
             (-1, hhat, [compose_product(p_n, [gfhat] * n)])]

@@ -218,9 +218,19 @@ def _duplicate_key(table, key, spelling):
     table[spelling] = table[key]
 
 
+def _rational_scalar(obj, text):
+    """Make the document rational and write `text` as its first scalar: a
+    number `Fraction` reads but the documents' [-]digits[/digits] does not.
+    Read as a number, "1e10000000" is a 10-million-digit integer."""
+    obj["field"] = "rational"
+    del obj["p"]
+    _first_product_entry(obj)["output"][0][1] = text
+
+
 # each edit breaks a structure document in one place; before the checks in
-# docio the first five crashed with a traceback, and the last two passed
-# `check` with one of the two maps (dimensions) silently dropped
+# docio the five output edits crashed with a traceback, the two key edits
+# passed `check` with one of the two maps (dimensions) silently dropped, and
+# the two rational edits were read as numbers
 MALFORMED_EDITS = {
     "output-scalar": lambda obj: _first_product_entry(obj).update(output=5),
     "output-list-of-scalars": lambda obj: _first_product_entry(obj).update(
@@ -234,6 +244,8 @@ MALFORMED_EDITS = {
         obj["structure"]["products"], "2", "02"),
     "degree-01": lambda obj: _duplicate_key(
         obj["modules"]["V"]["dims"], "1", "01"),
+    "rational-decimal": lambda obj: _rational_scalar(obj, "0.5"),
+    "rational-exponent": lambda obj: _rational_scalar(obj, "1e10000000"),
 }
 
 

@@ -11,8 +11,9 @@ from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               apply_block, compose, compose_product, insert,
-                              map_sum, tensor_table)
+                              map_sum)
 from conftest import random_multimap, seeded, two_dim_complex
+from reference import tensor_table
 
 
 # ---------------------------------------------------------------- scalars

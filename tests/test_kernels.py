@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ainfinity.ainfty import AInfinity, check_morphism, check_structure
-from ainfinity.combi import compositions, enum_A, enum_B, enum_C
+from ainfinity.combi import (compositions, enum_A, enum_B, enum_C,
+                             insertions, splits)
 from ainfinity.graded import (ChainComplex, MultiMap, StructureError, compose,
                               compose_product)
 from ainfinity.kernels import (DeformationRetract, check_p_identity,
@@ -43,6 +44,27 @@ def test_enum_B_examples():
     assert enum_B(3) == [(2, (1, 2)), (2, (2, 1)), (3, (1, 1, 1))]
     for n in range(2, 9):
         assert len(enum_B(n)) == 2 ** (n - 1) - 1
+
+
+def test_insertions_examples():
+    assert insertions(1) == [(1, 1, 1)]
+    assert insertions(2) == [(1, 2, 1), (2, 1, 1), (2, 1, 2)]
+    for n in range(1, 9):
+        got = insertions(n)
+        assert len(got) == n * (n + 1) // 2 == len(set(got))
+        assert all(k + l == n + 1 and 1 <= i <= k for k, l, i in got)
+        # the two ends, and A(n) in between
+        assert [t for t in got if 2 <= t[0] < n] == enum_A(n)
+        assert (1, n, 1) in got and all((n, 1, i) in got
+                                        for i in range(1, n + 1))
+
+
+def test_splits_examples():
+    assert splits(1) == [(1, (1,))]
+    assert splits(3) == [(1, (3,)), (2, (1, 2)), (2, (2, 1)), (3, (1, 1, 1))]
+    for n in range(1, 9):
+        assert len(splits(n)) == 2 ** (n - 1)
+        assert splits(n) == [(1, (n,))] + enum_B(n)
 
 
 def test_enum_C_examples():

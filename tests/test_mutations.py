@@ -29,7 +29,9 @@ it hoists to a prefix, its skip of a word an earlier term reaches, its
 report of a word an output lacks, and its scan for rows no term reaches
 when the count of rows met falls short; and `coalgebra.lift_residual`'s
 walk over a block the output lacks;
-the index families `combi.enum_B` and `combi.enum_C` of the recursions;
+the full index sets `combi.insertions` and `combi.splits` that every
+relation checker sums over (each with its arity-1 end dropped); the index
+families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
 assembles; the outputs of `perturbation.hpl_transfer` (a dropped block,
@@ -357,6 +359,14 @@ STRUCTURAL_MUTANTS = {
         coalgebra, "_lift_blocks",
         "for n in range(1, trunc + 1):",
         "for n in range(1, trunc):"),
+    "insertions-drop-the-outer-end": (
+        combi, "insertions",
+        "for k in range(1, n + 1)",
+        "for k in range(2, n + 1)"),
+    "splits-drop-the-one-part-split": (
+        combi, "splits",
+        "for k in range(1, n + 1)",
+        "for k in range(2, n + 1)"),
     "enum-B-drops-top-arity": (
         combi, "enum_B",
         "for k in range(2, n + 1):",
@@ -450,6 +460,7 @@ KILLED_BY = {
     "enum-C-drops-last-slot": "battery/Q",
     "homotopy-lift-drops-flank-term": "hpl/Q",
     "hpl-AG-drops-series-term": "hpl/Q",
+    "insertions-drop-the-outer-end": "battery/Q",
     "hpl-phi-series-uses-M": "hpl/Q",
     "hpl-psi-drops-a-lift-block": "hpl/Q",
     "lift-build-drops-top-homogeneity": "hpl/Q",
@@ -468,6 +479,7 @@ KILLED_BY = {
     "operator-compose-skips-top-homogeneity": "equivalence/Q",
     "operator-sum-adopts-contested-block": "hpl/Q",
     "q-identity-memo-wrong-arity": "battery/Q",
+    "splits-drop-the-one-part-split": "battery/Q",
     "splitting-drops-a-representative": "battery/Q",
     "tensor-row-skips-negation": "hpl/Q",
     "tensor-step-skips-negation": "hpl/Q",

@@ -17,8 +17,7 @@ from ainfinity.battery import equivalence_battery
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  check_codifferential,
                                  check_homotopy_components,
-                                 check_morphism_components,
-                                 colinearity_residual, extract_components,
+                                 check_morphism_components, extract_components,
                                  lift_coderivation, lift_homotopy,
                                  lift_morphism, operator_homotopy_residual,
                                  operator_intertwining_residual, operator_sum)
@@ -43,6 +42,7 @@ from ainfinity.suspension import (suspend_homotopy, suspend_morphism,
 
 from conftest import (corrupted, crook, crooked_retract, fg_broken_retract,
                       massey_with_marker, random_multimap, rebind)
+from reference import colinearity_residual
 
 
 def forms_setup(N=4):
