@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,14 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ainfinity
+from ainfinity.ainfty import AInfinity
 from ainfinity.cli import main
 from ainfinity.docio import Document, DocumentError, dump, load, parse, serialize
-from ainfinity.fields import PrimeField
-from ainfinity.graded import ChainComplex, MultiMap
+from ainfinity.fields import QQ, PrimeField
+from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import (harmonious_retract, instance_forms,
                                 instance_massey)
 
-from conftest import crooked_retract, fg_broken_retract, massey_with_marker
+from conftest import (crooked_retract, fg_broken_retract, massey_with_marker,
+                      random_multimap)
 
 
 def massey_doc(tmp_path, name="massey.json"):
@@ -71,6 +74,74 @@ def test_transfer_output_roundtrips(tmp_path):
     doc = parse(text)
     assert serialize(doc) == text
     assert doc.transfer is not None and doc.retract is not None
+
+
+TRANSFER_MAPS = {"phi": lambda n: n - 1, "psi": lambda n: n - 1,
+                 "homotopy": lambda n: n}
+
+
+@st.composite
+def documents(draw):
+    """A document over Q or Z/p with random modules V and W and random maps
+    of the right shapes, which satisfy no identity: a structure block, then
+    a retract from V to W and a transfer block with its source on V, each
+    there or not.  A transfer's zero components are kept or left out."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7),
+                                  PrimeField(32003)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    N = draw(st.integers(1, 3))
+    dims = st.dictionaries(st.integers(-1, 2), st.integers(0, 2), min_size=1,
+                           max_size=3)
+    big, small = draw(st.lists(st.sampled_from(["V", "W", "H(V)", "é"]),
+                               min_size=2, max_size=2, unique=True))
+    V, W = GradedModule(draw(dims), field), GradedModule(draw(dims), field)
+
+    def random_map(source, target, arity, degree):
+        # 1, -1, 3 and 5 are units in each of the fields
+        m = random_multimap(rng, source, target, arity, degree)
+        return m.scale(field.div(rng.choice([1, -1, 3]), rng.choice([1, 3, 5])))
+
+    def structure(M):
+        return AInfinity(M, random_map(M, M, 1, -1),
+                         {n: random_map(M, M, n, n - 2)
+                          for n in range(2, N + 1)}, N)
+
+    doc = Document(field, N, {big: V, small: W})
+    if draw(st.booleans()):
+        doc.retract = {"big": big, "small": small,
+                       "f": random_map(V, W, 1, 0), "g": random_map(W, V, 1, 0),
+                       "h": random_map(V, V, 1, 1),
+                       "small_d": random_map(W, W, 1, -1)}
+    if draw(st.booleans()):
+        keep_zeros = draw(st.booleans())
+        doc.structure = (small, structure(W))
+        doc.transfer = {"source": (big, structure(V)),
+                        "comparison": draw(st.sampled_from(
+                            [None, "exact", "mismatch"]))}
+        for key, degree in TRANSFER_MAPS.items():
+            source, target = {"phi": (V, W), "psi": (W, V)}.get(key, (V, V))
+            comps = {n: random_map(source, target, n, degree(n))
+                     for n in range(1, N + 1)}
+            doc.transfer[key] = {n: m for n, m in comps.items()
+                                 if keep_zeros or not m.is_zero()}
+    elif draw(st.booleans()):
+        doc.structure = (big, structure(V))
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(doc=documents())
+def test_generated_documents_roundtrip(doc):
+    """serialize o parse is the identity on serialized documents, and parse
+    o serialize is the identity on documents whose transfer block has no
+    zero component, the one thing `serialize` leaves out."""
+    text = serialize(doc)
+    again = parse(text)
+    assert serialize(again) == text
+    if doc.transfer is None or all(not m.is_zero()
+                                   for key in TRANSFER_MAPS
+                                   for m in doc.transfer[key].values()):
+        assert again == doc
 
 
 # ---------------------------------------------------------- strict parsing
