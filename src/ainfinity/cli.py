@@ -77,11 +77,6 @@ def _build_retract(doc):
                               doc.retract["h"])
 
 
-def _retract_to_block(retract, big_name, small_name):
-    return {"big": big_name, "small": small_name, "f": retract.f,
-            "g": retract.g, "h": retract.h, "small_d": retract.small.d}
-
-
 def cmd_check(args):
     out = ReportWriter()
     try:
@@ -115,8 +110,7 @@ def cmd_check(args):
     if doc.transfer is not None:
         src_name, src = doc.transfer["source"]
         out.line("transfer.source=%s" % src_name)
-        _check_transfer_block(out, src, doc.structure[1], doc.transfer["phi"],
-                              doc.transfer["psi"], doc.transfer["homotopy"],
+        _check_transfer_block(out, src, doc.structure[1], doc.transfer,
                               doc.truncation)
         if doc.transfer.get("comparison") is not None:
             out.line("transfer.comparison=%s" % doc.transfer["comparison"])
@@ -126,16 +120,17 @@ def cmd_check(args):
     return out.exit_code
 
 
-def _check_transfer_block(out, src, nu, phi, psi, homotopy, N):
+def _check_transfer_block(out, src, nu, comps, N):
     """The checks of a transfer block's source structure, phi: src -> nu,
-    psi: nu -> src and homotopy psi phi ~ 1, given as components."""
-    phi = AInftyMorphism(src, nu, phi, N)
-    psi = AInftyMorphism(nu, src, psi, N)
+    psi: nu -> src and homotopy psi phi ~ 1, given as components under
+    those names in `comps`."""
+    phi = AInftyMorphism(src, nu, comps["phi"], N)
+    psi = AInftyMorphism(nu, src, comps["psi"], N)
     out.add_report(_renamed(check_structure(src, N), "source"))
     out.add_report(_renamed(check_morphism(phi), "phi"))
     out.add_report(_renamed(check_morphism(psi), "psi"))
     hom = AInftyHomotopy(compose_morphisms(psi, phi), identity_morphism(src),
-                         homotopy, N)
+                         comps["homotopy"], N)
     out.add_report(_renamed(check_homotopy(hom), "transfer"))
 
 
@@ -145,32 +140,21 @@ def _renamed(report, prefix):
     return renamed
 
 
-def _transfer_document(doc, big_name, small_name, mu, nu, phi, psi, homotopy,
-                       retract, comparison):
-    modules = {big_name: mu.carrier, small_name: nu.carrier}
+def _transfer_document(big_name, small_name, mu, nu, comps, retract,
+                       comparison):
+    """The document `transfer` writes, at the arity it checked: nu's field
+    and truncation N, mu with its products of arity <= N, and the phi, psi
+    and homotopy components in `comps`."""
+    N = nu.truncation
+    source = AInfinity(mu.carrier, mu.differential,
+                       {n: m for n, m in mu.products.items() if n <= N}, N)
     return Document(
-        doc.field, doc.truncation, modules,
+        nu.carrier.field, N, {big_name: mu.carrier, small_name: nu.carrier},
         structure=(small_name, nu),
-        retract=_retract_to_block(retract, big_name, small_name),
-        transfer={
-            "source": (big_name, mu),
-            "phi": dict(phi),
-            "psi": dict(psi),
-            "homotopy": dict(homotopy),
-            "comparison": comparison,
-        })
-
-
-def _hpl_components(hpl, retract):
-    """Desuspend the extracted operator components into unshifted data."""
-    V = retract.big.module
-    W = retract.small.module
-    extracted = hpl.extracted()
-    nu_comps = desuspend_components(extracted["delta_nu"].components, W, W)
-    phi = desuspend_components(extracted["phi"].components, V, W)
-    psi = desuspend_components(extracted["psi"].components, W, V)
-    hom = desuspend_components(extracted["homotopy"].components, V, V)
-    return nu_comps, phi, psi, hom
+        retract={"big": big_name, "small": small_name, "f": retract.f,
+                 "g": retract.g, "h": retract.h, "small_d": retract.small.d},
+        transfer=dict(comps, source=(big_name, source),
+                      comparison=comparison))
 
 
 def cmd_transfer(args):
@@ -254,23 +238,25 @@ def cmd_transfer(args):
             out.note("perturbation-lemma output differs from the kernel recursion")
 
     if args.method == "hpl":
-        nu_comps, phi_comps, psi_comps, hom_comps = _hpl_components(
-            hpl, retract)
-        nu = AInfinity(retract.small.module, retract.small.d,
-                       {n: m for n, m in nu_comps.items() if n >= 2}, N)
+        V, W = retract.big.module, retract.small.module
+        ends = {"delta_nu": (W, W), "phi": (V, W), "psi": (W, V),
+                "homotopy": (V, V)}
+        comps = {key: desuspend_components(family.components, *ends[key])
+                 for key, family in hpl.extracted().items()}
+        products = {n: m for n, m in comps.pop("delta_nu").items() if n >= 2}
+        nu = AInfinity(W, retract.small.d, products, N)
         # what `check` runs on the written document
         out.add_report(_renamed(check_structure(nu, N), "extracted"))
-        _check_transfer_block(out, mu, nu, phi_comps, psi_comps, hom_comps, N)
+        _check_transfer_block(out, mu, nu, comps, N)
     else:
         nu = pkg.nu
-        phi_comps, psi_comps, hom_comps = (pkg.phi.components,
-                                           pkg.psi.components,
-                                           pkg.homotopy.components)
+        comps = {"phi": pkg.phi.components, "psi": pkg.psi.components,
+                 "homotopy": pkg.homotopy.components}
 
     nonzero = sorted(n for n in nu.products)
     out.line("output.products=%s" % ",".join(str(n) for n in nonzero))
-    result = _transfer_document(doc, big_name, small_name, mu, nu, phi_comps,
-                                psi_comps, hom_comps, retract, comparison)
+    result = _transfer_document(big_name, small_name, mu, nu, comps, retract,
+                                comparison)
     if args.output:
         dump(result, args.output)
         out.line("output=%s" % args.output)

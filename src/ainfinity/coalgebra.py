@@ -194,12 +194,6 @@ class CoalgebraOperator:
         words = [w for t in self.blocks.values() for w in t]
         return min(words) if words else None
 
-    def restricted_to(self, m):
-        """The operator's restriction to homogeneity-m inputs."""
-        blocks = {k: t for k, t in self.blocks.items() if k[0] == m}
-        return CoalgebraOperator(self.source, self.target, self.degree,
-                                 self.trunc, blocks)
-
     def corestricted(self):
         """The operator's corestriction to T^1: its (m, 1) blocks."""
         blocks = {k: t for k, t in self.blocks.items() if k[1] == 1}

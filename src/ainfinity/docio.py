@@ -6,6 +6,9 @@ rejected, every referenced basis element must exist and every map entry must
 be homogeneous (the map constructors enforce that).  Serialization sorts
 everything, so parse -> serialize -> parse is the identity and output is
 byte-stable.
+
+The maps of the retract and transfer blocks are listed once, in
+`RETRACT_MAPS` and `TRANSFER_MAPS`, for `parse` and `serialize` both.
 """
 
 import json
@@ -17,6 +20,14 @@ from .graded import GradedModule, MultiMap, StructureError
 
 FORMAT = "ainfty-doc/1"
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+# (name, ends, degree) of each map of a block.  The ends are V, the big
+# module (a transfer's source structure), and W, the small one (the
+# document's structure).  A retract's maps have arity 1; a transfer's are
+# families of components, whose degree at arity n is n plus the one given.
+RETRACT_MAPS = [("f", "VW", 0), ("g", "WV", 0), ("h", "VV", 1),
+                ("small_d", "WW", -1)]
+TRANSFER_MAPS = [("phi", "VW", -1), ("psi", "WV", -1), ("homotopy", "VV", 0)]
 
 
 class DocumentError(ValueError):
@@ -33,8 +44,11 @@ class Document:
         self.truncation = truncation
         self.modules = modules            # name -> GradedModule
         self.structure = structure        # (module name, AInfinity) or None
-        self.retract = retract            # dict or None, see parse_retract
-        self.transfer = transfer          # dict or None, see parse_transfer
+        # None, or "big", "small" (module names) and each RETRACT_MAPS map
+        self.retract = retract
+        # None, or "source" (like `structure`), "comparison" (str or None)
+        # and each TRANSFER_MAPS family as {arity: map}
+        self.transfer = transfer
 
     def __eq__(self, other):
         return (isinstance(other, Document)
@@ -162,66 +176,39 @@ def _serialize_structure(name, a, field):
 
 
 def _parse_retract(obj, modules, field, where):
-    _expect_keys(obj, ["big", "small", "f", "g", "h", "small_d"], [], where)
-    V = _module(modules, obj["big"], where + ".big")
-    W = _module(modules, obj["small"], where + ".small")
-    return {
-        "big": obj["big"],
-        "small": obj["small"],
-        "f": _parse_map(obj["f"], V, W, 1, 0, field, where + ".f"),
-        "g": _parse_map(obj["g"], W, V, 1, 0, field, where + ".g"),
-        "h": _parse_map(obj["h"], V, V, 1, 1, field, where + ".h"),
-        "small_d": _parse_map(obj["small_d"], W, W, 1, -1, field,
-                              where + ".small_d"),
-    }
-
-
-def _serialize_retract(r, field):
-    return {
-        "big": r["big"], "small": r["small"],
-        "f": _serialize_map(r["f"], field),
-        "g": _serialize_map(r["g"], field),
-        "h": _serialize_map(r["h"], field),
-        "small_d": _serialize_map(r["small_d"], field),
-    }
-
-
-def _parse_component_block(obj, source, target, degree_of, field, trunc, where):
-    if not isinstance(obj, dict):
-        raise DocumentError("%s: expected arity -> entries" % where)
-    comps = {}
-    for key, entries in obj.items():
-        n = _parse_key(key, "arity", where)
-        if not 1 <= n <= trunc:
-            raise DocumentError("%s: arity %d outside 1..%d" % (where, n, trunc))
-        comps[n] = _parse_map(entries, source, target, n, degree_of(n), field,
-                              "%s[%s]" % (where, key))
-    return comps
-
-
-def _serialize_components(comps, field):
-    return {str(n): _serialize_map(m, field)
-            for n, m in sorted(comps.items()) if not m.is_zero()}
+    _expect_keys(obj, ["big", "small"] + [name for name, _, _ in RETRACT_MAPS],
+                 [], where)
+    ends = {"V": _module(modules, obj["big"], where + ".big"),
+            "W": _module(modules, obj["small"], where + ".small")}
+    block = {"big": obj["big"], "small": obj["small"]}
+    for name, (s, t), degree in RETRACT_MAPS:
+        block[name] = _parse_map(obj[name], ends[s], ends[t], 1, degree, field,
+                                 "%s.%s" % (where, name))
+    return block
 
 
 def _parse_transfer(obj, W, modules, truncation, field, where):
-    """The transfer block of a document whose structure lives on W: the
-    source structure on V, phi: V -> W, psi: W -> V, homotopy: V -> V."""
-    _expect_keys(obj, ["source", "phi", "psi", "homotopy"], ["comparison"], where)
+    """The transfer block of a document whose structure lives on W, with
+    its source structure on V."""
+    _expect_keys(obj, ["source"] + [name for name, _, _ in TRANSFER_MAPS],
+                 ["comparison"], where)
     source = _parse_structure(obj["source"], modules, truncation, field,
                               where + ".source")
-    V = source[1].carrier
-    return {
-        "source": source,
-        "phi": _parse_component_block(obj["phi"], V, W, lambda n: n - 1, field,
-                                      truncation, where + ".phi"),
-        "psi": _parse_component_block(obj["psi"], W, V, lambda n: n - 1, field,
-                                      truncation, where + ".psi"),
-        "homotopy": _parse_component_block(obj["homotopy"], V, V, lambda n: n,
-                                           field, truncation,
-                                           where + ".homotopy"),
-        "comparison": obj.get("comparison"),
-    }
+    ends = {"V": source[1].carrier, "W": W}
+    block = {"source": source, "comparison": obj.get("comparison")}
+    for name, (s, t), shift in TRANSFER_MAPS:
+        loc = "%s.%s" % (where, name)
+        if not isinstance(obj[name], dict):
+            raise DocumentError("%s: expected arity -> entries" % loc)
+        comps = block[name] = {}
+        for key, entries in obj[name].items():
+            n = _parse_key(key, "arity", loc)
+            if not 1 <= n <= truncation:
+                raise DocumentError("%s: arity %d outside 1..%d"
+                                    % (loc, n, truncation))
+            comps[n] = _parse_map(entries, ends[s], ends[t], n, n + shift,
+                                  field, "%s[%s]" % (loc, key))
+    return block
 
 
 def parse(text):
@@ -286,31 +273,30 @@ def parse(text):
 
 
 def serialize(doc):
-    obj = {"format": FORMAT, "truncation": doc.truncation}
-    if isinstance(doc.field, PrimeField):
-        obj["field"] = "mod-p"
-        obj["p"] = doc.field.p
-    else:
-        obj["field"] = "rational"
+    obj = {"format": FORMAT, "field": doc.field.name,
+           "truncation": doc.truncation}
+    if doc.field.characteristic:
+        obj["p"] = doc.field.characteristic
     obj["modules"] = {name: {"dims": {str(d): k for d, k in sorted(V.dims.items())}}
                       for name, V in sorted(doc.modules.items())}
     if doc.structure is not None:
         name, a = doc.structure
         obj["structure"] = _serialize_structure(name, a, doc.field)
     if doc.retract is not None:
-        obj["retract"] = _serialize_retract(doc.retract, doc.field)
+        r = obj["retract"] = {"big": doc.retract["big"],
+                              "small": doc.retract["small"]}
+        for name, _, _ in RETRACT_MAPS:
+            r[name] = _serialize_map(doc.retract[name], doc.field)
     if doc.transfer is not None:
         t = doc.transfer
-        block = {
-            "source": _serialize_structure(t["source"][0], t["source"][1],
-                                           doc.field),
-            "phi": _serialize_components(t["phi"], doc.field),
-            "psi": _serialize_components(t["psi"], doc.field),
-            "homotopy": _serialize_components(t["homotopy"], doc.field),
-        }
+        block = obj["transfer"] = {
+            "source": _serialize_structure(*t["source"], doc.field)}
+        for name, _, _ in TRANSFER_MAPS:
+            block[name] = {str(n): _serialize_map(m, doc.field)
+                           for n, m in sorted(t[name].items())
+                           if not m.is_zero()}
         if t.get("comparison") is not None:
             block["comparison"] = t["comparison"]
-        obj["transfer"] = block
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 

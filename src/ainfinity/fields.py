@@ -9,18 +9,34 @@ int in range(p).  Products of elements are formed as plain (unreduced) ints
 and reduced modulo the characteristic where they are stored: in the one
 accumulate step `graded._acc`, in the validating constructors and in
 `scale`.  Division goes through `field.div`, never `/`, so that an int / int
-can never yield a float.
+can never yield a float.  A field's `name` is its document tag, and both
+fields read a document's scalar with `_read_scalar`, one spelling for all.
 """
 
 import re
 from fractions import Fraction
 
-# the one spelling of a rational scalar: [-]digits[/digits]
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# the one spelling of a scalar: [-]digits[/digits]
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class FieldError(ValueError):
     pass
+
+
+def _read_scalar(field, text):
+    """The element of `field` written [-]digits[/digits] in ASCII digits,
+    blanks around it allowed.  `int` alone would also read "+3", "1_0" and
+    "٣", and `Fraction` "1e10000000" as a 10-million-digit integer."""
+    match = _SCALAR.fullmatch(text.strip())
+    if not match:
+        raise FieldError("bad scalar %r over %r: not [-]digits[/digits]"
+                         % (text, field))
+    num, den = match.groups()
+    try:
+        return field.div(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FieldError("bad scalar %r over %r: %s" % (text, field, exc))
 
 
 def _rational(q):
@@ -41,18 +57,7 @@ class RationalField:
         """Exact quotient a / b; raises ZeroDivisionError when b is zero."""
         return _rational(Fraction(a) / b)
 
-    def parse(self, text):
-        """A scalar written [-]digits[/digits], surrounding blanks allowed.
-        `Fraction` alone would also take decimal and exponent literals,
-        and "1e10000000" as a 10-million-digit integer."""
-        text = text.strip()
-        if not _RATIONAL.fullmatch(text):
-            raise FieldError("bad rational scalar %r: not [-]digits[/digits]"
-                             % (text,))
-        try:
-            return _rational(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError("bad rational scalar %r: %s" % (text, exc))
+    parse = _read_scalar
 
     def format(self, x):
         return str(x)
@@ -126,15 +131,7 @@ class PrimeField:
             raise ZeroDivisionError("division by zero in Z/%d" % self.p)
         return a * pow(b, -1, self.p) % self.p
 
-    def parse(self, text):
-        text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/")
-                return self.div(int(num), int(den))
-            return int(text) % self.p
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError("bad scalar %r over Z/%d: %s" % (text, self.p, exc))
+    parse = _read_scalar
 
     def format(self, x):
         return str(x)

@@ -134,14 +134,15 @@ class PerturbationData:
                 report.add("lowers-%d-%d" % (m, j),
                            BoolResidual(False, "block (%d,%d)" % (m, j)))
         powers = [self.M]
-        alive = set(range(1, self.trunc + 1))
         for i in range(1, self.trunc + 1):
             if i > 1:
                 powers.append(self.M.compose(powers[-1]))
-            for n in sorted(alive):
-                if powers[-1].restricted_to(n).is_zero():
-                    self.nilpotency[n] = i
-                    alive.discard(n)
+            # no operator keeps an empty block, so M^i kills homogeneity n
+            # exactly when it has no block (n, j)
+            alive = {m for m, _ in powers[-1].blocks}
+            for n in range(1, self.trunc + 1):
+                if n not in alive:
+                    self.nilpotency.setdefault(n, i)
         self.S = (operator_sum(plus=powers[:-1]) if self.trunc > 1 else
                   CoalgebraOperator(self.sV, self.sV, 0, self.trunc, {}))
         for n in range(1, self.trunc + 1):
@@ -371,8 +372,6 @@ def check_annihilation_lemmas(pkg):
                    compose_product(q_n, [ghat] * n))
         for i in range(0, n):
             j = n - 1 - i
-            if i + j < 1:
-                continue
             blocks = [gfhat] * i + [hhat] + [ident] * j
             report.add("vanish-on-homotopy-slots-%d-%d" % (n, i),
                        compose_product(q_n, blocks))

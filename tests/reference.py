@@ -8,12 +8,13 @@ the definitions and sharing none of the library's evaluators.
   across all its blocks.
 * `comultiply` and `colinearity_residual`: the comultiplication of T(V)
   and the co-Leibniz compatibility of an operator with it, word by word.
+* `restricted_to`: an operator's restriction to one homogeneity.
 """
 
 import itertools
 
 from ainfinity import signs
-from ainfinity.coalgebra import _tensor_words
+from ainfinity.coalgebra import CoalgebraOperator, _tensor_words
 from ainfinity.graded import StructureError, _acc, word_degree
 from ainfinity.reports import CheckReport
 
@@ -57,6 +58,13 @@ def apply_word(op, word):
             for w, c in vec.items():
                 _acc(out, w, c, p)
     return out
+
+
+def restricted_to(op, m):
+    """The operator's restriction to homogeneity-m inputs: its blocks
+    (m, j)."""
+    blocks = {k: t for k, t in op.blocks.items() if k[0] == m}
+    return CoalgebraOperator(op.source, op.target, op.degree, op.trunc, blocks)
 
 
 def comultiply(word):

@@ -76,8 +76,8 @@ def test_transfer_output_roundtrips(tmp_path):
     assert doc.transfer is not None and doc.retract is not None
 
 
-TRANSFER_MAPS = {"phi": lambda n: n - 1, "psi": lambda n: n - 1,
-                 "homotopy": lambda n: n}
+COMPONENT_DEGREES = {"phi": lambda n: n - 1, "psi": lambda n: n - 1,
+                     "homotopy": lambda n: n}
 
 
 @st.composite
@@ -118,7 +118,7 @@ def documents(draw):
         doc.transfer = {"source": (big, structure(V)),
                         "comparison": draw(st.sampled_from(
                             [None, "exact", "mismatch"]))}
-        for key, degree in TRANSFER_MAPS.items():
+        for key, degree in COMPONENT_DEGREES.items():
             source, target = {"phi": (V, W), "psi": (W, V)}.get(key, (V, V))
             comps = {n: random_map(source, target, n, degree(n))
                      for n in range(1, N + 1)}
@@ -139,7 +139,7 @@ def test_generated_documents_roundtrip(doc):
     again = parse(text)
     assert serialize(again) == text
     if doc.transfer is None or all(not m.is_zero()
-                                   for key in TRANSFER_MAPS
+                                   for key in COMPONENT_DEGREES
                                    for m in doc.transfer[key].values()):
         assert again == doc
 
@@ -289,19 +289,25 @@ def _duplicate_key(table, key, spelling):
     table[spelling] = table[key]
 
 
+def _mod_p_scalar(obj, text):
+    """Write `text` as the mod-p document's first scalar: a number `int`
+    reads but the documents' [-]digits[/digits] does not."""
+    _first_product_entry(obj)["output"][0][1] = text
+
+
 def _rational_scalar(obj, text):
     """Make the document rational and write `text` as its first scalar: a
     number `Fraction` reads but the documents' [-]digits[/digits] does not.
     Read as a number, "1e10000000" is a 10-million-digit integer."""
     obj["field"] = "rational"
     del obj["p"]
-    _first_product_entry(obj)["output"][0][1] = text
+    _mod_p_scalar(obj, text)
 
 
 # each edit breaks a structure document in one place; before the checks in
 # docio the five output edits crashed with a traceback, the two key edits
 # passed `check` with one of the two maps (dimensions) silently dropped, and
-# the two rational edits were read as numbers
+# the two rational and three mod-p edits were read as numbers
 MALFORMED_EDITS = {
     "output-scalar": lambda obj: _first_product_entry(obj).update(output=5),
     "output-list-of-scalars": lambda obj: _first_product_entry(obj).update(
@@ -317,6 +323,9 @@ MALFORMED_EDITS = {
         obj["modules"]["V"]["dims"], "1", "01"),
     "rational-decimal": lambda obj: _rational_scalar(obj, "0.5"),
     "rational-exponent": lambda obj: _rational_scalar(obj, "1e10000000"),
+    "mod-p-plus-sign": lambda obj: _mod_p_scalar(obj, "+3"),
+    "mod-p-underscore": lambda obj: _mod_p_scalar(obj, "1_0"),
+    "mod-p-arabic-indic-digit": lambda obj: _mod_p_scalar(obj, "\u0663"),
 }
 
 
@@ -703,6 +712,47 @@ def test_transfer_below_document_truncation_both_routes(tmp_path, capsys):
     assert code == 0
     assert "compare.status=exact" in report
     assert "output.products=3" in report
+
+
+@pytest.mark.parametrize("method", ["kernels", "hpl"])
+def test_transfer_below_truncation_writes_the_checked_arity(tmp_path, capsys,
+                                                             method):
+    """`--arity 3` on the 4-fold Massey DGA at truncation 6 writes a
+    document of truncation 3, which `check` passes.  A document that kept
+    truncation 6 would read phi and psi as zero at arity 4 and fail there."""
+    mu = instance_massey(k=4, truncation=6)
+    src = str(tmp_path / "massey4.json")
+    dump(Document(mu.carrier.field, 6, {"V": mu.carrier}, structure=("V", mu)),
+         src)
+    out = str(tmp_path / "out.json")
+    assert main(["transfer", src, "--method", method, "--retract", "auto",
+                 "--arity", "3", "-o", out]) == 0
+    assert json.loads(Path(out).read_text())["truncation"] == 3
+    assert main(["check", out]) == 0
+    assert "status=ok" in capsys.readouterr().out
+
+
+def test_transfer_below_truncation_keeps_the_source_products_it_checked(
+        tmp_path, capsys):
+    """A source structure with a product above `--arity`: the transferred
+    witness, whose only product is the triple product.  The written source
+    keeps its products of arity <= N only, none at N = 2, and the document,
+    at truncation N, checks out."""
+    nu = parse(json.dumps(witness_transfer_object(tmp_path, capsys)))
+    nu = nu.structure[1]
+    src = str(tmp_path / "transferred.json")
+    dump(Document(nu.carrier.field, 3, {"W": nu.carrier}, structure=("W", nu)),
+         src)
+    out = str(tmp_path / "again.json")
+    assert main(["transfer", src, "--method", "both", "--retract", "auto",
+                 "--arity", "2", "-o", out]) == 0
+    result = load(out)
+    assert sorted(nu.products) == [3]
+    assert result.truncation == 2
+    assert result.transfer["source"][1] == AInfinity(
+        nu.carrier, nu.differential, {}, 2)
+    assert main(["check", out]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("arity", ["-3", "0"])

@@ -23,7 +23,7 @@ from ainfinity.graded import ChainComplex
 from ainfinity.suspension import suspend_structure
 from conftest import corrupted, random_multimap, seeded
 from reference import (apply_word, colinearity_residual, comultiply,
-                       tensor_table)
+                       restricted_to, tensor_table)
 
 TRUNC = 4
 
@@ -525,7 +525,7 @@ def test_operator_sum_copies_a_block_a_composite_lands_in():
         {n: random_multimap(rng, V, V, n, 0) for n in range(1, 4)}, TRUNC))
     before = {key: {w: dict(v) for w, v in t.items()}
               for key, t in D.blocks.items()}
-    total = operator_sum(plus=[D, (F, D.restricted_to(3))])
+    total = operator_sum(plus=[D, (F, restricted_to(D, 3))])
     # the blocks where D's (3, k) blocks meet F's (k, j) blocks, whatever
     # the composite leaves in them
     contested = {(3, j) for (m, k) in D.blocks if m == 3
@@ -534,4 +534,4 @@ def test_operator_sum_copies_a_block_a_composite_lands_in():
     for key, table in D.blocks.items():
         assert (total.blocks.get(key) is table) == (key not in contested), key
     assert D.blocks == before
-    assert (total - D).blocks == per_word_composite(F, D.restricted_to(3))
+    assert (total - D).blocks == per_word_composite(F, restricted_to(D, 3))
