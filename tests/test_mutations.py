@@ -614,6 +614,23 @@ def test_dropped_psi_block_is_caught_only_by_colinearity(monkeypatch):
     assert perturbation.compare_hpl_vs_kernels(hpl, pkg).status == "exact"
 
 
+@pytest.mark.parametrize("key", ["phi", "psi"])
+def test_comparison_reads_the_written_morphisms(key):
+    """The comparison's kernel side is the package's own phi and psi: with
+    the top nonzero component of one of them doubled (arity 2, two entries
+    on the Massey witness), the comparison reports a mismatch there."""
+    pkg, hpl = witness_routes()
+    mor = getattr(pkg, key)
+    top = max(n for n, m in mor.components.items() if not m.is_zero())
+    comps = dict(mor.components)
+    comps[top] = comps[top].scale(2)
+    setattr(pkg, key, ainfty.AInftyMorphism(mor.source, mor.target, comps,
+                                            mor.truncation))
+    report = perturbation.compare_hpl_vs_kernels(hpl, pkg)
+    assert report.status == "mismatch"
+    assert "compare.%s.nonzero=2" % key in report.lines()
+
+
 @pytest.mark.parametrize("name", ["normalise-skips-h2",
                                   "normalise-drops-left-K"])
 def test_normalise_mutants_need_a_crook_that_K_does_not_kill(name,
