@@ -231,11 +231,8 @@ def cmd_transfer(args):
         out.line("hpl.conclusions=corestriction")
     if args.method == "both":
         cmp_report = compare_hpl_vs_kernels(hpl, pkg, N)
+        out.add_report(cmp_report)
         comparison = cmp_report.status
-        out.machine.extend(cmp_report.lines())
-        if not cmp_report.ok:
-            out.failed = True
-            out.note("perturbation-lemma output differs from the kernel recursion")
 
     if args.method == "hpl":
         V, W = retract.big.module, retract.small.module

@@ -46,7 +46,8 @@ class Document:
         self.structure = structure        # (module name, AInfinity) or None
         # None, or "big", "small" (module names) and each RETRACT_MAPS map
         self.retract = retract
-        # None, or "source" (like `structure`), "comparison" (str or None)
+        # None, or "source" (like `structure`), "comparison" ("exact",
+        # "mismatch" or None)
         # and each TRANSFER_MAPS family as {arity: map}
         self.transfer = transfer
 
@@ -194,6 +195,9 @@ def _parse_transfer(obj, W, modules, truncation, field, where):
                  ["comparison"], where)
     source = _parse_structure(obj["source"], modules, truncation, field,
                               where + ".source")
+    if obj.get("comparison", "exact") not in ("exact", "mismatch"):
+        raise DocumentError('%s.comparison: expected "exact" or "mismatch"'
+                            % where)
     ends = {"V": source[1].carrier, "W": W}
     block = {"source": source, "comparison": obj.get("comparison")}
     for name, (s, t), shift in TRANSFER_MAPS:

@@ -222,7 +222,8 @@ class TransferPackage:
       and the homotopy, unshifted;
     * `smu`, `p_hat`, `q_hat`, `psiphi_hat`: the shifted structure
       (d_1 included) and the shifted route's kernels {n >= 2: p^_n},
-      {n >= 1: q^_n} (q^_1 = 1) and composite components {m >= 1};
+      {n >= 1: q^_n} (q^_1 = 1) and composite components {m >= 1}, the
+      last three read only by `perturbation.check_annihilation_lemmas`;
     * `retract`, `truncation`, and `reports`, every residual report by name.
 
     The shifted f^, g^, h^ and gf^ are `retract.shifted()`."""

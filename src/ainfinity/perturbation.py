@@ -48,8 +48,8 @@ checked on corestrictions to T^1, in this order:
 2. `hpl-conclusions`: the componentwise identities of those families
    (`check_codifferential`, `check_morphism_components`,
    `check_homotopy_components`), one per-arity report per conclusion;
-3. `compare_hpl_vs_kernels`: the families against the kernel route's
-   components, arity by arity.
+3. `compare_hpl_vs_kernels`: the families against the suspensions of
+   the nu, phi, psi and homotopy `kernels.transfer` writes, arity by arity.
 
 Step 2 decides the operator identities because T^c(sV) is cofree and
 conilpotent (Loday-Vallette, Algebraic Operads, ch. 1): a morphism, a
@@ -78,8 +78,8 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily,
                         check_morphism_components, extract_components,
                         lift_coderivation, lift_homotopy, lift_morphism,
                         lift_residual, operator_sum)
-from .graded import (MultiMap, StructureError, compose, compose_product,
-                     insert_slots, map_sum, resolve_truncation)
+from .graded import (MultiMap, StructureError, compose_product, insert_slots,
+                     map_sum, resolve_truncation)
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_components
 
@@ -272,58 +272,54 @@ def series_inversion_report(M, S):
     return report
 
 
-class ComparisonReport:
-    """Outcome of the HPL-vs-kernels comparison: a status string ("exact" or
-    "mismatch") plus one per-arity report of component residuals per
-    transferred object."""
+class ComparisonReport(CheckReport):
+    """Outcome of the HPL-vs-kernels comparison: one per-arity report of
+    component residuals per transferred object, and a status, "exact" or
+    "mismatch", read off them."""
 
-    def __init__(self, status, diffs):
-        self.status = status
-        self.diffs = diffs
+    def __init__(self):
+        super().__init__("compare")
 
     @property
-    def ok(self):
-        return self.status == "exact"
-
-    def is_zero(self):
-        return self.ok
+    def status(self):
+        return "exact" if self.ok else "mismatch"
 
     def lines(self):
         out = ["compare.status=%s" % self.status]
-        for key in sorted(self.diffs):
-            out.append("compare.%s.nonzero=%d" % (key, self.diffs[key].entry_count()))
+        for key in sorted(self.residuals):
+            out.append("compare.%s.nonzero=%d" % (key, self.entry_count(key)))
         return out
+
+    def detail_lines(self):
+        return ["perturbation-lemma output differs from the kernel recursion"]
 
 
 def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
-    """Component equality of the perturbation-lemma outputs against the
-    shifted kernel-recursion outputs, arity by arity up to n_max.  Equality
-    is asserted only under the side conditions; raises without them."""
+    """Component equality, arity by arity up to n_max, of the
+    perturbation-lemma outputs with the suspended maps `transfer` writes:
+    nu's products, phi, psi and the homotopy, zero at an arity one lacks
+    (delta_nu_1 always).  Asserted only under the side conditions; raises
+    without them."""
     if not pkg.retract.is_harmonious:
         raise StructureError("the comparison assumes the side conditions")
     top = min(hpl.data.trunc, pkg.truncation)
     n_max = min(resolve_truncation(n_max, top), top)
-    fhat, ghat, hhat, _ = pkg.retract.shifted()
-    sW = fhat.target
-    # the transferred perturbation has no arity-1 part
-    expected = {"delta_nu": {1: MultiMap.zero(sW, sW, 1, -1)}, "psi": {1: ghat},
-                "phi": {1: fhat}, "homotopy": {1: hhat}}
-    for n in range(2, n_max + 1):
-        # p^_n g^{x n}, shared by delta_nu_n and psi_n
-        pg = compose_product(pkg.p_hat[n], [ghat] * n)
-        expected["delta_nu"][n] = compose(fhat, pg)
-        expected["psi"][n] = compose(hhat, pg)
-        expected["phi"][n] = compose(fhat, pkg.q_hat[n])
-        expected["homotopy"][n] = compose(hhat, pkg.q_hat[n])
+    V, W = pkg.retract.big.module, pkg.retract.small.module
+    written = {"delta_nu": (pkg.nu.products, W, W),
+               "phi": (pkg.phi.components, V, W),
+               "psi": (pkg.psi.components, W, V),
+               "homotopy": (pkg.homotopy.components, V, V)}
     got = hpl.extracted()
-    diffs = {}
-    for key in sorted(expected):
-        report = CheckReport("compare-" + key)
+    report = ComparisonReport()
+    for key, (comps, source, target) in sorted(written.items()):
+        expected = suspend_components(
+            {n: m for n, m in comps.items() if n <= n_max}, source, target)
+        diff = CheckReport("compare-" + key)
         for n in range(1, n_max + 1):
-            report.add(n, got[key].component(n) - expected[key][n])
-        diffs[key] = report
-    exact = all(report.ok for report in diffs.values())
-    return ComparisonReport("exact" if exact else "mismatch", diffs)
+            x = got[key].component(n)
+            diff.add(n, x - expected[n] if n in expected else x)
+        report.add(key, diff)
+    return report
 
 
 def _delta_slot_sum(outer, delta):

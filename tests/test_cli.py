@@ -295,6 +295,19 @@ def _mod_p_scalar(obj, text):
     _first_product_entry(obj)["output"][0][1] = text
 
 
+def _comparison(obj, value):
+    """Give the mod-p document the transfer block of its structure's
+    identity retract (phi = psi = 1, no homotopy), with `value` as the
+    comparison; with "exact" the document passes `check`."""
+    doc = parse(json.dumps(obj))
+    name, mu = doc.structure
+    ident = {1: MultiMap.identity(mu.carrier)}
+    doc.transfer = {"source": (name, mu), "phi": ident, "psi": ident,
+                    "homotopy": {}, "comparison": "exact"}
+    obj["transfer"] = dict(json.loads(serialize(doc))["transfer"],
+                           comparison=value)
+
+
 def _rational_scalar(obj, text):
     """Make the document rational and write `text` as its first scalar: a
     number `Fraction` reads but the documents' [-]digits[/digits] does not.
@@ -306,8 +319,9 @@ def _rational_scalar(obj, text):
 
 # each edit breaks a structure document in one place; before the checks in
 # docio the five output edits crashed with a traceback, the two key edits
-# passed `check` with one of the two maps (dimensions) silently dropped, and
-# the two rational and three mod-p edits were read as numbers
+# passed `check` with one of the two maps (dimensions) silently dropped, the
+# two rational and three mod-p edits were read as numbers, and the two
+# comparison edits passed `check`, which printed the value back as given
 MALFORMED_EDITS = {
     "output-scalar": lambda obj: _first_product_entry(obj).update(output=5),
     "output-list-of-scalars": lambda obj: _first_product_entry(obj).update(
@@ -326,6 +340,8 @@ MALFORMED_EDITS = {
     "mod-p-plus-sign": lambda obj: _mod_p_scalar(obj, "+3"),
     "mod-p-underscore": lambda obj: _mod_p_scalar(obj, "1_0"),
     "mod-p-arabic-indic-digit": lambda obj: _mod_p_scalar(obj, "\u0663"),
+    "comparison-object": lambda obj: _comparison(obj, {"x": [1, 2]}),
+    "comparison-unknown-word": lambda obj: _comparison(obj, "maybe"),
 }
 
 
@@ -443,6 +459,29 @@ def test_cli_exit_status_under_single_edits(edited_path, data):
     for argv in [["check"]] + [["transfer", "--method", method]
                                for method in ("kernels", "hpl", "both")]:
         argv.insert(1, str(edited_path))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+
+
+@pytest.fixture(scope="module")
+def generated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "generated.json"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(doc=documents())
+def test_cli_exit_status_on_generated_documents(generated_path, doc):
+    """On a generated document, whose maps satisfy no identity, `check` and
+    `transfer --method kernels|both|hpl`, each with and without `--retract
+    auto`, end with exit 0, 1 or 2, and raise nothing."""
+    dump(doc, str(generated_path))
+    runs = [["check"]] + [["transfer", "--method", method] + auto
+                          for method in ("kernels", "both", "hpl")
+                          for auto in ([], ["--retract", "auto"])]
+    for argv in runs:
+        argv.insert(1, str(generated_path))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

@@ -35,8 +35,9 @@ families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
 assembles; the outputs of `perturbation.hpl_transfer` (a dropped block,
-phi's series and the series term of A G); the arity loop and the
-shifted delta_nu of `perturbation.compare_hpl_vs_kernels`; the homology
+phi's series and the series term of A G); the arity loop of
+`perturbation.compare_hpl_vs_kernels` and its read of the products nu the
+kernel route writes (top arity dropped); the homology
 representatives `retracts.Splitting` reads off its one elimination of
 [B | kernel] per degree; and the Lambe-Stasheff step of
 `retracts.normalise` (its h2 and its left K).  Each
@@ -429,10 +430,11 @@ STRUCTURAL_MUTANTS = {
         kernels, "_suspended_q",
         "(1, hp[k], [gfq[r] for r in parts])",
         "(1, gfq[k], [gfq[r] for r in parts])"),
-    "compare-delta-nu-through-homotopy": (
+    "compare-delta-nu-drops-top-arity": (
         perturbation, "compare_hpl_vs_kernels",
-        "compose(fhat, pg)",
-        "compose(fhat, compose(hhat, pg))"),
+        '"delta_nu": (pkg.nu.products, W, W)',
+        '"delta_nu": ({n: m for n, m in pkg.nu.products.items() if n < n_max},'
+        ' W, W)'),
     "splitting-drops-a-representative": (
         retracts, "Splitting.__init__",
         "c >= len(B)",
@@ -452,7 +454,7 @@ KILLED_BY = {
     "acc-keeps-cancelled-zero": "battery/Q",
     "acc-skips-reduction": "battery/Z5",
     "coderivation-lift-drops-shifted-term": "hpl/Q",
-    "compare-delta-nu-through-homotopy": "hpl/Q",
+    "compare-delta-nu-drops-top-arity": "comparison/Q",
     "compare-skips-top-arity": "comparison/Q",
     "composite-uses-gfq-for-hp": "battery/Q",
     "compose-into-ignores-negation": "hpl/Q",
