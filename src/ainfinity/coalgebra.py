@@ -3,8 +3,10 @@ sides of the componentwise/operator-level dictionary.
 
 An operator T(V) -> T(W) truncated at homogeneity N is stored per block
 (input homogeneity m, output homogeneity j) as a sparse table over tensor
-words.  Tensor-word bases are ordered lexicographically by (degree, index)
-tuples, which fixes serialization and report order bit-exactly.
+words, tuples of basis codes (`graded`).  Tensor words are ordered
+lexicographically by their codes; since codes follow (degree, index)
+order, that is the order of the words as tuples of pairs, which fixes
+serialization and report order bit-exactly.
 
 A coderivation, a morphism and a homotopy are each the colinear lift of a
 component family, and differ only in their flanks (E, G) (T^c is cofree
@@ -191,8 +193,12 @@ class CoalgebraOperator:
         return sum(len(vec) for t in self.blocks.values() for vec in t.values())
 
     def first_word(self):
+        """The least input word of any block, as ``(degree, index)`` pairs,
+        for a report; None for the zero operator."""
         words = [w for t in self.blocks.values() for w in t]
-        return min(words) if words else None
+        if not words:
+            return None
+        return tuple(self.source.elements[c] for c in min(words))
 
     def corestricted(self):
         """The operator's corestriction to T^1: its (m, 1) blocks."""
@@ -207,7 +213,7 @@ class CoalgebraOperator:
 
 def _tensor_words(module, n_max):
     """The basis words of T^1(V), ..., T^{n_max}(V), one list per length, each
-    in lexicographic order."""
+    in lexicographic order of codes."""
     basis = list(module.basis())
     words = [(b,) for b in basis]
     for n in range(1, n_max + 1):
@@ -228,13 +234,13 @@ class _IdentityBlock:
     = u: row u is {u: one} for each basis word u of length m, made when it
     is read, so no table of the block is kept."""
 
-    __slots__ = ("module", "m", "one")
+    __slots__ = ("codes", "m", "one")
 
     def __init__(self, module, m):
-        self.module, self.m, self.one = module, m, module.field.one
+        self.codes, self.m, self.one = module.basis(), m, module.field.one
 
     def get(self, u, default=None):
-        if len(u) == self.m and all(map(self.module.has_basis, u)):
+        if len(u) == self.m and all(map(self.codes.__contains__, u)):
             return {u: self.one}
         return default
 
@@ -242,10 +248,10 @@ class _IdentityBlock:
         return self.get(u) is not None
 
     def __iter__(self):
-        return itertools.product(list(self.module.basis()), repeat=self.m)
+        return itertools.product(self.codes, repeat=self.m)
 
     def __len__(self):
-        return self.module.total_dim ** self.m
+        return len(self.codes) ** self.m
 
     def items(self):
         one = self.one

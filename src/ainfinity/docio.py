@@ -139,11 +139,13 @@ def _parse_map(entries, source, target, arity, degree, field, where):
 
 
 def _serialize_map(m, field):
+    """The entries of `m` in word order, codes written as [degree, index]."""
+    ins, outs = m.source.elements, m.target.elements
     out = []
     for word, entries in m.sorted_entries():
         out.append({
-            "inputs": [[d, i] for (d, i) in word],
-            "output": [[[d, i], field.format(c)] for (d, i), c in entries],
+            "inputs": [list(ins[c]) for c in word],
+            "output": [[list(outs[b]), field.format(c)] for b, c in entries],
         })
     return out
 

@@ -1,8 +1,15 @@
 """Z-graded modules, homogeneous multilinear maps, and the one accumulator.
 
-Everything is exact and sparse: a basis element is a pair ``(degree, index)``,
-a word is a tuple of basis elements, and a map stores only the words with
-nonzero image.  All Koszul signs of tensor evaluation are generated here, in
+Everything is exact and sparse.  A basis element is an integer code: the
+i-th element of degree d, written ``(d, i)`` outside the package, has code
+(number of elements of lower degree) + i, so codes run 0, 1, ... in
+``(degree, index)`` order and sort as the pairs do.  Each module keeps the
+degree of every code in a table (`GradedModule.degree_of`), and every
+degree an operator loop needs is read from it.  A word is a tuple of codes,
+and a map stores only the words with nonzero image.  Pairs are read only by
+`MultiMap`'s validating constructor, which every map from outside goes
+through, and written only where a map leaves the package (`docio`, the
+first offending word of a report).  All Koszul signs of tensor evaluation are generated here, in
 `apply_block`, `tensor_into`, `_signed_row` and `_product_into`, each
 through `signs.koszul_exponent`; no other module of the package writes
 sign formulas for tensor evaluation.
@@ -26,7 +33,6 @@ accumulated into one table.  `_product_into` is the one composite loop;
 """
 
 import itertools
-from operator import itemgetter
 
 from . import signs
 from .fields import QQ
@@ -36,17 +42,22 @@ class StructureError(ValueError):
     """Shape violation: arity/degree mismatch, unknown basis element, ..."""
 
 
-def word_degree(word):
-    return sum(map(_degree_of, word))
-
-
-_degree_of = itemgetter(0)
+def word_degree(module, word):
+    """The degree of a word of codes of `module`, read from its degree
+    table."""
+    return sum(map(module.degree_of.__getitem__, word))
 
 
 class GradedModule:
-    """Finite-dimensional Z-graded module with an indexed basis per degree."""
+    """Finite-dimensional Z-graded module with an indexed basis per degree.
 
-    __slots__ = ("dims", "field", "_identity")
+    `degree_of[c]` is the degree of code c and `elements[c]` its pair
+    ``(degree, index)``; `code` maps a pair back.  The shifted modules
+    (`shifted`) and the identity and shift maps (`MultiMap.shift`) of a
+    module are built once and kept with it."""
+
+    __slots__ = ("dims", "field", "degree_of", "elements", "_starts",
+                 "_shifts", "_shift_maps")
 
     def __init__(self, dims, field=QQ):
         clean = {}
@@ -56,9 +67,37 @@ class GradedModule:
                 raise StructureError("negative dimension %d in degree %d" % (k, d))
             if k:
                 clean[d] = k
-        self.dims = clean
+        self._set_basis(clean, field, tuple(
+            d for d in sorted(clean) for _ in range(clean[d])))
+
+    def _set_basis(self, dims, field, degree_of):
+        """Fill in a module from its dims and the degree table of its codes,
+        which must list the degrees of `dims` in ascending order."""
+        self.dims = dims
         self.field = field
-        self._identity = None
+        self.degree_of = degree_of
+        self._starts = {}
+        for c, d in enumerate(degree_of):
+            self._starts.setdefault(d, c)
+        self.elements = tuple((d, c - self._starts[d])
+                              for c, d in enumerate(degree_of))
+        self._shifts = {}
+        self._shift_maps = {}
+
+    def shifted(self, k):
+        """The module with every degree raised by `k`, on the same codes:
+        code c is (d, i) here and (d + k, i) there.  Built once per k and
+        kept; shifting the result back by -k gives this module."""
+        if not k:
+            return self
+        got = self._shifts.get(k)
+        if got is None:
+            got = GradedModule.__new__(GradedModule)
+            got._set_basis({d + k: n for d, n in self.dims.items()},
+                           self.field, tuple(d + k for d in self.degree_of))
+            got._shifts[-k] = self
+            self._shifts[k] = got
+        return got
 
     def degrees(self):
         return sorted(self.dims)
@@ -68,16 +107,20 @@ class GradedModule:
 
     @property
     def total_dim(self):
-        return sum(self.dims.values())
+        return len(self.degree_of)
 
     def basis(self):
-        for d in sorted(self.dims):
-            for i in range(self.dims[d]):
-                yield (d, i)
+        """The codes of the basis, in (degree, index) order."""
+        return range(len(self.degree_of))
 
-    def has_basis(self, b):
+    def code(self, b):
+        """The code of the basis element b = (degree, index), or None when
+        the module has no such element."""
         d, i = b
-        return 0 <= i < self.dims.get(d, 0)
+        start = self._starts.get(d)
+        if start is None or not 0 <= i < self.dims[d]:
+            return None
+        return start + i
 
     def __eq__(self, other):
         if self is other:
@@ -172,13 +215,14 @@ def component_or_zero(components, n, degree, source, target):
 class MultiMap:
     """Homogeneous multilinear map V^{x n} -> W of fixed arity and degree.
 
-    `table` maps input words (tuples of n source basis elements) to sparse
-    output dicts {target basis element: scalar}; absent words are zero.
-    Homogeneity -- (sum of input degrees) + degree == output degree -- is
-    enforced by the constructor, which every map from outside goes through
-    (documents, retracts, suspensions, tests); it also reduces scalars over
-    Z/p into range(p).  Results of arithmetic on such maps are built by
-    `_raw` without re-checking.  Since a map never changes, the transpose
+    `table` maps input words (tuples of n source codes) to sparse output
+    dicts {target code: scalar}; absent words are zero.  The constructor,
+    which every map from outside goes through (documents, retracts, the
+    corpus, tests), takes a table keyed by ``(degree, index)`` pairs,
+    encodes it, and enforces homogeneity -- (sum of input degrees) +
+    degree == output degree; it also reduces scalars over Z/p into
+    range(p).  Results of arithmetic on such maps are built by `_raw`
+    without re-checking.  Since a map never changes, the transpose
     that `_product_into` needs is computed once and kept with it.
     """
 
@@ -193,25 +237,27 @@ class MultiMap:
             if len(word) != arity:
                 raise StructureError("word %r has arity %d, expected %d"
                                      % (word, len(word), arity))
-            out_degree = word_degree(word) + degree
+            codes = tuple(map(source.code, word))
+            for b, c in zip(word, codes):
+                if c is None:
+                    raise StructureError("unknown source basis element %r" % (b,))
+            out_degree = word_degree(source, codes) + degree
             kept = {}
             for b, c in vec.items():
                 if p:
                     c = _reduce(c, p)
                 if not c:
                     continue
-                if not target.has_basis(b):
+                out = target.code(b)
+                if out is None:
                     raise StructureError("unknown target basis element %r" % (b,))
-                if b[0] != out_degree:
+                if target.degree_of[out] != out_degree:
                     raise StructureError(
                         "inhomogeneous entry: %r -> %r under degree %d map"
                         % (word, b, degree))
-                kept[b] = c
-            for b in word:
-                if not source.has_basis(b):
-                    raise StructureError("unknown source basis element %r" % (b,))
+                kept[out] = c
             if kept:
-                clean[word] = kept
+                clean[codes] = kept
         self.source = source
         self.target = target
         self.arity = arity
@@ -239,14 +285,24 @@ class MultiMap:
     @classmethod
     def identity(cls, module):
         """The identity of `module`, built once per module and shared."""
-        if module._identity is None:
+        return cls.shift(module, 0)
+
+    @classmethod
+    def shift(cls, module, k):
+        """The map of degree `k` from `module` to `module.shifted(k)` that
+        is the identity on codes: the identity for k = 0, the suspension s
+        for k = 1, the desuspension w of a suspended module for k = -1.
+        Built once per module and k, and shared."""
+        got = module._shift_maps.get(k)
+        if got is None:
             one = module.field.one
-            module._identity = cls._raw(module, module, 1, 0,
-                                        {(b,): {b: one} for b in module.basis()})
-        return module._identity
+            got = module._shift_maps[k] = cls._raw(
+                module, module.shifted(k), 1, k,
+                {(c,): {c: one} for c in module.basis()})
+        return got
 
     def columns(self):
-        """Transpose of the table: output basis element -> [(input word, c)],
+        """Transpose of the table: output code -> [(input word, c)],
         computed on first use and kept."""
         if self._columns is None:
             cols = {}
@@ -260,7 +316,7 @@ class MultiMap:
         return not self.table
 
     def apply(self, word):
-        """Image of a basis word as a sparse dict (copy)."""
+        """Image of a word of codes as a sparse dict (copy)."""
         return dict(self.table.get(tuple(word), ()))
 
     def same_shape(self, other):
@@ -294,12 +350,17 @@ class MultiMap:
         return sum(len(vec) for vec in self.table.values())
 
     def sorted_entries(self):
-        """Deterministic iteration: (word, [(basis, scalar)...]) sorted lex."""
+        """Deterministic iteration: (word, [(code, scalar)...]) sorted lex,
+        which is (degree, index) order."""
         for word in sorted(self.table):
             yield word, sorted(self.table[word].items())
 
     def first_word(self):
-        return min(self.table) if self.table else None
+        """The least word of the table, as ``(degree, index)`` pairs, for a
+        report; None for the zero map."""
+        if not self.table:
+            return None
+        return tuple(self.source.elements[c] for c in min(self.table))
 
     def __repr__(self):
         return ("MultiMap(arity=%d, degree=%d, entries=%d)"
@@ -318,7 +379,7 @@ def apply_block(maps, word):
     """Evaluate (f_1 x ... x f_k)(v_1 x ... x v_n) with Koszul signs.
 
     Returns a sparse dict {output word: scalar}; the output word collects one
-    target basis element per block.  Raises on arity mismatch.
+    target code per block.  Raises on arity mismatch.
     """
     word = tuple(word)
     arities = [m.arity for m in maps]
@@ -336,7 +397,7 @@ def apply_block(maps, word):
     for j, (m, part) in enumerate(zip(maps, parts)):
         if j:
             exponent += signs.koszul_exponent(m.degree, left)
-        left += word_degree(part)
+        left += word_degree(source, part)
         vec = m.table.get(part)
         if not vec:
             return {}
@@ -365,8 +426,10 @@ def tensor_into(dst, table, m, p):
     Scalars accumulate through `_acc` over characteristic `p`; a row that
     cancels is removed."""
     entries = [(part, list(vec.items())) for part, vec in m.table.items()]
+    source = m.source
     for word, vec in table.items():
-        negate = signs.koszul_exponent(m.degree, word_degree(word)) % 2 == 1
+        negate = signs.koszul_exponent(m.degree,
+                                       word_degree(source, word)) % 2 == 1
         outs = [(out, -c if negate else c) for out, c in vec.items()]
         for part, images in entries:
             key = word + part
@@ -422,7 +485,8 @@ def tensor_residual(terms, rows, p):
                if t[1].arity < m.arity]
         for u, vec in table.items():
             seen = []
-            hits = [((), m.table, _signed_row(vec, m.degree, word_degree(u)))]
+            hits = [((), m.table,
+                     _signed_row(vec, m.degree, word_degree(m.source, u)))]
             for earlier, cut, (t, mt) in near:
                 v = t.get(u[:cut])
                 if not v:
@@ -430,7 +494,8 @@ def tensor_residual(terms, rows, p):
                 if earlier:
                     seen.append((u[cut:], mt.table))
                 else:
-                    outs = _signed_row(v, mt.degree, word_degree(u[:cut]))
+                    outs = _signed_row(v, mt.degree,
+                                       word_degree(mt.source, u[:cut]))
                     hits.append((u[cut:], mt.table, outs))
             for part in m.table:
                 word = u + part
@@ -498,7 +563,8 @@ def _product_into(table, outer, inners, negate, p):
     columns named by `mid` are multiplied out with the last slot varying
     fastest.  An entry whose mid misses some column contributes nothing.
     The part degrees are fixed by the output,
-    deg(part_j) = mid[j][0] - inner_j.degree, so the Koszul sign is
+    deg(part_j) = deg(mid[j]) - inner_j.degree, read from the degree table
+    of outer's source, so the Koszul sign is
     computed once per outer entry, and `negate` is folded into it: no
     scalar is multiplied by -1.  The order does not affect the result,
     since arithmetic is exact.
@@ -509,6 +575,7 @@ def _product_into(table, outer, inners, negate, p):
     """
     columns = [m.columns() for m in inners]
     inner_degrees = [m.degree for m in inners]
+    degree_of = outer.source.degree_of
     for mid, final in outer.table.items():
         cols = [col.get(b) for col, b in zip(columns, mid)]
         if not all(cols):
@@ -518,7 +585,7 @@ def _product_into(table, outer, inners, negate, p):
         for j, b in enumerate(mid):
             if j:
                 exponent += signs.koszul_exponent(inner_degrees[j], left)
-            left += b[0] - inner_degrees[j]
+            left += degree_of[b] - inner_degrees[j]
         flip = (exponent % 2 == 1) != negate
         for picks in itertools.product(*cols):
             in_word, coeff = picks[0]

@@ -83,8 +83,8 @@ def _d_matrix(cx, degree):
     zero = V.field.zero
     rows = [[zero] * n_in for _ in range(n_out)]
     for j in range(n_in):
-        for (dd, i), c in cx.d.apply(((degree, j),)).items():
-            rows[i][j] = c
+        for out, c in cx.d.apply((V.code((degree, j)),)).items():
+            rows[V.elements[out][1]][j] = c
     return rows
 
 

@@ -1,9 +1,11 @@
 """The (de)suspension dictionary.
 
-Degrees shift by +1; basis identity is preserved.  The shift isomorphisms
-s (degree +1) and w (degree -1) are ordinary degree +-1 identity-on-basis
-maps, so every suspension sign is produced by the block evaluator -- there
-are no hand-written sign tables here.  The one global scalar, by which an
+Degrees shift by +1 and basis codes are kept: sV is V relabelled, code c
+being (d, i) in V and (d + 1, i) in sV (`GradedModule.shifted`), so only
+the degree table changes.  The shift isomorphisms s (degree +1) and w
+(degree -1) are the identity on codes (`MultiMap.shift`), built once per
+module, and every suspension sign is produced by the block evaluator --
+there are no hand-written sign tables here.  The one global scalar, by which an
 n-fold suspension fails to invert an n-fold desuspension, is
 (-1)^(n(n-1)/2); `shift_scalar` computes it from the maps themselves and the
 desuspension conversions undo it via `signs.shift_exponent`.
@@ -21,31 +23,27 @@ unsuspended formulas remain as an independently implemented cross-check.
 from . import signs
 from .ainfty import AInfinity
 from .coalgebra import ComponentFamily
-from .graded import (GradedModule, MultiMap, StructureError, _acc, apply_block,
+from .graded import (MultiMap, StructureError, _acc, apply_block,
                      compose_product, map_sum)
 
 
 def suspend_module(V):
-    return GradedModule({d + 1: k for d, k in V.dims.items()}, V.field)
+    return V.shifted(1)
 
 
 def desuspend_module(sV):
-    return GradedModule({d - 1: k for d, k in sV.dims.items()}, sV.field)
+    return sV.shifted(-1)
 
 
 def shift_up_map(V):
-    """s: V -> sV, basis (d, i) -> (d+1, i), degree +1."""
-    one = V.field.one
-    return MultiMap(V, suspend_module(V), 1, 1,
-                    {((d, i),): {(d + 1, i): one} for (d, i) in V.basis()})
+    """s: V -> sV, (d, i) -> (d+1, i) on the same code, degree +1."""
+    return MultiMap.shift(V, 1)
 
 
 def shift_down_map(V):
-    """w: sV -> V, basis (d, i) -> (d-1, i), degree -1, where sV = suspend(V)."""
-    sV = suspend_module(V)
-    one = V.field.one
-    return MultiMap(sV, V, 1, -1,
-                    {((d, i),): {(d - 1, i): one} for (d, i) in sV.basis()})
+    """w: sV -> V, (d, i) -> (d-1, i) on the same code, degree -1, where
+    sV = suspend(V)."""
+    return MultiMap.shift(suspend_module(V), -1)
 
 
 def shift_scalar(V, n):

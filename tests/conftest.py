@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: tiny hand-built instances and a
-deterministic random map generator."""
+"""Shared helpers for the test suite: tiny hand-built instances, a
+deterministic random map generator, and the spelling of codes as the
+(degree, index) pairs the tests write."""
 
 import random
 import sys
@@ -12,13 +13,33 @@ from ainfinity.kernels import DeformationRetract
 from ainfinity.retracts import harmonious_retract, instance_massey
 
 
+def codes(module, *pairs):
+    """The word of codes of `module` spelled by (degree, index) pairs."""
+    return tuple(map(module.code, pairs))
+
+
+def pair_table(m):
+    """The table of the map `m`, keyed by (degree, index) pairs as the
+    validating constructor takes it."""
+    ins, outs = m.source.elements, m.target.elements
+    return {tuple(ins[c] for c in w): {outs[b]: c for b, c in vec.items()}
+            for w, vec in m.table.items()}
+
+
+def image(m, *pairs):
+    """The image under `m` of the word spelled by (degree, index) pairs, as
+    {pair: scalar}."""
+    outs = m.target.elements
+    return {outs[b]: c for b, c in m.apply(codes(m.source, *pairs)).items()}
+
+
 def random_multimap(rng, source, target, arity, degree, density=0.5, cmax=3):
     """A random homogeneous map, sparse, with small integer coefficients."""
     one = source.field.one
     table = {}
     words = [()]
     for _ in range(arity):
-        words = [w + (b,) for w in words for b in source.basis()]
+        words = [w + (b,) for w in words for b in source.elements]
     for w in words:
         out_degree = sum(b[0] for b in w) + degree
         choices = [(out_degree, i) for i in range(target.dim(out_degree))]
@@ -77,8 +98,8 @@ def massey_with_marker(N=4, field=None):
     small side has classes in adjacent degrees (0 and 1)."""
     base = instance_massey(field, truncation=N)
     V = GradedModule({0: 1, 1: 3, 2: 2, 3: 2, 4: 2}, base.carrier.field)
-    d = MultiMap(V, V, 1, -1, dict(base.differential.table))
-    mu2 = MultiMap(V, V, 2, 0, dict(base.mu(2).table))
+    d = MultiMap(V, V, 1, -1, pair_table(base.differential))
+    mu2 = MultiMap(V, V, 2, 0, pair_table(base.mu(2)))
     return AInfinity(V, d, {2: mu2}, N)
 
 

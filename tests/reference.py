@@ -23,7 +23,7 @@ def tensor_table(maps):
     """Sparse table of f_1 x ... x f_k: {input word: {output word: scalar}}."""
     degrees = [m.degree for m in maps]
     p = maps[0].target.field.characteristic
-    entry_lists = [[(part, word_degree(part), list(vec.items()))
+    entry_lists = [[(part, word_degree(m.source, part), list(vec.items()))
                     for part, vec in m.table.items()] for m in maps]
     table = {}
     for combo in itertools.product(*entry_lists):
@@ -100,13 +100,13 @@ def colinearity_residual(op, kind, left=None, right=None):
                 elif kind == "coderivation":
                     for (u1, c1) in apply_word(op, w1).items():
                         _acc(res, (u1, w2), -c1, p)
-                    sign = signs.sign_of(signs.koszul_exponent(op.degree,
-                                                               word_degree(w1)))
+                    sign = signs.sign_of(signs.koszul_exponent(
+                        op.degree, word_degree(op.source, w1)))
                     for (u2, c2) in apply_word(op, w2).items():
                         _acc(res, (w1, u2), -(sign * c2), p)
                 elif kind == "homotopy":
-                    sign = signs.sign_of(signs.koszul_exponent(op.degree,
-                                                               word_degree(w1)))
+                    sign = signs.sign_of(signs.koszul_exponent(
+                        op.degree, word_degree(op.source, w1)))
                     for (u1, c1) in apply_word(left, w1).items():
                         for (u2, c2) in apply_word(op, w2).items():
                             _acc(res, (u1, u2), -(sign * c1 * c2), p)

@@ -24,7 +24,7 @@ from ainfinity.retracts import (harmonious_retract, instance_forms,
                                 instance_massey)
 
 from conftest import (crooked_retract, fg_broken_retract, massey_with_marker,
-                      random_multimap)
+                      pair_table, random_multimap)
 
 
 def massey_doc(tmp_path, name="massey.json"):
@@ -200,7 +200,7 @@ def test_check_flags_corrupted_sign(tmp_path, capsys):
     def corrupt(mu):
         V = mu.carrier
         one = V.field.one
-        table = dict(mu.mu(2).table)
+        table = pair_table(mu.mu(2))
         t, dt = (0, 1), (-1, 0)
         table[(t, dt)] = {(-1, 1): -one}  # flipped sign breaks the relation
         from ainfinity.ainfty import AInfinity
@@ -868,3 +868,33 @@ def test_selftest_failure_embeds_reproduction_line(capsys, monkeypatch):
     assert code == 1
     assert "status=fail" in out
     assert "selftest --corpus-size 1 --seed 1 --arity 4" in out
+
+
+def test_selftest_fails_an_instance_whose_bare_run_fails_a_report(
+        capsys, monkeypatch):
+    """The trivial-perturbation degeneration reads the bare run's own
+    reports, not only its four equalities: with a failing report planted
+    on the bare run (the second `hpl_transfer` of an instance), the
+    instance fails on `degeneration.trivial` and nothing else."""
+    from ainfinity import cli
+    from ainfinity.reports import BoolResidual, CheckReport
+
+    real, runs = cli.hpl_transfer, []
+
+    def bare_run_fails(data):
+        out = real(data)
+        runs.append(data)
+        if len(runs) == 2:
+            out.inversion_report = CheckReport("inversion")
+            out.inversion_report.add(1, BoolResidual(False, "planted"))
+        return out
+
+    monkeypatch.setattr(cli, "hpl_transfer", bare_run_fails)
+    code = main(["selftest", "--corpus-size", "1", "--seed", "1",
+                 "--arity", "3"])
+    out = capsys.readouterr().out
+    assert len(runs) == 2 and list(runs[1].dV.components) == [1]
+    assert code == 1
+    assert "instance.0.status=fail" in out
+    assert re.findall(r"instance\.0\.failing=(\S+)", out) == [
+        "degeneration.trivial"]

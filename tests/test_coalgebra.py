@@ -221,7 +221,8 @@ def per_word_row(terms, word, p):
         vec, images = table.get(u), m.table.get(word[cut:])
         if not vec or not images:
             continue
-        sign = signs.sign_of(signs.koszul_exponent(m.degree, word_degree(u)))
+        sign = signs.sign_of(signs.koszul_exponent(m.degree,
+                                                   word_degree(m.source, u)))
         for out, c in vec.items():
             for b, c2 in images.items():
                 _acc(acc, out + (b,), sign * c * c2, p)
@@ -371,7 +372,7 @@ def test_colinearity_of_lifts():
 def test_colinearity_flags_non_lift_operator():
     V = small_module()
     one = V.field.one
-    a = (0, 0)
+    a = V.code((0, 0))
     # identity on letters but doubled on two-letter words: C o F sees the
     # doubling, (F x F) o C does not
     blocks = {(1, 1): {(a,): {(a,): one}},

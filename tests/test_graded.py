@@ -12,7 +12,8 @@ from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               apply_block, compose, compose_product, insert,
                               map_sum)
-from conftest import random_multimap, seeded, two_dim_complex
+from conftest import (codes, image, pair_table, random_multimap, seeded,
+                      two_dim_complex)
 from reference import tensor_table
 
 
@@ -114,8 +115,8 @@ def test_prime_field_tables_reduce():
     V = GradedModule({0: 2}, F)
     a, b = (0, 0), (0, 1)
     m = MultiMap(V, V, 1, 0, {(a,): {a: -1, b: 10}, (b,): {b: 7}})
-    assert m.table == {(a,): {a: 4}, (b,): {b: 2}}
-    assert m.scale(-1).table == {(a,): {a: 1}, (b,): {b: 3}}
+    assert pair_table(m) == {(a,): {a: 4}, (b,): {b: 2}}
+    assert pair_table(m.scale(-1)) == {(a,): {a: 1}, (b,): {b: 3}}
     assert m.scale(5).is_zero() and m.scale(10).is_zero()
     assert (m + m.scale(4)).is_zero()
     with pytest.raises(StructureError):
@@ -128,7 +129,9 @@ def test_graded_module_normalizes_zero_degrees():
     V = GradedModule({0: 2, 3: 0, -1: 1})
     assert V.degrees() == [-1, 0]
     assert V.total_dim == 3
-    assert list(V.basis()) == [(-1, 0), (0, 0), (0, 1)]
+    assert list(V.basis()) == [0, 1, 2]
+    assert V.elements == ((-1, 0), (0, 0), (0, 1))
+    assert V.degree_of == (-1, 0, 0)
     with pytest.raises(StructureError):
         GradedModule({0: -1})
 
@@ -167,8 +170,8 @@ def test_identity_and_compose():
 
 def test_apply_block_single_map_is_lookup():
     V, d = two_dim_complex()
-    assert apply_block([d], ((1, 0),)) == {((0, 0),): QQ.one}
-    assert apply_block([d], ((0, 0),)) == {}
+    assert apply_block([d], codes(V, (1, 0))) == {codes(V, (0, 0)): QQ.one}
+    assert apply_block([d], codes(V, (0, 0))) == {}
 
 
 def test_apply_block_identity_then_odd_map():
@@ -177,11 +180,11 @@ def test_apply_block_identity_then_odd_map():
     one = QQ.one
     f = MultiMap(V, V, 1, 1, {((0, 0),): {(1, 0): one}})
     ident = MultiMap.identity(V)
-    out = apply_block([ident, f], ((1, 0), (0, 0)))
-    assert out == {((1, 0), (1, 0)): -one}
+    out = apply_block([ident, f], codes(V, (1, 0), (0, 0)))
+    assert out == {codes(V, (1, 0), (1, 0)): -one}
     # with the even input first slot there is no sign
-    out2 = apply_block([f, ident], ((0, 0), (1, 0)))
-    assert out2 == {((1, 0), (1, 0)): one}
+    out2 = apply_block([f, ident], codes(V, (0, 0), (1, 0)))
+    assert out2 == {codes(V, (1, 0), (1, 0)): one}
 
 
 def test_apply_block_three_degree_minus_one_maps_on_even_inputs():
@@ -189,14 +192,14 @@ def test_apply_block_three_degree_minus_one_maps_on_even_inputs():
     V = GradedModule({-1: 1, 0: 1})
     one = QQ.one
     f = MultiMap(V, V, 1, -1, {((0, 0),): {(-1, 0): one}})
-    out = apply_block([f, f, f], ((0, 0), (0, 0), (0, 0)))
-    assert out == {((-1, 0), (-1, 0), (-1, 0)): one}
+    out = apply_block([f, f, f], codes(V, (0, 0), (0, 0), (0, 0)))
+    assert out == {codes(V, (-1, 0), (-1, 0), (-1, 0)): one}
 
 
 def test_apply_block_arity_mismatch():
     V, d = two_dim_complex()
     with pytest.raises(StructureError):
-        apply_block([d, d], ((1, 0),))
+        apply_block([d, d], codes(V, (1, 0)))
 
 
 def test_apply_block_multilinear_against_iterated_single():
@@ -251,7 +254,7 @@ def test_insert_sign_example():
     d = MultiMap(V, V, 1, -1, {(w,): {e: one}})
     mu2 = MultiMap(V, V, 2, 0, {(v, e): {v: one}})
     got = insert(mu2, 2, d)
-    assert got.apply((v, w)) == {v: -one}
+    assert image(got, v, w) == {v: -one}
 
 
 def test_insert_associativity_instance():

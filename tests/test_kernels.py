@@ -14,7 +14,7 @@ from ainfinity.kernels import (DeformationRetract, check_p_identity,
                                check_q_identity, p_kernels, q_kernels, transfer)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.signs import theta
-from conftest import random_multimap, seeded
+from conftest import image, pair_table, random_multimap, seeded
 
 
 def massey_setup(N=5):
@@ -136,10 +136,10 @@ def test_massey_p3_frozen_oracle():
     p = p_kernels(retract, mu, 3)
     x, y, z = (1, 0), (1, 1), (1, 2)
     m, m2 = (4, 0), (4, 1)
-    assert p[3].apply((x, y, z)) == {m: Fraction(-1), m2: Fraction(-1)}
+    assert image(p[3], x, y, z) == {m: Fraction(-1), m2: Fraction(-1)}
     # and the transferred triple product does not vanish
     nu3 = compose(retract.f, compose_product(p[3], [retract.g] * 3))
-    assert nu3.apply((x, y, z)) == {m: Fraction(-1), m2: Fraction(-1)}
+    assert image(nu3, x, y, z) == {m: Fraction(-1), m2: Fraction(-1)}
 
 
 def test_conventions_agree_on_desk_instances():
@@ -263,7 +263,7 @@ def test_transfer_k_fold_massey_known_answer(k):
     assert W.dim(top) == k - 1
     generators = tuple((1, i) for i in range(k))
     sign = (-1) ** k
-    assert pkg.nu.mu(k).table == {
+    assert pair_table(pkg.nu.mu(k)) == {
         generators: {(top, i): sign * W.field.one for i in range(k - 1)}}
 
 

@@ -39,8 +39,11 @@ phi's series and the series term of A G); the arity loop of
 `perturbation.compare_hpl_vs_kernels` and its read of the products nu the
 kernel route writes (top arity dropped); the homology
 representatives `retracts.Splitting` reads off its one elimination of
-[B | kernel] per degree; and the Lambe-Stasheff step of
-`retracts.normalise` (its h2 and its left K).  Each
+[B | kernel] per degree; the Lambe-Stasheff step of
+`retracts.normalise` (its h2 and its left K); and the degree tables every
+sign is read from, through `graded.word_degree` (its first letter dropped)
+and `graded.GradedModule.shifted` (the suspended module's degree table
+left unshifted).  Each
 is an exact-once source replacement, bound wherever the original is bound,
 so every detector looks library entry points up on their modules, never
 through a binding of its own.  Six detectors run in a fixed order, over Q
@@ -295,8 +298,8 @@ COMPOSE_MUTANTS = {
         "for picks in list(itertools.product(*cols))[1:]:"),
     "compose-left-from-output-degree": (
         graded, "_product_into",
-        "left += b[0] - inner_degrees[j]",
-        "left += b[0]"),
+        "left += degree_of[b] - inner_degrees[j]",
+        "left += degree_of[b]"),
     "compose-negation-skipped": (
         graded, "_product_into",
         "coeff = -coeff",
@@ -416,7 +419,8 @@ STRUCTURAL_MUTANTS = {
         "if False:"),
     "lift-walk-hoists-an-unsigned-row": (
         graded, "tensor_residual",
-        "outs = _signed_row(v, mt.degree, word_degree(u[:cut]))",
+        "outs = _signed_row(v, mt.degree,\n"
+        "                                       word_degree(mt.source, u[:cut]))",
         "outs = list(v.items())"),
     "lift-row-drops-long-splits": (
         coalgebra, "_lift_splits",
@@ -447,6 +451,14 @@ STRUCTURAL_MUTANTS = {
         retracts, "normalise",
         "h1 = compose(K, compose(retract.h, K))",
         "h1 = compose(retract.h, K)"),
+    "suspended-degree-table-left-unshifted": (
+        graded, "GradedModule.shifted",
+        "tuple(d + k for d in self.degree_of)",
+        "self.degree_of"),
+    "word-degree-drops-the-first-letter": (
+        graded, "word_degree",
+        "module.degree_of.__getitem__, word)",
+        "module.degree_of.__getitem__, word[1:])"),
 }
 
 # the first detector (see `first_detector`) that kills each structural mutant
@@ -483,9 +495,11 @@ KILLED_BY = {
     "q-identity-memo-wrong-arity": "battery/Q",
     "splits-drop-the-one-part-split": "battery/Q",
     "splitting-drops-a-representative": "battery/Q",
+    "suspended-degree-table-left-unshifted": "battery/Q",
     "tensor-row-skips-negation": "hpl/Q",
     "tensor-step-skips-negation": "hpl/Q",
     "transfer-doubles-phi": "battery/Q",
+    "word-degree-drops-the-first-letter": "battery/Q",
 }
 
 
