@@ -425,7 +425,8 @@ def tensor_into(dst, table, m, p):
     tensor product.
     Scalars accumulate through `_acc` over characteristic `p`; a row that
     cancels is removed."""
-    entries = [(part, list(vec.items())) for part, vec in m.table.items()]
+    entries = [(part, [((b,), c) for b, c in vec.items()])
+               for part, vec in m.table.items()]
     source = m.source
     for word, vec in table.items():
         negate = signs.koszul_exponent(m.degree,
@@ -437,8 +438,8 @@ def tensor_into(dst, table, m, p):
             if row is None:
                 row = dst[key] = {}
             for out, c in outs:
-                for b, c2 in images:
-                    _acc(row, out + (b,), c * c2, p)
+                for letter, c2 in images:
+                    _acc(row, out + letter, c * c2, p)
             if not row:
                 del dst[key]
 
@@ -541,11 +542,12 @@ def _product_shape(outer, inners):
     if len(inners) != outer.arity:
         raise StructureError("composite: %d blocks for arity %d"
                              % (len(inners), outer.arity))
-    source = inners[0].source
+    # modules are mostly shared objects, so identity decides most tests
+    source, mid = inners[0].source, outer.source
     for m in inners:
-        if m.source != source:
+        if m.source is not source and m.source != source:
             raise StructureError("composite: mixed sources")
-        if m.target != outer.source:
+        if m.target is not mid and m.target != mid:
             raise StructureError("composite: block target != outer source")
     return (source, outer.target, sum(m.arity for m in inners),
             outer.degree + sum(m.degree for m in inners))
