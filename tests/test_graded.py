@@ -136,6 +136,36 @@ def test_graded_module_normalizes_zero_degrees():
         GradedModule({0: -1})
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(-3, 3), st.integers(0, 3), max_size=4),
+       st.integers(1, 2), st.integers(-4, 4), st.randoms(use_true_random=False))
+def test_codes_follow_degree_index_order(dims, arity, degree, rng):
+    """Codes encode and decode the (degree, index) pairs, run in their
+    order, and keep it under a shift; so a map's table sorted by codes is
+    its table sorted by pairs, which is the order of `sorted_entries`, of
+    `first_word` and so of every written document and report."""
+    V = GradedModule(dims)
+    pairs = [(d, i) for d in sorted(V.dims) for i in range(V.dims[d])]
+    assert [V.code(b) for b in pairs] == list(V.basis())
+    assert list(V.elements) == pairs
+    assert list(V.degree_of) == [d for d, _ in pairs]
+    for d in range(-4, 5):
+        assert V.code((d, V.dim(d))) is None and V.code((d, -1)) is None
+    sV = V.shifted(1)
+    assert sV == GradedModule({d + 1: k for d, k in dims.items()})
+    assert list(sV.elements) == [(d + 1, i) for d, i in pairs]
+    assert sV.shifted(-1) is V and V.shifted(1) is sV
+
+    m = random_multimap(rng, V, V, arity, degree)
+    table = pair_table(m)
+    assert MultiMap(V, V, arity, degree, table) == m
+    assert [(tuple(V.elements[c] for c in word),
+             [(V.elements[b], c) for b, c in entries])
+            for word, entries in m.sorted_entries()] == [
+                (word, sorted(table[word].items())) for word in sorted(table)]
+    assert m.first_word() == (min(table) if table else None)
+
+
 # ------------------------------------------------------------- multimaps
 
 def test_multimap_homogeneity_enforced():
