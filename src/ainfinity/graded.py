@@ -9,10 +9,10 @@ degree an operator loop needs is read from it.  A word is a tuple of codes,
 and a map stores only the words with nonzero image.  Pairs are read only by
 `MultiMap`'s validating constructor, which every map from outside goes
 through, and written only where a map leaves the package (`docio`, the
-first offending word of a report).  All Koszul signs of tensor evaluation are generated here, in
-`apply_block`, `tensor_into`, `_signed_row` and `_product_into`, each
-through `signs.koszul_exponent`; no other module of the package writes
-sign formulas for tensor evaluation.
+first offending word of a report).  All Koszul signs of tensor evaluation
+are generated here, in `apply_block`, `tensor_into`, `_signed_row` and
+`_product_into`, each through `signs.koszul_exponent`; no other module of
+the package writes sign formulas for tensor evaluation.
 
 Values are immutable after construction by convention; operations return
 fresh objects, which may share tables with their operands (an operator on

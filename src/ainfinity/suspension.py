@@ -5,10 +5,10 @@ being (d, i) in V and (d + 1, i) in sV (`GradedModule.shifted`), so only
 the degree table changes.  The shift isomorphisms s (degree +1) and w
 (degree -1) are the identity on codes (`MultiMap.shift`), built once per
 module, and every suspension sign is produced by the block evaluator --
-there are no hand-written sign tables here.  The one global scalar, by which an
-n-fold suspension fails to invert an n-fold desuspension, is
-(-1)^(n(n-1)/2); `shift_scalar` computes it from the maps themselves and the
-desuspension conversions undo it via `signs.shift_exponent`.
+there are no hand-written sign tables here.  The one global scalar, by
+which an n-fold suspension fails to invert an n-fold desuspension, is
+(-1)^(n(n-1)/2); `shift_scalar` computes it from the maps themselves and
+the desuspension conversions undo it via `signs.shift_exponent`.
 
 Structure maps convert by d_n = s o mu_n o w^{x n}; in the shifted
 convention every structure map has degree -1, morphism components degree 0,
