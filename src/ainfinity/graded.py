@@ -544,13 +544,15 @@ def _product_shape(outer, inners):
                              % (len(inners), outer.arity))
     # modules are mostly shared objects, so identity decides most tests
     source, mid = inners[0].source, outer.source
+    arity, degree = 0, outer.degree
     for m in inners:
         if m.source is not source and m.source != source:
             raise StructureError("composite: mixed sources")
         if m.target is not mid and m.target != mid:
             raise StructureError("composite: block target != outer source")
-    return (source, outer.target, sum(m.arity for m in inners),
-            outer.degree + sum(m.degree for m in inners))
+        arity += m.arity
+        degree += m.degree
+    return (source, outer.target, arity, degree)
 
 
 def _product_into(table, outer, inners, negate, p):
@@ -573,8 +575,12 @@ def _product_into(table, outer, inners, negate, p):
 
     Cost: O(nnz(inners) + nnz(outer) * k + terms produced).  No input
     combination that misses `outer` is visited, so inserting into identity
-    slots costs what the insertion produces, not dim^(k-1) * nnz(inner).
+    slots costs what the insertion produces, not dim^(k-1) * nnz(inner);
+    a zero outer, which most terms of the relation sums over full index
+    sets have, costs nothing.
     """
+    if not outer.table:
+        return
     columns = [m.columns() for m in inners]
     inner_degrees = [m.degree for m in inners]
     degree_of = outer.source.degree_of
