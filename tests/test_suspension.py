@@ -16,10 +16,12 @@ from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.kernels import transfer
-from ainfinity.suspension import (desuspend_components, desuspend_structure,
-                                  shift_scalar, suspend_components,
-                                  suspend_homotopy, suspend_module,
-                                  suspend_morphism, suspend_structure)
+from ainfinity.suspension import (desuspend_components, desuspend_module,
+                                  desuspend_structure, shift_down_map,
+                                  shift_scalar, shift_up_map,
+                                  suspend_components, suspend_homotopy,
+                                  suspend_module, suspend_morphism,
+                                  suspend_structure)
 from conftest import dga_without_leibniz, random_multimap, seeded
 
 
@@ -28,6 +30,21 @@ def test_suspend_module_shifts_degrees():
     sV = suspend_module(V)
     assert sV.dims == {1: 2, 4: 1}
     assert sorted(sV.dims.values()) == sorted(V.dims.values())
+
+
+def test_shift_maps_are_the_identity_on_codes_built_once():
+    """sV is V on the same codes, so s and w are the identity's table at
+    degree +1 and -1; each is built once per module and shared, as the
+    identity is, however often the components are suspended."""
+    V = GradedModule({0: 2, 3: 1})
+    sV = suspend_module(V)
+    s, w = shift_up_map(V), shift_down_map(V)
+    assert (s.source, s.target, s.degree) == (V, sV, 1)
+    assert (w.source, w.target, w.degree) == (sV, V, -1)
+    assert s.table == w.table == MultiMap.identity(V).table == {
+        (c,): {c: V.field.one} for c in V.basis()}
+    assert sV is suspend_module(V) and desuspend_module(sV) is V
+    assert s is shift_up_map(V) and w is shift_down_map(V)
 
 
 def test_shift_scalar_matches_alternating_pattern():
