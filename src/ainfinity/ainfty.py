@@ -19,7 +19,7 @@ from . import signs
 from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, check_truncation,
                      checked_components, component_or_zero, insert_slots,
-                     map_sum, resolve_truncation)
+                     map_sum, resolve_truncation, with_zeros)
 from .reports import CheckReport
 
 
@@ -37,12 +37,14 @@ class AInfinity:
         self.products = checked_components("product", products, 2, truncation,
                                            lambda n: n - 2, carrier, carrier)
         self.truncation = truncation
+        self._by_arity = with_zeros(self.products, 2, truncation,
+                                    lambda n: n - 2, carrier, carrier)
 
     def mu(self, n):
         """mu_n, with mu_1 the differential; zero map if absent."""
         if n == 1:
             return self.differential
-        return component_or_zero(self.products, n, n - 2, self.carrier,
+        return component_or_zero(self._by_arity, n, n - 2, self.carrier,
                                  self.carrier)
 
     def __eq__(self, other):
@@ -68,9 +70,12 @@ class AInftyMorphism:
         self.components = checked_components(
             "component", components, 1, self.truncation, lambda n: n - 1,
             source.carrier, target.carrier)
+        self._by_arity = with_zeros(self.components, 1, self.truncation,
+                                    lambda n: n - 1, source.carrier,
+                                    target.carrier)
 
     def component(self, n):
-        return component_or_zero(self.components, n, n - 1,
+        return component_or_zero(self._by_arity, n, n - 1,
                                  self.source.carrier, self.target.carrier)
 
     def __repr__(self):
@@ -92,9 +97,12 @@ class AInftyHomotopy:
         self.components = checked_components(
             "component", components, 1, self.truncation, lambda n: n,
             frm.source.carrier, frm.target.carrier)
+        self._by_arity = with_zeros(self.components, 1, self.truncation,
+                                    lambda n: n, frm.source.carrier,
+                                    frm.target.carrier)
 
     def component(self, n):
-        return component_or_zero(self.components, n, n,
+        return component_or_zero(self._by_arity, n, n,
                                  self.frm.source.carrier, self.frm.target.carrier)
 
 

@@ -7,13 +7,23 @@ verdicts agree in all six directions and also match the unshifted checkers
 that ran during the transfer.  On valid inputs everything is zero; the
 point of the battery is that the two routes are computed by disjoint code
 paths, so a sign defect anywhere breaks an agreement entry.
+
+The homotopy ties psi phi to the identity morphism, as `kernels.transfer`
+builds it, so the operator-level identity is E - 1 - (H dV + dV H) = 0 on
+T^{<=N}(sV).  Its 1 is `CoalgebraOperator.identity`, read through views,
+not the lift of a dense identity table; the battery refuses a homotopy
+whose right flank is not the identity family.  The componentwise check
+still reads that flank's components, so the two routes stay disjoint.
+Five operators are lifted: dV, dW, phi, E and H.
 """
 
-from .coalgebra import (check_codifferential, check_homotopy_components,
+from .coalgebra import (CoalgebraOperator, ComponentFamily,
+                        check_codifferential, check_homotopy_components,
                         check_morphism_components, lift_coderivation,
                         lift_homotopy, lift_morphism,
                         operator_homotopy_residual,
                         operator_intertwining_residual)
+from .graded import StructureError
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_homotopy, suspend_morphism, suspend_structure
 
@@ -21,7 +31,13 @@ from .suspension import suspend_homotopy, suspend_morphism, suspend_structure
 def equivalence_battery(pkg):
     """Six-direction agreement for the transferred structure, the morphism
     into the small side, and the homotopy on the big side, up to the
-    package's truncation."""
+    package's truncation.  Raises StructureError when the homotopy's right
+    flank is not the identity."""
+    hom_fam = suspend_homotopy(pkg.homotopy)
+    sV, N = hom_fam.source, hom_fam.trunc
+    if hom_fam.right != ComponentFamily.identity(sV, N):
+        raise StructureError("battery: the homotopy's right flank is not "
+                             "the identity")
     report = CheckReport("battery")
 
     smu = pkg.smu
@@ -46,12 +62,11 @@ def equivalence_battery(pkg):
     report.add("morphism-conventions",
                BoolResidual(comp.ok == pkg.reports["phi"].ok))
 
-    hom_fam = suspend_homotopy(pkg.homotopy)
     comp = check_homotopy_components(hom_fam, smu, smu)
     E = lift_morphism(hom_fam.left)
-    G = lift_morphism(hom_fam.right)
     H = lift_homotopy(hom_fam, E)
-    op = operator_homotopy_residual(H, E, G, dV, dV)
+    op = operator_homotopy_residual(H, E, CoalgebraOperator.identity(sV, N),
+                                    dV, dV)
     report.add("homotopy-components", comp)
     report.add("homotopy-operator", op)
     report.add("homotopy-agreement", BoolResidual(comp.ok == op.is_zero()))

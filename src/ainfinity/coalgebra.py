@@ -53,15 +53,13 @@ shares no code with `tensor_into`, so a sign the builder drops is caught
 by the check, and it builds the homotopy's left flank itself
 (`_walked_blocks`).
 
-The identity's blocks, a coderivation's left flank, are read through a
-view (`_IdentityBlock`) whose row u is {u: one}, made when it is read:
-the dense table covered every word of T^{<=N-1}(V), 7,380 rows (2.3 MB
-traced) while dmu is lifted on the witness at N = 5, and about 137k at
-k = 4.
-`CoalgebraOperator.identity` keeps the dense comprehension
-(`_identity_blocks`) as the tests' reference; through the step the
-identity took 14.3 ms against 5.6 ms per coderivation lift of the witness
-at N = 5, and 0.31 s against 0.15 s at k = 4.
+The identity of T(V) is built in one place, `CoalgebraOperator.identity`,
+as a read-only view: each diagonal block (m, m) is an `_IdentityBlock`
+whose row u is {u: one}, made when it is read, so no table of the identity
+is kept.  It is a coderivation's left flank, and the right flank G that
+the equivalence battery subtracts.  A dense table covered every word:
+7,380 rows (2.3 MB traced) while dmu is lifted on the witness at N = 5,
+and 9,330 rows for G on each dimension-6 corpus instance at N = 5.
 
 Every operator is built inside this package (lifts, sums, composites,
 restrictions), so `CoalgebraOperator` has one constructor, which trusts its
@@ -85,11 +83,13 @@ every instance.
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 
 from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, _acc, _merge,
                      check_truncation, checked_components, component_or_zero,
-                     insert_slots, map_sum, tensor_into, tensor_residual)
+                     insert_slots, map_sum, tensor_into, tensor_residual,
+                     with_zeros)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -119,13 +119,15 @@ class ComponentFamily:
                 raise StructureError("flanks must be morphism families")
         self.left = left
         self.right = right
+        self._by_arity = with_zeros(self.components, 1, self.trunc,
+                                    lambda n: degree, source, target)
 
     @property
     def degree(self):
         return KIND_DEGREES[self.kind]
 
     def component(self, n):
-        return component_or_zero(self.components, n, self.degree,
+        return component_or_zero(self._by_arity, n, self.degree,
                                  self.source, self.target)
 
     @classmethod
@@ -160,10 +162,10 @@ class CoalgebraOperator:
 
     @classmethod
     def identity(cls, module, trunc):
-        """Dense on every word, so no route builds it.  Kept as the tests'
-        inversion and operator-homotopy reference, and as a span the
-        benchmark's trace seam names."""
-        return cls(module, module, 0, trunc, _identity_blocks(module, trunc))
+        """The identity of T^{<=trunc}(V): its diagonal blocks (m, m) as
+        read-only views (`_IdentityBlock`), so no table of it is kept."""
+        return cls(module, module, 0, trunc, {
+            (m, m): _IdentityBlock(module, m) for m in range(1, trunc + 1)})
 
     def block(self, m, j):
         return self.blocks.get((m, j), {})
@@ -211,28 +213,12 @@ class CoalgebraOperator:
                 % (self.degree, self.trunc, self.entry_count()))
 
 
-def _tensor_words(module, n_max):
-    """The basis words of T^1(V), ..., T^{n_max}(V), one list per length, each
-    in lexicographic order of codes."""
-    basis = list(module.basis())
-    words = [(b,) for b in basis]
-    for n in range(1, n_max + 1):
-        yield words
-        if n < n_max:
-            words = [w + (b,) for w in words for b in basis]
-
-
-def _identity_blocks(module, trunc):
-    """The diagonal blocks (n, n), n <= trunc, of the identity of T(V)."""
-    one = module.field.one
-    return {(n, n): {w: {w: one} for w in words}
-            for n, words in enumerate(_tensor_words(module, trunc), 1)}
-
-
-class _IdentityBlock:
+class _IdentityBlock(Mapping):
     """Block (m, m) of the identity of T(V) as a read-only table, E(m, m)(u)
     = u: row u is {u: one} for each basis word u of length m, made when it
-    is read, so no table of the block is kept."""
+    is read, so no table of the block is kept.  `get` and `items` are its
+    own; the rest of the `Mapping` interface (equality with a table,
+    `values`) is read through them."""
 
     __slots__ = ("codes", "m", "one")
 
@@ -243,6 +229,12 @@ class _IdentityBlock:
         if len(u) == self.m and all(map(self.codes.__contains__, u)):
             return {u: self.one}
         return default
+
+    def __getitem__(self, u):
+        row = self.get(u)
+        if row is None:
+            raise KeyError(u)
+        return row
 
     def __contains__(self, u):
         return self.get(u) is not None
@@ -410,14 +402,14 @@ def _lift_blocks(comps, right, left, trunc, field):
 def _flanks(family, left_lift=None):
     """(right, left) flanks of the lift of `family`: the right flank's
     components {r: g_r} and the left flank's blocks {(m, k): table} up to
-    homogeneity trunc - 1 ({} for no left flank; views of the identity's
-    diagonal blocks for a coderivation).  A homotopy's left flank is the
-    lift of `family.left`, built here unless the caller passes it as
-    `left_lift`."""
+    homogeneity trunc - 1 ({} for no left flank; the blocks of
+    `CoalgebraOperator.identity` for a coderivation).  A homotopy's left
+    flank is the lift of `family.left`, built here unless the caller passes
+    it as `left_lift`."""
     V, N = family.source, family.trunc
     if family.kind == "coderivation":
-        return {1: MultiMap.identity(V)}, {
-            (m, m): _IdentityBlock(V, m) for m in range(1, N)}
+        return ({1: MultiMap.identity(V)},
+                CoalgebraOperator.identity(V, N - 1).blocks)
     if family.kind == "morphism":
         return family.components, {}
     if left_lift is None:

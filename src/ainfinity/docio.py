@@ -3,7 +3,8 @@
 
 Strict by design: the format version field is mandatory, unknown fields are
 rejected, every referenced basis element must exist and every map entry must
-be homogeneous (the map constructors enforce that).  Serialization sorts
+be homogeneous (the map constructors enforce that), and no module may
+declare more than `MAX_MODULE_DIM` basis elements.  Serialization sorts
 everything, so parse -> serialize -> parse is the identity and output is
 byte-stable.
 
@@ -20,6 +21,13 @@ from .graded import GradedModule, MultiMap, StructureError
 
 FORMAT = "ainfty-doc/1"
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+# The largest total dimension a module may declare.  A module's code tables
+# and the identity every relation sum inserts grow linearly with it, and
+# a document declaring more is refused before anything is built.  2^16 is
+# 80 times the largest module the project runs (the Massey DGA at k = 16,
+# dimension 815).
+MAX_MODULE_DIM = 2 ** 16
 
 # (name, ends, degree) of each map of a block.  The ends are V, the big
 # module (a transfer's source structure), and W, the small one (the
@@ -257,6 +265,10 @@ def parse(text):
             dims[_parse_key(key, "degree", where)] = dim
             if not _is_json_int(dim) or dim < 0:
                 raise DocumentError("%s: bad dimension %r" % (where, dim))
+        total = sum(dims.values())
+        if total > MAX_MODULE_DIM:
+            raise DocumentError("%s: total dimension %d exceeds %d"
+                                % (where, total, MAX_MODULE_DIM))
         try:
             modules[name] = GradedModule(dims, field)
         except StructureError as exc:

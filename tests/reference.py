@@ -9,12 +9,15 @@ the definitions and sharing none of the library's evaluators.
 * `comultiply` and `colinearity_residual`: the comultiplication of T(V)
   and the co-Leibniz compatibility of an operator with it, word by word.
 * `restricted_to`: an operator's restriction to one homogeneity.
+* `tensor_words` and `dense_identity`: the basis words of T^{<=N}(V) and
+  the identity of T(V) as a dense table over them, the reference for the
+  library's identity view.
 """
 
 import itertools
 
 from ainfinity import signs
-from ainfinity.coalgebra import CoalgebraOperator, _tensor_words
+from ainfinity.coalgebra import CoalgebraOperator
 from ainfinity.graded import StructureError, _acc, word_degree
 from ainfinity.reports import CheckReport
 
@@ -45,6 +48,26 @@ def tensor_table(maps):
                 coeff = -coeff
             _acc(dst, tuple(b for b, _ in outs), coeff, p)
     return {w: v for w, v in table.items() if v}
+
+
+def tensor_words(module, n_max):
+    """The basis words of T^1(V), ..., T^{n_max}(V), one list per length, each
+    in lexicographic order of codes."""
+    basis = list(module.basis())
+    words = [(b,) for b in basis]
+    for n in range(1, n_max + 1):
+        yield words
+        if n < n_max:
+            words = [w + (b,) for w in words for b in basis]
+
+
+def dense_identity(module, trunc):
+    """The identity of T^{<=trunc}(V) with a dense table per diagonal block
+    (n, n): row w is {w: one} for every basis word w of length n."""
+    one = module.field.one
+    return CoalgebraOperator(module, module, 0, trunc, {
+        (n, n): {w: {w: one} for w in words}
+        for n, words in enumerate(tensor_words(module, trunc), 1)})
 
 
 def apply_word(op, word):
@@ -85,7 +108,7 @@ def colinearity_residual(op, kind, left=None, right=None):
     """
     report = CheckReport("colinearity")
     p = op.target.field.characteristic
-    for n, words in enumerate(_tensor_words(op.source, op.trunc), 1):
+    for n, words in enumerate(tensor_words(op.source, op.trunc), 1):
         res_entries = {}
         for w in words:
             res = {}

@@ -19,6 +19,22 @@ def test_structure_constructor_validates_shapes():
         AInfinity(V, d, {2: MultiMap.zero(V, V, 2, 1)}, 4)
 
 
+def test_absent_components_are_one_zero_per_family():
+    """mu(n), and a morphism's or homotopy's component, of an arity the
+    family lacks is one zero of its shape, built with the family, not on
+    each lookup."""
+    a = one_point_dga(truncation=4)
+    assert 4 not in a.products
+    assert a.mu(4) is a.mu(4)
+    assert a.mu(4).is_zero() and (a.mu(4).arity, a.mu(4).degree) == (4, 2)
+    ident = identity_morphism(a)
+    assert ident.component(3) is ident.component(3)
+    assert ident.component(3).degree == 2
+    hom = AInftyHomotopy(ident, ident, {}, 4)
+    assert hom.component(2) is hom.component(2)
+    assert hom.component(2).is_zero() and hom.component(2).degree == 2
+
+
 @pytest.mark.parametrize("N", [0, -1])
 def test_structure_refuses_nonpositive_truncation(N):
     """A structure truncated below arity 1 would check nothing and pass."""

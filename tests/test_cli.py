@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import ainfinity
 from ainfinity.ainfty import AInfinity
 from ainfinity.cli import main
-from ainfinity.docio import Document, DocumentError, dump, load, parse, serialize
+from ainfinity.docio import (MAX_MODULE_DIM, Document, DocumentError, dump,
+                             load, parse, serialize)
 from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import (harmonious_retract, instance_forms,
@@ -342,14 +344,34 @@ MALFORMED_EDITS = {
     "mod-p-arabic-indic-digit": lambda obj: _mod_p_scalar(obj, "\u0663"),
     "comparison-object": lambda obj: _comparison(obj, {"x": [1, 2]}),
     "comparison-unknown-word": lambda obj: _comparison(obj, "maybe"),
+    "dims-oversized": lambda obj: obj["modules"]["V"].update(
+        dims={"0": 10 ** 8}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_EDITS))
 def test_malformed_map_entry_or_key_exits_two(tmp_path, capsys, name):
+    """Each edit is refused as a parse error, before any work: in well
+    under a second, even for a module declaring 10^8 basis elements."""
     obj = mod_p_object()
     MALFORMED_EDITS[name](obj)
+    start = time.perf_counter()
     assert_malformed(obj, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_module_size_is_bounded_by_name():
+    """A module may declare up to `MAX_MODULE_DIM` basis elements in all;
+    one more is refused at the module, before it is built."""
+    obj = mod_p_object()
+    del obj["structure"]
+    obj["modules"]["V"]["dims"] = {"0": MAX_MODULE_DIM - 1, "1": 1}
+    assert parse(json.dumps(obj)).modules["V"].total_dim == MAX_MODULE_DIM
+    obj["modules"]["V"]["dims"]["1"] = 2
+    with pytest.raises(DocumentError, match=re.escape(
+            "modules[V]: total dimension %d exceeds %d"
+            % (MAX_MODULE_DIM + 1, MAX_MODULE_DIM))):
+        parse(json.dumps(obj))
 
 
 def witness_transfer_object(tmp_path, capsys):

@@ -20,10 +20,11 @@ from ainfinity.graded import (GradedModule, MultiMap, StructureError, _acc,
                               _merge, word_degree)
 from ainfinity.retracts import harmonious_retract, instance_massey
 from ainfinity.graded import ChainComplex
-from ainfinity.suspension import suspend_structure
+from ainfinity.corpus import random_dga
+from ainfinity.suspension import suspend_module, suspend_structure
 from conftest import corrupted, random_multimap, seeded
 from reference import (apply_word, colinearity_residual, comultiply,
-                       restricted_to, tensor_table)
+                       dense_identity, restricted_to, tensor_table)
 
 TRUNC = 4
 
@@ -462,6 +463,53 @@ def test_operator_arithmetic_and_identity():
     zero = ident - ident
     assert zero.is_zero()
     assert ident + zero == ident
+
+
+def test_absent_family_component_is_one_zero():
+    fam = ComponentFamily.identity(small_module(), 3)
+    assert fam.component(2) is fam.component(2)
+    assert fam.component(2).is_zero() and fam.component(2).degree == 0
+
+
+def identity_modules():
+    """The suspended carriers of the witness and of a random DGA, over Q
+    and over Z/5."""
+    for field in (QQ, PrimeField(5)):
+        yield suspend_module(instance_massey(field).carrier)
+        yield suspend_module(random_dga(seeded(3), field).carrier)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_identity_view_is_the_lift_of_the_identity_family(N):
+    """The identity's views are, block for block, the lift of the identity
+    family and the dense reference identity, in both orders of comparison,
+    and no block of the view is a table."""
+    for V in identity_modules():
+        view = CoalgebraOperator.identity(V, N)
+        lifted = lift_morphism(ComponentFamily.identity(V, N))
+        dense = dense_identity(V, N)
+        assert view == lifted == dense
+        assert lifted == view and dense == view
+        assert sorted(view.blocks) == [(n, n) for n in range(1, N + 1)]
+        assert not any(isinstance(t, dict) for t in view.blocks.values())
+        assert view.entry_count() == dense.entry_count() == sum(
+            V.total_dim ** n for n in range(1, N + 1))
+
+
+def test_identity_block_reads_as_a_table():
+    """A block of the identity view answers as its dense table does: rows
+    by word, a missing row for a word of another length or with a code
+    outside the module, and its values."""
+    V = small_module()
+    block = CoalgebraOperator.identity(V, 2).block(2, 2)
+    table = dense_identity(V, 2).block(2, 2)
+    assert block == table and len(block) == len(table) == 4
+    assert block[(0, 1)] == table[(0, 1)] == {(0, 1): V.field.one}
+    assert list(block.values()) == list(table.values())
+    for word in [(0,), (0, 1, 1), (0, 2)]:
+        assert word not in block and block.get(word) is None
+        with pytest.raises(KeyError):
+            block[word]
 
 
 def per_word_composite(outer, inner):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
-                              apply_block, compose, compose_product, insert,
-                              map_sum)
+                              apply_block, component_or_zero, compose,
+                              compose_product, insert, map_sum, with_zeros)
 from conftest import (codes, image, pair_table, random_multimap, seeded,
                       two_dim_complex)
 from reference import tensor_table
@@ -186,6 +186,22 @@ def test_multimap_arithmetic():
     assert d.scale(1) == d
     assert d.scale(-1) + d == z
     assert d != z
+
+
+def test_lookup_table_holds_a_zero_for_each_absent_arity():
+    """A family's lookup table keeps its maps and adds the zero of each
+    arity it lacks, so that `component_or_zero` returns one object per
+    arity and builds nothing."""
+    V = GradedModule({0: 1, 1: 2})
+    W = V.shifted(1)
+    f = MultiMap(V, W, 1, 1, {((0, 0),): {(1, 0): 1}})
+    table = with_zeros({1: f}, 1, 3, lambda n: n, V, W)
+    assert sorted(table) == [1, 2, 3] and table[1] is f
+    for n in (2, 3):
+        z = component_or_zero(table, n, n, V, W)
+        assert z is table[n] and z is component_or_zero(table, n, n, V, W)
+        assert z.is_zero()
+        assert (z.source, z.target, z.arity, z.degree) == (V, W, n, n)
 
 
 def test_identity_and_compose():

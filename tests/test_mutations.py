@@ -43,7 +43,9 @@ representatives `retracts.Splitting` reads off its one elimination of
 `retracts.normalise` (its h2 and its left K); and the degree tables every
 sign is read from, through `graded.word_degree` (its first letter dropped)
 and `graded.GradedModule.shifted` (the suspended module's degree table
-left unshifted).  Each
+left unshifted); the identity of T(V), `coalgebra.CoalgebraOperator.identity`,
+with its top diagonal block dropped, and the equivalence battery's right
+flank G built one homogeneity short.  Each
 is an exact-once source replacement, bound wherever the original is bound,
 so every detector looks library entry points up on their modules, never
 through a binding of its own.  Six detectors run in a fixed order, over Q
@@ -459,6 +461,14 @@ STRUCTURAL_MUTANTS = {
         graded, "word_degree",
         "module.degree_of.__getitem__, word)",
         "module.degree_of.__getitem__, word[1:])"),
+    "identity-view-drops-top-block": (
+        coalgebra, "CoalgebraOperator.identity",
+        "for m in range(1, trunc + 1)",
+        "for m in range(1, trunc)"),
+    "battery-identity-one-short": (
+        battery, "equivalence_battery",
+        "CoalgebraOperator.identity(sV, N)",
+        "CoalgebraOperator.identity(sV, N - 1)"),
 }
 
 # the first detector (see `first_detector`) that kills each structural mutant
@@ -500,6 +510,8 @@ KILLED_BY = {
     "tensor-step-skips-negation": "hpl/Q",
     "transfer-doubles-phi": "battery/Q",
     "word-degree-drops-the-first-letter": "battery/Q",
+    "identity-view-drops-top-block": "equivalence/Q",
+    "battery-identity-one-short": "equivalence/Q",
 }
 
 
@@ -591,12 +603,16 @@ def test_structural_mutants_killed(name, monkeypatch):
     assert first_detector() == KILLED_BY[name], "mutant %s" % name
 
 
-@pytest.mark.parametrize("name", ["operator-compose-skips-top-homogeneity"])
+@pytest.mark.parametrize("name", ["operator-compose-skips-top-homogeneity",
+                                  "identity-view-drops-top-block"])
 def test_operator_level_mutants_left_the_hpl_reports(name, monkeypatch):
-    """Checked on corestrictions, the HPL reports do not reach this
-    mutant: no output is an output-homogeneity-N composite.  The
-    equivalence battery, which compares operator-level and componentwise
-    verdicts, kills it over Q and over Z/5."""
+    """Checked on corestrictions, the HPL reports do not reach these
+    mutants: no output is an output-homogeneity-N composite, and the
+    identity's missing top block only drops the term of a coderivation's
+    block (N, N), which the colinearity check drops alike, since it reads
+    the flank from the same view as the builder.  The equivalence battery,
+    which compares operator-level and componentwise verdicts, kills both
+    over Q and over Z/5."""
     mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
     for field in (None, F5):
         assert not hpl_detects(field)

@@ -556,14 +556,31 @@ def test_hpl_route_lifts_each_operator_once(monkeypatch):
 
 def test_battery_lifts_the_homotopy_flank_once(monkeypatch):
     """Work guard: the equivalence battery runs one lift recursion per
-    operator (DV, DW, phi and the homotopy with its two flanks), the
-    homotopy reading the left flank's lift the battery already holds."""
+    operator (DV, DW, phi, the homotopy's left flank E and the homotopy H),
+    the homotopy reading the left flank's lift the battery already holds.
+    The right flank is the identity, read through its views, not lifted."""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu, 4)
     calls = count_calls(monkeypatch, coalgebra, "_lift_blocks")
     assert equivalence_battery(pkg).ok
-    assert len(calls) == 6
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_battery_refuses_a_homotopy_not_tied_to_the_identity(field):
+    """The battery reads the homotopy's right flank as the identity of
+    T(sV), so a package whose homotopy ends anywhere else is refused
+    rather than checked against the wrong operator."""
+    mu = instance_massey(field, truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu, 4)
+    hom = pkg.homotopy
+    pkg.homotopy = AInftyHomotopy(hom.frm, hom.frm, hom.components,
+                                  hom.truncation)
+    with pytest.raises(StructureError,
+                       match="right flank is not the identity"):
+        equivalence_battery(pkg)
 
 
 # ------------------------------------------------------ shared block tables
