@@ -8,18 +8,19 @@ sum is the classical chain-level statement.
 
 Conventions: homological grading, the differential has degree -1, the n-ary
 product degree n - 2, morphism components degree n - 1, homotopy components
-degree n.  Families are truncated at a per-object arity N; all checks are
-"verified up to arity N", components beyond N are unknown, not zero.  The
-morphism and homotopy checkers read N from the object they check;
-`check_structure` takes an optional lower arity, since a transfer may stop
-below the truncation of its input.
+degree n (each type's `component_degree`).  Families are truncated at a
+per-object arity N; all checks are "verified up to arity N", components
+beyond N are unknown, not zero, and reading one raises.  The morphism and
+homotopy checkers read N from the object they check; `check_structure`
+takes an optional lower arity, since a transfer may stop below the
+truncation of its input.
 """
 
 from . import signs
 from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, check_truncation,
-                     checked_components, component_or_zero, insert_slots,
-                     map_sum, resolve_truncation, with_zeros)
+                     component_table, insert_slots, map_sum,
+                     resolve_truncation)
 from .reports import CheckReport
 
 
@@ -34,25 +35,24 @@ class AInfinity:
         truncation = check_truncation(truncation)
         self.carrier = carrier
         self.differential = differential
-        self.products = checked_components("product", products, 2, truncation,
-                                           lambda n: n - 2, carrier, carrier)
+        self.products, self._by_arity = component_table(
+            "product", products, 2, truncation, self.component_degree,
+            carrier, carrier)
+        self._by_arity[1] = differential
         self.truncation = truncation
-        self._by_arity = with_zeros(self.products, 2, truncation,
-                                    lambda n: n - 2, carrier, carrier)
+
+    @staticmethod
+    def component_degree(n):
+        return n - 2
 
     def mu(self, n):
         """mu_n, with mu_1 the differential; zero map if absent."""
-        if n == 1:
-            return self.differential
-        return component_or_zero(self._by_arity, n, n - 2, self.carrier,
-                                 self.carrier)
+        return self._by_arity[n]
 
     def __eq__(self, other):
-        return (isinstance(other, AInfinity)
-                and self.carrier == other.carrier
-                and self.differential == other.differential
-                and self.products == other.products
-                and self.truncation == other.truncation)
+        # the tables hold mu_1 = d and every product, up to the truncation
+        return (isinstance(other, AInfinity) and self.carrier == other.carrier
+                and self._by_arity == other._by_arity)
 
     def __repr__(self):
         return ("AInfinity(dim=%d, products=%r, N=%d)"
@@ -67,16 +67,16 @@ class AInftyMorphism:
         self.target = target
         self.truncation = resolve_truncation(
             truncation, min(source.truncation, target.truncation))
-        self.components = checked_components(
-            "component", components, 1, self.truncation, lambda n: n - 1,
-            source.carrier, target.carrier)
-        self._by_arity = with_zeros(self.components, 1, self.truncation,
-                                    lambda n: n - 1, source.carrier,
-                                    target.carrier)
+        self.components, self._by_arity = component_table(
+            "component", components, 1, self.truncation,
+            self.component_degree, source.carrier, target.carrier)
+
+    @staticmethod
+    def component_degree(n):
+        return n - 1
 
     def component(self, n):
-        return component_or_zero(self._by_arity, n, n - 1,
-                                 self.source.carrier, self.target.carrier)
+        return self._by_arity[n]
 
     def __repr__(self):
         return "AInftyMorphism(components=%r, N=%d)" % (sorted(self.components), self.truncation)
@@ -94,16 +94,16 @@ class AInftyHomotopy:
         self.to = to
         self.truncation = resolve_truncation(
             truncation, min(frm.truncation, to.truncation))
-        self.components = checked_components(
-            "component", components, 1, self.truncation, lambda n: n,
-            frm.source.carrier, frm.target.carrier)
-        self._by_arity = with_zeros(self.components, 1, self.truncation,
-                                    lambda n: n, frm.source.carrier,
-                                    frm.target.carrier)
+        self.components, self._by_arity = component_table(
+            "component", components, 1, self.truncation,
+            self.component_degree, frm.source.carrier, frm.target.carrier)
+
+    @staticmethod
+    def component_degree(n):
+        return n
 
     def component(self, n):
-        return component_or_zero(self._by_arity, n, n,
-                                 self.frm.source.carrier, self.frm.target.carrier)
+        return self._by_arity[n]
 
 
 def identity_morphism(a):
@@ -155,7 +155,7 @@ def compose_morphisms(g, f):
     V, W = f.source.carrier, g.target.carrier
     comps = {}
     for n in range(1, n_max + 1):
-        comps[n] = map_sum(V, W, n, n - 1, [
+        comps[n] = map_sum(V, W, n, AInftyMorphism.component_degree(n), [
             (signs.sign_of(signs.theta(parts)), g.component(k),
              [f.component(r) for r in parts]) for (k, parts) in splits(n)])
     return AInftyMorphism(f.source, g.target, comps, n_max)

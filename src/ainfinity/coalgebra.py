@@ -87,9 +87,8 @@ from collections.abc import Mapping
 
 from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, _acc, _merge,
-                     check_truncation, checked_components, component_or_zero,
-                     insert_slots, map_sum, tensor_into, tensor_residual,
-                     with_zeros)
+                     check_truncation, component_table, insert_slots,
+                     map_sum, tensor_into, tensor_residual)
 from .reports import CheckReport
 
 KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
@@ -105,30 +104,28 @@ class ComponentFamily:
                  left=None, right=None):
         if kind not in KIND_DEGREES:
             raise StructureError("unknown family kind %r" % (kind,))
-        degree = KIND_DEGREES[kind]
+        degree = self.degree = KIND_DEGREES[kind]
         self.kind = kind
         self.source = source
         self.target = target
         self.trunc = check_truncation(trunc)
-        self.components = checked_components(
-            "component", components, 1, trunc, lambda n: degree, source, target)
+        self.components, self._by_arity = component_table(
+            "component", components, 1, trunc, lambda n: degree, source,
+            target)
         if kind == "homotopy":
             if left is None or right is None:
                 raise StructureError("homotopy family needs morphism flanks")
             if left.kind != "morphism" or right.kind != "morphism":
                 raise StructureError("flanks must be morphism families")
+            if min(left.trunc, right.trunc) < trunc:
+                raise StructureError(
+                    "flanks known to arity %d, below the truncation %d"
+                    % (min(left.trunc, right.trunc), trunc))
         self.left = left
         self.right = right
-        self._by_arity = with_zeros(self.components, 1, self.trunc,
-                                    lambda n: degree, source, target)
-
-    @property
-    def degree(self):
-        return KIND_DEGREES[self.kind]
 
     def component(self, n):
-        return component_or_zero(self._by_arity, n, self.degree,
-                                 self.source, self.target)
+        return self._by_arity[n]
 
     @classmethod
     def strict_morphism(cls, f, trunc):
@@ -140,8 +137,7 @@ class ComponentFamily:
 
     def __eq__(self, other):
         return (isinstance(other, ComponentFamily) and self.kind == other.kind
-                and self.source == other.source and self.target == other.target
-                and self.trunc == other.trunc and self.components == other.components)
+                and self._by_arity == other._by_arity)
 
 
 class CoalgebraOperator:

@@ -15,7 +15,7 @@ The maps of the retract and transfer blocks are listed once, in
 import json
 import re
 
-from .ainfty import AInfinity
+from .ainfty import AInfinity, AInftyHomotopy, AInftyMorphism
 from .fields import QQ, FieldError, PrimeField
 from .graded import GradedModule, MultiMap, StructureError
 
@@ -32,10 +32,11 @@ MAX_MODULE_DIM = 2 ** 16
 # (name, ends, degree) of each map of a block.  The ends are V, the big
 # module (a transfer's source structure), and W, the small one (the
 # document's structure).  A retract's maps have arity 1; a transfer's are
-# families of components, whose degree at arity n is n plus the one given.
+# families of components, of the degrees their types state.
 RETRACT_MAPS = [("f", "VW", 0), ("g", "WV", 0), ("h", "VV", 1),
                 ("small_d", "WW", -1)]
-TRANSFER_MAPS = [("phi", "VW", -1), ("psi", "WV", -1), ("homotopy", "VV", 0)]
+TRANSFER_MAPS = [("phi", "VW", AInftyMorphism), ("psi", "WV", AInftyMorphism),
+                 ("homotopy", "VV", AInftyHomotopy)]
 
 
 class DocumentError(ValueError):
@@ -162,14 +163,15 @@ def _parse_structure(obj, modules, truncation, field, where):
     _expect_keys(obj, ["module", "differential", "products"], [], where)
     name = obj["module"]
     V = _module(modules, name, where + ".module")
-    d = _parse_map(obj["differential"], V, V, 1, -1, field,
+    degree = AInfinity.component_degree
+    d = _parse_map(obj["differential"], V, V, 1, degree(1), field,
                    where + ".differential")
     products = {}
     if not isinstance(obj["products"], dict):
         raise DocumentError("%s: products must map arity to entries" % where)
     for key, entries in obj["products"].items():
         n = _parse_key(key, "product arity", where)
-        products[n] = _parse_map(entries, V, V, n, n - 2, field,
+        products[n] = _parse_map(entries, V, V, n, degree(n), field,
                                  "%s.products[%s]" % (where, key))
     try:
         return name, AInfinity(V, d, products, truncation)
@@ -210,7 +212,7 @@ def _parse_transfer(obj, W, modules, truncation, field, where):
                             % where)
     ends = {"V": source[1].carrier, "W": W}
     block = {"source": source, "comparison": obj.get("comparison")}
-    for name, (s, t), shift in TRANSFER_MAPS:
+    for name, (s, t), family in TRANSFER_MAPS:
         loc = "%s.%s" % (where, name)
         if not isinstance(obj[name], dict):
             raise DocumentError("%s: expected arity -> entries" % loc)
@@ -220,8 +222,9 @@ def _parse_transfer(obj, W, modules, truncation, field, where):
             if not 1 <= n <= truncation:
                 raise DocumentError("%s: arity %d outside 1..%d"
                                     % (loc, n, truncation))
-            comps[n] = _parse_map(entries, ends[s], ends[t], n, n + shift,
-                                  field, "%s[%s]" % (loc, key))
+            comps[n] = _parse_map(entries, ends[s], ends[t], n,
+                                  family.component_degree(n), field,
+                                  "%s[%s]" % (loc, key))
     return block
 
 

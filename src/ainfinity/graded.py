@@ -30,6 +30,10 @@ maps or composites outer o (inner_1 x ... x inner_k) with a sign +-1, all
 accumulated into one table.  `_product_into` is the one composite loop;
 `compose_product`, `insert` and the sum and difference of two maps are
 `map_sum` of one or two terms.
+
+A family reads its components from one table (`component_table`); those
+beyond its truncation are unknown, not zero, and reading one raises, as does
+a run asked to go above the truncation of its input (`resolve_truncation`).
 """
 
 import itertools
@@ -179,16 +183,34 @@ def check_truncation(n):
     return n
 
 
-def resolve_truncation(n, default):
-    """`n`, or `default` when `n` is None; an explicit truncation below 1
-    raises instead of falling back to the default."""
-    return default if n is None else check_truncation(n)
+def resolve_truncation(n, known):
+    """`n`, or `known`, the arity the input is known to, when `n` is None;
+    an explicit truncation below 1 or above `known` raises."""
+    if n is not None and check_truncation(n) > known:
+        raise StructureError("truncation %d exceeds %d, the arity the input "
+                             "is known to" % (n, known))
+    return known if n is None else n
 
 
-def checked_components(what, components, low, high, degree, source, target):
-    """The nonzero maps of `components` ({arity: map}), keyed by int arity,
-    after checking that each arity n lies in low..high and that its map
-    has arity n, degree `degree(n)`, and the given source and target."""
+class _ComponentTable(dict):
+    """{arity: map} of a family at the arities it is known at; any other
+    arity is unknown, not zero, and a lookup there raises."""
+
+    def __missing__(self, n):
+        raise StructureError("arity %r is unknown, not zero: the family is "
+                             "known at arities %d..%d"
+                             % (n, min(self), max(self)))
+
+
+def component_table(what, components, low, high, degree, source, target):
+    """(kept, table) for a family of `components` ({arity: map}) known at
+    arities low..high, each map checked to have arity n in low..high, degree
+    `degree(n)`, and the given source and target.  kept holds the nonzero
+    maps by int arity; table maps each arity in low..high to kept's map or
+    the zero map.  It is built with the family, so a lookup builds nothing:
+    zeros kept with the source module formed reference cycles with it, and
+    zeros built on first lookup raised the peak RSS of the mod-p witness
+    transfer by about 0.1 MB."""
     kept = {}
     for n, m in components.items():
         n = int(n)
@@ -202,27 +224,11 @@ def checked_components(what, components, low, high, degree, source, target):
             raise StructureError("%s %d has wrong modules" % (what, n))
         if not m.is_zero():
             kept[n] = m
-    return kept
-
-
-def with_zeros(components, low, high, degree, source, target):
-    """`components` ({arity: map}) with the zero map of degree `degree(n)`
-    at each arity n in low..high that it lacks: the lookup table a family
-    builds with itself, so a lookup builds nothing.  Zeros kept with the
-    source module would form reference cycles with it, and zeros built on
-    first lookup, midway through a run and kept to its end, raised the
-    peak RSS of the mod-p witness transfer by about 0.1 MB."""
-    table = {n: MultiMap.zero(source, target, n, degree(n))
-             for n in range(low, high + 1) if n not in components}
-    table.update(components)
-    return table
-
-
-def component_or_zero(components, n, degree, source, target):
-    """The arity-n map of `components`, or the zero map of that arity and
-    `degree` when it is absent."""
-    got = components.get(n)
-    return MultiMap.zero(source, target, n, degree) if got is None else got
+    table = _ComponentTable(
+        (n, kept[n] if n in kept else MultiMap.zero(source, target, n,
+                                                    degree(n)))
+        for n in range(low, high + 1))
+    return kept, table
 
 
 class MultiMap:

@@ -288,12 +288,8 @@ def transfer(retract, mu, N=None):
     f, g, h = retract.f, retract.g, retract.h
     # p_n g^{x n}, shared by nu_n and psi_n
     pg = {n: compose_product(p[n], [g] * n) for n in range(2, N + 1)}
-    nu_products = {}
-    for n in range(2, N + 1):
-        nu_n = compose(f, pg[n])
-        if not nu_n.is_zero():
-            nu_products[n] = nu_n
-    nu = AInfinity(W, retract.small.d, nu_products, N)
+    nu = AInfinity(W, retract.small.d,
+                   {n: compose(f, pg[n]) for n in range(2, N + 1)}, N)
 
     phi = AInftyMorphism(mu, nu, {
         n: (f if n == 1 else compose(f, q[n])) for n in range(1, N + 1)}, N)

@@ -106,9 +106,8 @@ class PerturbationData:
             left=ComponentFamily.strict_morphism(gfhat, trunc),
             right=ComponentFamily.identity(sV, trunc)))
         # DV's components: the shifted structure maps of arity 1..trunc
-        self.dV = ComponentFamily("coderivation", sV, sV,
-                                  {n: m for n, m in smu.components.items()
-                                   if n <= trunc}, trunc)
+        self.dV = ComponentFamily("coderivation", sV, sV, {
+            n: smu.component(n) for n in range(1, trunc + 1)}, trunc)
         # the perturbation: the shifted products of arity 2..trunc, lifted at
         # the same truncation as every other operator here
         dmu = lift_coderivation(ComponentFamily(
@@ -295,15 +294,15 @@ class ComparisonReport(CheckReport):
 
 
 def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
-    """Component equality, arity by arity up to n_max, of the
+    """Component equality, arity by arity up to n_max (by default, and at
+    most, the lower truncation of the two routes), of the
     perturbation-lemma outputs with the suspended maps `transfer` writes:
     nu's products, phi, psi and the homotopy, zero at an arity one lacks
     (delta_nu_1 always).  Asserted only under the side conditions; raises
     without them."""
     if not pkg.retract.is_harmonious:
         raise StructureError("the comparison assumes the side conditions")
-    top = min(hpl.data.trunc, pkg.truncation)
-    n_max = min(resolve_truncation(n_max, top), top)
+    n_max = resolve_truncation(n_max, min(hpl.data.trunc, pkg.truncation))
     V, W = pkg.retract.big.module, pkg.retract.small.module
     written = {"delta_nu": (pkg.nu.products, W, W),
                "phi": (pkg.phi.components, V, W),

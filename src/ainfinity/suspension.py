@@ -91,8 +91,7 @@ def desuspend_components(comps, V, W):
 def suspend_structure(a):
     """The shifted structure maps d_n, n >= 1, as a coderivation family."""
     V = a.carrier
-    comps = {1: a.differential}
-    comps.update(a.products)
+    comps = {n: a.mu(n) for n in range(1, a.truncation + 1)}
     sV = suspend_module(V)
     return ComponentFamily("coderivation", sV, sV,
                            suspend_components(comps, V, V), a.truncation)

@@ -825,6 +825,17 @@ def test_transfer_rejects_nonpositive_arity(tmp_path, capsys, arity):
     assert "--arity must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("arity", ["6", "9"])
+def test_transfer_refuses_arity_above_the_document(tmp_path, capsys, arity):
+    """The document knows its structure to its truncation (5) only."""
+    src = massey_doc(tmp_path)
+    assert main(["transfer", src, "--retract", "auto", "--arity", arity]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: --arity %s exceeds document "
+                            "truncation 5\n" % arity)
+
+
 def test_transfer_without_retract_is_input_error(tmp_path, capsys):
     src = massey_doc(tmp_path)
     assert main(["transfer", src, "--method", "kernels"]) == 2

@@ -471,6 +471,23 @@ def test_absent_family_component_is_one_zero():
     assert fam.component(2).is_zero() and fam.component(2).degree == 0
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_homotopy_flanks_must_reach_the_truncation(field):
+    """A homotopy family's lift and checks read its flanks at every arity up
+    to its truncation, so flanks known to a lower arity are refused."""
+    sV = suspend_module(instance_massey(field).carrier)
+    full = ComponentFamily.identity(sV, 4)
+    short = ComponentFamily.identity(sV, 2)
+    for left, right in ((short, full), (full, short)):
+        with pytest.raises(StructureError,
+                           match="flanks known to arity 2, below the "
+                           "truncation 4"):
+            ComponentFamily("homotopy", sV, sV, {}, 4, left=left, right=right)
+    fam = ComponentFamily("homotopy", sV, sV, {}, 2, left=short, right=full)
+    with pytest.raises(StructureError, match="arity 3 is unknown, not zero"):
+        fam.component(3)
+
+
 def identity_modules():
     """The suspended carriers of the witness and of a random DGA, over Q
     and over Z/5."""

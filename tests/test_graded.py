@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
-                              apply_block, component_or_zero, compose,
-                              compose_product, insert, map_sum, with_zeros)
+                              apply_block, component_table, compose,
+                              compose_product, insert, map_sum)
 from conftest import (codes, image, pair_table, random_multimap, seeded,
                       two_dim_complex)
 from reference import tensor_table
@@ -190,18 +190,25 @@ def test_multimap_arithmetic():
 
 def test_lookup_table_holds_a_zero_for_each_absent_arity():
     """A family's lookup table keeps its maps and adds the zero of each
-    arity it lacks, so that `component_or_zero` returns one object per
-    arity and builds nothing."""
+    arity it lacks, so that a lookup returns one object per arity and
+    builds nothing; an arity outside the family's range is unknown, not
+    zero, and raises."""
     V = GradedModule({0: 1, 1: 2})
     W = V.shifted(1)
     f = MultiMap(V, W, 1, 1, {((0, 0),): {(1, 0): 1}})
-    table = with_zeros({1: f}, 1, 3, lambda n: n, V, W)
+    kept, table = component_table("component", {1: f}, 1, 3, lambda n: n,
+                                  V, W)
+    assert kept == {1: f}
     assert sorted(table) == [1, 2, 3] and table[1] is f
     for n in (2, 3):
-        z = component_or_zero(table, n, n, V, W)
-        assert z is table[n] and z is component_or_zero(table, n, n, V, W)
+        z = table[n]
+        assert z is table[n]
         assert z.is_zero()
         assert (z.source, z.target, z.arity, z.degree) == (V, W, n, n)
+    for n in (0, 4):
+        with pytest.raises(StructureError,
+                           match="arity %d is unknown, not zero" % n):
+            table[n]
 
 
 def test_identity_and_compose():

@@ -45,7 +45,10 @@ sign is read from, through `graded.word_degree` (its first letter dropped)
 and `graded.GradedModule.shifted` (the suspended module's degree table
 left unshifted); the identity of T(V), `coalgebra.CoalgebraOperator.identity`,
 with its top diagonal block dropped, and the equivalence battery's right
-flank G built one homogeneity short.  Each
+flank G built one homogeneity short; and `graded.component_table`, the
+lookup table of every component family, with its top arity dropped or the
+zero of an absent arity built one degree high (either makes the first
+relation sum that reads the table raise).  Each
 is an exact-once source replacement, bound wherever the original is bound,
 so every detector looks library entry points up on their modules, never
 through a binding of its own.  Six detectors run in a fixed order, over Q
@@ -469,6 +472,14 @@ STRUCTURAL_MUTANTS = {
         battery, "equivalence_battery",
         "CoalgebraOperator.identity(sV, N)",
         "CoalgebraOperator.identity(sV, N - 1)"),
+    "component-table-drops-top-arity": (
+        graded, "component_table",
+        "for n in range(low, high + 1))",
+        "for n in range(low, high))"),
+    "component-table-zero-one-degree-high": (
+        graded, "component_table",
+        "MultiMap.zero(source, target, n,",
+        "MultiMap.zero(source, target, n, 1 +"),
 }
 
 # the first detector (see `first_detector`) that kills each structural mutant
@@ -512,6 +523,8 @@ KILLED_BY = {
     "word-degree-drops-the-first-letter": "battery/Q",
     "identity-view-drops-top-block": "equivalence/Q",
     "battery-identity-one-short": "equivalence/Q",
+    "component-table-drops-top-arity": "battery/Q",
+    "component-table-zero-one-degree-high": "battery/Q",
 }
 
 

@@ -359,20 +359,31 @@ def test_vanish_on_images_hand_case():
     assert compose_product(pkg.q_hat[2], [ghat, ghat]).is_zero()
 
 
-@pytest.fixture(scope="module")
-def witness3():
-    """The witness transferred along both routes at N = 3."""
-    mu = instance_massey(truncation=3)
+def transferred_witness(field=None):
+    """The witness at truncation 3 transferred along both routes at 3."""
+    mu = instance_massey(field, truncation=3)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu, 3)
     smu = suspend_structure(mu)
     data = build_perturbation(retract, smu, 3)
-    return SimpleNamespace(mu=mu, pkg=pkg, smu=smu, data=data,
-                           hpl=hpl_transfer(data))
+    return SimpleNamespace(mu=mu, retract=retract, pkg=pkg, smu=smu,
+                           data=data, hpl=hpl_transfer(data))
 
 
-# every public entry point that takes a truncation (n_max or truncation),
-# called with an explicit one
+@pytest.fixture(scope="module")
+def witness3():
+    """The witness transferred along both routes at N = 3."""
+    return transferred_witness()
+
+
+@pytest.fixture(scope="module", params=[QQ, PrimeField(5)], ids=["Q", "Z5"])
+def witness3_over(request):
+    """`witness3` over Q and over Z/5."""
+    return transferred_witness(request.param)
+
+
+# every public entry point that takes a truncation (n_max, N, trunc or
+# truncation), called with an explicit one
 TRUNCATION_SITES = {
     "check_structure": lambda w, n: check_structure(w.mu, n),
     "AInftyMorphism": lambda w, n: AInftyMorphism(w.mu, w.mu, {}, n),
@@ -380,6 +391,9 @@ TRUNCATION_SITES = {
         identity_morphism(w.mu), identity_morphism(w.mu), {}, n),
     "compare_hpl_vs_kernels": lambda w, n: compare_hpl_vs_kernels(
         w.hpl, w.pkg, n),
+    "transfer": lambda w, n: transfer(w.retract, w.mu, n),
+    "build_perturbation": lambda w, n: build_perturbation(w.retract, w.smu,
+                                                          n),
 }
 
 
@@ -387,9 +401,79 @@ TRUNCATION_SITES = {
 @pytest.mark.parametrize("site", sorted(TRUNCATION_SITES))
 def test_nonpositive_truncation_rejected(site, n, witness3):
     """Only None means "the default truncation"; 0 and below raise."""
-    assert len(TRUNCATION_SITES) == 4
+    assert len(TRUNCATION_SITES) == 6
     with pytest.raises(StructureError, match="truncation must be >= 1"):
         TRUNCATION_SITES[site](witness3, n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("site", sorted(TRUNCATION_SITES))
+def test_nothing_runs_above_the_truncation_of_its_input(site, n,
+                                                        witness3_over):
+    """Every input of the truncation-3 witness is known to arity 3 only,
+    so a run at 4 or 5 would read unknown components as zero and could
+    report ok; each entry point refuses it, naming both truncations."""
+    with pytest.raises(StructureError, match="truncation %d exceeds 3" % n):
+        TRUNCATION_SITES[site](witness3_over, n)
+
+
+def test_no_family_reads_above_its_truncation(witness3_over):
+    """mu(N + 1) and component(N + 1) raise on every family type, as does
+    arity 0, where the table of every family starts at arity 1."""
+    w = witness3_over
+    families = [w.mu.mu, w.pkg.nu.mu, w.pkg.phi.component,
+                w.pkg.psi.component, w.pkg.homotopy.component,
+                w.smu.component, suspend_homotopy(w.pkg.homotopy).component]
+    families += [fam.component for fam in w.hpl.extracted().values()]
+    for lookup in families:
+        assert lookup(3) is lookup(3)
+        for n in (0, 4):
+            with pytest.raises(StructureError,
+                               match=r"arity %d is unknown, not zero: the "
+                               r"family is known at arities 1\.\.3" % n):
+                lookup(n)
+
+
+def test_failing_colinearity_names_the_least_word_as_pairs(witness3_over):
+    """With one block of phi dropped, the detail line of the colinearity
+    report names phi's least residual word, as (degree, index) pairs of
+    the suspended carrier: the least word in the order of the pairs."""
+    w = witness3_over
+    hpl = w.hpl
+    outputs = outputs_of(hpl)
+    outputs["phi"] = next(corrupted(hpl.phi))[1]
+    report = colinearity_report(outputs, hpl.extracted())
+    assert report.failing() == ["phi"]
+    residual = report.residuals["phi"]
+    elements = residual.source.elements
+    least = min(tuple(elements[c] for c in word)
+                for table in residual.blocks.values() for word in table)
+    assert all(len(b) == 2 and all(isinstance(x, int) for x in b)
+               for b in least)
+    assert report.detail_lines() == [
+        "hpl-colinearity[phi]: %d nonzero entries, first offender %r"
+        % (residual.entry_count(), least)]
+
+
+def test_failing_conclusions_name_the_first_failing_arity(witness3_over):
+    """A nested report names its first failing key: with phi's arity-2
+    component doubled, the detail line of the conclusions names the least
+    arity at which phi fails to intertwine."""
+    w = witness3_over
+    families = dict(w.hpl.extracted())
+    phi = families["phi"]
+    comps = dict(phi.components)
+    comps[2] = comps[2] + comps[2]
+    families["phi"] = ComponentFamily("morphism", phi.source, phi.target,
+                                      comps, phi.trunc)
+    report = corestricted_conclusions(w.data, families)
+    assert report.failing() == ["phi-intertwines"]
+    nested = report.residuals["phi-intertwines"]
+    first = min(n for n, r in nested.residuals.items() if not r.is_zero())
+    assert first == 2
+    assert report.detail_lines() == [
+        "hpl-conclusions[phi-intertwines]: %d nonzero entries, first "
+        "offender %r" % (nested.entry_count(), first)]
 
 
 @pytest.mark.parametrize("N", [1, 3, 4])
