@@ -11,9 +11,9 @@ product degree n - 2, morphism components degree n - 1, homotopy components
 degree n (each type's `component_degree`).  Families are truncated at a
 per-object arity N; all checks are "verified up to arity N", components
 beyond N are unknown, not zero, and reading one raises.  The morphism and
-homotopy checkers read N from the object they check; `check_structure`
-takes an optional lower arity, since a transfer may stop below the
-truncation of its input.
+homotopy checkers read N from the object they check, as does
+`check_structure` by default; a run below the truncation of its input runs
+on `AInfinity.truncated`, the one way a structure is cut to a lower arity.
 """
 
 from . import signs
@@ -48,6 +48,14 @@ class AInfinity:
     def mu(self, n):
         """mu_n, with mu_1 the differential; zero map if absent."""
         return self._by_arity[n]
+
+    def truncated(self, n):
+        """The structure known to arity n, 1 <= n <= its truncation: `self`
+        at the truncation, else d and the products of arity <= n."""
+        if resolve_truncation(n, self.truncation) == self.truncation:
+            return self
+        return AInfinity(self.carrier, self.differential, {
+            k: m for k, m in self.products.items() if k <= n}, n)
 
     def __eq__(self, other):
         # the tables hold mu_1 = d and every product, up to the truncation

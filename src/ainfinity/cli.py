@@ -9,6 +9,7 @@ failure, 2 input/parse error.
 
 import argparse
 import gc
+import os
 import random
 import sys
 
@@ -94,7 +95,7 @@ def cmd_check(args):
     if doc.structure is not None:
         name, a = doc.structure
         out.line("structure.module=%s" % name)
-        out.add_report(check_structure(a, doc.truncation))
+        out.add_report(check_structure(a))
     retract = None
     if doc.retract is not None:
         try:
@@ -110,8 +111,7 @@ def cmd_check(args):
     if doc.transfer is not None:
         src_name, src = doc.transfer["source"]
         out.line("transfer.source=%s" % src_name)
-        _check_transfer_block(out, src, doc.structure[1], doc.transfer,
-                              doc.truncation)
+        _check_transfer_block(out, src, doc.structure[1], doc.transfer)
         if doc.transfer.get("comparison") is not None:
             out.line("transfer.comparison=%s" % doc.transfer["comparison"])
     if not out.failed:
@@ -120,17 +120,17 @@ def cmd_check(args):
     return out.exit_code
 
 
-def _check_transfer_block(out, src, nu, comps, N):
+def _check_transfer_block(out, src, nu, comps):
     """The checks of a transfer block's source structure, phi: src -> nu,
     psi: nu -> src and homotopy psi phi ~ 1, given as components under
-    those names in `comps`."""
-    phi = AInftyMorphism(src, nu, comps["phi"], N)
-    psi = AInftyMorphism(nu, src, comps["psi"], N)
-    out.add_report(_renamed(check_structure(src, N), "source"))
+    those names in `comps`, at the truncation of src and nu."""
+    phi = AInftyMorphism(src, nu, comps["phi"])
+    psi = AInftyMorphism(nu, src, comps["psi"])
+    out.add_report(_renamed(check_structure(src), "source"))
     out.add_report(_renamed(check_morphism(phi), "phi"))
     out.add_report(_renamed(check_morphism(psi), "psi"))
     hom = AInftyHomotopy(compose_morphisms(psi, phi), identity_morphism(src),
-                         comps["homotopy"], N)
+                         comps["homotopy"])
     out.add_report(_renamed(check_homotopy(hom), "transfer"))
 
 
@@ -143,17 +143,15 @@ def _renamed(report, prefix):
 def _transfer_document(big_name, small_name, mu, nu, comps, retract,
                        comparison):
     """The document `transfer` writes, at the arity it checked: nu's field
-    and truncation N, mu with its products of arity <= N, and the phi, psi
-    and homotopy components in `comps`."""
-    N = nu.truncation
-    source = AInfinity(mu.carrier, mu.differential,
-                       {n: m for n, m in mu.products.items() if n <= N}, N)
+    and truncation, the structure mu it ran on, and the phi, psi and
+    homotopy components in `comps`."""
     return Document(
-        nu.carrier.field, N, {big_name: mu.carrier, small_name: nu.carrier},
+        nu.carrier.field, nu.truncation,
+        {big_name: mu.carrier, small_name: nu.carrier},
         structure=(small_name, nu),
         retract={"big": big_name, "small": small_name, "f": retract.f,
                  "g": retract.g, "h": retract.h, "small_d": retract.small.d},
-        transfer=dict(comps, source=(big_name, source),
+        transfer=dict(comps, source=(big_name, mu),
                       comparison=comparison))
 
 
@@ -176,39 +174,45 @@ def cmd_transfer(args):
         sys.stderr.write("input error: --arity %d exceeds document truncation %d\n"
                          % (N, doc.truncation))
         return 2
+    if args.output and (os.path.isdir(args.output) or not os.access(
+            os.path.dirname(args.output) or ".", os.W_OK)):
+        sys.stderr.write("input error: cannot write to %r\n" % args.output)
+        return 2
+    if args.retract != "auto":
+        if doc.retract is None:
+            sys.stderr.write("input error: no retract block; use --retract auto\n")
+            return 2
+        if doc.retract["big"] != big_name:
+            sys.stderr.write("input error: the retract block starts at %r, "
+                             "not at %r\n" % (doc.retract["big"], big_name))
+            return 2
+    mu = mu.truncated(N)
     out.line("input=%s" % args.input)
     out.line("method=%s" % args.method)
     out.line("arity=%d" % N)
+    structure_report = check_structure(mu)
+    if not structure_report.ok:
+        out.add_report(structure_report)
+        out.note("input structure fails its defining relations")
+        sys.stdout.write(out.render())
+        return 1
     try:
         if args.retract == "auto":
             retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
             small_name = "H(%s)" % big_name
-        elif doc.retract is not None:
-            if doc.retract["big"] != big_name:
-                sys.stderr.write("input error: the retract block starts at %r, "
-                                 "not at %r\n" % (doc.retract["big"], big_name))
-                return 2
+        else:
             retract = _build_retract(doc)
             small_name = doc.retract["small"]
-        else:
-            sys.stderr.write("input error: no retract block; use --retract auto\n")
-            return 2
-        if args.method != "kernels" and not retract.side_conditions["fg"]:
-            sys.stderr.write("input error: the perturbation lemma needs "
-                             "fg = 1; use --method kernels\n")
-            return 2
-        structure_report = check_structure(mu, N)
-        if not structure_report.ok:
-            out.add_report(structure_report)
-            out.note("input structure fails its defining relations")
-            sys.stdout.write(out.render())
-            return 1
     except (StructureError, DocumentError) as exc:
         out.line("retract.valid=false")
         out.note("retract invariant violated: %s" % exc)
         out.failed = True
         sys.stdout.write(out.render())
         return 1
+    if args.method != "kernels" and not retract.side_conditions["fg"]:
+        sys.stderr.write("input error: the perturbation lemma needs "
+                         "fg = 1; use --method kernels\n")
+        return 2
     for key in sorted(retract.side_conditions):
         out.line("retract.side.%s=%s"
                  % (key, str(retract.side_conditions[key]).lower()))
@@ -219,18 +223,18 @@ def cmd_transfer(args):
     comparison = None
     pkg = None
     if args.method in ("kernels", "both"):
-        pkg = transfer(retract, mu, N)
+        pkg = transfer(retract, mu)
         for name in sorted(pkg.reports):
             out.add_report(pkg.reports[name])
     if args.method in ("hpl", "both"):
-        data = build_perturbation(retract, suspend_structure(mu), N)
+        data = build_perturbation(retract, suspend_structure(mu))
         hpl = hpl_transfer(data)
         for _, report in hpl.reports():
             out.add_report(report)
         out.line("hpl.extraction=canonical")
         out.line("hpl.conclusions=corestriction")
     if args.method == "both":
-        cmp_report = compare_hpl_vs_kernels(hpl, pkg, N)
+        cmp_report = compare_hpl_vs_kernels(hpl, pkg)
         out.add_report(cmp_report)
         comparison = cmp_report.status
 
@@ -243,8 +247,8 @@ def cmd_transfer(args):
         products = {n: m for n, m in comps.pop("delta_nu").items() if n >= 2}
         nu = AInfinity(W, retract.small.d, products, N)
         # what `check` runs on the written document
-        out.add_report(_renamed(check_structure(nu, N), "extracted"))
-        _check_transfer_block(out, mu, nu, comps, N)
+        out.add_report(_renamed(check_structure(nu), "extracted"))
+        _check_transfer_block(out, mu, nu, comps)
     else:
         nu = pkg.nu
         comps = {"phi": pkg.phi.components, "psi": pkg.psi.components,
@@ -275,20 +279,20 @@ def _selftest_instance(base_seed, index, N, writer):
     writer.line("%s.dim=%d" % (prefix, mu.carrier.total_dim))
     checks = CheckReport("selftest.%d" % index)
 
-    checks.add("structure", check_structure(mu, N))
+    checks.add("structure", check_structure(mu))
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     checks.add("harmonious", BoolResidual(retract.is_harmonious))
 
-    pkg = transfer(retract, mu, N)
+    pkg = transfer(retract, mu)
     for name, rep in pkg.reports.items():
         checks.add("transfer." + name, rep)
     checks.add("battery", equivalence_battery(pkg))
 
-    data = build_perturbation(retract, suspend_structure(mu), N)
+    data = build_perturbation(retract, suspend_structure(mu))
     hpl = hpl_transfer(data)
     for key, report in hpl.reports():
         checks.add("hpl." + key, report)
-    checks.add("hpl.compare", compare_hpl_vs_kernels(hpl, pkg, N))
+    checks.add("hpl.compare", compare_hpl_vs_kernels(hpl, pkg))
     checks.add("annihilation", check_annihilation_lemmas(pkg))
 
     # degeneration: the identity retract (h = 0) transports products verbatim
@@ -297,7 +301,7 @@ def _selftest_instance(base_seed, index, N, writer):
         ChainComplex(mu.carrier, mu.differential),
         MultiMap.identity(mu.carrier), MultiMap.identity(mu.carrier),
         MultiMap.zero(mu.carrier, mu.carrier, 1, 1))
-    ident_pkg = transfer(ident_retract, mu, N)
+    ident_pkg = transfer(ident_retract, mu)
     plain = all((ident_pkg.nu.mu(n) - mu.mu(n)).is_zero() for n in range(2, N + 1))
     higher = all(ident_pkg.phi.component(n).is_zero()
                  and ident_pkg.psi.component(n).is_zero()
@@ -308,7 +312,7 @@ def _selftest_instance(base_seed, index, N, writer):
     # degeneration: no products means the perturbation series is trivial,
     # and the run that shows it passes its own reports
     bare = AInfinity(mu.carrier, mu.differential, {}, N)
-    bare_data = build_perturbation(retract, suspend_structure(bare), N)
+    bare_data = build_perturbation(retract, suspend_structure(bare))
     bare_hpl = hpl_transfer(bare_data)
     trivial = (bare_hpl.ok and bare_hpl.delta_nu.is_zero()
                and bare_hpl.psi == bare_data.G

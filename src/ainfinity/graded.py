@@ -33,7 +33,9 @@ accumulated into one table.  `_product_into` is the one composite loop;
 
 A family reads its components from one table (`component_table`); those
 beyond its truncation are unknown, not zero, and reading one raises, as does
-a run asked to go above the truncation of its input (`resolve_truncation`).
+asking for a truncation above the one an input is known to
+(`resolve_truncation`); a run below the truncation of its input runs on
+`AInfinity.truncated`.
 """
 
 import itertools

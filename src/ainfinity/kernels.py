@@ -30,7 +30,7 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism, check_homotopy,
                      identity_morphism)
 from .combi import enum_A, enum_B, enum_C, insertions, splits
 from .graded import (MultiMap, StructureError, compose, compose_product,
-                     insert_slots, map_sum, resolve_truncation)
+                     insert_slots, map_sum)
 from .reports import CheckReport
 from .suspension import (desuspend_components, suspend_components,
                          suspend_structure)
@@ -250,7 +250,7 @@ class TransferPackage:
         return sorted(name for name, r in self.reports.items() if not r.ok)
 
 
-def transfer(retract, mu, N=None):
+def transfer(retract, mu):
     """Transfer `mu` across `retract`, verify everything, return the package.
 
     Raises on invalid inputs (structure relations or retract identities
@@ -261,8 +261,8 @@ def transfer(retract, mu, N=None):
         raise StructureError("structure lives on a different module than the retract")
     if not (mu.differential - retract.big.d).is_zero():
         raise StructureError("structure differential differs from the retract's")
-    N = resolve_truncation(N, mu.truncation)
-    structure_report = check_structure(mu, N)
+    N = mu.truncation
+    structure_report = check_structure(mu)
     if not structure_report.ok:
         raise StructureError("input structure fails its defining relations at %r"
                              % structure_report.failing())

@@ -79,7 +79,7 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily,
                         lift_coderivation, lift_homotopy, lift_morphism,
                         lift_residual, operator_sum)
 from .graded import (MultiMap, StructureError, compose_product, insert_slots,
-                     map_sum, resolve_truncation)
+                     map_sum)
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_components
 
@@ -91,11 +91,11 @@ class PerturbationData:
     block keys are kept for the nilpotency report, and F is lifted after
     dmu is released, so the two never coexist."""
 
-    def __init__(self, retract, smu, trunc):
+    def __init__(self, retract, smu):
         fhat, ghat, hhat, gfhat = retract.shifted()
         sV, sW = fhat.source, fhat.target
         self.retract = retract
-        self.trunc = trunc
+        self.trunc = trunc = smu.trunc
         self.sV, self.sW = sV, sW
         W = retract.small.module
         # the shifted differential of W: the arity-1 component of DW
@@ -106,13 +106,12 @@ class PerturbationData:
             left=ComponentFamily.strict_morphism(gfhat, trunc),
             right=ComponentFamily.identity(sV, trunc)))
         # DV's components: the shifted structure maps of arity 1..trunc
-        self.dV = ComponentFamily("coderivation", sV, sV, {
-            n: smu.component(n) for n in range(1, trunc + 1)}, trunc)
+        self.dV = smu
         # the perturbation: the shifted products of arity 2..trunc, lifted at
         # the same truncation as every other operator here
         dmu = lift_coderivation(ComponentFamily(
             "coderivation", sV, sV,
-            {n: m for n, m in self.dV.components.items() if n >= 2}, trunc))
+            {n: m for n, m in smu.components.items() if n >= 2}, trunc))
         self.M = dmu.compose(self.H)
         self.dmuG = dmu.compose(self.G)
         self.dmu_keys = list(dmu.blocks)
@@ -152,11 +151,10 @@ class PerturbationData:
         return report
 
 
-def build_perturbation(retract, smu, trunc=None):
-    trunc = resolve_truncation(trunc, smu.trunc)
+def build_perturbation(retract, smu):
     if smu.source != retract.shifted()[2].source:
         raise StructureError("shifted structure lives off the retract's module")
-    return PerturbationData(retract, smu, trunc)
+    return PerturbationData(retract, smu)
 
 
 class HplOutput:
@@ -293,16 +291,19 @@ class ComparisonReport(CheckReport):
         return ["perturbation-lemma output differs from the kernel recursion"]
 
 
-def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
-    """Component equality, arity by arity up to n_max (by default, and at
-    most, the lower truncation of the two routes), of the
-    perturbation-lemma outputs with the suspended maps `transfer` writes:
-    nu's products, phi, psi and the homotopy, zero at an arity one lacks
-    (delta_nu_1 always).  Asserted only under the side conditions; raises
-    without them."""
+def compare_hpl_vs_kernels(hpl, pkg):
+    """Component equality, arity by arity up to the truncation N both
+    routes ran at, of the perturbation-lemma outputs with the suspended
+    maps `transfer` writes: nu's products, phi, psi and the homotopy, zero
+    at an arity one lacks (delta_nu_1 always).  Asserted only under the
+    side conditions; raises without them, and for routes run at different
+    truncations."""
     if not pkg.retract.is_harmonious:
         raise StructureError("the comparison assumes the side conditions")
-    n_max = resolve_truncation(n_max, min(hpl.data.trunc, pkg.truncation))
+    N = pkg.truncation
+    if hpl.data.trunc != N:
+        raise StructureError("the routes ran at truncations %d and %d"
+                             % (hpl.data.trunc, N))
     V, W = pkg.retract.big.module, pkg.retract.small.module
     written = {"delta_nu": (pkg.nu.products, W, W),
                "phi": (pkg.phi.components, V, W),
@@ -311,10 +312,9 @@ def compare_hpl_vs_kernels(hpl, pkg, n_max=None):
     got = hpl.extracted()
     report = ComparisonReport()
     for key, (comps, source, target) in sorted(written.items()):
-        expected = suspend_components(
-            {n: m for n, m in comps.items() if n <= n_max}, source, target)
+        expected = suspend_components(comps, source, target)
         diff = CheckReport("compare-" + key)
-        for n in range(1, n_max + 1):
+        for n in range(1, N + 1):
             x = got[key].component(n)
             diff.add(n, x - expected[n] if n in expected else x)
         report.add(key, diff)

@@ -35,7 +35,7 @@ def corpus():
         for i in range(CORPUS_SIZE):
             mu = random_dga(random.Random(CORPUS_SEED + i), truncation=ARITY)
             retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-            pkg = transfer(retract, mu, ARITY)
+            pkg = transfer(retract, mu)
             _corpus_cache.append((mu, retract, pkg))
     return _corpus_cache
 
@@ -58,7 +58,7 @@ def test_criterion_1_massey_witness(tmp_path, capsys):
     residual_lines = [l for l in report.splitlines() if ".nonzero=" in l]
     all_zero = residual_lines and all(l.endswith("=0") for l in residual_lines)
     pkg = transfer(harmonious_retract(ChainComplex(mu.carrier, mu.differential)),
-                   mu, 5)
+                   mu)
     nu3 = pkg.nu.mu(3)
     ok = (code == 0 and elapsed < 10.0 and all_zero
           and "compare.status=exact" in report
@@ -115,7 +115,7 @@ def test_criterion_5_degenerations(capsys):
         ident = MultiMap.identity(mu.carrier)
         retract = DeformationRetract(cx, cx, ident, ident,
                                      MultiMap.zero(mu.carrier, mu.carrier, 1, 1))
-        pkg = transfer(retract, mu, ARITY)
+        pkg = transfer(retract, mu)
         for n in range(2, ARITY + 1):
             expected = compose(retract.f,
                                compose_product(mu.mu(n), [retract.g] * n))
@@ -126,7 +126,7 @@ def test_criterion_5_degenerations(capsys):
         # trivial perturbation: outputs equal inputs
         real_retract = harmonious_retract(cx)
         bare = AInfinity(mu.carrier, mu.differential, {}, ARITY)
-        data = build_perturbation(real_retract, suspend_structure(bare), ARITY)
+        data = build_perturbation(real_retract, suspend_structure(bare))
         hpl = hpl_transfer(data)
         ok = ok and hpl.delta_nu.is_zero() and hpl.psi == data.G
         ok = ok and hpl.phi == data.F and hpl.H_out == data.H
@@ -143,7 +143,7 @@ def test_criterion_6_nilpotency_and_inversion(capsys):
                                            instance_massey().carrier,
                                            instance_massey().differential)),
                                        None)]:
-        data = build_perturbation(retract, suspend_structure(mu), ARITY)
+        data = build_perturbation(retract, suspend_structure(mu))
         hpl = hpl_transfer(data)
         ok = ok and hpl.nilpotency_report.ok and hpl.inversion_report.ok
         ok = ok and all(idx <= n for n, idx in data.nilpotency.items())
@@ -161,9 +161,9 @@ def test_criterion_7_annihilation_lemmas(capsys):
             continue
         ok = ok and check_annihilation_lemmas(pkg).ok
         # the equivalence itself, while we are here
-        data = build_perturbation(retract, suspend_structure(mu), ARITY)
+        data = build_perturbation(retract, suspend_structure(mu))
         hpl = hpl_transfer(data)
-        ok = ok and compare_hpl_vs_kernels(hpl, pkg, ARITY).status == "exact"
+        ok = ok and compare_hpl_vs_kernels(hpl, pkg).status == "exact"
         checked += 1
     with capsys.disabled():
         announce(7, ok and checked == len(corpus()),

@@ -5,6 +5,7 @@ import pytest
 from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                               check_homotopy, check_morphism, check_structure,
                               compose_morphisms, identity_morphism)
+from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import GradedModule, MultiMap, StructureError
 from conftest import (chain_complex_ainfty, dga_without_leibniz, one_point_dga,
                       random_multimap, seeded, two_dim_complex)
@@ -57,6 +58,34 @@ def test_components_above_truncation_refused():
     ident = identity_morphism(a)
     with pytest.raises(StructureError, match="arity 2 outside 1..1"):
         AInftyHomotopy(ident, ident, {2: h2}, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_truncated_keeps_d_and_the_products_up_to_its_arity(field):
+    """`truncated(n)` is the structure itself at its own truncation; below
+    it, the same d and the products of arity <= n, known to arity n only.
+    n below 1 or above the truncation raises.  The products are random and
+    satisfy no relation: cutting checks nothing."""
+    rng = seeded(3)
+    V = GradedModule({-3: 1, -2: 1, -1: 1, 0: 1}, field)
+    d = random_multimap(rng, V, V, 1, -1)
+    products = {n: random_multimap(rng, V, V, n, n - 2) for n in range(2, 6)}
+    a = AInfinity(V, d, products, 5)
+    assert sorted(a.products) == [2, 3, 4, 5]
+    assert a.truncated(5) is a
+    for n in range(1, 5):
+        cut = a.truncated(n)
+        assert cut.truncation == n and cut.differential is d
+        assert cut.products == {k: m for k, m in products.items() if k <= n}
+        assert all(cut.mu(k) is a.mu(k) for k in range(1, n + 1))
+        with pytest.raises(StructureError,
+                           match="arity %d is unknown" % (n + 1)):
+            cut.mu(n + 1)
+    for n in (0, -1):
+        with pytest.raises(StructureError, match="truncation must be >= 1"):
+            a.truncated(n)
+    with pytest.raises(StructureError, match="truncation 6 exceeds 5"):
+        a.truncated(6)
 
 
 def test_check_structure_dga_passes():

@@ -842,6 +842,70 @@ def test_transfer_without_retract_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_transfer_refuses_an_output_path_it_cannot_write(tmp_path, capsys,
+                                                         monkeypatch, where):
+    """`-o` into a directory that does not exist, or onto a directory, is
+    refused with exit 2 before any retract or transfer work: nothing on
+    stdout, one `input error: ` line on stderr, and neither route nor the
+    retract ever called."""
+    src = massey_doc(tmp_path)
+    out = (tmp_path / "missing" / "out.json" if where == "missing-directory"
+           else tmp_path)
+    calls = []
+    for name in ("harmonious_retract", "transfer", "build_perturbation"):
+        monkeypatch.setattr(ainfinity.cli, name,
+                            lambda *args, name=name: calls.append(name))
+    assert main(["transfer", src, "--method", "both", "--retract", "auto",
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: cannot write to %r\n" % str(out))
+    assert calls == []
+
+
+def complex_without_square_zero(tmp_path, retract):
+    """A document on the complex a2 -> a1 -> a0, d a2 = a1 and d a1 = a0,
+    so d^2 != 0, at truncation 2; with `retract`, it carries the identity
+    retract of V."""
+    V = GradedModule({0: 1, 1: 1, 2: 1})
+    one = V.field.one
+    d = MultiMap(V, V, 1, -1, {((2, 0),): {(1, 0): one},
+                               ((1, 0),): {(0, 0): one}})
+    block = {"big": "V", "small": "V", "f": MultiMap.identity(V),
+             "g": MultiMap.identity(V), "h": MultiMap.zero(V, V, 1, 1),
+             "small_d": d} if retract else None
+    path = str(tmp_path / "d-squared.json")
+    dump(Document(V.field, 2, {"V": V}, structure=("V", AInfinity(V, d, {}, 2)),
+                  retract=block), path)
+    return path
+
+
+@pytest.mark.parametrize("method", ["kernels", "hpl"])
+@pytest.mark.parametrize("retract", ["auto", "document"])
+def test_failing_input_structure_is_reported_as_itself(tmp_path, capsys,
+                                                       retract, method):
+    """d^2 != 0 is a fault of the input structure, not of a retract: the
+    structure is checked before a retract is built, from `--retract auto`
+    or from the document, and the run reports what `check` reports.  The
+    refusal that needs no computation, no retract block, keeps exit 2."""
+    path = complex_without_square_zero(tmp_path, retract == "document")
+    auto = ["--retract", "auto"] if retract == "auto" else []
+    assert main(["transfer", path, "--method", method] + auto) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "status=fail\ninput=%s\nmethod=%s\narity=2\n"
+        "check.structure.1.nonzero=1\ncheck.structure.2.nonzero=0\n---\n"
+        "structure[1]: 1 nonzero entries, first offender ((2, 0),)\n"
+        "input structure fails its defining relations\n" % (path, method))
+    if retract == "auto":
+        assert main(["transfer", path, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: no retract block")
+
+
 def test_transfer_deterministic_output(tmp_path, capsys):
     src = massey_doc(tmp_path)
     out1 = str(tmp_path / "a.json")

@@ -145,7 +145,7 @@ def test_massey_p3_frozen_oracle():
 def test_conventions_agree_on_desk_instances():
     for mu in [instance_massey(), instance_forms()]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        pkg = transfer(retract, mu, 5)
+        pkg = transfer(retract, mu)
         assert pkg.reports["convention-agreement"].ok
 
 
@@ -198,7 +198,7 @@ def test_structure_residual_reduces_through_the_retract():
 
 def test_transfer_package_all_reports_ok():
     mu, retract = massey_setup()
-    pkg = transfer(retract, mu, 5)
+    pkg = transfer(retract, mu)
     assert pkg.ok, pkg.failing_reports()
     assert sorted(pkg.reports) == [
         "composite-agreement", "convention-agreement", "homotopy",
@@ -207,14 +207,14 @@ def test_transfer_package_all_reports_ok():
 
 def test_transfer_nu3_nonzero_on_massey():
     mu, retract = massey_setup()
-    pkg = transfer(retract, mu, 5)
+    pkg = transfer(retract, mu)
     assert not pkg.nu.mu(3).is_zero()
     assert pkg.nu.mu(2).is_zero()  # products of homology classes all bound
 
 
 def test_transfer_identity_retract_degenerations():
     mu, _ = massey_setup()
-    pkg = transfer(identity_retract(mu), mu, 5)
+    pkg = transfer(identity_retract(mu), mu)
     assert pkg.ok
     for n in range(2, 6):
         assert pkg.nu.mu(n) == mu.mu(n)
@@ -226,7 +226,7 @@ def test_transfer_identity_retract_degenerations():
 def test_transfer_one_dimensional_small_side():
     mu = instance_forms()
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, 5)
+    pkg = transfer(retract, mu)
     assert pkg.ok
     assert pkg.nu.carrier.total_dim == 1
     for n in range(3, 6):
@@ -238,14 +238,14 @@ def test_transfer_rejects_invalid_structure():
     bad = dga_without_leibniz()
     retract = identity_retract(bad)
     with pytest.raises(StructureError):
-        transfer(retract, bad, 4)
+        transfer(retract, bad)
 
 
 @pytest.mark.parametrize("N", [0, -3])
 def test_transfer_rejects_nonpositive_arity(N):
     mu, retract = massey_setup()
     with pytest.raises(StructureError):
-        transfer(retract, mu, N)
+        transfer(retract, mu.truncated(N))
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 12])
@@ -255,7 +255,7 @@ def test_transfer_k_fold_massey_known_answer(k):
     homology classes in degree 2k - 2; every other nu_n vanishes."""
     mu = instance_massey(truncation=k, k=k)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, k)
+    pkg = transfer(retract, mu)
     assert pkg.ok, pkg.failing_reports()
     assert sorted(pkg.nu.products) == [k]
     W = retract.small.module
@@ -271,7 +271,7 @@ def test_transfer_rejects_mismatched_retract():
     mu, retract = massey_setup()
     other = instance_forms()
     with pytest.raises(StructureError):
-        transfer(retract, other, 4)
+        transfer(retract, other.truncated(4))
 
 
 def test_retract_constructor_rejects_broken_homotopy():
@@ -283,8 +283,8 @@ def test_retract_constructor_rejects_broken_homotopy():
 
 def test_transfer_deterministic():
     mu, retract = massey_setup()
-    p1 = transfer(retract, mu, 4)
-    p2 = transfer(retract, mu, 4)
+    p1 = transfer(retract, mu.truncated(4))
+    p2 = transfer(retract, mu.truncated(4))
     for n in range(2, 5):
         assert p1.p_hat[n] == p2.p_hat[n]
         assert p1.q_hat[n] == p2.q_hat[n]
@@ -295,12 +295,12 @@ def test_transfer_deterministic():
 
 def test_composite_matches_composition_formula():
     mu, retract = massey_setup()
-    pkg = transfer(retract, mu, 5)
+    pkg = transfer(retract, mu)
     assert pkg.reports["composite-agreement"].ok
 
 
 def test_psi_is_a_morphism_when_kernel_identity_holds():
     mu, retract = massey_setup()
-    pkg = transfer(retract, mu, 5)
+    pkg = transfer(retract, mu)
     assert pkg.reports["p-identity"].ok
     assert check_morphism(pkg.psi).ok

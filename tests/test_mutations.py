@@ -101,7 +101,7 @@ def battery_detects(field=None):
                 return True
             retract = retracts.harmonious_retract(
                 ChainComplex(mu.carrier, mu.differential))
-            pkg = kernels.transfer(retract, mu, 4)
+            pkg = kernels.transfer(retract, mu)
             if not pkg.ok:
                 return True
         return False
@@ -111,13 +111,14 @@ def battery_detects(field=None):
 
 def witness_routes(field=None, N=4, make=None):
     """A witness instance (default `instance_massey`) over `field` (default
-    Q) at truncation N through both routes: (kernel package, HPL output)."""
-    mu = (make or retracts.instance_massey)(field, truncation=N)
+    Q), truncated at N <= 4, through both routes: (kernel package, HPL
+    output)."""
+    mu = (make or retracts.instance_massey)(field, truncation=4).truncated(N)
     retract = retracts.harmonious_retract(
         ChainComplex(mu.carrier, mu.differential))
-    pkg = kernels.transfer(retract, mu, N)
+    pkg = kernels.transfer(retract, mu)
     data = perturbation.build_perturbation(
-        retract, suspension.suspend_structure(mu), N)
+        retract, suspension.suspend_structure(mu))
     return pkg, perturbation.hpl_transfer(data)
 
 
@@ -150,7 +151,7 @@ def equivalence_detects(field=None):
             mu = make(field, truncation=4)
             retract = retracts.harmonious_retract(
                 ChainComplex(mu.carrier, mu.differential))
-            pkg = kernels.transfer(retract, mu, 4)
+            pkg = kernels.transfer(retract, mu)
             if not battery.equivalence_battery(pkg).ok:
                 return True
         return False
@@ -159,15 +160,17 @@ def equivalence_detects(field=None):
 
 
 def comparison_blind(field=None):
-    """True when the HPL-vs-kernels comparison on the witness at N = 4 over
-    `field` (default Q) misses a dropped component: for each nonzero
-    component x_n of each output family, the comparison up to arity n,
-    with x_n removed from the family, must report a mismatch."""
+    """True when the HPL-vs-kernels comparison on the witness over `field`
+    (default Q) misses a dropped component: for each nonzero component x_n
+    of each output family, n <= 4, the comparison of both routes run at
+    N = n, with x_n removed from the family, must report a mismatch."""
     try:
-        pkg, hpl = witness_routes(field)
-        families = hpl.extracted()
-        for key, family in sorted(families.items()):
-            for n in sorted(family.components):
+        for n in range(1, 5):
+            pkg, hpl = witness_routes(field, n)
+            families = hpl.extracted()
+            for key, family in sorted(families.items()):
+                if n not in family.components:
+                    continue
                 comps = {m: x for m, x in family.components.items() if m != n}
                 probe = dict(families)
                 probe[key] = coalgebra.ComponentFamily(
@@ -175,7 +178,7 @@ def comparison_blind(field=None):
                     family.trunc, left=family.left, right=family.right)
                 stand_in = SimpleNamespace(data=hpl.data,
                                            extracted=lambda: probe)
-                report = perturbation.compare_hpl_vs_kernels(stand_in, pkg, n)
+                report = perturbation.compare_hpl_vs_kernels(stand_in, pkg)
                 if report.status == "exact":
                     return True
         return False
@@ -235,9 +238,9 @@ def normalise_detects(field=None):
             retract = retracts.normalise(crooked)
             if not retract.is_harmonious:
                 return True
-            pkg = kernels.transfer(retract, mu, 4)
+            pkg = kernels.transfer(retract, mu)
             data = perturbation.build_perturbation(
-                retract, suspension.suspend_structure(mu), 4)
+                retract, suspension.suspend_structure(mu))
             hpl = perturbation.hpl_transfer(data)
             if perturbation.compare_hpl_vs_kernels(hpl, pkg).status != "exact":
                 return True
@@ -433,8 +436,8 @@ STRUCTURAL_MUTANTS = {
         "for r in range(1, 2):"),
     "compare-skips-top-arity": (
         perturbation, "compare_hpl_vs_kernels",
-        "for n in range(1, n_max + 1):",
-        "for n in range(1, n_max):"),
+        "for n in range(1, N + 1):",
+        "for n in range(1, N):"),
     "composite-uses-gfq-for-hp": (
         kernels, "_suspended_q",
         "(1, hp[k], [gfq[r] for r in parts])",
@@ -442,7 +445,7 @@ STRUCTURAL_MUTANTS = {
     "compare-delta-nu-drops-top-arity": (
         perturbation, "compare_hpl_vs_kernels",
         '"delta_nu": (pkg.nu.products, W, W)',
-        '"delta_nu": ({n: m for n, m in pkg.nu.products.items() if n < n_max},'
+        '"delta_nu": ({n: m for n, m in pkg.nu.products.items() if n < N},'
         ' W, W)'),
     "splitting-drops-a-representative": (
         retracts, "Splitting.__init__",

@@ -75,7 +75,7 @@ def test_zero_complex_side_conditions_vacuous():
 
 def test_nilpotency_and_inversion():
     mu, retract = forms_setup()
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     hpl = hpl_transfer(data)
     assert hpl.nilpotency_report.ok
     assert hpl.inversion_report.ok
@@ -91,7 +91,7 @@ def test_series_inversion_residuals_against_identity():
     term short of the full loop would still pass.)"""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     M = S = data.M
     report = series_inversion_report(M, S)
     ident = CoalgebraOperator.identity(data.sV, 4)
@@ -114,7 +114,7 @@ def lifted_dmu(data):
 def test_trivial_perturbation_returns_inputs():
     mu, retract = forms_setup()
     bare = AInfinity(mu.carrier, mu.differential, {}, 4)
-    data = build_perturbation(retract, suspend_structure(bare), 4)
+    data = build_perturbation(retract, suspend_structure(bare))
     assert lifted_dmu(data).is_zero()
     hpl = hpl_transfer(data)
     assert hpl.delta_nu.is_zero()
@@ -127,7 +127,7 @@ def test_low_homogeneity_blocks():
     # the series strictly lowers homogeneity: the transferred perturbation
     # has no homogeneity-1 block, and phi restricted to letters is f
     mu, retract = forms_setup()
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     hpl = hpl_transfer(data)
     assert not hpl.delta_nu.block(1, 1)
     fhat = retract.shifted()[0]
@@ -139,7 +139,7 @@ def test_low_homogeneity_blocks():
 def test_hpl_conclusions_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        data = build_perturbation(retract, suspend_structure(mu), 4)
+        data = build_perturbation(retract, suspend_structure(mu))
         hpl = hpl_transfer(data)
         assert hpl.conclusions.ok, hpl.conclusions.failing()
 
@@ -147,10 +147,10 @@ def test_hpl_conclusions_on_desk_instances():
 def test_hpl_equals_kernels_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        pkg = transfer(retract, mu, 4)
-        data = build_perturbation(retract, suspend_structure(mu), 4)
+        pkg = transfer(retract, mu)
+        data = build_perturbation(retract, suspend_structure(mu))
         hpl = hpl_transfer(data)
-        report = compare_hpl_vs_kernels(hpl, pkg, 4)
+        report = compare_hpl_vs_kernels(hpl, pkg)
         assert report.status == "exact"
         assert report.ok
 
@@ -161,14 +161,14 @@ def test_comparison_refuses_retract_without_side_conditions():
     operators, but they are not lifts, and the HPL reports say so."""
     mu = massey_with_marker()
     retract = crooked_retract(mu)
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu)
     assert pkg.ok  # the transfer itself is fine without side conditions
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     hpl = hpl_transfer(data)
     assert operator_conclusions(data, outputs_of(hpl)).ok
     assert not hpl.colinearity.ok and not hpl.ok
     with pytest.raises(StructureError, match="side conditions"):
-        compare_hpl_vs_kernels(hpl, pkg, 4)
+        compare_hpl_vs_kernels(hpl, pkg)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Z32003"])
@@ -194,10 +194,10 @@ def test_every_fg_one_retract_is_compared_once_normalised(field):
         crooked += 1
         fixed = normalise(bent)
         assert fixed.is_harmonious, seed
-        pkg = transfer(fixed, mu, 4)
-        hpl = hpl_transfer(build_perturbation(fixed, pkg.smu, 4))
+        pkg = transfer(fixed, mu)
+        hpl = hpl_transfer(build_perturbation(fixed, pkg.smu))
         assert pkg.ok and hpl.ok, seed
-        assert compare_hpl_vs_kernels(hpl, pkg, 4).status == "exact", seed
+        assert compare_hpl_vs_kernels(hpl, pkg).status == "exact", seed
         assert equivalence_battery(pkg).ok, seed
         assert check_annihilation_lemmas(pkg).ok, seed
     assert crooked == 17
@@ -209,7 +209,7 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     # witness 1: crooked h (fg = 1 still): the morphisms lose lift shape
     mu = massey_with_marker()
     retract = crooked_retract(mu)
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     hpl = hpl_transfer(data)
     assert lift_morphism(extract_components(hpl.psi, "morphism")) != hpl.psi
     assert lift_morphism(extract_components(hpl.phi, "morphism")) != hpl.phi
@@ -219,7 +219,7 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     base = instance_massey(truncation=4)
     retract2 = fg_broken_retract(base)
     assert not retract2.is_harmonious
-    data2 = build_perturbation(retract2, suspend_structure(base), 4)
+    data2 = build_perturbation(retract2, suspend_structure(base))
     hpl2 = hpl_transfer(data2)
     # the lemma itself is fine, and the colinearity check sees the shape
     assert operator_conclusions(data2, outputs_of(hpl2)).ok
@@ -250,9 +250,9 @@ def coleibniz_residuals(hpl):
     }
 
 
-def harmonious_hpl(mu, N=4):
+def harmonious_hpl(mu):
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    return hpl_transfer(build_perturbation(retract, suspend_structure(mu), N))
+    return hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
@@ -278,7 +278,7 @@ def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
     cases = [(mu, crooked_retract(mu), {"psi", "phi", "homotopy"}),
              (base, fg_broken_retract(base), {"delta_nu"})]
     for mu, retract, broken in cases:
-        hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
+        hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
         relift = colinearity_report(outputs_of(hpl), hpl.extracted())
         coleibniz = coleibniz_residuals(hpl)
         for key, residual in coleibniz.items():
@@ -289,7 +289,7 @@ def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
 def test_operator_and_corestricted_conclusions_agree_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        data = build_perturbation(retract, suspend_structure(mu), 4)
+        data = build_perturbation(retract, suspend_structure(mu))
         hpl = hpl_transfer(data)
         assert hpl.colinearity.ok
         operator = operator_conclusions(data, outputs_of(hpl))
@@ -304,7 +304,7 @@ def test_corrupted_phi_component_fails_both_forms():
     colinearity check cannot catch it; both forms of the conclusions must."""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     hpl = hpl_transfer(data)
     phi = hpl.extracted()["phi"]
     comps = dict(phi.components)
@@ -323,7 +323,7 @@ def test_corrupted_phi_component_fails_both_forms():
 def test_annihilation_lemmas_hold_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        pkg = transfer(retract, mu, 4)
+        pkg = transfer(retract, mu)
         report = check_annihilation_lemmas(pkg)
         assert report.ok, report.failing()
 
@@ -331,7 +331,7 @@ def test_annihilation_lemmas_hold_on_desk_instances():
 def test_annihilation_requires_side_conditions():
     mu = massey_with_marker()
     retract = crooked_retract(mu)
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu)
     with pytest.raises(StructureError):
         check_annihilation_lemmas(pkg)
 
@@ -341,7 +341,7 @@ def test_q2_through_homotopy_hand_case():
     # homogeneity-2 homotopy block: q_2 = d_2 o (gf x h + h x 1)
     from ainfinity.graded import compose_product
     mu, retract = forms_setup()
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu)
     _, _, hhat, gfhat = retract.shifted()
     ident = MultiMap.identity(hhat.source)
     expected = (compose_product(pkg.smu.component(2), [gfhat, hhat])
@@ -353,7 +353,7 @@ def test_vanish_on_images_hand_case():
     # q_2 o g^{x 2} = d_2(gfg x hg) + d_2(hg x g) dies because hg = 0
     from ainfinity.graded import compose_product
     mu, retract = forms_setup()
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu)
     _, ghat, hhat, _ = retract.shifted()
     assert compose(hhat, ghat).is_zero()
     assert compose_product(pkg.q_hat[2], [ghat, ghat]).is_zero()
@@ -363,9 +363,9 @@ def transferred_witness(field=None):
     """The witness at truncation 3 transferred along both routes at 3."""
     mu = instance_massey(field, truncation=3)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, 3)
+    pkg = transfer(retract, mu)
     smu = suspend_structure(mu)
-    data = build_perturbation(retract, smu, 3)
+    data = build_perturbation(retract, smu)
     return SimpleNamespace(mu=mu, retract=retract, pkg=pkg, smu=smu,
                            data=data, hpl=hpl_transfer(data))
 
@@ -382,18 +382,21 @@ def witness3_over(request):
     return transferred_witness(request.param)
 
 
-# every public entry point that takes a truncation (n_max, N, trunc or
-# truncation), called with an explicit one
+# every way a run is asked for an arity n: the public entry points that
+# take a truncation (n_max or truncation), and `AInfinity.truncated`, the
+# one way the two routes and the comparison, which run at the truncation
+# of their input, are given one
 TRUNCATION_SITES = {
     "check_structure": lambda w, n: check_structure(w.mu, n),
     "AInftyMorphism": lambda w, n: AInftyMorphism(w.mu, w.mu, {}, n),
     "AInftyHomotopy": lambda w, n: AInftyHomotopy(
         identity_morphism(w.mu), identity_morphism(w.mu), {}, n),
+    "truncated": lambda w, n: w.mu.truncated(n),
     "compare_hpl_vs_kernels": lambda w, n: compare_hpl_vs_kernels(
-        w.hpl, w.pkg, n),
-    "transfer": lambda w, n: transfer(w.retract, w.mu, n),
-    "build_perturbation": lambda w, n: build_perturbation(w.retract, w.smu,
-                                                          n),
+        w.hpl, transfer(w.retract, w.mu.truncated(n))),
+    "transfer": lambda w, n: transfer(w.retract, w.mu.truncated(n)),
+    "build_perturbation": lambda w, n: build_perturbation(
+        w.retract, suspend_structure(w.mu.truncated(n))),
 }
 
 
@@ -401,7 +404,7 @@ TRUNCATION_SITES = {
 @pytest.mark.parametrize("site", sorted(TRUNCATION_SITES))
 def test_nonpositive_truncation_rejected(site, n, witness3):
     """Only None means "the default truncation"; 0 and below raise."""
-    assert len(TRUNCATION_SITES) == 6
+    assert len(TRUNCATION_SITES) == 7
     with pytest.raises(StructureError, match="truncation must be >= 1"):
         TRUNCATION_SITES[site](witness3, n)
 
@@ -415,6 +418,40 @@ def test_nothing_runs_above_the_truncation_of_its_input(site, n,
     report ok; each entry point refuses it, naming both truncations."""
     with pytest.raises(StructureError, match="truncation %d exceeds 3" % n):
         TRUNCATION_SITES[site](witness3_over, n)
+
+
+def test_comparison_refuses_routes_run_at_different_truncations(witness3):
+    """The comparison runs at the one truncation both routes ran at: a
+    kernel package or an HPL output run at 2 against the other route at 3
+    is refused, naming both, not clipped to the lower one."""
+    w = witness3
+    cut = w.mu.truncated(2)
+    pkg2 = transfer(w.retract, cut)
+    hpl2 = hpl_transfer(build_perturbation(w.retract, suspend_structure(cut)))
+    with pytest.raises(StructureError,
+                       match="the routes ran at truncations 3 and 2"):
+        compare_hpl_vs_kernels(w.hpl, pkg2)
+    with pytest.raises(StructureError,
+                       match="the routes ran at truncations 2 and 3"):
+        compare_hpl_vs_kernels(hpl2, w.pkg)
+    assert compare_hpl_vs_kernels(hpl2, pkg2).status == "exact"
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_battery_passes_on_a_package_transferred_below_its_input(field):
+    """Transferred at 3 from the witness at truncation 5, the package holds
+    nothing above 3: the shifted structure, the kernels, every family and
+    both ends of the homotopy are known to arity 3, so the homotopy's right
+    flank is the identity of T^{<=3}(sV) and the battery passes."""
+    mu = instance_massey(field, truncation=5)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    pkg = transfer(retract, mu.truncated(3))
+    hom = pkg.homotopy
+    assert pkg.truncation == pkg.smu.trunc == hom.to.truncation == 3
+    assert {pkg.nu.truncation, pkg.phi.truncation, pkg.psi.truncation,
+            hom.truncation, hom.frm.truncation} == {3}
+    assert max(pkg.p_hat) == max(pkg.q_hat) == max(pkg.psiphi_hat) == 3
+    assert equivalence_battery(pkg).ok
 
 
 def test_no_family_reads_above_its_truncation(witness3_over):
@@ -483,8 +520,8 @@ def test_checkers_run_to_the_truncation_of_their_object(N):
     for the kernel identities, whose kernels start at arity 2)."""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, N)
-    data = build_perturbation(retract, pkg.smu, N)
+    pkg = transfer(retract, mu.truncated(N))
+    data = build_perturbation(retract, pkg.smu)
     snu = suspend_structure(pkg.nu)
     arities = list(range(1, N + 1))
     reports = [
@@ -543,8 +580,8 @@ def reference_outputs(data):
             "homotopy": operator_sum(plus=[data.H, (HA, data.H)])}
 
 
-def assert_outputs_match_reference(mu, retract, N):
-    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), N))
+def assert_outputs_match_reference(mu, retract):
+    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
     assert hpl.inversion_report.residuals["left"].is_zero()
     reference = reference_outputs(hpl.data)
     for key, op in outputs_of(hpl).items():
@@ -557,7 +594,7 @@ def assert_outputs_match_reference(mu, retract, N):
 def test_outputs_match_reference_association_on_witness(field):
     mu = instance_massey(field, truncation=5)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    hpl = assert_outputs_match_reference(mu, retract, 5)
+    hpl = assert_outputs_match_reference(mu, retract)
     assert hpl.ok
 
 
@@ -565,7 +602,7 @@ def test_outputs_match_reference_association_on_crooked_retract():
     """The association holds whatever the retract; off the side conditions
     the outputs satisfy the conclusions as operators but are not lifts."""
     mu = massey_with_marker()
-    hpl = assert_outputs_match_reference(mu, crooked_retract(mu), 4)
+    hpl = assert_outputs_match_reference(mu, crooked_retract(mu))
     assert operator_conclusions(hpl.data, outputs_of(hpl)).ok
     assert not hpl.colinearity.ok
 
@@ -575,7 +612,7 @@ def test_outputs_match_reference_association_on_random_dgas(seed):
     """Three corpus instances whose series S is nonzero."""
     mu = random_dga(random.Random(seed), truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    hpl = assert_outputs_match_reference(mu, retract, 4)
+    hpl = assert_outputs_match_reference(mu, retract)
     assert hpl.ok and not hpl.data.S.is_zero()
 
 
@@ -593,7 +630,7 @@ def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
     mu = massey_with_marker() if crooked else instance_massey(truncation=4)
     retract = (crooked_retract(mu) if crooked else
                harmonious_retract(ChainComplex(mu.carrier, mu.differential)))
-    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 4))
+    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
     outputs = outputs_of(hpl)
     cases = [(None, None, outputs)] + [
         (key, block, dict(outputs, **{key: bad}))
@@ -632,7 +669,7 @@ def test_hpl_route_lifts_each_operator_once(monkeypatch):
     calls = {name: count_calls(monkeypatch, coalgebra, name)
              for name in ("lift_homotopy", "lift_morphism",
                           "lift_coderivation")}
-    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu), 5))
+    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
     assert hpl.ok
     assert {name: len(c) for name, c in calls.items()} == {
         "lift_homotopy": 1, "lift_morphism": 2, "lift_coderivation": 1}
@@ -645,7 +682,7 @@ def test_battery_lifts_the_homotopy_flank_once(monkeypatch):
     The right flank is the identity, read through its views, not lifted."""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu)
     calls = count_calls(monkeypatch, coalgebra, "_lift_blocks")
     assert equivalence_battery(pkg).ok
     assert len(calls) == 5
@@ -658,7 +695,7 @@ def test_battery_refuses_a_homotopy_not_tied_to_the_identity(field):
     rather than checked against the wrong operator."""
     mu = instance_massey(field, truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu)
     hom = pkg.homotopy
     pkg.homotopy = AInftyHomotopy(hom.frm, hom.frm, hom.components,
                                   hom.truncation)
@@ -676,7 +713,7 @@ def witness_setup(N=4):
 
 def witness_data(N=4):
     mu, retract = witness_setup(N)
-    return build_perturbation(retract, suspend_structure(mu), N)
+    return build_perturbation(retract, suspend_structure(mu))
 
 
 def test_outputs_share_the_diagonal_blocks_of_their_plus_operands():
@@ -716,7 +753,7 @@ def test_hpl_transfer_leaves_its_operands_unchanged(setup):
     and no sum writes into one: every operand reads the same after the
     lemma as before, including where S is nonzero."""
     mu, retract = setup()
-    data = build_perturbation(retract, suspend_structure(mu), 4)
+    data = build_perturbation(retract, suspend_structure(mu))
     ops = {name: getattr(data, name) for name in ("F", "G", "H", "dmuG", "M")}
     before = {name: operator_snapshot(op) for name, op in ops.items()}
     hpl = hpl_transfer(data)

@@ -81,7 +81,7 @@ def test_kernel_transfer_over_prime_field_is_rational_reduced(name):
     mu_q, mu_p = both_fields(name)
     r_q, r_p = retract_of(mu_q), retract_of(mu_p)
     assert_retracts_agree(r_q, r_p)
-    pkg_q, pkg_p = transfer(r_q, mu_q, N), transfer(r_p, mu_p, N)
+    pkg_q, pkg_p = transfer(r_q, mu_q), transfer(r_p, mu_p)
     assert pkg_q.ok and pkg_p.ok
     for n in range(1, N + 1):
         pairs = [(pkg_q.phi.component(n), pkg_p.phi.component(n)),
@@ -98,8 +98,8 @@ def test_hpl_delta_nu_over_prime_field_is_rational_reduced(name):
     mu_q, mu_p = both_fields(name)
     r_q, r_p = retract_of(mu_q), retract_of(mu_p)
     assert_retracts_agree(r_q, r_p)
-    hpl_q = hpl_transfer(build_perturbation(r_q, suspend_structure(mu_q), N))
-    hpl_p = hpl_transfer(build_perturbation(r_p, suspend_structure(mu_p), N))
+    hpl_q = hpl_transfer(build_perturbation(r_q, suspend_structure(mu_q)))
+    hpl_p = hpl_transfer(build_perturbation(r_p, suspend_structure(mu_p)))
     assert hpl_q.ok and hpl_p.ok
     blocks_q, blocks_p = hpl_q.delta_nu.blocks, hpl_p.delta_nu.blocks
     expected = {k: reduced(t) for k, t in blocks_q.items()}

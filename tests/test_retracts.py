@@ -113,10 +113,10 @@ def stored_scalars(*roots):
     return scalars
 
 
-def transfer_both_routes(mu, N):
+def transfer_both_routes(mu):
     r = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(r, mu, N)
-    hpl = hpl_transfer(build_perturbation(r, suspend_structure(mu), N))
+    pkg = transfer(r, mu)
+    hpl = hpl_transfer(build_perturbation(r, suspend_structure(mu)))
     comparison = compare_hpl_vs_kernels(hpl, pkg)
     assert pkg.ok and hpl.ok and comparison.status == "exact"
     return r, pkg, hpl, hpl.extracted(), comparison
@@ -125,14 +125,15 @@ def transfer_both_routes(mu, N):
 def test_no_float_in_any_table():
     # the forms retract divides (h(t dt) = -t^2 / 2): every scalar the
     # transfer builds from it, on both routes, stays an exact rational
-    scalars = stored_scalars(*transfer_both_routes(instance_forms(), 4))
+    scalars = stored_scalars(
+        *transfer_both_routes(instance_forms().truncated(4)))
     assert scalars
     assert all(type(c) in (int, Fraction) for c in scalars)
     assert Fraction(-1, 2) in scalars
     # over Z/p every stored scalar is a nonzero int reduced into range(p),
     # on the witness through both routes and every table they build
     p = 32003
-    roots = transfer_both_routes(instance_massey(PrimeField(p), truncation=4), 4)
+    roots = transfer_both_routes(instance_massey(PrimeField(p), truncation=4))
     scalars = stored_scalars(*roots)
     assert len(scalars) > 10000
     assert all(type(c) is int and 0 < c < p for c in scalars)
@@ -274,10 +275,10 @@ def test_normalise_meets_every_side_condition(field):
     fixed = normalise(crooked)
     assert fixed.is_harmonious and fixed.h != crooked.h
     assert (fixed.f, fixed.g) == (crooked.f, crooked.g)
-    pkg = transfer(fixed, mu, 4)
-    hpl = hpl_transfer(build_perturbation(fixed, suspend_structure(mu), 4))
+    pkg = transfer(fixed, mu)
+    hpl = hpl_transfer(build_perturbation(fixed, suspend_structure(mu)))
     assert pkg.ok and hpl.ok
-    assert compare_hpl_vs_kernels(hpl, pkg, 4).status == "exact"
+    assert compare_hpl_vs_kernels(hpl, pkg).status == "exact"
 
 
 def test_normalise_refuses_fg_not_one():

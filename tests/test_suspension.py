@@ -94,7 +94,7 @@ def test_structure_relation_equivalence():
 def test_morphism_relation_equivalence_on_transfer():
     mu = instance_massey()
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu.truncated(4))
     smu = suspend_structure(mu)
     snu = suspend_structure(pkg.nu)
     fam = suspend_morphism(pkg.psi)
@@ -111,7 +111,7 @@ def test_morphism_relation_equivalence_on_transfer():
 def test_homotopy_relation_equivalence_on_transfer():
     mu = instance_massey()
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    pkg = transfer(retract, mu, 4)
+    pkg = transfer(retract, mu.truncated(4))
     smu = suspend_structure(mu)
     fam = suspend_homotopy(pkg.homotopy)
     assert check_homotopy(pkg.homotopy).ok
@@ -149,7 +149,7 @@ def corrupted_relation_inputs(field):
         mu = make(field, truncation=4)
         V = mu.carrier
         pkg = transfer(harmonious_retract(ChainComplex(V, mu.differential)),
-                       mu, 4)
+                       mu)
         yield "structure", AInfinity(V, mu.differential, {
             2: mu.mu(2) + random_multimap(rng, V, V, 2, 0, density=0.3)}, 4)
         yield "structure", AInfinity(
