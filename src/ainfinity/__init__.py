@@ -8,7 +8,7 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
 from .combi import enum_A, enum_B, enum_C
 from .fields import QQ, PrimeField
 from .graded import (ChainComplex, GradedModule, MultiMap, StructureError,
-                     apply_block, compose, compose_product, insert)
+                     compose, compose_product, insert)
 from .kernels import (DeformationRetract, TransferPackage, check_p_identity,
                       check_q_identity, p_kernels, q_kernels, transfer)
 from .perturbation import (build_perturbation, check_annihilation_lemmas,
@@ -22,7 +22,7 @@ __all__ = [
     "AInfinity", "AInftyHomotopy", "AInftyMorphism", "ChainComplex",
     "DeformationRetract", "GradedModule", "MultiMap",
     "PrimeField", "QQ", "StructureError", "TransferPackage",
-    "apply_block", "build_perturbation", "check_p_identity", "check_q_identity", "check_annihilation_lemmas", "check_homotopy",
+    "build_perturbation", "check_p_identity", "check_q_identity", "check_annihilation_lemmas", "check_homotopy",
     "check_morphism", "check_structure",
     "compare_hpl_vs_kernels", "compose", "compose_morphisms",
     "compose_product", "desuspend_structure", "enum_A", "enum_B", "enum_C",

@@ -10,17 +10,17 @@ Conventions: homological grading, the differential has degree -1, the n-ary
 product degree n - 2, morphism components degree n - 1, homotopy components
 degree n (each type's `component_degree`).  Families are truncated at a
 per-object arity N; all checks are "verified up to arity N", components
-beyond N are unknown, not zero, and reading one raises.  The morphism and
-homotopy checkers read N from the object they check, as does
-`check_structure` by default; a run below the truncation of its input runs
-on `AInfinity.truncated`, the one way a structure is cut to a lower arity.
+beyond N are unknown, not zero, and reading one raises.  A structure states
+its N; a morphism or homotopy takes N from its ends, which must agree.  The
+checkers read N from the object they check; a run below the truncation of
+its input runs on `AInfinity.truncated`, the one way a structure is cut to
+a lower arity and the one place an explicit arity is checked.
 """
 
 from . import signs
 from .combi import insertions, splits
 from .graded import (MultiMap, StructureError, check_truncation,
-                     component_table, insert_slots, map_sum,
-                     resolve_truncation)
+                     component_table, insert_slots, map_sum)
 from .reports import CheckReport
 
 
@@ -51,8 +51,12 @@ class AInfinity:
 
     def truncated(self, n):
         """The structure known to arity n, 1 <= n <= its truncation: `self`
-        at the truncation, else d and the products of arity <= n."""
-        if resolve_truncation(n, self.truncation) == self.truncation:
+        at the truncation, else d and the products of arity <= n.  An n
+        below 1 or above the truncation raises."""
+        if check_truncation(n) > self.truncation:
+            raise StructureError("truncation %d exceeds %d, the arity the "
+                                 "input is known to" % (n, self.truncation))
+        if n == self.truncation:
             return self
         return AInfinity(self.carrier, self.differential, {
             k: m for k, m in self.products.items() if k <= n}, n)
@@ -68,13 +72,16 @@ class AInfinity:
 
 
 class AInftyMorphism:
-    """Component family f_n: V^{x n} -> W of degree n - 1."""
+    """Component family f_n: V^{x n} -> W of degree n - 1, known to the
+    arity its ends are known to."""
 
-    def __init__(self, source, target, components, truncation=None):
+    def __init__(self, source, target, components):
+        if source.truncation != target.truncation:
+            raise StructureError("the ends are known to arities %d and %d"
+                                 % (source.truncation, target.truncation))
         self.source = source
         self.target = target
-        self.truncation = resolve_truncation(
-            truncation, min(source.truncation, target.truncation))
+        self.truncation = source.truncation
         self.components, self._by_arity = component_table(
             "component", components, 1, self.truncation,
             self.component_degree, source.carrier, target.carrier)
@@ -91,17 +98,17 @@ class AInftyMorphism:
 
 
 class AInftyHomotopy:
-    """Components h_n: V^{x n} -> W of degree n, tying two morphisms together."""
+    """Components h_n: V^{x n} -> W of degree n, tying two morphisms
+    together, known to the arity of their shared ends."""
 
-    def __init__(self, frm, to, components, truncation=None):
+    def __init__(self, frm, to, components):
         if frm.source is not to.source and frm.source != to.source:
             raise StructureError("homotopy endpoints must share a source")
         if frm.target is not to.target and frm.target != to.target:
             raise StructureError("homotopy endpoints must share a target")
         self.frm = frm
         self.to = to
-        self.truncation = resolve_truncation(
-            truncation, min(frm.truncation, to.truncation))
+        self.truncation = frm.truncation
         self.components, self._by_arity = component_table(
             "component", components, 1, self.truncation,
             self.component_degree, frm.source.carrier, frm.target.carrier)
@@ -116,19 +123,21 @@ class AInftyHomotopy:
 
 def identity_morphism(a):
     """The strict identity morphism of an A-infinity structure."""
-    return AInftyMorphism(a, a, {1: MultiMap.identity(a.carrier)}, a.truncation)
+    return AInftyMorphism(a, a, {1: MultiMap.identity(a.carrier)})
 
 
 def check_structure(a, n_max=None):
     """Per-arity residual of the defining relation of the structure maps,
       - sum_{k+l=n+1, 1<=i<=k} (-1)^{i(l+1)+n} mu_k(1^{i-1} x mu_l x 1^{k-i}),
-    with mu_1 = d: d o d at n = 1.  All residuals zero iff the relations
-    hold at those arities.
+    with mu_1 = d: d o d at n = 1, for n up to the truncation of
+    `a.truncated(n_max)` (of `a` by default).  All residuals zero iff the
+    relations hold at those arities.
     """
-    n_max = resolve_truncation(n_max, a.truncation)
+    if n_max is not None:
+        a = a.truncated(n_max)
     report = CheckReport("structure")
     V = a.carrier
-    for n in range(1, n_max + 1):
+    for n in range(1, a.truncation + 1):
         report.add(n, map_sum(V, V, n, n - 3, [
             (-signs.sign_of(i * (l + 1) + n), a.mu(k),
              insert_slots(a.mu(k), i, a.mu(l))) for (k, l, i) in insertions(n)]))
@@ -159,14 +168,13 @@ def compose_morphisms(g, f):
     (gf)_n = sum_{r_1+..+r_k=n} (-1)^theta g_k(f_{r_1} x ... x f_{r_k})."""
     if f.target != g.source and f.target is not g.source:
         raise StructureError("morphisms not composable")
-    n_max = min(f.truncation, g.truncation)
     V, W = f.source.carrier, g.target.carrier
     comps = {}
-    for n in range(1, n_max + 1):
+    for n in range(1, f.truncation + 1):
         comps[n] = map_sum(V, W, n, AInftyMorphism.component_degree(n), [
             (signs.sign_of(signs.theta(parts)), g.component(k),
              [f.component(r) for r in parts]) for (k, parts) in splits(n)])
-    return AInftyMorphism(f.source, g.target, comps, n_max)
+    return AInftyMorphism(f.source, g.target, comps)
 
 
 def check_homotopy(h):

@@ -75,6 +75,6 @@ def random_dga(rng, field=QQ, truncation=5, max_total_dim=6):
     for (a, b, t, c) in products:
         mu_table[(slot[a], slot[b])] = {slot[t]: field.from_int(c)}
     prods = {}
-    if mu_table:
+    if mu_table and truncation >= 2:
         prods[2] = MultiMap(V, V, 2, 0, mu_table)
     return AInfinity(V, d, prods, truncation)

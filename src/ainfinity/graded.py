@@ -10,9 +10,9 @@ and a map stores only the words with nonzero image.  Pairs are read only by
 `MultiMap`'s validating constructor, which every map from outside goes
 through, and written only where a map leaves the package (`docio`, the
 first offending word of a report).  All Koszul signs of tensor evaluation
-are generated here, in `apply_block`, `tensor_into`, `_signed_row` and
-`_product_into`, each through `signs.koszul_exponent`; no other module of
-the package writes sign formulas for tensor evaluation.
+are generated here, in `tensor_into`, `_signed_row` and `_product_into`,
+each through `signs.koszul_exponent`; no other module of the package writes
+sign formulas for tensor evaluation.
 
 Values are immutable after construction by convention; operations return
 fresh objects, which may share tables with their operands (an operator on
@@ -32,10 +32,9 @@ accumulated into one table.  `_product_into` is the one composite loop;
 `map_sum` of one or two terms.
 
 A family reads its components from one table (`component_table`); those
-beyond its truncation are unknown, not zero, and reading one raises, as does
-asking for a truncation above the one an input is known to
-(`resolve_truncation`); a run below the truncation of its input runs on
-`AInfinity.truncated`.
+beyond its truncation are unknown, not zero, and reading one raises.  A run
+below the truncation of its input runs on `AInfinity.truncated`, the one
+place an explicit arity is checked against the arity an input is known to.
 """
 
 import itertools
@@ -183,15 +182,6 @@ def check_truncation(n):
     if n < 1:
         raise StructureError("truncation must be >= 1, got %d" % n)
     return n
-
-
-def resolve_truncation(n, known):
-    """`n`, or `known`, the arity the input is known to, when `n` is None;
-    an explicit truncation below 1 or above `known` raises."""
-    if n is not None and check_truncation(n) > known:
-        raise StructureError("truncation %d exceeds %d, the arity the input "
-                             "is known to" % (n, known))
-    return known if n is None else n
 
 
 class _ComponentTable(dict):
@@ -386,52 +376,6 @@ class MultiMap:
     def __repr__(self):
         return ("MultiMap(arity=%d, degree=%d, entries=%d)"
                 % (self.arity, self.degree, self.entry_count()))
-
-
-def _split_word(word, arities):
-    parts, at = [], 0
-    for a in arities:
-        parts.append(word[at:at + a])
-        at += a
-    return parts
-
-
-def apply_block(maps, word):
-    """Evaluate (f_1 x ... x f_k)(v_1 x ... x v_n) with Koszul signs.
-
-    Returns a sparse dict {output word: scalar}; the output word collects one
-    target code per block.  Raises on arity mismatch.
-    """
-    word = tuple(word)
-    arities = [m.arity for m in maps]
-    if sum(arities) != len(word):
-        raise StructureError("apply_block: %d inputs for total arity %d"
-                             % (len(word), sum(arities)))
-    source = maps[0].source
-    for m in maps:
-        if m.source != source:
-            raise StructureError("apply_block: blocks have different sources")
-    parts = _split_word(word, arities)
-    exponent = 0
-    left = 0
-    vecs = []
-    for j, (m, part) in enumerate(zip(maps, parts)):
-        if j:
-            exponent += signs.koszul_exponent(m.degree, left)
-        left += word_degree(source, part)
-        vec = m.table.get(part)
-        if not vec:
-            return {}
-        vecs.append(vec)
-    base = signs.sign_of(exponent)
-    p = maps[0].target.field.characteristic
-    out = {}
-    for outs in itertools.product(*(v.items() for v in vecs)):
-        coeff = base
-        for _, c in outs:
-            coeff = coeff * c
-        _acc(out, tuple(b for b, _ in outs), coeff, p)
-    return out
 
 
 def tensor_into(dst, table, m, p):

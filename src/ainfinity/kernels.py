@@ -20,8 +20,8 @@ Two independently implemented routes compute the same kernels:
 
     nu_n = f p_n g^{x n},  phi_n = f q_n,  psi_n = h p_n g^{x n},  H_n = h q_n
 
-with arity-1 pieces (d_W, f, g, h), and runs every relation checker on the
-result.  Residual reports are carried on the package, never dropped.
+with nu_1 = d_W and psi_1 = g (phi_1 = f and H_1 = h, as q_1 = 1), and runs
+every relation checker on the result.  Residual reports are carried on the package, never dropped.
 """
 
 from . import signs
@@ -275,12 +275,9 @@ def transfer(retract, mu):
     q_hat, psiphi_hat = _suspended_q(smu.components, hhat, gfhat, hp_hat, N)
 
     p = desuspend_components(p_hat, V, V)
-    q_high = desuspend_components({n: m for n, m in q_hat.items() if n >= 2}, V, V)
-    q = {1: MultiMap.identity(V)}
-    q.update(q_high)
-    composite = {1: retract.gf}
-    composite.update(desuspend_components(
-        {m: c for m, c in psiphi_hat.items() if m >= 2}, V, V))
+    # q_1 = 1 and c_1 = gf: the arity-1 maps desuspend to exactly those
+    q = desuspend_components(q_hat, V, V)
+    composite = desuspend_components(psiphi_hat, V, V)
 
     reports = {"convention-agreement": _cross_validate(retract, mu, p, q,
                                                        composite, N)}
@@ -291,14 +288,12 @@ def transfer(retract, mu):
     nu = AInfinity(W, retract.small.d,
                    {n: compose(f, pg[n]) for n in range(2, N + 1)}, N)
 
-    phi = AInftyMorphism(mu, nu, {
-        n: (f if n == 1 else compose(f, q[n])) for n in range(1, N + 1)}, N)
+    phi = AInftyMorphism(mu, nu, {n: compose(f, q[n]) for n in range(1, N + 1)})
     psi = AInftyMorphism(nu, mu, {
-        n: (g if n == 1 else compose(h, pg[n]))
-        for n in range(1, N + 1)}, N)
+        n: (g if n == 1 else compose(h, pg[n])) for n in range(1, N + 1)})
     psiphi_mor = compose_morphisms(psi, phi)
     homotopy = AInftyHomotopy(psiphi_mor, identity_morphism(mu), {
-        n: (h if n == 1 else compose(h, q[n])) for n in range(1, N + 1)}, N)
+        n: compose(h, q[n]) for n in range(1, N + 1)})
 
     reports["structure"] = check_structure(nu)
     reports["phi"] = check_morphism(phi)

@@ -237,7 +237,7 @@ def instance_massey(field=None, truncation=5, k=3):
                 d_table.setdefault((slots[("a", i, j)],), {})[slot] = one
     d = MultiMap(V, V, 1, -1, d_table)
     mu2 = MultiMap(V, V, 2, 0, mu2_table)
-    return AInfinity(V, d, {2: mu2}, truncation)
+    return AInfinity(V, d, {2: mu2} if truncation >= 2 else {}, truncation)
 
 
 def instance_forms(field=None, truncation=5):
@@ -259,4 +259,4 @@ def instance_forms(field=None, truncation=5):
     table[(t, dt)] = {tdt: one}
     table[(dt, t)] = {tdt: one}
     mu2 = MultiMap(V, V, 2, 0, table)
-    return AInfinity(V, d, {2: mu2}, truncation)
+    return AInfinity(V, d, {2: mu2} if truncation >= 2 else {}, truncation)

@@ -4,11 +4,12 @@ Degrees shift by +1 and basis codes are kept: sV is V relabelled, code c
 being (d, i) in V and (d + 1, i) in sV (`GradedModule.shifted`), so only
 the degree table changes.  The shift isomorphisms s (degree +1) and w
 (degree -1) are the identity on codes (`MultiMap.shift`), built once per
-module, and every suspension sign is produced by the block evaluator --
-there are no hand-written sign tables here.  The one global scalar, by
-which an n-fold suspension fails to invert an n-fold desuspension, is
-(-1)^(n(n-1)/2); `shift_scalar` computes it from the maps themselves and
-the desuspension conversions undo it via `signs.shift_exponent`.
+module, and every suspension sign is produced by the composite loop of
+`graded` -- there are no hand-written sign tables here.  The one global
+scalar, by which an n-fold suspension fails to invert an n-fold
+desuspension, is (-1)^(n(n-1)/2); the desuspension conversions undo it via
+`signs.shift_exponent`, and the tests check that closed sign against the
+composed shift maps.
 
 Structure maps convert by d_n = s o mu_n o w^{x n}; in the shifted
 convention every structure map has degree -1, morphism components degree 0,
@@ -23,8 +24,7 @@ unsuspended formulas remain as an independently implemented cross-check.
 from . import signs
 from .ainfty import AInfinity
 from .coalgebra import ComponentFamily
-from .graded import (MultiMap, StructureError, _acc, apply_block,
-                     compose_product, map_sum)
+from .graded import MultiMap, compose_product, map_sum
 
 
 def suspend_module(V):
@@ -44,24 +44,6 @@ def shift_down_map(V):
     """w: sV -> V, (d, i) -> (d-1, i) on the same code, degree -1, where
     sV = suspend(V)."""
     return MultiMap.shift(suspend_module(V), -1)
-
-
-def shift_scalar(V, n):
-    """The scalar c_n with s^{x n} o w^{x n} = c_n * identity on (sV)^{x n},
-    computed through the block evaluator (no closed formula used)."""
-    if V.total_dim == 0:
-        return 1
-    s, w = shift_up_map(V), shift_down_map(V)
-    sV = suspend_module(V)
-    word = tuple([next(iter(sV.basis()))] * n)
-    mid = apply_block([w] * n, word)
-    out = {}
-    for m, c in mid.items():
-        for m2, c2 in apply_block([s] * n, m).items():
-            _acc(out, m2, c * c2, V.field.characteristic)
-    if list(out) != [word]:
-        raise StructureError("shift composite is not diagonal")
-    return out[word]
 
 
 def suspend_components(comps, V, W):

@@ -4,6 +4,10 @@ the definitions and sharing none of the library's evaluators.
 * `tensor_table`: the k-fold tensor product f_1 x ... x f_k from scratch,
   each Koszul sign from `signs.koszul_exponent`; sums of these tables are
   what a lift block is by definition.
+* `per_word_composite`: outer o (inner_1 x ... x inner_k) word by word,
+  through `tensor_table`.
+* `shift_scalar`: the scalar by which the n-fold shift maps fail to invert
+  each other, read off their tensor tables.
 * `apply_word`: an operator on the tensor coalgebra applied to one word,
   across all its blocks.
 * `comultiply` and `colinearity_residual`: the comultiplication of T(V)
@@ -15,11 +19,13 @@ the definitions and sharing none of the library's evaluators.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from ainfinity import signs
 from ainfinity.coalgebra import CoalgebraOperator
 from ainfinity.graded import StructureError, _acc, word_degree
 from ainfinity.reports import CheckReport
+from ainfinity.suspension import shift_down_map, shift_up_map
 
 
 def tensor_table(maps):
@@ -48,6 +54,45 @@ def tensor_table(maps):
                 coeff = -coeff
             _acc(dst, tuple(b for b, _ in outs), coeff, p)
     return {w: v for w, v in table.items() if v}
+
+
+def per_word_composite(outer, inners):
+    """outer o (inner_1 x ... x inner_k) evaluated word by word: each row of
+    `tensor_table(inners)` (signs from the input parts), then `outer`."""
+    p = outer.target.field.characteristic
+    table = {}
+    for word, mids in tensor_table(inners).items():
+        out = {}
+        for mid, c in mids.items():
+            for b, c2 in outer.table.get(mid, {}).items():
+                _acc(out, b, c * c2, p)
+        if out:
+            table[word] = out
+    return table
+
+
+def shift_scalar(V, n):
+    """The scalar c_n with s^{x n} o w^{x n} = c_n * identity on (sV)^{x n},
+    computed on one word of sV whose letters run through the basis in turn
+    (so every degree of V occurs once n reaches its dimension): w^{x n} and
+    then s^{x n}, each the `tensor_table` of the shift maps cut to the rows
+    of the word it meets.  No closed formula is used."""
+    s, w = shift_up_map(V), shift_down_map(V)
+    word = tuple(c % V.total_dim for c in range(n))
+    out = {}
+    for mid, c in tensor_table([_row(w, c) for c in word])[word].items():
+        for b, c2 in tensor_table([_row(s, c) for c in mid])[mid].items():
+            _acc(out, b, c * c2, V.field.characteristic)
+    if list(out) != [word]:
+        raise StructureError("shift composite is not diagonal")
+    return out[word]
+
+
+def _row(m, c):
+    """The arity-1 map `m` cut to its row at code c, as `tensor_table` reads
+    a map."""
+    return SimpleNamespace(source=m.source, target=m.target, degree=m.degree,
+                           table={(c,): m.table[(c,)]})
 
 
 def tensor_words(module, n_max):

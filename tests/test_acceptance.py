@@ -21,7 +21,8 @@ from ainfinity.perturbation import (build_perturbation,
                                     check_annihilation_lemmas,
                                     compare_hpl_vs_kernels, hpl_transfer)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
-from ainfinity.suspension import shift_scalar, suspend_structure
+from ainfinity.suspension import suspend_structure
+from reference import shift_scalar
 
 CORPUS_SEED = 1
 CORPUS_SIZE = 25

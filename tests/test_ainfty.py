@@ -31,7 +31,7 @@ def test_absent_components_are_one_zero_per_family():
     ident = identity_morphism(a)
     assert ident.component(3) is ident.component(3)
     assert ident.component(3).degree == 2
-    hom = AInftyHomotopy(ident, ident, {}, 4)
+    hom = AInftyHomotopy(ident, ident, {})
     assert hom.component(2) is hom.component(2)
     assert hom.component(2).is_zero() and hom.component(2).degree == 2
 
@@ -45,19 +45,42 @@ def test_structure_refuses_nonpositive_truncation(N):
 
 
 def test_components_above_truncation_refused():
-    """A morphism or homotopy truncated at N has no component of arity
-    above N, as a structure has no product there."""
+    """A morphism or homotopy between ends truncated at N has no component
+    of arity above N, as a structure has no product there."""
     V = GradedModule({0: 1, 1: 1, 2: 1})
-    a = chain_complex_ainfty(V, MultiMap.zero(V, V, 1, -1))
+    a = chain_complex_ainfty(V, MultiMap.zero(V, V, 1, -1)).truncated(1)
     one = V.field.one
     e = (0, 0)
     f2 = MultiMap(V, V, 2, 1, {(e, e): {(1, 0): one}})
     h2 = MultiMap(V, V, 2, 2, {(e, e): {(2, 0): one}})
     with pytest.raises(StructureError, match="arity 2 outside 1..1"):
-        AInftyMorphism(a, a, {1: MultiMap.identity(V), 2: f2}, 1)
+        AInftyMorphism(a, a, {1: MultiMap.identity(V), 2: f2})
     ident = identity_morphism(a)
     with pytest.raises(StructureError, match="arity 2 outside 1..1"):
-        AInftyHomotopy(ident, ident, {2: h2}, 1)
+        AInftyHomotopy(ident, ident, {2: h2})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_ends_known_to_different_arities_refused(field):
+    """A morphism or homotopy is known to the arity of its ends, so ends
+    known to different arities are refused, not cut to the lower one."""
+    V = GradedModule({0: 1, 1: 1}, field)
+    a = chain_complex_ainfty(V, MultiMap.zero(V, V, 1, -1))
+    cut = a.truncated(2)
+    ident = MultiMap.identity(V)
+    with pytest.raises(StructureError,
+                       match="ends are known to arities 4 and 2"):
+        AInftyMorphism(a, cut, {1: ident})
+    with pytest.raises(StructureError,
+                       match="ends are known to arities 2 and 4"):
+        AInftyMorphism(cut, a, {1: ident})
+    with pytest.raises(StructureError, match="must share a source"):
+        AInftyHomotopy(identity_morphism(a), identity_morphism(cut), {})
+    with pytest.raises(StructureError, match="not composable"):
+        compose_morphisms(identity_morphism(a), identity_morphism(cut))
+    assert AInftyMorphism(cut, cut, {1: ident}).truncation == 2
+    assert AInftyHomotopy(identity_morphism(cut), identity_morphism(cut),
+                          {}).truncation == 2
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])

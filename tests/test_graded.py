@@ -1,6 +1,5 @@
 """Core layer: exact scalars, graded modules, Koszul signs, block evaluation."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,11 +9,11 @@ from hypothesis import strategies as st
 from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
-                              apply_block, component_table, compose,
-                              compose_product, insert, map_sum)
-from conftest import (codes, image, pair_table, random_multimap, seeded,
+                              component_table, compose, compose_product,
+                              insert, map_sum)
+from conftest import (image, pair_table, random_multimap, seeded,
                       two_dim_complex)
-from reference import tensor_table
+from reference import per_word_composite, tensor_table
 
 
 # ---------------------------------------------------------------- scalars
@@ -219,43 +218,9 @@ def test_identity_and_compose():
     assert compose(d, d).is_zero()
 
 
-# ------------------------------------------------------------- apply_block
+# ------------------------------------------------------------ tensor_table
 
-def test_apply_block_single_map_is_lookup():
-    V, d = two_dim_complex()
-    assert apply_block([d], codes(V, (1, 0))) == {codes(V, (0, 0)): QQ.one}
-    assert apply_block([d], codes(V, (0, 0))) == {}
-
-
-def test_apply_block_identity_then_odd_map():
-    # (1 x f)(v x w) with |f| = 1, |v| = 1 picks up a minus sign
-    V = GradedModule({0: 1, 1: 1})
-    one = QQ.one
-    f = MultiMap(V, V, 1, 1, {((0, 0),): {(1, 0): one}})
-    ident = MultiMap.identity(V)
-    out = apply_block([ident, f], codes(V, (1, 0), (0, 0)))
-    assert out == {codes(V, (1, 0), (1, 0)): -one}
-    # with the even input first slot there is no sign
-    out2 = apply_block([f, ident], codes(V, (0, 0), (1, 0)))
-    assert out2 == {codes(V, (1, 0), (1, 0)): one}
-
-
-def test_apply_block_three_degree_minus_one_maps_on_even_inputs():
-    # all left degree sums vanish, so the total sign is +1
-    V = GradedModule({-1: 1, 0: 1})
-    one = QQ.one
-    f = MultiMap(V, V, 1, -1, {((0, 0),): {(-1, 0): one}})
-    out = apply_block([f, f, f], codes(V, (0, 0), (0, 0), (0, 0)))
-    assert out == {codes(V, (-1, 0), (-1, 0), (-1, 0)): one}
-
-
-def test_apply_block_arity_mismatch():
-    V, d = two_dim_complex()
-    with pytest.raises(StructureError):
-        apply_block([d, d], codes(V, (1, 0)))
-
-
-def test_apply_block_multilinear_against_iterated_single():
+def test_tensor_of_two_maps_factors_through_identity_slots():
     # agreement with inserting one map at a time when the others are identity
     rng = seeded(3)
     V = GradedModule({-1: 1, 0: 2, 1: 1})
@@ -356,23 +321,6 @@ def test_compose_product_shape_errors():
 
 
 # ------------------------------------------- compose_product against an oracle
-
-def per_word_composite(outer, inners):
-    """outer o (inner_1 x ... x inner_k) evaluated word by word over the whole
-    input basis: `apply_block` (signs from the input parts), then `outer`."""
-    arity = sum(m.arity for m in inners)
-    basis = list(inners[0].source.basis())
-    table = {}
-    for word in itertools.product(basis, repeat=arity):
-        out = {}
-        for mid, c in apply_block(inners, word).items():
-            for b, c2 in outer.table.get(mid, {}).items():
-                out[b] = out.get(b, 0) + c * c2
-        out = {b: c for b, c in out.items() if c}
-        if out:
-            table[word] = out
-    return table
-
 
 @st.composite
 def composites(draw):

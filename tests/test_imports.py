@@ -1,12 +1,13 @@
-"""No module imports a name it never uses, and the package defines nothing
-that nothing names.
+"""No module imports a name it never uses, the package defines nothing
+that nothing names, and the tests' oracles share no library evaluator.
 
 AST scans of every module of the package and of the test suite: a name
 bound by an import statement (at any depth) must be read somewhere in the
-same module, or be re-exported through its `__all__`; and every function,
+same module, or be re-exported through its `__all__`; every function,
 method and class the package defines (dunder methods aside, which Python
 calls by protocol) must be named somewhere in the package, the tests or
-the benchmark besides its own definition.
+the benchmark besides its own definition; and `tests/reference.py` reaches
+none of the library's evaluators.
 """
 
 import ast
@@ -116,3 +117,45 @@ def test_every_package_definition_is_named():
     package = {label: source for label, source in naming.items()
                if label.startswith("src")}
     assert dead_definitions(package, naming) == []
+
+
+# the library's evaluators: an oracle that called one would agree with the
+# library by construction, however wrong the library's signs
+LIBRARY_EVALUATORS = {"_product_into", "map_sum", "compose_product",
+                      "compose", "insert", "tensor_into", "tensor_residual",
+                      "_lift_blocks", "operator_sum", "compose_into",
+                      "add_into", "apply_block"}
+
+
+def library_evaluators_reached(source):
+    """The library evaluators (and `lift_*`) that `source` imports from the
+    package or reads off a package module it imports, sorted."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "ainfinity"):
+            for alias in node.names:
+                names.add(alias.name)
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "ainfinity")
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in modules)
+    return sorted(name for name in names
+                  if name in LIBRARY_EVALUATORS or name.startswith("lift_"))
+
+
+def test_reference_reaches_no_library_evaluator():
+    source = (ROOT / "tests" / "reference.py").read_text()
+    assert library_evaluators_reached(source) == []
+    for line, name in [
+            ("from ainfinity.graded import apply_block", "apply_block"),
+            ("from ainfinity.graded import compose_product as cp",
+             "compose_product"),
+            ("from ainfinity import coalgebra\ncoalgebra.lift_morphism(op)",
+             "lift_morphism")]:
+        assert library_evaluators_reached(line + "\n" + source) == [name]

@@ -382,15 +382,17 @@ def witness3_over(request):
     return transferred_witness(request.param)
 
 
-# every way a run is asked for an arity n: the public entry points that
-# take a truncation (n_max or truncation), and `AInfinity.truncated`, the
-# one way the two routes and the comparison, which run at the truncation
-# of their input, are given one
+# every way a run is asked for an arity n: `check_structure`'s n_max, and
+# `AInfinity.truncated`, the one way the two routes and the comparison,
+# which run at the truncation of their input, and a morphism or homotopy,
+# known to the arity of its ends, are given one
 TRUNCATION_SITES = {
     "check_structure": lambda w, n: check_structure(w.mu, n),
-    "AInftyMorphism": lambda w, n: AInftyMorphism(w.mu, w.mu, {}, n),
+    "AInftyMorphism": lambda w, n: AInftyMorphism(
+        w.mu.truncated(n), w.mu.truncated(n), {}),
     "AInftyHomotopy": lambda w, n: AInftyHomotopy(
-        identity_morphism(w.mu), identity_morphism(w.mu), {}, n),
+        identity_morphism(w.mu.truncated(n)),
+        identity_morphism(w.mu.truncated(n)), {}),
     "truncated": lambda w, n: w.mu.truncated(n),
     "compare_hpl_vs_kernels": lambda w, n: compare_hpl_vs_kernels(
         w.hpl, transfer(w.retract, w.mu.truncated(n))),
@@ -697,8 +699,7 @@ def test_battery_refuses_a_homotopy_not_tied_to_the_identity(field):
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu)
     hom = pkg.homotopy
-    pkg.homotopy = AInftyHomotopy(hom.frm, hom.frm, hom.components,
-                                  hom.truncation)
+    pkg.homotopy = AInftyHomotopy(hom.frm, hom.frm, hom.components)
     with pytest.raises(StructureError,
                        match="right flank is not the identity"):
         equivalence_battery(pkg)

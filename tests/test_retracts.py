@@ -303,6 +303,24 @@ def test_forms_instance_is_a_dga():
     assert check_structure(mu, 6).ok
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_generators_at_truncation_one_give_d_alone(field):
+    """Each generator asked for truncation 1 returns the structure known to
+    arity 1, d alone: the same generator at 2, cut by `truncated(1)`.  The
+    random one draws the same numbers either way."""
+    makers = [lambda N: instance_massey(field, truncation=N),
+              lambda N: instance_massey(field, truncation=N, k=4),
+              lambda N: instance_forms(field, truncation=N)]
+    makers += [lambda N, seed=seed: random_dga(random.Random(seed), field,
+                                               truncation=N)
+               for seed in range(8)]
+    for make in makers:
+        one = make(1)
+        assert one == make(2).truncated(1)
+        assert one.truncation == 1 and one.products == {}
+        assert check_structure(one).ok
+
+
 def test_massey_family_generalises_the_witness():
     assert instance_massey(k=3) == instance_massey()
     four = instance_massey(truncation=6, k=4)

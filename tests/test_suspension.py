@@ -12,17 +12,17 @@ from ainfinity.coalgebra import (check_codifferential,
                                  lift_homotopy, lift_morphism,
                                  operator_homotopy_residual,
                                  operator_intertwining_residual)
-from ainfinity.fields import PrimeField
+from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.kernels import transfer
 from ainfinity.suspension import (desuspend_components, desuspend_module,
                                   desuspend_structure, shift_down_map,
-                                  shift_scalar, shift_up_map,
-                                  suspend_components, suspend_homotopy,
-                                  suspend_module, suspend_morphism,
-                                  suspend_structure)
+                                  shift_up_map, suspend_components,
+                                  suspend_homotopy, suspend_module,
+                                  suspend_morphism, suspend_structure)
 from conftest import dga_without_leibniz, random_multimap, seeded
+from reference import shift_scalar
 
 
 def test_suspend_module_shifts_degrees():
@@ -49,10 +49,11 @@ def test_shift_maps_are_the_identity_on_codes_built_once():
 
 def test_shift_scalar_matches_alternating_pattern():
     # s^{x n} o w^{x n} = (-1)^(n(n-1)/2): pattern +,-,-,+,+,-,-,+ for n=1..8
-    V = GradedModule({0: 1, 1: 1})
-    got = [shift_scalar(V, n) for n in range(1, 9)]
     expected = [1 if (n * (n - 1) // 2) % 2 == 0 else -1 for n in range(1, 9)]
-    assert [1 if c == V.field.one else -1 for c in got] == expected
+    for field in (QQ, PrimeField(5)):
+        V = GradedModule({0: 1, 1: 1}, field)
+        got = [shift_scalar(V, n) for n in range(1, 9)]
+        assert got == [field.from_int(c) for c in expected], field
 
 
 def test_structure_roundtrip_exact():
@@ -103,7 +104,7 @@ def test_morphism_relation_equivalence_on_transfer():
     # breaking one component breaks both conventions
     bad_comps = dict(pkg.psi.components)
     bad_comps[2] = bad_comps[2].scale(2)
-    bad = AInftyMorphism(pkg.nu, mu, bad_comps, 4)
+    bad = AInftyMorphism(pkg.nu, pkg.psi.target, bad_comps)
     assert not check_morphism(bad).ok
     assert not check_morphism_components(suspend_morphism(bad), snu, smu).ok
 
@@ -121,7 +122,7 @@ def test_homotopy_relation_equivalence_on_transfer():
     # breaks the relation in both conventions
     bad_comps = dict(pkg.homotopy.components)
     bad_comps[1] = bad_comps[1].scale(3)
-    bad = AInftyHomotopy(pkg.homotopy.frm, pkg.homotopy.to, bad_comps, 4)
+    bad = AInftyHomotopy(pkg.homotopy.frm, pkg.homotopy.to, bad_comps)
     assert not check_homotopy(bad).ok
     assert not check_homotopy_components(suspend_homotopy(bad), smu, smu).ok
 
@@ -159,11 +160,11 @@ def corrupted_relation_inputs(field):
         for n in sorted(phi.components):
             comps = dict(phi.components)
             comps[n] = comps[n].scale(3)
-            yield "morphism", AInftyMorphism(phi.source, phi.target, comps, 4)
+            yield "morphism", AInftyMorphism(phi.source, phi.target, comps)
         for n in sorted(h.components):
             comps = dict(h.components)
             comps[n] = comps[n].scale(3)
-            yield "homotopy", AInftyHomotopy(h.frm, h.to, comps, 4)
+            yield "homotopy", AInftyHomotopy(h.frm, h.to, comps)
 
 
 def relation_residuals(kind, obj):
