@@ -15,8 +15,8 @@ from .perturbation import (build_perturbation, check_annihilation_lemmas,
                            compare_hpl_vs_kernels, hpl_transfer)
 from .retracts import harmonious_retract, homology, instance_forms, instance_massey
 from .signs import theta
-from .suspension import (desuspend_structure, suspend_homotopy,
-                         suspend_module, suspend_morphism, suspend_structure)
+from .suspension import (suspend_homotopy, suspend_module, suspend_morphism,
+                         suspend_structure)
 
 __all__ = [
     "AInfinity", "AInftyHomotopy", "AInftyMorphism", "ChainComplex",
@@ -25,7 +25,7 @@ __all__ = [
     "build_perturbation", "check_p_identity", "check_q_identity", "check_annihilation_lemmas", "check_homotopy",
     "check_morphism", "check_structure",
     "compare_hpl_vs_kernels", "compose", "compose_morphisms",
-    "compose_product", "desuspend_structure", "enum_A", "enum_B", "enum_C",
+    "compose_product", "enum_A", "enum_B", "enum_C",
     "harmonious_retract", "homology", "hpl_transfer", "identity_morphism",
     "insert", "instance_forms", "instance_massey",
     "p_kernels", "q_kernels", "suspend_homotopy", "suspend_module",

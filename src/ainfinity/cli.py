@@ -239,13 +239,10 @@ def cmd_transfer(args):
         comparison = cmp_report.status
 
     if args.method == "hpl":
-        V, W = retract.big.module, retract.small.module
-        ends = {"delta_nu": (W, W), "phi": (V, W), "psi": (W, V),
-                "homotopy": (V, V)}
-        comps = {key: desuspend_components(family.components, *ends[key])
+        comps = {key: desuspend_components(family.components)
                  for key, family in hpl.extracted().items()}
         products = {n: m for n, m in comps.pop("delta_nu").items() if n >= 2}
-        nu = AInfinity(W, retract.small.d, products, N)
+        nu = AInfinity(retract.small.module, retract.small.d, products, N)
         # what `check` runs on the written document
         out.add_report(_renamed(check_structure(nu), "extracted"))
         _check_transfer_block(out, mu, nu, comps)

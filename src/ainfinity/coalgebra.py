@@ -56,8 +56,10 @@ by the check, and it builds the homotopy's left flank itself
 The identity of T(V) is built in one place, `CoalgebraOperator.identity`,
 as a read-only view: each diagonal block (m, m) is an `_IdentityBlock`
 whose row u is {u: one}, made when it is read, so no table of the identity
-is kept.  It is a coderivation's left flank, and the right flank G that
-the equivalence battery subtracts.  A dense table covered every word:
+is kept.  It is the left flank a coderivation's lift is built with, and
+the right flank G that the equivalence battery subtracts; the colinearity
+check makes its own identity rows, so a defect of the view is not shared
+by the check.  A dense table covered every word:
 7,380 rows (2.3 MB traced) while dmu is lifted on the witness at N = 5,
 and 9,330 rows for G on each dimension-6 corpus instance at N = 5.
 
@@ -67,10 +69,12 @@ blocks to be homogeneous, reduced and free of zero entries.  Sums of
 operators and composites are accumulated into one block table (`add_into`,
 `compose_into`, `operator_sum`), so a residual of several terms copies no
 partial sum; `CoalgebraOperator.compose` is `compose_into` on an empty
-table.  Operators never change once built, so they may share block
-tables: `operator_sum` takes a block of an operand it adds by reference
-when no other term of the sum writes that block, and copies it only when
-a second term adds into it.  An accumulator writes only into tables it
+table.  A composite has the one truncation of its two operands: operators
+known to different truncations are refused, never clipped.  Operators
+never change once built, so they may share block tables: `operator_sum`
+takes a block of an operand it adds by reference when no other term of
+the sum writes that block, and copies it only when a second term adds
+into it.  An accumulator writes only into tables it
 created; a sum's blocks may be the very tables of its operands.
 
 Componentwise relation checks mirror the operator-level identities
@@ -97,7 +101,8 @@ KIND_DEGREES = {"coderivation": -1, "morphism": 0, "homotopy": 1}
 class ComponentFamily:
     """A truncated family {x_n: V^{x n} -> W} of uniform degree per kind.
 
-    Homotopy families carry their flanking morphism families (left, right).
+    Homotopy families carry their flanking morphism families (left, right),
+    known to the family's own truncation.
     """
 
     def __init__(self, kind, source, target, components, trunc,
@@ -117,10 +122,10 @@ class ComponentFamily:
                 raise StructureError("homotopy family needs morphism flanks")
             if left.kind != "morphism" or right.kind != "morphism":
                 raise StructureError("flanks must be morphism families")
-            if min(left.trunc, right.trunc) < trunc:
+            if left.trunc != trunc or right.trunc != trunc:
                 raise StructureError(
-                    "flanks known to arity %d, below the truncation %d"
-                    % (min(left.trunc, right.trunc), trunc))
+                    "flanks known to arities %d and %d, not the truncation %d"
+                    % (left.trunc, right.trunc, trunc))
         self.left = left
         self.right = right
 
@@ -270,15 +275,16 @@ def add_into(blocks, op, negate=False, adopt=()):
 
 def _meetings(outer, inner):
     """(key, table, mine) for each block table of `inner` (m, k) and block
-    `mine` of `outer` (k, j) that meet in block key (m, j) of outer o inner,
-    both homogeneities at most the shorter truncation."""
+    `mine` of `outer` (k, j) that meet in block key (m, j) of outer o inner.
+    A composite has one truncation, that of both operands: operators known
+    to different truncations are refused, not clipped."""
     if inner.target != outer.source:
         raise StructureError("operators not composable")
-    trunc = min(outer.trunc, inner.trunc)
+    if outer.trunc != inner.trunc:
+        raise StructureError("operators truncated at %d and %d"
+                             % (outer.trunc, inner.trunc))
     for (m, k), table in inner.blocks.items():
-        if m > trunc:
-            continue
-        for j in range(1, trunc + 1):
+        for j in range(1, inner.trunc + 1):
             mine = outer.blocks.get((k, j))
             if mine:
                 yield (m, j), table, mine
@@ -320,7 +326,7 @@ def _shape(term):
     if isinstance(term, tuple):
         outer, inner = term
         return (inner.source, outer.target, outer.degree + inner.degree,
-                min(outer.trunc, inner.trunc))
+                inner.trunc)
     return (term.source, term.target, term.degree, term.trunc)
 
 
@@ -399,9 +405,10 @@ def _flanks(family, left_lift=None):
     """(right, left) flanks of the lift of `family`: the right flank's
     components {r: g_r} and the left flank's blocks {(m, k): table} up to
     homogeneity trunc - 1 ({} for no left flank; the blocks of
-    `CoalgebraOperator.identity` for a coderivation).  A homotopy's left
-    flank is the lift of `family.left`, built here unless the caller passes
-    it as `left_lift`."""
+    `CoalgebraOperator.identity` for a coderivation), for the builder
+    alone (`lift_residual` makes its own).  A homotopy's left flank is the
+    lift of `family.left`, built here unless the caller passes it as
+    `left_lift`."""
     V, N = family.source, family.trunc
     if family.kind == "coderivation":
         return ({1: MultiMap.identity(V)},
@@ -470,14 +477,20 @@ def lift_residual(op, family):
     reaches differ by minus themselves.  Only rows that differ are kept, as
     expected minus op's row; every row of a block of op outside
     1 <= k <= n <= trunc differs.  By induction on k, the residual is zero
-    exactly when op is the lift.  A homotopy's left flank is walked the
-    same way (`_walked_blocks`), so the check never borrows the builder's
-    evaluator."""
+    exactly when op is the lift.  The flanks are made here, not read from
+    the builder's `_flanks`: a homotopy's left flank is walked the same way
+    (`_walked_blocks`), and a coderivation's identity rows are the check's
+    own `_IdentityBlock`s, so the check borrows neither the builder's
+    evaluator nor its view of the identity."""
+    V, N = family.source, family.trunc
     if family.kind == "homotopy":
         right = family.right.components
-        left = _walked_blocks(family.left, family.trunc - 1)
+        left = _walked_blocks(family.left, N - 1)
+    elif family.kind == "coderivation":
+        right = {1: MultiMap.identity(V)}
+        left = {(m, m): _IdentityBlock(V, m) for m in range(1, N)}
     else:
-        right, left = _flanks(family)
+        right, left = family.components, {}
     comps, blocks = family.components, op.blocks
     p, one = op.target.field.characteristic, op.target.field.one
     keys = {(n, k) for n in range(1, op.trunc + 1) for k in range(1, n + 1)}

@@ -22,6 +22,10 @@ Two independently implemented routes compute the same kernels:
 
 with nu_1 = d_W and psi_1 = g (phi_1 = f and H_1 = h, as q_1 = 1), and runs
 every relation checker on the result.  Residual reports are carried on the package, never dropped.
+
+Every recursion, on either route, runs to the truncation of the structure
+it runs on, as the paper's recursion over the products fixes; a run below
+that truncation runs on `AInfinity.truncated`.
 """
 
 from . import signs
@@ -86,19 +90,17 @@ class DeformationRetract:
     def shifted(self):
         """(f^, g^, h^, gf^) on the shifted modules, cached."""
         if self._shifted is None:
-            V, W = self.big.module, self.small.module
-            fhat = suspend_components({1: self.f}, V, W)[1]
-            ghat = suspend_components({1: self.g}, W, V)[1]
-            hhat = suspend_components({1: self.h}, V, V)[1]
+            fhat, ghat, hhat = (suspend_components({1: m})[1]
+                                for m in (self.f, self.g, self.h))
             self._shifted = (fhat, ghat, hhat, compose(ghat, fhat))
         return self._shifted
 
 
-def _suspended_p(deltas, hhat, N):
-    sV = hhat.source
+def _suspended_p(smu, hhat):
+    sV, deltas = smu.source, smu.components
     hp = {1: MultiMap.identity(sV)}
     p = {}
-    for n in range(2, N + 1):
+    for n in range(2, smu.trunc + 1):
         p[n] = map_sum(sV, sV, n, -1, [
             (1, deltas[k], [hp[r] for r in parts])
             for (k, parts) in enum_B(n) if k in deltas])
@@ -106,14 +108,14 @@ def _suspended_p(deltas, hhat, N):
     return p, hp
 
 
-def _suspended_q(deltas, hhat, gfhat, hp, N):
-    sV = hhat.source
+def _suspended_q(smu, hhat, gfhat, hp):
+    sV, deltas = smu.source, smu.components
     ident = MultiMap.identity(sV)
     q = {1: ident}
     hq = {1: hhat}
     gfq = {1: gfhat}
     psiphi = {1: gfhat}
-    for n in range(2, N + 1):
+    for n in range(2, smu.trunc + 1):
         q[n] = map_sum(sV, sV, n, 0, [
             (1, deltas[k], [psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]]
              + [ident] * (k - i))
@@ -125,15 +127,15 @@ def _suspended_q(deltas, hhat, gfhat, hp, N):
     return q, psiphi
 
 
-def p_kernels(retract, mu, N):
+def p_kernels(retract, mu):
     """Unshifted p-kernel recursion with the theta sign:
     p_n = sum_{B(n)} (-1)^theta(r_1..r_k) mu_k(h p_{r_1} x ... x h p_{r_k}),
-    h p_1 = 1."""
+    h p_1 = 1, for 2 <= n <= mu.truncation."""
     V = retract.big.module
     h = retract.h
     hp = {1: MultiMap.identity(V)}
     p = {}
-    for n in range(2, N + 1):
+    for n in range(2, mu.truncation + 1):
         p[n] = map_sum(V, V, n, n - 2, [
             (signs.sign_of(signs.theta(parts)), mu.mu(k), [hp[r] for r in parts])
             for (k, parts) in enum_B(n)])
@@ -141,12 +143,13 @@ def p_kernels(retract, mu, N):
     return p
 
 
-def q_kernels(retract, mu, p, N):
+def q_kernels(retract, mu, p):
     """Unshifted q-kernel recursion with sign (-1)^(n + r_i + theta(r_1..r_i))
     (theta taken over the first i parts inclusive, exactly as printed), and
     the cached composite components
     (psi phi)_m = sum_{r_1+..+r_k=m} (-1)^theta h p_k(gf q_{r_1} x ...),
-    h p_1 = 1."""
+    h p_1 = 1, for 1 <= n <= mu.truncation."""
+    N = mu.truncation
     V = retract.big.module
     h, gf = retract.h, retract.gf
     ident = MultiMap.identity(V)
@@ -246,9 +249,6 @@ class TransferPackage:
     def ok(self):
         return all(r.ok for r in self.reports.values())
 
-    def failing_reports(self):
-        return sorted(name for name, r in self.reports.items() if not r.ok)
-
 
 def transfer(retract, mu):
     """Transfer `mu` across `retract`, verify everything, return the package.
@@ -267,25 +267,24 @@ def transfer(retract, mu):
         raise StructureError("input structure fails its defining relations at %r"
                              % structure_report.failing())
 
-    V, W = retract.big.module, retract.small.module
     _, _, hhat, gfhat = retract.shifted()
     smu = suspend_structure(mu)
 
-    p_hat, hp_hat = _suspended_p(smu.components, hhat, N)
-    q_hat, psiphi_hat = _suspended_q(smu.components, hhat, gfhat, hp_hat, N)
+    p_hat, hp_hat = _suspended_p(smu, hhat)
+    q_hat, psiphi_hat = _suspended_q(smu, hhat, gfhat, hp_hat)
 
-    p = desuspend_components(p_hat, V, V)
+    p = desuspend_components(p_hat)
     # q_1 = 1 and c_1 = gf: the arity-1 maps desuspend to exactly those
-    q = desuspend_components(q_hat, V, V)
-    composite = desuspend_components(psiphi_hat, V, V)
+    q = desuspend_components(q_hat)
+    composite = desuspend_components(psiphi_hat)
 
     reports = {"convention-agreement": _cross_validate(retract, mu, p, q,
-                                                       composite, N)}
+                                                       composite)}
 
     f, g, h = retract.f, retract.g, retract.h
     # p_n g^{x n}, shared by nu_n and psi_n
     pg = {n: compose_product(p[n], [g] * n) for n in range(2, N + 1)}
-    nu = AInfinity(W, retract.small.d,
+    nu = AInfinity(retract.small.module, retract.small.d,
                    {n: compose(f, pg[n]) for n in range(2, N + 1)}, N)
 
     phi = AInftyMorphism(mu, nu, {n: compose(f, q[n]) for n in range(1, N + 1)})
@@ -302,7 +301,8 @@ def transfer(retract, mu):
     reports["homotopy"] = check_homotopy(homotopy)
     reports["p-identity"] = check_p_identity(p, retract)
     reports["q-identity"] = check_q_identity(q, p, retract, mu)
-    reports["composite-agreement"] = _composite_agreement(psiphi_mor, composite, N)
+    reports["composite-agreement"] = _composite_agreement(psiphi_mor,
+                                                          composite)
     for name, report in reports.items():
         report.name = name
 
@@ -310,23 +310,23 @@ def transfer(retract, mu):
                            psiphi_hat, retract, N, reports)
 
 
-def _cross_validate(retract, mu, p, q, composite, N):
+def _cross_validate(retract, mu, p, q, composite):
     """Exact agreement of the shifted (sign-free) and unshifted
     (theta-signed) recursions, compared on the unshifted side."""
     report = CheckReport("convention-agreement")
-    p_direct = p_kernels(retract, mu, N)
-    q_direct, psiphi_direct = q_kernels(retract, mu, p_direct, N)
-    for n in range(2, N + 1):
+    p_direct = p_kernels(retract, mu)
+    q_direct, psiphi_direct = q_kernels(retract, mu, p_direct)
+    for n in range(2, mu.truncation + 1):
         report.add("p%d" % n, p[n] - p_direct[n])
         report.add("q%d" % n, q[n] - q_direct[n])
         report.add("c%d" % n, composite[n] - psiphi_direct[n])
     return report
 
 
-def _composite_agreement(psiphi_mor, composite, N):
+def _composite_agreement(psiphi_mor, composite):
     """The composite computed by the composition formula equals the cached
     closed-form composite, per arity."""
     report = CheckReport("composite-agreement")
-    for n in range(1, N + 1):
+    for n in range(1, psiphi_mor.truncation + 1):
         report.add(n, psiphi_mor.component(n) - composite[n])
     return report

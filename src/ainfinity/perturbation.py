@@ -97,9 +97,8 @@ class PerturbationData:
         self.retract = retract
         self.trunc = trunc = smu.trunc
         self.sV, self.sW = sV, sW
-        W = retract.small.module
         # the shifted differential of W: the arity-1 component of DW
-        self.delta1_W = suspend_components({1: retract.small.d}, W, W)[1]
+        self.delta1_W = suspend_components({1: retract.small.d})[1]
         self.G = lift_morphism(ComponentFamily.strict_morphism(ghat, trunc))
         self.H = lift_homotopy(ComponentFamily(
             "homotopy", sV, sV, {1: hhat}, trunc,
@@ -152,8 +151,13 @@ class PerturbationData:
 
 
 def build_perturbation(retract, smu):
+    """The perturbation-lemma input for the shifted structure `smu` on the
+    retract's big side; like `kernels.transfer`, refuses a structure on
+    another module or with another differential than the retract's."""
     if smu.source != retract.shifted()[2].source:
         raise StructureError("shifted structure lives off the retract's module")
+    if smu.component(1) != suspend_components({1: retract.big.d})[1]:
+        raise StructureError("structure differential differs from the retract's")
     return PerturbationData(retract, smu)
 
 
@@ -304,15 +308,13 @@ def compare_hpl_vs_kernels(hpl, pkg):
     if hpl.data.trunc != N:
         raise StructureError("the routes ran at truncations %d and %d"
                              % (hpl.data.trunc, N))
-    V, W = pkg.retract.big.module, pkg.retract.small.module
-    written = {"delta_nu": (pkg.nu.products, W, W),
-               "phi": (pkg.phi.components, V, W),
-               "psi": (pkg.psi.components, W, V),
-               "homotopy": (pkg.homotopy.components, V, V)}
+    written = {"delta_nu": pkg.nu.products, "phi": pkg.phi.components,
+               "psi": pkg.psi.components,
+               "homotopy": pkg.homotopy.components}
     got = hpl.extracted()
     report = ComparisonReport()
-    for key, (comps, source, target) in sorted(written.items()):
-        expected = suspend_components(comps, source, target)
+    for key, comps in sorted(written.items()):
+        expected = suspend_components(comps)
         diff = CheckReport("compare-" + key)
         for n in range(1, N + 1):
             x = got[key].component(n)

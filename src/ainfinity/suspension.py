@@ -9,7 +9,8 @@ module, and every suspension sign is produced by the composite loop of
 scalar, by which an n-fold suspension fails to invert an n-fold
 desuspension, is (-1)^(n(n-1)/2); the desuspension conversions undo it via
 `signs.shift_exponent`, and the tests check that closed sign against the
-composed shift maps.
+composed shift maps.  A component family converts map by map, each map's
+ends read from the map itself, so no caller names the modules.
 
 Structure maps convert by d_n = s o mu_n o w^{x n}; in the shifted
 convention every structure map has degree -1, morphism components degree 0,
@@ -22,7 +23,6 @@ unsuspended formulas remain as an independently implemented cross-check.
 """
 
 from . import signs
-from .ainfty import AInfinity
 from .coalgebra import ComponentFamily
 from .graded import MultiMap, compose_product, map_sum
 
@@ -46,60 +46,49 @@ def shift_down_map(V):
     return MultiMap.shift(suspend_module(V), -1)
 
 
-def suspend_components(comps, V, W):
-    """x_n -> s_W o x_n o w_V^{x n}; degrees drop by (n - 1) + ... i.e. each
-    component's degree changes by 1 - n."""
-    s_W = shift_up_map(W)
-    w_V = shift_down_map(V)
+def suspend_components(comps):
+    """x_n -> s_W o x_n o w_V^{x n} for each x_n: V^{x n} -> W, V and W
+    read from the map; each component's degree changes by 1 - n."""
     out = {}
     for n, m in comps.items():
+        s_W, w_V = shift_up_map(m.target), shift_down_map(m.source)
         out[n] = compose_product(s_W, [compose_product(m, [w_V] * n)])
     return out
 
 
-def desuspend_components(comps, V, W):
-    """Inverse of `suspend_components` for components on sV / sW: recovers
+def desuspend_components(comps):
+    """Inverse of `suspend_components` for components x^_n: sV^{x n} -> sW,
+    V and W read from the map: recovers
     x_n = (-1)^(n(n-1)/2) w_W o x^_n o s_V^{x n}."""
-    w_W = shift_down_map(W)
-    s_V = shift_up_map(V)
     out = {}
     for n, m in comps.items():
+        V, W = desuspend_module(m.source), desuspend_module(m.target)
         out[n] = map_sum(V, W, n, m.degree + n - 1, [
-            (signs.sign_of(signs.shift_exponent(n)), w_W,
-             [compose_product(m, [s_V] * n)])])
+            (signs.sign_of(signs.shift_exponent(n)), shift_down_map(W),
+             [compose_product(m, [shift_up_map(V)] * n)])])
     return out
 
 
 def suspend_structure(a):
     """The shifted structure maps d_n, n >= 1, as a coderivation family."""
-    V = a.carrier
     comps = {n: a.mu(n) for n in range(1, a.truncation + 1)}
-    sV = suspend_module(V)
-    return ComponentFamily("coderivation", sV, sV,
-                           suspend_components(comps, V, V), a.truncation)
-
-
-def desuspend_structure(s):
-    V = desuspend_module(s.source)
-    comps = desuspend_components(s.components, V, V)
-    differential = comps.pop(1, MultiMap.zero(V, V, 1, -1))
-    return AInfinity(V, differential, comps, s.trunc)
+    sV = suspend_module(a.carrier)
+    return ComponentFamily("coderivation", sV, sV, suspend_components(comps),
+                           a.truncation)
 
 
 def suspend_morphism(mor):
     """Morphism components as a degree-0 family between shifted carriers."""
-    V, W = mor.source.carrier, mor.target.carrier
-    comps = suspend_components(mor.components, V, W)
-    return ComponentFamily("morphism", suspend_module(V), suspend_module(W),
-                           comps, mor.truncation)
+    return ComponentFamily("morphism", suspend_module(mor.source.carrier),
+                           suspend_module(mor.target.carrier),
+                           suspend_components(mor.components), mor.truncation)
 
 
 def suspend_homotopy(hom):
     """Homotopy components as a degree +1 family, flanked by the suspensions
     of its two endpoint morphisms."""
-    V, W = hom.frm.source.carrier, hom.frm.target.carrier
-    comps = suspend_components(hom.components, V, W)
-    return ComponentFamily("homotopy", suspend_module(V), suspend_module(W),
-                           comps, hom.truncation,
+    return ComponentFamily("homotopy", suspend_module(hom.frm.source.carrier),
+                           suspend_module(hom.frm.target.carrier),
+                           suspend_components(hom.components), hom.truncation,
                            left=suspend_morphism(hom.frm),
                            right=suspend_morphism(hom.to))

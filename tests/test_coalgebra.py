@@ -474,18 +474,41 @@ def test_absent_family_component_is_one_zero():
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
 def test_homotopy_flanks_must_reach_the_truncation(field):
     """A homotopy family's lift and checks read its flanks at every arity up
-    to its truncation, so flanks known to a lower arity are refused."""
+    to its truncation, and a family has one truncation, so flanks known to
+    any other arity, lower or higher, are refused, not clipped."""
     sV = suspend_module(instance_massey(field).carrier)
     full = ComponentFamily.identity(sV, 4)
     short = ComponentFamily.identity(sV, 2)
-    for left, right in ((short, full), (full, short)):
-        with pytest.raises(StructureError,
-                           match="flanks known to arity 2, below the "
-                           "truncation 4"):
-            ComponentFamily("homotopy", sV, sV, {}, 4, left=left, right=right)
-    fam = ComponentFamily("homotopy", sV, sV, {}, 2, left=short, right=full)
+    for trunc, other in ((4, short), (2, full)):
+        own = ComponentFamily.identity(sV, trunc)
+        for left, right in ((own, other), (other, own)):
+            with pytest.raises(StructureError,
+                               match="flanks known to arities %d and %d, not "
+                               "the truncation %d"
+                               % (left.trunc, right.trunc, trunc)):
+                ComponentFamily("homotopy", sV, sV, {}, trunc, left=left,
+                                right=right)
+    fam = ComponentFamily("homotopy", sV, sV, {}, 2, left=short, right=short)
     with pytest.raises(StructureError, match="arity 3 is unknown, not zero"):
         fam.component(3)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_operators_of_two_truncations_are_not_composed(field):
+    """A composite has the one truncation of its operands: `compose`, and an
+    `operator_sum` pair term, refuse operators known to different
+    truncations instead of clipping to the shorter."""
+    V = suspend_module(instance_massey(field).carrier)
+    long, short = (CoalgebraOperator.identity(V, n) for n in (3, 2))
+    message = "operators truncated at %d and %d"
+    for outer, inner in ((long, short), (short, long)):
+        with pytest.raises(StructureError,
+                           match=message % (outer.trunc, inner.trunc)):
+            outer.compose(inner)
+        with pytest.raises(StructureError,
+                           match=message % (outer.trunc, inner.trunc)):
+            operator_sum(plus=[inner, (outer, inner)])
+    assert short.compose(short) == short
 
 
 def identity_modules():

@@ -1,13 +1,15 @@
 """No module imports a name it never uses, the package defines nothing
-that nothing names, and the tests' oracles share no library evaluator.
+that nothing names, the tests' oracles share no library evaluator, and no
+parameter restates a truncation its inputs carry.
 
 AST scans of every module of the package and of the test suite: a name
 bound by an import statement (at any depth) must be read somewhere in the
 same module, or be re-exported through its `__all__`; every function,
 method and class the package defines (dunder methods aside, which Python
 calls by protocol) must be named somewhere in the package, the tests or
-the benchmark besides its own definition; and `tests/reference.py` reaches
-none of the library's evaluators.
+the benchmark besides its own definition; `tests/reference.py` reaches
+none of the library's evaluators; and no parameter named like a truncation
+is left but those a pinned allowlist gives a reason for.
 """
 
 import ast
@@ -159,3 +161,80 @@ def test_reference_reaches_no_library_evaluator():
             ("from ainfinity import coalgebra\ncoalgebra.lift_morphism(op)",
              "lift_morphism")]:
         assert library_evaluators_reached(line + "\n" + source) == [name]
+
+
+# Every parameter of the package named like a truncation, with the reason
+# it stays: a run reads its arity off the structure, map or operator it runs
+# on, so a parameter that restates it is a second source of truth.
+TRUNCATION_NAMES = {"N", "n_max", "trunc", "truncation"}
+TRUNCATION_PARAMETERS = {
+    "ainfty.AInfinity.__init__ truncation":
+        "constructor: a structure states the arity it is known to",
+    "coalgebra.ComponentFamily.__init__ trunc":
+        "constructor: a family states its truncation",
+    "coalgebra.CoalgebraOperator.__init__ trunc":
+        "constructor: an operator states its truncation",
+    "docio.Document.__init__ truncation":
+        "constructor: a document states the truncation it was written at",
+    "kernels.TransferPackage.__init__ truncation":
+        "constructor: the package records the truncation it ran at",
+    "coalgebra.ComponentFamily.strict_morphism trunc":
+        "no object: a single map carries no truncation",
+    "coalgebra.ComponentFamily.identity trunc":
+        "no object: a module carries no truncation",
+    "coalgebra.CoalgebraOperator.identity trunc":
+        "no object: a module carries no truncation",
+    "corpus.random_dga truncation": "generator: the structure it makes",
+    "retracts.instance_massey truncation": "generator: the structure it makes",
+    "retracts.instance_forms truncation": "generator: the structure it makes",
+    "coalgebra._lift_blocks trunc":
+        "builds a homotopy's left flank one homogeneity short of the family",
+    "coalgebra._walked_blocks trunc":
+        "walks a homotopy's left flank one homogeneity short of the family",
+    "cli._selftest_instance N": "generator: the --arity of the selftest",
+    "docio._parse_structure truncation":
+        "parser: the document's truncation, read before the structure",
+    "docio._parse_transfer truncation":
+        "parser: the document's truncation, read before the transfer",
+    "ainfty.check_structure n_max":
+        "perfbench/test_perfbench.py calls check_structure(a, 6)",
+}
+
+
+def truncation_parameters(source, module):
+    """Each parameter of a function or method in `source` whose name is in
+    TRUNCATION_NAMES, as "module.Qualified.name parameter", sorted."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = (args.posonlyargs + args.args + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a])
+                found.extend("%s.%s%s %s" % (module, prefix, child.name, a.arg)
+                             for a in params if a.arg in TRUNCATION_NAMES)
+                visit(child, prefix + child.name + ".")
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_truncation_scan_flags_a_restated_arity():
+    source = (ROOT / "src" / "ainfinity" / "kernels.py").read_text()
+    assert "kernels.p_kernels N" not in truncation_parameters(source,
+                                                             "kernels")
+    restated = source.replace("def p_kernels(retract, mu):",
+                              "def p_kernels(retract, mu, N):")
+    assert restated != source
+    assert "kernels.p_kernels N" in truncation_parameters(restated, "kernels")
+
+
+def test_no_parameter_restates_a_truncation():
+    found = []
+    for path in PACKAGE:
+        found += truncation_parameters(path.read_text(), path.stem)
+    assert found == sorted(TRUNCATION_PARAMETERS)
+    assert len(found) == 17

@@ -8,6 +8,8 @@ import pytest
 from ainfinity.ainfty import AInfinity, check_morphism, check_structure
 from ainfinity.combi import (compositions, enum_A, enum_B, enum_C,
                              insertions, splits)
+from ainfinity.corpus import random_dga
+from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import (ChainComplex, MultiMap, StructureError, compose,
                               compose_product)
 from ainfinity.kernels import (DeformationRetract, check_p_identity,
@@ -101,15 +103,15 @@ def test_theta_values(parts, expected):
 
 def test_p2_is_the_product():
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu, 3)
+    p = p_kernels(retract, mu.truncated(3))
     assert p[2] == mu.mu(2)
 
 
 def test_h_zero_retract_gives_plain_kernels():
     mu, _ = massey_setup()
     retract = identity_retract(mu)
-    p = p_kernels(retract, mu, 5)
-    q, psiphi = q_kernels(retract, mu, p, 5)
+    p = p_kernels(retract, mu)
+    q, psiphi = q_kernels(retract, mu, p)
     for n in range(2, 6):
         assert p[n] == mu.mu(n)
         assert q[n].is_zero()
@@ -118,8 +120,9 @@ def test_h_zero_retract_gives_plain_kernels():
 
 def test_psiphi_arity_one_is_gf():
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu, 3)
-    q, psiphi = q_kernels(retract, mu, p, 3)
+    mu = mu.truncated(3)
+    p = p_kernels(retract, mu)
+    q, psiphi = q_kernels(retract, mu, p)
     assert psiphi[1] == compose(retract.g, retract.f)
 
 
@@ -133,7 +136,7 @@ def test_massey_p3_frozen_oracle():
       = -m' - m.
     """
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu, 3)
+    p = p_kernels(retract, mu.truncated(3))
     x, y, z = (1, 0), (1, 1), (1, 2)
     m, m2 = (4, 0), (4, 1)
     assert image(p[3], x, y, z) == {m: Fraction(-1), m2: Fraction(-1)}
@@ -151,10 +154,30 @@ def test_conventions_agree_on_desk_instances():
 
 def test_kernel_identity_residuals_vanish():
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu, 5)
-    q, _ = q_kernels(retract, mu, p, 5)
+    p = p_kernels(retract, mu)
+    q, _ = q_kernels(retract, mu, p)
     assert check_p_identity(p, retract).ok
     assert check_q_identity(q, p, retract, mu).ok
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_kernels_below_the_truncation_run_on_the_truncated_structure(field):
+    """The recursions read their arity from the structure: on
+    `mu.truncated(n)` they give the full run's kernels at arities <= n and
+    nothing above, for every n up to the truncation, on the witness and on
+    a random DGA."""
+    for mu in (instance_massey(field, truncation=4),
+               random_dga(seeded(3), field or QQ, truncation=4)):
+        retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+        p = p_kernels(retract, mu)
+        q, psiphi = q_kernels(retract, mu, p)
+        for n in range(1, mu.truncation + 1):
+            cut = mu.truncated(n)
+            p_n = p_kernels(retract, cut)
+            q_n, psiphi_n = q_kernels(retract, cut, p_n)
+            assert p_n == {k: m for k, m in p.items() if k <= n}, n
+            assert q_n == {k: m for k, m in q.items() if k <= n}, n
+            assert psiphi_n == {k: m for k, m in psiphi.items() if k <= n}, n
 
 
 def test_p_identity_canary_flags_wrong_sign_family():
@@ -162,7 +185,7 @@ def test_p_identity_canary_flags_wrong_sign_family():
     # quadratic identity terms are nonzero; the unit makes them so here)
     mu = instance_forms()
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    p = p_kernels(retract, mu, 4)
+    p = p_kernels(retract, mu.truncated(4))
     bad = dict(p)
     bad[3] = p[3].scale(-1)
     report = check_p_identity(bad, retract)
@@ -199,7 +222,7 @@ def test_structure_residual_reduces_through_the_retract():
 def test_transfer_package_all_reports_ok():
     mu, retract = massey_setup()
     pkg = transfer(retract, mu)
-    assert pkg.ok, pkg.failing_reports()
+    assert pkg.ok, pkg.reports
     assert sorted(pkg.reports) == [
         "composite-agreement", "convention-agreement", "homotopy",
         "p-identity", "phi", "psi", "psiphi", "q-identity", "structure"]
@@ -256,7 +279,7 @@ def test_transfer_k_fold_massey_known_answer(k):
     mu = instance_massey(truncation=k, k=k)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu)
-    assert pkg.ok, pkg.failing_reports()
+    assert pkg.ok, pkg.reports
     assert sorted(pkg.nu.products) == [k]
     W = retract.small.module
     top = 2 * k - 2

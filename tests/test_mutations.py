@@ -44,7 +44,7 @@ representatives `retracts.Splitting` reads off its one elimination of
 sign is read from, through `graded.word_degree` (its first letter dropped)
 and `graded.GradedModule.shifted` (the suspended module's degree table
 left unshifted); the identity of T(V), `coalgebra.CoalgebraOperator.identity`,
-with its top diagonal block dropped, and the equivalence battery's right
+with its top or its bottom diagonal block dropped, and the equivalence battery's right
 flank G built one homogeneity short; and `graded.component_table`, the
 lookup table of every component family, with its top arity dropped or the
 zero of an absent arity built one degree high (either makes the first
@@ -99,7 +99,9 @@ def battery_detects(field=None):
                 if got != expected:
                     return True
             smu = suspension.suspend_structure(mu)
-            if suspension.desuspend_structure(smu) != mu:
+            maps = {n: mu.mu(n) for n in range(1, mu.truncation + 1)}
+            if suspension.desuspend_components(smu.components) != {
+                    n: m for n, m in maps.items() if not m.is_zero()}:
                 return True
             retract = retracts.harmonious_retract(
                 ChainComplex(mu.carrier, mu.differential))
@@ -339,8 +341,8 @@ STRUCTURAL_MUTANTS = {
         "c"),
     "operator-compose-skips-top-homogeneity": (
         coalgebra, "_meetings",
-        "for j in range(1, trunc + 1):",
-        "for j in range(1, trunc):"),
+        "for j in range(1, inner.trunc + 1):",
+        "for j in range(1, inner.trunc):"),
     "operator-sum-adopts-contested-block": (
         coalgebra, "_written",
         "return list(term.blocks)",
@@ -446,9 +448,8 @@ STRUCTURAL_MUTANTS = {
         "(1, gfq[k], [gfq[r] for r in parts])"),
     "compare-delta-nu-drops-top-arity": (
         perturbation, "compare_hpl_vs_kernels",
-        '"delta_nu": (pkg.nu.products, W, W)',
-        '"delta_nu": ({n: m for n, m in pkg.nu.products.items() if n < N},'
-        ' W, W)'),
+        '"delta_nu": pkg.nu.products,',
+        '"delta_nu": {n: m for n, m in pkg.nu.products.items() if n < N},'),
     "splitting-drops-a-representative": (
         retracts, "Splitting.__init__",
         "c >= len(B)",
@@ -473,6 +474,10 @@ STRUCTURAL_MUTANTS = {
         coalgebra, "CoalgebraOperator.identity",
         "for m in range(1, trunc + 1)",
         "for m in range(1, trunc)"),
+    "identity-view-drops-bottom-block": (
+        coalgebra, "CoalgebraOperator.identity",
+        "for m in range(1, trunc + 1)",
+        "for m in range(2, trunc + 1)"),
     "battery-identity-one-short": (
         battery, "equivalence_battery",
         "CoalgebraOperator.identity(sV, N)",
@@ -527,6 +532,7 @@ KILLED_BY = {
     "transfer-doubles-phi": "battery/Q",
     "word-degree-drops-the-first-letter": "battery/Q",
     "identity-view-drops-top-block": "equivalence/Q",
+    "identity-view-drops-bottom-block": "hpl/Q",
     "battery-identity-one-short": "equivalence/Q",
     "component-table-drops-top-arity": "battery/Q",
     "component-table-zero-one-degree-high": "battery/Q",
@@ -626,15 +632,29 @@ def test_structural_mutants_killed(name, monkeypatch):
 def test_operator_level_mutants_left_the_hpl_reports(name, monkeypatch):
     """Checked on corestrictions, the HPL reports do not reach these
     mutants: no output is an output-homogeneity-N composite, and the
-    identity's missing top block only drops the term of a coderivation's
-    block (N, N), which the colinearity check drops alike, since it reads
-    the flank from the same view as the builder.  The equivalence battery,
-    which compares operator-level and componentwise verdicts, kills both
-    over Q and over Z/5."""
+    identity's top block, as a coderivation's left flank, meets only an
+    arity-1 component, which no coderivation of the HPL route has (dmu and
+    delta_nu start at arity 2), so no lift the route builds changes.  The
+    equivalence battery, which compares operator-level and componentwise
+    verdicts, kills both over Q and over Z/5."""
     mutate(monkeypatch, *STRUCTURAL_MUTANTS[name])
     for field in (None, F5):
         assert not hpl_detects(field)
         assert equivalence_detects(field)
+
+
+def test_identity_view_defect_is_not_shared_by_the_colinearity_check(
+        monkeypatch):
+    """With the bottom block of the identity view dropped, every
+    coderivation lift the builder makes loses its terms 1 x d_r; the
+    colinearity check makes its own identity rows, so it reports delta_nu,
+    built from that lift of dmu, as no coderivation, over Q and over Z/5,
+    on both witness instances."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS["identity-view-drops-bottom-block"])
+    for field in (None, F5):
+        for make in (retracts.instance_massey, retracts.instance_forms):
+            _, hpl = witness_routes(field, make=make)
+            assert not hpl.colinearity.residuals["delta_nu"].is_zero()
 
 
 def test_dropped_lift_signs_are_caught_by_the_term_walk(monkeypatch):

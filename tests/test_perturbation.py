@@ -440,6 +440,24 @@ def test_comparison_refuses_routes_run_at_different_truncations(witness3):
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_both_routes_refuse_a_differential_off_the_retract(field):
+    """The witness's products with a zero differential on the same carrier
+    satisfy the structure relations, but their differential is not the
+    retract's: both routes refuse the pair with the same message."""
+    mu = instance_massey(field, truncation=3)
+    bare_d = AInfinity(mu.carrier, MultiMap.zero(mu.carrier, mu.carrier, 1, -1),
+                       mu.products, 3)
+    assert check_structure(bare_d).ok
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    for run in (lambda: transfer(retract, bare_d),
+                lambda: build_perturbation(retract,
+                                           suspend_structure(bare_d))):
+        with pytest.raises(StructureError, match="structure differential "
+                           "differs from the retract's"):
+            run()
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
 def test_battery_passes_on_a_package_transferred_below_its_input(field):
     """Transferred at 3 from the witness at truncation 5, the package holds
     nothing above 3: the shifted structure, the kernels, every family and
@@ -536,8 +554,8 @@ def test_checkers_run_to_the_truncation_of_their_object(N):
     ]
     for report in reports:
         assert sorted(report.residuals) == arities, report.name
-    p = p_kernels(retract, mu, N)
-    q, _ = q_kernels(retract, mu, p, N)
+    p = p_kernels(retract, mu.truncated(N))
+    q, _ = q_kernels(retract, mu.truncated(N), p)
     assert (p == {}) == (N == 1)
     for report in (check_p_identity(p, retract),
                    check_q_identity(q, p, retract, mu)):
