@@ -65,17 +65,18 @@ and 9,330 rows for G on each dimension-6 corpus instance at N = 5.
 
 Every operator is built inside this package (lifts, sums, composites,
 restrictions), so `CoalgebraOperator` has one constructor, which trusts its
-blocks to be homogeneous, reduced and free of zero entries.  Sums of
-operators and composites are accumulated into one block table (`add_into`,
-`compose_into`, `operator_sum`), so a residual of several terms copies no
-partial sum; `CoalgebraOperator.compose` is `compose_into` on an empty
-table.  A composite has the one truncation of its two operands: operators
-known to different truncations are refused, never clipped.  Operators
-never change once built, so they may share block tables: `operator_sum`
-takes a block of an operand it adds by reference when no other term of
-the sum writes that block, and copies it only when a second term adds
-into it.  An accumulator writes only into tables it
-created; a sum's blocks may be the very tables of its operands.
+blocks to be homogeneous, reduced and free of zero entries.  Every sum of
+operators and composites is one `operator_sum`, and `CoalgebraOperator`'s
+`compose`, `+` and `-` are calls of it.  It sums one output block at a
+time: the reads of block (m, j) are gathered first (an operand's own
+block, and each meeting of a composite's inner block (m, k) with its outer
+block (k, j)), then summed into one fresh table, so a residual of several
+terms copies no partial sum and no composite is built on its own.  A
+composite has the one truncation of its two operands: operators known to
+different truncations are refused, never clipped.  Operators never change
+once built, so they may share block tables: a block whose one read is a
+block of an operand in `plus` is that very table, and a sum writes only
+into tables it created.
 
 Componentwise relation checks mirror the operator-level identities
 (square zero / intertwining / homotopy identity): each is one sum over the
@@ -86,7 +87,6 @@ every instance.
 """
 
 import itertools
-from collections import Counter
 from collections.abc import Mapping
 
 from .combi import insertions, splits
@@ -251,27 +251,7 @@ class _IdentityBlock(Mapping):
         return ((u, {u: one}) for u in self)
 
 
-# ------------------------------------------------- in-place operator sums
-
-def add_into(blocks, op, negate=False, adopt=()):
-    """blocks += op (blocks -= op with `negate`) in place, for a block table
-    {(m, j): {word: {word: scalar}}}; a row or block that cancels is
-    removed.  A block of op whose key is in `adopt` and that `blocks` lacks
-    is taken by reference, not copied: the caller vouches that no other
-    term writes it.  Returns `blocks`."""
-    p = op.target.field.characteristic
-    for key, table in op.blocks.items():
-        dst = blocks.get(key)
-        if dst is None and not negate:
-            blocks[key] = (table if key in adopt
-                           else {w: dict(v) for w, v in table.items()})
-            continue
-        dst = blocks.setdefault(key, {})
-        _merge(dst, table, p, negate)
-        if not dst:
-            del blocks[key]
-    return blocks
-
+# ----------------------------------------------------------- operator sums
 
 def _meetings(outer, inner):
     """(key, table, mine) for each block table of `inner` (m, k) and block
@@ -290,38 +270,6 @@ def _meetings(outer, inner):
                 yield (m, j), table, mine
 
 
-def compose_into(blocks, outer, inner, negate=False):
-    """blocks += outer o inner (blocks -= outer o inner with `negate`) in
-    place: the one operator composite.  Block (m, k) of `inner` meets block
-    (k, j) of `outer` in block (m, j) (`_meetings`); a row or block that
-    cancels is removed.  Returns `blocks`."""
-    p = outer.target.field.characteristic
-    for key, table, mine in _meetings(outer, inner):
-        dst = blocks.get(key)
-        if dst is None:
-            dst = {}
-        for w, vec in table.items():
-            row = dst.get(w)
-            if row is None:
-                row = {}
-            for mid, c in vec.items():
-                final = mine.get(mid)
-                if not final:
-                    continue
-                c = -c if negate else c
-                for out, c2 in final.items():
-                    _acc(row, out, c * c2, p)
-            if row:
-                dst[w] = row
-            elif w in dst:
-                del dst[w]
-        if dst:
-            blocks[key] = dst
-        elif key in blocks:
-            del blocks[key]
-    return blocks
-
-
 def _shape(term):
     if isinstance(term, tuple):
         outer, inner = term
@@ -330,32 +278,59 @@ def _shape(term):
     return (term.source, term.target, term.degree, term.trunc)
 
 
-def _written(term):
-    """The block keys a term of `operator_sum` writes."""
-    if isinstance(term, tuple):
-        return [key for key, _, _ in _meetings(*term)]
-    return list(term.blocks)
-
-
 def operator_sum(plus=(), minus=()):
-    """sum(plus) - sum(minus), built in one block table.  A term is an
-    operator, or a pair (outer, inner) standing for outer o inner, which is
-    accumulated without being built on its own.  All terms must have the
-    shape of the first.  A block of an operator in `plus` that no other
-    term writes is shared with the sum, not copied."""
+    """sum(plus) - sum(minus), summed one output block at a time.  A term is
+    an operator, or a pair (outer, inner) standing for outer o inner, which
+    is never built on its own: block (m, k) of `inner` meets block (k, j) of
+    `outer` in block (m, j) (`_meetings`).  All terms must have the shape
+    of the first.  The reads of each block are gathered first, in the order
+    of the terms: an operator's own block, and each meeting of a composite
+    that lands there.  A block whose one read is a block of an operator in
+    `plus` is that very table, shared with the sum; any other block is a
+    fresh table that its reads are summed into, kept only if nonzero."""
     terms = [(t, False) for t in plus] + [(t, True) for t in minus]
     shape = _shape(terms[0][0])
-    for term, _ in terms:
+    reads = {}
+    for term, negate in terms:
         if _shape(term) != shape:
             raise StructureError("operator shape mismatch")
-    writers = Counter(key for term, _ in terms for key in _written(term))
-    blocks = {}
-    for term, negate in terms:
         if isinstance(term, tuple):
-            compose_into(blocks, term[0], term[1], negate)
+            for key, table, mine in _meetings(*term):
+                reads.setdefault(key, []).append((table, mine, negate))
         else:
-            add_into(blocks, term, negate,
-                     adopt={key for key in term.blocks if writers[key] == 1})
+            for key, table in term.blocks.items():
+                reads.setdefault(key, []).append((table, None, negate))
+    p = shape[1].field.characteristic
+    blocks = {}
+    for key, block_reads in reads.items():
+        table, mine, negate = block_reads[0]
+        if len(block_reads) == 1 and mine is None and not negate:
+            blocks[key] = table
+            continue
+        dst = {}
+        for table, mine, negate in block_reads:
+            if mine is None and (dst or negate):
+                _merge(dst, table, p, negate)
+            elif mine is None:
+                dst = {w: dict(v) for w, v in table.items()}
+            else:
+                for w, vec in table.items():
+                    row = dst.get(w)
+                    if row is None:
+                        row = {}
+                    for mid, c in vec.items():
+                        final = mine.get(mid)
+                        if not final:
+                            continue
+                        c = -c if negate else c
+                        for out, c2 in final.items():
+                            _acc(row, out, c * c2, p)
+                    if row:
+                        dst[w] = row
+                    elif w in dst:
+                        del dst[w]
+        if dst:
+            blocks[key] = dst
     return CoalgebraOperator(*shape, blocks)
 
 
@@ -569,15 +544,3 @@ def check_homotopy_components(family, src_codiff, tgt_codiff):
                   for (k, parts) in splits(n) for i in range(1, k + 1)]
         report.add(n, map_sum(V, W, n, 0, terms))
     return report
-
-
-# ------------------------------------------------- operator-level identities
-
-def operator_intertwining_residual(F, src_op, tgt_op):
-    return operator_sum(plus=[(tgt_op, F)], minus=[(F, src_op)])
-
-
-def operator_homotopy_residual(H, E, G, src_op, tgt_op):
-    """E - G - (H src_op + tgt_op H); E may be a pair (outer, inner) standing
-    for the composite outer o inner, as in `operator_sum`."""
-    return operator_sum(plus=[E], minus=[G, (H, src_op), (tgt_op, H)])

@@ -7,9 +7,9 @@ rational is kept as an int while it is integral and becomes a
 coefficients never pay for `Fraction` arithmetic.  An element of Z/p is an
 int in range(p).  Products of elements are formed as plain (unreduced) ints
 and reduced modulo the characteristic where they are stored: in the one
-accumulate step `graded._acc`, in the validating constructors and in
-`scale`.  Division goes through `field.div`, never `/`, so that an int / int
-can never yield a float.  A field's `name` is its document tag, and both
+accumulate step `graded._acc` and in the validating constructors.
+Division goes through `field.div`, never `/`, so that an int / int can
+never yield a float.  A field's `name` is its document tag, and both
 fields read a document's scalar with `_read_scalar`, one spelling for all.
 """
 

@@ -342,17 +342,6 @@ class MultiMap:
         return map_sum(self.source, self.target, self.arity, self.degree,
                        [(1, self), (-1, other)])
 
-    def scale(self, c):
-        p = self.target.field.characteristic
-        if p:
-            c = _reduce(c, p)
-        if not c:
-            return MultiMap.zero(self.source, self.target, self.arity, self.degree)
-        table = {w: {b: c * v % p if p else c * v for b, v in vec.items()}
-                 for w, vec in self.table.items()}
-        return MultiMap._raw(self.source, self.target, self.arity, self.degree,
-                             table)
-
     def __eq__(self, other):
         return (isinstance(other, MultiMap) and self.same_shape(other)
                 and self.table == other.table)

@@ -27,9 +27,10 @@ operand row by row and looks the outer one up only at the words reached,
 so the dense homotopy lift H is walked once, in M = dmu H, and A itself
 is never built.  Every
 residual of two or more terms, every output and the series S are each one
-`coalgebra.operator_sum` into one block table, so no partial sum is
-copied, and a block of an operand that no other term writes is shared,
-not copied: H_out holds H's diagonal blocks, phi F's and psi G's.
+`coalgebra.operator_sum`, summed one output block at a time into a fresh
+table, so no partial sum is copied; a block whose one read is a block of
+an operand being added is that operand's table, shared, not copied: H_out
+holds H's diagonal blocks, phi F's and psi G's.
 
 What is verified: the perturbed target coderivation DW = dW + delta_nu
 squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is

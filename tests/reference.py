@@ -13,6 +13,7 @@ the definitions and sharing none of the library's evaluators.
 * `comultiply` and `colinearity_residual`: the comultiplication of T(V)
   and the co-Leibniz compatibility of an operator with it, word by word.
 * `restricted_to`: an operator's restriction to one homogeneity.
+* `scaled`: a map times a scalar, its table built here.
 * `tensor_words` and `dense_identity`: the basis words of T^{<=N}(V) and
   the identity of T(V) as a dense table over them, the reference for the
   library's identity view.
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 from ainfinity import signs
 from ainfinity.coalgebra import CoalgebraOperator
-from ainfinity.graded import StructureError, _acc, word_degree
+from ainfinity.graded import MultiMap, StructureError, _acc, word_degree
 from ainfinity.reports import CheckReport
 from ainfinity.suspension import shift_down_map, shift_up_map
 
@@ -133,6 +134,19 @@ def restricted_to(op, m):
     (m, j)."""
     blocks = {k: t for k, t in op.blocks.items() if k[0] == m}
     return CoalgebraOperator(op.source, op.target, op.degree, op.trunc, blocks)
+
+
+def scaled(m, c):
+    """c m: each scalar of the map `m` times c, reduced over Z/p, with the
+    entries and rows that vanish left out."""
+    p = m.target.field.characteristic
+    table = {}
+    for w, vec in m.table.items():
+        row = {b: c * v % p if p else c * v for b, v in vec.items()}
+        row = {b: v for b, v in row.items() if v}
+        if row:
+            table[w] = row
+    return MultiMap._raw(m.source, m.target, m.arity, m.degree, table)
 
 
 def comultiply(word):

@@ -27,6 +27,7 @@ from ainfinity.retracts import (harmonious_retract, instance_forms,
 
 from conftest import (crooked_retract, fg_broken_retract, massey_with_marker,
                       pair_table, random_multimap)
+from reference import scaled
 
 
 def massey_doc(tmp_path, name="massey.json"):
@@ -101,7 +102,8 @@ def documents(draw):
     def random_map(source, target, arity, degree):
         # 1, -1, 3 and 5 are units in each of the fields
         m = random_multimap(rng, source, target, arity, degree)
-        return m.scale(field.div(rng.choice([1, -1, 3]), rng.choice([1, 3, 5])))
+        return scaled(m, field.div(rng.choice([1, -1, 3]),
+                                   rng.choice([1, 3, 5])))
 
     def structure(M):
         return AInfinity(M, random_map(M, M, 1, -1),

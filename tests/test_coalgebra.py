@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
-                                 check_codifferential, compose_into,
+                                 check_codifferential,
                                  check_homotopy_components,
                                  check_morphism_components, extract_components,
                                  lift_coderivation, lift_homotopy, lift_morphism,
-                                 lift_residual, operator_homotopy_residual,
-                                 operator_intertwining_residual,
-                                 operator_sum)
+                                 lift_residual, operator_sum)
 from ainfinity.combi import compositions
 from ainfinity.fields import QQ, PrimeField
 from ainfinity import coalgebra, signs
@@ -408,9 +406,8 @@ def test_componentwise_intertwining_identity_family():
     dfam = ComponentFamily("coderivation", V, V, {1: d1}, TRUNC)
     ident_fam = ComponentFamily.identity(V, TRUNC)
     assert check_morphism_components(ident_fam, dfam, dfam).ok
-    assert operator_intertwining_residual(lift_morphism(ident_fam),
-                                          lift_coderivation(dfam),
-                                          lift_coderivation(dfam)).is_zero()
+    F, D = lift_morphism(ident_fam), lift_coderivation(dfam)
+    assert operator_sum(plus=[(D, F)], minus=[(F, D)]).is_zero()
 
 
 def test_componentwise_homotopy_trivial_case():
@@ -422,12 +419,9 @@ def test_componentwise_homotopy_trivial_case():
     zero_h = ComponentFamily("homotopy", V, V, {}, TRUNC,
                              left=ident_fam, right=ident_fam)
     assert check_homotopy_components(zero_h, dfam, dfam).ok
-    op = operator_homotopy_residual(lift_homotopy(zero_h),
-                                    lift_morphism(ident_fam),
-                                    lift_morphism(ident_fam),
-                                    lift_coderivation(dfam),
-                                    lift_coderivation(dfam))
-    assert op.is_zero()
+    H, E = lift_homotopy(zero_h), lift_morphism(ident_fam)
+    D = lift_coderivation(dfam)
+    assert operator_sum(plus=[E], minus=[E, (H, D), (D, H)]).is_zero()
 
 
 def test_composition_formula_matches_operator_composition():
@@ -573,11 +567,15 @@ def per_word_composite(outer, inner):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
-def test_compose_into_matches_per_word_composite(field):
-    """The in-place composite against word-by-word evaluation, on lifts of
-    random families with components of arity 1..3; sums that cancel leave
-    no empty row or block, and terms of another shape are refused."""
+def test_operator_sum_matches_per_word_composite(field):
+    """Composites summed by `operator_sum` against word-by-word evaluation,
+    on lifts of random families with components of arity 1..3, added twice
+    and then taken away once through `minus`; a block only an operand in
+    `minus` has is its negation, in a table of the sum's own; sums that
+    cancel leave no empty row or block, and terms of another shape are
+    refused."""
     V, rng = GradedModule({0: 1, 1: 1}, field), seeded(11)
+    p = field.characteristic
 
     def family(kind, degree, **flanks):
         return ComponentFamily(kind, V, V, {n: random_multimap(rng, V, V, n, degree)
@@ -591,9 +589,18 @@ def test_compose_into_matches_per_word_composite(field):
         expected = per_word_composite(outer, inner)
         assert expected
         assert outer.compose(inner).blocks == expected
-        twice = compose_into(compose_into({}, outer, inner), outer, inner)
-        assert twice == per_word_composite(outer + outer, inner)
-        assert compose_into(twice, outer, inner, negate=True) == expected
+        twice = operator_sum(plus=[(outer, inner), (outer, inner)])
+        assert twice.blocks == per_word_composite(outer + outer, inner)
+        assert operator_sum(plus=[(outer, inner), (outer, inner)],
+                            minus=[(outer, inner)]).blocks == expected
+    top = restricted_to(D, 3)
+    rest = operator_sum(plus=[top], minus=[D])
+    assert rest.blocks == {
+        key: {w: {o: -c % p if p else -c for o, c in row.items()}
+              for w, row in table.items()}
+        for key, table in D.blocks.items() if key[0] != 3}
+    assert not any(table is D.blocks[key] for key, table in rest.blocks.items())
+    assert rest + D == top
     assert operator_sum(plus=[(D, F), D], minus=[D, (D, F)]).blocks == {}
     assert (operator_sum(plus=[(D, F)], minus=[(F, D)])
             == D.compose(F) - F.compose(D))

@@ -13,7 +13,7 @@ from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               insert, map_sum)
 from conftest import (image, pair_table, random_multimap, seeded,
                       two_dim_complex)
-from reference import per_word_composite, tensor_table
+from reference import per_word_composite, scaled, tensor_table
 
 
 # ---------------------------------------------------------------- scalars
@@ -115,9 +115,9 @@ def test_prime_field_tables_reduce():
     a, b = (0, 0), (0, 1)
     m = MultiMap(V, V, 1, 0, {(a,): {a: -1, b: 10}, (b,): {b: 7}})
     assert pair_table(m) == {(a,): {a: 4}, (b,): {b: 2}}
-    assert pair_table(m.scale(-1)) == {(a,): {a: 1}, (b,): {b: 3}}
-    assert m.scale(5).is_zero() and m.scale(10).is_zero()
-    assert (m + m.scale(4)).is_zero()
+    assert pair_table(scaled(m, -1)) == {(a,): {a: 1}, (b,): {b: 3}}
+    assert scaled(m, 5).is_zero() and scaled(m, 10).is_zero()
+    assert (m + scaled(m, 4)).is_zero()
     with pytest.raises(StructureError):
         MultiMap(V, V, 1, 0, {(a,): {a: Fraction(1, 2)}})
 
@@ -182,8 +182,8 @@ def test_multimap_arithmetic():
     z = MultiMap.zero(V, V, 1, -1)
     assert d + z == d
     assert (d - d).is_zero()
-    assert d.scale(1) == d
-    assert d.scale(-1) + d == z
+    assert scaled(d, 1) == d
+    assert scaled(d, -1) + d == z
     assert d != z
 
 
@@ -307,7 +307,7 @@ def test_insert_nesting_compatibility_exhaustive():
                 lhs = insert(insert(a, i, b), j + b.arity - 1, c)
                 rhs = insert(insert(a, j, c), i, b)
                 sign = -1 if (b.degree * c.degree) % 2 else 1
-                assert lhs == rhs.scale(sign), (trial, i, j)
+                assert lhs == scaled(rhs, sign), (trial, i, j)
 
 
 def test_compose_product_shape_errors():

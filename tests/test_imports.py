@@ -1,6 +1,7 @@
 """No module imports a name it never uses, the package defines nothing
-that nothing names, the tests' oracles share no library evaluator, and no
-parameter restates a truncation its inputs carry.
+that nothing names, the tests' oracles share no library evaluator, no
+checker reaches the builder it checks, and no parameter restates a
+truncation its inputs carry.
 
 AST scans of every module of the package and of the test suite: a name
 bound by an import statement (at any depth) must be read somewhere in the
@@ -8,8 +9,9 @@ same module, or be re-exported through its `__all__`; every function,
 method and class the package defines (dunder methods aside, which Python
 calls by protocol) must be named somewhere in the package, the tests or
 the benchmark besides its own definition; `tests/reference.py` reaches
-none of the library's evaluators; and no parameter named like a truncation
-is left but those a pinned allowlist gives a reason for.
+none of the library's evaluators; the package's call closure keeps each
+library checker off a pinned set of builders; and no parameter named like
+a truncation is left but those a pinned allowlist gives a reason for.
 """
 
 import ast
@@ -125,8 +127,7 @@ def test_every_package_definition_is_named():
 # library by construction, however wrong the library's signs
 LIBRARY_EVALUATORS = {"_product_into", "map_sum", "compose_product",
                       "compose", "insert", "tensor_into", "tensor_residual",
-                      "_lift_blocks", "operator_sum", "compose_into",
-                      "add_into", "apply_block"}
+                      "_lift_blocks", "operator_sum"}
 
 
 def library_evaluators_reached(source):
@@ -155,12 +156,164 @@ def test_reference_reaches_no_library_evaluator():
     source = (ROOT / "tests" / "reference.py").read_text()
     assert library_evaluators_reached(source) == []
     for line, name in [
-            ("from ainfinity.graded import apply_block", "apply_block"),
+            ("from ainfinity.graded import tensor_into", "tensor_into"),
             ("from ainfinity.graded import compose_product as cp",
              "compose_product"),
             ("from ainfinity import coalgebra\ncoalgebra.lift_morphism(op)",
              "lift_morphism")]:
         assert library_evaluators_reached(line + "\n" + source) == [name]
+
+
+def call_graph(sources):
+    """{qualified name: the qualified names its body reaches} for every
+    function, class and method defined at the top of the modules `sources`
+    ({module stem: source}), named "module.f" and "module.Class.method".
+    A body reaches each name it reads that is defined in its module or
+    imported from a sibling module, `mod.f` of a sibling module `mod`, and
+    `C.m` of a class C it names (`self.m` and `cls.m` in C's methods); any
+    other `x.m` reaches every method named m in the caller's module if
+    there is one, else every method named m in the package.  A class
+    reaches its `__init__`.  Operators (`+`, `==`) are not followed."""
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    bodies, methods = {}, {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                bodies[mod + "." + node.name] = (mod, None, node)
+            elif isinstance(node, ast.ClassDef):
+                cls = mod + "." + node.name
+                bodies[cls] = (mod, cls, None)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        bodies[cls + "." + item.name] = (mod, cls, item)
+                        methods.setdefault(item.name, set()).add(
+                            cls + "." + item.name)
+    scopes = {}
+    for mod, tree in trees.items():
+        scope = scopes[mod] = {node.name: mod + "." + node.name
+                               for node in tree.body
+                               if isinstance(node, (ast.FunctionDef,
+                                                    ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = (
+                        node.module + "." + alias.name if node.module
+                        else alias.name)
+
+    def attribute(mod, cls, node):
+        base = node.value.id if isinstance(node.value, ast.Name) else None
+        if base in ("self", "cls") and cls:
+            return {cls + "." + node.attr}
+        owner = scopes[mod].get(base)
+        if owner in sources or (owner in bodies and bodies[owner][2] is None):
+            return {owner + "." + node.attr}
+        named = methods.get(node.attr, set())
+        return {q for q in named if q.startswith(mod + ".")} or named
+
+    graph = {}
+    for qual, (mod, cls, node) in bodies.items():
+        if node is None:
+            graph[qual] = {qual + ".__init__"}
+            continue
+        reached = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in scopes[mod]:
+                reached.add(scopes[mod][sub.id])
+            elif isinstance(sub, ast.Attribute):
+                reached |= attribute(mod, cls, sub)
+        graph[qual] = reached & set(bodies)
+    return graph
+
+
+def reached_from(graph, start):
+    """Every qualified name `start` reaches in `graph`, itself included."""
+    seen, todo = set(), [start]
+    while todo:
+        qual = todo.pop()
+        if qual not in seen:
+            seen.add(qual)
+            todo.extend(graph.get(qual, ()))
+    return seen
+
+
+def package_sources(**replaced):
+    """{module stem: source} of the package, with the sources `replaced`
+    ({stem: (old, new)}) edited, each fragment exactly once."""
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    for mod, (old, new) in replaced.items():
+        assert sources[mod].count(old) == 1
+        sources[mod] = sources[mod].replace(old, new)
+    return sources
+
+
+# Which builders each library checker may not reach: a check that ran the
+# code it checks would agree with it by construction.  The colinearity check
+# builds no lift and makes its own flanks; the componentwise relation
+# checks run on components, never on operators or lifts; the unshifted
+# recursions and checkers never pass through the shifted convention they
+# are cross-checked against.
+SHIFTED = {"kernels._suspended_p", "kernels._suspended_q"}
+COMPONENTWISE = {"coalgebra.operator_sum", "coalgebra._meetings",
+                 "coalgebra._lift_blocks", "graded.tensor_into"}
+CHECKERS = {
+    "coalgebra.lift_residual": {
+        "graded.tensor_into", "coalgebra._lift_blocks", "coalgebra._flanks",
+        "coalgebra.CoalgebraOperator.identity"},
+    "coalgebra.check_codifferential": COMPONENTWISE,
+    "coalgebra.check_morphism_components": COMPONENTWISE,
+    "coalgebra.check_homotopy_components": COMPONENTWISE,
+    "kernels.p_kernels": SHIFTED,
+    "kernels.q_kernels": SHIFTED,
+    "ainfty.check_structure": SHIFTED,
+    "ainfty.check_morphism": SHIFTED,
+    "ainfty.check_homotopy": SHIFTED,
+}
+
+
+def builders_reached(graph):
+    """(checker, builder) for each forbidden builder a checker of CHECKERS
+    reaches in `graph`, sorted; every function of `suspension` named
+    suspend_* or desuspend_* is forbidden with the shifted builders."""
+    shifts = {q for q in graph if q.startswith(("suspension.suspend_",
+                                                "suspension.desuspend_"))}
+    found = []
+    for checker, forbidden in sorted(CHECKERS.items()):
+        assert checker in graph, checker
+        if forbidden is SHIFTED:
+            forbidden = SHIFTED | shifts
+        found += [(checker, q)
+                  for q in sorted(reached_from(graph, checker) & forbidden)]
+    return found
+
+
+def test_call_closure_flags_a_checker_that_builds():
+    graph = call_graph(package_sources())
+    reached = reached_from(graph, "coalgebra.lift_residual")
+    assert {"graded.tensor_residual", "coalgebra._walked_blocks",
+            "coalgebra._IdentityBlock.get", "graded.MultiMap.shift",
+            "graded.GradedModule.shifted"} <= reached
+    assert "kernels.DeformationRetract.shifted" not in reached
+    assert {"suspension.suspend_components",
+            "suspension.desuspend_components"} <= reached_from(
+                graph, "kernels.transfer")
+    # the colinearity check reading the builder's view of the identity
+    borrowed = call_graph(package_sources(coalgebra=(
+        "left = {(m, m): _IdentityBlock(V, m) for m in range(1, N)}",
+        "left = CoalgebraOperator.identity(V, N - 1).blocks")))
+    assert builders_reached(borrowed) == [
+        ("coalgebra.lift_residual", "coalgebra.CoalgebraOperator.identity")]
+    # a componentwise check summing operators, through a method call
+    summed = call_graph(package_sources(coalgebra=(
+        "    report = CheckReport(\"codifferential\")",
+        "    report = CheckReport(\"codifferential\")\n    family.compose(1)")))
+    assert builders_reached(summed) == [
+        ("coalgebra.check_codifferential", "coalgebra._meetings"),
+        ("coalgebra.check_codifferential", "coalgebra.operator_sum")]
+
+
+def test_checkers_never_reach_their_builders():
+    assert builders_reached(call_graph(package_sources())) == []
 
 
 # Every parameter of the package named like a truncation, with the reason

@@ -17,6 +17,7 @@ from ainfinity.kernels import (DeformationRetract, check_p_identity,
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.signs import theta
 from conftest import image, pair_table, random_multimap, seeded
+from reference import scaled
 
 
 def massey_setup(N=5):
@@ -187,7 +188,7 @@ def test_p_identity_canary_flags_wrong_sign_family():
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     p = p_kernels(retract, mu.truncated(4))
     bad = dict(p)
-    bad[3] = p[3].scale(-1)
+    bad[3] = scaled(p[3], -1)
     report = check_p_identity(bad, retract)
     assert not report.ok
     assert 3 in report.failing()
@@ -301,7 +302,7 @@ def test_retract_constructor_rejects_broken_homotopy():
     mu, retract = massey_setup()
     with pytest.raises(StructureError):
         DeformationRetract(retract.big, retract.small, retract.f, retract.g,
-                           retract.h.scale(2))
+                           scaled(retract.h, 2))
 
 
 def test_transfer_deterministic():

@@ -15,10 +15,11 @@ every kernel term and relation checker uses; `graded.map_sum`, the one
 signed sum of multilinear maps, whose signs reach the composite terms and
 the map terms by separate calls; `graded._acc` and `graded._merge`, the one
 accumulator (which also reduces modulo p) and the one table merge;
-`coalgebra.compose_into` and `coalgebra._meetings`, the one operator
-composite of the perturbation-lemma route, which also sums its residuals
-in place; `coalgebra._written`, which decides which blocks an operator sum
-may share with its operands; the one lift step `coalgebra._lift_splits`
+`coalgebra.operator_sum` and `coalgebra._meetings`, the one operator sum
+of the perturbation-lemma route and of the battery, which sums the
+outputs, the series and every operator residual one output block at a
+time (the negation of a composite's reads, and the test that shares a
+block with an operand only when no other term reads it); the one lift step `coalgebra._lift_splits`
 (its two terms and its range of last-factor arities), which both builds
 every lift and checks the outputs' colinearity; its two evaluators,
 `coalgebra._lift_blocks` (its loop over homogeneities), which sums each
@@ -73,7 +74,7 @@ from ainfinity.fields import PrimeField
 from ainfinity.graded import ChainComplex, StructureError
 from conftest import (corrupted, crooked_retract, kept_pair_retract,
                       massey_with_marker, rebind)
-from reference import shift_scalar
+from reference import scaled, shift_scalar
 
 
 F5 = PrimeField(5)
@@ -344,11 +345,11 @@ STRUCTURAL_MUTANTS = {
         "for j in range(1, inner.trunc + 1):",
         "for j in range(1, inner.trunc):"),
     "operator-sum-adopts-contested-block": (
-        coalgebra, "_written",
-        "return list(term.blocks)",
-        "return []"),
+        coalgebra, "operator_sum",
+        "if len(block_reads) == 1 and mine is None",
+        "if mine is None"),
     "compose-into-ignores-negation": (
-        coalgebra, "compose_into",
+        coalgebra, "operator_sum",
         "-c if negate else c",
         "c"),
     "tensor-step-skips-negation": (
@@ -398,7 +399,7 @@ STRUCTURAL_MUTANTS = {
     "transfer-doubles-phi": (
         kernels, "transfer",
         "compose(f, q[n])",
-        "compose(f, q[n]).scale(2)"),
+        "compose(f, q[n]) + compose(f, q[n])"),
     "hpl-psi-drops-a-lift-block": (
         perturbation, "hpl_transfer",
         "families = extract_outputs(data, outputs)",
@@ -693,7 +694,7 @@ def test_comparison_reads_the_written_morphisms(key):
     mor = getattr(pkg, key)
     top = max(n for n, m in mor.components.items() if not m.is_zero())
     comps = dict(mor.components)
-    comps[top] = comps[top].scale(2)
+    comps[top] = scaled(comps[top], 2)
     setattr(pkg, key, ainfty.AInftyMorphism(mor.source, mor.target, comps))
     report = perturbation.compare_hpl_vs_kernels(hpl, pkg)
     assert report.status == "mismatch"

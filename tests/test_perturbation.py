@@ -19,8 +19,7 @@ from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
                                  check_homotopy_components,
                                  check_morphism_components, extract_components,
                                  lift_coderivation, lift_homotopy,
-                                 lift_morphism, operator_homotopy_residual,
-                                 operator_intertwining_residual, operator_sum)
+                                 lift_morphism, operator_sum)
 from ainfinity.corpus import random_dga
 from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import (ChainComplex, GradedModule, MultiMap,
@@ -579,10 +578,13 @@ def operator_conclusions(data, outputs):
     DW = dW_op + outputs["delta_nu"]
     conclusions = CheckReport("hpl-conclusions")
     conclusions.add("square-zero", DW.compose(DW))
-    conclusions.add("phi-intertwines", operator_intertwining_residual(phi, DV, DW))
-    conclusions.add("psi-intertwines", operator_intertwining_residual(psi, DW, DV))
-    conclusions.add("homotopy-identity", operator_homotopy_residual(
-        H_out, (psi, phi), CoalgebraOperator.identity(sV, trunc), DV, DV))
+    conclusions.add("phi-intertwines",
+                    operator_sum(plus=[(DW, phi)], minus=[(phi, DV)]))
+    conclusions.add("psi-intertwines",
+                    operator_sum(plus=[(DV, psi)], minus=[(psi, DW)]))
+    conclusions.add("homotopy-identity", operator_sum(
+        plus=[(psi, phi)], minus=[CoalgebraOperator.identity(sV, trunc),
+                                  (H_out, DV), (DV, H_out)]))
     return conclusions
 
 

@@ -9,9 +9,7 @@ from ainfinity.ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
 from ainfinity.coalgebra import (check_codifferential,
                                  check_homotopy_components,
                                  check_morphism_components, lift_coderivation,
-                                 lift_homotopy, lift_morphism,
-                                 operator_homotopy_residual,
-                                 operator_intertwining_residual)
+                                 lift_homotopy, lift_morphism, operator_sum)
 from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
@@ -22,7 +20,7 @@ from ainfinity.suspension import (desuspend_components, desuspend_module,
                                   suspend_homotopy, suspend_module,
                                   suspend_morphism, suspend_structure)
 from conftest import dga_without_leibniz, random_multimap, seeded
-from reference import shift_scalar
+from reference import scaled, shift_scalar
 
 
 def test_suspend_module_shifts_degrees():
@@ -105,7 +103,7 @@ def test_morphism_relation_equivalence_on_transfer():
 
     # breaking one component breaks both conventions
     bad_comps = dict(pkg.psi.components)
-    bad_comps[2] = bad_comps[2].scale(2)
+    bad_comps[2] = scaled(bad_comps[2], 2)
     bad = AInftyMorphism(pkg.nu, pkg.psi.target, bad_comps)
     assert not check_morphism(bad).ok
     assert not check_morphism_components(suspend_morphism(bad), snu, smu).ok
@@ -123,7 +121,7 @@ def test_homotopy_relation_equivalence_on_transfer():
     # the arity-1 component is the retract homotopy itself; scaling it
     # breaks the relation in both conventions
     bad_comps = dict(pkg.homotopy.components)
-    bad_comps[1] = bad_comps[1].scale(3)
+    bad_comps[1] = scaled(bad_comps[1], 3)
     bad = AInftyHomotopy(pkg.homotopy.frm, pkg.homotopy.to, bad_comps)
     assert not check_homotopy(bad).ok
     assert not check_homotopy_components(suspend_homotopy(bad), smu, smu).ok
@@ -161,11 +159,11 @@ def corrupted_relation_inputs(field):
         phi, h = pkg.phi, pkg.homotopy
         for n in sorted(phi.components):
             comps = dict(phi.components)
-            comps[n] = comps[n].scale(3)
+            comps[n] = scaled(comps[n], 3)
             yield "morphism", AInftyMorphism(phi.source, phi.target, comps)
         for n in sorted(h.components):
             comps = dict(h.components)
-            comps[n] = comps[n].scale(3)
+            comps[n] = scaled(comps[n], 3)
             yield "homotopy", AInftyHomotopy(h.frm, h.to, comps)
 
 
@@ -182,17 +180,18 @@ def relation_residuals(kind, obj):
         fam = suspend_morphism(obj)
         comp = check_morphism_components(fam, suspend_structure(src),
                                          suspend_structure(tgt))
-        op = operator_intertwining_residual(
-            lift_morphism(fam), lift_coderivation(suspend_structure(src)),
-            lift_coderivation(suspend_structure(tgt)))
+        F = lift_morphism(fam)
+        op = operator_sum(
+            plus=[(lift_coderivation(suspend_structure(tgt)), F)],
+            minus=[(F, lift_coderivation(suspend_structure(src)))])
         return check_morphism(obj), comp, op
     src, tgt = obj.frm.source, obj.frm.target
     fam = suspend_homotopy(obj)
     s_src, s_tgt = suspend_structure(src), suspend_structure(tgt)
     E, G = lift_morphism(fam.left), lift_morphism(fam.right)
-    op = operator_homotopy_residual(lift_homotopy(fam, E), E, G,
-                                    lift_coderivation(s_src),
-                                    lift_coderivation(s_tgt))
+    H = lift_homotopy(fam, E)
+    op = operator_sum(plus=[E], minus=[G, (H, lift_coderivation(s_src)),
+                                       (lift_coderivation(s_tgt), H)])
     return (check_homotopy(obj), check_homotopy_components(fam, s_src, s_tgt),
             op)
 
