@@ -8,7 +8,7 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
 from .combi import enum_A, enum_B, enum_C
 from .fields import QQ, PrimeField
 from .graded import (ChainComplex, GradedModule, MultiMap, StructureError,
-                     compose, compose_product, insert)
+                     compose, compose_product)
 from .kernels import (DeformationRetract, TransferPackage, check_p_identity,
                       check_q_identity, p_kernels, q_kernels, transfer)
 from .perturbation import (build_perturbation, check_annihilation_lemmas,
@@ -27,7 +27,7 @@ __all__ = [
     "compare_hpl_vs_kernels", "compose", "compose_morphisms",
     "compose_product", "enum_A", "enum_B", "enum_C",
     "harmonious_retract", "homology", "hpl_transfer", "identity_morphism",
-    "insert", "instance_forms", "instance_massey",
+    "instance_forms", "instance_massey",
     "p_kernels", "q_kernels", "suspend_homotopy", "suspend_module",
     "suspend_morphism", "suspend_structure", "theta", "transfer",
 ]

@@ -21,11 +21,11 @@ from .corpus import random_dga
 from .docio import Document, DocumentError, dump, load, serialize
 from .graded import ChainComplex, MultiMap, StructureError
 from .kernels import DeformationRetract, transfer
-from .perturbation import (build_perturbation, check_annihilation_lemmas,
-                           compare_hpl_vs_kernels, hpl_transfer)
+from .perturbation import (check_annihilation_lemmas, compare_hpl_vs_kernels,
+                           hpl_transfer)
 from .reports import BoolResidual, CheckReport
 from .retracts import harmonious_retract, normalise
-from .suspension import desuspend_components, suspend_structure
+from .suspension import desuspend_components
 
 
 class ReportWriter:
@@ -227,9 +227,8 @@ def cmd_transfer(args):
         for name in sorted(pkg.reports):
             out.add_report(pkg.reports[name])
     if args.method in ("hpl", "both"):
-        data = build_perturbation(retract, suspend_structure(mu))
-        hpl = hpl_transfer(data)
-        for _, report in hpl.reports():
+        hpl = hpl_transfer(retract, mu)
+        for report in hpl.reports.values():
             out.add_report(report)
         out.line("hpl.extraction=canonical")
         out.line("hpl.conclusions=corestriction")
@@ -240,7 +239,7 @@ def cmd_transfer(args):
 
     if args.method == "hpl":
         comps = {key: desuspend_components(family.components)
-                 for key, family in hpl.extracted().items()}
+                 for key, family in hpl.families.items()}
         products = {n: m for n, m in comps.pop("delta_nu").items() if n >= 2}
         nu = AInfinity(retract.small.module, retract.small.d, products, N)
         # what `check` runs on the written document
@@ -285,9 +284,8 @@ def _selftest_instance(base_seed, index, N, writer):
         checks.add("transfer." + name, rep)
     checks.add("battery", equivalence_battery(pkg))
 
-    data = build_perturbation(retract, suspend_structure(mu))
-    hpl = hpl_transfer(data)
-    for key, report in hpl.reports():
+    hpl = hpl_transfer(retract, mu)
+    for key, report in hpl.reports.items():
         checks.add("hpl." + key, report)
     checks.add("hpl.compare", compare_hpl_vs_kernels(hpl, pkg))
     checks.add("annihilation", check_annihilation_lemmas(pkg))
@@ -309,8 +307,8 @@ def _selftest_instance(base_seed, index, N, writer):
     # degeneration: no products means the perturbation series is trivial,
     # and the run that shows it passes its own reports
     bare = AInfinity(mu.carrier, mu.differential, {}, N)
-    bare_data = build_perturbation(retract, suspend_structure(bare))
-    bare_hpl = hpl_transfer(bare_data)
+    bare_hpl = hpl_transfer(retract, bare)
+    bare_data = bare_hpl.data
     trivial = (bare_hpl.ok and bare_hpl.delta_nu.is_zero()
                and bare_hpl.psi == bare_data.G
                and bare_hpl.phi == bare_data.F

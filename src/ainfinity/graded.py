@@ -609,11 +609,6 @@ def insert_slots(outer, position, inner):
     return [ident] * (position - 1) + [inner] + [ident] * (outer.arity - position)
 
 
-def insert(outer, position, inner):
-    """outer o (1^{x i-1} x inner x 1^{x k-i}) at 1-based `position`."""
-    return compose_product(outer, insert_slots(outer, position, inner))
-
-
 class ChainComplex:
     """A graded module with a degree -1 endomorphism.  d^2 = 0 is *not*
     assumed here; checkers and consumers that need it verify it."""

@@ -87,6 +87,14 @@ class DeformationRetract:
     def is_harmonious(self):
         return all(self.side_conditions.values())
 
+    def require_on_big_side(self, mu):
+        """Refuse a structure `mu` that either route would run off the big
+        side: one on another module, or with another differential than d_V."""
+        if mu.carrier != self.big.module:
+            raise StructureError("structure lives on a different module than the retract")
+        if not (mu.differential - self.big.d).is_zero():
+            raise StructureError("structure differential differs from the retract's")
+
     def shifted(self):
         """(f^, g^, h^, gf^) on the shifted modules, cached."""
         if self._shifted is None:
@@ -257,10 +265,7 @@ def transfer(retract, mu):
     violated); nonzero residuals of the *transferred* objects are reported
     on the package, never silently dropped.
     """
-    if mu.carrier != retract.big.module:
-        raise StructureError("structure lives on a different module than the retract")
-    if not (mu.differential - retract.big.d).is_zero():
-        raise StructureError("structure differential differs from the retract's")
+    retract.require_on_big_side(mu)
     N = mu.truncation
     structure_report = check_structure(mu)
     if not structure_report.ok:

@@ -72,6 +72,15 @@ zero, and an output that is not a lift fails step 1, so it never reads ok.
 `retracts.normalise` brings a retract with fg = 1 under the side
 conditions; step 3 and `check_annihilation_lemmas` (the identities step 3
 rests on) refuse any retract off them.
+
+`hpl_transfer(retract, mu)` is called as `kernels.transfer` is, on the
+unshifted structure: it refuses a structure off the retract's big side
+as `transfer` does, by the same `DeformationRetract.require_on_big_side`
+and with the same messages, suspends mu itself
+(`build_perturbation`), and returns the outputs, their component
+families and one dict of reports in report order (nilpotency, inversion,
+colinearity, conclusions).  Only the input check is shared with the
+kernel route, never a computation.
 """
 
 from .coalgebra import (CoalgebraOperator, ComponentFamily,
@@ -82,7 +91,7 @@ from .coalgebra import (CoalgebraOperator, ComponentFamily,
 from .graded import (MultiMap, StructureError, compose_product, insert_slots,
                      map_sum)
 from .reports import BoolResidual, CheckReport
-from .suspension import suspend_components
+from .suspension import suspend_components, suspend_structure
 
 
 class PerturbationData:
@@ -151,56 +160,45 @@ class PerturbationData:
         return report
 
 
-def build_perturbation(retract, smu):
-    """The perturbation-lemma input for the shifted structure `smu` on the
-    retract's big side; like `kernels.transfer`, refuses a structure on
-    another module or with another differential than the retract's."""
-    if smu.source != retract.shifted()[2].source:
-        raise StructureError("shifted structure lives off the retract's module")
-    if smu.component(1) != suspend_components({1: retract.big.d})[1]:
-        raise StructureError("structure differential differs from the retract's")
-    return PerturbationData(retract, smu)
+def build_perturbation(retract, mu):
+    """The perturbation-lemma input for the structure `mu` on the retract's
+    big side, run on its suspension; refuses a structure off that side as
+    `kernels.transfer` does, with the same messages
+    (`DeformationRetract.require_on_big_side`)."""
+    retract.require_on_big_side(mu)
+    return PerturbationData(retract, suspend_structure(mu))
 
 
 class HplOutput:
-    def __init__(self, data, outputs, families, colinearity, conclusions,
-                 nilpotency_report, inversion_report):
+    """What `hpl_transfer` returns: its input `data`, the four outputs,
+    their component `families` (keyed like the outputs), and `reports`,
+    every report by key in report order: nilpotency, inversion,
+    colinearity, conclusions."""
+
+    def __init__(self, data, outputs, families, reports):
         self.data = data
         self.delta_nu = outputs["delta_nu"]
         self.psi = outputs["psi"]
         self.phi = outputs["phi"]
         self.H_out = outputs["homotopy"]
-        self._families = families
-        self.colinearity = colinearity
-        self.conclusions = conclusions
-        self.nilpotency_report = nilpotency_report
-        self.inversion_report = inversion_report
-
-    def reports(self):
-        """(key, report) pairs in report order: nilpotency, inversion,
-        colinearity, conclusions."""
-        return [("nilpotency", self.nilpotency_report),
-                ("inversion", self.inversion_report),
-                ("colinearity", self.colinearity),
-                ("conclusions", self.conclusions)]
+        self.families = families
+        self.reports = reports
 
     @property
     def ok(self):
-        return all(report.ok for _, report in self.reports())
-
-    def extracted(self):
-        """The outputs' component families, keyed like the outputs."""
-        return self._families
+        return all(report.ok for report in self.reports.values())
 
 
-def hpl_transfer(data):
-    """Run the perturbation lemma and verify its conclusions exactly, on
-    corestrictions after a colinearity check (see the module docstring)."""
-    nilpotency_report = data.verify_nilpotency()
-    if not nilpotency_report.ok:
+def hpl_transfer(retract, mu):
+    """Transfer `mu` across `retract` by the perturbation lemma and verify
+    its conclusions exactly, on corestrictions after a colinearity check
+    (see the module docstring)."""
+    data = build_perturbation(retract, mu)
+    reports = {"nilpotency": data.verify_nilpotency()}
+    if not reports["nilpotency"].ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
     M, S, dmuG = data.M, data.S, data.dmuG
-    inversion_report = series_inversion_report(M, S)
+    reports["inversion"] = series_inversion_report(M, S)
 
     F, G, H = data.F, data.G, data.H
     AG = operator_sum(plus=[dmuG, (S, dmuG)])
@@ -211,10 +209,9 @@ def hpl_transfer(data):
         "homotopy": operator_sum(plus=[H, (H, S)]),
     }
     families = extract_outputs(data, outputs)
-    return HplOutput(data, outputs, families,
-                     colinearity_report(outputs, families),
-                     corestricted_conclusions(data, families),
-                     nilpotency_report, inversion_report)
+    reports["colinearity"] = colinearity_report(outputs, families)
+    reports["conclusions"] = corestricted_conclusions(data, families)
+    return HplOutput(data, outputs, families, reports)
 
 
 def extract_outputs(data, outputs):
@@ -312,7 +309,7 @@ def compare_hpl_vs_kernels(hpl, pkg):
     written = {"delta_nu": pkg.nu.products, "phi": pkg.phi.components,
                "psi": pkg.psi.components,
                "homotopy": pkg.homotopy.components}
-    got = hpl.extracted()
+    got = hpl.families
     report = ComparisonReport()
     for key, comps in sorted(written.items()):
         expected = suspend_components(comps)

@@ -17,11 +17,9 @@ from ainfinity.corpus import random_dga
 from ainfinity.docio import Document, dump
 from ainfinity.graded import ChainComplex, MultiMap, compose, compose_product
 from ainfinity.kernels import DeformationRetract, transfer
-from ainfinity.perturbation import (build_perturbation,
-                                    check_annihilation_lemmas,
+from ainfinity.perturbation import (check_annihilation_lemmas,
                                     compare_hpl_vs_kernels, hpl_transfer)
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
-from ainfinity.suspension import suspend_structure
 from reference import shift_scalar
 
 CORPUS_SEED = 1
@@ -127,8 +125,8 @@ def test_criterion_5_degenerations(capsys):
         # trivial perturbation: outputs equal inputs
         real_retract = harmonious_retract(cx)
         bare = AInfinity(mu.carrier, mu.differential, {}, ARITY)
-        data = build_perturbation(real_retract, suspend_structure(bare))
-        hpl = hpl_transfer(data)
+        hpl = hpl_transfer(real_retract, bare)
+        data = hpl.data
         ok = ok and hpl.delta_nu.is_zero() and hpl.psi == data.G
         ok = ok and hpl.phi == data.F and hpl.H_out == data.H
     with capsys.disabled():
@@ -144,9 +142,10 @@ def test_criterion_6_nilpotency_and_inversion(capsys):
                                            instance_massey().carrier,
                                            instance_massey().differential)),
                                        None)]:
-        data = build_perturbation(retract, suspend_structure(mu))
-        hpl = hpl_transfer(data)
-        ok = ok and hpl.nilpotency_report.ok and hpl.inversion_report.ok
+        hpl = hpl_transfer(retract, mu)
+        data = hpl.data
+        ok = (ok and hpl.reports["nilpotency"].ok
+              and hpl.reports["inversion"].ok)
         ok = ok and all(idx <= n for n, idx in data.nilpotency.items())
         checked += 1
     with capsys.disabled():
@@ -162,8 +161,7 @@ def test_criterion_7_annihilation_lemmas(capsys):
             continue
         ok = ok and check_annihilation_lemmas(pkg).ok
         # the equivalence itself, while we are here
-        data = build_perturbation(retract, suspend_structure(mu))
-        hpl = hpl_transfer(data)
+        hpl = hpl_transfer(retract, mu)
         ok = ok and compare_hpl_vs_kernels(hpl, pkg).status == "exact"
         checked += 1
     with capsys.disabled():

@@ -855,7 +855,7 @@ def test_transfer_refuses_an_output_path_it_cannot_write(tmp_path, capsys,
     out = (tmp_path / "missing" / "out.json" if where == "missing-directory"
            else tmp_path)
     calls = []
-    for name in ("harmonious_retract", "transfer", "build_perturbation"):
+    for name in ("harmonious_retract", "transfer", "hpl_transfer"):
         monkeypatch.setattr(ainfinity.cli, name,
                             lambda *args, name=name: calls.append(name))
     assert main(["transfer", src, "--method", "both", "--retract", "auto",
@@ -980,12 +980,12 @@ def test_selftest_fails_an_instance_whose_bare_run_fails_a_report(
 
     real, runs = cli.hpl_transfer, []
 
-    def bare_run_fails(data):
-        out = real(data)
-        runs.append(data)
+    def bare_run_fails(retract, mu):
+        out = real(retract, mu)
+        runs.append(out.data)
         if len(runs) == 2:
-            out.inversion_report = CheckReport("inversion")
-            out.inversion_report.add(1, BoolResidual(False, "planted"))
+            out.reports["inversion"] = CheckReport("inversion")
+            out.reports["inversion"].add(1, BoolResidual(False, "planted"))
         return out
 
     monkeypatch.setattr(cli, "hpl_transfer", bare_run_fails)

@@ -566,16 +566,11 @@ def per_word_composite(outer, inner):
     return {k: t for k, t in blocks.items() if t}
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
-def test_operator_sum_matches_per_word_composite(field):
-    """Composites summed by `operator_sum` against word-by-word evaluation,
-    on lifts of random families with components of arity 1..3, added twice
-    and then taken away once through `minus`; a block only an operand in
-    `minus` has is its negation, in a table of the sum's own; sums that
-    cancel leave no empty row or block, and terms of another shape are
-    refused."""
+def random_lifts(field):
+    """Lifts D (a coderivation), F, G (morphisms) and H (a homotopy) of
+    random families with components of arity 1..3 on a two-dimensional
+    module over `field`, the same for the same field."""
     V, rng = GradedModule({0: 1, 1: 1}, field), seeded(11)
-    p = field.characteristic
 
     def family(kind, degree, **flanks):
         return ComponentFamily(kind, V, V, {n: random_multimap(rng, V, V, n, degree)
@@ -585,6 +580,34 @@ def test_operator_sum_matches_per_word_composite(field):
     F, G = lift_morphism(family("morphism", 0)), lift_morphism(family("morphism", 0))
     H = lift_homotopy(family("homotopy", 1, left=family("morphism", 0),
                              right=family("morphism", 0)))
+    return D, F, G, H
+
+
+def assert_minus_only_blocks_negated(D):
+    """D restricted to homogeneity 3, minus D: every other block of D is
+    read only by D, in `minus`, and is its negation, in a table of the
+    sum's own.  The sum is looked up on its module, where the mutation
+    suite binds its mutants."""
+    p = D.source.field.characteristic
+    top = restricted_to(D, 3)
+    rest = coalgebra.operator_sum(plus=[top], minus=[D])
+    assert rest.blocks == {
+        key: {w: {o: -c % p if p else -c for o, c in row.items()}
+              for w, row in table.items()}
+        for key, table in D.blocks.items() if key[0] != 3}
+    assert not any(table is D.blocks[key] for key, table in rest.blocks.items())
+    assert rest + D == top
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_operator_sum_matches_per_word_composite(field):
+    """Composites summed by `operator_sum` against word-by-word evaluation,
+    on lifts of random families with components of arity 1..3, added twice
+    and then taken away once through `minus`; a block only an operand in
+    `minus` has is its negation, in a table of the sum's own; sums that
+    cancel leave no empty row or block, and terms of another shape are
+    refused."""
+    D, F, G, H = random_lifts(field)
     for outer, inner in [(D, F), (F, D), (H, D), (D, H), (F, G), (H, H)]:
         expected = per_word_composite(outer, inner)
         assert expected
@@ -593,14 +616,7 @@ def test_operator_sum_matches_per_word_composite(field):
         assert twice.blocks == per_word_composite(outer + outer, inner)
         assert operator_sum(plus=[(outer, inner), (outer, inner)],
                             minus=[(outer, inner)]).blocks == expected
-    top = restricted_to(D, 3)
-    rest = operator_sum(plus=[top], minus=[D])
-    assert rest.blocks == {
-        key: {w: {o: -c % p if p else -c for o, c in row.items()}
-              for w, row in table.items()}
-        for key, table in D.blocks.items() if key[0] != 3}
-    assert not any(table is D.blocks[key] for key, table in rest.blocks.items())
-    assert rest + D == top
+    assert_minus_only_blocks_negated(D)
     assert operator_sum(plus=[(D, F), D], minus=[D, (D, F)]).blocks == {}
     assert (operator_sum(plus=[(D, F)], minus=[(F, D)])
             == D.compose(F) - F.compose(D))

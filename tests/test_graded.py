@@ -10,7 +10,7 @@ from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
 from ainfinity.graded import (GradedModule, MultiMap, StructureError,
                               component_table, compose, compose_product,
-                              insert, map_sum)
+                              insert_slots, map_sum)
 from conftest import (image, pair_table, random_multimap, seeded,
                       two_dim_complex)
 from reference import per_word_composite, scaled, tensor_table
@@ -250,6 +250,12 @@ def test_tensor_of_two_maps_factors_through_identity_slots():
 
 
 # ------------------------------------------------------------------ insert
+
+def insert(outer, position, inner):
+    """outer o (1^{x i-1} x inner x 1^{x k-i}): the composite the library
+    forms from the slots `insert_slots` makes."""
+    return compose_product(outer, insert_slots(outer, position, inner))
+
 
 def test_insert_identity_outer_returns_inner():
     V, d = two_dim_complex()

@@ -126,7 +126,7 @@ def test_every_package_definition_is_named():
 # the library's evaluators: an oracle that called one would agree with the
 # library by construction, however wrong the library's signs
 LIBRARY_EVALUATORS = {"_product_into", "map_sum", "compose_product",
-                      "compose", "insert", "tensor_into", "tensor_residual",
+                      "compose", "tensor_into", "tensor_residual",
                       "_lift_blocks", "operator_sum"}
 
 

@@ -74,11 +74,10 @@ def test_zero_complex_side_conditions_vacuous():
 
 def test_nilpotency_and_inversion():
     mu, retract = forms_setup()
-    data = build_perturbation(retract, suspend_structure(mu))
-    hpl = hpl_transfer(data)
-    assert hpl.nilpotency_report.ok
-    assert hpl.inversion_report.ok
-    for n, power in data.nilpotency.items():
+    hpl = hpl_transfer(retract, mu)
+    assert hpl.reports["nilpotency"].ok
+    assert hpl.reports["inversion"].ok
+    for n, power in hpl.data.nilpotency.items():
         assert power <= n
 
 
@@ -90,7 +89,7 @@ def test_series_inversion_residuals_against_identity():
     term short of the full loop would still pass.)"""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    data = build_perturbation(retract, suspend_structure(mu))
+    data = build_perturbation(retract, mu)
     M = S = data.M
     report = series_inversion_report(M, S)
     ident = CoalgebraOperator.identity(data.sV, 4)
@@ -113,9 +112,9 @@ def lifted_dmu(data):
 def test_trivial_perturbation_returns_inputs():
     mu, retract = forms_setup()
     bare = AInfinity(mu.carrier, mu.differential, {}, 4)
-    data = build_perturbation(retract, suspend_structure(bare))
+    hpl = hpl_transfer(retract, bare)
+    data = hpl.data
     assert lifted_dmu(data).is_zero()
-    hpl = hpl_transfer(data)
     assert hpl.delta_nu.is_zero()
     assert hpl.psi == data.G
     assert hpl.phi == data.F
@@ -126,8 +125,7 @@ def test_low_homogeneity_blocks():
     # the series strictly lowers homogeneity: the transferred perturbation
     # has no homogeneity-1 block, and phi restricted to letters is f
     mu, retract = forms_setup()
-    data = build_perturbation(retract, suspend_structure(mu))
-    hpl = hpl_transfer(data)
+    hpl = hpl_transfer(retract, mu)
     assert not hpl.delta_nu.block(1, 1)
     fhat = retract.shifted()[0]
     expected = {w: {(b,): c for b, c in vec.items()}
@@ -138,17 +136,15 @@ def test_low_homogeneity_blocks():
 def test_hpl_conclusions_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        data = build_perturbation(retract, suspend_structure(mu))
-        hpl = hpl_transfer(data)
-        assert hpl.conclusions.ok, hpl.conclusions.failing()
+        conclusions = hpl_transfer(retract, mu).reports["conclusions"]
+        assert conclusions.ok, conclusions.failing()
 
 
 def test_hpl_equals_kernels_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
         pkg = transfer(retract, mu)
-        data = build_perturbation(retract, suspend_structure(mu))
-        hpl = hpl_transfer(data)
+        hpl = hpl_transfer(retract, mu)
         report = compare_hpl_vs_kernels(hpl, pkg)
         assert report.status == "exact"
         assert report.ok
@@ -162,10 +158,10 @@ def test_comparison_refuses_retract_without_side_conditions():
     retract = crooked_retract(mu)
     pkg = transfer(retract, mu)
     assert pkg.ok  # the transfer itself is fine without side conditions
-    data = build_perturbation(retract, suspend_structure(mu))
-    hpl = hpl_transfer(data)
+    hpl = hpl_transfer(retract, mu)
+    data = hpl.data
     assert operator_conclusions(data, outputs_of(hpl)).ok
-    assert not hpl.colinearity.ok and not hpl.ok
+    assert not hpl.reports["colinearity"].ok and not hpl.ok
     with pytest.raises(StructureError, match="side conditions"):
         compare_hpl_vs_kernels(hpl, pkg)
 
@@ -194,7 +190,7 @@ def test_every_fg_one_retract_is_compared_once_normalised(field):
         fixed = normalise(bent)
         assert fixed.is_harmonious, seed
         pkg = transfer(fixed, mu)
-        hpl = hpl_transfer(build_perturbation(fixed, pkg.smu))
+        hpl = hpl_transfer(fixed, mu)
         assert pkg.ok and hpl.ok, seed
         assert compare_hpl_vs_kernels(hpl, pkg).status == "exact", seed
         assert equivalence_battery(pkg).ok, seed
@@ -208,21 +204,20 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     # witness 1: crooked h (fg = 1 still): the morphisms lose lift shape
     mu = massey_with_marker()
     retract = crooked_retract(mu)
-    data = build_perturbation(retract, suspend_structure(mu))
-    hpl = hpl_transfer(data)
+    hpl = hpl_transfer(retract, mu)
     assert lift_morphism(extract_components(hpl.psi, "morphism")) != hpl.psi
     assert lift_morphism(extract_components(hpl.phi, "morphism")) != hpl.phi
-    assert set(hpl.colinearity.failing()) >= {"psi", "phi"}
+    assert set(hpl.reports["colinearity"].failing()) >= {"psi", "phi"}
 
     # witness 2: fg != 1, and the perturbed coderivation loses lift shape
     base = instance_massey(truncation=4)
     retract2 = fg_broken_retract(base)
     assert not retract2.is_harmonious
-    data2 = build_perturbation(retract2, suspend_structure(base))
-    hpl2 = hpl_transfer(data2)
+    hpl2 = hpl_transfer(retract2, base)
+    data2 = hpl2.data
     # the lemma itself is fine, and the colinearity check sees the shape
     assert operator_conclusions(data2, outputs_of(hpl2)).ok
-    assert "delta_nu" in hpl2.colinearity.failing() and not hpl2.ok
+    assert "delta_nu" in hpl2.reports["colinearity"].failing() and not hpl2.ok
     dW_op = lift_coderivation(ComponentFamily(
         "coderivation", data2.sW, data2.sW, {1: data2.delta1_W}, 4))
     total = dW_op + hpl2.delta_nu
@@ -238,7 +233,7 @@ def outputs_of(hpl):
 def coleibniz_residuals(hpl):
     """`colinearity_residual` of each output: the co-Leibniz definition,
     word by word, with the homotopy's flanks lifted from its family."""
-    family = hpl.extracted()["homotopy"]
+    family = hpl.families["homotopy"]
     return {
         "delta_nu": colinearity_residual(hpl.delta_nu, "coderivation"),
         "psi": colinearity_residual(hpl.psi, "morphism"),
@@ -251,7 +246,7 @@ def coleibniz_residuals(hpl):
 
 def harmonious_hpl(mu):
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    return hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
+    return hpl_transfer(retract, mu)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
@@ -263,9 +258,10 @@ def test_relift_colinearity_matches_coleibniz_definition(make, field):
     instances."""
     hpl = harmonious_hpl(make(field, truncation=4))
     coleibniz = coleibniz_residuals(hpl)
-    assert sorted(hpl.colinearity.residuals) == sorted(coleibniz)
+    assert sorted(hpl.reports["colinearity"].residuals) == sorted(coleibniz)
     for key, residual in coleibniz.items():
-        assert residual.ok and hpl.colinearity.residuals[key].is_zero(), key
+        assert residual.ok, key
+        assert hpl.reports["colinearity"].residuals[key].is_zero(), key
 
 
 def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
@@ -277,8 +273,8 @@ def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
     cases = [(mu, crooked_retract(mu), {"psi", "phi", "homotopy"}),
              (base, fg_broken_retract(base), {"delta_nu"})]
     for mu, retract, broken in cases:
-        hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
-        relift = colinearity_report(outputs_of(hpl), hpl.extracted())
+        hpl = hpl_transfer(retract, mu)
+        relift = colinearity_report(outputs_of(hpl), hpl.families)
         coleibniz = coleibniz_residuals(hpl)
         for key, residual in coleibniz.items():
             assert residual.ok == relift.residuals[key].is_zero(), key
@@ -288,14 +284,15 @@ def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
 def test_operator_and_corestricted_conclusions_agree_on_desk_instances():
     for mu in [instance_forms(truncation=4), instance_massey(truncation=4)]:
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        data = build_perturbation(retract, suspend_structure(mu))
-        hpl = hpl_transfer(data)
-        assert hpl.colinearity.ok
+        hpl = hpl_transfer(retract, mu)
+        data = hpl.data
+        assert hpl.reports["colinearity"].ok
         operator = operator_conclusions(data, outputs_of(hpl))
-        corestricted = corestricted_conclusions(data, hpl.extracted())
+        corestricted = corestricted_conclusions(data, hpl.families)
         assert operator.ok and corestricted.ok
         assert sorted(operator.residuals) == sorted(corestricted.residuals)
-        assert sorted(hpl.conclusions.residuals) == sorted(corestricted.residuals)
+        assert (sorted(hpl.reports["conclusions"].residuals)
+                == sorted(corestricted.residuals))
 
 
 def test_corrupted_phi_component_fails_both_forms():
@@ -303,9 +300,9 @@ def test_corrupted_phi_component_fails_both_forms():
     colinearity check cannot catch it; both forms of the conclusions must."""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    data = build_perturbation(retract, suspend_structure(mu))
-    hpl = hpl_transfer(data)
-    phi = hpl.extracted()["phi"]
+    hpl = hpl_transfer(retract, mu)
+    data = hpl.data
+    phi = hpl.families["phi"]
     comps = dict(phi.components)
     comps[2] = comps[2] + comps[2]
     bad = ComponentFamily("morphism", phi.source, phi.target, comps, phi.trunc)
@@ -363,10 +360,9 @@ def transferred_witness(field=None):
     mu = instance_massey(field, truncation=3)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu)
-    smu = suspend_structure(mu)
-    data = build_perturbation(retract, smu)
-    return SimpleNamespace(mu=mu, retract=retract, pkg=pkg, smu=smu,
-                           data=data, hpl=hpl_transfer(data))
+    hpl = hpl_transfer(retract, mu)
+    return SimpleNamespace(mu=mu, retract=retract, pkg=pkg, data=hpl.data,
+                           hpl=hpl)
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +393,7 @@ TRUNCATION_SITES = {
         w.hpl, transfer(w.retract, w.mu.truncated(n))),
     "transfer": lambda w, n: transfer(w.retract, w.mu.truncated(n)),
     "build_perturbation": lambda w, n: build_perturbation(
-        w.retract, suspend_structure(w.mu.truncated(n))),
+        w.retract, w.mu.truncated(n)),
 }
 
 
@@ -428,7 +424,7 @@ def test_comparison_refuses_routes_run_at_different_truncations(witness3):
     w = witness3
     cut = w.mu.truncated(2)
     pkg2 = transfer(w.retract, cut)
-    hpl2 = hpl_transfer(build_perturbation(w.retract, suspend_structure(cut)))
+    hpl2 = hpl_transfer(w.retract, cut)
     with pytest.raises(StructureError,
                        match="the routes ran at truncations 3 and 2"):
         compare_hpl_vs_kernels(w.hpl, pkg2)
@@ -448,12 +444,25 @@ def test_both_routes_refuse_a_differential_off_the_retract(field):
                        mu.products, 3)
     assert check_structure(bare_d).ok
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    for run in (lambda: transfer(retract, bare_d),
-                lambda: build_perturbation(retract,
-                                           suspend_structure(bare_d))):
+    for route in (transfer, hpl_transfer):
         with pytest.raises(StructureError, match="structure differential "
                            "differs from the retract's"):
-            run()
+            route(retract, bare_d)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_both_routes_refuse_a_structure_off_the_retract_module(field):
+    """A structure on another module than the retract's big side is refused
+    by both routes with the one message, `transfer`'s: the HPL route runs
+    the same check before it suspends anything."""
+    mu = instance_massey(field, truncation=3)
+    other = instance_forms(field, truncation=3)
+    assert other.carrier != mu.carrier
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    for route in (transfer, hpl_transfer):
+        with pytest.raises(StructureError, match="structure lives on a "
+                           "different module than the retract"):
+            route(retract, other)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
@@ -479,8 +488,9 @@ def test_no_family_reads_above_its_truncation(witness3_over):
     w = witness3_over
     families = [w.mu.mu, w.pkg.nu.mu, w.pkg.phi.component,
                 w.pkg.psi.component, w.pkg.homotopy.component,
-                w.smu.component, suspend_homotopy(w.pkg.homotopy).component]
-    families += [fam.component for fam in w.hpl.extracted().values()]
+                w.data.dV.component,
+                suspend_homotopy(w.pkg.homotopy).component]
+    families += [fam.component for fam in w.hpl.families.values()]
     for lookup in families:
         assert lookup(3) is lookup(3)
         for n in (0, 4):
@@ -498,7 +508,7 @@ def test_failing_colinearity_names_the_least_word_as_pairs(witness3_over):
     hpl = w.hpl
     outputs = outputs_of(hpl)
     outputs["phi"] = next(corrupted(hpl.phi))[1]
-    report = colinearity_report(outputs, hpl.extracted())
+    report = colinearity_report(outputs, hpl.families)
     assert report.failing() == ["phi"]
     residual = report.residuals["phi"]
     elements = residual.source.elements
@@ -516,7 +526,7 @@ def test_failing_conclusions_name_the_first_failing_arity(witness3_over):
     component doubled, the detail line of the conclusions names the least
     arity at which phi fails to intertwine."""
     w = witness3_over
-    families = dict(w.hpl.extracted())
+    families = dict(w.hpl.families)
     phi = families["phi"]
     comps = dict(phi.components)
     comps[2] = comps[2] + comps[2]
@@ -540,7 +550,7 @@ def test_checkers_run_to_the_truncation_of_their_object(N):
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu.truncated(N))
-    data = build_perturbation(retract, pkg.smu)
+    data = build_perturbation(retract, mu.truncated(N))
     snu = suspend_structure(pkg.nu)
     arities = list(range(1, N + 1))
     reports = [
@@ -603,8 +613,8 @@ def reference_outputs(data):
 
 
 def assert_outputs_match_reference(mu, retract):
-    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
-    assert hpl.inversion_report.residuals["left"].is_zero()
+    hpl = hpl_transfer(retract, mu)
+    assert hpl.reports["inversion"].residuals["left"].is_zero()
     reference = reference_outputs(hpl.data)
     for key, op in outputs_of(hpl).items():
         assert op == reference[key], key
@@ -626,7 +636,7 @@ def test_outputs_match_reference_association_on_crooked_retract():
     mu = massey_with_marker()
     hpl = assert_outputs_match_reference(mu, crooked_retract(mu))
     assert operator_conclusions(hpl.data, outputs_of(hpl)).ok
-    assert not hpl.colinearity.ok
+    assert not hpl.reports["colinearity"].ok
 
 
 @pytest.mark.parametrize("seed", [5, 15, 22])
@@ -652,7 +662,7 @@ def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
     mu = massey_with_marker() if crooked else instance_massey(truncation=4)
     retract = (crooked_retract(mu) if crooked else
                harmonious_retract(ChainComplex(mu.carrier, mu.differential)))
-    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
+    hpl = hpl_transfer(retract, mu)
     outputs = outputs_of(hpl)
     cases = [(None, None, outputs)] + [
         (key, block, dict(outputs, **{key: bad}))
@@ -665,7 +675,7 @@ def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
             assert report.residuals[name].is_zero() == relift.is_zero(), name
         if key is not None and block[1] >= 2:
             assert not report.residuals[key].is_zero(), (key, block)
-    assert colinearity_report(outputs, hpl.extracted()).ok != crooked
+    assert colinearity_report(outputs, hpl.families).ok != crooked
 
 
 def count_calls(monkeypatch, module, name):
@@ -691,7 +701,7 @@ def test_hpl_route_lifts_each_operator_once(monkeypatch):
     calls = {name: count_calls(monkeypatch, coalgebra, name)
              for name in ("lift_homotopy", "lift_morphism",
                           "lift_coderivation")}
-    hpl = hpl_transfer(build_perturbation(retract, suspend_structure(mu)))
+    hpl = hpl_transfer(retract, mu)
     assert hpl.ok
     assert {name: len(c) for name, c in calls.items()} == {
         "lift_homotopy": 1, "lift_morphism": 2, "lift_coderivation": 1}
@@ -732,17 +742,17 @@ def witness_setup(N=4):
     return mu, harmonious_retract(ChainComplex(mu.carrier, mu.differential))
 
 
-def witness_data(N=4):
+def witness_hpl(N=4):
     mu, retract = witness_setup(N)
-    return build_perturbation(retract, suspend_structure(mu))
+    return hpl_transfer(retract, mu)
 
 
 def test_outputs_share_the_diagonal_blocks_of_their_plus_operands():
     """H_out = H + H S, phi = F + F S and psi = G + H A G: the composites
     land below the diagonal, so each diagonal block of an output is the
     very table of H, F or G, not a copy."""
-    data = witness_data()
-    hpl = hpl_transfer(data)
+    hpl = witness_hpl()
+    data = hpl.data
     for out, operand in [(hpl.H_out, data.H), (hpl.phi, data.F),
                          (hpl.psi, data.G)]:
         assert [k for k in operand.blocks if k[0] != k[1]] == []
@@ -771,16 +781,17 @@ def random_setup(seed):
     ids=["witness", "crooked", "dga5", "dga15", "dga22"])
 def test_hpl_transfer_leaves_its_operands_unchanged(setup):
     """The outputs and the series share tables with F, G, H, dmu G and M,
-    and no sum writes into one: every operand reads the same after the
-    lemma as before, including where S is nonzero."""
+    and no sum writes into one: every operand of the lemma's run reads, after
+    the run, as it does in a fresh input package that no lemma ran on,
+    including where S is nonzero."""
     mu, retract = setup()
-    data = build_perturbation(retract, suspend_structure(mu))
-    ops = {name: getattr(data, name) for name in ("F", "G", "H", "dmuG", "M")}
-    before = {name: operator_snapshot(op) for name, op in ops.items()}
-    hpl = hpl_transfer(data)
+    names = ("F", "G", "H", "dmuG", "M")
+    fresh = build_perturbation(retract, mu)
+    before = {name: operator_snapshot(getattr(fresh, name)) for name in names}
+    hpl = hpl_transfer(retract, mu)
     assert not hpl.data.S.is_zero()
-    for name, op in ops.items():
-        assert operator_snapshot(op) == before[name], name
+    for name in names:
+        assert operator_snapshot(getattr(hpl.data, name)) == before[name], name
 
 
 def test_colinearity_check_never_calls_the_lift_builder(monkeypatch):
@@ -788,14 +799,14 @@ def test_colinearity_check_never_calls_the_lift_builder(monkeypatch):
     with its own walk, so a sign the builder drops cannot cancel out of it.
     With `graded.tensor_into` and `coalgebra._lift_blocks` refusing to run,
     the report on the witness outputs at N = 5 is still ok."""
-    hpl = hpl_transfer(witness_data(5))
+    hpl = witness_hpl(5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the colinearity check called the builder")
 
     assert rebind(monkeypatch, graded.tensor_into, refuse)
     assert rebind(monkeypatch, coalgebra._lift_blocks, refuse)
-    assert colinearity_report(outputs_of(hpl), hpl.extracted()).ok
+    assert colinearity_report(outputs_of(hpl), hpl.families).ok
 
 
 def test_colinearity_check_traces_under_a_tenth_of_H_out():
@@ -804,8 +815,8 @@ def test_colinearity_check_traces_under_a_tenth_of_H_out():
     traced while building H_out (the lift H, then H + H S).  The check
     keeps one row of the lift's step at a time, and the rows that
     differ."""
-    data = witness_data(5)
-    hpl = hpl_transfer(data)
+    hpl = witness_hpl(5)
+    data = hpl.data
     _, _, hhat, gfhat = data.retract.shifted()
     family = ComponentFamily("homotopy", data.sV, data.sV, {1: hhat}, 5,
                              left=ComponentFamily.strict_morphism(gfhat, 5),
@@ -818,7 +829,7 @@ def test_colinearity_check_traces_under_a_tenth_of_H_out():
         built = tracemalloc.get_traced_memory()[0] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        report = colinearity_report(outputs_of(hpl), hpl.extracted())
+        report = colinearity_report(outputs_of(hpl), hpl.families)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -13,12 +13,10 @@ from ainfinity.corpus import random_dga
 from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap, StructureError, compose
 from ainfinity.kernels import transfer
-from ainfinity.perturbation import (build_perturbation, compare_hpl_vs_kernels,
-                                    hpl_transfer)
+from ainfinity.perturbation import compare_hpl_vs_kernels, hpl_transfer
 from ainfinity.retracts import (Splitting, _rref, harmonious_retract,
                                 homology, instance_forms, instance_massey,
                                 normalise)
-from ainfinity.suspension import suspend_structure
 from conftest import (crooked_retract, fg_broken_retract, image,
                       kept_pair_retract, massey_with_marker, two_dim_complex)
 
@@ -116,10 +114,10 @@ def stored_scalars(*roots):
 def transfer_both_routes(mu):
     r = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(r, mu)
-    hpl = hpl_transfer(build_perturbation(r, suspend_structure(mu)))
+    hpl = hpl_transfer(r, mu)
     comparison = compare_hpl_vs_kernels(hpl, pkg)
     assert pkg.ok and hpl.ok and comparison.status == "exact"
-    return r, pkg, hpl, hpl.extracted(), comparison
+    return r, pkg, hpl, hpl.families, comparison
 
 
 def test_no_float_in_any_table():
@@ -276,7 +274,7 @@ def test_normalise_meets_every_side_condition(field):
     assert fixed.is_harmonious and fixed.h != crooked.h
     assert (fixed.f, fixed.g) == (crooked.f, crooked.g)
     pkg = transfer(fixed, mu)
-    hpl = hpl_transfer(build_perturbation(fixed, suspend_structure(mu)))
+    hpl = hpl_transfer(fixed, mu)
     assert pkg.ok and hpl.ok
     assert compare_hpl_vs_kernels(hpl, pkg).status == "exact"
 
