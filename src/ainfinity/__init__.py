@@ -13,7 +13,7 @@ from .kernels import (DeformationRetract, TransferPackage, check_p_identity,
                       check_q_identity, p_kernels, q_kernels, transfer)
 from .perturbation import (build_perturbation, check_annihilation_lemmas,
                            compare_hpl_vs_kernels, hpl_transfer)
-from .retracts import harmonious_retract, homology, instance_forms, instance_massey
+from .retracts import harmonious_retract, instance_forms, instance_massey
 from .signs import theta
 from .suspension import (suspend_homotopy, suspend_module, suspend_morphism,
                          suspend_structure)
@@ -26,7 +26,7 @@ __all__ = [
     "check_morphism", "check_structure",
     "compare_hpl_vs_kernels", "compose", "compose_morphisms",
     "compose_product", "enum_A", "enum_B", "enum_C",
-    "harmonious_retract", "homology", "hpl_transfer", "identity_morphism",
+    "harmonious_retract", "hpl_transfer", "identity_morphism",
     "instance_forms", "instance_massey",
     "p_kernels", "q_kernels", "suspend_homotopy", "suspend_module",
     "suspend_morphism", "suspend_structure", "theta", "transfer",

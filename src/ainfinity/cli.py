@@ -40,6 +40,11 @@ class ReportWriter:
     def note(self, text):
         self.human.append(text)
 
+    def fail(self, text):
+        """Note `text` and mark the run failed."""
+        self.note(text)
+        self.failed = True
+
     def add_report(self, report):
         self.machine.extend(report.lines())
         if not report.ok:
@@ -106,8 +111,7 @@ def cmd_check(args):
                          % (key, str(retract.side_conditions[key]).lower()))
         except (StructureError, DocumentError) as exc:
             out.line("retract.valid=false")
-            out.note("retract invariant violated: %s" % exc)
-            out.failed = True
+            out.fail("retract invariant violated: %s" % exc)
     if doc.transfer is not None:
         src_name, src = doc.transfer["source"]
         out.line("transfer.source=%s" % src_name)
@@ -126,18 +130,12 @@ def _check_transfer_block(out, src, nu, comps):
     those names in `comps`, at the truncation of src and nu."""
     phi = AInftyMorphism(src, nu, comps["phi"])
     psi = AInftyMorphism(nu, src, comps["psi"])
-    out.add_report(_renamed(check_structure(src), "source"))
-    out.add_report(_renamed(check_morphism(phi), "phi"))
-    out.add_report(_renamed(check_morphism(psi), "psi"))
+    out.add_report(check_structure(src).renamed("source-structure"))
+    out.add_report(check_morphism(phi).renamed("phi-morphism"))
+    out.add_report(check_morphism(psi).renamed("psi-morphism"))
     hom = AInftyHomotopy(compose_morphisms(psi, phi), identity_morphism(src),
                          comps["homotopy"])
-    out.add_report(_renamed(check_homotopy(hom), "transfer"))
-
-
-def _renamed(report, prefix):
-    renamed = CheckReport("%s-%s" % (prefix, report.name))
-    renamed.residuals = report.residuals
-    return renamed
+    out.add_report(check_homotopy(hom).renamed("transfer-homotopy"))
 
 
 def _transfer_document(big_name, small_name, mu, nu, comps, retract,
@@ -205,8 +203,7 @@ def cmd_transfer(args):
             small_name = doc.retract["small"]
     except (StructureError, DocumentError) as exc:
         out.line("retract.valid=false")
-        out.note("retract invariant violated: %s" % exc)
-        out.failed = True
+        out.fail("retract invariant violated: %s" % exc)
         sys.stdout.write(out.render())
         return 1
     if args.method != "kernels" and not retract.side_conditions["fg"]:
@@ -243,7 +240,7 @@ def cmd_transfer(args):
         products = {n: m for n, m in comps.pop("delta_nu").items() if n >= 2}
         nu = AInfinity(retract.small.module, retract.small.d, products, N)
         # what `check` runs on the written document
-        out.add_report(_renamed(check_structure(nu), "extracted"))
+        out.add_report(check_structure(nu).renamed("extracted-structure"))
         _check_transfer_block(out, mu, nu, comps)
     else:
         nu = pkg.nu
@@ -308,20 +305,19 @@ def _selftest_instance(base_seed, index, N, writer):
     # and the run that shows it passes its own reports
     bare = AInfinity(mu.carrier, mu.differential, {}, N)
     bare_hpl = hpl_transfer(retract, bare)
-    bare_data = bare_hpl.data
-    trivial = (bare_hpl.ok and bare_hpl.delta_nu.is_zero()
-               and bare_hpl.psi == bare_data.G
-               and bare_hpl.phi == bare_data.F
-               and bare_hpl.H_out == bare_data.H)
+    bare_data, bare_out = bare_hpl.data, bare_hpl.outputs
+    trivial = (bare_hpl.ok and bare_out["delta_nu"].is_zero()
+               and bare_out["psi"] == bare_data.G
+               and bare_out["phi"] == bare_data.F
+               and bare_out["homotopy"] == bare_data.H)
     checks.add("degeneration.trivial", BoolResidual(trivial))
 
     ok = checks.ok
     writer.line("%s.status=%s" % (prefix, "ok" if ok else "fail"))
     if not ok:
-        writer.failed = True
         for key in checks.failing():
             writer.line("%s.failing=%s" % (prefix, key))
-        writer.note("instance %d failed; reproduce with:" % index)
+        writer.fail("instance %d failed; reproduce with:" % index)
         writer.note("  ainfty selftest --corpus-size 1 --seed %d --arity %d"
                     % (seed, N))
     return ok

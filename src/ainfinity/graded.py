@@ -14,11 +14,13 @@ are generated here, in `tensor_into`, `_signed_row` and `_product_into`,
 each through `signs.koszul_exponent`; no other module of the package writes
 sign formulas for tensor evaluation.
 
-Values are immutable after construction by convention; operations return
-fresh objects, which may share tables with their operands (an operator on
-the tensor coalgebra may hold the very block tables of the operands of the
-sum that built it), so no table reachable from a value is ever written:
-an accumulator writes only into tables it created.  Every sum into a
+Values are immutable after construction: no function but an `__init__`
+sets an attribute, outside an allowlist that `tests/test_imports.py`
+pins.  Operations return fresh objects, which may share tables with their
+operands (an operator on the tensor coalgebra may hold the very block
+tables of the operands of the sum that built it), so no table reachable
+from a value is ever written: an accumulator writes only into tables it
+created.  Every sum into a
 sparse table in the library goes through the one accumulate step `_acc`,
 and every sum of two tables through the one merge `_merge`.  Both take
 the characteristic p of the target field; over Z/p, `_acc` is where
@@ -28,8 +30,8 @@ unreduced int products are reduced into range(p).
 recursion and every relation residual is a single call, whose terms are
 maps or composites outer o (inner_1 x ... x inner_k) with a sign +-1, all
 accumulated into one table.  `_product_into` is the one composite loop;
-`compose_product`, `insert` and the sum and difference of two maps are
-`map_sum` of one or two terms.
+`compose_product` and the sum and difference of two maps are `map_sum`
+of one or two terms.
 
 A family reads its components from one table (`component_table`); those
 beyond its truncation are unknown, not zero, and reading one raises.  A run

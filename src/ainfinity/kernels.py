@@ -138,7 +138,8 @@ def _suspended_q(smu, hhat, gfhat, hp):
 def p_kernels(retract, mu):
     """Unshifted p-kernel recursion with the theta sign:
     p_n = sum_{B(n)} (-1)^theta(r_1..r_k) mu_k(h p_{r_1} x ... x h p_{r_k}),
-    h p_1 = 1, for 2 <= n <= mu.truncation."""
+    h p_1 = 1, for 2 <= n <= mu.truncation.  Returns the kernels
+    {n >= 2: p_n} and the composites {n >= 1: h p_n} the recursion reads."""
     V = retract.big.module
     h = retract.h
     hp = {1: MultiMap.identity(V)}
@@ -148,15 +149,15 @@ def p_kernels(retract, mu):
             (signs.sign_of(signs.theta(parts)), mu.mu(k), [hp[r] for r in parts])
             for (k, parts) in enum_B(n)])
         hp[n] = compose(h, p[n])
-    return p
+    return p, hp
 
 
-def q_kernels(retract, mu, p):
+def q_kernels(retract, mu, hp):
     """Unshifted q-kernel recursion with sign (-1)^(n + r_i + theta(r_1..r_i))
     (theta taken over the first i parts inclusive, exactly as printed), and
     the cached composite components
     (psi phi)_m = sum_{r_1+..+r_k=m} (-1)^theta h p_k(gf q_{r_1} x ...),
-    h p_1 = 1, for 1 <= n <= mu.truncation."""
+    for 1 <= n <= mu.truncation, with the h p_k that `p_kernels` returns."""
     N = mu.truncation
     V = retract.big.module
     h, gf = retract.h, retract.gf
@@ -165,9 +166,6 @@ def q_kernels(retract, mu, p):
     hq = {1: h}
     gfq = {1: gf}
     psiphi = {1: gf}
-    hp = {1: ident}
-    for n in range(2, N + 1):
-        hp[n] = compose(h, p[n])
     for n in range(2, N + 1):
         q[n] = map_sum(V, V, n, n - 1, [
             (signs.sign_of(n + parts[-1] + signs.theta(parts)), mu.mu(k),
@@ -300,16 +298,14 @@ def transfer(retract, mu):
         n: compose(h, q[n]) for n in range(1, N + 1)})
 
     reports["structure"] = check_structure(nu)
-    reports["phi"] = check_morphism(phi)
-    reports["psi"] = check_morphism(psi)
-    reports["psiphi"] = check_morphism(psiphi_mor)
+    reports["phi"] = check_morphism(phi).renamed("phi")
+    reports["psi"] = check_morphism(psi).renamed("psi")
+    reports["psiphi"] = check_morphism(psiphi_mor).renamed("psiphi")
     reports["homotopy"] = check_homotopy(homotopy)
     reports["p-identity"] = check_p_identity(p, retract)
     reports["q-identity"] = check_q_identity(q, p, retract, mu)
     reports["composite-agreement"] = _composite_agreement(psiphi_mor,
                                                           composite)
-    for name, report in reports.items():
-        report.name = name
 
     return TransferPackage(nu, phi, psi, homotopy, smu, p_hat, q_hat,
                            psiphi_hat, retract, N, reports)
@@ -319,8 +315,8 @@ def _cross_validate(retract, mu, p, q, composite):
     """Exact agreement of the shifted (sign-free) and unshifted
     (theta-signed) recursions, compared on the unshifted side."""
     report = CheckReport("convention-agreement")
-    p_direct = p_kernels(retract, mu)
-    q_direct, psiphi_direct = q_kernels(retract, mu, p_direct)
+    p_direct, hp_direct = p_kernels(retract, mu)
+    q_direct, psiphi_direct = q_kernels(retract, mu, hp_direct)
     for n in range(2, mu.truncation + 1):
         report.add("p%d" % n, p[n] - p_direct[n])
         report.add("q%d" % n, q[n] - q_direct[n])

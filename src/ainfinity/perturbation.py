@@ -6,9 +6,10 @@ with the homogeneity-preserving homotopy lift gives a nilpotent operator:
 its n-th power vanishes on homogeneity-n words.  The geometric series for
 (1 - dmu H)^{-1} is therefore finite and exact, never a matrix inversion:
 S = M + M^2 + ... + M^{N-1}, M = dmu H, is (1 - M)^{-1} - 1 on the
-truncation, and it is summed from the powers of M that the nilpotency
-check computes anyway.  The inversion is checked without the identity
-operator, whose lift covers every word of T^{<=N}(sV), since
+truncation, and it is summed when the input is built (`PerturbationData`)
+from the powers of M its nilpotency indices are read off.  The inversion
+is checked without the identity operator, whose lift covers every word of
+T^{<=N}(sV), since
 
     (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M.
 
@@ -77,10 +78,12 @@ rests on) refuse any retract off them.
 unshifted structure: it refuses a structure off the retract's big side
 as `transfer` does, by the same `DeformationRetract.require_on_big_side`
 and with the same messages, suspends mu itself
-(`build_perturbation`), and returns the outputs, their component
-families and one dict of reports in report order (nilpotency, inversion,
-colinearity, conclusions).  Only the input check is shared with the
-kernel route, never a computation.
+(`build_perturbation`), and returns one dict of the outputs, their
+component families keyed like it and one dict of reports in report order
+(nilpotency, inversion, colinearity, conclusions).  It does not refuse a
+structure that fails its relations, as `transfer` does; it fails its
+conclusions instead.  Only the input check is shared with the kernel
+route, never a computation.
 """
 
 from .coalgebra import (CoalgebraOperator, ComponentFamily,
@@ -95,11 +98,14 @@ from .suspension import suspend_components, suspend_structure
 
 
 class PerturbationData:
-    """Operator-level input package for the perturbation lemma: the lifts
-    F, G and H, DV's components, M = dmu H and dmu G.  The perturbation
-    dmu itself is held only while those two composites are formed; its
-    block keys are kept for the nilpotency report, and F is lifted after
-    dmu is released, so the two never coexist."""
+    """Operator-level input package for the perturbation lemma, complete
+    once built: the lifts F, G and H, DV's components, M = dmu H, dmu G,
+    the nilpotency indices of M and the series S.  The perturbation dmu
+    itself is held only while those two composites are formed; its block
+    keys are kept for the nilpotency report, and F is lifted after dmu is
+    released, so the two never coexist.  The powers M, ..., M^N are formed
+    after F, read for the indices, and M, ..., M^{N-1} summed into S by
+    one `operator_sum`, which shares every block only one power has."""
 
     def __init__(self, retract, smu):
         fhat, ghat, hhat, gfhat = retract.shifted()
@@ -126,32 +132,31 @@ class PerturbationData:
         self.dmu_keys = list(dmu.blocks)
         del dmu
         self.F = lift_morphism(ComponentFamily.strict_morphism(fhat, trunc))
+        # `nilpotency`: per homogeneity n, the least power of M that kills
+        # homogeneity-n words
         self.nilpotency = {}
-        self.S = None
-
-    def verify_nilpotency(self):
-        """Check that dmu strictly lowers homogeneity, from its block keys,
-        and record, per homogeneity n, the least power of M = dmu H that
-        kills homogeneity-n words, and check it is at most n.  The powers
-        M, ..., M^{N-1} are then summed into the series S by one
-        `operator_sum`, which shares every block only one power has."""
-        report = CheckReport("nilpotency")
-        for (m, j) in self.dmu_keys:
-            if j >= m:
-                report.add("lowers-%d-%d" % (m, j),
-                           BoolResidual(False, "block (%d,%d)" % (m, j)))
         powers = [self.M]
-        for i in range(1, self.trunc + 1):
+        for i in range(1, trunc + 1):
             if i > 1:
                 powers.append(self.M.compose(powers[-1]))
             # no operator keeps an empty block, so M^i kills homogeneity n
             # exactly when it has no block (n, j)
             alive = {m for m, _ in powers[-1].blocks}
-            for n in range(1, self.trunc + 1):
+            for n in range(1, trunc + 1):
                 if n not in alive:
                     self.nilpotency.setdefault(n, i)
-        self.S = (operator_sum(plus=powers[:-1]) if self.trunc > 1 else
-                  CoalgebraOperator(self.sV, self.sV, 0, self.trunc, {}))
+        self.S = (operator_sum(plus=powers[:-1]) if trunc > 1 else
+                  CoalgebraOperator(sV, sV, 0, trunc, {}))
+
+    def verify_nilpotency(self):
+        """Check that dmu strictly lowers homogeneity, from its block keys,
+        and that the least power of M killing homogeneity n, recorded at
+        construction, is at most n."""
+        report = CheckReport("nilpotency")
+        for (m, j) in self.dmu_keys:
+            if j >= m:
+                report.add("lowers-%d-%d" % (m, j),
+                           BoolResidual(False, "block (%d,%d)" % (m, j)))
         for n in range(1, self.trunc + 1):
             idx = self.nilpotency.get(n)
             report.add("power-%d" % n,
@@ -170,17 +175,14 @@ def build_perturbation(retract, mu):
 
 
 class HplOutput:
-    """What `hpl_transfer` returns: its input `data`, the four outputs,
-    their component `families` (keyed like the outputs), and `reports`,
-    every report by key in report order: nilpotency, inversion,
-    colinearity, conclusions."""
+    """What `hpl_transfer` returns: its input `data`, the four `outputs`
+    by key (delta_nu, psi, phi, homotopy), their component `families`
+    keyed like them, and `reports`, every report by key in report order:
+    nilpotency, inversion, colinearity, conclusions."""
 
     def __init__(self, data, outputs, families, reports):
         self.data = data
-        self.delta_nu = outputs["delta_nu"]
-        self.psi = outputs["psi"]
-        self.phi = outputs["phi"]
-        self.H_out = outputs["homotopy"]
+        self.outputs = outputs
         self.families = families
         self.reports = reports
 

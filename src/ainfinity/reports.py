@@ -7,7 +7,9 @@ basis tuple.
 
 
 class CheckReport:
-    """Keyed collection of residual objects (anything with is_zero())."""
+    """Keyed collection of residual objects.  A residual answers
+    `is_zero()`, `entry_count()` and `first_word()`: a `MultiMap`, a
+    `CoalgebraOperator`, a nested report or a `BoolResidual`."""
 
     def __init__(self, name):
         self.name = name
@@ -30,16 +32,20 @@ class CheckReport:
     def entry_count(self, key=None):
         if key is None:
             return sum(self.entry_count(k) for k in self.residuals)
-        r = self.residuals[key]
-        return r.entry_count() if hasattr(r, "entry_count") else (0 if r.is_zero() else 1)
+        return self.residuals[key].entry_count()
 
     def first_word(self):
         bad = self.failing()
         return bad[0] if bad else None
 
     def first_offender(self, key):
-        r = self.residuals[key]
-        return r.first_word() if hasattr(r, "first_word") else None
+        return self.residuals[key].first_word()
+
+    def renamed(self, name):
+        """A report named `name` that shares this one's residuals."""
+        report = CheckReport(name)
+        report.residuals = self.residuals
+        return report
 
     def lines(self):
         out = []

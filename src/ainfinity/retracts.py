@@ -88,13 +88,6 @@ def _d_matrix(cx, degree):
     return rows
 
 
-def homology(cx):
-    """Per-degree homology dimensions: those of the splitting's H."""
-    split = Splitting(cx)
-    return GradedModule({deg: len(H) for deg, H in split.H.items()},
-                        cx.module.field)
-
-
 class Splitting:
     """Ordered basis change V_i = B_i + H_i + C_i per degree; B/H/C are
     lists of coordinate vectors over the degree-i basis.

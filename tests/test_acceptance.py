@@ -127,8 +127,9 @@ def test_criterion_5_degenerations(capsys):
         bare = AInfinity(mu.carrier, mu.differential, {}, ARITY)
         hpl = hpl_transfer(real_retract, bare)
         data = hpl.data
-        ok = ok and hpl.delta_nu.is_zero() and hpl.psi == data.G
-        ok = ok and hpl.phi == data.F and hpl.H_out == data.H
+        out = hpl.outputs
+        ok = ok and out["delta_nu"].is_zero() and out["psi"] == data.G
+        ok = ok and out["phi"] == data.F and out["homotopy"] == data.H
     with capsys.disabled():
         announce(5, ok, "h = 0 gives f mu g and strict higher data; "
                         "trivial perturbation returns its inputs")

@@ -777,6 +777,23 @@ def test_transfer_below_document_truncation_both_routes(tmp_path, capsys):
     assert "output.products=3" in report
 
 
+@pytest.mark.parametrize("method", ["kernels", "hpl", "both"])
+def test_transfer_at_arity_one(tmp_path, capsys, method):
+    """`--arity 1` runs each route at truncation 1, where no recursion step
+    runs, the series S is zero and the flanks of the lifts and of the
+    colinearity check hold no identity block (they stop at homogeneity
+    N - 1 = 0).  The transfer passes, and `check` passes the document of
+    truncation 1 it writes."""
+    src = massey_doc(tmp_path)
+    out = str(tmp_path / "one.json")
+    assert main(["transfer", src, "--method", method, "--retract", "auto",
+                 "--arity", "1", "-o", out]) == 0
+    assert capsys.readouterr().out.startswith("status=ok\n")
+    assert json.loads(Path(out).read_text())["truncation"] == 1
+    assert main(["check", out]) == 0
+    assert capsys.readouterr().out.startswith("status=ok\n")
+
+
 @pytest.mark.parametrize("method", ["kernels", "hpl"])
 def test_transfer_below_truncation_writes_the_checked_arity(tmp_path, capsys,
                                                              method):

@@ -1,7 +1,7 @@
 """No module imports a name it never uses, the package defines nothing
 that nothing names, the tests' oracles share no library evaluator, no
-checker reaches the builder it checks, and no parameter restates a
-truncation its inputs carry.
+checker reaches the builder it checks, no parameter restates a
+truncation its inputs carry, and no value is changed after it is built.
 
 AST scans of every module of the package and of the test suite: a name
 bound by an import statement (at any depth) must be read somewhere in the
@@ -10,8 +10,10 @@ method and class the package defines (dunder methods aside, which Python
 calls by protocol) must be named somewhere in the package, the tests or
 the benchmark besides its own definition; `tests/reference.py` reaches
 none of the library's evaluators; the package's call closure keeps each
-library checker off a pinned set of builders; and no parameter named like
-a truncation is left but those a pinned allowlist gives a reason for.
+library checker off a pinned set of builders; no parameter named like
+a truncation is left but those a pinned allowlist gives a reason for; and
+no function but an `__init__` assigns an attribute, but those another
+pinned allowlist gives a reason for.
 """
 
 import ast
@@ -391,3 +393,85 @@ def test_no_parameter_restates_a_truncation():
         found += truncation_parameters(path.read_text(), path.stem)
     assert found == sorted(TRUNCATION_PARAMETERS)
     assert len(found) == 17
+
+
+# Every function of the package other than an `__init__` that assigns an
+# attribute, with the reason it may: values are complete when built and
+# never changed after, so a function that sets an attribute either builds
+# the object it sets it on or keeps a cache that changes no value.  A class
+# listed here covers all of its methods.
+ATTRIBUTE_WRITERS = {
+    "graded.MultiMap._raw": "the internal constructor: fills the map it makes",
+    "graded.GradedModule._set_basis": "fills a module being built",
+    "graded.MultiMap.columns": "memo cache of the map's columns",
+    "kernels.DeformationRetract.shifted": "memo cache of the shifted maps",
+    "reports.CheckReport.renamed": "builds the report it returns",
+    "cli.ReportWriter": "a report being written: its lines and its failure",
+}
+
+
+def attribute_writers(source, module):
+    """Each function or method in `source` other than an `__init__` whose
+    own body (nested definitions aside) assigns or deletes an attribute, or
+    calls `setattr`, as "module.Qualified.name", sorted."""
+    found = set()
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = prefix + child.name
+                visit(child, qual + ".",
+                      None if child.name == "__init__" else module + "." + qual)
+            else:
+                if owner and (
+                        (isinstance(child, ast.Attribute)
+                         and isinstance(child.ctx, (ast.Store, ast.Del)))
+                        or (isinstance(child, ast.Call)
+                            and isinstance(child.func, ast.Name)
+                            and child.func.id == "setattr")):
+                    found.add(owner)
+                visit(child, prefix, owner)
+
+    visit(ast.parse(source), "", None)
+    return sorted(found)
+
+
+def test_attribute_scan_flags_a_value_changed_after_construction():
+    synthetic = ("class Box:\n    def __init__(self):\n        self.a = 1\n"
+                 "        def inner(b):\n            b.c = 2\n"
+                 "    def grow(self):\n        self.a, x = 2, 3\n"
+                 "    def mark(self):\n        setattr(self, 'a', 4)\n"
+                 "    def read(self):\n        return self.a\n\n"
+                 "def reset(box):\n    box.a += 1\n")
+    assert attribute_writers(synthetic, "lib") == [
+        "lib.Box.__init__.inner", "lib.Box.grow", "lib.Box.mark", "lib.reset"]
+    # the rename of the reports `transfer` returned, and the series filled
+    # in by the nilpotency check, as they once were
+    kernels = (ROOT / "src" / "ainfinity" / "kernels.py").read_text()
+    assert "kernels.transfer" not in attribute_writers(kernels, "kernels")
+    renaming = kernels.replace(
+        "    return TransferPackage(",
+        "    for name, report in reports.items():\n"
+        "        report.name = name\n    return TransferPackage(")
+    assert "kernels.transfer" in attribute_writers(renaming, "kernels")
+    perturbation = (ROOT / "src" / "ainfinity" / "perturbation.py").read_text()
+    check = "perturbation.PerturbationData.verify_nilpotency"
+    assert check not in attribute_writers(perturbation, "perturbation")
+    filling = perturbation.replace(
+        '        report = CheckReport("nilpotency")\n',
+        '        report = CheckReport("nilpotency")\n        self.S = None\n')
+    assert check in attribute_writers(filling, "perturbation")
+
+
+def test_no_value_is_changed_after_it_is_built():
+    found = []
+    for path in PACKAGE:
+        found += attribute_writers(path.read_text(), path.stem)
+    allowed = [q for q in found if q in ATTRIBUTE_WRITERS
+               or q.rpartition(".")[0] in ATTRIBUTE_WRITERS]
+    assert found == allowed
+    # every entry still names a writer
+    assert {q if q in ATTRIBUTE_WRITERS else q.rpartition(".")[0]
+            for q in found} == set(ATTRIBUTE_WRITERS)

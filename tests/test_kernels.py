@@ -104,15 +104,15 @@ def test_theta_values(parts, expected):
 
 def test_p2_is_the_product():
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu.truncated(3))
+    p, _ = p_kernels(retract, mu.truncated(3))
     assert p[2] == mu.mu(2)
 
 
 def test_h_zero_retract_gives_plain_kernels():
     mu, _ = massey_setup()
     retract = identity_retract(mu)
-    p = p_kernels(retract, mu)
-    q, psiphi = q_kernels(retract, mu, p)
+    p, hp = p_kernels(retract, mu)
+    q, psiphi = q_kernels(retract, mu, hp)
     for n in range(2, 6):
         assert p[n] == mu.mu(n)
         assert q[n].is_zero()
@@ -122,8 +122,8 @@ def test_h_zero_retract_gives_plain_kernels():
 def test_psiphi_arity_one_is_gf():
     mu, retract = massey_setup()
     mu = mu.truncated(3)
-    p = p_kernels(retract, mu)
-    q, psiphi = q_kernels(retract, mu, p)
+    _, hp = p_kernels(retract, mu)
+    q, psiphi = q_kernels(retract, mu, hp)
     assert psiphi[1] == compose(retract.g, retract.f)
 
 
@@ -137,7 +137,7 @@ def test_massey_p3_frozen_oracle():
       = -m' - m.
     """
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu.truncated(3))
+    p, _ = p_kernels(retract, mu.truncated(3))
     x, y, z = (1, 0), (1, 1), (1, 2)
     m, m2 = (4, 0), (4, 1)
     assert image(p[3], x, y, z) == {m: Fraction(-1), m2: Fraction(-1)}
@@ -155,8 +155,8 @@ def test_conventions_agree_on_desk_instances():
 
 def test_kernel_identity_residuals_vanish():
     mu, retract = massey_setup()
-    p = p_kernels(retract, mu)
-    q, _ = q_kernels(retract, mu, p)
+    p, hp = p_kernels(retract, mu)
+    q, _ = q_kernels(retract, mu, hp)
     assert check_p_identity(p, retract).ok
     assert check_q_identity(q, p, retract, mu).ok
 
@@ -170,12 +170,12 @@ def test_kernels_below_the_truncation_run_on_the_truncated_structure(field):
     for mu in (instance_massey(field, truncation=4),
                random_dga(seeded(3), field or QQ, truncation=4)):
         retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-        p = p_kernels(retract, mu)
-        q, psiphi = q_kernels(retract, mu, p)
+        p, hp = p_kernels(retract, mu)
+        q, psiphi = q_kernels(retract, mu, hp)
         for n in range(1, mu.truncation + 1):
             cut = mu.truncated(n)
-            p_n = p_kernels(retract, cut)
-            q_n, psiphi_n = q_kernels(retract, cut, p_n)
+            p_n, hp_n = p_kernels(retract, cut)
+            q_n, psiphi_n = q_kernels(retract, cut, hp_n)
             assert p_n == {k: m for k, m in p.items() if k <= n}, n
             assert q_n == {k: m for k, m in q.items() if k <= n}, n
             assert psiphi_n == {k: m for k, m in psiphi.items() if k <= n}, n
@@ -186,7 +186,7 @@ def test_p_identity_canary_flags_wrong_sign_family():
     # quadratic identity terms are nonzero; the unit makes them so here)
     mu = instance_forms()
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    p = p_kernels(retract, mu.truncated(4))
+    p, _ = p_kernels(retract, mu.truncated(4))
     bad = dict(p)
     bad[3] = scaled(p[3], -1)
     report = check_p_identity(bad, retract)

@@ -35,8 +35,9 @@ relation checker sums over (each with its arity-1 end dropped); the index
 families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
-assembles; the outputs of `perturbation.hpl_transfer` (a dropped block,
-phi's series and the series term of A G); the arity loop of
+assembles; the series S that `perturbation.PerturbationData` sums when
+it is built (only M kept); the outputs of `perturbation.hpl_transfer` (a
+dropped block, phi's series and the series term of A G); the arity loop of
 `perturbation.compare_hpl_vs_kernels` and its read of the products nu the
 kernel route writes (top arity dropped); the homology
 representatives `retracts.Splitting` reads off its one elimination of
@@ -213,8 +214,7 @@ def colinearity_blind(field=None):
     them."""
     try:
         _, hpl = witness_routes(field)
-        outputs = {"delta_nu": hpl.delta_nu, "psi": hpl.psi,
-                   "phi": hpl.phi, "homotopy": hpl.H_out}
+        outputs = hpl.outputs
         families = hpl.families
         for key, op in sorted(outputs.items()):
             valid = families[key]
@@ -405,6 +405,10 @@ STRUCTURAL_MUTANTS = {
         kernels, "transfer",
         "compose(f, q[n])",
         "compose(f, q[n]) + compose(f, q[n])"),
+    "series-keeps-only-M": (
+        perturbation, "PerturbationData.__init__",
+        "powers[:-1]",
+        "powers[:1]"),
     "hpl-psi-drops-a-lift-block": (
         perturbation, "hpl_transfer",
         "families = extract_outputs(data, outputs)",
@@ -535,6 +539,7 @@ KILLED_BY = {
     "operator-sum-adopts-contested-block": "hpl/Q",
     "q-identity-memo-wrong-arity": "battery/Q",
     "splits-drop-the-one-part-split": "battery/Q",
+    "series-keeps-only-M": "hpl/Q",
     "splitting-drops-a-representative": "battery/Q",
     "suspended-degree-table-left-unshifted": "battery/Q",
     "tensor-row-skips-negation": "hpl/Q",
@@ -693,6 +698,23 @@ def test_dropped_psi_block_is_caught_only_by_colinearity(monkeypatch):
     assert hpl.reports["colinearity"].failing() == ["psi"]
     assert hpl.reports["conclusions"].ok
     assert perturbation.compare_hpl_vs_kernels(hpl, pkg).status == "exact"
+
+
+def test_series_cut_to_M_is_caught_by_inversion_and_colinearity(
+        monkeypatch):
+    """With the series S cut to its first term M, the conclusions on the
+    witness at its truncation 5 still pass, over Q and over Z/5: the
+    inversion residuals fail on both sides, and the colinearity check on
+    phi = F + F S and H_out = H + H S."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS["series-keeps-only-M"])
+    for field in (None, F5):
+        mu = retracts.instance_massey(field)
+        retract = retracts.harmonious_retract(
+            ChainComplex(mu.carrier, mu.differential))
+        hpl = perturbation.hpl_transfer(retract, mu)
+        assert hpl.reports["inversion"].failing() == ["left", "right"]
+        assert hpl.reports["colinearity"].failing() == ["homotopy", "phi"]
+        assert hpl.reports["conclusions"].ok
 
 
 def test_minus_only_block_sign_is_left_to_the_unit_case(monkeypatch):

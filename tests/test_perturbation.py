@@ -4,6 +4,7 @@ fg = 1 once normalised, and what its reports say without side
 conditions."""
 
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -115,10 +116,10 @@ def test_trivial_perturbation_returns_inputs():
     hpl = hpl_transfer(retract, bare)
     data = hpl.data
     assert lifted_dmu(data).is_zero()
-    assert hpl.delta_nu.is_zero()
-    assert hpl.psi == data.G
-    assert hpl.phi == data.F
-    assert hpl.H_out == data.H
+    assert hpl.outputs["delta_nu"].is_zero()
+    assert hpl.outputs["psi"] == data.G
+    assert hpl.outputs["phi"] == data.F
+    assert hpl.outputs["homotopy"] == data.H
 
 
 def test_low_homogeneity_blocks():
@@ -126,11 +127,11 @@ def test_low_homogeneity_blocks():
     # has no homogeneity-1 block, and phi restricted to letters is f
     mu, retract = forms_setup()
     hpl = hpl_transfer(retract, mu)
-    assert not hpl.delta_nu.block(1, 1)
+    assert not hpl.outputs["delta_nu"].block(1, 1)
     fhat = retract.shifted()[0]
     expected = {w: {(b,): c for b, c in vec.items()}
                 for w, vec in fhat.table.items()}
-    assert hpl.phi.block(1, 1) == expected
+    assert hpl.outputs["phi"].block(1, 1) == expected
 
 
 def test_hpl_conclusions_on_desk_instances():
@@ -160,7 +161,7 @@ def test_comparison_refuses_retract_without_side_conditions():
     assert pkg.ok  # the transfer itself is fine without side conditions
     hpl = hpl_transfer(retract, mu)
     data = hpl.data
-    assert operator_conclusions(data, outputs_of(hpl)).ok
+    assert operator_conclusions(data, hpl.outputs).ok
     assert not hpl.reports["colinearity"].ok and not hpl.ok
     with pytest.raises(StructureError, match="side conditions"):
         compare_hpl_vs_kernels(hpl, pkg)
@@ -205,8 +206,9 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     mu = massey_with_marker()
     retract = crooked_retract(mu)
     hpl = hpl_transfer(retract, mu)
-    assert lift_morphism(extract_components(hpl.psi, "morphism")) != hpl.psi
-    assert lift_morphism(extract_components(hpl.phi, "morphism")) != hpl.phi
+    for key in ("psi", "phi"):
+        out = hpl.outputs[key]
+        assert lift_morphism(extract_components(out, "morphism")) != out, key
     assert set(hpl.reports["colinearity"].failing()) >= {"psi", "phi"}
 
     # witness 2: fg != 1, and the perturbed coderivation loses lift shape
@@ -216,30 +218,26 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     hpl2 = hpl_transfer(retract2, base)
     data2 = hpl2.data
     # the lemma itself is fine, and the colinearity check sees the shape
-    assert operator_conclusions(data2, outputs_of(hpl2)).ok
+    assert operator_conclusions(data2, hpl2.outputs).ok
     assert "delta_nu" in hpl2.reports["colinearity"].failing() and not hpl2.ok
     dW_op = lift_coderivation(ComponentFamily(
         "coderivation", data2.sW, data2.sW, {1: data2.delta1_W}, 4))
-    total = dW_op + hpl2.delta_nu
+    total = dW_op + hpl2.outputs["delta_nu"]
     relift = lift_coderivation(extract_components(total, "coderivation"))
     assert relift != total
-
-
-def outputs_of(hpl):
-    return {"delta_nu": hpl.delta_nu, "psi": hpl.psi, "phi": hpl.phi,
-            "homotopy": hpl.H_out}
 
 
 def coleibniz_residuals(hpl):
     """`colinearity_residual` of each output: the co-Leibniz definition,
     word by word, with the homotopy's flanks lifted from its family."""
     family = hpl.families["homotopy"]
+    outputs = hpl.outputs
     return {
-        "delta_nu": colinearity_residual(hpl.delta_nu, "coderivation"),
-        "psi": colinearity_residual(hpl.psi, "morphism"),
-        "phi": colinearity_residual(hpl.phi, "morphism"),
+        "delta_nu": colinearity_residual(outputs["delta_nu"], "coderivation"),
+        "psi": colinearity_residual(outputs["psi"], "morphism"),
+        "phi": colinearity_residual(outputs["phi"], "morphism"),
         "homotopy": colinearity_residual(
-            hpl.H_out, "homotopy", left=lift_morphism(family.left),
+            outputs["homotopy"], "homotopy", left=lift_morphism(family.left),
             right=lift_morphism(family.right)),
     }
 
@@ -274,7 +272,7 @@ def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
              (base, fg_broken_retract(base), {"delta_nu"})]
     for mu, retract, broken in cases:
         hpl = hpl_transfer(retract, mu)
-        relift = colinearity_report(outputs_of(hpl), hpl.families)
+        relift = colinearity_report(hpl.outputs, hpl.families)
         coleibniz = coleibniz_residuals(hpl)
         for key, residual in coleibniz.items():
             assert residual.ok == relift.residuals[key].is_zero(), key
@@ -287,7 +285,7 @@ def test_operator_and_corestricted_conclusions_agree_on_desk_instances():
         hpl = hpl_transfer(retract, mu)
         data = hpl.data
         assert hpl.reports["colinearity"].ok
-        operator = operator_conclusions(data, outputs_of(hpl))
+        operator = operator_conclusions(data, hpl.outputs)
         corestricted = corestricted_conclusions(data, hpl.families)
         assert operator.ok and corestricted.ok
         assert sorted(operator.residuals) == sorted(corestricted.residuals)
@@ -306,7 +304,7 @@ def test_corrupted_phi_component_fails_both_forms():
     comps = dict(phi.components)
     comps[2] = comps[2] + comps[2]
     bad = ComponentFamily("morphism", phi.source, phi.target, comps, phi.trunc)
-    outputs = dict(outputs_of(hpl), phi=lift_morphism(bad))
+    outputs = dict(hpl.outputs, phi=lift_morphism(bad))
     families = extract_outputs(data, outputs)
     assert families["phi"] == bad
     assert colinearity_report(outputs, families).residuals["phi"].is_zero()
@@ -466,6 +464,30 @@ def test_both_routes_refuse_a_structure_off_the_retract_module(field):
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
+def test_routes_on_a_structure_that_fails_its_relations(field):
+    """V = k{e0, e1} in degree 0, d = 0, e0 e0 = e1 and e1 e0 = e0: the
+    product is not associative, so the structure fails its relations at
+    arity 3.  `transfer` refuses it; the HPL route runs, its nilpotency,
+    inversion and colinearity reports pass, and its conclusions fail at
+    square-zero, so the run is not ok."""
+    V = GradedModule({0: 2}, field or QQ)
+    one = V.field.one
+    m2 = MultiMap(V, V, 2, 0, {((0, 0), (0, 0)): {(0, 1): one},
+                               ((0, 1), (0, 0)): {(0, 0): one}})
+    mu = AInfinity(V, MultiMap.zero(V, V, 1, -1), {2: m2}, 3)
+    assert check_structure(mu).failing() == [3]
+    retract = harmonious_retract(ChainComplex(V, mu.differential))
+    with pytest.raises(StructureError, match=re.escape(
+            "input structure fails its defining relations at [3]")):
+        transfer(retract, mu)
+    hpl = hpl_transfer(retract, mu)
+    assert [key for key, report in hpl.reports.items() if not report.ok] == [
+        "conclusions"]
+    assert hpl.reports["conclusions"].failing() == ["square-zero"]
+    assert not hpl.ok
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
 def test_battery_passes_on_a_package_transferred_below_its_input(field):
     """Transferred at 3 from the witness at truncation 5, the package holds
     nothing above 3: the shifted structure, the kernels, every family and
@@ -506,8 +528,8 @@ def test_failing_colinearity_names_the_least_word_as_pairs(witness3_over):
     the suspended carrier: the least word in the order of the pairs."""
     w = witness3_over
     hpl = w.hpl
-    outputs = outputs_of(hpl)
-    outputs["phi"] = next(corrupted(hpl.phi))[1]
+    outputs = dict(hpl.outputs)
+    outputs["phi"] = next(corrupted(outputs["phi"]))[1]
     report = colinearity_report(outputs, hpl.families)
     assert report.failing() == ["phi"]
     residual = report.residuals["phi"]
@@ -563,8 +585,8 @@ def test_checkers_run_to_the_truncation_of_their_object(N):
     ]
     for report in reports:
         assert sorted(report.residuals) == arities, report.name
-    p = p_kernels(retract, mu.truncated(N))
-    q, _ = q_kernels(retract, mu.truncated(N), p)
+    p, hp = p_kernels(retract, mu.truncated(N))
+    q, _ = q_kernels(retract, mu.truncated(N), hp)
     assert (p == {}) == (N == 1)
     for report in (check_p_identity(p, retract),
                    check_q_identity(q, p, retract, mu)):
@@ -616,7 +638,7 @@ def assert_outputs_match_reference(mu, retract):
     hpl = hpl_transfer(retract, mu)
     assert hpl.reports["inversion"].residuals["left"].is_zero()
     reference = reference_outputs(hpl.data)
-    for key, op in outputs_of(hpl).items():
+    for key, op in hpl.outputs.items():
         assert op == reference[key], key
     return hpl
 
@@ -635,7 +657,7 @@ def test_outputs_match_reference_association_on_crooked_retract():
     the outputs satisfy the conclusions as operators but are not lifts."""
     mu = massey_with_marker()
     hpl = assert_outputs_match_reference(mu, crooked_retract(mu))
-    assert operator_conclusions(hpl.data, outputs_of(hpl)).ok
+    assert operator_conclusions(hpl.data, hpl.outputs).ok
     assert not hpl.reports["colinearity"].ok
 
 
@@ -663,7 +685,7 @@ def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
     retract = (crooked_retract(mu) if crooked else
                harmonious_retract(ChainComplex(mu.carrier, mu.differential)))
     hpl = hpl_transfer(retract, mu)
-    outputs = outputs_of(hpl)
+    outputs = hpl.outputs
     cases = [(None, None, outputs)] + [
         (key, block, dict(outputs, **{key: bad}))
         for key in sorted(outputs) for block, bad in corrupted(outputs[key])]
@@ -753,8 +775,9 @@ def test_outputs_share_the_diagonal_blocks_of_their_plus_operands():
     very table of H, F or G, not a copy."""
     hpl = witness_hpl()
     data = hpl.data
-    for out, operand in [(hpl.H_out, data.H), (hpl.phi, data.F),
-                         (hpl.psi, data.G)]:
+    for name, operand in [("homotopy", data.H), ("phi", data.F),
+                          ("psi", data.G)]:
+        out = hpl.outputs[name]
         assert [k for k in operand.blocks if k[0] != k[1]] == []
         for key, table in operand.blocks.items():
             assert out.blocks[key] is table, key
@@ -806,7 +829,7 @@ def test_colinearity_check_never_calls_the_lift_builder(monkeypatch):
 
     assert rebind(monkeypatch, graded.tensor_into, refuse)
     assert rebind(monkeypatch, coalgebra._lift_blocks, refuse)
-    assert colinearity_report(outputs_of(hpl), hpl.families).ok
+    assert colinearity_report(hpl.outputs, hpl.families).ok
 
 
 def test_colinearity_check_traces_under_a_tenth_of_H_out():
@@ -829,9 +852,9 @@ def test_colinearity_check_traces_under_a_tenth_of_H_out():
         built = tracemalloc.get_traced_memory()[0] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        report = colinearity_report(outputs_of(hpl), hpl.families)
+        report = colinearity_report(hpl.outputs, hpl.families)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert H_out == hpl.H_out and report.ok
+    assert H_out == hpl.outputs["homotopy"] and report.ok
     assert peak < built / 10, (peak, built)

@@ -95,7 +95,8 @@ def assert_kernel_packages_agree(r_q, mu_q, r_p, mu_p):
 def assert_hpl_delta_nu_agrees(r_q, mu_q, r_p, mu_p):
     hpl_q, hpl_p = hpl_transfer(r_q, mu_q), hpl_transfer(r_p, mu_p)
     assert hpl_q.ok and hpl_p.ok
-    blocks_q, blocks_p = hpl_q.delta_nu.blocks, hpl_p.delta_nu.blocks
+    blocks_q, blocks_p = (hpl_q.outputs["delta_nu"].blocks,
+                          hpl_p.outputs["delta_nu"].blocks)
     expected = {k: reduced(t) for k, t in blocks_q.items()}
     assert blocks_p == {k: t for k, t in expected.items() if t}
 
