@@ -18,7 +18,8 @@ from .ainfty import (AInfinity, AInftyHomotopy, AInftyMorphism,
                      compose_morphisms, identity_morphism)
 from .battery import equivalence_battery
 from .corpus import random_dga
-from .docio import Document, DocumentError, dump, load, serialize
+from .docio import (MAX_TRUNCATION, Document, DocumentError, dump, load,
+                    serialize)
 from .graded import ChainComplex, MultiMap, StructureError
 from .kernels import DeformationRetract, transfer
 from .perturbation import (check_annihilation_lemmas, compare_hpl_vs_kernels,
@@ -26,6 +27,24 @@ from .perturbation import (check_annihilation_lemmas, compare_hpl_vs_kernels,
 from .reports import BoolResidual, CheckReport
 from .retracts import harmonious_retract, normalise
 from .suspension import desuspend_components
+
+
+class Refused(Exception):
+    """Bad input, refused before any work: `main` writes the message to
+    stderr and exits 2."""
+
+
+def _refuse(text):
+    raise Refused("input error: " + text)
+
+
+def _load(path):
+    """The document at `path`; a file that cannot be read, or is not a
+    document, is refused as a parse error."""
+    try:
+        return load(path)
+    except (DocumentError, OSError) as exc:
+        raise Refused("parse error: %s" % exc)
 
 
 class ReportWriter:
@@ -85,16 +104,11 @@ def _build_retract(doc):
 
 def cmd_check(args):
     out = ReportWriter()
-    try:
-        doc = load(args.input)
-    except (DocumentError, OSError) as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return 2
+    doc = _load(args.input)
     # a transfer block needs a structure block, so these two cover all three
     if doc.structure is None and doc.retract is None:
-        sys.stderr.write("input error: nothing to check: the document has no "
-                         "structure, retract or transfer block\n")
-        return 2
+        _refuse("nothing to check: the document has no structure, retract "
+                "or transfer block")
     out.line("input=%s" % args.input)
     out.line("truncation=%d" % doc.truncation)
     if doc.structure is not None:
@@ -155,35 +169,27 @@ def _transfer_document(big_name, small_name, mu, nu, comps, retract,
 
 def cmd_transfer(args):
     out = ReportWriter()
-    try:
-        doc = load(args.input)
-    except (DocumentError, OSError) as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return 2
+    doc = _load(args.input)
     if doc.structure is None:
-        sys.stderr.write("input error: transfer needs a structure block\n")
-        return 2
+        _refuse("transfer needs a structure block")
     big_name, mu = doc.structure
     N = doc.truncation if args.arity is None else args.arity
     if N < 1:
-        sys.stderr.write("input error: --arity must be >= 1, got %d\n" % N)
-        return 2
+        _refuse("--arity must be >= 1, got %d" % N)
     if N > doc.truncation:
-        sys.stderr.write("input error: --arity %d exceeds document truncation %d\n"
-                         % (N, doc.truncation))
-        return 2
-    if args.output and (os.path.isdir(args.output) or not os.access(
-            os.path.dirname(args.output) or ".", os.W_OK)):
-        sys.stderr.write("input error: cannot write to %r\n" % args.output)
-        return 2
+        _refuse("--arity %d exceeds document truncation %d"
+                % (N, doc.truncation))
+    if args.output:
+        parent = os.path.dirname(args.output) or "."
+        if (os.path.isdir(args.output) or not os.path.isdir(parent)
+                or not os.access(parent, os.W_OK)):
+            _refuse("cannot write to %r" % args.output)
     if args.retract != "auto":
         if doc.retract is None:
-            sys.stderr.write("input error: no retract block; use --retract auto\n")
-            return 2
+            _refuse("no retract block; use --retract auto")
         if doc.retract["big"] != big_name:
-            sys.stderr.write("input error: the retract block starts at %r, "
-                             "not at %r\n" % (doc.retract["big"], big_name))
-            return 2
+            _refuse("the retract block starts at %r, not at %r"
+                    % (doc.retract["big"], big_name))
     mu = mu.truncated(N)
     out.line("input=%s" % args.input)
     out.line("method=%s" % args.method)
@@ -207,9 +213,7 @@ def cmd_transfer(args):
         sys.stdout.write(out.render())
         return 1
     if args.method != "kernels" and not retract.side_conditions["fg"]:
-        sys.stderr.write("input error: the perturbation lemma needs "
-                         "fg = 1; use --method kernels\n")
-        return 2
+        _refuse("the perturbation lemma needs fg = 1; use --method kernels")
     for key in sorted(retract.side_conditions):
         out.line("retract.side.%s=%s"
                  % (key, str(retract.side_conditions[key]).lower()))
@@ -252,7 +256,10 @@ def cmd_transfer(args):
     result = _transfer_document(big_name, small_name, mu, nu, comps, retract,
                                 comparison)
     if args.output:
-        dump(result, args.output)
+        try:
+            dump(result, args.output)
+        except OSError:
+            _refuse("cannot write to %r" % args.output)
         out.line("output=%s" % args.output)
     else:
         out.note("serialized output follows")
@@ -325,12 +332,11 @@ def _selftest_instance(base_seed, index, N, writer):
 
 def cmd_selftest(args):
     if args.arity < 2:
-        sys.stderr.write("input error: --arity must be >= 2, got %d\n" % args.arity)
-        return 2
+        _refuse("--arity must be >= 2, got %d" % args.arity)
+    if args.arity > MAX_TRUNCATION:
+        _refuse("--arity must be <= %d, got %d" % (MAX_TRUNCATION, args.arity))
     if args.corpus_size < 1:
-        sys.stderr.write("input error: --corpus-size must be >= 1, got %d\n"
-                         % args.corpus_size)
-        return 2
+        _refuse("--corpus-size must be >= 1, got %d" % args.corpus_size)
     out = ReportWriter()
     out.line("corpus-size=%d" % args.corpus_size)
     out.line("seed=%d" % args.seed)
@@ -379,6 +385,9 @@ def main(argv=None):
     gc.disable()
     try:
         return args.func(args)
+    except Refused as exc:
+        sys.stderr.write("%s\n" % exc)
+        return 2
     finally:
         if collecting:
             gc.enable()

@@ -4,7 +4,8 @@
 Strict by design: the format version field is mandatory, unknown fields are
 rejected, every referenced basis element must exist and every map entry must
 be homogeneous (the map constructors enforce that), and no module may
-declare more than `MAX_MODULE_DIM` basis elements.  Serialization sorts
+declare more than `MAX_MODULE_DIM` basis elements, nor the document a
+truncation above `MAX_TRUNCATION`.  Serialization sorts
 everything, so parse -> serialize -> parse is the identity and output is
 byte-stable.
 
@@ -28,6 +29,13 @@ _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 # 80 times the largest module the project runs (the Massey DGA at k = 16,
 # dimension 815).
 MAX_MODULE_DIM = 2 ** 16
+
+# The largest truncation a document may declare.  Every family builds one
+# map per arity up to its truncation as it is parsed, and the cost of a
+# check grows about as N^4, so a document declaring more is refused before
+# anything is built.  64 is four times the largest arity the project runs
+# (the Massey DGA at k = 16, N = 16).
+MAX_TRUNCATION = 64
 
 # (name, ends, degree) of each map of a block.  The ends are V, the big
 # module (a transfer's source structure), and W, the small one (the
@@ -89,10 +97,14 @@ def _is_json_int(x):
 
 def _parse_key(key, what, where):
     """An integer object key, accepted only in its canonical decimal form, so
-    that no two keys ("2" and "02") can name the same degree or arity."""
-    if not _CANONICAL_INT.fullmatch(key):
-        raise DocumentError("%s: bad %s %r" % (where, what, key))
-    return int(key)
+    that no two keys ("2" and "02") can name the same degree or arity, and
+    no longer than Python's int-string limit lets `int` read."""
+    try:
+        if _CANONICAL_INT.fullmatch(key):
+            return int(key)
+    except ValueError:
+        pass
+    raise DocumentError("%s: bad %s %r" % (where, what, key))
 
 
 def _parse_basis(ref, where):
@@ -231,7 +243,10 @@ def _parse_transfer(obj, W, modules, truncation, field, where):
 def parse(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, and so is an integer literal
+        # longer than Python's int-string limit; nesting deeper than the
+        # recursion limit raises RecursionError
         raise DocumentError("invalid JSON: %s" % exc)
     _expect_keys(obj, ["format", "field", "truncation", "modules"],
                  ["p", "structure", "retract", "transfer"], "document")
@@ -254,6 +269,9 @@ def parse(text):
     truncation = obj["truncation"]
     if not _is_json_int(truncation) or truncation < 1:
         raise DocumentError("truncation must be a positive integer")
+    if truncation > MAX_TRUNCATION:
+        raise DocumentError("truncation %d exceeds %d"
+                            % (truncation, MAX_TRUNCATION))
 
     modules = {}
     if not isinstance(obj["modules"], dict) or not obj["modules"]:
@@ -322,10 +340,14 @@ def serialize(doc):
 
 
 def load(path):
-    with open(path, "r") as fh:
-        return parse(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError("not UTF-8: %s" % exc)
+    return parse(text)
 
 
 def dump(doc, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize(doc))

@@ -74,34 +74,28 @@ class GradedModule:
                 raise StructureError("negative dimension %d in degree %d" % (k, d))
             if k:
                 clean[d] = k
-        self._set_basis(clean, field, tuple(
-            d for d in sorted(clean) for _ in range(clean[d])))
-
-    def _set_basis(self, dims, field, degree_of):
-        """Fill in a module from its dims and the degree table of its codes,
-        which must list the degrees of `dims` in ascending order."""
-        self.dims = dims
+        self.dims = clean
         self.field = field
-        self.degree_of = degree_of
+        degrees = sorted(clean)
+        self.degree_of = tuple(d for d in degrees for _ in range(clean[d]))
+        self.elements = tuple((d, i) for d in degrees for i in range(clean[d]))
         self._starts = {}
-        for c, d in enumerate(degree_of):
+        for c, d in enumerate(self.degree_of):
             self._starts.setdefault(d, c)
-        self.elements = tuple((d, c - self._starts[d])
-                              for c, d in enumerate(degree_of))
         self._shifts = {}
         self._shift_maps = {}
 
     def shifted(self, k):
         """The module with every degree raised by `k`, on the same codes:
-        code c is (d, i) here and (d + k, i) there.  Built once per k and
-        kept; shifting the result back by -k gives this module."""
+        code c is (d, i) here and (d + k, i) there, since a shift keeps the
+        order of the degrees.  Built once per k and kept; shifting the
+        result back by -k gives this module."""
         if not k:
             return self
         got = self._shifts.get(k)
         if got is None:
-            got = GradedModule.__new__(GradedModule)
-            got._set_basis({d + k: n for d, n in self.dims.items()},
-                           self.field, tuple(d + k for d in self.degree_of))
+            got = GradedModule({d + k: n for d, n in self.dims.items()},
+                               self.field)
             got._shifts[-k] = self
             self._shifts[k] = got
         return got

@@ -47,7 +47,9 @@ class DeformationRetract:
     """(V, d_V), (W, d_W), chain maps f, g and a homotopy h with
     gf - 1 = d h + h d.  The chain-map and homotopy identities are checked
     exactly at construction; the four side conditions (fg = 1, fh = 0,
-    hg = 0, hh = 0) are evaluated and stored, not required."""
+    hg = 0, hh = 0) are evaluated and stored, not required.  Once the
+    identities hold, the shifted maps both routes read are formed:
+    `fhat`, `ghat`, `hhat` and `gfhat`, on the shifted modules."""
 
     def __init__(self, big, small, f, g, h):
         V, W = big.module, small.module
@@ -81,7 +83,9 @@ class DeformationRetract:
             "hg": compose(h, g).is_zero(),
             "hh": compose(h, h).is_zero(),
         }
-        self._shifted = None
+        self.fhat, self.ghat, self.hhat = (suspend_components({1: m})[1]
+                                           for m in (f, g, h))
+        self.gfhat = compose(self.ghat, self.fhat)
 
     @property
     def is_harmonious(self):
@@ -94,14 +98,6 @@ class DeformationRetract:
             raise StructureError("structure lives on a different module than the retract")
         if not (mu.differential - self.big.d).is_zero():
             raise StructureError("structure differential differs from the retract's")
-
-    def shifted(self):
-        """(f^, g^, h^, gf^) on the shifted modules, cached."""
-        if self._shifted is None:
-            fhat, ghat, hhat = (suspend_components({1: m})[1]
-                                for m in (self.f, self.g, self.h))
-            self._shifted = (fhat, ghat, hhat, compose(ghat, fhat))
-        return self._shifted
 
 
 def _suspended_p(smu, hhat):
@@ -233,12 +229,13 @@ class TransferPackage:
       (d_1 included) and the shifted route's kernels {n >= 2: p^_n},
       {n >= 1: q^_n} (q^_1 = 1) and composite components {m >= 1}, the
       last three read only by `perturbation.check_annihilation_lemmas`;
-    * `retract`, `truncation`, and `reports`, every residual report by name.
+    * `retract`, `truncation` (nu's), and `reports`, every residual report
+      by name.
 
-    The shifted f^, g^, h^ and gf^ are `retract.shifted()`."""
+    The shifted f^, g^, h^ and gf^ are the retract's."""
 
     def __init__(self, nu, phi, psi, homotopy, smu, p_hat, q_hat, psiphi_hat,
-                 retract, truncation, reports):
+                 retract, reports):
         self.nu = nu
         self.phi = phi
         self.psi = psi
@@ -248,7 +245,7 @@ class TransferPackage:
         self.q_hat = q_hat
         self.psiphi_hat = psiphi_hat
         self.retract = retract
-        self.truncation = truncation
+        self.truncation = nu.truncation
         self.reports = reports
 
     @property
@@ -270,11 +267,10 @@ def transfer(retract, mu):
         raise StructureError("input structure fails its defining relations at %r"
                              % structure_report.failing())
 
-    _, _, hhat, gfhat = retract.shifted()
     smu = suspend_structure(mu)
 
-    p_hat, hp_hat = _suspended_p(smu, hhat)
-    q_hat, psiphi_hat = _suspended_q(smu, hhat, gfhat, hp_hat)
+    p_hat, hp_hat = _suspended_p(smu, retract.hhat)
+    q_hat, psiphi_hat = _suspended_q(smu, retract.hhat, retract.gfhat, hp_hat)
 
     p = desuspend_components(p_hat)
     # q_1 = 1 and c_1 = gf: the arity-1 maps desuspend to exactly those
@@ -308,7 +304,7 @@ def transfer(retract, mu):
                                                           composite)
 
     return TransferPackage(nu, phi, psi, homotopy, smu, p_hat, q_hat,
-                           psiphi_hat, retract, N, reports)
+                           psiphi_hat, retract, reports)
 
 
 def _cross_validate(retract, mu, p, q, composite):

@@ -108,9 +108,9 @@ class PerturbationData:
     one `operator_sum`, which shares every block only one power has."""
 
     def __init__(self, retract, smu):
-        fhat, ghat, hhat, gfhat = retract.shifted()
+        fhat, ghat, hhat, gfhat = (retract.fhat, retract.ghat, retract.hhat,
+                                   retract.gfhat)
         sV, sW = fhat.source, fhat.target
-        self.retract = retract
         self.trunc = trunc = smu.trunc
         self.sV, self.sW = sV, sW
         # the shifted differential of W: the arity-1 component of DW
@@ -356,9 +356,10 @@ def check_annihilation_lemmas(pkg):
     and c_1 = gf), for 2 <= n <= pkg.truncation.  Requires the side
     conditions; raises otherwise.
     """
-    if not pkg.retract.is_harmonious:
+    retract = pkg.retract
+    if not retract.is_harmonious:
         raise StructureError("annihilation identities assume the side conditions")
-    _, ghat, hhat, gfhat = pkg.retract.shifted()
+    ghat, hhat, gfhat = retract.ghat, retract.hhat, retract.gfhat
     sV, sW = hhat.source, ghat.source
     ident = MultiMap.identity(sV)
     delta = pkg.smu.component

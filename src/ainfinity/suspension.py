@@ -4,7 +4,9 @@ Degrees shift by +1 and basis codes are kept: sV is V relabelled, code c
 being (d, i) in V and (d + 1, i) in sV (`GradedModule.shifted`), so only
 the degree table changes.  The shift isomorphisms s (degree +1) and w
 (degree -1) are the identity on codes (`MultiMap.shift`), built once per
-module, and every suspension sign is produced by the composite loop of
+module.  This module holds only the conversions, and `suspend_module`,
+which the package exports; a caller shifts a module or makes a shift map
+through those two methods directly.  Every suspension sign is produced by the composite loop of
 `graded` -- there are no hand-written sign tables here.  The one global
 scalar, by which an n-fold suspension fails to invert an n-fold
 desuspension, is (-1)^(n(n-1)/2); the desuspension conversions undo it via
@@ -31,27 +33,13 @@ def suspend_module(V):
     return V.shifted(1)
 
 
-def desuspend_module(sV):
-    return sV.shifted(-1)
-
-
-def shift_up_map(V):
-    """s: V -> sV, (d, i) -> (d+1, i) on the same code, degree +1."""
-    return MultiMap.shift(V, 1)
-
-
-def shift_down_map(V):
-    """w: sV -> V, (d, i) -> (d-1, i) on the same code, degree -1, where
-    sV = suspend(V)."""
-    return MultiMap.shift(suspend_module(V), -1)
-
-
 def suspend_components(comps):
     """x_n -> s_W o x_n o w_V^{x n} for each x_n: V^{x n} -> W, V and W
     read from the map; each component's degree changes by 1 - n."""
     out = {}
     for n, m in comps.items():
-        s_W, w_V = shift_up_map(m.target), shift_down_map(m.source)
+        s_W = MultiMap.shift(m.target, 1)
+        w_V = MultiMap.shift(m.source.shifted(1), -1)
         out[n] = compose_product(s_W, [compose_product(m, [w_V] * n)])
     return out
 
@@ -62,10 +50,11 @@ def desuspend_components(comps):
     x_n = (-1)^(n(n-1)/2) w_W o x^_n o s_V^{x n}."""
     out = {}
     for n, m in comps.items():
-        V, W = desuspend_module(m.source), desuspend_module(m.target)
+        V, W = m.source.shifted(-1), m.target.shifted(-1)
+        w_W, s_V = MultiMap.shift(m.target, -1), MultiMap.shift(V, 1)
         out[n] = map_sum(V, W, n, m.degree + n - 1, [
-            (signs.sign_of(signs.shift_exponent(n)), shift_down_map(W),
-             [compose_product(m, [shift_up_map(V)] * n)])])
+            (signs.sign_of(signs.shift_exponent(n)), w_W,
+             [compose_product(m, [s_V] * n)])])
     return out
 
 

@@ -26,7 +26,6 @@ from ainfinity import signs
 from ainfinity.coalgebra import CoalgebraOperator
 from ainfinity.graded import MultiMap, StructureError, _acc, word_degree
 from ainfinity.reports import CheckReport
-from ainfinity.suspension import shift_down_map, shift_up_map
 
 
 def tensor_table(maps):
@@ -78,7 +77,7 @@ def shift_scalar(V, n):
     (so every degree of V occurs once n reaches its dimension): w^{x n} and
     then s^{x n}, each the `tensor_table` of the shift maps cut to the rows
     of the word it meets.  No closed formula is used."""
-    s, w = shift_up_map(V), shift_down_map(V)
+    s, w = MultiMap.shift(V, 1), MultiMap.shift(V.shifted(1), -1)
     word = tuple(c % V.total_dim for c in range(n))
     out = {}
     for mid, c in tensor_table([_row(w, c) for c in word])[word].items():

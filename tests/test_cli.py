@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import ainfinity
 from ainfinity.ainfty import AInfinity
 from ainfinity.cli import main
-from ainfinity.docio import (MAX_MODULE_DIM, Document, DocumentError, dump,
-                             load, parse, serialize)
+from ainfinity.docio import (MAX_MODULE_DIM, MAX_TRUNCATION, Document,
+                             DocumentError, dump, load, parse, serialize)
 from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import (harmonious_retract, instance_forms,
@@ -348,6 +348,9 @@ MALFORMED_EDITS = {
     "comparison-unknown-word": lambda obj: _comparison(obj, "maybe"),
     "dims-oversized": lambda obj: obj["modules"]["V"].update(
         dims={"0": 10 ** 8}),
+    "truncation-oversized": lambda obj: obj.update(truncation=10 ** 9),
+    "degree-5000-digits": lambda obj: obj["modules"]["V"]["dims"].update(
+        {"1" + "0" * 4999: 1}),
 }
 
 
@@ -374,6 +377,57 @@ def test_module_size_is_bounded_by_name():
             "modules[V]: total dimension %d exceeds %d"
             % (MAX_MODULE_DIM + 1, MAX_MODULE_DIM))):
         parse(json.dumps(obj))
+
+
+def test_truncation_is_bounded_by_name(monkeypatch, capsys):
+    """A document may declare a truncation up to `MAX_TRUNCATION`, and
+    `selftest` take an `--arity` up to it; one more is refused before
+    anything is built, the selftest's with exit 2 before any instance."""
+    obj = mod_p_object()
+    del obj["structure"]
+    obj["truncation"] = MAX_TRUNCATION
+    assert parse(json.dumps(obj)).truncation == MAX_TRUNCATION
+    obj["truncation"] = MAX_TRUNCATION + 1
+    with pytest.raises(DocumentError, match="^truncation %d exceeds %d$"
+                       % (MAX_TRUNCATION + 1, MAX_TRUNCATION)):
+        parse(json.dumps(obj))
+    runs = []
+    monkeypatch.setattr(ainfinity.cli, "_selftest_instance",
+                        lambda seed, index, N, writer: runs.append(N) or True)
+    for arity in (MAX_TRUNCATION, MAX_TRUNCATION + 1):
+        code = main(["selftest", "--corpus-size", "1", "--arity", str(arity)])
+        captured = capsys.readouterr()
+        if arity == MAX_TRUNCATION:
+            assert code == 0 and captured.err == ""
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == ("input error: --arity must be <= %d, got %d\n"
+                                    % (MAX_TRUNCATION, arity))
+    assert runs == [MAX_TRUNCATION]
+
+
+# files that are no document at all: each used to end in a traceback
+RAW_FILES = {
+    "not-utf-8": b'{"format": "\xff\xfe"}',
+    "nested-200000-deep": b"[" * 200000 + b"]" * 200000,
+    "integer-5000-digits": b'{"truncation": 1' + b"0" * 4999 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_FILES))
+def test_a_file_that_is_no_document_exits_two(tmp_path, capsys, name):
+    """Bytes that are not UTF-8, JSON nested past the recursion limit and
+    an integer past Python's int-string limit are each a parse error: exit
+    2 within a second, one stderr line and nothing on stdout."""
+    path = tmp_path / "raw.json"
+    path.write_bytes(RAW_FILES[name])
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert captured.err.count("\n") == 1
 
 
 def witness_transfer_object(tmp_path, capsys):
@@ -440,10 +494,11 @@ def witness_retract_text():
                  "small_d": r.small.d}))
 
 
-# values an edit writes; integers stay small, so that no edit of the
-# truncation or of a dimension makes a run large
-EDIT_VALUES = st.sampled_from([None, True, -1, 0, 1, 2, 4, "", "V", "W", "1",
-                               "1/2", [], {}, [0, 0], [[0, 0], "1"]])
+# values an edit writes; 10^9 as a truncation or a dimension is refused
+# before anything is built, so no edit makes a run large
+EDIT_VALUES = st.sampled_from([None, True, -1, 0, 1, 2, 4, 10 ** 9, "", "V",
+                               "W", "1", "1/2", [], {}, [0, 0],
+                               [[0, 0], "1"]])
 
 
 def single_edit(data, obj):
@@ -861,16 +916,18 @@ def test_transfer_without_retract_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory",
+                                   "under-a-file"])
 def test_transfer_refuses_an_output_path_it_cannot_write(tmp_path, capsys,
                                                          monkeypatch, where):
-    """`-o` into a directory that does not exist, or onto a directory, is
-    refused with exit 2 before any retract or transfer work: nothing on
-    stdout, one `input error: ` line on stderr, and neither route nor the
-    retract ever called."""
+    """`-o` into a directory that does not exist, onto a directory, or
+    under a regular file, is refused with exit 2 before any retract or
+    transfer work: nothing on stdout, one `input error: ` line on stderr,
+    and neither route nor the retract ever called."""
     src = massey_doc(tmp_path)
-    out = (tmp_path / "missing" / "out.json" if where == "missing-directory"
-           else tmp_path)
+    out = {"missing-directory": tmp_path / "missing" / "out.json",
+           "directory": tmp_path,
+           "under-a-file": Path(src) / "out.json"}[where]
     calls = []
     for name in ("harmonious_retract", "transfer", "hpl_transfer"):
         monkeypatch.setattr(ainfinity.cli, name,
@@ -881,6 +938,24 @@ def test_transfer_refuses_an_output_path_it_cannot_write(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == ("input error: cannot write to %r\n" % str(out))
     assert calls == []
+
+
+def test_transfer_refuses_an_output_that_fails_to_write(tmp_path, capsys,
+                                                        monkeypatch):
+    """A write that fails after the pre-flight passed is refused as the
+    pre-flight refuses: exit 2, the same stderr line, nothing on stdout."""
+    src = massey_doc(tmp_path)
+    out = str(tmp_path / "out.json")
+
+    def fail(doc, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(ainfinity.cli, "dump", fail)
+    assert main(["transfer", src, "--retract", "auto", "--arity", "2",
+                 "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: cannot write to %r\n" % out
 
 
 def complex_without_square_zero(tmp_path, retract):

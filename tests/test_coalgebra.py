@@ -141,7 +141,7 @@ def test_homotopy_lift_massey_shape():
     # sum over a+b = n-1 of (gf)^a x h x 1^b
     mu = instance_massey()
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    fhat, ghat, hhat, gfhat = retract.shifted()
+    hhat, gfhat = retract.hhat, retract.gfhat
     sV = hhat.source
     fam = ComponentFamily("homotopy", sV, sV, {1: hhat}, 3,
                           left=ComponentFamily.strict_morphism(gfhat, 3),

@@ -295,7 +295,7 @@ def test_call_closure_flags_a_checker_that_builds():
     assert {"graded.tensor_residual", "coalgebra._walked_blocks",
             "coalgebra._IdentityBlock.get", "graded.MultiMap.shift",
             "graded.GradedModule.shifted"} <= reached
-    assert "kernels.DeformationRetract.shifted" not in reached
+    assert "kernels.DeformationRetract.__init__" not in reached
     assert {"suspension.suspend_components",
             "suspension.desuspend_components"} <= reached_from(
                 graph, "kernels.transfer")
@@ -331,8 +331,6 @@ TRUNCATION_PARAMETERS = {
         "constructor: an operator states its truncation",
     "docio.Document.__init__ truncation":
         "constructor: a document states the truncation it was written at",
-    "kernels.TransferPackage.__init__ truncation":
-        "constructor: the package records the truncation it ran at",
     "coalgebra.ComponentFamily.strict_morphism trunc":
         "no object: a single map carries no truncation",
     "coalgebra.ComponentFamily.identity trunc":
@@ -392,7 +390,7 @@ def test_no_parameter_restates_a_truncation():
     for path in PACKAGE:
         found += truncation_parameters(path.read_text(), path.stem)
     assert found == sorted(TRUNCATION_PARAMETERS)
-    assert len(found) == 17
+    assert len(found) == 16
 
 
 # Every function of the package other than an `__init__` that assigns an
@@ -402,9 +400,7 @@ def test_no_parameter_restates_a_truncation():
 # listed here covers all of its methods.
 ATTRIBUTE_WRITERS = {
     "graded.MultiMap._raw": "the internal constructor: fills the map it makes",
-    "graded.GradedModule._set_basis": "fills a module being built",
     "graded.MultiMap.columns": "memo cache of the map's columns",
-    "kernels.DeformationRetract.shifted": "memo cache of the shifted maps",
     "reports.CheckReport.renamed": "builds the report it returns",
     "cli.ReportWriter": "a report being written: its lines and its failure",
 }

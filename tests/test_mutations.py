@@ -474,8 +474,8 @@ STRUCTURAL_MUTANTS = {
         "h1 = compose(retract.h, K)"),
     "suspended-degree-table-left-unshifted": (
         graded, "GradedModule.shifted",
-        "tuple(d + k for d in self.degree_of)",
-        "self.degree_of"),
+        "{d + k: n for d, n in self.dims.items()}",
+        "self.dims"),
     "word-degree-drops-the-first-letter": (
         graded, "word_degree",
         "module.degree_of.__getitem__, word)",

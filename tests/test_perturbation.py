@@ -128,7 +128,7 @@ def test_low_homogeneity_blocks():
     mu, retract = forms_setup()
     hpl = hpl_transfer(retract, mu)
     assert not hpl.outputs["delta_nu"].block(1, 1)
-    fhat = retract.shifted()[0]
+    fhat = retract.fhat
     expected = {w: {(b,): c for b, c in vec.items()}
                 for w, vec in fhat.table.items()}
     assert hpl.outputs["phi"].block(1, 1) == expected
@@ -336,7 +336,7 @@ def test_q2_through_homotopy_hand_case():
     from ainfinity.graded import compose_product
     mu, retract = forms_setup()
     pkg = transfer(retract, mu)
-    _, _, hhat, gfhat = retract.shifted()
+    hhat, gfhat = retract.hhat, retract.gfhat
     ident = MultiMap.identity(hhat.source)
     expected = (compose_product(pkg.smu.component(2), [gfhat, hhat])
                 + compose_product(pkg.smu.component(2), [hhat, ident]))
@@ -348,7 +348,7 @@ def test_vanish_on_images_hand_case():
     from ainfinity.graded import compose_product
     mu, retract = forms_setup()
     pkg = transfer(retract, mu)
-    _, ghat, hhat, _ = retract.shifted()
+    ghat, hhat = retract.ghat, retract.hhat
     assert compose(hhat, ghat).is_zero()
     assert compose_product(pkg.q_hat[2], [ghat, ghat]).is_zero()
 
@@ -838,9 +838,10 @@ def test_colinearity_check_traces_under_a_tenth_of_H_out():
     traced while building H_out (the lift H, then H + H S).  The check
     keeps one row of the lift's step at a time, and the rows that
     differ."""
-    hpl = witness_hpl(5)
+    mu, retract = witness_setup(5)
+    hpl = hpl_transfer(retract, mu)
     data = hpl.data
-    _, _, hhat, gfhat = data.retract.shifted()
+    hhat, gfhat = retract.hhat, retract.gfhat
     family = ComponentFamily("homotopy", data.sV, data.sV, {1: hhat}, 5,
                              left=ComponentFamily.strict_morphism(gfhat, 5),
                              right=ComponentFamily.identity(data.sV, 5))

@@ -14,9 +14,7 @@ from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, GradedModule, MultiMap
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
 from ainfinity.kernels import transfer
-from ainfinity.suspension import (desuspend_components, desuspend_module,
-                                  shift_down_map, shift_up_map,
-                                  suspend_components,
+from ainfinity.suspension import (desuspend_components, suspend_components,
                                   suspend_homotopy, suspend_module,
                                   suspend_morphism, suspend_structure)
 from conftest import dga_without_leibniz, random_multimap, seeded
@@ -36,13 +34,13 @@ def test_shift_maps_are_the_identity_on_codes_built_once():
     identity is, however often the components are suspended."""
     V = GradedModule({0: 2, 3: 1})
     sV = suspend_module(V)
-    s, w = shift_up_map(V), shift_down_map(V)
+    s, w = MultiMap.shift(V, 1), MultiMap.shift(sV, -1)
     assert (s.source, s.target, s.degree) == (V, sV, 1)
     assert (w.source, w.target, w.degree) == (sV, V, -1)
     assert s.table == w.table == MultiMap.identity(V).table == {
         (c,): {c: V.field.one} for c in V.basis()}
-    assert sV is suspend_module(V) and desuspend_module(sV) is V
-    assert s is shift_up_map(V) and w is shift_down_map(V)
+    assert sV is suspend_module(V) and sV.shifted(-1) is V
+    assert s is MultiMap.shift(V, 1) and w is MultiMap.shift(sV, -1)
 
 
 def test_shift_scalar_matches_alternating_pattern():
