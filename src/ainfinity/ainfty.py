@@ -136,9 +136,8 @@ def check_structure(a, n_max=None):
     if n_max is not None:
         a = a.truncated(n_max)
     report = CheckReport("structure")
-    V = a.carrier
     for n in range(1, a.truncation + 1):
-        report.add(n, map_sum(V, V, n, n - 3, [
+        report.add(n, map_sum([
             (-signs.sign_of(i * (l + 1) + n), a.mu(k),
              insert_slots(a.mu(k), i, a.mu(l))) for (k, l, i) in insertions(n)]))
     return report
@@ -152,14 +151,13 @@ def check_morphism(mor):
     """
     report = CheckReport("morphism")
     src, tgt = mor.source, mor.target
-    V, W = src.carrier, tgt.carrier
     for n in range(1, mor.truncation + 1):
         terms = [(signs.sign_of(signs.theta(parts)), tgt.mu(k),
                   [mor.component(r) for r in parts]) for (k, parts) in splits(n)]
         terms += [(signs.sign_of(i * (l + 1) + n), mor.component(k),
                    insert_slots(mor.component(k), i, src.mu(l)))
                   for (k, l, i) in insertions(n)]
-        report.add(n, map_sum(V, W, n, n - 2, terms))
+        report.add(n, map_sum(terms))
     return report
 
 
@@ -168,10 +166,9 @@ def compose_morphisms(g, f):
     (gf)_n = sum_{r_1+..+r_k=n} (-1)^theta g_k(f_{r_1} x ... x f_{r_k})."""
     if f.target != g.source and f.target is not g.source:
         raise StructureError("morphisms not composable")
-    V, W = f.source.carrier, g.target.carrier
     comps = {}
     for n in range(1, f.truncation + 1):
-        comps[n] = map_sum(V, W, n, AInftyMorphism.component_degree(n), [
+        comps[n] = map_sum([
             (signs.sign_of(signs.theta(parts)), g.component(k),
              [f.component(r) for r in parts]) for (k, parts) in splits(n)])
     return AInftyMorphism(f.source, g.target, comps)
@@ -196,7 +193,6 @@ def check_homotopy(h):
     report = CheckReport("homotopy")
     src = h.frm.source
     tgt = h.frm.target
-    V, W = src.carrier, tgt.carrier
     for n in range(1, h.truncation + 1):
         terms = [(1, h.frm.component(n)), (-1, h.to.component(n))]
         terms += [(signs.sign_of(i * (l + 1) + n), h.component(k),
@@ -206,5 +202,5 @@ def check_homotopy(h):
                    tgt.mu(k), [h.frm.component(r) for r in parts[:i - 1]]
                    + [h.component(parts[i - 1])] + [h.to.component(r) for r in parts[i:]])
                   for (k, parts) in splits(n) for i in range(1, k + 1)]
-        report.add(n, map_sum(V, W, n, n - 1, terms))
+        report.add(n, map_sum(terms))
     return report

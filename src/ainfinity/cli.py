@@ -4,7 +4,9 @@ corpus.
 Reports are structured text: a machine-readable key=value section, then
 `---`, then human-readable detail.  Output is deterministic byte-for-byte
 under fixed inputs and seed.  Exit codes: 0 success, 1 mathematical check
-failure, 2 input/parse error.
+failure, 2 input/parse error.  Each command returns its report or raises
+its refusal, and `main` alone writes: the report to stdout, the refusal,
+cut to one bounded line, to stderr.
 """
 
 import argparse
@@ -31,7 +33,22 @@ from .suspension import desuspend_components
 
 class Refused(Exception):
     """Bad input, refused before any work: `main` writes the message to
-    stderr and exits 2."""
+    stderr, cut by `_bounded`, and exits 2."""
+
+
+# The longest refusal message `main` writes, in bytes of UTF-8: a message
+# quotes the offending value, which may be a document's whole field.
+MAX_REFUSAL_BYTES = 1024
+
+
+def _bounded(text):
+    """`text`, or its head with its full length in bytes stated when it is
+    longer than MAX_REFUSAL_BYTES; the result is never longer."""
+    data = text.encode("utf-8", "backslashreplace")
+    if len(data) <= MAX_REFUSAL_BYTES:
+        return text
+    tail = " ... (cut from %d bytes)" % len(data)
+    return data[:MAX_REFUSAL_BYTES - len(tail)].decode("utf-8", "ignore") + tail
 
 
 def _refuse(text):
@@ -48,6 +65,8 @@ def _load(path):
 
 
 class ReportWriter:
+    """A run's report: each command builds it, and `main` writes it."""
+
     def __init__(self):
         self.machine = []
         self.human = []
@@ -92,9 +111,7 @@ def _big_differential(doc):
 
 
 def _build_retract(doc):
-    """DeformationRetract from the document's retract block (or None)."""
-    if doc.retract is None:
-        return None
+    """DeformationRetract from the document's retract block."""
     big = ChainComplex(doc.modules[doc.retract["big"]], _big_differential(doc))
     small = ChainComplex(doc.modules[doc.retract["small"]],
                          doc.retract["small_d"])
@@ -134,8 +151,7 @@ def cmd_check(args):
             out.line("transfer.comparison=%s" % doc.transfer["comparison"])
     if not out.failed:
         out.note("all checks passed at truncation %d" % doc.truncation)
-    sys.stdout.write(out.render())
-    return out.exit_code
+    return out
 
 
 def _check_transfer_block(out, src, nu, comps):
@@ -198,8 +214,7 @@ def cmd_transfer(args):
     if not structure_report.ok:
         out.add_report(structure_report)
         out.note("input structure fails its defining relations")
-        sys.stdout.write(out.render())
-        return 1
+        return out
     try:
         if args.retract == "auto":
             retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
@@ -210,8 +225,7 @@ def cmd_transfer(args):
     except (StructureError, DocumentError) as exc:
         out.line("retract.valid=false")
         out.fail("retract invariant violated: %s" % exc)
-        sys.stdout.write(out.render())
-        return 1
+        return out
     if args.method != "kernels" and not retract.side_conditions["fg"]:
         _refuse("the perturbation lemma needs fg = 1; use --method kernels")
     for key in sorted(retract.side_conditions):
@@ -266,8 +280,7 @@ def cmd_transfer(args):
         out.human.append(serialize(result).rstrip("\n"))
     if not out.failed:
         out.note("transfer verified at truncation %d" % N)
-    sys.stdout.write(out.render())
-    return out.exit_code
+    return out
 
 
 def _selftest_instance(base_seed, index, N, writer):
@@ -280,7 +293,8 @@ def _selftest_instance(base_seed, index, N, writer):
     checks = CheckReport("selftest.%d" % index)
 
     checks.add("structure", check_structure(mu))
-    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    cx = ChainComplex(mu.carrier, mu.differential)
+    retract = harmonious_retract(cx)
     checks.add("harmonious", BoolResidual(retract.is_harmonious))
 
     pkg = transfer(retract, mu)
@@ -296,9 +310,7 @@ def _selftest_instance(base_seed, index, N, writer):
 
     # degeneration: the identity retract (h = 0) transports products verbatim
     ident_retract = DeformationRetract(
-        ChainComplex(mu.carrier, mu.differential),
-        ChainComplex(mu.carrier, mu.differential),
-        MultiMap.identity(mu.carrier), MultiMap.identity(mu.carrier),
+        cx, cx, MultiMap.identity(mu.carrier), MultiMap.identity(mu.carrier),
         MultiMap.zero(mu.carrier, mu.carrier, 1, 1))
     ident_pkg = transfer(ident_retract, mu)
     plain = all((ident_pkg.nu.mu(n) - mu.mu(n)).is_zero() for n in range(2, N + 1))
@@ -348,8 +360,7 @@ def cmd_selftest(args):
     out.line("passed=%d/%d" % (passed, args.corpus_size))
     if passed == args.corpus_size:
         out.note("all %d corpus instances passed every checker" % args.corpus_size)
-    sys.stdout.write(out.render())
-    return out.exit_code
+    return out
 
 
 def main(argv=None):
@@ -384,9 +395,11 @@ def main(argv=None):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        out = args.func(args)
+        sys.stdout.write(out.render())
+        return out.exit_code
     except Refused as exc:
-        sys.stderr.write("%s\n" % exc)
+        sys.stderr.write("%s\n" % _bounded(str(exc)))
         return 2
     finally:
         if collecting:

@@ -504,9 +504,9 @@ def check_codifferential(family):
     """Residuals of the componentwise square-zero identity:
     sum_{k+l=n+1, 1<=i<=k} d_k(1^{i-1} x d_l x 1^{k-i}) = 0."""
     report = CheckReport("codifferential")
-    V, d = family.source, family.component
+    d = family.component
     for n in range(1, family.trunc + 1):
-        report.add(n, map_sum(V, V, n, -2, [
+        report.add(n, map_sum([
             (1, d(k), insert_slots(d(k), i, d(l)))
             for (k, l, i) in insertions(n)]))
     return report
@@ -517,13 +517,13 @@ def check_morphism_components(family, src_codiff, tgt_codiff):
     sum_{r_1+..+r_k=n} d^W_k(f_{r_1} x..x f_{r_k})
       = sum_{k+l=n+1, 1<=i<=k} f_k(1^{i-1} x d^V_l x 1^{k-i})."""
     report = CheckReport("intertwining")
-    V, W, f = family.source, family.target, family.component
+    f = family.component
     dV, dW = src_codiff.component, tgt_codiff.component
     for n in range(1, family.trunc + 1):
         terms = [(1, dW(k), [f(r) for r in parts]) for (k, parts) in splits(n)]
         terms += [(-1, f(k), insert_slots(f(k), i, dV(l)))
                   for (k, l, i) in insertions(n)]
-        report.add(n, map_sum(V, W, n, -1, terms))
+        report.add(n, map_sum(terms))
     return report
 
 
@@ -532,7 +532,7 @@ def check_homotopy_components(family, src_codiff, tgt_codiff):
     e_n - g_n = sum_{k+l=n+1, 1<=i<=k} f_k(1^{i-1} x d^V_l x 1^{k-i})
       + sum_{r_1+..+r_k=n} sum_i d^W_k(e_{r_1}..f_{r_i}..g_{r_k})."""
     report = CheckReport("cohomotopy")
-    V, W, f = family.source, family.target, family.component
+    f = family.component
     e, g = family.left.component, family.right.component
     dV, dW = src_codiff.component, tgt_codiff.component
     for n in range(1, family.trunc + 1):
@@ -542,5 +542,5 @@ def check_homotopy_components(family, src_codiff, tgt_codiff):
         terms += [(-1, dW(k), [e(r) for r in parts[:i - 1]] + [f(parts[i - 1])]
                    + [g(r) for r in parts[i:]])
                   for (k, parts) in splits(n) for i in range(1, k + 1)]
-        report.add(n, map_sum(V, W, n, 0, terms))
+        report.add(n, map_sum(terms))
     return report

@@ -290,10 +290,7 @@ def parse(text):
         if total > MAX_MODULE_DIM:
             raise DocumentError("%s: total dimension %d exceeds %d"
                                 % (where, total, MAX_MODULE_DIM))
-        try:
-            modules[name] = GradedModule(dims, field)
-        except StructureError as exc:
-            raise DocumentError("%s: %s" % (where, exc))
+        modules[name] = GradedModule(dims, field)
 
     structure = None
     if "structure" in obj:

@@ -29,9 +29,13 @@ unreduced int products are reduced into range(p).
 `map_sum` is the one signed sum of multilinear maps: every kernel
 recursion and every relation residual is a single call, whose terms are
 maps or composites outer o (inner_1 x ... x inner_k) with a sign +-1, all
-accumulated into one table.  `_product_into` is the one composite loop;
-`compose_product` and the sum and difference of two maps are `map_sum`
-of one or two terms.
+accumulated into one table.  A sum reads its shape off its first term and
+checks every other term against it, so no caller states a shape.
+`_product_into` is the one composite loop; `compose_product` and the sum
+and difference of two maps are `map_sum` of one or two terms.
+
+A `ChainComplex` checks d^2 = 0 when it is built, the one place the square
+is checked; the splitting, the retracts and both routes rely on it.
 
 A family reads its components from one table (`component_table`); those
 beyond its truncation are unknown, not zero, and reading one raises.  A run
@@ -331,12 +335,10 @@ class MultiMap:
                 and self.arity == other.arity and self.degree == other.degree)
 
     def __add__(self, other):
-        return map_sum(self.source, self.target, self.arity, self.degree,
-                       [(1, self), (1, other)])
+        return map_sum([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return map_sum(self.source, self.target, self.arity, self.degree,
-                       [(1, self), (-1, other)])
+        return map_sum([(1, self), (-1, other)])
 
     def __eq__(self, other):
         return (isinstance(other, MultiMap) and self.same_shape(other)
@@ -559,35 +561,39 @@ def _product_into(table, outer, inners, negate, p):
                 del table[in_word]
 
 
-def map_sum(source, target, arity, degree, terms):
+def map_sum(terms):
     """The signed sum of `terms`, built in one table: the one sum of
     multilinear maps.  A term is (sign, map) or (sign, outer, inners), the
     latter standing for outer o (inner_1 x ... x inner_k), which is
     accumulated without being built on its own; sign is +1 or -1 (from
-    `signs.sign_of`).  Every term must have the stated shape; no terms give
-    the zero map of that shape."""
-    shape = (source, target, arity, degree)
-    p = target.field.characteristic
+    `signs.sign_of`).  The sum has the shape of its first term, and every
+    other term must have that shape; an empty list raises, since it has
+    none."""
+    shape = None
     table = {}
     for term in terms:
         sign, m = term[0], term[1]
-        if len(term) == 3:
-            if _product_shape(m, term[2]) != shape:
-                raise StructureError("map_sum: composite of another shape")
+        product = len(term) == 3
+        got = (_product_shape(m, term[2]) if product
+               else (m.source, m.target, m.arity, m.degree))
+        if shape is None:
+            shape, p = got, got[1].field.characteristic
+        elif got != shape:
+            raise StructureError("map_sum: terms of two shapes")
+        if product:
             _product_into(table, m, term[2], sign < 0, p)
         else:
-            if (m.source, m.target, m.arity, m.degree) != shape:
-                raise StructureError("map shape mismatch")
             _merge(table, m.table, p, sign < 0)
-    return MultiMap._raw(source, target, arity, degree, table)
+    if shape is None:
+        raise StructureError("map_sum: no terms, so no shape")
+    return MultiMap._raw(*shape, table)
 
 
 def compose_product(outer, inners):
     """outer o (inner_1 x ... x inner_k), one inner per input slot of outer:
     `map_sum` of the one term, so the composite comes from `_product_into`
     and every sign from the single Koszul exponent above."""
-    inners = list(inners)
-    return map_sum(*_product_shape(outer, inners), [(1, outer, inners)])
+    return map_sum([(1, outer, list(inners))])
 
 
 def compose(outer, inner):
@@ -606,8 +612,9 @@ def insert_slots(outer, position, inner):
 
 
 class ChainComplex:
-    """A graded module with a degree -1 endomorphism.  d^2 = 0 is *not*
-    assumed here; checkers and consumers that need it verify it."""
+    """A graded module with a degree -1 endomorphism d with d^2 = 0.  The
+    square is checked here, once per complex, and every consumer (the
+    splitting, the retracts, both routes) relies on it."""
 
     __slots__ = ("module", "d")
 
@@ -616,11 +623,12 @@ class ChainComplex:
             raise StructureError("differential must be an endomorphism")
         if d.arity != 1 or d.degree != -1:
             raise StructureError("differential must have arity 1, degree -1")
+        square = compose(d, d)
+        if not square.is_zero():
+            raise StructureError("differential does not square to zero: "
+                                 "first offender %r" % (square.first_word(),))
         self.module = module
         self.d = d
-
-    def d_squared(self):
-        return compose(self.d, self.d)
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex)

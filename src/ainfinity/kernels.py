@@ -45,8 +45,9 @@ __all__ = ["DeformationRetract", "TransferPackage", "p_kernels", "q_kernels",
 
 class DeformationRetract:
     """(V, d_V), (W, d_W), chain maps f, g and a homotopy h with
-    gf - 1 = d h + h d.  The chain-map and homotopy identities are checked
-    exactly at construction; the four side conditions (fg = 1, fh = 0,
+    gf - 1 = d h + h d.  Each complex checked d^2 = 0 when it was built;
+    the chain-map and homotopy identities are checked exactly here, at
+    construction; the four side conditions (fg = 1, fh = 0,
     hg = 0, hh = 0) are evaluated and stored, not required.  Once the
     identities hold, the shifted maps both routes read are formed:
     `fhat`, `ghat`, `hhat` and `gfhat`, on the shifted modules."""
@@ -59,16 +60,12 @@ class DeformationRetract:
             raise StructureError("g must be a degree-0 map W -> V")
         if h.source != V or h.target != V or h.arity != 1 or h.degree != 1:
             raise StructureError("h must be a degree +1 map V -> V")
-        if not big.d_squared().is_zero():
-            raise StructureError("d_V does not square to zero")
-        if not small.d_squared().is_zero():
-            raise StructureError("d_W does not square to zero")
         if not (compose(f, big.d) - compose(small.d, f)).is_zero():
             raise StructureError("f is not a chain map")
         if not (compose(g, small.d) - compose(big.d, g)).is_zero():
             raise StructureError("g is not a chain map")
         gf = compose(g, f)
-        homotopy_residual = map_sum(V, V, 1, 0, [
+        homotopy_residual = map_sum([
             (1, gf), (-1, MultiMap.identity(V)), (-1, big.d, [h]),
             (-1, h, [big.d])])
         if not homotopy_residual.is_zero():
@@ -105,7 +102,8 @@ def _suspended_p(smu, hhat):
     hp = {1: MultiMap.identity(sV)}
     p = {}
     for n in range(2, smu.trunc + 1):
-        p[n] = map_sum(sV, sV, n, -1, [
+        # the filter may leave no term, so each sum starts from its zero
+        p[n] = map_sum([(1, MultiMap.zero(sV, sV, n, -1))] + [
             (1, deltas[k], [hp[r] for r in parts])
             for (k, parts) in enum_B(n) if k in deltas])
         hp[n] = compose(hhat, p[n])
@@ -120,13 +118,13 @@ def _suspended_q(smu, hhat, gfhat, hp):
     gfq = {1: gfhat}
     psiphi = {1: gfhat}
     for n in range(2, smu.trunc + 1):
-        q[n] = map_sum(sV, sV, n, 0, [
+        q[n] = map_sum([(1, MultiMap.zero(sV, sV, n, 0))] + [
             (1, deltas[k], [psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]]
              + [ident] * (k - i))
             for (k, i, parts) in enum_C(n) if k in deltas])
         hq[n] = compose(hhat, q[n])
         gfq[n] = compose(gfhat, q[n])
-        psiphi[n] = map_sum(sV, sV, n, 0, [
+        psiphi[n] = map_sum([
             (1, hp[k], [gfq[r] for r in parts]) for (k, parts) in splits(n)])
     return q, psiphi
 
@@ -141,7 +139,7 @@ def p_kernels(retract, mu):
     hp = {1: MultiMap.identity(V)}
     p = {}
     for n in range(2, mu.truncation + 1):
-        p[n] = map_sum(V, V, n, n - 2, [
+        p[n] = map_sum([
             (signs.sign_of(signs.theta(parts)), mu.mu(k), [hp[r] for r in parts])
             for (k, parts) in enum_B(n)])
         hp[n] = compose(h, p[n])
@@ -163,13 +161,13 @@ def q_kernels(retract, mu, hp):
     gfq = {1: gf}
     psiphi = {1: gf}
     for n in range(2, N + 1):
-        q[n] = map_sum(V, V, n, n - 1, [
+        q[n] = map_sum([
             (signs.sign_of(n + parts[-1] + signs.theta(parts)), mu.mu(k),
              [psiphi[r] for r in parts[:-1]] + [hq[parts[-1]]] + [ident] * (k - i))
             for (k, i, parts) in enum_C(n)])
         hq[n] = compose(h, q[n])
         gfq[n] = compose(gf, q[n])
-        psiphi[n] = map_sum(V, V, n, n - 1, [
+        psiphi[n] = map_sum([
             (signs.sign_of(signs.theta(parts)), hp[k], [gfq[r] for r in parts])
             for (k, parts) in splits(n)])
     return q, psiphi
@@ -185,7 +183,6 @@ def check_p_identity(p, retract):
     d, gf = retract.big.d, retract.gf
     # every gf p_l an A(n) term plugs in, l < n_max, composed once
     gfp = {l: compose(gf, p[l]) for l in range(2, n_max)}
-    V = d.source
     for n in range(2, n_max + 1):
         p_n = p[n]
         s_n = signs.sign_of(n)
@@ -193,7 +190,7 @@ def check_p_identity(p, retract):
         terms += [(-s_n, p_n, insert_slots(p_n, u, d)) for u in range(1, n + 1)]
         terms += [(-signs.sign_of(i * (l + 1) + n), p[k],
                    insert_slots(p[k], i, gfp[l])) for (k, l, i) in enum_A(n)]
-        report.add(n, map_sum(V, V, n, n - 3, terms))
+        report.add(n, map_sum(terms))
     return report
 
 
@@ -209,14 +206,13 @@ def check_q_identity(q, p, retract, mu):
     d, gf = retract.big.d, retract.gf
     # every gf q_r a B(n) term takes, r < n_max, composed once
     gfq = {r: compose(gf, q[r]) for r in range(1, n_max)}
-    V = d.source
     for n in range(2, n_max + 1):
         terms = [(1, d, [q[n]])]
         terms += [(signs.sign_of(signs.theta(parts)), p[k], [gfq[r] for r in parts])
                   for (k, parts) in enum_B(n)]
         terms += [(signs.sign_of(i * (l + 1) + n), q[k],
                    insert_slots(q[k], i, mu.mu(l))) for (k, l, i) in insertions(n)]
-        report.add(n, map_sum(V, V, n, n - 2, terms))
+        report.add(n, map_sum(terms))
     return report
 
 

@@ -325,18 +325,15 @@ def compare_hpl_vs_kernels(hpl, pkg):
 
 def _delta_slot_sum(outer, delta):
     """outer o (sum_u 1^{x u-1} x delta x 1^{x k-u}), k = outer's arity."""
-    return map_sum(outer.source, outer.target, outer.arity + delta.arity - 1,
-                   outer.degree + delta.degree,
-                   [(1, outer, insert_slots(outer, u, delta))
+    return map_sum([(1, outer, insert_slots(outer, u, delta))
                     for u in range(1, outer.arity + 1)])
 
 
 def _compose_with_homotopy(x, hhat, gfhat, n):
     """x o H_n for an arity-n x, H_n the homogeneity-n block of the
     homotopy lift: sum_a x o ((gf)^{x a} x h x 1^{x n-1-a})."""
-    sV = hhat.source
-    ident = MultiMap.identity(sV)
-    return map_sum(sV, x.target, n, x.degree + 1, [
+    ident = MultiMap.identity(hhat.source)
+    return map_sum([
         (1, x, [gfhat] * a + [hhat] + [ident] * (n - 1 - a))
         for a in range(n)])
 
@@ -360,8 +357,7 @@ def check_annihilation_lemmas(pkg):
     if not retract.is_harmonious:
         raise StructureError("annihilation identities assume the side conditions")
     ghat, hhat, gfhat = retract.ghat, retract.hhat, retract.gfhat
-    sV, sW = hhat.source, ghat.source
-    ident = MultiMap.identity(sV)
+    ident = MultiMap.identity(hhat.source)
     delta = pkg.smu.component
     report = CheckReport("annihilation")
     for n in range(2, pkg.truncation + 1):
@@ -377,13 +373,13 @@ def check_annihilation_lemmas(pkg):
         ys = [_delta_slot_sum(pkg.q_hat[n - i + 1], delta(i))
               for i in range(2, n + 1)]
         ghats = [ghat] * n
-        report.add("p-on-images-%d" % n, map_sum(sW, sV, n, -1, [
+        report.add("p-on-images-%d" % n, map_sum([
             (1, p_n, ghats)] + [(-1, y, ghats) for y in ys]))
-        report.add("q-through-homotopy-%d" % n, map_sum(sV, sV, n, 0, [(1, q_n)]
+        report.add("q-through-homotopy-%d" % n, map_sum([(1, q_n)]
             + [(-1, _compose_with_homotopy(y, hhat, gfhat, n)) for y in ys]))
         xs = [_delta_slot_sum(pkg.psiphi_hat[n - i + 1], delta(i))
               for i in range(2, n + 1)]
-        report.add("composite-reduction-%d" % n, map_sum(sV, sV, n, 0, [
+        report.add("composite-reduction-%d" % n, map_sum([
             (1, pkg.psiphi_hat[n]),
             (-1, hhat, [compose_product(p_n, [gfhat] * n)])]
             + [(-1, _compose_with_homotopy(x, hhat, gfhat, n)) for x in xs]))

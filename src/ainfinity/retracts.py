@@ -97,11 +97,10 @@ class Splitting:
     `c_pivots`), B_i the columns at the pivots out of i + 1, and H_i the
     kernel vectors at the pivot columns of [B_i | kernel] beyond B_i: each
     is the leftmost kernel vector outside the span of B_i and those before
-    it."""
+    it.  B_i lies in the kernel because d^2 = 0, which the complex checked
+    when it was built."""
 
     def __init__(self, cx):
-        if not cx.d_squared().is_zero():
-            raise StructureError("differential does not square to zero")
         V = cx.module
         field = V.field
         degrees = V.degrees()
@@ -178,10 +177,10 @@ def normalise(retract):
     The constructor re-checks gf - 1 = d h2 + h2 d exactly."""
     if not retract.side_conditions["fg"]:
         raise StructureError("normalise needs fg = 1")
-    V = retract.big.module
-    K = map_sum(V, V, 1, 0, [(1, MultiMap.identity(V)), (-1, retract.gf)])
+    K = map_sum([(1, MultiMap.identity(retract.big.module)),
+                 (-1, retract.gf)])
     h1 = compose(K, compose(retract.h, K))
-    h2 = map_sum(V, V, 1, 1, [(-1, h1, [compose(retract.big.d, h1)])])
+    h2 = map_sum([(-1, h1, [compose(retract.big.d, h1)])])
     return DeformationRetract(retract.big, retract.small, retract.f,
                               retract.g, h2)
 

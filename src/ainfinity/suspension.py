@@ -50,11 +50,10 @@ def desuspend_components(comps):
     x_n = (-1)^(n(n-1)/2) w_W o x^_n o s_V^{x n}."""
     out = {}
     for n, m in comps.items():
-        V, W = m.source.shifted(-1), m.target.shifted(-1)
-        w_W, s_V = MultiMap.shift(m.target, -1), MultiMap.shift(V, 1)
-        out[n] = map_sum(V, W, n, m.degree + n - 1, [
-            (signs.sign_of(signs.shift_exponent(n)), w_W,
-             [compose_product(m, [s_V] * n)])])
+        w_W = MultiMap.shift(m.target, -1)
+        s_V = MultiMap.shift(m.source.shifted(-1), 1)
+        out[n] = map_sum([(signs.sign_of(signs.shift_exponent(n)), w_W,
+                           [compose_product(m, [s_V] * n)])])
     return out
 
 

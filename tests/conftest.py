@@ -108,7 +108,6 @@ def crook(retract, c=None, k=None):
     self-map c of the small side and a degree +2 self-map k of the big side
     (either may be None): still a retract, with the same f and g, but in
     general off the side conditions fh = 0, hg = 0 and hh = 0."""
-    V = retract.big.module
     d = retract.big.d
     terms = [(1, retract.h)]
     if c is not None:
@@ -116,7 +115,7 @@ def crook(retract, c=None, k=None):
     if k is not None:
         terms += [(1, d, [k]), (-1, k, [d])]
     return DeformationRetract(retract.big, retract.small, retract.f,
-                              retract.g, map_sum(V, V, 1, 1, terms))
+                              retract.g, map_sum(terms))
 
 
 def crooked_retract(mu):

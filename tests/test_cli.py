@@ -283,6 +283,7 @@ def assert_malformed(obj, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 def _first_product_entry(obj):
@@ -310,6 +311,13 @@ def _comparison(obj, value):
                     "homotopy": {}, "comparison": "exact"}
     obj["transfer"] = dict(json.loads(serialize(doc))["transfer"],
                            comparison=value)
+
+
+def _transfer_block(obj, edit):
+    """Give the mod-p document the transfer block `_comparison` gives it,
+    then `edit` that block in place."""
+    _comparison(obj, "exact")
+    edit(obj["transfer"])
 
 
 def _rational_scalar(obj, text):
@@ -351,6 +359,34 @@ MALFORMED_EDITS = {
     "truncation-oversized": lambda obj: obj.update(truncation=10 ** 9),
     "degree-5000-digits": lambda obj: obj["modules"]["V"]["dims"].update(
         {"1" + "0" * 4999: 1}),
+    "inputs-short": lambda obj: _first_product_entry(obj).update(
+        inputs=_first_product_entry(obj)["inputs"][:1]),
+    "inputs-duplicated": lambda obj: obj["structure"]["products"]["2"].append(
+        _first_product_entry(obj)),
+    "output-basis-duplicated": lambda obj: _first_product_entry(obj)[
+        "output"].append(_first_product_entry(obj)["output"][0]),
+    "transfer-family-array": lambda obj: _transfer_block(
+        obj, lambda block: block.update(phi=[])),
+    "transfer-arity-above-truncation": lambda obj: _transfer_block(
+        obj, lambda block: block["phi"].update({"6": []})),
+    "rational-with-p": lambda obj: obj.update(field="rational"),
+    "mod-p-without-p": lambda obj: obj.pop("p"),
+    "transfer-without-structure": lambda obj: _transfer_block(
+        obj, lambda block: obj.pop("structure")),
+}
+
+# the refusal each edit above it must reach, where its name alone does not
+# show which check of docio refuses it
+MALFORMED_MESSAGES = {
+    "inputs-short": "structure.products[2][0]: expected 2 inputs",
+    "inputs-duplicated": "structure.products[2][4]: duplicate input tuple",
+    "output-basis-duplicated": "structure.products[2][0]: duplicate output "
+                               "basis",
+    "transfer-family-array": "transfer.phi: expected arity -> entries",
+    "transfer-arity-above-truncation": "transfer.phi: arity 6 outside 1..5",
+    "rational-with-p": "field 'rational' takes no p",
+    "mod-p-without-p": "field 'mod-p' needs p",
+    "transfer-without-structure": "transfer block requires a structure block",
 }
 
 
@@ -361,8 +397,9 @@ def test_malformed_map_entry_or_key_exits_two(tmp_path, capsys, name):
     obj = mod_p_object()
     MALFORMED_EDITS[name](obj)
     start = time.perf_counter()
-    assert_malformed(obj, tmp_path, capsys)
+    err = assert_malformed(obj, tmp_path, capsys)
     assert time.perf_counter() - start < 1.0
+    assert err.startswith("parse error: " + MALFORMED_MESSAGES.get(name, ""))
 
 
 def test_module_size_is_bounded_by_name():
@@ -428,6 +465,52 @@ def test_a_file_that_is_no_document_exits_two(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
     assert captured.err.count("\n") == 1
+
+
+# edits whose refusal quotes an offending value of 4,000 to 340,000 bytes
+LONG_REFUSALS = {
+    "basis-reference-50000-ints": lambda obj: _first_product_entry(obj).update(
+        inputs=[list(range(50000))] * 2),
+    "unknown-fields-20000": lambda obj: obj.update(
+        {"x%05d" % i: 0 for i in range(20000)}),
+    "format-100000-chars": lambda obj: obj.update(format="f" * 100000),
+    "field-tag-100000-chars": lambda obj: obj.update(field="f" * 100000),
+    "module-name-100000-chars": lambda obj: obj["structure"].update(
+        module="M" * 100000),
+    "dimension-100000-chars": lambda obj: obj["modules"]["V"]["dims"].update(
+        {"0": "9" * 100000}),
+    "degree-5000-digits": MALFORMED_EDITS["degree-5000-digits"],
+    "scalar-4000-chars": lambda obj: _mod_p_scalar(obj, "x" * 4000),
+    "modulus-4000-digits": lambda obj: obj.update(p=10 ** 3999),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_REFUSALS))
+def test_a_refusal_line_is_bounded(tmp_path, capsys, name):
+    """A refusal whose message runs past 1,024 bytes is cut there: exit 2
+    within a second, one stderr line of at most 1,024 bytes, nothing on
+    stdout.  The line keeps the head of the message, its location
+    included, and ends with the message's full length."""
+    obj = mod_p_object()
+    LONG_REFUSALS[name](obj)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DocumentError) as refused:
+        parse(path.read_text())
+    message = "parse error: %s" % refused.value
+    size = len(message.encode("utf-8"))
+    assert size > 1024
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, newline, rest = captured.err.partition("\n")
+    assert (newline, rest) == ("\n", "")
+    assert len(line.encode("utf-8")) <= 1024
+    assert line.endswith(" ... (cut from %d bytes)" % size)
+    assert message.startswith(line[:line.rindex(" ... (cut from ")])
+    assert len(line) > 900
 
 
 def witness_transfer_object(tmp_path, capsys):

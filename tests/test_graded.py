@@ -1,5 +1,6 @@
 """Core layer: exact scalars, graded modules, Koszul signs, block evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from ainfinity.fields import (MODULUS_BOUND, QQ, FieldError, PrimeField,
                               _is_prime)
-from ainfinity.graded import (GradedModule, MultiMap, StructureError,
-                              component_table, compose, compose_product,
-                              insert_slots, map_sum)
+from ainfinity.graded import (ChainComplex, GradedModule, MultiMap,
+                              StructureError, component_table, compose,
+                              compose_product, insert_slots, map_sum)
 from conftest import (image, pair_table, random_multimap, seeded,
                       two_dim_complex)
 from reference import per_word_composite, scaled, tensor_table
@@ -376,16 +377,40 @@ def test_map_sum_of_signed_composites_matches_oracle(case, sign):
     shape = (inners[0].source, outer.target, sum(m.arity for m in inners),
              outer.degree + sum(m.degree for m in inners))
     term = (sign, outer, inners)
-    got = map_sum(*shape, [term])
+    got = map_sum([term])
+    assert (got.source, got.target, got.arity, got.degree) == shape
     assert got.table == {w: {b: sign * c for b, c in vec.items()}
                          for w, vec in per_word_composite(outer, inners).items()}
     # a term and its negative cancel to the zero map, in either form
-    assert map_sum(*shape, [term, (-sign, outer, inners)]).table == {}
-    assert map_sum(*shape, [term, (-1, got)]).table == {}
-    zero = map_sum(*shape, [])
-    assert zero.table == {}
-    assert (zero.source, zero.target, zero.arity, zero.degree) == shape
+    assert map_sum([term, (-sign, outer, inners)]).table == {}
+    assert map_sum([term, (-1, got)]).table == {}
+    # a sum reads its shape off its first term: with none it has no shape,
+    # and a term of another shape is refused, composite or map
+    with pytest.raises(StructureError, match="no terms"):
+        map_sum([])
     source, target, arity, degree = shape
-    for bad in ([term], [(sign, got)]):
-        with pytest.raises(StructureError):
-            map_sum(source, target, arity, degree + 1, bad)
+    other = MultiMap.zero(source, target, arity, degree + 1)
+    for bad in ([term, (sign, other)], [(sign, other), term],
+                [(sign, other), (sign, got)]):
+        with pytest.raises(StructureError, match="two shapes"):
+            map_sum(bad)
+
+
+@pytest.mark.parametrize("field,offender", [(QQ, "((2, 0),)"),
+                                            (PrimeField(5), "((2, 1),)")],
+                         ids=["Q", "Z5"])
+def test_chain_complex_refuses_a_differential_that_does_not_square_to_zero(
+        field, offender):
+    """d c0 = b0 + b1, d c1 = b0, d b0 = a and d b1 = 4a: d^2 c0 = 5a
+    vanishes over Z/5 only, d^2 c1 = a over both fields, so the complex is
+    refused at the first word of d o d that is nonzero in its field."""
+    V = GradedModule({0: 1, 1: 2, 2: 2}, field)
+    one = field.one
+    a, b0, b1, c0, c1 = (0, 0), (1, 0), (1, 1), (2, 0), (2, 1)
+    table = {(b0,): {a: one}, (b1,): {a: 4 * one}}
+    ChainComplex(V, MultiMap(V, V, 1, -1, table))  # d^2 = 0: accepted
+    table.update({(c0,): {b0: one, b1: one}, (c1,): {b0: one}})
+    with pytest.raises(StructureError, match="^%s$" % re.escape(
+            "differential does not square to zero: first offender "
+            + offender)):
+        ChainComplex(V, MultiMap(V, V, 1, -1, table))

@@ -1,7 +1,8 @@
 """No module imports a name it never uses, the package defines nothing
 that nothing names, the tests' oracles share no library evaluator, no
 checker reaches the builder it checks, no parameter restates a
-truncation its inputs carry, and no value is changed after it is built.
+truncation its inputs carry, no value is changed after it is built, and
+only `cli.main` writes to the standard streams.
 
 AST scans of every module of the package and of the test suite: a name
 bound by an import statement (at any depth) must be read somewhere in the
@@ -11,9 +12,10 @@ calls by protocol) must be named somewhere in the package, the tests or
 the benchmark besides its own definition; `tests/reference.py` reaches
 none of the library's evaluators; the package's call closure keeps each
 library checker off a pinned set of builders; no parameter named like
-a truncation is left but those a pinned allowlist gives a reason for; and
-no function but an `__init__` assigns an attribute, but those another
-pinned allowlist gives a reason for.
+a truncation is left but those a pinned allowlist gives a reason for; no
+function but an `__init__` assigns an attribute, but those another
+pinned allowlist gives a reason for; and in `cli` only `main` reads
+`sys.stdout` or `sys.stderr`.
 """
 
 import ast
@@ -471,3 +473,47 @@ def test_no_value_is_changed_after_it_is_built():
     # every entry still names a writer
     assert {q if q in ATTRIBUTE_WRITERS else q.rpartition(".")[0]
             for q in found} == set(ATTRIBUTE_WRITERS)
+
+
+STREAMS = {"stdout", "stderr"}
+
+
+def stream_writers(source):
+    """The top-level definitions of `source` ("<module>" for code outside
+    any) that touch a standard stream: read `sys.stdout` or `sys.stderr`,
+    import either from sys, or call `print`; sorted."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr in STREAMS
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "sys")
+                    or (isinstance(node, ast.ImportFrom)
+                        and node.module == "sys"
+                        and any(a.name in STREAMS for a in node.names))
+                    or (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "print")):
+                found.add(getattr(top, "name", "<module>"))
+    return sorted(found)
+
+
+def test_stream_scan_flags_a_command_that_writes():
+    synthetic = ("import sys\nfrom sys import stderr\n\n"
+                 "def report():\n    print('x')\n\n"
+                 "class Box:\n    def show(self):\n"
+                 "        sys.stdout.write('x')\n\n"
+                 "def main():\n    return sys.exit(0)\n")
+    assert stream_writers(synthetic) == ["<module>", "Box", "report"]
+    cli = (ROOT / "src" / "ainfinity" / "cli.py").read_text()
+    old = '        out.note("all checks passed at truncation %d" % doc.truncation)\n'
+    assert cli.count(old) == 1
+    writing = cli.replace(old, old + "    sys.stdout.write(out.render())\n")
+    assert stream_writers(writing) == ["cmd_check", "main"]
+
+
+def test_only_main_writes_the_standard_streams():
+    """Each command returns its report and raises its refusal, and `main`
+    writes the one to stdout and the other, bounded, to stderr."""
+    cli = (ROOT / "src" / "ainfinity" / "cli.py").read_text()
+    assert stream_writers(cli) == ["main"]
