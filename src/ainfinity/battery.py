@@ -11,12 +11,12 @@ paths, so a sign defect anywhere breaks an agreement entry.
 The homotopy ties psi phi to the identity morphism, as `kernels.transfer`
 builds it, so the operator-level identity is E - 1 - (H dV + dV H) = 0 on
 T^{<=N}(sV).  Each operator-level identity is one `coalgebra.operator_sum`
-of its terms, composites included (dW F - F dV for the morphism), summed
-one output block at a time.  The identity's 1 is
-`CoalgebraOperator.identity`, read through views, not the lift of a dense
-identity table; the battery refuses a homotopy whose right flank is not
-the identity family.  The componentwise check
-still reads that flank's components, so the two routes stay disjoint.
+of its signed terms, composites included ([(1, dW, F), (-1, F, dV)] for
+the morphism's dW F - F dV), summed one output block at a time.  The
+identity's 1 is `CoalgebraOperator.identity`, read through views, not the
+lift of a dense identity table; the battery refuses a homotopy whose right
+flank is not the identity family.  The componentwise check still reads
+that flank's components, so the two routes stay disjoint.
 Five operators are lifted: dV, dW, phi, E and H.
 """
 
@@ -57,7 +57,7 @@ def equivalence_battery(pkg):
     phi_fam = suspend_morphism(pkg.phi)
     comp = check_morphism_components(phi_fam, smu, snu)
     F = lift_morphism(phi_fam)
-    op = operator_sum(plus=[(dW, F)], minus=[(F, dV)])
+    op = operator_sum([(1, dW, F), (-1, F, dV)])
     del F
     report.add("morphism-components", comp)
     report.add("morphism-operator", op)
@@ -68,8 +68,8 @@ def equivalence_battery(pkg):
     comp = check_homotopy_components(hom_fam, smu, smu)
     E = lift_morphism(hom_fam.left)
     H = lift_homotopy(hom_fam, E)
-    op = operator_sum(plus=[E], minus=[CoalgebraOperator.identity(sV, N),
-                                       (H, dV), (dV, H)])
+    op = operator_sum([(1, E), (-1, CoalgebraOperator.identity(sV, N)),
+                       (-1, H, dV), (-1, dV, H)])
     report.add("homotopy-components", comp)
     report.add("homotopy-operator", op)
     report.add("homotopy-agreement", BoolResidual(comp.ok == op.is_zero()))

@@ -5,8 +5,9 @@ Reports are structured text: a machine-readable key=value section, then
 `---`, then human-readable detail.  Output is deterministic byte-for-byte
 under fixed inputs and seed.  Exit codes: 0 success, 1 mathematical check
 failure, 2 input/parse error.  Each command returns its report or raises
-its refusal, and `main` alone writes: the report to stdout, the refusal,
-cut to one bounded line, to stderr.
+its refusal, and `main` alone writes: the report to stdout, each machine
+line cut to a bounded length, and the refusal, cut to one bounded line,
+to stderr.
 """
 
 import argparse
@@ -36,19 +37,19 @@ class Refused(Exception):
     stderr, cut by `_bounded`, and exits 2."""
 
 
-# The longest refusal message `main` writes, in bytes of UTF-8: a message
-# quotes the offending value, which may be a document's whole field.
-MAX_REFUSAL_BYTES = 1024
+# The longest refusal message or machine report line `main` writes, in
+# bytes of UTF-8: either may quote a document's whole field.
+MAX_LINE_BYTES = 1024
 
 
 def _bounded(text):
     """`text`, or its head with its full length in bytes stated when it is
-    longer than MAX_REFUSAL_BYTES; the result is never longer."""
+    longer than MAX_LINE_BYTES; the result is never longer."""
     data = text.encode("utf-8", "backslashreplace")
-    if len(data) <= MAX_REFUSAL_BYTES:
+    if len(data) <= MAX_LINE_BYTES:
         return text
     tail = " ... (cut from %d bytes)" % len(data)
-    return data[:MAX_REFUSAL_BYTES - len(tail)].decode("utf-8", "ignore") + tail
+    return data[:MAX_LINE_BYTES - len(tail)].decode("utf-8", "ignore") + tail
 
 
 def _refuse(text):
@@ -73,7 +74,7 @@ class ReportWriter:
         self.failed = False
 
     def line(self, text):
-        self.machine.append(text)
+        self.machine.append(_bounded(text))
 
     def note(self, text):
         self.human.append(text)
@@ -222,7 +223,7 @@ def cmd_transfer(args):
         else:
             retract = _build_retract(doc)
             small_name = doc.retract["small"]
-    except (StructureError, DocumentError) as exc:
+    except StructureError as exc:
         out.line("retract.valid=false")
         out.fail("retract invariant violated: %s" % exc)
         return out

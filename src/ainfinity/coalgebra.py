@@ -66,17 +66,19 @@ and 9,330 rows for G on each dimension-6 corpus instance at N = 5.
 Every operator is built inside this package (lifts, sums, composites,
 restrictions), so `CoalgebraOperator` has one constructor, which trusts its
 blocks to be homogeneous, reduced and free of zero entries.  Every sum of
-operators and composites is one `operator_sum`, and `CoalgebraOperator`'s
-`compose`, `+` and `-` are calls of it.  It sums one output block at a
-time: the reads of block (m, j) are gathered first (an operand's own
-block, and each meeting of a composite's inner block (m, k) with its outer
-block (k, j)), then summed into one fresh table, so a residual of several
-terms copies no partial sum and no composite is built on its own.  A
-composite has the one truncation of its two operands: operators known to
-different truncations are refused, never clipped.  Operators never change
+operators and composites is one `operator_sum` of signed terms, in the
+form `graded.map_sum` takes: (sign, op), or (sign, outer, inner) for
+outer o inner; `CoalgebraOperator`'s `compose` and `+` are calls of it.
+It sums one output block at a time: the reads of block (m, j) are
+gathered first (an operand's own block, and each meeting of a composite's
+inner block (m, k) with its outer block (k, j)), then summed into one
+fresh table, so a residual of several terms copies no partial sum and no
+composite is built on its own.  A composite has the one truncation of its
+two operands: operators known to different truncations are refused,
+never clipped.  Operators never change
 once built, so they may share block tables: a block whose one read is a
-block of an operand in `plus` is that very table, and a sum writes only
-into tables it created.
+block of a plain operand of sign +1 is that very table, and a sum writes
+only into tables it created.
 
 Componentwise relation checks mirror the operator-level identities
 (square zero / intertwining / homotopy identity): each is one sum over the
@@ -179,14 +181,11 @@ class CoalgebraOperator:
                 and self.degree == other.degree and self.trunc == other.trunc)
 
     def __add__(self, other):
-        return operator_sum(plus=[self, other])
-
-    def __sub__(self, other):
-        return operator_sum(plus=[self], minus=[other])
+        return operator_sum([(1, self), (1, other)])
 
     def compose(self, other):
         """self o other (apply `other` first)."""
-        return operator_sum(plus=[(self, other)])
+        return operator_sum([(1, self, other)])
 
     def __eq__(self, other):
         return (isinstance(other, CoalgebraOperator) and self.same_shape(other)
@@ -271,34 +270,41 @@ def _meetings(outer, inner):
 
 
 def _shape(term):
-    if isinstance(term, tuple):
-        outer, inner = term
-        return (inner.source, outer.target, outer.degree + inner.degree,
-                inner.trunc)
-    return (term.source, term.target, term.degree, term.trunc)
+    """(source, target, degree, trunc) of a term (sign, op) or (sign, outer,
+    inner): outer o inner runs from inner's source to outer's target, at
+    the sum of their degrees and at inner's truncation (`_meetings` refuses
+    an outer of another)."""
+    outer, inner = term[1], term[-1]
+    return (inner.source, outer.target, sum(op.degree for op in term[1:]),
+            inner.trunc)
 
 
-def operator_sum(plus=(), minus=()):
-    """sum(plus) - sum(minus), summed one output block at a time.  A term is
-    an operator, or a pair (outer, inner) standing for outer o inner, which
-    is never built on its own: block (m, k) of `inner` meets block (k, j) of
-    `outer` in block (m, j) (`_meetings`).  All terms must have the shape
-    of the first.  The reads of each block are gathered first, in the order
-    of the terms: an operator's own block, and each meeting of a composite
-    that lands there.  A block whose one read is a block of an operator in
-    `plus` is that very table, shared with the sum; any other block is a
-    fresh table that its reads are summed into, kept only if nonzero."""
-    terms = [(t, False) for t in plus] + [(t, True) for t in minus]
-    shape = _shape(terms[0][0])
+def operator_sum(terms):
+    """The signed sum of `terms`, summed one output block at a time: the one
+    sum of operators.  A term is (sign, op), or (sign, outer, inner) standing
+    for outer o inner, which is never built on its own: block (m, k) of
+    `inner` meets block (k, j) of `outer` in block (m, j) (`_meetings`);
+    sign is +1 or -1, as in `graded.map_sum`.  The sum has the shape of its
+    first term, and every other term must have that shape; an empty list
+    raises, since it has none.  The reads of each block are gathered first,
+    in the order of the terms: an operand's own block, and each meeting of
+    a composite that lands there.  A block whose one read is a block of a
+    plain operand of sign +1 is that very table, shared with the sum; any
+    other block is a fresh table that its reads are summed into, kept only
+    if nonzero."""
+    if not terms:
+        raise StructureError("operator_sum: no terms, so no shape")
+    shape = _shape(terms[0])
     reads = {}
-    for term, negate in terms:
+    for term in terms:
         if _shape(term) != shape:
-            raise StructureError("operator shape mismatch")
-        if isinstance(term, tuple):
-            for key, table, mine in _meetings(*term):
+            raise StructureError("operator_sum: terms of two shapes")
+        negate = term[0] < 0
+        if len(term) == 3:
+            for key, table, mine in _meetings(term[1], term[2]):
                 reads.setdefault(key, []).append((table, mine, negate))
         else:
-            for key, table in term.blocks.items():
+            for key, table in term[1].blocks.items():
                 reads.setdefault(key, []).append((table, None, negate))
     p = shape[1].field.characteristic
     blocks = {}

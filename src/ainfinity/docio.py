@@ -3,7 +3,8 @@
 
 Strict by design: the format version field is mandatory, unknown fields are
 rejected, every referenced basis element must exist and every map entry must
-be homogeneous (the map constructors enforce that), and no module may
+be homogeneous (the map constructors enforce that), no module name may
+hold a control character (below U+0020, or U+007F), and no module may
 declare more than `MAX_MODULE_DIM` basis elements, nor the document a
 truncation above `MAX_TRUNCATION`.  Serialization sorts
 everything, so parse -> serialize -> parse is the identity and output is
@@ -277,6 +278,9 @@ def parse(text):
     if not isinstance(obj["modules"], dict) or not obj["modules"]:
         raise DocumentError("modules: expected a non-empty object")
     for name, spec in obj["modules"].items():
+        # checked before any message quotes the name, which reports print
+        if re.search(r"[\x00-\x1f\x7f]", name):
+            raise DocumentError("modules: control character in name %r" % name)
         where = "modules[%s]" % name
         _expect_keys(spec, ["dims"], [], where)
         if not isinstance(spec["dims"], dict):

@@ -28,10 +28,11 @@ operand row by row and looks the outer one up only at the words reached,
 so the dense homotopy lift H is walked once, in M = dmu H, and A itself
 is never built.  Every
 residual of two or more terms, every output and the series S are each one
-`coalgebra.operator_sum`, summed one output block at a time into a fresh
+`coalgebra.operator_sum` of signed terms, (sign, op) or (sign, outer,
+inner) for outer o inner, summed one output block at a time into a fresh
 table, so no partial sum is copied; a block whose one read is a block of
-an operand being added is that operand's table, shared, not copied: H_out
-holds H's diagonal blocks, phi F's and psi G's.
+a plain operand of sign +1 is that operand's table, shared, not copied:
+H_out holds H's diagonal blocks, phi F's and psi G's.
 
 What is verified: the perturbed target coderivation DW = dW + delta_nu
 squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
@@ -145,8 +146,8 @@ class PerturbationData:
             for n in range(1, trunc + 1):
                 if n not in alive:
                     self.nilpotency.setdefault(n, i)
-        self.S = (operator_sum(plus=powers[:-1]) if trunc > 1 else
-                  CoalgebraOperator(sV, sV, 0, trunc, {}))
+        self.S = (operator_sum([(1, power) for power in powers[:-1]])
+                  if trunc > 1 else CoalgebraOperator(sV, sV, 0, trunc, {}))
 
     def verify_nilpotency(self):
         """Check that dmu strictly lowers homogeneity, from its block keys,
@@ -203,12 +204,12 @@ def hpl_transfer(retract, mu):
     reports["inversion"] = series_inversion_report(M, S)
 
     F, G, H = data.F, data.G, data.H
-    AG = operator_sum(plus=[dmuG, (S, dmuG)])
+    AG = operator_sum([(1, dmuG), (1, S, dmuG)])
     outputs = {
         "delta_nu": F.compose(AG),
-        "psi": operator_sum(plus=[G, (H, AG)]),
-        "phi": operator_sum(plus=[F, (F, S)]),
-        "homotopy": operator_sum(plus=[H, (H, S)]),
+        "psi": operator_sum([(1, G), (1, H, AG)]),
+        "phi": operator_sum([(1, F), (1, F, S)]),
+        "homotopy": operator_sum([(1, H), (1, H, S)]),
     }
     families = extract_outputs(data, outputs)
     reports["colinearity"] = colinearity_report(outputs, families)
@@ -268,8 +269,8 @@ def series_inversion_report(M, S):
     right (1 - M)(1 + S) - 1 = S - M - M S, left (1 + S)(1 - M) - 1
     = S - M - S M."""
     report = CheckReport("series-inversion")
-    report.add("right", operator_sum(plus=[S], minus=[M, (M, S)]))
-    report.add("left", operator_sum(plus=[S], minus=[M, (S, M)]))
+    report.add("right", operator_sum([(1, S), (-1, M), (-1, M, S)]))
+    report.add("left", operator_sum([(1, S), (-1, M), (-1, S, M)]))
     return report
 
 

@@ -513,6 +513,58 @@ def test_a_refusal_line_is_bounded(tmp_path, capsys, name):
     assert len(line) > 900
 
 
+def _renamed(obj, name):
+    """`obj` with its one module, V, named `name` in both places it is
+    named."""
+    obj["modules"] = {name: obj["modules"].pop("V")}
+    obj["structure"]["module"] = name
+    return obj
+
+
+@pytest.mark.parametrize("name", ["V\nstatus=ok", "V\rstatus=ok", "V\x00",
+                                  "\x1f", "V\x7f"],
+                         ids=["newline", "return", "nul", "unit-sep", "del"])
+def test_a_module_name_with_a_control_character_exits_two(tmp_path, capsys,
+                                                          name):
+    """A module name is printed in a report's machine section, so one that
+    holds a line break could forge a line: a document whose structure fails
+    its relations on a module named "V\nstatus=ok" would print status=ok
+    after status=fail.  A name with a character below U+0020 or U+007F is
+    refused as it is parsed, quoted by %r: exit 2 within a second, one
+    stderr line and nothing on stdout."""
+    obj = _renamed(mod_p_object(), name)
+    # m_2(x, d y) for x = (1, 0), y = (3, 1), with d(m_2(x, y)) = 0
+    obj["structure"]["products"]["2"].append(
+        {"inputs": [[1, 0], [2, 1]], "output": [[[3, 0], "1"]]})
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: modules: control character in name "
+                            "%r\n" % name)
+
+
+def test_a_report_line_is_bounded(tmp_path, capsys):
+    """A report quotes a module name whole in its machine section; a line
+    longer than 1,024 bytes is cut there, as a refusal is, with its full
+    length stated, and the document still checks out."""
+    name = "M" * 100000
+    path = tmp_path / "long-name.json"
+    path.write_text(json.dumps(_renamed(mod_p_object(), name)))
+    assert main(["check", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert max(len(line.encode("utf-8")) for line in lines) <= 1024
+    (line,) = [line for line in lines if line.startswith("structure.module=")]
+    assert line.startswith("structure.module=MMMM")
+    assert line.endswith(" ... (cut from %d bytes)"
+                         % len("structure.module=" + name))
+
+
 def witness_transfer_object(tmp_path, capsys):
     """The document `transfer --method kernels --retract auto` writes for
     the witness at truncation 3, as a JSON object: it names a module at each

@@ -205,7 +205,8 @@ def test_lift_residual_is_zero_exactly_on_the_lift(fam):
     op = LIFTS[fam.kind](fam)
     assert lift_residual(op, fam).is_zero()
     for _, bad in corrupted(op):
-        assert lift_residual(bad, fam).is_zero() == (op - bad).is_zero()
+        assert (lift_residual(bad, fam).is_zero()
+                == operator_sum([(1, op), (-1, bad)]).is_zero())
 
 
 def per_word_row(terms, word, p):
@@ -407,7 +408,7 @@ def test_componentwise_intertwining_identity_family():
     ident_fam = ComponentFamily.identity(V, TRUNC)
     assert check_morphism_components(ident_fam, dfam, dfam).ok
     F, D = lift_morphism(ident_fam), lift_coderivation(dfam)
-    assert operator_sum(plus=[(D, F)], minus=[(F, D)]).is_zero()
+    assert operator_sum([(1, D, F), (-1, F, D)]).is_zero()
 
 
 def test_componentwise_homotopy_trivial_case():
@@ -421,7 +422,7 @@ def test_componentwise_homotopy_trivial_case():
     assert check_homotopy_components(zero_h, dfam, dfam).ok
     H, E = lift_homotopy(zero_h), lift_morphism(ident_fam)
     D = lift_coderivation(dfam)
-    assert operator_sum(plus=[E], minus=[E, (H, D), (D, H)]).is_zero()
+    assert operator_sum([(1, E), (-1, E), (-1, H, D), (-1, D, H)]).is_zero()
 
 
 def test_composition_formula_matches_operator_composition():
@@ -454,7 +455,7 @@ def test_operator_arithmetic_and_identity():
     V = small_module()
     ident = CoalgebraOperator.identity(V, 3)
     assert ident.compose(ident) == ident
-    zero = ident - ident
+    zero = operator_sum([(1, ident), (-1, ident)])
     assert zero.is_zero()
     assert ident + zero == ident
 
@@ -501,7 +502,7 @@ def test_operators_of_two_truncations_are_not_composed(field):
             outer.compose(inner)
         with pytest.raises(StructureError,
                            match=message % (outer.trunc, inner.trunc)):
-            operator_sum(plus=[inner, (outer, inner)])
+            operator_sum([(1, inner), (1, outer, inner)])
     assert short.compose(short) == short
 
 
@@ -585,12 +586,12 @@ def random_lifts(field):
 
 def assert_minus_only_blocks_negated(D):
     """D restricted to homogeneity 3, minus D: every other block of D is
-    read only by D, in `minus`, and is its negation, in a table of the
+    read only by D, of sign -1, and is its negation, in a table of the
     sum's own.  The sum is looked up on its module, where the mutation
     suite binds its mutants."""
     p = D.source.field.characteristic
     top = restricted_to(D, 3)
-    rest = coalgebra.operator_sum(plus=[top], minus=[D])
+    rest = coalgebra.operator_sum([(1, top), (-1, D)])
     assert rest.blocks == {
         key: {w: {o: -c % p if p else -c for o, c in row.items()}
               for w, row in table.items()}
@@ -603,25 +604,28 @@ def assert_minus_only_blocks_negated(D):
 def test_operator_sum_matches_per_word_composite(field):
     """Composites summed by `operator_sum` against word-by-word evaluation,
     on lifts of random families with components of arity 1..3, added twice
-    and then taken away once through `minus`; a block only an operand in
-    `minus` has is its negation, in a table of the sum's own; sums that
-    cancel leave no empty row or block, and terms of another shape are
-    refused."""
+    and then taken away once with sign -1; a block only an operand of sign
+    -1 has is its negation, in a table of the sum's own; sums that cancel
+    leave no empty row or block, and terms of another shape, or no terms
+    at all, are refused."""
     D, F, G, H = random_lifts(field)
     for outer, inner in [(D, F), (F, D), (H, D), (D, H), (F, G), (H, H)]:
         expected = per_word_composite(outer, inner)
         assert expected
         assert outer.compose(inner).blocks == expected
-        twice = operator_sum(plus=[(outer, inner), (outer, inner)])
+        twice = operator_sum([(1, outer, inner), (1, outer, inner)])
         assert twice.blocks == per_word_composite(outer + outer, inner)
-        assert operator_sum(plus=[(outer, inner), (outer, inner)],
-                            minus=[(outer, inner)]).blocks == expected
+        assert operator_sum([(1, outer, inner), (1, outer, inner),
+                             (-1, outer, inner)]).blocks == expected
     assert_minus_only_blocks_negated(D)
-    assert operator_sum(plus=[(D, F), D], minus=[D, (D, F)]).blocks == {}
-    assert (operator_sum(plus=[(D, F)], minus=[(F, D)])
-            == D.compose(F) - F.compose(D))
-    with pytest.raises(StructureError):
-        operator_sum(plus=[(D, F), F])
+    assert operator_sum([(1, D, F), (1, D), (-1, D),
+                         (-1, D, F)]).blocks == {}
+    assert (operator_sum([(1, D, F), (-1, F, D)])
+            == operator_sum([(1, D.compose(F)), (-1, F.compose(D))]))
+    with pytest.raises(StructureError, match="terms of two shapes"):
+        operator_sum([(1, D, F), (1, F)])
+    with pytest.raises(StructureError, match="no terms, so no shape"):
+        operator_sum([])
 
 
 def test_operator_sum_copies_a_block_a_composite_lands_in():
@@ -637,7 +641,7 @@ def test_operator_sum_copies_a_block_a_composite_lands_in():
         {n: random_multimap(rng, V, V, n, 0) for n in range(1, 4)}, TRUNC))
     before = {key: {w: dict(v) for w, v in t.items()}
               for key, t in D.blocks.items()}
-    total = operator_sum(plus=[D, (F, restricted_to(D, 3))])
+    total = operator_sum([(1, D), (1, F, restricted_to(D, 3))])
     # the blocks where D's (3, k) blocks meet F's (k, j) blocks, whatever
     # the composite leaves in them
     contested = {(3, j) for (m, k) in D.blocks if m == 3
@@ -646,4 +650,5 @@ def test_operator_sum_copies_a_block_a_composite_lands_in():
     for key, table in D.blocks.items():
         assert (total.blocks.get(key) is table) == (key not in contested), key
     assert D.blocks == before
-    assert (total - D).blocks == per_word_composite(F, restricted_to(D, 3))
+    assert (operator_sum([(1, total), (-1, D)]).blocks
+            == per_word_composite(F, restricted_to(D, 3)))

@@ -64,7 +64,7 @@ change that moves detection shows up in review.
 
 One mutant of `coalgebra.operator_sum` is pinned outside that list, as no
 detector reaches it: sharing, unnegated, a block whose one read is an
-operand in `minus` (`MINUS_BLOCK_SHARED`).  It flips the sign of a whole
+operand of sign -1 (`MINUS_BLOCK_SHARED`).  It flips the sign of a whole
 block of a residual that is nonzero anyway, and every operator-level
 report reads a residual only through `is_zero`, its entry counts and its
 first word, none of which sees that sign.  The unit case that fixes the
@@ -225,7 +225,8 @@ def colinearity_blind(field=None):
                     return True
                 own = coalgebra.extract_components(
                     bad, valid.kind, left=valid.left, right=valid.right)
-                relift = getattr(coalgebra, LIFT_OF[key])(own) - bad
+                relift = coalgebra.operator_sum(
+                    [(1, getattr(coalgebra, LIFT_OF[key])(own)), (-1, bad)])
                 if (coalgebra.lift_residual(bad, own).is_zero()
                         != relift.is_zero()):
                     return True
@@ -416,12 +417,12 @@ STRUCTURAL_MUTANTS = {
         "families = extract_outputs(data, outputs)"),
     "hpl-phi-series-uses-M": (
         perturbation, "hpl_transfer",
-        "(F, S)",
-        "(F, M)"),
+        "(1, F, S)",
+        "(1, F, M)"),
     "hpl-AG-drops-series-term": (
         perturbation, "hpl_transfer",
-        "operator_sum(plus=[dmuG, (S, dmuG)])",
-        "operator_sum(plus=[dmuG])"),
+        "operator_sum([(1, dmuG), (1, S, dmuG)])",
+        "operator_sum([(1, dmuG)])"),
     "lift-residual-passes-absent-block": (
         coalgebra, "lift_residual",
         "_lift_splits(blocks, comps, right, left, n, k, one), got, p)",
@@ -502,7 +503,7 @@ STRUCTURAL_MUTANTS = {
         "MultiMap.zero(source, target, n, 1 +"),
 }
 
-# a block whose one read is an operand in `minus`, shared without its sign
+# a block whose one read is an operand of sign -1, shared without its sign
 MINUS_BLOCK_SHARED = (coalgebra, "operator_sum",
                       "mine is None and not negate:", "mine is None:")
 
@@ -718,7 +719,7 @@ def test_series_cut_to_M_is_caught_by_inversion_and_colinearity(
 
 
 def test_minus_only_block_sign_is_left_to_the_unit_case(monkeypatch):
-    """With a block only an operand in `minus` reads shared unnegated, no
+    """With a block only an operand of sign -1 reads shared unnegated, no
     detector flags the code over Q or Z/5: such a block appears only in
     residuals that are nonzero whatever its sign, and no report reads that
     sign.  The unit case of `operator_sum` fails under the mutant, over Q

@@ -94,8 +94,9 @@ def test_series_inversion_residuals_against_identity():
     M = S = data.M
     report = series_inversion_report(M, S)
     ident = CoalgebraOperator.identity(data.sV, 4)
-    right = (ident - M).compose(ident + S) - ident
-    left = (ident + S).compose(ident - M) - ident
+    one_minus_M = operator_sum([(1, ident), (-1, M)])
+    right = operator_sum([(1, one_minus_M, ident + S), (-1, ident)])
+    left = operator_sum([(1, ident + S, one_minus_M), (-1, ident)])
     assert report.residuals["right"] == right
     assert report.residuals["left"] == left
     assert not report.ok
@@ -611,12 +612,12 @@ def operator_conclusions(data, outputs):
     conclusions = CheckReport("hpl-conclusions")
     conclusions.add("square-zero", DW.compose(DW))
     conclusions.add("phi-intertwines",
-                    operator_sum(plus=[(DW, phi)], minus=[(phi, DV)]))
+                    operator_sum([(1, DW, phi), (-1, phi, DV)]))
     conclusions.add("psi-intertwines",
-                    operator_sum(plus=[(DV, psi)], minus=[(psi, DW)]))
+                    operator_sum([(1, DV, psi), (-1, psi, DW)]))
     conclusions.add("homotopy-identity", operator_sum(
-        plus=[(psi, phi)], minus=[CoalgebraOperator.identity(sV, trunc),
-                                  (H_out, DV), (DV, H_out)]))
+        [(1, psi, phi), (-1, CoalgebraOperator.identity(sV, trunc)),
+         (-1, H_out, DV), (-1, DV, H_out)]))
     return conclusions
 
 
@@ -626,12 +627,12 @@ def reference_outputs(data):
     H_out = H + H A H.  `hpl_transfer` builds them as F + F S, H + H S and,
     through A G = dmu G + S dmu G, as G + H A G and F A G."""
     dmu = lifted_dmu(data)
-    A = operator_sum(plus=[dmu, (data.S, dmu)])
+    A = operator_sum([(1, dmu), (1, data.S, dmu)])
     FA, HA = data.F.compose(A), data.H.compose(A)
     return {"delta_nu": FA.compose(data.G),
-            "psi": operator_sum(plus=[data.G, (HA, data.G)]),
-            "phi": operator_sum(plus=[data.F, (FA, data.H)]),
-            "homotopy": operator_sum(plus=[data.H, (HA, data.H)])}
+            "psi": operator_sum([(1, data.G), (1, HA, data.G)]),
+            "phi": operator_sum([(1, data.F), (1, FA, data.H)]),
+            "homotopy": operator_sum([(1, data.H), (1, HA, data.H)])}
 
 
 def assert_outputs_match_reference(mu, retract):
@@ -693,7 +694,7 @@ def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
         families = extract_outputs(hpl.data, case)
         report = colinearity_report(case, families)
         for name, op in case.items():
-            relift = LIFTS[name](families[name]) - op
+            relift = operator_sum([(1, LIFTS[name](families[name])), (-1, op)])
             assert report.residuals[name].is_zero() == relift.is_zero(), name
         if key is not None and block[1] >= 2:
             assert not report.residuals[key].is_zero(), (key, block)
@@ -849,7 +850,7 @@ def test_colinearity_check_traces_under_a_tenth_of_H_out():
     try:
         start = tracemalloc.get_traced_memory()[0]
         H = lift_homotopy(family)
-        H_out = operator_sum(plus=[H, (H, data.S)])
+        H_out = operator_sum([(1, H), (1, H, data.S)])
         built = tracemalloc.get_traced_memory()[0] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]

@@ -180,16 +180,16 @@ def relation_residuals(kind, obj):
                                          suspend_structure(tgt))
         F = lift_morphism(fam)
         op = operator_sum(
-            plus=[(lift_coderivation(suspend_structure(tgt)), F)],
-            minus=[(F, lift_coderivation(suspend_structure(src)))])
+            [(1, lift_coderivation(suspend_structure(tgt)), F),
+             (-1, F, lift_coderivation(suspend_structure(src)))])
         return check_morphism(obj), comp, op
     src, tgt = obj.frm.source, obj.frm.target
     fam = suspend_homotopy(obj)
     s_src, s_tgt = suspend_structure(src), suspend_structure(tgt)
     E, G = lift_morphism(fam.left), lift_morphism(fam.right)
     H = lift_homotopy(fam, E)
-    op = operator_sum(plus=[E], minus=[G, (H, lift_coderivation(s_src)),
-                                       (lift_coderivation(s_tgt), H)])
+    op = operator_sum([(1, E), (-1, G), (-1, H, lift_coderivation(s_src)),
+                       (-1, lift_coderivation(s_tgt), H)])
     return (check_homotopy(obj), check_homotopy_components(fam, s_src, s_tgt),
             op)
 
