@@ -28,10 +28,11 @@ degree of the input word to its left.  Unrolled, X(n, k) sums
 e_{r_1} x .. x x_{r_i} x .. x g_{r_k} over compositions and positions;
 the tests compare the lifts with these sums.
 
-The step has two evaluators.  `_lift_blocks` builds a lift by summing each
-block's terms into one table with `graded.tensor_into`, from blocks
-already built; building the lifts of the witness at N = 5 word by word
-instead took 0.14-0.22 s of CPU time against 0.08-0.13 s.
+The step has two evaluators.  `_lift_blocks` builds a lift one
+homogeneity at a time (`_lift_level`), summing each block's terms into one
+table with `graded.tensor_into`, from blocks already built; building the
+lifts of the witness at N = 5 word by word instead took 0.14-0.22 s of
+CPU time against 0.08-0.13 s.
 `lift_residual` checks whether an operator is the lift of a family without
 building that lift or any block of it: the terms of block (n, k), read
 from the operator's own blocks (n - r, k - 1), are walked term by term
@@ -51,7 +52,18 @@ outputs there from 0.097 s to 0.064 s of CPU time (medians over 12
 alternating processes, 11 of them faster).  The walk
 shares no code with `tensor_into`, so a sign the builder drops is caught
 by the check, and it builds the homotopy's left flank itself
-(`_walked_blocks`).
+(`_walked_blocks`, `_check_flanks`).
+
+A swept operator is held as a lower layer, its blocks below the
+truncation N, and its top rows one first-letter chunk at a time: the step
+keeps the first letter of the word u it extends, so the rows of block
+(N, k) whose word starts with a letter are the step over the lower tables
+restricted to that letter (`_by_letter`).  `SweptLift` builds a lift's
+lower layer with `_lift_blocks` and each chunk with `_lift_level`, so each
+top row is made once; `SweptCheck` runs `lift_residual`'s per-block walk
+(`_residual`) on the lower layer and on each chunk, and `joined` puts the
+lower layer and the chunks back together.  The perturbation-lemma route
+makes, checks and drops each chunk (`perturbation`).
 
 The identity of T(V) is built in one place, `CoalgebraOperator.identity`,
 as a read-only view: each diagonal block (m, m) is an `_IdentityBlock`
@@ -73,9 +85,12 @@ It sums one output block at a time: the reads of block (m, j) are
 gathered first (an operand's own block, and each meeting of a composite's
 inner block (m, k) with its outer block (k, j)), then summed into one
 fresh table, so a residual of several terms copies no partial sum and no
-composite is built on its own.  A composite has the one truncation of its
-two operands: operators known to different truncations are refused,
-never clipped.  Operators never change
+composite is built on its own.  A composite has its inner operand's
+truncation.  An outer operand known to a higher one is refused, never
+clipped; one known to a lower one, such as a lower layer, is read only at
+the homogeneities the inner reaches, and a read of a block above its
+truncation raises: a block an operator does not know never reads as
+zero.  Operators never change
 once built, so they may share block tables: a block whose one read is a
 block of a plain operand of sign +1 is that very table, and a sum writes
 only into tables it created.
@@ -202,6 +217,14 @@ class CoalgebraOperator:
             return None
         return tuple(self.source.elements[c] for c in min(words))
 
+    def lower(self):
+        """The blocks of input homogeneity below the truncation, as an
+        operator known to one homogeneity less; the tables are shared."""
+        top = self.trunc
+        return CoalgebraOperator(self.source, self.target, self.degree,
+                                 top - 1, {k: t for k, t in self.blocks.items()
+                                           if k[0] < top})
+
     def corestricted(self):
         """The operator's corestriction to T^1: its (m, 1) blocks."""
         blocks = {k: t for k, t in self.blocks.items() if k[1] == 1}
@@ -255,14 +278,20 @@ class _IdentityBlock(Mapping):
 def _meetings(outer, inner):
     """(key, table, mine) for each block table of `inner` (m, k) and block
     `mine` of `outer` (k, j) that meet in block key (m, j) of outer o inner.
-    A composite has one truncation, that of both operands: operators known
-    to different truncations are refused, not clipped."""
+    A composite has the truncation of its inner operand.  An outer operand
+    known to a higher truncation is refused, not clipped; one known to a
+    lower truncation is read only at the homogeneities the inner reaches,
+    and a read above its truncation raises: a block it does not know never
+    reads as zero."""
     if inner.target != outer.source:
         raise StructureError("operators not composable")
-    if outer.trunc != inner.trunc:
+    if outer.trunc > inner.trunc:
         raise StructureError("operators truncated at %d and %d"
                              % (outer.trunc, inner.trunc))
     for (m, k), table in inner.blocks.items():
+        if k > outer.trunc:
+            raise StructureError("operators truncated at %d and %d"
+                                 % (outer.trunc, inner.trunc))
         for j in range(1, inner.trunc + 1):
             mine = outer.blocks.get((k, j))
             if mine:
@@ -365,20 +394,27 @@ def _lift_splits(blocks, comps, right, left, n, k, one):
     return splits
 
 
-def _lift_blocks(comps, right, left, trunc, field):
-    """Blocks (n, k), n <= trunc, of the colinear lift over `field`, each
-    the sum of its `_lift_splits` terms (`graded.tensor_into`) over blocks
-    already built."""
+def _lift_level(blocks, comps, right, left, n, field):
+    """Blocks (n, k), k = 1..n, of the colinear lift over `field`, each the
+    sum of its `_lift_splits` terms (`graded.tensor_into`) over `blocks`
+    and `left`, blocks of homogeneity below n."""
     p, one = field.characteristic, field.one
+    level = {}
+    for k in range(1, n + 1):
+        acc = {}
+        for table, m in _lift_splits(blocks, comps, right, left, n, k, one):
+            tensor_into(acc, table, m, p)
+        if acc:
+            level[(n, k)] = acc
+    return level
+
+
+def _lift_blocks(comps, right, left, trunc, field):
+    """Blocks (n, k), n <= trunc, of the colinear lift over `field`, built
+    one homogeneity at a time (`_lift_level`) over blocks already built."""
     blocks = {}
     for n in range(1, trunc + 1):
-        for k in range(1, n + 1):
-            acc = {}
-            for table, m in _lift_splits(blocks, comps, right, left, n, k,
-                                         one):
-                tensor_into(acc, table, m, p)
-            if acc:
-                blocks[(n, k)] = acc
+        blocks.update(_lift_level(blocks, comps, right, left, n, field))
     return blocks
 
 
@@ -432,12 +468,78 @@ def lift_homotopy(family, left_lift=None):
     return _lift(family, "homotopy", left_lift)
 
 
-def _walked_blocks(family, trunc):
-    """Blocks (n, k), n <= trunc, of the lift of the morphism `family`, each
-    walked from its `_lift_splits` terms against no rows
-    (`graded.tensor_residual`) over blocks already walked: the colinearity
-    check builds the left flank it reads with its own evaluator."""
-    comps, field = family.components, family.target.field
+# ------------------------------------------------------ swept operators
+
+def _by_letter(blocks):
+    """The tables `blocks` ({key: table}) split by the first letter of
+    their input words: {letter: {key: the rows whose word starts with
+    it}}.  The rows are shared, not copied."""
+    split = {}
+    for key, table in blocks.items():
+        for u, row in table.items():
+            split.setdefault(u[0], {}).setdefault(key, {})[u] = row
+    return split
+
+
+def joined(lower, chunks):
+    """A swept operator put back together: the operator known to one
+    homogeneity above `lower` whose blocks are `lower`'s and the rows of
+    `chunks`, operators of top rows on disjoint input words.  Each top
+    block is a fresh table; no table is written into."""
+    blocks = dict(lower.blocks)
+    for chunk in chunks:
+        for key, table in chunk.blocks.items():
+            blocks.setdefault(key, {}).update(table)
+    return CoalgebraOperator(lower.source, lower.target, lower.degree,
+                             lower.trunc + 1, blocks)
+
+
+class SweptLift:
+    """The lift of `family`, truncated at N, as a lower layer and a sweep
+    of its top.  `lower` holds the blocks of homogeneity below N, as an
+    operator known to N - 1; `chunk(letter)` is the operator, known to N,
+    of the rows of blocks (N, k) whose input word starts with `letter`,
+    made by the one lift step (`_lift_level`) over the lower tables and
+    the left flank's restricted to that letter.  The step keeps the first
+    letter of the word it extends, so the chunks of the letters of the
+    basis part the top rows, and each row is made once, by one chunk.  The
+    one term of block (N, 1) is the unit row at the empty word tensored
+    with x_N, so a chunk reads x_N's rows of its letter."""
+
+    def __init__(self, family):
+        right, left = _flanks(family)
+        N = family.trunc
+        self._family, self._right = family, right
+        self.lower = CoalgebraOperator(
+            family.source, family.target, family.degree, N - 1,
+            _lift_blocks(family.components, right, left, N - 1,
+                         family.target.field))
+        self._blocks = _by_letter(self.lower.blocks)
+        self._left = _by_letter(left)
+
+    def chunk(self, letter):
+        family = self._family
+        N, comps = family.trunc, family.components
+        if N in comps:
+            x = comps[N]
+            comps = dict(comps)
+            comps[N] = MultiMap._raw(
+                x.source, x.target, N, x.degree,
+                {w: v for w, v in x.table.items() if w[0] == letter})
+        return CoalgebraOperator(
+            family.source, family.target, family.degree, N,
+            _lift_level(self._blocks.get(letter, {}), comps, self._right,
+                        self._left.get(letter, {}), N, family.target.field))
+
+
+# ------------------------------------------------------- colinearity check
+
+def _walked_blocks(comps, field, trunc):
+    """Blocks (n, k), n <= trunc, of the lift of the morphism components
+    `comps` over `field`, each walked from its `_lift_splits` terms against
+    no rows (`graded.tensor_residual`) over blocks already walked: the
+    colinearity check builds the left flank it reads with its own
+    evaluator."""
     blocks = {}
     for n in range(1, trunc + 1):
         for k in range(1, n + 1):
@@ -449,35 +551,32 @@ def _walked_blocks(family, trunc):
     return blocks
 
 
-def lift_residual(op, family):
-    """`op` checked against the lift of `family`, without building that
-    lift or any block of it.  For each block (n, k), 1 <= k <= n <= trunc,
-    the terms of the lift's step over op's own blocks (`_lift_splits`) are
-    walked term by term (`graded.tensor_residual`): every word they reach
-    is evaluated once and compared with op's row, and op's rows no term
-    reaches differ by minus themselves.  Only rows that differ are kept, as
-    expected minus op's row; every row of a block of op outside
-    1 <= k <= n <= trunc differs.  By induction on k, the residual is zero
-    exactly when op is the lift.  The flanks are made here, not read from
-    the builder's `_flanks`: a homotopy's left flank is walked the same way
-    (`_walked_blocks`), and a coderivation's identity rows are the check's
-    own `_IdentityBlock`s, so the check borrows neither the builder's
-    evaluator nor its view of the identity."""
-    V, N = family.source, family.trunc
-    if family.kind == "homotopy":
-        right = family.right.components
-        left = _walked_blocks(family.left, N - 1)
-    elif family.kind == "coderivation":
-        right = {1: MultiMap.identity(V)}
+def _check_flanks(kind, V, comps, left, right, N):
+    """(right, left) of the lift step the colinearity check reads up to
+    homogeneity N, made by the check, never read from the builder's
+    `_flanks`: a homotopy's left flank is the lift of the morphism
+    components `left`, walked to N - 1 (`_walked_blocks`), beside the right
+    flank components `right`; a coderivation's flanks are the identity, its
+    left blocks the check's own `_IdentityBlock`s, not the builder's view;
+    a morphism is its own right flank `comps`."""
+    if kind == "homotopy":
+        return right, _walked_blocks(left, V.field, N - 1)
+    if kind == "coderivation":
         left = {(m, m): _IdentityBlock(V, m) for m in range(1, N)}
-    else:
-        right, left = family.components, {}
-    comps, blocks = family.components, op.blocks
+        return {1: MultiMap.identity(V)}, left
+    return comps, {}
+
+
+def _residual(op, blocks, comps, right, left, keys):
+    """`op`'s blocks checked against the lift step: each block (n, k) in
+    `keys` against its `_lift_splits` terms over `blocks` and the flank
+    tables `left`, walked term by term (`graded.tensor_residual`), and
+    every other block of `op` against zero.  The rows that differ, as
+    expected minus op's row, in an operator shaped like `op`."""
     p, one = op.target.field.characteristic, op.target.field.one
-    keys = {(n, k) for n in range(1, op.trunc + 1) for k in range(1, n + 1)}
     residual = {}
-    for n, k in sorted(keys | set(blocks)):
-        got = blocks.get((n, k), {})
+    for n, k in sorted(keys | set(op.blocks)):
+        got = op.blocks.get((n, k), {})
         if (n, k) in keys:
             res = tensor_residual(
                 _lift_splits(blocks, comps, right, left, n, k, one), got, p)
@@ -490,8 +589,66 @@ def lift_residual(op, family):
                              residual)
 
 
-def extract_components(op, kind, left=None, right=None):
-    """Projection to homogeneity 1 per input homogeneity, as a family."""
+def lift_residual(op, family):
+    """`op` checked against the lift of `family`, without building that
+    lift or any block of it.  For each block (n, k), 1 <= k <= n <= trunc,
+    the terms of the lift's step over op's own blocks (`_lift_splits`) are
+    walked term by term (`graded.tensor_residual`): every word they reach
+    is evaluated once and compared with op's row, and op's rows no term
+    reaches differ by minus themselves.  Only rows that differ are kept, as
+    expected minus op's row; every row of a block of op outside
+    1 <= k <= n <= trunc differs.  By induction on k, the residual is zero
+    exactly when op is the lift.  The flanks are the check's own
+    (`_check_flanks`), so the check borrows neither the builder's
+    evaluator nor its view of the identity."""
+    left = right = None
+    if family.kind == "homotopy":
+        left, right = family.left.components, family.right.components
+    right, left = _check_flanks(family.kind, family.source,
+                                family.components, left, right, family.trunc)
+    keys = {(n, k) for n in range(1, op.trunc + 1) for k in range(1, n + 1)}
+    return _residual(op, op.blocks, family.components, right, left, keys)
+
+
+class SweptCheck:
+    """`lift_residual` of an operator held as a lower layer and first-letter
+    chunks of its top rows, each chunk checked when it is made.  `lower` is
+    the operator's blocks below N, known to N - 1, and `kind` its lift's
+    kind; its (n, 1) blocks are the components below N.  A homotopy's
+    flanks are the lift of the (n, 1) blocks of `left`, an operator known
+    to N - 1, and the identity.  `lower_residual` checks the lower blocks;
+    `residual(letter, chunk)` checks a chunk, the rows of blocks (N, k)
+    whose input word starts with `letter`, block by block as
+    `lift_residual` does, over the lower tables and the flank's restricted
+    to that letter: the lift step keeps the first letter of the word it
+    extends, and block (N, 1)'s one term reads x_N at the chunk's own
+    (N, 1) rows.  The lower residual and the residuals of the chunks of
+    every letter, `joined`, are `lift_residual` of the whole operator
+    against its components."""
+
+    def __init__(self, kind, lower, left=None):
+        V, N = lower.source, lower.trunc + 1
+        comps = _components(lower)
+        right, flank = _check_flanks(
+            kind, V, comps, None if left is None else _components(left),
+            {1: MultiMap.identity(V)}, N)
+        self._comps, self._right = comps, right
+        self.lower_residual = _residual(
+            lower, lower.blocks, comps, right, flank,
+            {(n, k) for n in range(1, N) for k in range(1, n + 1)})
+        self._blocks, self._flank = _by_letter(lower.blocks), _by_letter(flank)
+
+    def residual(self, letter, chunk):
+        N = chunk.trunc
+        comps = dict(self._comps)
+        comps.update(_components(chunk))
+        return _residual(chunk, self._blocks.get(letter, {}), comps,
+                         self._right, self._flank.get(letter, {}),
+                         {(N, k) for k in range(1, N + 1)})
+
+
+def _components(op):
+    """op's (n, 1) blocks as maps {n: x_n}, for each n with such a block."""
     comps = {}
     for n in range(1, op.trunc + 1):
         table = op.block(n, 1)
@@ -500,8 +657,13 @@ def extract_components(op, kind, left=None, right=None):
         comps[n] = MultiMap._raw(op.source, op.target, n, op.degree,
                                  {w: {out[0]: c for out, c in vec.items()}
                                   for w, vec in table.items()})
-    return ComponentFamily(kind, op.source, op.target, comps, op.trunc,
-                           left=left, right=right)
+    return comps
+
+
+def extract_components(op, kind, left=None, right=None):
+    """Projection to homogeneity 1 per input homogeneity, as a family."""
+    return ComponentFamily(kind, op.source, op.target, _components(op),
+                           op.trunc, left=left, right=right)
 
 
 # --------------------------------------------- componentwise relation checks

@@ -6,10 +6,9 @@ with the homogeneity-preserving homotopy lift gives a nilpotent operator:
 its n-th power vanishes on homogeneity-n words.  The geometric series for
 (1 - dmu H)^{-1} is therefore finite and exact, never a matrix inversion:
 S = M + M^2 + ... + M^{N-1}, M = dmu H, is (1 - M)^{-1} - 1 on the
-truncation, and it is summed when the input is built (`PerturbationData`)
-from the powers of M its nilpotency indices are read off.  The inversion
-is checked without the identity operator, whose lift covers every word of
-T^{<=N}(sV), since
+truncation, and it is summed from the powers of M its nilpotency indices
+are read off.  The inversion is checked without the identity operator,
+whose lift covers every word of T^{<=N}(sV), since
 
     (1 - M)(1 + S) - 1 = S - M - M S,    (1 + S)(1 - M) - 1 = S - M - S M.
 
@@ -25,14 +24,46 @@ which the same run reports.  So the outputs are built as
 
 where AG lives on the small side T(sW).  A composite walks its inner
 operand row by row and looks the outer one up only at the words reached,
-so the dense homotopy lift H is walked once, in M = dmu H, and A itself
-is never built.  Every
-residual of two or more terms, every output and the series S are each one
-`coalgebra.operator_sum` of signed terms, (sign, op) or (sign, outer,
-inner) for outer o inner, summed one output block at a time into a fresh
-table, so no partial sum is copied; a block whose one read is a block of
-a plain operand of sign +1 is that operand's table, shared, not copied:
-H_out holds H's diagonal blocks, phi F's and psi G's.
+so A itself is never built.  Every residual of two or more terms, every
+output and the series S are each one `coalgebra.operator_sum` of signed
+terms, (sign, op) or (sign, outer, inner) for outer o inner.
+
+The lower layer and the sweep.  Rows of input homogeneity N, the
+truncation, are most of what the route makes (88-94% of its rows on the
+Massey instances), and the conclusions read only their (N, 1) blocks, so
+the route is built in two parts (`PerturbationData`):
+
+1. the lower layer: every operator's blocks of input homogeneity below N,
+   built and stored whole, as operators known to N - 1
+   (`coalgebra.SweptLift.lower`, `CoalgebraOperator.lower`);
+2. a sweep of the top homogeneity, one chunk per first letter of the input
+   word: the lifts G, H and F make their top rows of that letter
+   (`coalgebra.SweptLift.chunk`), the lemma's formulas run on them, each
+   chunk's outputs are checked at once (`coalgebra.SweptCheck`), and only
+   their (N, 1) rows are kept, for the families.  The letters of sW come
+   first (G, dmu G, AG, psi and delta_nu), then those of sV (H, F, M, its
+   powers, S, both inversion residuals, phi, H_out, and the (N, 1) rows
+   of pi_1(psi phi), which read psi's (N, 1) block).
+
+Each formula is written once (`_sW_rows`, `_sV_rows`) and runs on the
+lower layer and on every chunk: it reads its rows from its `rows`
+argument and every outer operand from the lower layer `low`, which for
+the lower layer itself is `rows`.  Chunks are exact because every sum and
+composite is row-wise in the input word, and the lift step
+X(N, k) = sum_r X(N-r, k-1) x g_r + E(N-r, k-1) x x_r keeps the first
+letter of the word it extends.  Of the composites at the top, only those
+through the diagonal blocks of H and G, dmu H and dmu G, read a top block
+of their outer operand; every other inner operand (S, M, AG, M^i) lowers
+homogeneity, so its outer operand is read below N, where the lower layer
+is known; a read above it raises (`coalgebra._meetings`), it never reads
+as zero.  So dmu's top block is the one top block built whole, once, and
+released with the rest when the route returns.  Each top row is made
+once, by the chunk of its first letter: the chunks' rows part the top
+rows, and the residual rows of their checks, joined with the lower
+layer's (`coalgebra.joined`), are the residuals of the whole operators,
+with the same entry counts and first words.  On the witness at N = 5 this
+takes the route's tracemalloc peak from 22 to 15 MB; what `hpl_transfer`
+returns holds no operator.
 
 What is verified: the perturbed target coderivation DW = dW + delta_nu
 squares to zero, phi and psi intertwine DV = dV + dmu and DW, and H_out is
@@ -40,14 +71,14 @@ a homotopy between psi phi and the identity.  These conclusions are
 checked on corestrictions to T^1, in this order:
 
 1. `hpl-colinearity`: each output compared with the lift of its own
-   (n, 1) blocks (`coalgebra.lift_residual`): the terms of the lift's step
-   over the output's own blocks (n - r, k - 1) are walked term by term,
-   each word they reach evaluated once against the output's row of block
-   (n, k), and a row of the output no term reaches must not exist; so
-   neither the lift nor any block of it is built -- delta_nu as a
-   coderivation, psi and phi as morphisms, H_out as a homotopy whose left
-   flank is the corestriction pi_1(psi phi), composed from psi's (k, 1)
-   blocks and phi (`extract_outputs`);
+   (n, 1) blocks (`coalgebra.SweptCheck`, `lift_residual` on the lower
+   layer and on each chunk): the terms of the lift's step over the
+   output's own blocks (n - r, k - 1) are walked term by term, each word
+   they reach evaluated once against the output's row of block (n, k),
+   and a row of the output no term reaches must not exist; so neither the
+   lift nor any block of it is built -- delta_nu as a coderivation, psi
+   and phi as morphisms, H_out as a homotopy whose left flank is the
+   corestriction pi_1(psi phi), composed from psi's (k, 1) blocks and phi;
 2. `hpl-conclusions`: the componentwise identities of those families
    (`check_codifferential`, `check_morphism_components`,
    `check_homotopy_components`), one per-arity report per conclusion;
@@ -67,10 +98,12 @@ determined by its corestriction to T^1.  Once step 1 is zero:
   R = psi phi - 1 - (DV H_out + H_out DV) satisfies
   Delta R = (psi phi x R + R x 1) Delta, so pi_1 R = 0 implies R = 0.
 
-This holds whenever step 1 is zero, whatever the retract, so
-`hpl_transfer` needs no guard: under the side conditions (fg = 1, fh = 0,
-hg = 0, hh = 0; `is_harmonious`) every output is a lift and step 1 is
-zero, and an output that is not a lift fails step 1, so it never reads ok.
+For the same reason an output is determined by its family once step 1 is
+zero, so the families are all a run keeps of its outputs.  This holds
+whenever step 1 is zero, whatever the retract, so `hpl_transfer` needs no
+guard: under the side conditions (fg = 1, fh = 0, hg = 0, hh = 0;
+`is_harmonious`) every output is a lift and step 1 is zero, and an output
+that is not a lift fails step 1, so it never reads ok.
 `retracts.normalise` brings a retract with fg = 1 under the side
 conditions; step 3 and `check_annihilation_lemmas` (the identities step 3
 rests on) refuse any retract off them.
@@ -79,75 +112,147 @@ rests on) refuse any retract off them.
 unshifted structure: it refuses a structure off the retract's big side
 as `transfer` does, by the same `DeformationRetract.require_on_big_side`
 and with the same messages, suspends mu itself
-(`build_perturbation`), and returns one dict of the outputs, their
-component families keyed like it and one dict of reports in report order
-(nilpotency, inversion, colinearity, conclusions).  It does not refuse a
-structure that fails its relations, as `transfer` does; it fails its
-conclusions instead.  Only the input check is shared with the kernel
-route, never a computation.
+(`build_perturbation`), and returns the outputs' component families and
+one dict of reports in report order (nilpotency, inversion, colinearity,
+conclusions).  It does not refuse a structure that fails its relations,
+as `transfer` does; it fails its conclusions instead.  Only the input
+check is shared with the kernel route, never a computation.
 """
 
-from .coalgebra import (CoalgebraOperator, ComponentFamily,
-                        check_codifferential, check_homotopy_components,
-                        check_morphism_components, extract_components,
-                        lift_coderivation, lift_homotopy, lift_morphism,
-                        lift_residual, operator_sum)
+from .coalgebra import (CoalgebraOperator, ComponentFamily, SweptCheck,
+                        SweptLift, check_codifferential,
+                        check_homotopy_components, check_morphism_components,
+                        extract_components, joined, lift_coderivation,
+                        operator_sum)
 from .graded import (MultiMap, StructureError, compose_product, insert_slots,
                      map_sum)
 from .reports import BoolResidual, CheckReport
 from .suspension import suspend_components, suspend_structure
 
+OUTPUTS = {"delta_nu": "coderivation", "psi": "morphism", "phi": "morphism",
+           "homotopy": "homotopy"}
+
+
+def _sW_rows(dmu, low, rows):
+    """The lemma's formulas on the rows of G in `rows`, which it fills:
+    AG = dmu G + S dmu G, delta_nu = F AG and psi = G + H AG.  Every other
+    operand is read from the lower layer `low`, which for the lower layer
+    itself is `rows`; `dmu` is the perturbation, whole for a chunk."""
+    dmuG = operator_sum([(1, dmu, rows["G"])])
+    AG = operator_sum([(1, dmuG), (1, low["S"], dmuG)])
+    rows["delta_nu"] = operator_sum([(1, low["F"], AG)])
+    rows["psi"] = operator_sum([(1, rows["G"]), (1, low["H"], AG)])
+
+
+def _sV_rows(dmu, low, rows):
+    """The lemma's formulas on the rows of H and F in `rows`, which it
+    fills: M = dmu H; its powers M^i = M M^{i-1} up to the rows'
+    truncation N; S = M + ... + M^{N-1}; the inversion residuals
+    S - M - M S (right) and S - M - S M (left); phi = F + F S and
+    H_out = H + H S.  Every outer operand is read from the lower layer
+    `low`, which for the lower layer itself is `rows`.  Returns, per power,
+    the input homogeneities it has blocks at."""
+    M = rows["M"] = operator_sum([(1, dmu, rows["H"])])
+    powers = [M]
+    for _ in range(1, M.trunc):
+        powers.append(operator_sum([(1, low["M"], powers[-1])]))
+    S = rows["S"] = (operator_sum([(1, power) for power in powers[:-1]])
+                     if M.trunc > 1 else
+                     CoalgebraOperator(M.source, M.target, 0, M.trunc, {}))
+    rows["right"] = operator_sum([(1, S), (-1, M), (-1, low["M"], S)])
+    rows["left"] = operator_sum([(1, S), (-1, M), (-1, low["S"], M)])
+    rows["phi"] = operator_sum([(1, rows["F"]), (1, low["F"], S)])
+    rows["homotopy"] = operator_sum([(1, rows["H"]), (1, low["H"], S)])
+    # no operator keeps an empty block, so M^i kills homogeneity n exactly
+    # when it has no block (n, j)
+    return [{m for m, _ in power.blocks} for power in powers]
+
 
 class PerturbationData:
-    """Operator-level input package for the perturbation lemma, complete
-    once built: the lifts F, G and H, DV's components, M = dmu H, dmu G,
-    the nilpotency indices of M and the series S.  The perturbation dmu
-    itself is held only while those two composites are formed; its block
-    keys are kept for the nilpotency report, and F is lifted after dmu is
-    released, so the two never coexist.  The powers M, ..., M^N are formed
-    after F, read for the indices, and M, ..., M^{N-1} summed into S by
-    one `operator_sum`, which shares every block only one power has."""
+    """The perturbation lemma run on the suspension `smu` of a structure on
+    the retract's big side, complete once built: the modules, DV's
+    components `dV`, the shifted differential `delta1_W` of W, the block
+    keys of the perturbation dmu, the nilpotency indices of M = dmu H, the
+    outputs' component `families`, and the `inversion` and `colinearity`
+    reports.  Its operators are built as a lower layer and a sweep of the
+    top homogeneity (see the module docstring); none of them is kept."""
 
     def __init__(self, retract, smu):
         fhat, ghat, hhat, gfhat = (retract.fhat, retract.ghat, retract.hhat,
                                    retract.gfhat)
         sV, sW = fhat.source, fhat.target
-        self.trunc = trunc = smu.trunc
+        self.trunc = N = smu.trunc
         self.sV, self.sW = sV, sW
         # the shifted differential of W: the arity-1 component of DW
         self.delta1_W = suspend_components({1: retract.small.d})[1]
-        self.G = lift_morphism(ComponentFamily.strict_morphism(ghat, trunc))
-        self.H = lift_homotopy(ComponentFamily(
-            "homotopy", sV, sV, {1: hhat}, trunc,
-            left=ComponentFamily.strict_morphism(gfhat, trunc),
-            right=ComponentFamily.identity(sV, trunc)))
         # DV's components: the shifted structure maps of arity 1..trunc
         self.dV = smu
-        # the perturbation: the shifted products of arity 2..trunc, lifted at
-        # the same truncation as every other operator here
+        # the perturbation: the shifted products of arity 2..trunc, lifted
+        # whole, the one operator whose top block the sweep reads whole
         dmu = lift_coderivation(ComponentFamily(
             "coderivation", sV, sV,
-            {n: m for n, m in smu.components.items() if n >= 2}, trunc))
-        self.M = dmu.compose(self.H)
-        self.dmuG = dmu.compose(self.G)
+            {n: m for n, m in smu.components.items() if n >= 2}, N))
         self.dmu_keys = list(dmu.blocks)
-        del dmu
-        self.F = lift_morphism(ComponentFamily.strict_morphism(fhat, trunc))
+        G = SweptLift(ComponentFamily.strict_morphism(ghat, N))
+        H = SweptLift(ComponentFamily(
+            "homotopy", sV, sV, {1: hhat}, N,
+            left=ComponentFamily.strict_morphism(gfhat, N),
+            right=ComponentFamily.identity(sV, N)))
+        F = SweptLift(ComponentFamily.strict_morphism(fhat, N))
+
+        # the lower layer, homogeneity below N, is its own outer operand
+        low = {"G": G.lower, "H": H.lower, "F": F.lower}
+        dmu_low = dmu.lower()
+        low_alive = _sV_rows(dmu_low, low, low)
+        _sW_rows(dmu_low, low, low)
+        psiphi = operator_sum([(1, low["psi"].corestricted(), low["phi"])])
+        checks = {key: SweptCheck(kind, low[key],
+                                  psiphi if key == "homotopy" else None)
+                  for key, kind in OUTPUTS.items()}
+        tops = {key: [] for key in list(OUTPUTS) + ["psiphi"]}
+        residuals = {key: [] for key in list(OUTPUTS) + ["right", "left"]}
+
+        def keep(letter, rows, keys):
+            for key in keys:
+                residuals[key].append(checks[key].residual(letter, rows[key]))
+                tops[key].append(rows[key].corestricted())
+
+        # the top homogeneity N, one chunk per first letter: the sW letters,
+        # then the sV letters, whose pi_1(psi phi) reads psi's (N, 1) rows
+        for letter in sW.basis():
+            rows = {"G": G.chunk(letter)}
+            _sW_rows(dmu, low, rows)
+            keep(letter, rows, ("delta_nu", "psi"))
+        psi_core = joined(low["psi"].corestricted(), tops["psi"])
+        top_alive = [set() for _ in range(N)]
+        for letter in sV.basis():
+            rows = {"H": H.chunk(letter), "F": F.chunk(letter)}
+            for seen, alive in zip(top_alive, _sV_rows(dmu, low, rows)):
+                seen |= alive
+            residuals["right"].append(rows["right"])
+            residuals["left"].append(rows["left"])
+            tops["psiphi"].append(operator_sum([(1, psi_core, rows["phi"])]))
+            keep(letter, rows, ("phi", "homotopy"))
+
         # `nilpotency`: per homogeneity n, the least power of M that kills
         # homogeneity-n words
         self.nilpotency = {}
-        powers = [self.M]
-        for i in range(1, trunc + 1):
-            if i > 1:
-                powers.append(self.M.compose(powers[-1]))
-            # no operator keeps an empty block, so M^i kills homogeneity n
-            # exactly when it has no block (n, j)
-            alive = {m for m, _ in powers[-1].blocks}
-            for n in range(1, trunc + 1):
+        for n in range(1, N + 1):
+            for i, alive in enumerate(top_alive if n == N else low_alive, 1):
                 if n not in alive:
-                    self.nilpotency.setdefault(n, i)
-        self.S = (operator_sum([(1, power) for power in powers[:-1]])
-                  if trunc > 1 else CoalgebraOperator(sV, sV, 0, trunc, {}))
+                    self.nilpotency[n] = i
+                    break
+        self.inversion = CheckReport("series-inversion")
+        for key in ("right", "left"):
+            self.inversion.add(key, joined(low[key], residuals[key]))
+        self.colinearity = CheckReport("hpl-colinearity")
+        for key in OUTPUTS:
+            self.colinearity.add(key, joined(checks[key].lower_residual,
+                                             residuals[key]))
+        cores = {key: joined(low[key].corestricted(), tops[key])
+                 for key in OUTPUTS}
+        self.families = extract_outputs(cores,
+                                        joined(psiphi, tops["psiphi"]))
 
     def verify_nilpotency(self):
         """Check that dmu strictly lowers homogeneity, from its block keys,
@@ -167,8 +272,8 @@ class PerturbationData:
 
 
 def build_perturbation(retract, mu):
-    """The perturbation-lemma input for the structure `mu` on the retract's
-    big side, run on its suspension; refuses a structure off that side as
+    """The perturbation lemma run for the structure `mu` on the retract's
+    big side, on its suspension; refuses a structure off that side as
     `kernels.transfer` does, with the same messages
     (`DeformationRetract.require_on_big_side`)."""
     retract.require_on_big_side(mu)
@@ -176,14 +281,13 @@ def build_perturbation(retract, mu):
 
 
 class HplOutput:
-    """What `hpl_transfer` returns: its input `data`, the four `outputs`
-    by key (delta_nu, psi, phi, homotopy), their component `families`
-    keyed like them, and `reports`, every report by key in report order:
-    nilpotency, inversion, colinearity, conclusions."""
+    """What `hpl_transfer` returns: its run `data`, the four outputs'
+    component `families` by key (delta_nu, psi, phi, homotopy), and
+    `reports`, every report by key in report order: nilpotency, inversion,
+    colinearity, conclusions.  It holds no operator."""
 
-    def __init__(self, data, outputs, families, reports):
+    def __init__(self, data, families, reports):
         self.data = data
-        self.outputs = outputs
         self.families = families
         self.reports = reports
 
@@ -200,48 +304,26 @@ def hpl_transfer(retract, mu):
     reports = {"nilpotency": data.verify_nilpotency()}
     if not reports["nilpotency"].ok:
         raise StructureError("perturbation operator fails to lower homogeneity")
-    M, S, dmuG = data.M, data.S, data.dmuG
-    reports["inversion"] = series_inversion_report(M, S)
-
-    F, G, H = data.F, data.G, data.H
-    AG = operator_sum([(1, dmuG), (1, S, dmuG)])
-    outputs = {
-        "delta_nu": F.compose(AG),
-        "psi": operator_sum([(1, G), (1, H, AG)]),
-        "phi": operator_sum([(1, F), (1, F, S)]),
-        "homotopy": operator_sum([(1, H), (1, H, S)]),
-    }
-    families = extract_outputs(data, outputs)
-    reports["colinearity"] = colinearity_report(outputs, families)
-    reports["conclusions"] = corestricted_conclusions(data, families)
-    return HplOutput(data, outputs, families, reports)
+    reports["inversion"] = data.inversion
+    reports["colinearity"] = data.colinearity
+    reports["conclusions"] = corestricted_conclusions(data, data.families)
+    return HplOutput(data, data.families, reports)
 
 
-def extract_outputs(data, outputs):
-    """The outputs' (n, 1) blocks as component families.  The homotopy's
-    left flank is the corestriction pi_1(psi phi), composed from psi's
-    (k, 1) blocks and phi; its right flank is the identity."""
-    psiphi = outputs["psi"].corestricted().compose(outputs["phi"])
+def extract_outputs(cores, psiphi):
+    """The four outputs' component families from their corestrictions
+    `cores` (their (n, 1) blocks).  The homotopy's left flank is the family
+    of the corestriction `psiphi` of psi phi, composed from psi's (k, 1)
+    blocks and phi; its right flank is the identity."""
     return {
-        "delta_nu": extract_components(outputs["delta_nu"], "coderivation"),
-        "psi": extract_components(outputs["psi"], "morphism"),
-        "phi": extract_components(outputs["phi"], "morphism"),
+        "delta_nu": extract_components(cores["delta_nu"], "coderivation"),
+        "psi": extract_components(cores["psi"], "morphism"),
+        "phi": extract_components(cores["phi"], "morphism"),
         "homotopy": extract_components(
-            outputs["homotopy"], "homotopy",
+            cores["homotopy"], "homotopy",
             left=extract_components(psiphi, "morphism"),
-            right=ComponentFamily.identity(data.sV, data.trunc)),
+            right=ComponentFamily.identity(psiphi.source, psiphi.trunc)),
     }
-
-
-def colinearity_report(outputs, families):
-    """Each output checked block by block against the lift of its own
-    components (`coalgebra.lift_residual`): zero exactly when the output is
-    colinear (a coderivation, morphism or flanked homotopy of the tensor
-    coalgebra).  No lift of an output is built."""
-    report = CheckReport("hpl-colinearity")
-    for key in ("delta_nu", "psi", "phi", "homotopy"):
-        report.add(key, lift_residual(outputs[key], families[key]))
-    return report
 
 
 def corestricted_conclusions(data, families):
@@ -262,16 +344,6 @@ def corestricted_conclusions(data, families):
     conclusions.add("homotopy-identity",
                     check_homotopy_components(families["homotopy"], dV, dV))
     return conclusions
-
-
-def series_inversion_report(M, S):
-    """Residuals of S = (1 - M)^{-1} - 1 as a two-sided inverse:
-    right (1 - M)(1 + S) - 1 = S - M - M S, left (1 + S)(1 - M) - 1
-    = S - M - S M."""
-    report = CheckReport("series-inversion")
-    report.add("right", operator_sum([(1, S), (-1, M), (-1, M, S)]))
-    report.add("left", operator_sum([(1, S), (-1, M), (-1, S, M)]))
-    return report
 
 
 class ComparisonReport(CheckReport):

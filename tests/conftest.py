@@ -182,6 +182,33 @@ def rebind(monkeypatch, original, replacement):
     return rebound
 
 
+def top_rows_made(run, N):
+    """Run `run()` and count the rows of input homogeneity N that
+    `graded.tensor_into`, bound wherever a loaded ainfinity module binds
+    it, adds to the tables it builds: every row a lift makes at the top,
+    counted once per time it is made.  Returns (run's result, count)."""
+    from ainfinity import graded
+    original, made = graded.tensor_into, [0]
+
+    def counted(dst, table, m, p):
+        before = len(dst)
+        original(dst, table, m, p)
+        if dst and len(next(iter(dst))) == N:
+            made[0] += len(dst) - before
+
+    holders = [mod for name, mod in sorted(sys.modules.items())
+               if name.split(".")[0] == "ainfinity"
+               and vars(mod).get("tensor_into") is original]
+    for mod in holders:
+        mod.tensor_into = counted
+    try:
+        result = run()
+    finally:
+        for mod in holders:
+            mod.tensor_into = original
+    return result, made[0]
+
+
 def corrupted(op):
     """(block, operator) pairs: `op` with each one of its blocks dropped,
     then with one scalar of each block doubled (p is odd or 0, so a doubled

@@ -547,6 +547,33 @@ def test_a_module_name_with_a_control_character_exits_two(tmp_path, capsys,
                             "%r\n" % name)
 
 
+@pytest.mark.parametrize("char", ["\n", "\r", "\x00", "\x1f", "\x7f"],
+                         ids=["newline", "return", "nul", "unit-sep", "del"])
+@pytest.mark.parametrize("where", ["check", "transfer", "transfer-o"])
+def test_a_path_with_a_control_character_exits_two(tmp_path, capsys, where,
+                                                   char):
+    """A report prints the input path as `input=` and the -o path as
+    `output=`, each on a machine line of its own, so a path that holds a
+    line break could forge a line: `check` on a file named
+    "x\nstatus=ok\n.json" printed a forged status=ok.  `main` refuses an
+    input or -o path with a character below U+0020 or U+007F before any
+    work: exit 2 within a second, one stderr line quoting it by %r, and
+    nothing on stdout."""
+    bad = str(tmp_path / ("x%sstatus=ok%s.json" % (char, char)))
+    good = massey_doc(tmp_path)
+    argv = {"check": ["check", bad],
+            "transfer": ["transfer", bad, "--retract", "auto"],
+            "transfer-o": ["transfer", good, "--retract", "auto",
+                           "-o", bad]}[where]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: a path with a control character: "
+                            "%r\n" % bad)
+
+
 def test_a_report_line_is_bounded(tmp_path, capsys):
     """A report quotes a module name whole in its machine section; a line
     longer than 1,024 bytes is cut there, as a refusal is, with its full

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ainfinity.coalgebra import (CoalgebraOperator, ComponentFamily,
-                                 check_codifferential,
+                                 SweptCheck, SweptLift, check_codifferential,
                                  check_homotopy_components,
                                  check_morphism_components, extract_components,
-                                 lift_coderivation, lift_homotopy, lift_morphism,
-                                 lift_residual, operator_sum)
+                                 joined, lift_coderivation, lift_homotopy,
+                                 lift_morphism, lift_residual, operator_sum)
 from ainfinity.combi import compositions
 from ainfinity.fields import QQ, PrimeField
 from ainfinity import coalgebra, signs
@@ -207,6 +207,77 @@ def test_lift_residual_is_zero_exactly_on_the_lift(fam):
     for _, bad in corrupted(op):
         assert (lift_residual(bad, fam).is_zero()
                 == operator_sum([(1, op), (-1, bad)]).is_zero())
+
+
+def top_chunk(op, letter):
+    """The rows of `op`'s blocks at its truncation whose input word starts
+    with `letter`, as an operator known to the truncation."""
+    N = op.trunc
+    blocks = {key: {w: row for w, row in table.items() if w[0] == letter}
+              for key, table in op.blocks.items() if key[0] == N}
+    return CoalgebraOperator(op.source, op.target, op.degree, N,
+                             {key: t for key, t in blocks.items() if t})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lift_families())
+def test_swept_lift_makes_the_lift_once(fam):
+    """A swept lift's lower layer is the lift's blocks below N, and its
+    chunk of each letter of the basis is the lift's top rows whose input
+    word starts with that letter: joined, the chunks and the lower layer
+    are the lift, so every top row is made, and by one chunk only."""
+    op = LIFTS[fam.kind](fam)
+    swept = SweptLift(fam)
+    assert swept.lower == op.lower() and swept.lower.trunc == TRUNC - 1
+    chunks = [swept.chunk(letter) for letter in fam.source.basis()]
+    for letter, chunk in zip(fam.source.basis(), chunks):
+        assert chunk == top_chunk(op, letter), letter
+    assert joined(swept.lower, chunks) == op
+    assert sum(len(t) for c in chunks for t in c.blocks.values()) == sum(
+        len(t) for key, t in op.blocks.items() if key[0] == TRUNC)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lift_families())
+def test_swept_check_is_lift_residual_chunk_by_chunk(fam):
+    """On the lift of a family, and on it with one block dropped or one
+    scalar changed, the check of the lower layer and of each first-letter
+    chunk of the top rows, joined, is `lift_residual` against the
+    operator's own components; a homotopy's right flank is the identity,
+    as in the swept route."""
+    V = fam.source
+    if fam.kind == "homotopy":
+        fam = ComponentFamily("homotopy", V, V, fam.components, TRUNC,
+                              left=fam.left,
+                              right=ComponentFamily.identity(V, TRUNC))
+    op = LIFTS[fam.kind](fam)
+    left = lift_morphism(fam.left).lower() if fam.left else None
+    for case in [op] + [bad for _, bad in corrupted(op)]:
+        check = SweptCheck(fam.kind, case.lower(), left)
+        swept = joined(check.lower_residual, [
+            check.residual(letter, top_chunk(case, letter))
+            for letter in V.basis()])
+        own = extract_components(case, fam.kind, left=fam.left,
+                                 right=fam.right)
+        assert swept == lift_residual(case, own)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "Z5"])
+def test_an_outer_operand_known_below_is_read_only_below(field):
+    """An operator's lower layer, known to N - 1, composes after an inner
+    operand known to N wherever the inner lowers homogeneity, as the whole
+    operator does; where the inner reaches homogeneity N, the read of the
+    block the lower layer does not know raises, never reads as zero."""
+    V, rng = GradedModule({0: 1, 1: 1}, field), seeded(5)
+    D = lift_coderivation(ComponentFamily(
+        "coderivation", V, V,
+        {n: random_multimap(rng, V, V, n, -1) for n in (2, 3)}, TRUNC))
+    F = random_lifts(field)[1]
+    assert any(key[0] == TRUNC for key in D.blocks)
+    assert F.lower().compose(D) == F.compose(D)
+    assert operator_sum([(1, D), (1, F.lower(), D)]) == D + F.compose(D)
+    with pytest.raises(StructureError, match="operators truncated at 3 and 4"):
+        D.lower().compose(CoalgebraOperator.identity(V, TRUNC))
 
 
 def per_word_row(terms, word, p):

@@ -260,10 +260,15 @@ def package_sources(**replaced):
 SHIFTED = {"kernels._suspended_p", "kernels._suspended_q"}
 COMPONENTWISE = {"coalgebra.operator_sum", "coalgebra._meetings",
                  "coalgebra._lift_blocks", "graded.tensor_into"}
+COLINEARITY = {"graded.tensor_into", "coalgebra._lift_blocks",
+               "coalgebra._lift_level", "coalgebra._flanks",
+               "coalgebra.CoalgebraOperator.identity"}
 CHECKERS = {
-    "coalgebra.lift_residual": {
-        "graded.tensor_into", "coalgebra._lift_blocks", "coalgebra._flanks",
-        "coalgebra.CoalgebraOperator.identity"},
+    "coalgebra.lift_residual": COLINEARITY,
+    # the chunk checker of the swept route: its construction checks the
+    # lower layer, and `residual` each chunk
+    "coalgebra.SweptCheck": COLINEARITY,
+    "coalgebra.SweptCheck.residual": COLINEARITY,
     "coalgebra.check_codifferential": COMPONENTWISE,
     "coalgebra.check_morphism_components": COMPONENTWISE,
     "coalgebra.check_homotopy_components": COMPONENTWISE,
@@ -306,6 +311,7 @@ def test_call_closure_flags_a_checker_that_builds():
         "left = {(m, m): _IdentityBlock(V, m) for m in range(1, N)}",
         "left = CoalgebraOperator.identity(V, N - 1).blocks")))
     assert builders_reached(borrowed) == [
+        ("coalgebra.SweptCheck", "coalgebra.CoalgebraOperator.identity"),
         ("coalgebra.lift_residual", "coalgebra.CoalgebraOperator.identity")]
     # a componentwise check summing operators, through a method call
     summed = call_graph(package_sources(coalgebra=(
@@ -318,6 +324,24 @@ def test_call_closure_flags_a_checker_that_builds():
 
 def test_checkers_never_reach_their_builders():
     assert builders_reached(call_graph(package_sources())) == []
+
+
+# the kernel route: the recursions, their checks and the package they build
+KERNEL_ROUTE = {"kernels.transfer", "kernels.p_kernels", "kernels.q_kernels",
+                "kernels._suspended_p", "kernels._suspended_q",
+                "kernels.check_p_identity", "kernels.check_q_identity"}
+
+
+def test_the_hpl_route_calls_no_kernel_recursion():
+    """The perturbation-lemma route shares only the input check with the
+    kernel route (`DeformationRetract.require_on_big_side`), never a
+    computation, so the comparison of the two is a cross-check."""
+    graph = call_graph(package_sources())
+    assert KERNEL_ROUTE <= set(graph)
+    reached = reached_from(graph, "perturbation.hpl_transfer")
+    assert {"coalgebra.SweptLift.chunk", "coalgebra.SweptCheck.residual",
+            "kernels.DeformationRetract.require_on_big_side"} <= reached
+    assert reached & KERNEL_ROUTE == set()
 
 
 # Every parameter of the package named like a truncation, with the reason
@@ -346,6 +370,9 @@ TRUNCATION_PARAMETERS = {
         "builds a homotopy's left flank one homogeneity short of the family",
     "coalgebra._walked_blocks trunc":
         "walks a homotopy's left flank one homogeneity short of the family",
+    "coalgebra._check_flanks N":
+        "the check's flanks for a swept operator, whose family is not yet "
+        "known at N",
     "cli._selftest_instance N": "generator: the --arity of the selftest",
     "docio._parse_structure truncation":
         "parser: the document's truncation, read before the structure",
@@ -392,7 +419,7 @@ def test_no_parameter_restates_a_truncation():
     for path in PACKAGE:
         found += truncation_parameters(path.read_text(), path.stem)
     assert found == sorted(TRUNCATION_PARAMETERS)
-    assert len(found) == 16
+    assert len(found) == 17
 
 
 # Every function of the package other than an `__init__` that assigns an

@@ -35,9 +35,15 @@ relation checker sums over (each with its arity-1 end dropped); the index
 families `combi.enum_B` and `combi.enum_C` of the recursions;
 the memo of `kernels.check_q_identity`; the shared h^ p^_k of the shifted
 composite in `kernels._suspended_q`; the phi components `kernels.transfer`
-assembles; the series S that `perturbation.PerturbationData` sums when
-it is built (only M kept); the outputs of `perturbation.hpl_transfer` (a
-dropped block, phi's series and the series term of A G); the arity loop of
+assembles; the series S that `perturbation._sV_rows` sums (only M kept);
+the lemma's formulas of `perturbation._sW_rows` and `_sV_rows` (a dropped
+block of the lower psi, phi's series and the series term of A G); the
+sweep of the top homogeneity in `perturbation.PerturbationData` (its last
+letter skipped, a chunk's powers M^i, i >= 2, composed with the chunk's
+own M, which has no rows below N, and a chunk's right inversion residual
+composed with its own S in place of the lower M); the selftest's run
+without products (`cli._selftest_instance`, run on the products); the
+arity loop of
 `perturbation.compare_hpl_vs_kernels` and its read of the products nu the
 kernel route writes (top arity dropped); the homology
 representatives `retracts.Splitting` reads off its one elimination of
@@ -53,14 +59,15 @@ zero of an absent arity built one degree high (either makes the first
 relation sum that reads the table raise).  Each
 is an exact-once source replacement, bound wherever the original is bound,
 so every detector looks library entry points up on their modules, never
-through a binding of its own.  Six detectors run in a fixed order, over Q
+through a binding of its own.  Eight detectors run in a fixed order, over Q
 and then over Z/5 (a lost reduction modulo p is invisible over Q): the
 battery above, the perturbation-lemma reports on the witness instances, the
 componentwise/operator equivalence battery on the witness instances,
 sensitivity probes of the HPL-vs-kernels comparison and of the colinearity
-check, and both routes along normalised crooked retracts.  The first
-detector that kills each structural mutant is pinned in `KILLED_BY`, so a
-change that moves detection shows up in review.
+check, both routes along normalised crooked retracts, the count of the
+top rows the swept route makes, and the selftest.  The first detector
+that kills each structural mutant is pinned in `KILLED_BY`, so a change
+that moves detection shows up in review.
 
 One mutant of `coalgebra.operator_sum` is pinned outside that list, as no
 detector reaches it: sharing, unnegated, a block whose one read is an
@@ -78,14 +85,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from ainfinity import (ainfty, battery, coalgebra, combi, graded, kernels,
-                       perturbation, retracts, signs, suspension)
+from ainfinity import (ainfty, battery, cli, coalgebra, combi, graded,
+                       kernels, perturbation, retracts, signs, suspension)
 from ainfinity.fields import QQ, PrimeField
 from ainfinity.graded import ChainComplex, StructureError
 from conftest import (corrupted, crooked_retract, kept_pair_retract,
-                      massey_with_marker, rebind)
+                      massey_with_marker, rebind, top_rows_made)
 from reference import scaled, shift_scalar
 from test_coalgebra import assert_minus_only_blocks_negated, random_lifts
+from whole_route import colinearity_report, whole_route
 
 
 F5 = PrimeField(5)
@@ -204,22 +212,25 @@ LIFT_OF = {"delta_nu": "lift_coderivation", "psi": "lift_morphism",
 
 
 def colinearity_blind(field=None):
-    """True when the HPL colinearity check on the witness at N = 4 over
-    `field` (default Q) misses a corrupted block: each output with one
-    block dropped or one scalar changed (`conftest.corrupted`), checked
-    against the families of the valid outputs, must be reported; checked
-    against its own components, it must be reported exactly when the lift
-    of those differs from it.  A dropped (n, 1) block leaves rows above it
-    that no term of the lift step reaches, and only the second check sees
-    them."""
+    """True when the colinearity check on the whole outputs of the witness
+    at N = 4 over `field` (default Q) misses a corrupted block: each output
+    with one block dropped or one scalar changed (`conftest.corrupted`),
+    checked against the families of the valid outputs, must be reported;
+    checked against its own components, it must be reported exactly when
+    the lift of those differs from it.  A dropped (n, 1) block leaves rows
+    above it that no term of the lift step reaches, and only the second
+    check sees them.  The outputs are built whole (`whole_route`), as the
+    swept route keeps none."""
     try:
-        _, hpl = witness_routes(field)
-        outputs = hpl.outputs
-        families = hpl.families
+        mu = retracts.instance_massey(field, truncation=4)
+        w = whole_route(retracts.harmonious_retract(
+            ChainComplex(mu.carrier, mu.differential)), mu)
+        outputs = w.outputs
+        families = w.families
         for key, op in sorted(outputs.items()):
             valid = families[key]
             for _, bad in corrupted(op):
-                report = perturbation.colinearity_report(
+                report = colinearity_report(
                     dict(outputs, **{key: bad}), families)
                 if report.residuals[key].is_zero():
                     return True
@@ -260,11 +271,48 @@ def normalise_detects(field=None):
         return True
 
 
+def sweep_blind(field=None):
+    """True when the swept route on a witness instance at N = 4 over
+    `field` (default Q) makes a top row other than once: the rows of
+    homogeneity 4 its lifts make (`conftest.top_rows_made`) must number
+    those of the whole lifts of dmu, G, H and F.  The witness's
+    components of arity 4 vanish, so a chunk the sweep skips or makes
+    twice changes no report; only this count sees it."""
+    try:
+        for make in (retracts.instance_massey, retracts.instance_forms):
+            mu = make(field, truncation=4)
+            retract = retracts.harmonious_retract(
+                ChainComplex(mu.carrier, mu.differential))
+            _, swept = top_rows_made(
+                lambda: perturbation.hpl_transfer(retract, mu), 4)
+            _, whole = top_rows_made(lambda: whole_route(retract, mu), 4)
+            if swept != whole:
+                return True
+        return False
+    except StructureError:
+        return True
+
+
+def selftest_detects(field=None):
+    """True as soon as the selftest fails one of the first two instances of
+    its corpus at seed 1 and arity 4.  The corpus is over Q whatever
+    `field`; the selftest's own checks (`degeneration.trivial`, on the run
+    without products) are what it adds to the detectors above."""
+    try:
+        writer = cli.ReportWriter()
+        return not all(cli._selftest_instance(1, index, 4, writer)
+                       for index in range(2))
+    except StructureError:
+        return True
+
+
 DETECTORS = [("battery", battery_detects), ("hpl", hpl_detects),
              ("equivalence", equivalence_detects),
              ("comparison", comparison_blind),
              ("colinearity", colinearity_blind),
-             ("normalise", normalise_detects)]
+             ("normalise", normalise_detects),
+             ("sweep", sweep_blind),
+             ("selftest", selftest_detects)]
 FIELDS = [("Q", None), ("Z5", F5)]
 
 
@@ -407,24 +455,39 @@ STRUCTURAL_MUTANTS = {
         "compose(f, q[n])",
         "compose(f, q[n]) + compose(f, q[n])"),
     "series-keeps-only-M": (
-        perturbation, "PerturbationData.__init__",
+        perturbation, "_sV_rows",
         "powers[:-1]",
         "powers[:1]"),
     "hpl-psi-drops-a-lift-block": (
-        perturbation, "hpl_transfer",
-        "families = extract_outputs(data, outputs)",
-        "outputs['psi'].blocks.pop((2, 2)); "
-        "families = extract_outputs(data, outputs)"),
+        perturbation, "PerturbationData.__init__",
+        "psiphi = operator_sum(",
+        "low['psi'].blocks.pop((2, 2)); psiphi = operator_sum("),
     "hpl-phi-series-uses-M": (
-        perturbation, "hpl_transfer",
-        "(1, F, S)",
-        "(1, F, M)"),
+        perturbation, "_sV_rows",
+        '(1, low["F"], S)',
+        '(1, low["F"], M)'),
     "hpl-AG-drops-series-term": (
-        perturbation, "hpl_transfer",
-        "operator_sum([(1, dmuG), (1, S, dmuG)])",
+        perturbation, "_sW_rows",
+        'operator_sum([(1, dmuG), (1, low["S"], dmuG)])',
         "operator_sum([(1, dmuG)])"),
+    "sweep-skips-the-last-letter": (
+        perturbation, "PerturbationData.__init__",
+        "for letter in sV.basis():",
+        "for letter in sV.basis()[:-1]:"),
+    "chunk-series-drops-higher-powers": (
+        perturbation, "_sV_rows",
+        '(1, low["M"], powers[-1])',
+        '(1, rows["M"], powers[-1])'),
+    "chunk-right-inversion-reads-its-own-rows": (
+        perturbation, "_sV_rows",
+        '(-1, low["M"], S)',
+        "(-1, S, S)"),
+    "degeneration-runs-on-the-products": (
+        cli, "_selftest_instance",
+        "bare = AInfinity(mu.carrier, mu.differential, {}, N)",
+        "bare = AInfinity(mu.carrier, mu.differential, mu.products, N)"),
     "lift-residual-passes-absent-block": (
-        coalgebra, "lift_residual",
+        coalgebra, "_residual",
         "_lift_splits(blocks, comps, right, left, n, k, one), got, p)",
         "_lift_splits(blocks, comps, right, left, n, k, one) if got else (),"
         " got, p)"),
@@ -552,6 +615,10 @@ KILLED_BY = {
     "battery-identity-one-short": "equivalence/Q",
     "component-table-drops-top-arity": "battery/Q",
     "component-table-zero-one-degree-high": "battery/Q",
+    "sweep-skips-the-last-letter": "sweep/Q",
+    "chunk-series-drops-higher-powers": "hpl/Q",
+    "chunk-right-inversion-reads-its-own-rows": "hpl/Q",
+    "degeneration-runs-on-the-products": "selftest/Q",
 }
 
 
@@ -761,6 +828,29 @@ def test_normalise_mutants_need_a_crook_that_K_does_not_kill(name,
         ChainComplex(mu.carrier, mu.differential))
     assert retracts.normalise(crooked_retract(mu)).h == harmonious.h
     assert normalise_detects()
+
+
+def test_skipped_chunk_changes_no_report(monkeypatch):
+    """With the sweep's last sV letter skipped, every report and the
+    comparison pass on the witness instances at N = 4, whose arity-4
+    components vanish: the missing chunk's rows are never made, so nothing
+    checks them.  The count of top rows made sees it."""
+    mutate(monkeypatch, *STRUCTURAL_MUTANTS["sweep-skips-the-last-letter"])
+    for field in (None, F5):
+        assert not hpl_detects(field)
+        assert sweep_blind(field)
+
+
+def test_run_on_the_products_fails_only_the_degeneration(monkeypatch):
+    """With the selftest's run without products given the products, every
+    other check of the instance still passes: only `degeneration.trivial`,
+    which reads that run's families, fails."""
+    mutate(monkeypatch,
+           *STRUCTURAL_MUTANTS["degeneration-runs-on-the-products"])
+    writer = cli.ReportWriter()
+    assert not cli._selftest_instance(1, 0, 4, writer)
+    assert [line for line in writer.machine if "failing" in line] == [
+        "instance.0.failing=degeneration.trivial"]
 
 
 def test_skipped_reduction_is_caught_only_over_prime_field(monkeypatch):

@@ -30,10 +30,8 @@ from ainfinity.kernels import (DeformationRetract, check_p_identity,
                                transfer)
 from ainfinity.perturbation import (build_perturbation,
                                     check_annihilation_lemmas,
-                                    colinearity_report,
                                     compare_hpl_vs_kernels,
-                                    corestricted_conclusions, extract_outputs,
-                                    hpl_transfer, series_inversion_report)
+                                    corestricted_conclusions, hpl_transfer)
 from ainfinity.reports import CheckReport
 from ainfinity.retracts import (harmonious_retract, instance_forms,
                                 instance_massey, normalise)
@@ -41,8 +39,11 @@ from ainfinity.suspension import (suspend_homotopy, suspend_morphism,
                                   suspend_structure)
 
 from conftest import (corrupted, crook, crooked_retract, fg_broken_retract,
-                      massey_with_marker, random_multimap, rebind)
+                      kept_pair_retract, massey_with_marker, random_multimap,
+                      rebind, top_rows_made)
 from reference import colinearity_residual
+from whole_route import (colinearity_report, inversion_report,
+                         output_families, whole_route)
 
 
 def forms_setup(N=4):
@@ -90,9 +91,9 @@ def test_series_inversion_residuals_against_identity():
     term short of the full loop would still pass.)"""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    data = build_perturbation(retract, mu)
+    data = whole_route(retract, mu)
     M = S = data.M
-    report = series_inversion_report(M, S)
+    report = inversion_report(M, S)
     ident = CoalgebraOperator.identity(data.sV, 4)
     one_minus_M = operator_sum([(1, ident), (-1, M)])
     right = operator_sum([(1, one_minus_M, ident + S), (-1, ident)])
@@ -103,36 +104,34 @@ def test_series_inversion_residuals_against_identity():
     assert report.entry_count("right") == report.entry_count("left") == 12
 
 
-def lifted_dmu(data):
-    """The perturbation dmu, which `PerturbationData` releases once it has
-    formed dmu H and dmu G: the lift of DV's components of arity >= 2."""
-    return lift_coderivation(ComponentFamily(
-        "coderivation", data.sV, data.sV,
-        {n: m for n, m in data.dV.components.items() if n >= 2}, data.trunc))
-
-
 def test_trivial_perturbation_returns_inputs():
+    """With no products the perturbation dmu is zero: the whole outputs are
+    the lifts G, F and H, and the swept route's families, which determine
+    its colinear outputs, are the strict families of g^, f^ and h^."""
     mu, retract = forms_setup()
     bare = AInfinity(mu.carrier, mu.differential, {}, 4)
+    w = whole_route(retract, bare)
+    assert w.dmu.is_zero()
+    assert w.outputs["delta_nu"].is_zero()
+    assert w.outputs["psi"] == w.G
+    assert w.outputs["phi"] == w.F
+    assert w.outputs["homotopy"] == w.H
     hpl = hpl_transfer(retract, bare)
-    data = hpl.data
-    assert lifted_dmu(data).is_zero()
-    assert hpl.outputs["delta_nu"].is_zero()
-    assert hpl.outputs["psi"] == data.G
-    assert hpl.outputs["phi"] == data.F
-    assert hpl.outputs["homotopy"] == data.H
+    assert hpl.ok and hpl.families == w.families
+    families = hpl.families
+    assert not families["delta_nu"].components
+    assert families["psi"] == ComponentFamily.strict_morphism(retract.ghat, 4)
+    assert families["phi"] == ComponentFamily.strict_morphism(retract.fhat, 4)
+    assert families["homotopy"].components == {1: retract.hhat}
 
 
 def test_low_homogeneity_blocks():
     # the series strictly lowers homogeneity: the transferred perturbation
-    # has no homogeneity-1 block, and phi restricted to letters is f
+    # has no arity-1 component, and phi restricted to letters is f
     mu, retract = forms_setup()
-    hpl = hpl_transfer(retract, mu)
-    assert not hpl.outputs["delta_nu"].block(1, 1)
-    fhat = retract.fhat
-    expected = {w: {(b,): c for b, c in vec.items()}
-                for w, vec in fhat.table.items()}
-    assert hpl.outputs["phi"].block(1, 1) == expected
+    families = hpl_transfer(retract, mu).families
+    assert families["delta_nu"].component(1).is_zero()
+    assert families["phi"].component(1) == retract.fhat
 
 
 def test_hpl_conclusions_on_desk_instances():
@@ -161,8 +160,8 @@ def test_comparison_refuses_retract_without_side_conditions():
     pkg = transfer(retract, mu)
     assert pkg.ok  # the transfer itself is fine without side conditions
     hpl = hpl_transfer(retract, mu)
-    data = hpl.data
-    assert operator_conclusions(data, hpl.outputs).ok
+    w = whole_route(retract, mu)
+    assert operator_conclusions(w, w.outputs).ok
     assert not hpl.reports["colinearity"].ok and not hpl.ok
     with pytest.raises(StructureError, match="side conditions"):
         compare_hpl_vs_kernels(hpl, pkg)
@@ -207,8 +206,9 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     mu = massey_with_marker()
     retract = crooked_retract(mu)
     hpl = hpl_transfer(retract, mu)
+    w = whole_route(retract, mu)
     for key in ("psi", "phi"):
-        out = hpl.outputs[key]
+        out = w.outputs[key]
         assert lift_morphism(extract_components(out, "morphism")) != out, key
     assert set(hpl.reports["colinearity"].failing()) >= {"psi", "phi"}
 
@@ -217,22 +217,23 @@ def test_extraction_not_lift_shaped_without_side_conditions():
     retract2 = fg_broken_retract(base)
     assert not retract2.is_harmonious
     hpl2 = hpl_transfer(retract2, base)
-    data2 = hpl2.data
+    w2 = whole_route(retract2, base)
     # the lemma itself is fine, and the colinearity check sees the shape
-    assert operator_conclusions(data2, hpl2.outputs).ok
+    assert operator_conclusions(w2, w2.outputs).ok
     assert "delta_nu" in hpl2.reports["colinearity"].failing() and not hpl2.ok
     dW_op = lift_coderivation(ComponentFamily(
-        "coderivation", data2.sW, data2.sW, {1: data2.delta1_W}, 4))
-    total = dW_op + hpl2.outputs["delta_nu"]
+        "coderivation", w2.sW, w2.sW, {1: w2.delta1_W}, 4))
+    total = dW_op + w2.outputs["delta_nu"]
     relift = lift_coderivation(extract_components(total, "coderivation"))
     assert relift != total
 
 
-def coleibniz_residuals(hpl):
-    """`colinearity_residual` of each output: the co-Leibniz definition,
-    word by word, with the homotopy's flanks lifted from its family."""
-    family = hpl.families["homotopy"]
-    outputs = hpl.outputs
+def coleibniz_residuals(w):
+    """`colinearity_residual` of each whole output: the co-Leibniz
+    definition, word by word, with the homotopy's flanks lifted from its
+    family."""
+    family = w.families["homotopy"]
+    outputs = w.outputs
     return {
         "delta_nu": colinearity_residual(outputs["delta_nu"], "coderivation"),
         "psi": colinearity_residual(outputs["psi"], "morphism"),
@@ -243,11 +244,6 @@ def coleibniz_residuals(hpl):
     }
 
 
-def harmonious_hpl(mu):
-    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    return hpl_transfer(retract, mu)
-
-
 @pytest.mark.parametrize("field", [None, PrimeField(5)], ids=["Q", "Z5"])
 @pytest.mark.parametrize("make", [instance_massey, instance_forms],
                          ids=["massey", "forms"])
@@ -255,8 +251,10 @@ def test_relift_colinearity_matches_coleibniz_definition(make, field):
     """The reported check (output minus the lift of its own components) is
     zero, as is the co-Leibniz residual, on the harmonious desk
     instances."""
-    hpl = harmonious_hpl(make(field, truncation=4))
-    coleibniz = coleibniz_residuals(hpl)
+    mu = make(field, truncation=4)
+    retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+    hpl = hpl_transfer(retract, mu)
+    coleibniz = coleibniz_residuals(whole_route(retract, mu))
     assert sorted(hpl.reports["colinearity"].residuals) == sorted(coleibniz)
     for key, residual in coleibniz.items():
         assert residual.ok, key
@@ -272,9 +270,8 @@ def test_relift_colinearity_matches_coleibniz_definition_off_side_conditions():
     cases = [(mu, crooked_retract(mu), {"psi", "phi", "homotopy"}),
              (base, fg_broken_retract(base), {"delta_nu"})]
     for mu, retract, broken in cases:
-        hpl = hpl_transfer(retract, mu)
-        relift = colinearity_report(hpl.outputs, hpl.families)
-        coleibniz = coleibniz_residuals(hpl)
+        relift = hpl_transfer(retract, mu).reports["colinearity"]
+        coleibniz = coleibniz_residuals(whole_route(retract, mu))
         for key, residual in coleibniz.items():
             assert residual.ok == relift.residuals[key].is_zero(), key
         assert set(relift.failing()) >= broken
@@ -286,7 +283,8 @@ def test_operator_and_corestricted_conclusions_agree_on_desk_instances():
         hpl = hpl_transfer(retract, mu)
         data = hpl.data
         assert hpl.reports["colinearity"].ok
-        operator = operator_conclusions(data, hpl.outputs)
+        w = whole_route(retract, mu)
+        operator = operator_conclusions(w, w.outputs)
         corestricted = corestricted_conclusions(data, hpl.families)
         assert operator.ok and corestricted.ok
         assert sorted(operator.residuals) == sorted(corestricted.residuals)
@@ -299,18 +297,17 @@ def test_corrupted_phi_component_fails_both_forms():
     colinearity check cannot catch it; both forms of the conclusions must."""
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    hpl = hpl_transfer(retract, mu)
-    data = hpl.data
-    phi = hpl.families["phi"]
+    w = whole_route(retract, mu)
+    phi = w.families["phi"]
     comps = dict(phi.components)
     comps[2] = comps[2] + comps[2]
     bad = ComponentFamily("morphism", phi.source, phi.target, comps, phi.trunc)
-    outputs = dict(hpl.outputs, phi=lift_morphism(bad))
-    families = extract_outputs(data, outputs)
+    outputs = dict(w.outputs, phi=lift_morphism(bad))
+    families = output_families(outputs)
     assert families["phi"] == bad
     assert colinearity_report(outputs, families).residuals["phi"].is_zero()
-    operator = operator_conclusions(data, outputs)
-    corestricted = corestricted_conclusions(data, families)
+    operator = operator_conclusions(w, outputs)
+    corestricted = corestricted_conclusions(w, families)
     assert "phi-intertwines" in operator.failing()
     assert "phi-intertwines" in corestricted.failing()
 
@@ -361,7 +358,7 @@ def transferred_witness(field=None):
     pkg = transfer(retract, mu)
     hpl = hpl_transfer(retract, mu)
     return SimpleNamespace(mu=mu, retract=retract, pkg=pkg, data=hpl.data,
-                           hpl=hpl)
+                           hpl=hpl, whole=whole_route(retract, mu))
 
 
 @pytest.fixture(scope="module")
@@ -528,10 +525,9 @@ def test_failing_colinearity_names_the_least_word_as_pairs(witness3_over):
     report names phi's least residual word, as (degree, index) pairs of
     the suspended carrier: the least word in the order of the pairs."""
     w = witness3_over
-    hpl = w.hpl
-    outputs = dict(hpl.outputs)
+    outputs = dict(w.whole.outputs)
     outputs["phi"] = next(corrupted(outputs["phi"]))[1]
-    report = colinearity_report(outputs, hpl.families)
+    report = colinearity_report(outputs, w.hpl.families)
     assert report.failing() == ["phi"]
     residual = report.residuals["phi"]
     elements = residual.source.elements
@@ -573,7 +569,7 @@ def test_checkers_run_to_the_truncation_of_their_object(N):
     mu = instance_massey(truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     pkg = transfer(retract, mu.truncated(N))
-    data = build_perturbation(retract, mu.truncated(N))
+    data = whole_route(retract, mu.truncated(N))
     snu = suspend_structure(pkg.nu)
     arities = list(range(1, N + 1))
     reports = [
@@ -624,9 +620,9 @@ def operator_conclusions(data, outputs):
 def reference_outputs(data):
     """The outputs in the association the lemma is usually stated in,
     A = dmu + S dmu: delta_nu = F A G, psi = G + H A G, phi = F + F A H and
-    H_out = H + H A H.  `hpl_transfer` builds them as F + F S, H + H S and,
+    H_out = H + H A H.  The route builds them as F + F S, H + H S and,
     through A G = dmu G + S dmu G, as G + H A G and F A G."""
-    dmu = lifted_dmu(data)
+    dmu = data.dmu
     A = operator_sum([(1, dmu), (1, data.S, dmu)])
     FA, HA = data.F.compose(A), data.H.compose(A)
     return {"delta_nu": FA.compose(data.G),
@@ -636,12 +632,12 @@ def reference_outputs(data):
 
 
 def assert_outputs_match_reference(mu, retract):
-    hpl = hpl_transfer(retract, mu)
-    assert hpl.reports["inversion"].residuals["left"].is_zero()
-    reference = reference_outputs(hpl.data)
-    for key, op in hpl.outputs.items():
+    w = whole_route(retract, mu)
+    assert w.reports["inversion"].residuals["left"].is_zero()
+    reference = reference_outputs(w)
+    for key, op in w.outputs.items():
         assert op == reference[key], key
-    return hpl
+    return w
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(32003)],
@@ -649,17 +645,17 @@ def assert_outputs_match_reference(mu, retract):
 def test_outputs_match_reference_association_on_witness(field):
     mu = instance_massey(field, truncation=5)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    hpl = assert_outputs_match_reference(mu, retract)
-    assert hpl.ok
+    w = assert_outputs_match_reference(mu, retract)
+    assert all(report.ok for report in w.reports.values())
 
 
 def test_outputs_match_reference_association_on_crooked_retract():
     """The association holds whatever the retract; off the side conditions
     the outputs satisfy the conclusions as operators but are not lifts."""
     mu = massey_with_marker()
-    hpl = assert_outputs_match_reference(mu, crooked_retract(mu))
-    assert operator_conclusions(hpl.data, hpl.outputs).ok
-    assert not hpl.reports["colinearity"].ok
+    w = assert_outputs_match_reference(mu, crooked_retract(mu))
+    assert operator_conclusions(w, w.outputs).ok
+    assert not w.reports["colinearity"].ok
 
 
 @pytest.mark.parametrize("seed", [5, 15, 22])
@@ -667,8 +663,9 @@ def test_outputs_match_reference_association_on_random_dgas(seed):
     """Three corpus instances whose series S is nonzero."""
     mu = random_dga(random.Random(seed), truncation=4)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
-    hpl = assert_outputs_match_reference(mu, retract)
-    assert hpl.ok and not hpl.data.S.is_zero()
+    w = assert_outputs_match_reference(mu, retract)
+    assert all(report.ok for report in w.reports.values())
+    assert not w.S.is_zero()
 
 
 LIFTS = {"delta_nu": lift_coderivation, "psi": lift_morphism,
@@ -685,20 +682,20 @@ def test_colinearity_residual_is_zero_exactly_when_relift_is(crooked):
     mu = massey_with_marker() if crooked else instance_massey(truncation=4)
     retract = (crooked_retract(mu) if crooked else
                harmonious_retract(ChainComplex(mu.carrier, mu.differential)))
-    hpl = hpl_transfer(retract, mu)
-    outputs = hpl.outputs
+    w = whole_route(retract, mu)
+    outputs = w.outputs
     cases = [(None, None, outputs)] + [
         (key, block, dict(outputs, **{key: bad}))
         for key in sorted(outputs) for block, bad in corrupted(outputs[key])]
     for key, block, case in cases:
-        families = extract_outputs(hpl.data, case)
+        families = output_families(case)
         report = colinearity_report(case, families)
         for name, op in case.items():
             relift = operator_sum([(1, LIFTS[name](families[name])), (-1, op)])
             assert report.residuals[name].is_zero() == relift.is_zero(), name
         if key is not None and block[1] >= 2:
             assert not report.residuals[key].is_zero(), (key, block)
-    assert colinearity_report(outputs, hpl.families).ok != crooked
+    assert colinearity_report(outputs, w.families).ok != crooked
 
 
 def count_calls(monkeypatch, module, name):
@@ -716,18 +713,31 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_hpl_route_lifts_each_operator_once(monkeypatch):
-    """Work guard: on the witness at N = 5, building the perturbation and
-    running the lemma lifts F, G, H and dmu once each, and the colinearity
-    check builds no lift of an output."""
+    """Work guard: on the witness at N = 5 the route runs the lift
+    recursion once for each of dmu (whole), G, H's left flank, H and F
+    (each below N), and the one lift step at N once per chunk of G, H and
+    F: 5 sW letters and 9 sV letters.  The colinearity check builds no
+    lift of an output."""
     mu = instance_massey(truncation=5)
     retract = harmonious_retract(ChainComplex(mu.carrier, mu.differential))
     calls = {name: count_calls(monkeypatch, coalgebra, name)
              for name in ("lift_homotopy", "lift_morphism",
-                          "lift_coderivation")}
+                          "lift_coderivation", "_lift_blocks")}
+    levels = []
+    original = coalgebra._lift_level
+
+    def counted(blocks, comps, right, left, n, field):
+        levels.append(n)
+        return original(blocks, comps, right, left, n, field)
+
+    assert rebind(monkeypatch, original, counted)
     hpl = hpl_transfer(retract, mu)
     assert hpl.ok
     assert {name: len(c) for name, c in calls.items()} == {
-        "lift_homotopy": 1, "lift_morphism": 2, "lift_coderivation": 1}
+        "lift_homotopy": 0, "lift_morphism": 0, "lift_coderivation": 1,
+        "_lift_blocks": 5}
+    # the whole dmu makes level 5 once, the chunks once per letter each
+    assert levels.count(5) == 1 + 5 + 2 * 9
 
 
 def test_battery_lifts_the_homotopy_flank_once(monkeypatch):
@@ -765,20 +775,14 @@ def witness_setup(N=4):
     return mu, harmonious_retract(ChainComplex(mu.carrier, mu.differential))
 
 
-def witness_hpl(N=4):
-    mu, retract = witness_setup(N)
-    return hpl_transfer(retract, mu)
-
-
 def test_outputs_share_the_diagonal_blocks_of_their_plus_operands():
     """H_out = H + H S, phi = F + F S and psi = G + H A G: the composites
-    land below the diagonal, so each diagonal block of an output is the
-    very table of H, F or G, not a copy."""
-    hpl = witness_hpl()
-    data = hpl.data
-    for name, operand in [("homotopy", data.H), ("phi", data.F),
-                          ("psi", data.G)]:
-        out = hpl.outputs[name]
+    land below the diagonal, so each diagonal block of a whole output is
+    the very table of H, F or G, not a copy."""
+    mu, retract = witness_setup()
+    w = whole_route(retract, mu)
+    for name, operand in [("homotopy", w.H), ("phi", w.F), ("psi", w.G)]:
+        out = w.outputs[name]
         assert [k for k in operand.blocks if k[0] != k[1]] == []
         for key, table in operand.blocks.items():
             assert out.blocks[key] is table, key
@@ -804,33 +808,40 @@ def random_setup(seed):
     lambda: random_setup(15), lambda: random_setup(22)],
     ids=["witness", "crooked", "dga5", "dga15", "dga22"])
 def test_hpl_transfer_leaves_its_operands_unchanged(setup):
-    """The outputs and the series share tables with F, G, H, dmu G and M,
-    and no sum writes into one: every operand of the lemma's run reads, after
-    the run, as it does in a fresh input package that no lemma ran on,
-    including where S is nonzero."""
+    """No sum writes into a table it shares.  The swept route leaves the
+    retract's maps and the structure as it found them; and the whole
+    outputs and series, which share tables with F, G, H, dmu G and M,
+    leave every operand reading as it does in a fresh run that summed
+    none, including where S is nonzero."""
     mu, retract = setup()
+    maps = ([retract.fhat, retract.ghat, retract.hhat, retract.gfhat,
+             mu.differential] + list(mu.products.values()))
+    tables = [{w: dict(vec) for w, vec in m.table.items()} for m in maps]
+    assert hpl_transfer(retract, mu).reports
+    assert [m.table for m in maps] == tables
     names = ("F", "G", "H", "dmuG", "M")
-    fresh = build_perturbation(retract, mu)
+    fresh = whole_route(retract, mu)
     before = {name: operator_snapshot(getattr(fresh, name)) for name in names}
-    hpl = hpl_transfer(retract, mu)
-    assert not hpl.data.S.is_zero()
+    w = whole_route(retract, mu)
+    assert not w.S.is_zero()
     for name in names:
-        assert operator_snapshot(getattr(hpl.data, name)) == before[name], name
+        assert operator_snapshot(getattr(w, name)) == before[name], name
 
 
 def test_colinearity_check_never_calls_the_lift_builder(monkeypatch):
     """Independence guard: the colinearity check evaluates the lift step
     with its own walk, so a sign the builder drops cannot cancel out of it.
     With `graded.tensor_into` and `coalgebra._lift_blocks` refusing to run,
-    the report on the witness outputs at N = 5 is still ok."""
-    hpl = witness_hpl(5)
+    the report on the whole witness outputs at N = 5 is still ok."""
+    mu, retract = witness_setup(5)
+    w = whole_route(retract, mu)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the colinearity check called the builder")
 
     assert rebind(monkeypatch, graded.tensor_into, refuse)
     assert rebind(monkeypatch, coalgebra._lift_blocks, refuse)
-    assert colinearity_report(hpl.outputs, hpl.families).ok
+    assert colinearity_report(w.outputs, w.families).ok
 
 
 def test_colinearity_check_traces_under_a_tenth_of_H_out():
@@ -840,23 +851,118 @@ def test_colinearity_check_traces_under_a_tenth_of_H_out():
     keeps one row of the lift's step at a time, and the rows that
     differ."""
     mu, retract = witness_setup(5)
-    hpl = hpl_transfer(retract, mu)
-    data = hpl.data
+    w = whole_route(retract, mu)
     hhat, gfhat = retract.hhat, retract.gfhat
-    family = ComponentFamily("homotopy", data.sV, data.sV, {1: hhat}, 5,
+    family = ComponentFamily("homotopy", w.sV, w.sV, {1: hhat}, 5,
                              left=ComponentFamily.strict_morphism(gfhat, 5),
-                             right=ComponentFamily.identity(data.sV, 5))
+                             right=ComponentFamily.identity(w.sV, 5))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         H = lift_homotopy(family)
-        H_out = operator_sum([(1, H), (1, H, data.S)])
+        H_out = operator_sum([(1, H), (1, H, w.S)])
         built = tracemalloc.get_traced_memory()[0] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        report = colinearity_report(hpl.outputs, hpl.families)
+        report = colinearity_report(w.outputs, w.families)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert H_out == hpl.outputs["homotopy"] and report.ok
+    assert H_out == w.outputs["homotopy"] and report.ok
     assert peak < built / 10, (peak, built)
+
+
+# ------------------------------------------- the sweep against the whole route
+
+def harmonious(mu):
+    return mu, harmonious_retract(ChainComplex(mu.carrier, mu.differential))
+
+
+def marked(N, field):
+    mu = massey_with_marker(N, field)
+    return mu, crooked_retract(mu)
+
+
+SWEEP_CASES = {
+    "witness-Q": [lambda N=N: harmonious(instance_massey(truncation=N))
+                  for N in range(1, 6)],
+    "witness-Z32003": [
+        lambda N=N: harmonious(instance_massey(PrimeField(32003),
+                                               truncation=N))
+        for N in range(1, 6)],
+    "massey4": [lambda: harmonious(instance_massey(truncation=4, k=4))],
+    "forms": [lambda N=N: harmonious(instance_forms(truncation=N))
+              for N in range(2, 6)],
+    "dga-Q": [lambda seed=seed: harmonious(
+        random_dga(random.Random(seed), QQ, truncation=5))
+        for seed in range(1, 26)],
+    "dga-Z5": [lambda seed=seed: harmonious(
+        random_dga(random.Random(seed), PrimeField(5), truncation=5))
+        for seed in range(1, 26)],
+    "crooked-Q": [lambda N=N: marked(N, None) for N in range(3, 6)],
+    "crooked-Z5": [lambda N=N: marked(N, PrimeField(5)) for N in range(3, 6)],
+    "kept-pair": [lambda N=N: kept_pair_retract(N) for N in range(3, 6)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_reports_what_the_whole_route_reports(case):
+    """The swept route against the route built whole (`whole_route`): the
+    same reports in the same order, every report line and failing detail
+    line, the nilpotency indices, and the families with the homotopy's
+    left flank, on the witness at N = 1..5 over Q and Z/32003, Massey
+    k = 4 at N = 4, the forms instance at N = 2..5, `random_dga` seeds
+    1..25 at N = 5 over Q and Z/5, the crooked marker retracts at N = 3..5
+    over Q and Z/5 (each failing colinearity) and the kept-pair retracts at
+    N = 3..5.  All 74 runs, both routes each, take about 9 s."""
+    for index, make in enumerate(SWEEP_CASES[case]):
+        mu, retract = make()
+        hpl, whole = hpl_transfer(retract, mu), whole_route(retract, mu)
+        assert list(hpl.reports) == list(whole.reports), index
+        for key, report in hpl.reports.items():
+            expected = whole.reports[key]
+            assert report.lines() == expected.lines(), (index, key)
+            assert report.detail_lines() == expected.detail_lines(), (
+                index, key)
+        assert hpl.data.nilpotency == whole.nilpotency, index
+        assert hpl.families == whole.families, index
+        assert (hpl.families["homotopy"].left
+                == whole.families["homotopy"].left), index
+    if case.startswith("crooked"):
+        assert not hpl.ok and hpl.reports["colinearity"].failing()
+
+
+def test_sweep_makes_each_top_row_once():
+    """Work guard: on the witness at N = 5 the rows of homogeneity 5 that
+    `graded.tensor_into` makes over the swept route are those of the whole
+    lifts' top blocks, G's, H's and F's, made one first-letter chunk at a
+    time, and dmu's, made whole: 45,209 rows, none made twice."""
+    mu, retract = witness_setup(5)
+    whole, made_whole = top_rows_made(lambda: whole_route(retract, mu), 5)
+    hpl, made = top_rows_made(lambda: hpl_transfer(retract, mu), 5)
+    assert hpl.ok
+    top = {name: sum(len(t) for key, t in getattr(whole, name).blocks.items()
+                     if key[0] == 5)
+           for name in ("G", "H", "F", "dmu")}
+    assert made == made_whole == sum(top.values()) == 45209
+
+
+def test_sweep_traces_under_four_fifths_of_the_whole_route():
+    """Memory guard: on the witness at N = 4 the swept route's tracemalloc
+    peak is at most 80% of the whole route's (about 63% measured: 1.6 MB
+    against 2.6 MB), and what it returns holds under 1 MB (about 0.3 MB,
+    its families), where the whole route holds 2.5 MB."""
+    mu, retract = witness_setup(4)
+    traced = {}
+    for name, run in (("swept", hpl_transfer), ("whole", whole_route)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run(retract, mu)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        traced[name] = (peak - start, held - start)
+        del result
+    assert traced["swept"][0] <= 0.8 * traced["whole"][0], traced
+    assert traced["swept"][1] < 1e6 <= traced["whole"][1], traced

@@ -21,6 +21,7 @@ from ainfinity.graded import ChainComplex
 from ainfinity.kernels import transfer
 from ainfinity.perturbation import hpl_transfer
 from ainfinity.retracts import harmonious_retract, instance_forms, instance_massey
+from whole_route import whole_route
 
 P = 32003
 N = 4
@@ -93,10 +94,17 @@ def assert_kernel_packages_agree(r_q, mu_q, r_p, mu_p):
 
 
 def assert_hpl_delta_nu_agrees(r_q, mu_q, r_p, mu_p):
+    """The swept route's delta_nu components, and every block of the whole
+    delta_nu, over Z/p are the rational ones reduced."""
     hpl_q, hpl_p = hpl_transfer(r_q, mu_q), hpl_transfer(r_p, mu_p)
     assert hpl_q.ok and hpl_p.ok
-    blocks_q, blocks_p = (hpl_q.outputs["delta_nu"].blocks,
-                          hpl_p.outputs["delta_nu"].blocks)
+    comps_q, comps_p = (hpl_q.families["delta_nu"].components,
+                        hpl_p.families["delta_nu"].components)
+    expected = {n: reduced(m.table) for n, m in comps_q.items()}
+    assert {n: m.table for n, m in comps_p.items()} == {
+        n: t for n, t in expected.items() if t}
+    blocks_q, blocks_p = (whole_route(r_q, mu_q).outputs["delta_nu"].blocks,
+                          whole_route(r_p, mu_p).outputs["delta_nu"].blocks)
     expected = {k: reduced(t) for k, t in blocks_q.items()}
     assert blocks_p == {k: t for k, t in expected.items() if t}
 

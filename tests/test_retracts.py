@@ -18,6 +18,7 @@ from ainfinity.retracts import (Splitting, _rref, harmonious_retract,
                                 instance_forms, instance_massey, normalise)
 from conftest import (crooked_retract, fg_broken_retract, image,
                       kept_pair_retract, massey_with_marker, two_dim_complex)
+from whole_route import whole_route
 
 
 def test_homology_rejects_non_square_zero():
@@ -116,7 +117,10 @@ def transfer_both_routes(mu):
     hpl = hpl_transfer(r, mu)
     comparison = compare_hpl_vs_kernels(hpl, pkg)
     assert pkg.ok and hpl.ok and comparison.status == "exact"
-    return r, pkg, hpl, hpl.families, comparison
+    # the swept route keeps no operator: its tables are read off the same
+    # route built whole
+    whole = vars(whole_route(r, mu))
+    return r, pkg, hpl, hpl.families, comparison, whole
 
 
 def test_no_float_in_any_table():
